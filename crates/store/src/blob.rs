@@ -134,6 +134,12 @@ impl BlobStore {
 
     /// Fetch the payload stored under `key`, verifying the frame.
     pub fn get(&self, key: &str) -> Result<Vec<u8>, BlobError> {
+        self.read_verified(key).map(|(payload, _)| payload)
+    }
+
+    /// Read and verify the frame under `key`: the payload and the CRC-32
+    /// it was just checked against.
+    fn read_verified(&self, key: &str) -> Result<(Vec<u8>, u32), BlobError> {
         let path = self.path_for(key);
         let mut f = fs::File::open(&path)?;
         let file_len = f.metadata()?.len();
@@ -166,17 +172,14 @@ impl BlobStore {
                 "payload CRC {actual:#010x} does not match stored {stored:#010x}"
             )));
         }
-        Ok(payload)
+        Ok((payload, actual))
     }
 
     /// Size and integrity of the blob under `key` (reads the payload to
     /// re-hash it, but never ships it anywhere).
     pub fn stat(&self, key: &str) -> Result<BlobStat, BlobError> {
-        match self.get(key) {
-            Ok(payload) => {
-                let crc = crc32(&payload);
-                Ok(BlobStat { len: payload.len() as u64, crc, ok: true })
-            }
+        match self.read_verified(key) {
+            Ok((payload, crc)) => Ok(BlobStat { len: payload.len() as u64, crc, ok: true }),
             Err(BlobError::Corrupt(_)) => {
                 // Report what the frame *claims* so the caller can still
                 // see the blob exists; `ok: false` marks it damaged.

@@ -212,6 +212,10 @@ pub fn format_report(p: &Profile, path: &Path, source: &str) -> String {
             ""
         }
     );
+    // Not tuned, detected: the CRC-32 / SHA-256 kernels `ec-wire` picked
+    // for this process from the CPU's feature flags.
+    let (crc, sha) = ec_wire::integrity_kernels();
+    let _ = writeln!(out, "integrity:  crc32={crc} sha256={sha} (by CPU feature, no override)");
     let mut samples: Vec<&TuneSample> = p.samples.iter().collect();
     samples.sort_by_key(|s| std::cmp::Reverse(s.mib_per_s));
     let _ = writeln!(out, "candidates ({} measured):", samples.len());
@@ -290,6 +294,8 @@ mod tests {
         assert!(r.contains("kernel:     xor8"));
         assert!(r.contains("blocksize:  2048"));
         assert!(r.contains("<- chosen"));
+        let (crc, sha) = ec_wire::integrity_kernels();
+        assert!(r.contains(&format!("integrity:  crc32={crc} sha256={sha} ")), "{r}");
         assert!(r.contains("xor1") && r.contains("900"));
         // Sorted fastest-first: the winner line precedes the scalar line.
         assert!(r.find("4200").unwrap() < r.find("900 ").unwrap());

@@ -24,3 +24,26 @@ mod sha256;
 
 pub use crc::{crc32, crc_preserving_flip, Crc32};
 pub use sha256::{hash_hex, sha256, Sha256, SHA256_LEN};
+
+/// The CRC-32 and SHA-256 kernels this process runs, as `(crc, sha)`
+/// names — `("pclmul", "sha-ni")` where the CPU has the instructions,
+/// `("slice16", "portable")` otherwise. Detected once, on first use;
+/// there is no override, because the output bytes do not depend on it.
+pub fn integrity_kernels() -> (&'static str, &'static str) {
+    (crc::selected().0, sha256::selected().0)
+}
+
+/// A fresh digest bound to each kernel the running CPU offers, by name,
+/// fastest first and the portable one always last — what
+/// `tests/kernel_equivalence.rs` sweeps. Everything else gets the
+/// process-wide choice from [`Crc32::new`] / [`Sha256::new`].
+#[doc(hidden)]
+pub struct Implementations {
+    pub crc32: Vec<(&'static str, Crc32)>,
+    pub sha256: Vec<(&'static str, Sha256)>,
+}
+
+#[doc(hidden)]
+pub fn implementations() -> Implementations {
+    Implementations { crc32: crc::implementations(), sha256: sha256::implementations() }
+}

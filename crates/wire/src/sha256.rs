@@ -13,6 +13,13 @@
 //!
 //! Validated against the NIST FIPS 180-4 example vectors (one-block,
 //! two-block, and the million-`a` stress vector) in the tests below.
+//!
+//! Two kernels run the compression function: a portable one, and on
+//! x86-64 with `sha` + `ssse3` + `sse4.1` the Intel SHA extensions. The
+//! process picks one on first use ([`selected`]); the digest is the
+//! same bit for bit on either (`tests/kernel_equivalence.rs`).
+
+use std::sync::OnceLock;
 
 /// Digest size in bytes.
 pub const SHA256_LEN: usize = 32;
@@ -40,6 +47,168 @@ const H0: [u32; 8] = [
     0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// A SHA-256 kernel: run the compression function (FIPS 180-4 §6.2.2)
+/// over a whole run of 64-byte blocks, so a large `update` is one call
+/// and the state stays in registers across it. `blocks.len()` is a
+/// multiple of 64.
+type CompressFn = fn(&mut [u32; 8], &[u8]);
+
+/// Portable kernel: the 64 rounds unrolled eight at a time (the working
+/// variables rotate by renaming, not by moves) over a 16-word rolling
+/// message schedule.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    /// One round; `$kw` is `K[t] + W[t]`. Writes the new `e` into `$d`
+    /// and the new `a` into `$h`, which the next round reads under
+    /// rotated names.
+    macro_rules! round {
+        ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $kw:expr) => {
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add(($e & $f) ^ (!$e & $g))
+                .wrapping_add($kw);
+            let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(t2);
+        };
+    }
+    for block in blocks.as_chunks::<64>().0 {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for base in (0..64).step_by(8) {
+            // `K[t] + W[t]` for round `t = base + j`; from round 16 on,
+            // `W[t]` overwrites `W[t-16]` in the 16-word ring first.
+            let mut kw = |j: usize| {
+                let t = base + j;
+                if t >= 16 {
+                    let (w15, w2) = (w[(t + 1) & 15], w[(t + 14) & 15]);
+                    w[t & 15] = w[t & 15]
+                        .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                        .wrapping_add(w[(t + 9) & 15])
+                        .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+                }
+                K[t].wrapping_add(w[t & 15])
+            };
+            round!(a b c d e f g h, kw(0));
+            round!(h a b c d e f g, kw(1));
+            round!(g h a b c d e f, kw(2));
+            round!(f g h a b c d e, kw(3));
+            round!(e f g h a b c d, kw(4));
+            round!(d e f g h a b c, kw(5));
+            round!(c d e f g h a b, kw(6));
+            round!(b c d e f g h a, kw(7));
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The Intel SHA extensions: `sha256rnds2` runs two rounds per
+/// instruction on the state held as two registers (`ABEF`, `CDGH`);
+/// `sha256msg1`/`sha256msg2` produce four schedule words at a time.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // SAFETY: `kernels()` lists this function only after
+        // `is_x86_feature_detected!` confirmed `sha`, `ssse3` and `sse4.1`.
+        unsafe { compress_blocks(state, blocks.as_chunks::<64>().0) }
+    }
+
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // SAFETY (all three): the pointer comes from a reference to 16
+        // bytes of `u32`s or `u8`s, and the unaligned load/store
+        // intrinsics have no alignment requirement.
+        let load_words = |w: &[u32; 4]| unsafe { _mm_loadu_si128(w.as_ptr().cast()) };
+        let load_bytes = |b: &[u8; 16]| unsafe { _mm_loadu_si128(b.as_ptr().cast()) };
+        let store_words =
+            |w: &mut [u32; 4], v| unsafe { _mm_storeu_si128(w.as_mut_ptr().cast(), v) };
+
+        let (halves, _) = state.as_chunks_mut::<4>();
+        // [a b c d], [e f g h] → the ABEF / CDGH layout `sha256rnds2` wants.
+        let dcba = _mm_shuffle_epi32(load_words(&halves[0]), 0xB1);
+        let hgfe = _mm_shuffle_epi32(load_words(&halves[1]), 0x1B);
+        let mut abef = _mm_alignr_epi8(dcba, hgfe, 8);
+        let mut cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+        let big_endian = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let k = K.as_chunks::<4>().0;
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Four rounds on schedule words `w[4g..4g+4]`.
+            let mut rounds4 = |g: usize, w: __m128i| {
+                let wk = _mm_add_epi32(w, load_words(&k[g]));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            };
+            // The next four schedule words from the previous sixteen.
+            let schedule = |w0, w1, w2: __m128i, w3: __m128i| {
+                let sum = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+                _mm_sha256msg2_epu32(sum, w3)
+            };
+            let lanes = block.as_chunks::<16>().0;
+            let mut w0 = _mm_shuffle_epi8(load_bytes(&lanes[0]), big_endian);
+            let mut w1 = _mm_shuffle_epi8(load_bytes(&lanes[1]), big_endian);
+            let mut w2 = _mm_shuffle_epi8(load_bytes(&lanes[2]), big_endian);
+            let mut w3 = _mm_shuffle_epi8(load_bytes(&lanes[3]), big_endian);
+            rounds4(0, w0);
+            rounds4(1, w1);
+            rounds4(2, w2);
+            rounds4(3, w3);
+            for g in (4..16).step_by(4) {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(g, w0);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(g + 1, w1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(g + 2, w2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(g + 3, w3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        store_words(&mut halves[0], _mm_blend_epi16(feba, dchg, 0xF0));
+        store_words(&mut halves[1], _mm_alignr_epi8(dchg, feba, 8));
+    }
+}
+
+/// Every SHA-256 kernel this CPU can run as `(name, kernel)`, fastest
+/// first; the portable kernel is always the last entry.
+fn kernels() -> Vec<(&'static str, CompressFn)> {
+    let mut list: Vec<(&'static str, CompressFn)> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        list.push(("sha-ni", sha_ni::compress));
+    }
+    list.push(("portable", compress_portable));
+    list
+}
+
+/// The kernel this process uses, detected once.
+pub(crate) fn selected() -> (&'static str, CompressFn) {
+    static SELECTED: OnceLock<(&'static str, CompressFn)> = OnceLock::new();
+    *SELECTED.get_or_init(|| kernels()[0])
+}
+
+/// One fresh digest per available kernel, for the equivalence tests.
+pub(crate) fn implementations() -> Vec<(&'static str, Sha256)> {
+    kernels().into_iter().map(|(name, compress)| (name, Sha256::with_kernel(compress))).collect()
+}
+
 /// A running SHA-256 digest for incremental (streaming) updates.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -50,12 +219,17 @@ pub struct Sha256 {
     /// Partial block awaiting 64 bytes.
     block: [u8; 64],
     fill: usize,
+    compress: CompressFn,
 }
 
 impl Sha256 {
     /// Start a fresh digest.
     pub fn new() -> Sha256 {
-        Sha256 { state: H0, len: 0, block: [0; 64], fill: 0 }
+        Sha256::with_kernel(selected().1)
+    }
+
+    fn with_kernel(compress: CompressFn) -> Sha256 {
+        Sha256 { state: H0, len: 0, block: [0; 64], fill: 0, compress }
     }
 
     /// Feed bytes into the digest.
@@ -72,92 +246,34 @@ impl Sha256 {
                 // `fill` and drop these bytes.
                 return;
             }
-            let block = self.block;
-            self.compress(&block);
-            self.fill = 0;
+            (self.compress)(&mut self.state, &self.block);
         }
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            self.compress(block.try_into().expect("exact chunk"));
+        let (whole, rest) = data.split_at(data.len() & !63);
+        if !whole.is_empty() {
+            (self.compress)(&mut self.state, whole);
         }
-        let rest = chunks.remainder();
         self.block[..rest.len()].copy_from_slice(rest);
         self.fill = rest.len();
     }
 
     /// The digest of everything fed so far.
     pub fn finish(mut self) -> [u8; SHA256_LEN] {
-        let bit_len = self.len.wrapping_mul(8);
         // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian
-        // message bit length.
-        self.update(&[0x80]);
-        while self.fill != 56 {
-            self.update(&[0]);
+        // message bit length — a second block only when the first has
+        // no room left for the length.
+        self.block[self.fill] = 0x80;
+        self.block[self.fill + 1..].fill(0);
+        if self.fill >= 56 {
+            (self.compress)(&mut self.state, &self.block);
+            self.block.fill(0);
         }
-        // Feed the length directly as the final 8 block bytes; `update`
-        // would wrongly count them into `len`, but `bit_len` is already
-        // captured.
-        self.block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.block;
-        self.compress(&block);
+        self.block[56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        (self.compress)(&mut self.state, &self.block);
         let mut out = [0u8; SHA256_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
         }
         out
-    }
-
-    /// One compression round over a 64-byte block (FIPS 180-4 §6.2.2).
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (t, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(
-                block[t * 4..t * 4 + 4].try_into().expect("fixed slice"),
-            );
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7)
-                ^ w[t - 15].rotate_right(18)
-                ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17)
-                ^ w[t - 2].rotate_right(19)
-                ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for t in 0..64 {
-            let big_s1 =
-                e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 =
-                a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -190,6 +306,58 @@ mod tests {
 
     fn hex(digest: [u8; 32]) -> String {
         hash_hex(&digest)
+    }
+
+    /// The straight-from-the-standard compression function every kernel
+    /// replaced (64-word schedule, one loop over the rounds), kept as
+    /// the oracle they are checked against.
+    fn compress_reference(state: &mut [u32; 8], blocks: &[u8]) {
+        for block in blocks.chunks_exact(64) {
+            let mut w = [0u32; 64];
+            for (t, word) in w.iter_mut().take(16).enumerate() {
+                *word =
+                    u32::from_be_bytes(block[t * 4..t * 4 + 4].try_into().expect("fixed slice"));
+            }
+            for t in 16..64 {
+                let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+                let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+                w[t] = w[t - 16].wrapping_add(s0).wrapping_add(w[t - 7]).wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+            for t in 0..64 {
+                let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ (!e & g);
+                let t1 = h
+                    .wrapping_add(big_s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[t])
+                    .wrapping_add(w[t]);
+                let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let t2 = big_s0.wrapping_add(maj);
+                (h, g, f, e) = (g, f, e, d.wrapping_add(t1));
+                (d, c, b, a) = (c, b, a, t1.wrapping_add(t2));
+            }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = s.wrapping_add(v);
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_matches_the_reference_compress() {
+        let data: Vec<u8> = (0..64 * 9u32).map(|i| (i * 131 + 17) as u8).collect();
+        for (name, compress) in kernels() {
+            for blocks in 0..=9 {
+                let (mut got, mut want) = (H0, H0);
+                // Two calls each, so the second starts from a non-initial state.
+                for _ in 0..2 {
+                    compress(&mut got, &data[..blocks * 64]);
+                    compress_reference(&mut want, &data[..blocks * 64]);
+                }
+                assert_eq!(got, want, "{name}, {blocks} blocks");
+            }
+        }
     }
 
     // NIST FIPS 180-4 / CAVP example vectors.

@@ -20,7 +20,7 @@
 //! | [`baseline`] | `gf-baseline` | ISA-L-style table-driven codec |
 //! | [`stream`] | `ec-stream` | streaming archives: shard format, scrub & repair |
 //! | [`store`] | `ec-store` | networked object store: shard nodes, placement, degraded reads, online repair |
-//! | [`wire`] | `ec-wire` | shared CRC-32 framing primitives |
+//! | [`wire`] | `ec-wire` | CRC-32, SHA-256 and Merkle trees shared by the archive and store formats |
 //! | [`tune`] | `ec-tune` | per-machine kernel/blocksize/stripe autotuner + profile cache |
 //!
 //! ## Quick start
