@@ -1,804 +1,971 @@
-//! A generic two-parity array codec over the SLP pipeline.
+//! [`XorCodec`]: the one codec engine. A systematic XOR-linear erasure
+//! code is a parity bit-matrix plus a packet count per shard; everything
+//! else — encode, delta update, partial re-encode, decode, repair plans,
+//! verify, program caches — is the same for every such code and lives
+//! here, once.
 
-use crate::{evenodd_parity_bitmatrix, next_prime, rdp_parity_bitmatrix};
+use crate::error::EcError;
+use crate::layout;
+use crate::lru::LruCache;
 use bitmatrix::BitMatrix;
 use slp::{binary_slp_from_bitmatrix, Slp};
 use slp_optimizer::{optimize, OptConfig};
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use xor_runtime::{cpu_backend, ComputeBackend, ExecProgram, Kernel};
+use xor_runtime::{lock_unpoisoned as lock, CpuBackend, ExecPool, ExecProgram, Kernel};
 
-/// Errors of the array codec.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArrayCodecError {
-    /// Wrong shard count/length.
-    Shards(String),
-    /// More than two disks lost.
-    TooManyErasures { missing: usize },
-    /// Surviving symbols do not determine the data (would indicate a bug
-    /// in the code construction).
-    Unsolvable { lost: Vec<usize> },
-    /// A repair-plan source disk required by
-    /// [`ArrayCodec::reconstruct_subset`] was not provided.
-    MissingSource { shard: usize },
+/// The engine knobs of an [`XorCodec`]: how programs are optimized,
+/// compiled, executed and cached. Which *code* runs is not in here.
+///
+/// Precedence, lowest to highest — the profile never overrides anything
+/// a human asked for:
+///
+/// 1. static paper defaults (§7.4: `Dfs(Fu(XorRePair(P)))`, 1 KiB
+///    blocks, the fastest XOR kernel the CPU offers);
+/// 2. the tuned profile ([`ec_tune::engine_defaults`]): on first use
+///    `ec-tune` micro-benchmarks kernel × blocksize × stripe-count on
+///    the actual CPU and caches the winner per machine;
+/// 3. environment: `XORSLP_KERNEL` (`scalar` | `wide64` | `avx2` |
+///    `avx512` | `neon` | `auto`), `XORSLP_BLOCKSIZE` (bytes),
+///    `XORSLP_PARALLELISM` (`0` = auto or a worker count) — CI uses
+///    these to force the whole suite through each engine configuration;
+/// 4. explicit field writes on the value [`EngineConfig::tuned`] returns.
+///
+/// Steps 1–3 are applied in [`EngineConfig::tuned`] and nowhere else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EngineConfig {
+    /// SLP optimization pipeline (§4–§6).
+    pub opt: OptConfig,
+    /// Blocking parameter `B` in bytes (§6.1, §7.4).
+    pub blocksize: usize,
+    /// XOR kernel (§7.2's `xor1` vs `xor32`).
+    pub kernel: Kernel,
+    /// Worker threads for striped execution: `0` = auto (share the
+    /// machine-sized global [`ExecPool`]), `1` = a single dedicated
+    /// worker (serial execution, still arena-reusing and mutex-free),
+    /// `k > 1` = a dedicated `k`-worker pool.
+    pub parallelism: usize,
+    /// Capacity of the per-erasure-pattern decode-program LRU cache:
+    /// `0` = auto (every empty/single/double erasure pattern fits).
+    pub decode_cache_cap: usize,
+    /// Capacity of the partial-program LRU cache (per-data-shard column
+    /// programs for delta parity updates and parity-row-subset programs
+    /// for partial repair): `0` = auto (every column program and every
+    /// single-row program fits, `n + p` entries).
+    pub partial_cache_cap: usize,
 }
 
-impl fmt::Display for ArrayCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArrayCodecError::Shards(m) => write!(f, "bad shards: {m}"),
-            ArrayCodecError::TooManyErasures { missing } => {
-                write!(f, "{missing} disks missing but only 2 tolerated")
-            }
-            ArrayCodecError::Unsolvable { lost } => {
-                write!(f, "surviving symbols do not determine the data (lost {lost:?})")
-            }
-            ArrayCodecError::MissingSource { shard } => {
-                write!(f, "repair-plan source disk {shard} was not provided")
-            }
+impl EngineConfig {
+    /// The default engine: paper defaults, refined by the machine's
+    /// tuned profile, refined by env overrides (see the type docs). The
+    /// first call on a cold machine runs the `ec-tune` micro-benchmark
+    /// once and caches it.
+    pub fn tuned() -> EngineConfig {
+        let tuned = ec_tune::engine_defaults();
+        EngineConfig {
+            opt: OptConfig::default(),
+            blocksize: xor_runtime::env_blocksize().unwrap_or(tuned.blocksize),
+            kernel: Kernel::from_env().unwrap_or(tuned.kernel),
+            parallelism: xor_runtime::env_parallelism().unwrap_or(tuned.parallelism),
+            decode_cache_cap: 0,
+            partial_cache_cap: 0,
         }
     }
 }
 
-impl std::error::Error for ArrayCodecError {}
-
-/// Which array code a codec implements.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    EvenOdd,
-    Rdp,
-}
-
-/// A two-parity array codec (`k` data disks + 2 parity disks), encoded and
-/// decoded by optimized straight-line XOR programs.
-///
-/// Shards are striped into `w = p − 1` packets (the code's symbol count),
-/// so shard lengths must be multiples of `w`; the convenience
-/// [`ArrayCodec::encode`] pads as needed.
-///
-/// Execution goes through a [`ComputeBackend`] — the same parallel
-/// engine the RS pipeline uses, since both share the SLP execution path.
-/// The engine knobs default to the machine's tuned `ec-tune` profile,
-/// refined by the `XORSLP_KERNEL`/`XORSLP_BLOCKSIZE`/
-/// `XORSLP_PARALLELISM` environment overrides; override per codec with
-/// [`ArrayCodec::with_parallelism`] or [`ArrayCodec::set_backend`].
-pub struct ArrayCodec {
-    kind: Kind,
-    k: usize,
-    p: usize,
-    w: usize,
-    /// Full generator: data symbols (identity) then the 2w parity symbols.
-    generator: BitMatrix,
-    enc_prog: ExecProgram,
-    enc_slp: Slp,
-    blocksize: usize,
-    kernel: Kernel,
-    opt: OptConfig,
-    backend: Arc<dyn ComputeBackend>,
-    dec_cache: Mutex<HashMap<Vec<usize>, Arc<DecEntry>>>,
-    /// Per-disk delta-update programs (domain is `0..k`, so a plain map
-    /// is already bounded).
-    upd_cache: Mutex<HashMap<usize, Arc<UpdEntry>>>,
-    /// Single-parity-row re-encode programs (domain is `{0, 1}`).
-    row_cache: Mutex<HashMap<usize, Arc<UpdEntry>>>,
-}
-
-struct DecEntry {
-    prog: Option<ExecProgram>,
-    /// (disk, symbol) feeding each program input, in order.
-    inputs: Vec<(usize, usize)>,
+/// A compiled decode pipeline for one erasure pattern.
+struct DecProgram {
+    /// The optimized SLP and its compiled form; `None` when no data shard
+    /// is lost (parity-only erasures need no inverse).
+    compiled: Option<(Slp, ExecProgram)>,
+    /// Indices (< n) of the data shards this program reconstructs.
     lost_data: Vec<usize>,
+    /// `(shard, packet)` feeding each program input, in input order.
+    /// Survivor packets the recovery rows never read are dropped.
+    inputs: Vec<(usize, usize)>,
+    /// The distinct shards of `inputs`, in input order: the *exact* read
+    /// set of the program — for a locally-repairable code repairing a
+    /// single loss it is one local group, not all n survivors.
+    survivors: Vec<usize>,
 }
 
-/// One disk's column-block program: maps the disk's `w` delta symbols to
-/// the `2w` parity-symbol deltas.
-struct UpdEntry {
+/// Key of a cached partial (sub-matrix) XOR program.
+///
+/// The same pipeline that compiles the full parity matrix applies
+/// unchanged to any sub-matrix of it; these are the two shapes
+/// production traffic asks for.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum PartialKey {
+    /// Column block `i` of the parity matrix: scales one data shard's
+    /// *change* into the parity shards (delta updates).
+    Column(usize),
+    /// A strict subset of parity shards (ascending, 0-based within the
+    /// parity block): re-encodes only those (partial repair). The
+    /// full-row-set program is the encode program itself and is never
+    /// cached here.
+    Rows(Vec<usize>),
+}
+
+/// A compiled partial program plus its optimized SLP (kept for metrics:
+/// the delta-update win is *provable* by comparing XOR counts).
+struct PartialProgram {
     slp: Slp,
     prog: ExecProgram,
+    /// Parity packets (bit-matrix rows, 0-based within the parity block,
+    /// ascending) the program produces. Column programs skip parity
+    /// packets the column block does not feed — for a locality-grouped
+    /// matrix a data shard only reaches its own group's local parity plus
+    /// the globals. Dense for row subsets.
+    rows: Vec<usize>,
 }
 
-impl ArrayCodec {
-    /// EVENODD with `k` data disks; `p` is the smallest prime ≥ max(k, 3).
-    pub fn evenodd(k: usize) -> ArrayCodec {
-        let p = next_prime(k.max(3));
-        ArrayCodec::build(Kind::EvenOdd, k, p)
-    }
+/// A systematic XOR-linear erasure codec over `n` data and `p` parity
+/// shards of `w` packets each, defined by its `p·w × n·w` parity
+/// bit-matrix and computed entirely by optimized XOR programs.
+///
+/// Construction compiles the optimized encode program once; decode
+/// programs are compiled lazily per erasure pattern — pick surviving
+/// packets, invert over GF(2), optimize the recovery rows — and kept in a
+/// bounded LRU cache ([`EngineConfig::decode_cache_cap`]). All methods
+/// take `&self` and the codec is `Send + Sync`.
+///
+/// Execution stripes across an [`ExecPool`] (the
+/// [`EngineConfig::parallelism`] knob): every worker owns a persistent
+/// grow-on-demand arena, so concurrent callers never serialize on shared
+/// scratch buffers and steady-state encode/decode allocates nothing.
+pub struct XorCodec {
+    n: usize,
+    p: usize,
+    w: usize,
+    cfg: EngineConfig,
+    /// Full `(n+p)·w × n·w` generator: the identity, then the parity
+    /// bit-matrix.
+    generator: BitMatrix,
+    /// Shard-level support of the parity matrix, `p × n`: parity shard
+    /// `r` reads data shard `j` iff their `w × w` block is non-zero.
+    reads: BitMatrix,
+    /// Locality groups (shard indices per group, data members plus the
+    /// group's local parity shard). Empty for a code without locality;
+    /// otherwise steers survivor selection toward the cheap local rows.
+    groups: Vec<Vec<usize>>,
+    enc_slp: Slp,
+    enc_prog: ExecProgram,
+    backend: CpuBackend,
+    dec_cache: Mutex<LruCache<Vec<usize>, Arc<DecProgram>>>,
+    partial_cache: Mutex<LruCache<PartialKey, Arc<PartialProgram>>>,
+}
 
-    /// RDP with `k` data disks; `p` is the smallest prime ≥ max(k+1, 3).
-    pub fn rdp(k: usize) -> ArrayCodec {
-        let p = next_prime((k + 1).max(3));
-        ArrayCodec::build(Kind::Rdp, k, p)
-    }
-
-    fn build(kind: Kind, k: usize, p: usize) -> ArrayCodec {
-        assert!(k >= 1, "need at least one data disk");
-        let w = p - 1;
-        let parity = match kind {
-            Kind::EvenOdd => evenodd_parity_bitmatrix(k, p),
-            Kind::Rdp => rdp_parity_bitmatrix(k, p),
-        };
-        // Generator: identity for the k·w data symbols, then parity rows.
-        let mut generator = BitMatrix::zero((k + 2) * w, k * w);
-        for t in 0..k * w {
-            generator.set(t, t, true);
+impl XorCodec {
+    /// Build the codec of the systematic code whose parity packets are
+    /// `parity · data packets` over GF(2).
+    ///
+    /// `parity` is `p·w × n·w`: row `w·r + b` is packet `b` of parity
+    /// shard `r`, column `w·i + b` packet `b` of data shard `i`. `groups`
+    /// lists the locality groups of the code, if any (shard indices,
+    /// `0..n+p`).
+    pub fn new(
+        n: usize,
+        p: usize,
+        w: usize,
+        parity: &BitMatrix,
+        groups: Vec<Vec<usize>>,
+        cfg: EngineConfig,
+    ) -> Result<XorCodec, EcError> {
+        if n == 0 || p == 0 || w == 0 {
+            return Err(EcError::InvalidParams(
+                "need at least one data shard, one parity shard and one packet per shard".into(),
+            ));
         }
-        for r in 0..2 * w {
-            for c in parity.ones_in_row(r).collect::<Vec<_>>() {
-                generator.set(k * w + r, c, true);
+        if cfg.blocksize == 0 {
+            return Err(EcError::InvalidParams("blocksize must be positive".into()));
+        }
+        if (parity.rows(), parity.cols()) != (p * w, n * w) {
+            return Err(EcError::InvalidParams(format!(
+                "parity bit-matrix is {}×{}, expected {}×{}",
+                parity.rows(),
+                parity.cols(),
+                p * w,
+                n * w
+            )));
+        }
+        // Neither has an XOR program: a parity packet that is always
+        // zero, a data shard whose change moves no parity.
+        if let Some(r) = (0..p * w).find(|&r| parity.row_popcount(r) == 0) {
+            return Err(EcError::InvalidParams(format!(
+                "parity bit-matrix row {r} is all-zero"
+            )));
+        }
+        let mut reads = BitMatrix::zero(p, n);
+        for r in 0..p * w {
+            for c in parity.ones_in_row(r) {
+                reads.set(r / w, c / w, true);
             }
         }
-        let opt = OptConfig::FULL_DFS;
-        // Same engine-knob precedence as RsConfig::new: tuned profile
-        // below, env overrides on top, builder calls above everything.
-        let tuned = ec_tune::engine_defaults();
-        let blocksize = xor_runtime::env_blocksize().unwrap_or(tuned.blocksize);
-        let kernel = Kernel::from_env().unwrap_or(tuned.kernel);
-        let enc_slp = optimize(&binary_slp_from_bitmatrix(&parity), opt);
-        let enc_prog = ExecProgram::compile(&enc_slp, blocksize, kernel);
-        ArrayCodec {
-            kind,
-            k,
+        if let Some(j) = (0..n).find(|&j| (0..p).all(|r| !reads.get(r, j))) {
+            return Err(EcError::InvalidParams(format!(
+                "data shard {j} feeds no parity shard"
+            )));
+        }
+        if groups.iter().flatten().any(|&i| i >= n + p) {
+            return Err(EcError::InvalidParams(format!(
+                "locality group names a shard outside 0..{}",
+                n + p
+            )));
+        }
+        let mut generator = BitMatrix::zero((n + p) * w, n * w);
+        generator.paste(0, 0, &BitMatrix::identity(n * w));
+        generator.paste(n * w, 0, parity);
+        let enc_slp = optimize(&binary_slp_from_bitmatrix(parity), cfg.opt);
+        let enc_prog = ExecProgram::compile(&enc_slp, cfg.blocksize, cfg.kernel);
+        // Auto cache capacity: every empty, single and double erasure
+        // pattern fits (1 + t + C(t, 2) keys) — the patterns production
+        // repair traffic actually cycles through.
+        let t = n + p;
+        let decode_cap = match cfg.decode_cache_cap {
+            0 => 1 + t + t * (t - 1) / 2,
+            cap => cap,
+        };
+        // Auto partial-program capacity: every per-data-shard column
+        // program (the delta-update working set) and every single-row
+        // repair program fit simultaneously.
+        let partial_cap = match cfg.partial_cache_cap {
+            0 => n + p,
+            cap => cap,
+        };
+        Ok(XorCodec {
+            n,
             p,
             w,
+            cfg,
             generator,
-            enc_prog,
+            reads,
+            groups,
             enc_slp,
-            blocksize,
-            kernel,
-            opt,
-            backend: cpu_backend(
-                xor_runtime::env_parallelism().unwrap_or(tuned.parallelism),
-            ),
-            dec_cache: Mutex::new(HashMap::new()),
-            upd_cache: Mutex::new(HashMap::new()),
-            row_cache: Mutex::new(HashMap::new()),
-        }
+            enc_prog,
+            backend: CpuBackend::from_parallelism(cfg.parallelism),
+            dec_cache: Mutex::new(LruCache::new(decode_cap)),
+            partial_cache: Mutex::new(LruCache::new(partial_cap)),
+        })
     }
 
-    /// Builder-style parallelism override: `0` = auto (share the global
-    /// machine-sized pool), `k ≥ 1` = a dedicated `k`-worker pool.
-    pub fn with_parallelism(mut self, parallelism: usize) -> ArrayCodec {
-        self.backend = cpu_backend(parallelism);
+    /// Rebuild the worker pool for a new [`EngineConfig::parallelism`];
+    /// compiled programs are kept.
+    pub(crate) fn with_parallelism(mut self, parallelism: usize) -> XorCodec {
+        self.cfg.parallelism = parallelism;
+        self.backend = CpuBackend::from_parallelism(parallelism);
         self
     }
 
-    /// Swap the execution substrate (the accelerator seam); the default
-    /// is the CPU backend.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.backend = backend;
-    }
-
-    /// Number of data disks.
+    /// Number of data shards `n`.
     pub fn data_shards(&self) -> usize {
-        self.k
+        self.n
     }
 
-    /// Number of parity disks (always 2 for these codes).
+    /// Number of parity shards `p`.
     pub fn parity_shards(&self) -> usize {
-        2
-    }
-
-    /// Total disks (`k + 2`).
-    pub fn total_shards(&self) -> usize {
-        self.k + 2
-    }
-
-    /// Symbols (packets) per disk, `w = p − 1`.
-    pub fn symbols_per_shard(&self) -> usize {
-        self.w
-    }
-
-    /// The prime parameter.
-    pub fn prime(&self) -> usize {
         self.p
     }
 
-    /// The optimized encoding SLP (for metrics).
+    /// Total shards `n + p`.
+    pub fn total_shards(&self) -> usize {
+        self.n + self.p
+    }
+
+    /// Packets per shard `w`; shard lengths are multiples of this.
+    pub fn packets_per_shard(&self) -> usize {
+        self.w
+    }
+
+    /// The engine knobs this codec was built with.
+    pub fn engine_config(&self) -> &EngineConfig {
+        &self.cfg
+    }
+
+    /// Locality groups of the code: each entry lists the shard indices
+    /// (data + local parity) of one repair group. Empty without locality.
+    pub fn locality_groups(&self) -> &[Vec<usize>] {
+        &self.groups
+    }
+
+    /// The optimized encoding SLP (for inspection and metrics; §7.5).
     pub fn encode_slp(&self) -> &Slp {
         &self.enc_slp
     }
 
-    /// Whether this codec is EVENODD (as opposed to RDP).
-    pub fn is_evenodd(&self) -> bool {
-        self.kind == Kind::EvenOdd
+    /// Number of decode programs currently cached.
+    pub fn decode_cache_len(&self) -> usize {
+        lock(&self.dec_cache).len()
     }
 
-    /// Human-readable code name.
-    pub fn name(&self) -> String {
-        match self.kind {
-            Kind::EvenOdd => format!("EVENODD(k={}, p={})", self.k, self.p),
-            Kind::Rdp => format!("RDP(k={}, p={})", self.k, self.p),
+    /// The decode-cache capacity in effect (the resolved value of
+    /// [`EngineConfig::decode_cache_cap`]).
+    pub fn decode_cache_capacity(&self) -> usize {
+        lock(&self.dec_cache).cap()
+    }
+
+    /// Number of partial (column / row-subset) programs currently cached.
+    pub fn partial_cache_len(&self) -> usize {
+        lock(&self.partial_cache).len()
+    }
+
+    /// The partial-program cache capacity in effect (the resolved value
+    /// of [`EngineConfig::partial_cache_cap`]).
+    pub fn partial_cache_capacity(&self) -> usize {
+        lock(&self.partial_cache).cap()
+    }
+
+    /// The optimized decoding SLP for an erasure pattern (for metrics;
+    /// Figure 1). `lost` lists missing shard indices (data or parity).
+    ///
+    /// # Errors
+    /// [`EcError::NoDataLost`] when the pattern erases parity only —
+    /// decoding is then a no-op with no program to return (repair parity
+    /// with [`XorCodec::encode_parity_partial`] instead).
+    pub fn decode_slp(&self, lost: &[usize]) -> Result<Slp, EcError> {
+        let dec = self.decode_program(lost)?;
+        match &dec.compiled {
+            Some((slp, _)) => Ok(slp.clone()),
+            None => Err(EcError::NoDataLost),
         }
     }
 
-    fn packets<'a>(&self, shard: &'a [u8]) -> Vec<&'a [u8]> {
-        let pl = shard.len() / self.w;
-        shard.chunks_exact(pl.max(1)).take(self.w).collect()
+    /// Optimize and compile the XOR program of a bit-matrix.
+    fn compile(&self, bits: &BitMatrix) -> (Slp, ExecProgram) {
+        let slp = optimize(&binary_slp_from_bitmatrix(bits), self.cfg.opt);
+        let prog = ExecProgram::compile(&slp, self.cfg.blocksize, self.cfg.kernel);
+        (slp, prog)
     }
 
-    /// The shard length [`ArrayCodec::encode`] produces for `data_len`
-    /// bytes: the smallest `w`-aligned length whose `k` shards cover the
-    /// data.
+    fn check_data_index(&self, shard_index: usize) -> Result<(), EcError> {
+        if shard_index >= self.n {
+            return Err(EcError::InvalidParams(format!(
+                "data shard index {shard_index} out of range (data shards: {})",
+                self.n
+            )));
+        }
+        Ok(())
+    }
+
+    fn check_total(&self, got: usize) -> Result<(), EcError> {
+        let expected = self.n + self.p;
+        if got != expected {
+            return Err(EcError::ShardCount { expected, got });
+        }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Encoding
+    // ------------------------------------------------------------------
+
+    /// The validation prologue shared by every parity-producing entry
+    /// point: check shard counts against `(expected_data,
+    /// expected_parity)` and return the common, packet-aligned shard
+    /// length. Zero-length shards are valid everywhere and make the
+    /// operation a no-op — callers early-return on `Ok(0)`.
+    fn encode_prologue(
+        &self,
+        data: &[&[u8]],
+        parity: &[&mut [u8]],
+        expected_data: usize,
+        expected_parity: usize,
+    ) -> Result<usize, EcError> {
+        if data.len() != expected_data {
+            return Err(EcError::ShardCount { expected: expected_data, got: data.len() });
+        }
+        if parity.len() != expected_parity {
+            return Err(EcError::ShardCount { expected: expected_parity, got: parity.len() });
+        }
+        layout::common_shard_len(
+            data.iter().copied().chain(parity.iter().map(|s| &**s)),
+            self.w,
+        )
+    }
+
+    /// Run `prog` from whole data shards into whole output shards.
+    fn run_shards(
+        &self,
+        prog: &ExecProgram,
+        data: &[&[u8]],
+        out: &mut [&mut [u8]],
+    ) -> Result<(), EcError> {
+        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s, self.w)).collect();
+        let mut outputs: Vec<&mut [u8]> =
+            out.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
+        Ok(self.backend.run(prog, &inputs, &mut outputs)?)
+    }
+
+    /// Compute all parity shards from data shards, zero-copy.
+    ///
+    /// Every shard (input and output) must have the same length, a
+    /// multiple of `w`.
+    pub fn encode_parity(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), EcError> {
+        match self.encode_prologue(data, parity, self.n, self.p)? {
+            0 => Ok(()),
+            _ => self.run_shards(&self.enc_prog, data, parity),
+        }
+    }
+
+    /// The shard length [`XorCodec::encode`] and [`XorCodec::encode_into`]
+    /// produce for `data_len` bytes of input: the smallest packet-aligned
+    /// length whose `n` shards cover the data.
     pub fn shard_len(&self, data_len: usize) -> usize {
-        data_len.div_ceil(self.k).div_ceil(self.w) * self.w
+        layout::shard_len_for(data_len, self.n, self.w)
     }
 
-    /// Split `data` into the `k` padded data shards [`ArrayCodec::encode`]
-    /// would produce, without computing parity (the authoritative
-    /// data→shard layout, mirroring `RsCodec::split_data`).
+    /// Split `data` into the `n` padded data shards [`XorCodec::encode`]
+    /// would produce, without computing parity. This is the one
+    /// authoritative definition of the data→shard layout — callers that
+    /// diff against stored shards (e.g. delta overwrites) use it so the
+    /// split can never drift from the encode path.
     pub fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let shard_len = self.shard_len(data.len());
-        (0..self.k)
-            .map(|j| {
-                let mut shard = vec![0u8; shard_len];
-                let lo = (j * shard_len).min(data.len());
-                let hi = ((j + 1) * shard_len).min(data.len());
-                shard[..hi - lo].copy_from_slice(&data[lo..hi]);
+        let len = self.shard_len(data.len());
+        (0..self.n)
+            .map(|i| {
+                let mut shard = Vec::new();
+                fill_data_shard(&mut shard, data, i, len);
                 shard
             })
             .collect()
     }
 
-    /// Encode a byte buffer into `k + 2` shards (zero-padded so the shard
-    /// length is a multiple of `w`).
-    pub fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, ArrayCodecError> {
-        let mut shards = vec![Vec::new(); self.k + 2];
+    /// Encode a byte buffer into `n + p` shards (convenience allocation
+    /// path). The data is split across `n` shards, zero-padding the tail;
+    /// use the original length with [`XorCodec::decode`] to strip padding.
+    pub fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
+        let mut shards = vec![Vec::new(); self.total_shards()];
         self.encode_into(data, &mut shards)?;
         Ok(shards)
     }
 
-    /// [`ArrayCodec::encode`] into caller-owned shard buffers: each of
-    /// the `k + 2` vectors is resized to [`ArrayCodec::shard_len`] and
-    /// filled (data split + zero padding, then parity), retaining buffer
-    /// capacity across calls like `RsCodec::encode_into`.
-    pub fn encode_into(
-        &self,
-        data: &[u8],
-        shards: &mut [Vec<u8>],
-    ) -> Result<(), ArrayCodecError> {
-        if shards.len() != self.k + 2 {
-            return Err(ArrayCodecError::Shards(format!(
-                "expected {} shards, got {}",
-                self.k + 2,
-                shards.len()
-            )));
+    /// [`XorCodec::encode`] into caller-owned shard buffers: each of the
+    /// `n + p` vectors is resized to [`XorCodec::shard_len`] and filled
+    /// (data split + zero padding, then parity).
+    ///
+    /// This is the steady-state streaming entry point: buffer capacity is
+    /// retained across calls, the packet-reference lists live in
+    /// thread-local scratch ([`xor_runtime::with_ref_scratch`]), and a
+    /// single-stripe execution plan runs inline on the caller's
+    /// persistent arena — so re-encoding same-sized chunks into the same
+    /// buffers performs **zero allocations** after the first call (with
+    /// `parallelism = 1`; pooled execution hands stripes to workers,
+    /// whose arenas are persistent too, but task submission allocates).
+    pub fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
+        self.check_total(shards.len())?;
+        let len = self.shard_len(data.len());
+        for (i, shard) in shards.iter_mut().take(self.n).enumerate() {
+            fill_data_shard(shard, data, i, len);
         }
-        let shard_len = self.shard_len(data.len());
-        for (j, shard) in shards.iter_mut().take(self.k).enumerate() {
-            shard.clear();
-            shard.resize(shard_len, 0);
-            let lo = (j * shard_len).min(data.len());
-            let hi = ((j + 1) * shard_len).min(data.len());
-            shard[..hi - lo].copy_from_slice(&data[lo..hi]);
+        for shard in shards.iter_mut().skip(self.n) {
+            // Size only — no clear(): the XOR program overwrites every
+            // parity byte, and re-zeroing p × len per chunk is wasted
+            // bandwidth on the steady-state streaming path.
+            shard.resize(len, 0);
         }
-        for shard in shards.iter_mut().skip(self.k) {
-            shard.resize(shard_len, 0);
-        }
-        if shard_len > 0 {
-            let (d, q) = shards.split_at_mut(self.k);
-            let inputs: Vec<&[u8]> = d.iter().flat_map(|s| self.packets(s)).collect();
-            let pl = shard_len / self.w;
-            let mut outputs: Vec<&mut [u8]> = q
-                .iter_mut()
-                .flat_map(|s| s.chunks_exact_mut(pl))
-                .collect();
-            self.backend
-                .run(&self.enc_prog, &inputs, &mut outputs)
-                .expect("encode program shapes are fixed at construction");
-        }
-        Ok(())
-    }
-
-    /// Validate `k` data refs + parity refs sharing one `w`-aligned
-    /// length; returns that length.
-    fn parity_prologue(
-        &self,
-        data: &[&[u8]],
-        parity: &[&mut [u8]],
-        parity_expected: usize,
-    ) -> Result<usize, ArrayCodecError> {
-        if data.len() != self.k {
-            return Err(ArrayCodecError::Shards(format!(
-                "expected {} data shards, got {}",
-                self.k,
-                data.len()
-            )));
-        }
-        if parity.len() != parity_expected {
-            return Err(ArrayCodecError::Shards(format!(
-                "expected {parity_expected} parity shards, got {}",
-                parity.len()
-            )));
-        }
-        let len = data.first().map_or(0, |s| s.len());
-        if data.iter().any(|s| s.len() != len)
-            || parity.iter().any(|s| s.len() != len)
-        {
-            return Err(ArrayCodecError::Shards(
-                "data and parity shard lengths differ".into(),
-            ));
-        }
-        if !len.is_multiple_of(self.w) {
-            return Err(ArrayCodecError::Shards(format!(
-                "shard length {len} is not a multiple of w = {}",
-                self.w
-            )));
-        }
-        Ok(len)
-    }
-
-    /// Compute both parity shards from complete data shards, in place.
-    pub fn encode_parity(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), ArrayCodecError> {
-        let len = self.parity_prologue(data, parity, 2)?;
         if len == 0 {
             return Ok(());
         }
         let pl = len / self.w;
-        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| self.packets(s)).collect();
-        let mut outputs: Vec<&mut [u8]> = parity
-            .iter_mut()
-            .flat_map(|s| s.chunks_exact_mut(pl))
-            .collect();
-        self.backend
-            .run(&self.enc_prog, &inputs, &mut outputs)
-            .expect("encode program shapes are fixed at construction");
+        let (data_part, parity_part) = shards.split_at_mut(self.n);
+        xor_runtime::with_ref_scratch(|inputs, outputs| {
+            inputs.extend(data_part.iter().flat_map(|s| s.chunks_exact(pl)));
+            outputs.extend(parity_part.iter_mut().flat_map(|s| s.chunks_exact_mut(pl)));
+            self.backend.run(&self.enc_prog, inputs, outputs)
+        })?;
         Ok(())
     }
 
-    /// Build (or fetch) the re-encode program for a single parity disk:
-    /// that disk's `w` rows of the parity bit-matrix over all data
-    /// symbols.
-    fn row_entry(&self, row: usize) -> Arc<UpdEntry> {
-        if let Some(e) = self.row_cache.lock().expect("cache lock").get(&row) {
-            return e.clone();
+    /// [`XorCodec::encode_parity`] with an explicit stripe-count ceiling:
+    /// the packet range is split by the runtime partitioner into at most
+    /// `threads` blocksize-aligned stripes (XOR is position-wise, so any
+    /// split is exact) and executed on the shared global [`ExecPool`],
+    /// regardless of this codec's own `parallelism` setting.
+    ///
+    /// Prefer [`EngineConfig::parallelism`] for steady-state use; this
+    /// entry point exists for callers that scale thread counts per call
+    /// (e.g. the thread-scaling bench).
+    pub fn encode_parity_mt(
+        &self,
+        data: &[&[u8]],
+        parity: &mut [&mut [u8]],
+        threads: usize,
+    ) -> Result<(), EcError> {
+        if self.encode_prologue(data, parity, self.n, self.p)? == 0 {
+            return Ok(());
         }
-        let (k, w) = (self.k, self.w);
-        let block = self.generator.row_range(k * w + row * w, w);
-        let slp = optimize(&binary_slp_from_bitmatrix(&block), self.opt);
-        let prog = ExecProgram::compile(&slp, self.blocksize, self.kernel);
-        let entry = Arc::new(UpdEntry { slp, prog });
-        self.row_cache
-            .lock()
-            .expect("cache lock")
-            .insert(row, entry.clone());
+        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s, self.w)).collect();
+        let mut outputs: Vec<&mut [u8]> =
+            parity.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
+        self.enc_prog
+            .run_striped(&inputs, &mut outputs, ExecPool::global(), threads.max(1))?;
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Partial programs: delta updates and partial repair
+    // ------------------------------------------------------------------
+
+    /// Compile (or fetch from the partial-program cache) the XOR program
+    /// for a sub-matrix of the parity block.
+    ///
+    /// The pipeline is exactly the full-encode pipeline — lift the
+    /// sub-matrix to an SLP, optimize, compile — applied to a column
+    /// block (delta update) or a row subset (partial repair) of the
+    /// `p·w × n·w` parity matrix.
+    fn partial_program(&self, key: PartialKey) -> Arc<PartialProgram> {
+        if let Some(hit) = lock(&self.partial_cache).get(&key) {
+            return hit;
+        }
+        let (n, p, w) = (self.n, self.p, self.w);
+        let parity = self.generator.row_range(n * w, p * w);
+        let (bits, rows) = match &key {
+            PartialKey::Column(i) => {
+                // Keep only the parity packets this column block feeds: a
+                // zero row contributes nothing and has no SLP form.
+                let block = parity.col_range(i * w, w);
+                let rows: Vec<usize> =
+                    (0..p * w).filter(|&r| block.row_popcount(r) > 0).collect();
+                (block.select_rows(&rows), rows)
+            }
+            PartialKey::Rows(shards) => {
+                let rows: Vec<usize> =
+                    shards.iter().flat_map(|&r| r * w..(r + 1) * w).collect();
+                (parity.select_rows(&rows), rows)
+            }
+        };
+        let (slp, prog) = self.compile(&bits);
+        let entry = Arc::new(PartialProgram { slp, prog, rows });
+        lock(&self.partial_cache).insert(key, entry.clone());
         entry
     }
 
-    /// Re-encode a subset of the parity disks from complete data
-    /// (`rows` ⊆ `{0, 1}`, strictly increasing; `parity[t]` receives
-    /// parity disk `rows[t]`). Mirrors `RsCodec::encode_parity_partial`:
-    /// repairing one lost parity disk costs that disk's rows only.
+    /// Validate and normalize a parity-row subset: ascending, in-range,
+    /// non-empty. Returns `None` when the subset is the *full* row set —
+    /// the caller then uses the already-compiled encode program.
+    fn normalize_rows(&self, rows: &[usize]) -> Result<Option<Vec<usize>>, EcError> {
+        let p = self.p;
+        if rows.is_empty() {
+            return Err(EcError::InvalidParams("parity row subset must not be empty".into()));
+        }
+        if !rows.windows(2).all(|w| w[0] < w[1]) {
+            return Err(EcError::InvalidParams("parity rows must be strictly increasing".into()));
+        }
+        if *rows.last().expect("non-empty") >= p {
+            return Err(EcError::InvalidParams(format!(
+                "parity row index out of range (parity shards: {p})"
+            )));
+        }
+        if rows.len() == p {
+            return Ok(None); // 0..p in order: the full encode program
+        }
+        Ok(Some(rows.to_vec()))
+    }
+
+    /// Delta parity update: after data shard `shard_index` changes from
+    /// `old` to `new`, bring **all** `p` parity shards up to date in
+    /// place — without touching the other `n − 1` data shards.
+    ///
+    /// Parity is linear in the data, so
+    /// `parity' = parity ⊕ P[·][i] · (old_i ⊕ new_i)`: the update runs
+    /// the cached *column* program of shard `i` over the data delta (one
+    /// column block's XORs instead of all `n`) and accumulates the result
+    /// into `parity`. This is the read-modify-write fast path of
+    /// production erasure-coded storage: a single-shard write costs
+    /// `O(p)` shard reads/writes instead of a full-stripe re-encode.
+    ///
+    /// `old`, `new` and every parity shard must share one length, a
+    /// multiple of `w`. Zero-length shards are a no-op.
+    pub fn update_parity(
+        &self,
+        shard_index: usize,
+        old: &[u8],
+        new: &[u8],
+        parity: &mut [&mut [u8]],
+    ) -> Result<(), EcError> {
+        self.check_data_index(shard_index)?;
+        if self.encode_prologue(&[old, new], parity, 2, self.p)? == 0 {
+            return Ok(());
+        }
+        // delta = old ⊕ new, then delta-parity = column program (delta),
+        // accumulated in place. The program covers only the parity
+        // packets this column feeds; with a locality-grouped matrix that
+        // is the shard's own local parity plus the globals, so the
+        // untouched packets are skipped here.
+        let entry = self.partial_program(PartialKey::Column(shard_index));
+        let mut touched: Vec<&mut [u8]> = parity
+            .iter_mut()
+            .flat_map(|s| layout::packets_mut(s, self.w))
+            .enumerate()
+            .filter(|(r, _)| entry.rows.binary_search(r).is_ok())
+            .map(|(_, packet)| packet)
+            .collect();
+        Ok(self.backend.run_delta(&entry.prog, self.w, old, new, &mut touched)?)
+    }
+
+    /// Re-encode a *subset* of the parity shards from the full data.
+    ///
+    /// `rows` lists the parity shards to produce (0-based within the
+    /// parity block, strictly increasing); `parity[k]` receives row
+    /// `rows[k]`. Repairing one lost parity shard this way costs one
+    /// row's XOR program, not the whole `p`-row encode. Passing all `p`
+    /// rows is equivalent to [`XorCodec::encode_parity`] and reuses its
+    /// program.
     pub fn encode_parity_partial(
         &self,
         data: &[&[u8]],
         parity: &mut [&mut [u8]],
         rows: &[usize],
-    ) -> Result<(), ArrayCodecError> {
-        if rows.is_empty() || !rows.windows(2).all(|p| p[0] < p[1]) {
-            return Err(ArrayCodecError::Shards(
-                "parity rows must be non-empty and strictly increasing".into(),
-            ));
-        }
-        if *rows.last().expect("non-empty") >= 2 {
-            return Err(ArrayCodecError::Shards(
-                "parity row index out of range (2 parity disks)".into(),
-            ));
-        }
-        if rows.len() == 2 {
+    ) -> Result<(), EcError> {
+        let Some(key) = self.normalize_rows(rows)? else {
             return self.encode_parity(data, parity);
-        }
-        let len = self.parity_prologue(data, parity, 1)?;
-        if len == 0 {
+        };
+        if self.encode_prologue(data, parity, self.n, key.len())? == 0 {
             return Ok(());
         }
-        let pl = len / self.w;
-        let entry = self.row_entry(rows[0]);
-        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| self.packets(s)).collect();
-        let mut outputs: Vec<&mut [u8]> = parity
-            .iter_mut()
-            .flat_map(|s| s.chunks_exact_mut(pl))
-            .collect();
-        self.backend
-            .run(&entry.prog, &inputs, &mut outputs)
-            .expect("row program shapes are fixed at construction");
-        Ok(())
+        let entry = self.partial_program(PartialKey::Rows(key));
+        self.run_shards(&entry.prog, data, parity)
     }
 
-    /// Build (or fetch) the delta-update program for one data disk: the
-    /// disk's column block of the parity bit-matrix, run through the same
-    /// SLP pipeline as the full encode.
-    fn update_entry(&self, disk: usize) -> Arc<UpdEntry> {
-        if let Some(e) = self.upd_cache.lock().expect("cache lock").get(&disk) {
-            return e.clone();
-        }
-        let (k, w) = (self.k, self.w);
-        // Parity rows of the generator, restricted to this disk's symbols.
-        let block = self
-            .generator
-            .row_range(k * w, 2 * w)
-            .col_range(disk * w, w);
-        let slp = optimize(&binary_slp_from_bitmatrix(&block), self.opt);
-        let prog = ExecProgram::compile(&slp, self.blocksize, self.kernel);
-        let entry = Arc::new(UpdEntry { slp, prog });
-        self.upd_cache
-            .lock()
-            .expect("cache lock")
-            .insert(disk, entry.clone());
-        entry
+    /// The optimized SLP of the delta-update column program for one data
+    /// shard (for metrics: its XOR count is what a single-shard write
+    /// pays, against [`XorCodec::encode_slp`] for the full stripe).
+    pub fn update_slp(&self, shard_index: usize) -> Result<Slp, EcError> {
+        self.check_data_index(shard_index)?;
+        Ok(self.partial_program(PartialKey::Column(shard_index)).slp.clone())
     }
 
-    /// Delta parity update: after data disk `disk` changes from `old` to
-    /// `new`, bring both parity disks up to date in place without
-    /// touching the other `k − 1` data disks (same identity as
-    /// `RsCodec::update_parity`, over the array code's `w`-symbol
-    /// striping).
-    ///
-    /// `old`, `new` and both parity shards must share one length, a
-    /// multiple of `w`. Zero-length shards are a no-op.
-    pub fn update_parity(
-        &self,
-        disk: usize,
-        old: &[u8],
-        new: &[u8],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), ArrayCodecError> {
-        if disk >= self.k {
-            return Err(ArrayCodecError::Shards(format!(
-                "data disk index {disk} out of range (data disks: {})",
-                self.k
-            )));
+    /// The optimized SLP of a parity-row-subset program (for metrics).
+    /// The full row set returns the encode SLP itself.
+    pub fn partial_encode_slp(&self, rows: &[usize]) -> Result<Slp, EcError> {
+        match self.normalize_rows(rows)? {
+            None => Ok(self.enc_slp.clone()),
+            Some(key) => Ok(self.partial_program(PartialKey::Rows(key)).slp.clone()),
         }
-        if parity.len() != 2 {
-            return Err(ArrayCodecError::Shards(format!(
-                "expected 2 parity shards, got {}",
-                parity.len()
-            )));
-        }
-        let len = old.len();
-        if new.len() != len || parity.iter().any(|s| s.len() != len) {
-            return Err(ArrayCodecError::Shards(
-                "old, new and parity shard lengths differ".into(),
-            ));
-        }
-        if !len.is_multiple_of(self.w) {
-            return Err(ArrayCodecError::Shards(format!(
-                "shard length {len} is not a multiple of w = {}",
-                self.w
-            )));
-        }
-        if len == 0 {
-            return Ok(());
-        }
-        // Same delta discipline as `RsCodec::update_parity`, over the
-        // array code's w-symbol striping (shared runtime helper).
-        self.backend
-            .run_delta(&self.update_entry(disk).prog, self.w, old, new, parity)
-            .expect("update program shapes are fixed at construction");
-        Ok(())
     }
 
-    /// The optimized SLP of one disk's delta-update program (for
-    /// metrics: a single-disk write pays this XOR count, against
-    /// [`ArrayCodec::encode_slp`] for the full stripe).
-    pub fn update_slp(&self, disk: usize) -> Result<Slp, ArrayCodecError> {
-        if disk >= self.k {
-            return Err(ArrayCodecError::Shards(format!(
-                "data disk index {disk} out of range (data disks: {})",
-                self.k
-            )));
-        }
-        Ok(self.update_entry(disk).slp.clone())
-    }
+    // ------------------------------------------------------------------
+    // Decoding
+    // ------------------------------------------------------------------
 
-    /// Build (or fetch) the decode program for a set of lost disks.
-    ///
-    /// Returns a shared handle so execution happens *after* the cache
-    /// lock is released — concurrent decodes of different (or the same)
-    /// patterns never serialize on program execution.
-    fn decode_entry(&self, lost: &[usize]) -> Result<Arc<DecEntry>, ArrayCodecError> {
-        let mut key: Vec<usize> = lost.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if let Some(e) = self.dec_cache.lock().expect("cache lock").get(&key) {
-            return Ok(e.clone());
-        }
-
-        let (k, w) = (self.k, self.w);
-        let lost_data: Vec<usize> = key.iter().copied().filter(|&d| d < k).collect();
-        let entry = if lost_data.is_empty() {
-            DecEntry { prog: None, inputs: Vec::new(), lost_data }
-        } else {
-            // Surviving symbol rows of the generator.
-            let surv_rows: Vec<usize> = (0..(k + 2) * w)
-                .filter(|&r| !key.contains(&(r / w)))
-                .collect();
-            let m = BitMatrix::from_fn(surv_rows.len(), k * w, |i, j| {
-                self.generator.get(surv_rows[i], j)
-            });
-            let chosen = m.select_independent_rows();
-            if chosen.len() < k * w {
-                return Err(ArrayCodecError::Unsolvable { lost: key.clone() });
-            }
-            let square = BitMatrix::from_fn(k * w, k * w, |i, j| m.get(chosen[i], j));
-            let inv = square
-                .invert()
-                .expect("independent row selection yields an invertible square");
-            // Recovery rows for the lost data symbols.
-            let lost_syms: Vec<usize> = lost_data
-                .iter()
-                .flat_map(|&d| (0..w).map(move |i| d * w + i))
-                .collect();
-            let rec = BitMatrix::from_fn(lost_syms.len(), k * w, |i, j| {
-                inv.get(lost_syms[i], j)
-            });
-            let slp = optimize(&binary_slp_from_bitmatrix(&rec), self.opt);
-            let prog = ExecProgram::compile(&slp, self.blocksize, self.kernel);
-            let inputs: Vec<(usize, usize)> = chosen
-                .iter()
-                .map(|&i| {
-                    let r = surv_rows[i];
-                    (r / w, r % w)
-                })
-                .collect();
-            DecEntry { prog: Some(prog), inputs, lost_data }
-        };
-        let entry = Arc::new(entry);
-        self.dec_cache
-            .lock()
-            .expect("cache lock")
-            .insert(key, entry.clone());
-        Ok(entry)
-    }
-
-    /// Recover the original buffer from surviving shards (at most two
-    /// disks may be `None`).
-    pub fn decode(
-        &self,
-        shards: &[Option<Vec<u8>>],
-        data_len: usize,
-    ) -> Result<Vec<u8>, ArrayCodecError> {
-        let total = self.k + 2;
-        if shards.len() != total {
-            return Err(ArrayCodecError::Shards(format!("expected {total} shards")));
-        }
-        let missing: Vec<usize> = (0..total).filter(|&d| shards[d].is_none()).collect();
-        if missing.len() > 2 {
-            return Err(ArrayCodecError::TooManyErasures { missing: missing.len() });
-        }
-        let Some(shard_len) = shards.iter().flatten().map(Vec::len).next() else {
-            return Err(ArrayCodecError::Shards("no shards present".into()));
-        };
-        if shards.iter().flatten().any(|s| s.len() != shard_len)
-            || shard_len % self.w != 0
-        {
-            return Err(ArrayCodecError::Shards(
-                "inconsistent or misaligned shard lengths".into(),
-            ));
-        }
-        let pl = shard_len / self.w;
-
-        let entry = self.decode_entry(&missing)?;
-        let mut rebuilt: Vec<Vec<u8>> = Vec::new();
-        if let Some(prog) = &entry.prog {
-            if pl > 0 {
-                let inputs: Vec<&[u8]> = entry
-                    .inputs
-                    .iter()
-                    .map(|&(d, s)| {
-                        let shard = shards[d].as_deref().expect("survivor present");
-                        &shard[s * pl..(s + 1) * pl]
-                    })
-                    .collect();
-                rebuilt = vec![vec![0u8; shard_len]; entry.lost_data.len()];
-                let mut outputs: Vec<&mut [u8]> = rebuilt
-                    .iter_mut()
-                    .flat_map(|s| s.chunks_exact_mut(pl))
-                    .collect();
-                self.backend
-                    .run(prog, &inputs, &mut outputs)
-                    .expect("decode program shapes are fixed at construction");
-            } else {
-                rebuilt = vec![Vec::new(); entry.lost_data.len()];
-            }
-        }
-
-        let mut out = Vec::with_capacity(self.k * shard_len);
-        let mut it = rebuilt.into_iter();
-        for (d, shard) in shards.iter().take(self.k).enumerate() {
-            match shard {
-                Some(s) => out.extend_from_slice(s),
-                None => {
-                    debug_assert!(entry.lost_data.contains(&d));
-                    out.extend_from_slice(&it.next().expect("rebuilt per lost disk"));
-                }
-            }
-        }
-        out.truncate(data_len);
-        Ok(out)
-    }
-
-    /// The surviving disks a repair of `lost` must read: the disks the
-    /// decode program's inputs come from, plus — for lost parity disks —
-    /// every surviving data disk their generator rows touch (both array
-    /// codes' parity rows touch all data disks).
-    pub fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, ArrayCodecError> {
+    /// Compile (or fetch from cache) the decode program for an erasure
+    /// pattern.
+    fn decode_program(&self, lost: &[usize]) -> Result<Arc<DecProgram>, EcError> {
+        let (n, p, w) = (self.n, self.p, self.w);
         let mut lost: Vec<usize> = lost.to_vec();
         lost.sort_unstable();
         lost.dedup();
-        if lost.len() > 2 {
-            return Err(ArrayCodecError::TooManyErasures { missing: lost.len() });
+        if lost.iter().any(|&i| i >= n + p) {
+            return Err(EcError::InvalidParams(format!(
+                "erased shard index out of range (total {})",
+                n + p
+            )));
         }
-        let entry = self.decode_entry(&lost)?;
-        let mut sources: Vec<usize> = entry.inputs.iter().map(|&(d, _)| d).collect();
-        let (k, w) = (self.k, self.w);
-        for &d in lost.iter().filter(|&&d| d >= k) {
-            for r in 0..w {
-                for c in self.generator.ones_in_row(k * w + (d - k) * w + r) {
-                    let disk = c / w;
-                    if !lost.contains(&disk) {
-                        sources.push(disk);
-                    }
-                }
+        if lost.len() > p {
+            return Err(EcError::TooManyErasures { missing: lost.len(), parity: p });
+        }
+        if let Some(hit) = lock(&self.dec_cache).get(&lost) {
+            return Ok(hit);
+        }
+
+        let lost_data: Vec<usize> = lost.iter().copied().filter(|&i| i < n).collect();
+        let (compiled, inputs): (_, Vec<(usize, usize)>) = if lost_data.is_empty() {
+            (None, Vec::new())
+        } else {
+            // Greedy independent-row selection over the surviving
+            // generator rows: any n·w independent packets decode. The
+            // candidate ordering steers *which* basis wins —
+            // locality-first for a grouped code, natural order (≡ the
+            // classic first-n choice for an MDS code) otherwise.
+            let candidates = self.survivor_order(&lost);
+            let rows: Vec<usize> = candidates.iter().flat_map(|&i| i * w..(i + 1) * w).collect();
+            let surviving = self.generator.select_rows(&rows);
+            let chosen = surviving.select_independent_rows();
+            if chosen.len() < n * w {
+                return Err(EcError::SingularPattern { lost });
             }
-        }
-        sources.sort_unstable();
-        sources.dedup();
-        Ok(sources)
+            let inv = surviving
+                .select_rows(&chosen)
+                .invert()
+                .expect("independent rows form an invertible square");
+            // Rows of the inverse for the lost data packets express them
+            // as combinations of the chosen survivor packets.
+            let lost_rows: Vec<usize> =
+                lost_data.iter().flat_map(|&i| i * w..(i + 1) * w).collect();
+            let rec = inv.select_rows(&lost_rows);
+            // Drop survivor packets no recovery row reads: the program's
+            // input list then names exactly the shards a repair must
+            // fetch (a single loss in a local group reads that group,
+            // not all n survivors).
+            let mut used = BTreeSet::new();
+            for r in 0..rec.rows() {
+                used.extend(rec.ones_in_row(r));
+            }
+            let used: Vec<usize> = used.into_iter().collect();
+            let inputs = used.iter().map(|&c| (rows[chosen[c]] / w, rows[chosen[c]] % w)).collect();
+            (Some(self.compile(&rec.select_cols(&used))), inputs)
+        };
+        // Inputs are grouped by shard, so neighbours suffice to dedup.
+        let mut survivors: Vec<usize> = inputs.iter().map(|&(shard, _)| shard).collect();
+        survivors.dedup();
+        let dec = Arc::new(DecProgram { compiled, lost_data, inputs, survivors });
+        lock(&self.dec_cache).insert(lost, dec.clone());
+        Ok(dec)
     }
 
-    /// Rebuild every missing disk in place (at most two may be `None`).
-    pub fn reconstruct(
+    /// The surviving shards of an erasure pattern, in the order row
+    /// selection should try them. Without locality groups the natural
+    /// order is kept (for an MDS code the greedy scan then degenerates to
+    /// the classic "first n survivors" choice). With groups, members of
+    /// groups containing a lost shard come first, then remaining data
+    /// shards, then the other local parities, then the globals — so a
+    /// pattern a local group can repair compiles an r-input program and
+    /// never touches a global row.
+    fn survivor_order(&self, lost: &[usize]) -> Vec<usize> {
+        let mut candidates: Vec<usize> =
+            (0..self.n + self.p).filter(|i| !lost.contains(i)).collect();
+        if self.groups.is_empty() {
+            return candidates;
+        }
+        let affected: Vec<&Vec<usize>> = self
+            .groups
+            .iter()
+            .filter(|g| g.iter().any(|i| lost.contains(i)))
+            .collect();
+        let in_affected = |i: usize| affected.iter().any(|g| g.contains(&i));
+        let class = |i: usize| {
+            if i < self.n {
+                0 // data: free identity rows
+            } else if self.groups.iter().any(|g| g.contains(&i)) {
+                1 // local parity: touches one group
+            } else {
+                2 // global parity: touches everything
+            }
+        };
+        candidates.sort_by_key(|&i| (usize::from(!in_affected(i)), class(i), i));
+        candidates
+    }
+
+    /// Run a decode program: one rebuilt `len`-byte shard per entry of
+    /// `dec.lost_data`, from the survivor packets its inputs name (the
+    /// caller has checked they are present).
+    fn rebuild_lost_data(
         &self,
-        shards: &mut [Option<Vec<u8>>],
-    ) -> Result<(), ArrayCodecError> {
-        let total = self.k + 2;
-        if shards.len() != total {
-            return Err(ArrayCodecError::Shards(format!("expected {total} shards")));
+        dec: &DecProgram,
+        shards: &[Option<Vec<u8>>],
+        len: usize,
+    ) -> Result<Vec<Vec<u8>>, EcError> {
+        let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; dec.lost_data.len()];
+        if let (Some((_, prog)), true) = (&dec.compiled, len > 0) {
+            let pl = len / self.w;
+            let inputs: Vec<&[u8]> = dec
+                .inputs
+                .iter()
+                .map(|&(i, k)| {
+                    &shards[i].as_deref().expect("survivor present")[k * pl..(k + 1) * pl]
+                })
+                .collect();
+            let mut outputs: Vec<&mut [u8]> =
+                rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
+            self.backend.run(prog, &inputs, &mut outputs)?;
         }
-        let missing: Vec<usize> = (0..total).filter(|&d| shards[d].is_none()).collect();
-        if missing.is_empty() {
-            return Ok(());
+        Ok(rebuilt)
+    }
+
+    /// The exact shard set a [`XorCodec::reconstruct_subset`] of `lost`
+    /// reads: the decode program's survivor inputs plus, for each lost
+    /// parity shard, the surviving data shards its generator rows touch.
+    /// This is the repair *plan* — a networked repair fetches precisely
+    /// these shards and nothing else, which is where a locally-repairable
+    /// code's traffic win comes from.
+    pub fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
+        let dec = self.decode_program(lost)?;
+        let mut sources: BTreeSet<usize> = dec.survivors.iter().copied().collect();
+        for &i in lost.iter().filter(|&&i| i >= self.n) {
+            sources.extend(
+                (0..self.n).filter(|j| !lost.contains(j) && self.reads.get(i - self.n, *j)),
+            );
         }
-        if missing.len() > 2 {
-            return Err(ArrayCodecError::TooManyErasures { missing: missing.len() });
-        }
+        Ok(sources.into_iter().collect())
+    }
+
+    /// Rebuild every missing shard in place (data via the decode program,
+    /// parity by re-encoding).
+    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
+        self.check_total(shards.len())?;
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
         self.reconstruct_subset(shards, &missing)
     }
 
-    /// Rebuild exactly the disks in `targets`, reading only the disks
-    /// the repair plan names; other `None` entries are treated as
-    /// unavailable and left untouched. Mirrors
-    /// `RsCodec::reconstruct_subset`.
+    /// Rebuild exactly the shards in `targets`, reading only the shards
+    /// the repair plan ([`XorCodec::repair_sources`]) names — other `None`
+    /// entries are treated as *unavailable, not wanted* and are left
+    /// untouched. This is the source-restricted repair path: a networked
+    /// caller fetches the plan's shards, leaves the rest `None`, and
+    /// pays the plan's bytes, not the full survivor set's.
+    ///
+    /// # Errors
+    /// [`EcError::MissingSource`] when a shard the plan requires is
+    /// `None` (the caller should fall back to fetching all survivors).
     pub fn reconstruct_subset(
         &self,
         shards: &mut [Option<Vec<u8>>],
         targets: &[usize],
-    ) -> Result<(), ArrayCodecError> {
-        let total = self.k + 2;
-        if shards.len() != total {
-            return Err(ArrayCodecError::Shards(format!("expected {total} shards")));
-        }
-        let mut targets: Vec<usize> = targets.to_vec();
-        targets.sort_unstable();
-        targets.dedup();
+    ) -> Result<(), EcError> {
+        let n = self.n;
+        self.check_total(shards.len())?;
         if targets.is_empty() {
             return Ok(());
         }
-        if targets.len() > 2 {
-            return Err(ArrayCodecError::TooManyErasures { missing: targets.len() });
+        let dec = self.decode_program(targets)?;
+        if let Some(&absent) = dec.survivors.iter().find(|&&s| shards[s].is_none()) {
+            return Err(EcError::MissingSource { shard: absent });
         }
-        let entry = self.decode_entry(&targets)?;
-        if let Some(&(absent, _)) =
-            entry.inputs.iter().find(|&&(d, _)| shards[d].is_none())
-        {
-            return Err(ArrayCodecError::MissingSource { shard: absent });
-        }
-        let Some(shard_len) = shards.iter().flatten().map(Vec::len).next() else {
-            return Err(ArrayCodecError::Shards("no shards present".into()));
-        };
-        if shards.iter().flatten().any(|s| s.len() != shard_len)
-            || shard_len % self.w != 0
-        {
-            return Err(ArrayCodecError::Shards(
-                "inconsistent or misaligned shard lengths".into(),
-            ));
-        }
-        let pl = shard_len / self.w;
+        let len =
+            layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice), self.w)?;
 
-        // Phase 1: rebuild lost data disks from the program's inputs.
-        if let Some(prog) = &entry.prog {
-            if pl > 0 {
-                let mut rebuilt: Vec<Vec<u8>> =
-                    vec![vec![0u8; shard_len]; entry.lost_data.len()];
-                {
-                    let inputs: Vec<&[u8]> = entry
-                        .inputs
-                        .iter()
-                        .map(|&(d, s)| {
-                            let shard = shards[d].as_deref().expect("source present");
-                            &shard[s * pl..(s + 1) * pl]
-                        })
-                        .collect();
-                    let mut outputs: Vec<&mut [u8]> = rebuilt
-                        .iter_mut()
-                        .flat_map(|s| s.chunks_exact_mut(pl))
-                        .collect();
-                    self.backend
-                        .run(prog, &inputs, &mut outputs)
-                        .expect("decode program shapes are fixed at construction");
-                }
-                for (&d, shard) in entry.lost_data.iter().zip(rebuilt) {
-                    shards[d] = Some(shard);
-                }
-            } else {
-                for &d in &entry.lost_data {
-                    shards[d] = Some(Vec::new());
-                }
-            }
+        // Phase 1: reconstruct lost data shards from the program's
+        // survivor inputs.
+        let rebuilt = self.rebuild_lost_data(&dec, shards, len)?;
+        for (&i, shard) in dec.lost_data.iter().zip(rebuilt) {
+            shards[i] = Some(shard);
         }
 
-        // Phase 2: re-encode target parity disks; both codes' parity rows
-        // touch every data disk, so all data must be present by now.
-        let target_rows: Vec<usize> =
-            targets.iter().filter(|&&d| d >= self.k).map(|&d| d - self.k).collect();
+        // Phase 2: re-encode only the *target* parity rows (their data
+        // inputs are complete now) — repair work is proportional to what
+        // was lost, not to p. Data shards outside the plan may still be
+        // `None`; they are substituted with zeros, legal only because the
+        // target rows' generator blocks there are zero (checked).
+        let mut target_rows: Vec<usize> =
+            targets.iter().filter(|&&i| i >= n).map(|&i| i - n).collect();
+        target_rows.sort_unstable();
+        target_rows.dedup();
         if !target_rows.is_empty() {
-            if let Some(absent) = (0..self.k).find(|&d| shards[d].is_none()) {
-                return Err(ArrayCodecError::MissingSource { shard: absent });
+            if let Some(absent) = (0..n).find(|&j| {
+                shards[j].is_none() && target_rows.iter().any(|&r| self.reads.get(r, j))
+            }) {
+                return Err(EcError::MissingSource { shard: absent });
             }
-            let data_refs: Vec<&[u8]> = shards[..self.k]
-                .iter()
-                .map(|s| s.as_deref().expect("data complete"))
-                .collect();
-            let mut rebuilt: Vec<Vec<u8>> =
-                vec![vec![0u8; shard_len]; target_rows.len()];
+            let zeros = vec![0u8; len];
+            let data_refs: Vec<&[u8]> =
+                shards[..n].iter().map(|s| s.as_deref().unwrap_or(&zeros)).collect();
+            let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; target_rows.len()];
             {
                 let mut refs: Vec<&mut [u8]> =
                     rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
                 self.encode_parity_partial(&data_refs, &mut refs, &target_rows)?;
             }
             for (&r, shard) in target_rows.iter().zip(rebuilt) {
-                shards[self.k + r] = Some(shard);
+                shards[n + r] = Some(shard);
             }
         }
         Ok(())
     }
 
-    /// Verify that both parity disks are consistent with the data disks.
-    pub fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, ArrayCodecError> {
-        let total = self.k + 2;
-        if shards.len() != total {
-            return Err(ArrayCodecError::Shards(format!("expected {total} shards")));
+    /// Recover the original byte buffer from surviving shards.
+    ///
+    /// `data_len` is the length passed to [`XorCodec::encode`] (padding is
+    /// stripped). Only lost *data* shards are reconstructed; missing
+    /// parity is ignored.
+    pub fn decode(&self, shards: &[Option<Vec<u8>>], data_len: usize) -> Result<Vec<u8>, EcError> {
+        let n = self.n;
+        self.check_total(shards.len())?;
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+        if missing.len() > self.p {
+            return Err(EcError::TooManyErasures { missing: missing.len(), parity: self.p });
         }
-        let data_refs: Vec<&[u8]> = shards[..self.k].iter().map(Vec::as_slice).collect();
-        let mut expected: Vec<Vec<u8>> = vec![vec![0u8; shards[0].len()]; 2];
-        {
-            let mut refs: Vec<&mut [u8]> =
-                expected.iter_mut().map(Vec::as_mut_slice).collect();
-            self.encode_parity(&data_refs, &mut refs)?;
+        let len =
+            layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice), self.w)?;
+        if self.shard_len(data_len) > len {
+            return Err(EcError::ShardLength(format!(
+                "shards of {len} bytes cannot hold {data_len} bytes of data"
+            )));
         }
-        Ok(expected.iter().zip(&shards[self.k..]).all(|(e, a)| e == a))
+
+        let dec = self.decode_program(&missing)?;
+        let rebuilt = self.rebuild_lost_data(&dec, shards, len)?;
+
+        // Stitch data shards back together and strip the padding.
+        let mut out = Vec::with_capacity(n * len);
+        let mut rebuilt_iter = rebuilt.iter();
+        for shard in &shards[..n] {
+            out.extend_from_slice(match shard {
+                Some(s) => s,
+                None => rebuilt_iter.next().expect("one rebuilt shard per lost data"),
+            });
+        }
+        out.truncate(data_len);
+        Ok(out)
     }
 
-    /// Number of decode programs currently cached.
-    pub fn decode_cache_len(&self) -> usize {
-        self.dec_cache.lock().expect("cache lock").len()
-    }
+    /// Verify that parity shards are consistent with the data shards.
+    ///
+    /// The comparison runs stripe by stripe: each chunk of `workers ×
+    /// blocksize` packet bytes of expected parity is computed (striped
+    /// across the pool, like encode) into a small reused scratch buffer
+    /// — one chunk's worth, not `p` full shards — and compared
+    /// immediately. The first mismatching chunk aborts the scan, so
+    /// detecting corruption near the front of a large stripe costs a few
+    /// blocks of work, not a full re-encode, while a clean scan keeps
+    /// the pool parallelism of the full encode.
+    pub fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
+        let n = self.n;
+        self.check_total(shards.len())?;
+        let len = layout::common_shard_len(shards.iter().map(Vec::as_slice), self.w)?;
+        if len == 0 {
+            return Ok(true);
+        }
+        let pl = len / self.w;
+        let data_packets: Vec<&[u8]> =
+            shards[..n].iter().flat_map(|s| layout::packets(s, self.w)).collect();
+        let parity_packets: Vec<&[u8]> =
+            shards[n..].iter().flat_map(|s| layout::packets(s, self.w)).collect();
 
-    /// Number of partial (delta-update + parity-row) programs cached.
-    pub fn partial_cache_len(&self) -> usize {
-        self.upd_cache.lock().expect("cache lock").len()
-            + self.row_cache.lock().expect("cache lock").len()
+        // Chunk width: one compiled block per backend lane, so each chunk
+        // re-encodes at full engine parallelism while the scratch (and
+        // the early-exit granularity) stays a bounded, reusable strip.
+        let step = self
+            .enc_prog
+            .blocksize()
+            .saturating_mul(self.backend.lanes())
+            .min(pl)
+            .max(1);
+        xor_runtime::with_byte_scratch(parity_packets.len() * step, |scratch| {
+            let mut start = 0;
+            while start < pl {
+                let width = step.min(pl - start);
+                let r = start..start + width;
+                let inputs: Vec<&[u8]> = data_packets.iter().map(|s| &s[r.clone()]).collect();
+                let mut outputs: Vec<&mut [u8]> =
+                    scratch.chunks_exact_mut(step).map(|c| &mut c[..width]).collect();
+                self.backend.run(&self.enc_prog, &inputs, &mut outputs)?;
+                let mismatch = parity_packets
+                    .iter()
+                    .zip(scratch.chunks_exact(step))
+                    .any(|(actual, expected)| actual[r.clone()] != expected[..width]);
+                if mismatch {
+                    return Ok(false);
+                }
+                start += width;
+            }
+            Ok(true)
+        })
     }
+}
+
+/// Fill `shard` with slot `i`'s slice of `data`, zero-padded to `len`
+/// (the layout shared by `encode_into` and `split_data`).
+fn fill_data_shard(shard: &mut Vec<u8>, data: &[u8], i: usize, len: usize) {
+    let lo = (i * len).min(data.len());
+    let hi = ((i + 1) * len).min(data.len());
+    shard.clear();
+    shard.extend_from_slice(&data[lo..hi]);
+    shard.resize(len, 0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ArrayCodec;
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 151 + 17) as u8).collect()
@@ -868,7 +1035,7 @@ mod tests {
         rx[2] = None;
         assert!(matches!(
             codec.decode(&rx, data.len()),
-            Err(ArrayCodecError::TooManyErasures { missing: 3 })
+            Err(EcError::TooManyErasures { missing: 3, parity: 2 })
         ));
     }
 
@@ -985,5 +1152,285 @@ mod tests {
         rx[3] = None;
         rx[9] = None; // diagonal parity disk
         assert_eq!(codec.decode(&rx, data.len()).unwrap(), data);
+    }
+
+    // ------------------------------------------------------------------
+    // The engine as an engine: a code no registry entry covers
+    // ------------------------------------------------------------------
+
+    /// n = 3, p = 3, w = 3 (so `w ∤ 8`). Deliberately irregular: P0's
+    /// block over d1 has rank 2 and an all-zero row (a parity packet its
+    /// column block does not feed; a shard that raises the GF(2) rank by
+    /// less than w), P1 is an MDS-style row over GF(8) companions, P2
+    /// ignores d2 entirely — so some ≤ p erasure patterns are
+    /// rank-deficient.
+    fn toy_parity() -> BitMatrix {
+        BitMatrix::parse(&[
+            "100 100 100",
+            "010 000 010",
+            "001 011 001",
+            "100 001 010",
+            "010 101 011",
+            "001 010 101",
+            "100 100 000",
+            "010 010 000",
+            "001 001 000",
+        ])
+    }
+
+    fn toy_with(cfg: EngineConfig) -> XorCodec {
+        XorCodec::new(3, 3, 3, &toy_parity(), Vec::new(), cfg).unwrap()
+    }
+
+    fn toy() -> XorCodec {
+        toy_with(EngineConfig { blocksize: 64, ..EngineConfig::tuned() })
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*).
+    fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Every erasure pattern of at most `p` shards.
+    fn patterns(codec: &XorCodec) -> Vec<Vec<usize>> {
+        let t = codec.total_shards();
+        (0u32..1 << t)
+            .filter(|m| m.count_ones() as usize <= codec.parity_shards())
+            .map(|m| (0..t).filter(|i| m >> i & 1 == 1).collect())
+            .collect()
+    }
+
+    /// The independent solvability oracle: the surviving generator rows
+    /// have full column rank over GF(2).
+    fn solvable(codec: &XorCodec, lost: &[usize]) -> bool {
+        let w = codec.packets_per_shard();
+        let rows: Vec<usize> = (0..codec.total_shards() * w)
+            .filter(|r| !lost.contains(&(r / w)))
+            .collect();
+        codec.generator.select_rows(&rows).rank() == codec.data_shards() * w
+    }
+
+    fn erase(shards: &[Vec<u8>], lost: &[usize]) -> Vec<Option<Vec<u8>>> {
+        shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (!lost.contains(&i)).then(|| s.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn parity_equals_the_unoptimized_reference_program() {
+        let evenodd = ArrayCodec::evenodd(4);
+        let rdp = ArrayCodec::rdp(4);
+        for (name, codec) in [("toy", &toy()), ("evenodd", &*evenodd), ("rdp", &*rdp)] {
+            let (n, p, w) =
+                (codec.data_shards(), codec.parity_shards(), codec.packets_per_shard());
+            let parity_bits = codec.generator.row_range(n * w, p * w);
+            let reference = binary_slp_from_bitmatrix(&parity_bits);
+            for (seed, pl) in [(1u64, 1usize), (2, 37), (3, 200)] {
+                let data = random_bytes(n * w * pl, seed);
+                let shards = codec.encode(&data).unwrap();
+                assert_eq!(shards[0].len(), w * pl, "{name}");
+                let packets: Vec<&[u8]> = data.chunks_exact(pl).collect();
+                let expect = reference.run_reference(&packets);
+                let got: Vec<&[u8]> =
+                    shards[n..].iter().flat_map(|s| s.chunks_exact(pl)).collect();
+                assert_eq!(got, expect, "{name} packet length {pl}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_solvable_pattern_roundtrips_and_the_rest_are_typed() {
+        let codec = toy();
+        let data = random_bytes(3 * 3 * 50 + 4, 7);
+        let shards = codec.encode(&data).unwrap();
+        let (mut good, mut bad) = (0, 0);
+        for lost in patterns(&codec) {
+            let mut rx = erase(&shards, &lost);
+            if solvable(&codec, &lost) {
+                good += 1;
+                assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {lost:?}");
+                codec.reconstruct(&mut rx).unwrap();
+                let rebuilt: Vec<Vec<u8>> = rx.into_iter().map(Option::unwrap).collect();
+                assert_eq!(rebuilt, shards, "lost {lost:?}");
+            } else {
+                bad += 1;
+                let typed = EcError::SingularPattern { lost: lost.clone() };
+                assert_eq!(codec.decode(&rx, data.len()), Err(typed.clone()), "lost {lost:?}");
+                assert_eq!(codec.reconstruct(&mut rx), Err(typed.clone()), "lost {lost:?}");
+                assert_eq!(codec.repair_sources(&lost), Err(typed), "lost {lost:?}");
+            }
+        }
+        // d2 with both parities that read it; d0 and d1 with the MDS row.
+        assert!(!solvable(&codec, &[2, 3, 4]) && !solvable(&codec, &[0, 1, 4]));
+        assert!(good > 30 && bad >= 2, "{good} solvable, {bad} deficient");
+    }
+
+    #[test]
+    fn decode_selects_packets_not_whole_shards() {
+        // Losing d1: d0 and d2 give rank 6, P0 adds only two independent
+        // packets (its block over d1 has rank 2), P1's first packet
+        // completes the basis and P2 is never read.
+        let codec = toy();
+        assert_eq!(codec.repair_sources(&[1]).unwrap(), vec![0, 2, 3, 4]);
+        let dec = codec.decode_program(&[1]).unwrap();
+        assert_eq!(
+            dec.inputs,
+            vec![(0, 0), (0, 2), (2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (4, 0)]
+        );
+        assert_eq!(codec.decode_slp(&[1]).unwrap().n_consts, 8);
+        // A lost parity reads exactly the data shards its rows touch.
+        assert_eq!(codec.repair_sources(&[5]).unwrap(), vec![0, 1]);
+        // ... and can be rebuilt with the untouched data shard absent.
+        let shards = codec.encode(&random_bytes(90, 3)).unwrap();
+        let mut rx = erase(&shards, &[2, 3, 4, 5]);
+        codec.reconstruct_subset(&mut rx, &[5]).unwrap();
+        assert_eq!(rx[5].as_ref(), Some(&shards[5]));
+        assert!(rx[2].is_none(), "unwanted shards stay untouched");
+        assert_eq!(
+            codec.reconstruct_subset(&mut erase(&shards, &[1, 5]), &[5]),
+            Err(EcError::MissingSource { shard: 1 })
+        );
+    }
+
+    #[test]
+    fn update_and_partial_programs_match_the_full_encode() {
+        let codec = toy();
+        let (n, p, w) = (3, 3, 3);
+        let len = w * 41;
+        let data: Vec<Vec<u8>> = (0..n).map(|i| random_bytes(len, 10 + i as u64)).collect();
+        let full = |data: &[Vec<u8>]| {
+            let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let mut parity = vec![vec![0u8; len]; p];
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+            codec.encode_parity(&refs, &mut prefs).unwrap();
+            parity
+        };
+        let base = full(&data);
+
+        // Column programs produce only the parity packets they feed.
+        let rows = |i| codec.partial_program(PartialKey::Column(i)).rows.clone();
+        assert_eq!(rows(0), (0..9).collect::<Vec<_>>());
+        assert_eq!(rows(1), vec![0, 2, 3, 4, 5, 6, 7, 8], "P0 packet 1 ignores d1");
+        assert_eq!(rows(2), (0..6).collect::<Vec<_>>(), "P2 ignores d2");
+        for i in 0..n {
+            let mut changed = data.clone();
+            changed[i] = random_bytes(len, 20 + i as u64);
+            let mut parity = base.clone();
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+            codec.update_parity(i, &data[i], &changed[i], &mut prefs).unwrap();
+            assert_eq!(parity, full(&changed), "column {i}");
+        }
+
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        for rows in [vec![0], vec![1], vec![2], vec![0, 1], vec![0, 2], vec![1, 2], vec![0, 1, 2]] {
+            let mut out = vec![vec![0u8; len]; rows.len()];
+            let mut orefs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            codec.encode_parity_partial(&refs, &mut orefs, &rows).unwrap();
+            let expect: Vec<&Vec<u8>> = rows.iter().map(|&r| &base[r]).collect();
+            assert_eq!(out.iter().collect::<Vec<_>>(), expect, "rows {rows:?}");
+        }
+
+        // Lengths must be multiples of w = 3, not of 8.
+        let mut shards = codec.encode(&random_bytes(3 * 8, 1)).unwrap();
+        assert_eq!(shards[0].len(), 9);
+        assert!(codec.verify(&shards).unwrap());
+        shards.iter_mut().for_each(|s| s.truncate(8));
+        assert!(matches!(codec.verify(&shards), Err(EcError::ShardLength(_))));
+    }
+
+    #[test]
+    fn constructor_rejects_malformed_codes() {
+        let cfg = EngineConfig::tuned();
+        let new = |n, p, w, m: &BitMatrix, groups, cfg| {
+            XorCodec::new(n, p, w, m, groups, cfg).map(|_| ())
+        };
+        let invalid = |r: Result<(), EcError>| matches!(r, Err(EcError::InvalidParams(_)));
+        let m = toy_parity();
+        assert!(new(3, 3, 3, &m, vec![vec![0, 1, 5]], cfg).is_ok());
+        assert!(invalid(new(0, 3, 3, &m, vec![], cfg)));
+        assert!(invalid(new(3, 3, 0, &m, vec![], cfg)));
+        assert!(invalid(new(3, 3, 4, &m, vec![], cfg)), "shape mismatch");
+        assert!(invalid(new(3, 3, 3, &m, vec![vec![0, 6]], cfg)), "group out of range");
+        assert!(invalid(new(3, 3, 3, &m, vec![], EngineConfig { blocksize: 0, ..cfg })));
+        let mut zero_row = m.clone();
+        for c in 0..9 {
+            zero_row.set(4, c, false);
+        }
+        assert!(invalid(new(3, 3, 3, &zero_row, vec![], cfg)), "always-zero parity packet");
+        let unprotected = BitMatrix::parse(&["110"]);
+        assert!(invalid(new(3, 1, 1, &unprotected, vec![], cfg)), "d2 feeds no parity");
+    }
+
+    // ------------------------------------------------------------------
+    // Program caches
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn decode_cache_evicts_least_recently_used() {
+        let codec = toy_with(EngineConfig { decode_cache_cap: 2, ..EngineConfig::tuned() });
+        assert_eq!(codec.decode_cache_capacity(), 2);
+        let p0 = codec.decode_program(&[0]).unwrap();
+        let p1 = codec.decode_program(&[1]).unwrap();
+        // Touch [0] so [1] is the LRU entry, then insert a third pattern.
+        let p0_again = codec.decode_program(&[0]).unwrap();
+        assert!(Arc::ptr_eq(&p0, &p0_again));
+        let _p2 = codec.decode_program(&[2]).unwrap();
+        // [1] was evicted → recompiled on next request (a fresh Arc).
+        // ([0] may itself be evicted by re-inserting [1]; only the
+        // recompilation of [1] is the invariant under cap 2.)
+        let p1_fresh = codec.decode_program(&[1]).unwrap();
+        assert!(!Arc::ptr_eq(&p1, &p1_fresh));
+        let data = random_bytes(9 * 24, 5);
+        let shards = codec.encode(&data).unwrap();
+        for lost in 0..6 {
+            let rx = erase(&shards, &[lost]);
+            assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {lost}");
+            assert!(codec.decode_cache_len() <= 2, "cache exceeded its cap");
+        }
+    }
+
+    #[test]
+    fn decode_cache_is_reused() {
+        let codec = toy();
+        assert_eq!(codec.decode_cache_capacity(), 1 + 6 + 15, "auto: ≤ 2 erasures fit");
+        let p1 = codec.decode_program(&[0]).unwrap();
+        let p2 = codec.decode_program(&[0]).unwrap();
+        assert!(Arc::ptr_eq(&p1, &p2));
+        // different order (and a repeat), same pattern
+        let p3 = codec.decode_program(&[1, 0, 1]).unwrap();
+        let p4 = codec.decode_program(&[0, 1]).unwrap();
+        assert!(Arc::ptr_eq(&p3, &p4));
+        assert_eq!(codec.decode_cache_len(), 2);
+    }
+
+    #[test]
+    fn partial_cache_is_reused_and_bounded() {
+        let codec = toy_with(EngineConfig { partial_cache_cap: 2, ..EngineConfig::tuned() });
+        assert_eq!(codec.partial_cache_capacity(), 2);
+        let a = codec.partial_program(PartialKey::Column(0));
+        let b = codec.partial_program(PartialKey::Column(0));
+        assert!(Arc::ptr_eq(&a, &b), "cache hit must return the same program");
+        // Fill past the cap with distinct columns: LRU evicts column 0.
+        for i in 1..3 {
+            let _ = codec.partial_program(PartialKey::Column(i));
+        }
+        assert_eq!(codec.partial_cache_len(), 2);
+        assert!(!lock(&codec.partial_cache).contains(&PartialKey::Column(0)));
+        let fresh = codec.partial_program(PartialKey::Column(0));
+        assert!(!Arc::ptr_eq(&a, &fresh), "evicted program must recompile");
+        // Row-subset keys share the same cache.
+        let _ = codec.partial_program(PartialKey::Rows(vec![1]));
+        assert!(codec.partial_cache_len() <= 2, "cache exceeded its cap");
+        assert!(lock(&codec.partial_cache).contains(&PartialKey::Rows(vec![1])));
     }
 }

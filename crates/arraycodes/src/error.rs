@@ -1,4 +1,4 @@
-//! Error type of the codec.
+//! The one error type of every codec family.
 
 use std::fmt;
 use xor_runtime::ExecError;
@@ -6,7 +6,7 @@ use xor_runtime::ExecError;
 /// Everything that can go wrong when constructing or using a codec.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EcError {
-    /// Invalid `(n, p)` parameters.
+    /// Invalid code parameters, or an out-of-range shard / row index.
     InvalidParams(String),
     /// Wrong number of shards passed to an operation.
     ShardCount { expected: usize, got: usize },
@@ -27,9 +27,9 @@ pub enum EcError {
     /// A codec name or wire ID that no registered codec answers to, or a
     /// spec whose parameters the named codec cannot satisfy.
     UnknownCodec(String),
-    /// A repair-plan source shard that [`crate::ErasureCoder::repair_sources`]
+    /// A repair-plan source shard that [`crate::XorCodec::repair_sources`]
     /// requires was not provided to
-    /// [`crate::ErasureCoder::reconstruct_subset`].
+    /// [`crate::XorCodec::reconstruct_subset`].
     MissingSource { shard: usize },
     /// Executor-level failure (bubbled up; indicates a bug if it ever
     /// escapes this crate).

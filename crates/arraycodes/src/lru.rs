@@ -1,4 +1,6 @@
-//! A small bounded least-recently-used map for compiled decode programs.
+//! A small bounded least-recently-used map for compiled programs — the
+//! engine's only program-cache type (decode programs per erasure
+//! pattern, column/row-subset programs per key).
 //!
 //! Compiling a decode program runs the whole optimization pipeline, so
 //! the cache matters — but the pattern space is `C(n+p, ≤p)`, which for

@@ -257,6 +257,20 @@ impl BitMatrix {
         assert!(c0 + count <= self.cols);
         BitMatrix::from_fn(self.rows, count, |i, j| self.get(i, c0 + j))
     }
+
+    /// The rows `rows` (any order, repeats allowed) as a new matrix.
+    pub fn select_rows(&self, rows: &[usize]) -> BitMatrix {
+        let mut out = BitMatrix::zero(rows.len(), self.cols);
+        for (i, &r) in rows.iter().enumerate() {
+            out.words[i * self.wpr..(i + 1) * self.wpr].copy_from_slice(self.row_words(r));
+        }
+        out
+    }
+
+    /// The columns `cols` (any order, repeats allowed) as a new matrix.
+    pub fn select_cols(&self, cols: &[usize]) -> BitMatrix {
+        BitMatrix::from_fn(self.rows, cols.len(), |i, j| self.get(i, cols[j]))
+    }
 }
 
 impl fmt::Debug for BitMatrix {
@@ -366,6 +380,21 @@ mod tests {
         let a = m.row_range(1, 4).col_range(60, 10);
         let b = m.col_range(60, 10).row_range(1, 4);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn row_and_col_selection_generalise_the_ranges() {
+        let m = BitMatrix::from_fn(6, 130, |i, j| (i * 7 + j) % 5 == 0);
+        assert_eq!(m.select_rows(&[1, 2, 3, 4]), m.row_range(1, 4));
+        let cols: Vec<usize> = (60..70).collect();
+        assert_eq!(m.select_cols(&cols), m.col_range(60, 10));
+        // Arbitrary order, across a word boundary.
+        let sub = m.select_rows(&[5, 0]).select_cols(&[129, 3, 64]);
+        for (i, &r) in [5usize, 0].iter().enumerate() {
+            for (j, &c) in [129usize, 3, 64].iter().enumerate() {
+                assert_eq!(sub.get(i, j), m.get(r, c), "({r},{c})");
+            }
+        }
     }
 
     #[test]

@@ -1,92 +1,28 @@
-//! The [`RsCodec`]: systematic RS(n, p) erasure coding over optimized XOR
-//! programs.
+//! The [`RsCodec`]: systematic RS(n, p) as a matrix constructor over the
+//! shared [`XorCodec`] engine.
 
 use crate::config::RsConfig;
-use crate::error::EcError;
-use crate::layout;
-use crate::lru::LruCache;
+use array_codes::{EcError, XorCodec};
+use bitmatrix::BitMatrix;
 use gf256::{encoding_matrix, GfMatrix};
-use std::sync::Mutex;
-use slp::Slp;
-use slp_optimizer::optimize;
-use std::sync::Arc;
-use xor_runtime::{cpu_backend, lock_unpoisoned as lock, ComputeBackend, ExecPool, ExecProgram};
 
-/// A compiled decode pipeline for one erasure pattern.
-struct DecProgram {
-    /// The optimized SLP and its compiled form; `None` when no data shard
-    /// is lost (parity-only erasures need no inverse).
-    compiled: Option<(Slp, ExecProgram)>,
-    /// Indices (< n) of the data shards this program reconstructs.
-    lost_data: Vec<usize>,
-    /// The surviving shard indices whose packets feed the program, in
-    /// input order. Survivor columns the recovery matrix never reads are
-    /// dropped, so this is the *exact* read set of the program — for a
-    /// locally-repairable code repairing a single loss it is one local
-    /// group, not all n survivors.
-    survivors: Vec<usize>,
-}
-
-/// Key of a cached partial (sub-matrix) XOR program.
-///
-/// The same pipeline that compiles the full parity matrix applies
-/// unchanged to any sub-matrix of the coding matrix; these are the two
-/// shapes production traffic asks for.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum PartialKey {
-    /// Column `i` of the parity block: scales one data shard's *change*
-    /// into all `p` parity shards (delta updates).
-    Column(usize),
-    /// A strict subset of parity rows (ascending, 0-based within the
-    /// parity block): re-encodes only those parity shards (partial
-    /// repair). The full-row-set program is the encode program itself
-    /// and is never cached here.
-    Rows(Vec<usize>),
-}
-
-/// A compiled partial program plus its optimized SLP (kept for metrics:
-/// the delta-update win is *provable* by comparing XOR counts).
-struct PartialProgram {
-    slp: Slp,
-    prog: ExecProgram,
-    /// Parity-block rows (0-based) the program actually produces. Column
-    /// programs skip parity rows whose coefficient at that column is
-    /// zero — for a locality-grouped matrix a data shard only feeds its
-    /// own group's local row plus the globals. Dense for row subsets.
-    rows: Vec<usize>,
-}
+/// Packets per shard of the GF(2^8) codes: one per symbol bit.
+pub(crate) const PACKETS_PER_SHARD: usize = 8;
 
 /// A systematic Reed–Solomon erasure codec computed entirely with XORs.
 ///
-/// Construction compiles the optimized encode program once; decode
-/// programs are compiled lazily per erasure pattern and kept in a
-/// bounded LRU cache ([`RsConfig::decode_cache_cap`]). All methods take
-/// `&self` and the codec is `Send + Sync`.
-///
-/// Execution goes through a [`ComputeBackend`] — by default the CPU
-/// backend, which stripes across an [`ExecPool`] (the
-/// [`RsConfig::parallelism`] knob): every worker owns a persistent
-/// grow-on-demand arena, so concurrent callers never serialize on shared
-/// scratch buffers and steady-state encode/decode allocates nothing. An
-/// accelerator backend slots in via [`RsCodec::set_backend`] without any
-/// codec changes.
+/// This type only builds the code: it validates the geometry, constructs
+/// the GF(2^8) coding matrix and expands its parity rows to the
+/// bit-matrix (the Blömer et al. construction) that defines an
+/// [`XorCodec`] with `w = 8` packets per shard. It derefs to that engine,
+/// which holds every operation (`encode`, `decode`, `reconstruct`,
+/// `update_parity`, `repair_sources`, `verify`, …) and the program
+/// caches.
 pub struct RsCodec {
+    engine: XorCodec,
     cfg: RsConfig,
     /// The full `(n+p) × n` systematic coding matrix.
     matrix: GfMatrix,
-    /// Locality groups of the coding matrix (shard indices per group,
-    /// data members plus the group's local parity row). Empty for a
-    /// plain RS matrix; populated by the LRC construction, where it
-    /// steers survivor selection toward the cheap local-group rows.
-    groups: Vec<Vec<usize>>,
-    enc_slp: Slp,
-    enc_prog: ExecProgram,
-    /// The execution substrate (CPU pool by default, per config).
-    backend: Arc<dyn ComputeBackend>,
-    dec_cache: Mutex<LruCache<Vec<usize>, Arc<DecProgram>>>,
-    /// Column/row-subset programs for delta updates and partial repair,
-    /// bounded by [`RsConfig::partial_cache_cap`].
-    partial_cache: Mutex<LruCache<PartialKey, Arc<PartialProgram>>>,
 }
 
 impl RsCodec {
@@ -102,8 +38,8 @@ impl RsCodec {
         RsCodec::with_matrix(cfg, matrix, Vec::new())
     }
 
-    /// Validate `(n, p, blocksize)` before any matrix is built — matrix
-    /// constructors assert on degenerate geometry, so this must run first.
+    /// Validate `(n, p)` before any matrix is built — matrix constructors
+    /// assert on degenerate geometry, so this must run first.
     pub(crate) fn check_params(cfg: &RsConfig) -> Result<(), EcError> {
         let (n, p) = (cfg.data_shards, cfg.parity_shards);
         if n == 0 || p == 0 {
@@ -117,83 +53,24 @@ impl RsCodec {
                 n + p
             )));
         }
-        if cfg.blocksize == 0 {
-            return Err(EcError::InvalidParams("blocksize must be positive".into()));
-        }
         Ok(())
     }
 
     /// Build a codec over an explicit systematic `(n+p) × n` coding
     /// matrix (the top `n` rows must be the identity). `groups` lists the
     /// locality groups of the matrix, if any — the LRC construction's
-    /// entry point into the shared SLP machinery.
+    /// entry point.
     pub(crate) fn with_matrix(
         cfg: RsConfig,
         matrix: GfMatrix,
         groups: Vec<Vec<usize>>,
     ) -> Result<RsCodec, EcError> {
-        RsCodec::check_params(&cfg)?;
         let (n, p) = (cfg.data_shards, cfg.parity_shards);
         debug_assert!(matrix.top_is_identity(n), "coding matrix must be systematic");
         let parity_rows: Vec<usize> = (n..n + p).collect();
-        let parity_bits = bitmatrix::BitMatrix::expand_gf_matrix(&matrix.select_rows(&parity_rows));
-        let base = slp::binary_slp_from_bitmatrix(&parity_bits);
-        let enc_slp = optimize(&base, cfg.opt);
-        let enc_prog = ExecProgram::compile(&enc_slp, cfg.blocksize, cfg.kernel);
-        // Auto cache capacity: every empty, single and double erasure
-        // pattern fits (1 + t + C(t, 2) keys) — the patterns production
-        // repair traffic actually cycles through.
-        let t = n + p;
-        let cache_cap = match cfg.decode_cache_cap {
-            0 => 1 + t + t * (t - 1) / 2,
-            cap => cap,
-        };
-        // Auto partial-program capacity: every per-data-shard column
-        // program (the delta-update working set) and every single-row
-        // repair program fit simultaneously.
-        let partial_cap = match cfg.partial_cache_cap {
-            0 => n + p,
-            cap => cap,
-        };
-        Ok(RsCodec {
-            cfg,
-            matrix,
-            groups,
-            enc_slp,
-            enc_prog,
-            backend: cpu_backend(cfg.parallelism),
-            dec_cache: Mutex::new(LruCache::new(cache_cap)),
-            partial_cache: Mutex::new(LruCache::new(partial_cap)),
-        })
-    }
-
-    /// Swap the execution substrate: every encode/decode/update/verify
-    /// after this call runs on `backend`. This is the accelerator seam —
-    /// a GPU backend implements [`ComputeBackend`] and slots in here
-    /// without any codec changes. The default is the CPU backend built
-    /// from [`RsConfig::parallelism`].
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.backend = backend;
-    }
-
-    /// The execution substrate this codec runs on.
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.backend
-    }
-
-    /// Number of data shards `n`.
-    pub fn data_shards(&self) -> usize {
-        self.cfg.data_shards
-    }
-
-    /// Number of parity shards `p`.
-    pub fn parity_shards(&self) -> usize {
-        self.cfg.parity_shards
-    }
-
-    /// Total shards `n + p`.
-    pub fn total_shards(&self) -> usize {
-        self.cfg.data_shards + self.cfg.parity_shards
+        let parity = BitMatrix::expand_gf_matrix(&matrix.select_rows(&parity_rows));
+        let engine = XorCodec::new(n, p, PACKETS_PER_SHARD, &parity, groups, cfg.engine())?;
+        Ok(RsCodec { engine, cfg, matrix })
     }
 
     /// The configuration this codec was built with.
@@ -205,760 +82,14 @@ impl RsCodec {
     pub fn encode_matrix(&self) -> &GfMatrix {
         &self.matrix
     }
-
-    /// Locality groups of the coding matrix: each entry lists the shard
-    /// indices (data + local parity) of one repair group. Empty for plain
-    /// RS; populated by the LRC construction.
-    pub fn locality_groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
-    /// The optimized encoding SLP (for inspection and metrics; §7.5).
-    pub fn encode_slp(&self) -> &Slp {
-        &self.enc_slp
-    }
-
-    /// Number of decode programs currently cached.
-    pub fn decode_cache_len(&self) -> usize {
-        lock(&self.dec_cache).len()
-    }
-
-    /// The decode-cache capacity in effect (the resolved value of
-    /// [`RsConfig::decode_cache_cap`]).
-    pub fn decode_cache_capacity(&self) -> usize {
-        lock(&self.dec_cache).cap()
-    }
-
-    /// Number of partial (column / row-subset) programs currently cached.
-    pub fn partial_cache_len(&self) -> usize {
-        lock(&self.partial_cache).len()
-    }
-
-    /// The partial-program cache capacity in effect (the resolved value
-    /// of [`RsConfig::partial_cache_cap`]).
-    pub fn partial_cache_capacity(&self) -> usize {
-        lock(&self.partial_cache).cap()
-    }
-
-    /// The optimized decoding SLP for an erasure pattern (for metrics;
-    /// Figure 1). `lost` lists missing shard indices (data or parity).
-    ///
-    /// # Errors
-    /// [`EcError::NoDataLost`] when the pattern erases parity only —
-    /// decoding is then a no-op with no program to return (repair parity
-    /// with [`RsCodec::encode_parity_partial`] instead).
-    pub fn decode_slp(&self, lost: &[usize]) -> Result<Slp, EcError> {
-        let dec = self.decode_program(lost)?;
-        match &dec.compiled {
-            Some((slp, _)) => Ok(slp.clone()),
-            None => Err(EcError::NoDataLost),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Encoding
-    // ------------------------------------------------------------------
-
-    /// The validation prologue shared by every parity-producing entry
-    /// point: check shard counts against `(expected_data,
-    /// expected_parity)` and return the common, packet-aligned shard
-    /// length. Zero-length shards are valid everywhere and make the
-    /// operation a no-op — callers early-return on `Ok(0)`.
-    fn encode_prologue(
-        &self,
-        data: &[&[u8]],
-        parity: &[&mut [u8]],
-        expected_data: usize,
-        expected_parity: usize,
-    ) -> Result<usize, EcError> {
-        if data.len() != expected_data {
-            return Err(EcError::ShardCount { expected: expected_data, got: data.len() });
-        }
-        if parity.len() != expected_parity {
-            return Err(EcError::ShardCount {
-                expected: expected_parity,
-                got: parity.len(),
-            });
-        }
-        layout::common_shard_len(
-            data.iter().copied().chain(parity.iter().map(|s| &**s)),
-        )
-    }
-
-    /// Compute all parity shards from data shards, zero-copy.
-    ///
-    /// Every shard (input and output) must have the same length, a
-    /// multiple of 8.
-    pub fn encode_parity(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        let len = self.encode_prologue(data, parity, n, p)?;
-        if len == 0 {
-            return Ok(());
-        }
-
-        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s)).collect();
-        let mut outputs: Vec<&mut [u8]> = parity
-            .iter_mut()
-            .flat_map(|s| layout::packets_mut(s))
-            .collect();
-        self.backend.run(&self.enc_prog, &inputs, &mut outputs)?;
-        Ok(())
-    }
-
-    /// The shard length [`RsCodec::encode`] and [`RsCodec::encode_into`]
-    /// produce for `data_len` bytes of input: the smallest packet-aligned
-    /// length whose `n` shards cover the data.
-    pub fn shard_len(&self, data_len: usize) -> usize {
-        layout::shard_len_for(data_len, self.cfg.data_shards)
-    }
-
-    /// Split `data` into the `n` padded data shards [`RsCodec::encode`]
-    /// would produce, without computing parity. This is the one
-    /// authoritative definition of the data→shard layout — callers that
-    /// diff against stored shards (e.g. delta overwrites) use it so the
-    /// split can never drift from the encode path.
-    pub fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let len = self.shard_len(data.len());
-        (0..self.cfg.data_shards)
-            .map(|i| {
-                let mut shard = Vec::new();
-                fill_data_shard(&mut shard, data, i, len);
-                shard
-            })
-            .collect()
-    }
-
-    /// Encode a byte buffer into `n + p` shards (convenience allocation
-    /// path). The data is split across `n` shards, zero-padding the tail;
-    /// use the original length with [`RsCodec::decode`] to strip padding.
-    pub fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
-        let mut shards = vec![Vec::new(); self.total_shards()];
-        self.encode_into(data, &mut shards)?;
-        Ok(shards)
-    }
-
-    /// [`RsCodec::encode`] into caller-owned shard buffers: each of the
-    /// `n + p` vectors is resized to [`RsCodec::shard_len`] and filled
-    /// (data split + zero padding, then parity).
-    ///
-    /// This is the steady-state streaming entry point: buffer capacity is
-    /// retained across calls, the packet-reference lists live in
-    /// thread-local scratch ([`xor_runtime::with_ref_scratch`]), and a
-    /// single-stripe execution plan runs inline on the caller's
-    /// persistent arena — so re-encoding same-sized chunks into the same
-    /// buffers performs **zero allocations** after the first call (with
-    /// `parallelism = 1`; pooled execution hands stripes to workers,
-    /// whose arenas are persistent too, but task submission allocates).
-    pub fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        if shards.len() != n + p {
-            return Err(EcError::ShardCount { expected: n + p, got: shards.len() });
-        }
-        let len = self.shard_len(data.len());
-        for (i, shard) in shards.iter_mut().take(n).enumerate() {
-            fill_data_shard(shard, data, i, len);
-        }
-        for shard in shards.iter_mut().skip(n) {
-            // Size only — no clear(): the XOR program overwrites every
-            // parity byte, and re-zeroing p × len per chunk is wasted
-            // bandwidth on the steady-state streaming path.
-            shard.resize(len, 0);
-        }
-        if len == 0 {
-            return Ok(());
-        }
-        let pl = len / layout::PACKETS_PER_SHARD;
-        let (data_part, parity_part) = shards.split_at_mut(n);
-        xor_runtime::with_ref_scratch(|inputs, outputs| {
-            inputs.extend(data_part.iter().flat_map(|s| s.chunks_exact(pl)));
-            outputs.extend(parity_part.iter_mut().flat_map(|s| s.chunks_exact_mut(pl)));
-            self.backend.run(&self.enc_prog, inputs, outputs)
-        })?;
-        Ok(())
-    }
-
-    /// [`RsCodec::encode_parity`] with an explicit stripe-count ceiling:
-    /// the packet range is split by the runtime partitioner into at most
-    /// `threads` blocksize-aligned stripes (XOR is position-wise, so any
-    /// split is exact) and executed on the shared global [`ExecPool`],
-    /// regardless of this codec's own `parallelism` setting.
-    ///
-    /// Prefer [`RsConfig::parallelism`] for steady-state use; this entry
-    /// point exists for callers that scale thread counts per call (e.g.
-    /// the thread-scaling bench).
-    pub fn encode_parity_mt(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        threads: usize,
-    ) -> Result<(), EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        let len = self.encode_prologue(data, parity, n, p)?;
-        if len == 0 {
-            return Ok(());
-        }
-
-        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s)).collect();
-        let mut outputs: Vec<&mut [u8]> = parity
-            .iter_mut()
-            .flat_map(|s| layout::packets_mut(s))
-            .collect();
-        self.enc_prog.run_striped(
-            &inputs,
-            &mut outputs,
-            ExecPool::global(),
-            threads.max(1),
-        )?;
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Partial programs: delta updates and partial repair
-    // ------------------------------------------------------------------
-
-    /// Compile (or fetch from the partial-program cache) the XOR program
-    /// for a sub-matrix of the parity block.
-    ///
-    /// The pipeline is exactly the full-encode pipeline — expand the
-    /// GF(2^8) sub-matrix to bits, lift to an SLP, optimize, compile —
-    /// applied to a column (delta update) or a row subset (partial
-    /// repair) of the `p × n` parity matrix.
-    fn partial_program(&self, key: PartialKey) -> Arc<PartialProgram> {
-        if let Some(hit) = lock(&self.partial_cache).get(&key) {
-            return hit;
-        }
-        let n = self.cfg.data_shards;
-        let (sub, rows): (GfMatrix, Vec<usize>) = match &key {
-            PartialKey::Column(i) => {
-                // Keep only the parity rows this column feeds: a zero
-                // coefficient contributes nothing, and an all-zero GF row
-                // has no SLP form.
-                let active: Vec<usize> = (n..n + self.cfg.parity_shards)
-                    .filter(|&r| !self.matrix[(r, *i)].is_zero())
-                    .collect();
-                let rows = active.iter().map(|&r| r - n).collect();
-                (self.matrix.select_rows(&active).select_cols(&[*i]), rows)
-            }
-            PartialKey::Rows(rows) => {
-                let abs: Vec<usize> = rows.iter().map(|&r| n + r).collect();
-                (self.matrix.select_rows(&abs), rows.clone())
-            }
-        };
-        let bits = bitmatrix::BitMatrix::expand_gf_matrix(&sub);
-        let slp = optimize(&slp::binary_slp_from_bitmatrix(&bits), self.cfg.opt);
-        let prog = ExecProgram::compile(&slp, self.cfg.blocksize, self.cfg.kernel);
-        let entry = Arc::new(PartialProgram { slp, prog, rows });
-        lock(&self.partial_cache).insert(key, entry.clone());
-        entry
-    }
-
-    /// Validate and normalize a parity-row subset: ascending, in-range,
-    /// non-empty. Returns `None` when the subset is the *full* row set —
-    /// the caller then uses the already-compiled encode program.
-    fn normalize_rows(&self, rows: &[usize]) -> Result<Option<Vec<usize>>, EcError> {
-        let p = self.cfg.parity_shards;
-        if rows.is_empty() {
-            return Err(EcError::InvalidParams(
-                "parity row subset must not be empty".into(),
-            ));
-        }
-        if !rows.windows(2).all(|w| w[0] < w[1]) {
-            return Err(EcError::InvalidParams(
-                "parity rows must be strictly increasing".into(),
-            ));
-        }
-        if *rows.last().expect("non-empty") >= p {
-            return Err(EcError::InvalidParams(format!(
-                "parity row index out of range (parity shards: {p})"
-            )));
-        }
-        if rows.len() == p {
-            return Ok(None); // 0..p in order: the full encode program
-        }
-        Ok(Some(rows.to_vec()))
-    }
-
-    /// Delta parity update: after data shard `shard_index` changes from
-    /// `old` to `new`, bring **all** `p` parity shards up to date in
-    /// place — without touching the other `n − 1` data shards.
-    ///
-    /// Parity is linear in the data, so
-    /// `parity_j' = parity_j ⊕ P[j][i] · (old_i ⊕ new_i)`: the update
-    /// runs the cached *column* program of shard `i` over the data delta
-    /// (one column's XORs instead of all `n` columns') and accumulates
-    /// the result into `parity`. This is the read-modify-write fast path
-    /// of production erasure-coded storage: a single-shard write costs
-    /// `O(p)` shard reads/writes instead of a full-stripe re-encode.
-    ///
-    /// `old`, `new` and every parity shard must share one length, a
-    /// multiple of 8. Zero-length shards are a no-op.
-    pub fn update_parity(
-        &self,
-        shard_index: usize,
-        old: &[u8],
-        new: &[u8],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        if shard_index >= n {
-            return Err(EcError::InvalidParams(format!(
-                "data shard index {shard_index} out of range (data shards: {n})"
-            )));
-        }
-        let len = self.encode_prologue(&[old, new], parity, 2, p)?;
-        if len == 0 {
-            return Ok(());
-        }
-        // delta = old ⊕ new, then delta-parity = column program (delta),
-        // accumulated into `parity` in place — the shared runtime
-        // discipline keeps a steady-state update allocation-free. The
-        // program covers only the parity rows this column feeds; with a
-        // locality-grouped matrix that is the shard's own local row plus
-        // the globals, so the untouched rows are skipped here.
-        let entry = self.partial_program(PartialKey::Column(shard_index));
-        if entry.rows.len() == p {
-            self.backend
-                .run_delta(&entry.prog, layout::PACKETS_PER_SHARD, old, new, parity)?;
-        } else if !entry.rows.is_empty() {
-            let mut touched: Vec<&mut [u8]> = parity
-                .iter_mut()
-                .enumerate()
-                .filter(|(j, _)| entry.rows.contains(j))
-                .map(|(_, s)| &mut **s)
-                .collect();
-            self.backend.run_delta(
-                &entry.prog,
-                layout::PACKETS_PER_SHARD,
-                old,
-                new,
-                &mut touched,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Re-encode a *subset* of the parity shards from the full data.
-    ///
-    /// `rows` lists the parity rows to produce (0-based within the
-    /// parity block, strictly increasing); `parity[k]` receives row
-    /// `rows[k]`. Repairing one lost parity shard of an RS(n, p) code
-    /// this way costs one row's XOR program, not the whole `p`-row
-    /// encode. Passing all `p` rows is equivalent to
-    /// [`RsCodec::encode_parity`] and reuses its program.
-    pub fn encode_parity_partial(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        rows: &[usize],
-    ) -> Result<(), EcError> {
-        let n = self.cfg.data_shards;
-        let key = match self.normalize_rows(rows)? {
-            None => return self.encode_parity(data, parity),
-            Some(key) => key,
-        };
-        let len = self.encode_prologue(data, parity, n, key.len())?;
-        if len == 0 {
-            return Ok(());
-        }
-        let entry = self.partial_program(PartialKey::Rows(key));
-        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s)).collect();
-        let mut outputs: Vec<&mut [u8]> = parity
-            .iter_mut()
-            .flat_map(|s| layout::packets_mut(s))
-            .collect();
-        self.backend.run(&entry.prog, &inputs, &mut outputs)?;
-        Ok(())
-    }
-
-    /// The optimized SLP of the delta-update column program for one data
-    /// shard (for metrics: its XOR count is what a single-shard write
-    /// pays, against [`RsCodec::encode_slp`] for the full stripe).
-    pub fn update_slp(&self, shard_index: usize) -> Result<Slp, EcError> {
-        let n = self.cfg.data_shards;
-        if shard_index >= n {
-            return Err(EcError::InvalidParams(format!(
-                "data shard index {shard_index} out of range (data shards: {n})"
-            )));
-        }
-        Ok(self.partial_program(PartialKey::Column(shard_index)).slp.clone())
-    }
-
-    /// The optimized SLP of a parity-row-subset program (for metrics).
-    /// The full row set returns the encode SLP itself.
-    pub fn partial_encode_slp(&self, rows: &[usize]) -> Result<Slp, EcError> {
-        match self.normalize_rows(rows)? {
-            None => Ok(self.enc_slp.clone()),
-            Some(key) => Ok(self.partial_program(PartialKey::Rows(key)).slp.clone()),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Decoding
-    // ------------------------------------------------------------------
-
-    /// Compile (or fetch from cache) the decode program for an erasure
-    /// pattern.
-    fn decode_program(&self, lost: &[usize]) -> Result<Arc<DecProgram>, EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        let mut lost: Vec<usize> = lost.to_vec();
-        lost.sort_unstable();
-        lost.dedup();
-        if lost.iter().any(|&i| i >= n + p) {
-            return Err(EcError::InvalidParams(format!(
-                "erased shard index out of range (total {})",
-                n + p
-            )));
-        }
-        if lost.len() > p {
-            return Err(EcError::TooManyErasures { missing: lost.len(), parity: p });
-        }
-        if let Some(hit) = lock(&self.dec_cache).get(&lost) {
-            return Ok(hit);
-        }
-
-        let candidates: Vec<usize> = (0..n + p).filter(|i| !lost.contains(i)).collect();
-        let lost_data: Vec<usize> = lost.iter().copied().filter(|&i| i < n).collect();
-        let (compiled, survivors) = if lost_data.is_empty() {
-            (None, Vec::new())
-        } else {
-            // Greedy independent-row selection over the (possibly
-            // non-MDS) coding matrix: any n independent survivor rows
-            // decode. The candidate ordering steers *which* basis wins —
-            // locality-first for LRC, natural order (≡ the classic
-            // first-n choice) for a plain RS matrix.
-            let ordered = self.survivor_order(&lost, candidates);
-            let chosen = self.matrix.select_independent_rows(&ordered);
-            if chosen.len() < n {
-                return Err(EcError::SingularPattern { lost: lost.clone() });
-            }
-            let sub = self.matrix.select_rows(&chosen);
-            let inv = sub.invert().expect("independent rows form an invertible square");
-            // Rows of the inverse for the lost data blocks express them as
-            // combinations of the gathered survivor blocks.
-            let rec = inv.select_rows(&lost_data);
-            // Drop survivor columns no recovery row reads: the program's
-            // input list then names exactly the shards a repair must
-            // fetch (a single loss in an LRC local group reads that
-            // group, not all n survivors).
-            let used: Vec<usize> = (0..n)
-                .filter(|&c| (0..rec.rows()).any(|r| !rec[(r, c)].is_zero()))
-                .collect();
-            let survivors: Vec<usize> = used.iter().map(|&c| chosen[c]).collect();
-            let rec = rec.select_cols(&used);
-            let bits = bitmatrix::BitMatrix::expand_gf_matrix(&rec);
-            let base = slp::binary_slp_from_bitmatrix(&bits);
-            let slp = optimize(&base, self.cfg.opt);
-            let prog = ExecProgram::compile(&slp, self.cfg.blocksize, self.cfg.kernel);
-            (Some((slp, prog)), survivors)
-        };
-        let dec = Arc::new(DecProgram { compiled, lost_data, survivors });
-        lock(&self.dec_cache).insert(lost, dec.clone());
-        Ok(dec)
-    }
-
-    /// Order survivor candidates for row selection. Without locality
-    /// groups the natural order is kept (for an MDS matrix the greedy
-    /// scan then degenerates to the classic "first n survivors" choice).
-    /// With groups, members of groups containing a lost shard come
-    /// first, then remaining data rows, then the other local parity
-    /// rows, then the globals — so a pattern a local group can repair
-    /// compiles an r-input program and never touches a global row.
-    fn survivor_order(&self, lost: &[usize], mut candidates: Vec<usize>) -> Vec<usize> {
-        if self.groups.is_empty() {
-            return candidates;
-        }
-        let n = self.cfg.data_shards;
-        let affected: Vec<&Vec<usize>> = self
-            .groups
-            .iter()
-            .filter(|g| g.iter().any(|i| lost.contains(i)))
-            .collect();
-        let in_affected = |i: usize| affected.iter().any(|g| g.contains(&i));
-        let class = |i: usize| {
-            if i < n {
-                0 // data: free identity rows
-            } else if self.groups.iter().any(|g| g.contains(&i)) {
-                1 // local parity: touches one group
-            } else {
-                2 // global parity: touches everything
-            }
-        };
-        candidates.sort_by_key(|&i| (usize::from(!in_affected(i)), class(i), i));
-        candidates
-    }
-
-    /// The exact shard set a [`RsCodec::reconstruct_subset`] of `lost`
-    /// reads: the decode program's survivor inputs plus, for each lost
-    /// parity row, the surviving data shards its generator row touches.
-    /// This is the repair *plan* — a networked repair fetches precisely
-    /// these shards and nothing else, which is where a locally-repairable
-    /// code's traffic win comes from.
-    pub fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
-        let n = self.cfg.data_shards;
-        let mut lost: Vec<usize> = lost.to_vec();
-        lost.sort_unstable();
-        lost.dedup();
-        let dec = self.decode_program(&lost)?;
-        let mut sources: std::collections::BTreeSet<usize> =
-            dec.survivors.iter().copied().collect();
-        for &i in lost.iter().filter(|&&i| i >= n) {
-            for j in 0..n {
-                if !self.matrix[(i, j)].is_zero() && !lost.contains(&j) {
-                    sources.insert(j);
-                }
-            }
-        }
-        Ok(sources.into_iter().collect())
-    }
-
-    /// Rebuild every missing shard in place (data via the decode program,
-    /// parity by re-encoding).
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        if shards.len() != n + p {
-            return Err(EcError::ShardCount { expected: n + p, got: shards.len() });
-        }
-        let missing: Vec<usize> = (0..n + p).filter(|&i| shards[i].is_none()).collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        if missing.len() > p {
-            return Err(EcError::TooManyErasures { missing: missing.len(), parity: p });
-        }
-        self.reconstruct_subset(shards, &missing)
-    }
-
-    /// Rebuild exactly the shards in `targets`, reading only the shards
-    /// the repair plan ([`RsCodec::repair_sources`]) names — other `None`
-    /// entries are treated as *unavailable, not wanted* and are left
-    /// untouched. This is the source-restricted repair path: a networked
-    /// caller fetches the plan's shards, leaves the rest `None`, and
-    /// pays the plan's bytes, not the full survivor set's.
-    ///
-    /// # Errors
-    /// [`EcError::MissingSource`] when a shard the plan requires is
-    /// `None` (the caller should fall back to fetching all survivors).
-    pub fn reconstruct_subset(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        targets: &[usize],
-    ) -> Result<(), EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        if shards.len() != n + p {
-            return Err(EcError::ShardCount { expected: n + p, got: shards.len() });
-        }
-        let mut targets: Vec<usize> = targets.to_vec();
-        targets.sort_unstable();
-        targets.dedup();
-        if targets.is_empty() {
-            return Ok(());
-        }
-        let dec = self.decode_program(&targets)?;
-        if let Some(&absent) = dec.survivors.iter().find(|&&s| shards[s].is_none()) {
-            return Err(EcError::MissingSource { shard: absent });
-        }
-        let len =
-            layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice))?;
-
-        // Phase 1: reconstruct lost data shards from the program's
-        // survivor inputs.
-        match &dec.compiled {
-            Some((_, prog)) if len > 0 => {
-                let inputs: Vec<&[u8]> = dec
-                    .survivors
-                    .iter()
-                    .flat_map(|&i| {
-                        layout::packets(shards[i].as_deref().expect("survivor present"))
-                    })
-                    .collect();
-                let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; dec.lost_data.len()];
-                {
-                    let mut outputs: Vec<&mut [u8]> = rebuilt
-                        .iter_mut()
-                        .flat_map(|s| layout::packets_mut(s))
-                        .collect();
-                    self.backend.run(prog, &inputs, &mut outputs)?;
-                }
-                for (&i, shard) in dec.lost_data.iter().zip(rebuilt) {
-                    shards[i] = Some(shard);
-                }
-            }
-            _ => {
-                for &i in &dec.lost_data {
-                    shards[i] = Some(vec![0u8; len]);
-                }
-            }
-        }
-
-        // Phase 2: re-encode only the *target* parity rows (their data
-        // inputs are complete now) — repair work is proportional to what
-        // was lost, not to p. Data shards outside the plan may still be
-        // `None`; they are substituted with zeros, legal only because the
-        // target rows' generator columns there are zero (checked).
-        let target_rows: Vec<usize> =
-            targets.iter().filter(|&&i| i >= n).map(|&i| i - n).collect();
-        if !target_rows.is_empty() {
-            for (j, shard) in shards.iter().enumerate().take(n) {
-                if shard.is_none() {
-                    if let Some(&r) = target_rows
-                        .iter()
-                        .find(|&&r| !self.matrix[(n + r, j)].is_zero())
-                    {
-                        debug_assert!(n + r < n + p);
-                        return Err(EcError::MissingSource { shard: j });
-                    }
-                }
-            }
-            let zeros = vec![0u8; len];
-            let data_refs: Vec<&[u8]> = shards[..n]
-                .iter()
-                .map(|s| s.as_deref().unwrap_or(&zeros))
-                .collect();
-            let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; target_rows.len()];
-            {
-                let mut refs: Vec<&mut [u8]> =
-                    rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
-                self.encode_parity_partial(&data_refs, &mut refs, &target_rows)?;
-            }
-            for (&r, shard) in target_rows.iter().zip(rebuilt) {
-                shards[n + r] = Some(shard);
-            }
-        }
-        Ok(())
-    }
-
-    /// Recover the original byte buffer from surviving shards.
-    ///
-    /// `data_len` is the length passed to [`RsCodec::encode`] (padding is
-    /// stripped). Only lost *data* shards are reconstructed; missing
-    /// parity is ignored.
-    pub fn decode(
-        &self,
-        shards: &[Option<Vec<u8>>],
-        data_len: usize,
-    ) -> Result<Vec<u8>, EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        if shards.len() != n + p {
-            return Err(EcError::ShardCount { expected: n + p, got: shards.len() });
-        }
-        let missing: Vec<usize> = (0..n + p).filter(|&i| shards[i].is_none()).collect();
-        if missing.len() > p {
-            return Err(EcError::TooManyErasures { missing: missing.len(), parity: p });
-        }
-        let len = layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice))?;
-        if layout::shard_len_for(data_len, n) > len {
-            return Err(EcError::ShardLength(format!(
-                "shards of {len} bytes cannot hold {data_len} bytes of data"
-            )));
-        }
-
-        let dec = self.decode_program(&missing)?;
-        let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; dec.lost_data.len()];
-        if let Some((_, prog)) = &dec.compiled {
-            if len > 0 {
-                let inputs: Vec<&[u8]> = dec
-                    .survivors
-                    .iter()
-                    .flat_map(|&i| {
-                        layout::packets(shards[i].as_deref().expect("survivor present"))
-                    })
-                    .collect();
-                let mut outputs: Vec<&mut [u8]> = rebuilt
-                    .iter_mut()
-                    .flat_map(|s| layout::packets_mut(s))
-                    .collect();
-                self.backend.run(prog, &inputs, &mut outputs)?;
-            }
-        }
-
-        // Stitch data shards back together and strip the padding.
-        let mut out = Vec::with_capacity(n * len);
-        let mut rebuilt_iter = rebuilt.into_iter();
-        for shard in &shards[..n] {
-            match shard {
-                Some(s) => out.extend_from_slice(s),
-                None => out.extend_from_slice(
-                    &rebuilt_iter.next().expect("one rebuilt shard per lost data"),
-                ),
-            }
-        }
-        out.truncate(data_len);
-        Ok(out)
-    }
-
-    /// Verify that parity shards are consistent with the data shards.
-    ///
-    /// The comparison runs stripe by stripe: each chunk of `workers ×
-    /// blocksize` packet bytes of expected parity is computed (striped
-    /// across the pool, like encode) into a small reused scratch buffer
-    /// — one chunk's worth, not `p` full shards — and compared
-    /// immediately. The first mismatching chunk aborts the scan, so
-    /// detecting corruption near the front of a large stripe costs a few
-    /// blocks of work, not a full re-encode, while a clean scan keeps
-    /// the pool parallelism of the full encode.
-    pub fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
-        let (n, p) = (self.cfg.data_shards, self.cfg.parity_shards);
-        if shards.len() != n + p {
-            return Err(EcError::ShardCount { expected: n + p, got: shards.len() });
-        }
-        let len = layout::common_shard_len(shards.iter().map(Vec::as_slice))?;
-        if len == 0 {
-            return Ok(true);
-        }
-        let pl = len / layout::PACKETS_PER_SHARD;
-        let data_packets: Vec<&[u8]> =
-            shards[..n].iter().flat_map(|s| layout::packets(s)).collect();
-        let parity_packets: Vec<&[u8]> =
-            shards[n..].iter().flat_map(|s| layout::packets(s)).collect();
-
-        // Chunk width: one compiled block per backend lane, so each chunk
-        // re-encodes at full engine parallelism while the scratch (and
-        // the early-exit granularity) stays a bounded, reusable strip.
-        let workers = self.backend.lanes();
-        let step = self
-            .enc_prog
-            .blocksize()
-            .saturating_mul(workers.max(1))
-            .min(pl)
-            .max(1);
-        xor_runtime::with_byte_scratch(parity_packets.len() * step, |scratch| {
-            let mut start = 0;
-            while start < pl {
-                let width = step.min(pl - start);
-                let r = start..start + width;
-                let inputs: Vec<&[u8]> =
-                    data_packets.iter().map(|s| &s[r.clone()]).collect();
-                let mut outputs: Vec<&mut [u8]> = scratch
-                    .chunks_exact_mut(step)
-                    .map(|c| &mut c[..width])
-                    .collect();
-                self.backend.run(&self.enc_prog, &inputs, &mut outputs)?;
-                let mismatch = parity_packets
-                    .iter()
-                    .zip(scratch.chunks_exact(step))
-                    .any(|(actual, expected)| actual[r.clone()] != expected[..width]);
-                if mismatch {
-                    return Ok(false);
-                }
-                start += width;
-            }
-            Ok(true)
-        })
-    }
 }
 
-/// Fill `shard` with slot `i`'s slice of `data`, zero-padded to `len`
-/// (the layout shared by `encode_into` and `split_data`).
-fn fill_data_shard(shard: &mut Vec<u8>, data: &[u8], i: usize, len: usize) {
-    let lo = (i * len).min(data.len());
-    let hi = ((i + 1) * len).min(data.len());
-    shard.clear();
-    shard.extend_from_slice(&data[lo..hi]);
-    shard.resize(len, 0);
+impl std::ops::Deref for RsCodec {
+    type Target = XorCodec;
+
+    fn deref(&self) -> &XorCodec {
+        &self.engine
+    }
 }
 
 #[cfg(test)]
@@ -1264,44 +395,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decode_cache_evicts_least_recently_used() {
-        let codec = RsCodec::with_config(RsConfig::new(4, 2).decode_cache_cap(2)).unwrap();
-        assert_eq!(codec.decode_cache_capacity(), 2);
-        let p0 = codec.decode_program(&[0]).unwrap();
-        let _p1 = codec.decode_program(&[1]).unwrap();
-        // Touch [0] so [1] is the LRU entry, then insert a third pattern.
-        let p0_again = codec.decode_program(&[0]).unwrap();
-        assert!(Arc::ptr_eq(&p0, &p0_again));
-        let _p2 = codec.decode_program(&[2]).unwrap();
-        // [1] was evicted → recompiled on next request (a fresh Arc);
-        // [0] survived → same compiled program.
-        let p1_fresh = codec.decode_program(&[1]).unwrap();
-        assert!(!Arc::ptr_eq(&_p1, &p1_fresh));
-        // ([0] may itself have been evicted by re-inserting [1]; only the
-        // recompilation of [1] is the invariant under cap 2.)
-        let data = sample_data(4 * 24);
-        let shards = codec.encode(&data).unwrap();
-        for lost in 0..6 {
-            let mut rx: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
-            rx[lost] = None;
-            assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {lost}");
-            assert!(codec.decode_cache_len() <= 2, "cache exceeded its cap");
-        }
-    }
-
-    #[test]
-    fn decode_cache_is_reused() {
-        let codec = RsCodec::new(4, 2).unwrap();
-        let p1 = codec.decode_program(&[0]).unwrap();
-        let p2 = codec.decode_program(&[0]).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
-        // different order, same pattern
-        let p3 = codec.decode_program(&[1, 0]).unwrap();
-        let p4 = codec.decode_program(&[0, 1]).unwrap();
-        assert!(Arc::ptr_eq(&p3, &p4));
-    }
-
     /// Full re-encode oracle for the delta-update identity.
     fn full_parity(codec: &RsCodec, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let len = data[0].len();
@@ -1446,27 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_cache_is_reused_and_bounded() {
-        let codec =
-            RsCodec::with_config(RsConfig::new(6, 2).partial_cache_cap(3)).unwrap();
-        assert_eq!(codec.partial_cache_capacity(), 3);
-        let a = codec.partial_program(PartialKey::Column(0));
-        let b = codec.partial_program(PartialKey::Column(0));
-        assert!(Arc::ptr_eq(&a, &b), "cache hit must return the same program");
-        // Fill past the cap with distinct columns: LRU evicts column 0.
-        for i in 1..4 {
-            let _ = codec.partial_program(PartialKey::Column(i));
-        }
-        assert_eq!(codec.partial_cache_len(), 3);
-        assert!(!lock(&codec.partial_cache).contains(&PartialKey::Column(0)));
-        let fresh = codec.partial_program(PartialKey::Column(0));
-        assert!(!Arc::ptr_eq(&a, &fresh), "evicted program must recompile");
-        // Row-subset keys share the same cache.
-        let _ = codec.partial_program(PartialKey::Rows(vec![1]));
-        assert!(codec.partial_cache_len() <= 3, "cache exceeded its cap");
-    }
-
-    #[test]
     fn default_partial_cache_capacity_fits_columns_and_single_rows() {
         let codec = RsCodec::new(10, 4).unwrap();
         assert_eq!(codec.partial_cache_capacity(), 14);
@@ -1484,12 +556,13 @@ mod tests {
         codec.reconstruct(&mut received).unwrap();
         assert_eq!(received[7].as_ref().unwrap(), &shards[7]);
         // The repair compiled (and cached) exactly the one-row program —
-        // not the full encode, and nothing else.
+        // not the full encode, and nothing else: asking for row 1's SLP
+        // is a cache hit.
         assert_eq!(codec.partial_cache_len(), 1);
-        assert!(lock(&codec.partial_cache).contains(&PartialKey::Rows(vec![1])));
-        let prog = codec.partial_program(PartialKey::Rows(vec![1]));
-        assert_eq!(prog.prog.n_outputs(), layout::PACKETS_PER_SHARD);
-        assert!(prog.slp.xor_count() < codec.encode_slp().xor_count());
+        let slp = codec.partial_encode_slp(&[1]).unwrap();
+        assert_eq!(codec.partial_cache_len(), 1);
+        assert_eq!(slp.outputs.len(), PACKETS_PER_SHARD);
+        assert!(slp.xor_count() < codec.encode_slp().xor_count());
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! The paper's point — any XOR-able generator matrix rides the same
 //! SLP compile/optimize/execute pipeline — is what makes this boundary
 //! cheap: every implementation below ([`RsCodec`], [`LrcCodec`],
-//! [`ArrayCodec`]) shares the engine; the trait only abstracts geometry
-//! and program selection.
+//! [`ArrayCodec`]) is a matrix constructor around one [`XorCodec`]; an
+//! implementor names its family and hands out its engine, and every
+//! operation of the trait is provided over that.
 
-use crate::codec::RsCodec;
+use crate::codec::{RsCodec, PACKETS_PER_SHARD};
 use crate::config::RsConfig;
-use crate::error::EcError;
 use crate::lrc::LrcCodec;
-use array_codes::{ArrayCodec, ArrayCodecError};
+use array_codes::{ArrayCodec, EcError, XorCodec};
 
 /// Wire identity of a registered codec family.
 ///
@@ -162,7 +162,7 @@ impl CodecSpec {
     pub fn shard_alignment(&self) -> Result<usize, EcError> {
         self.validate()?;
         Ok(match self.id {
-            CodecId::Rs | CodecId::Lrc => crate::layout::PACKETS_PER_SHARD,
+            CodecId::Rs | CodecId::Lrc => PACKETS_PER_SHARD,
             CodecId::EvenOdd => {
                 array_codes::next_prime(self.data_shards.max(3)) - 1
             }
@@ -236,7 +236,7 @@ pub fn codec_for(spec: &CodecSpec) -> Result<Box<dyn ErasureCoder>, EcError> {
 
 /// Resolve a spec into a boxed codec, carrying the engine knobs
 /// (optimization, blocksize, kernel, parallelism, cache caps) from
-/// `cfg`; the geometry always comes from the spec.
+/// `cfg` into every family; the geometry always comes from the spec.
 pub fn codec_for_with(
     spec: &CodecSpec,
     cfg: RsConfig,
@@ -248,12 +248,8 @@ pub fn codec_for_with(
     Ok(match spec.id {
         CodecId::Rs => Box::new(RsCodec::with_config(cfg)?),
         CodecId::Lrc => Box::new(LrcCodec::with_config(cfg, spec.group_size)?),
-        CodecId::EvenOdd => Box::new(
-            ArrayCodec::evenodd(spec.data_shards).with_parallelism(cfg.parallelism),
-        ),
-        CodecId::Rdp => Box::new(
-            ArrayCodec::rdp(spec.data_shards).with_parallelism(cfg.parallelism),
-        ),
+        CodecId::EvenOdd => Box::new(ArrayCodec::evenodd_with(spec.data_shards, cfg.engine())?),
+        CodecId::Rdp => Box::new(ArrayCodec::rdp_with(spec.data_shards, cfg.engine())?),
     })
 }
 
@@ -261,24 +257,17 @@ pub fn codec_for_with(
 /// and clusters hold a `Box<dyn ErasureCoder>` resolved from the
 /// artifact's own [`CodecSpec`].
 ///
-/// Geometry contract shared by every implementation: `total_shards()`
-/// shard buffers, shard lengths equal and a multiple of
-/// [`ErasureCoder::shard_alignment`], data split row-major by
-/// [`ErasureCoder::split_data`].
+/// An implementor supplies its identity ([`ErasureCoder::spec`], and
+/// [`ErasureCoder::is_mds`] if it is not) and its
+/// [`ErasureCoder::engine`]; everything else forwards to that
+/// [`XorCodec`], whose methods carry the full documentation.
+///
+/// Geometry contract: `total_shards()` shard buffers, shard lengths equal
+/// and a multiple of [`ErasureCoder::shard_alignment`], data split
+/// row-major by [`ErasureCoder::split_data`].
 pub trait ErasureCoder: Send + Sync {
     /// The self-describing identity of this codec.
     fn spec(&self) -> CodecSpec;
-
-    /// Number of data shards `n`.
-    fn data_shards(&self) -> usize;
-
-    /// Number of parity shards `p`.
-    fn parity_shards(&self) -> usize;
-
-    /// Total shards `n + p`.
-    fn total_shards(&self) -> usize {
-        self.data_shards() + self.parity_shards()
-    }
 
     /// Whether the code is MDS: *any* `n` of the `n + p` shards decode.
     /// Readers that stop at the first `n` arrivals (hedged/first-n
@@ -289,30 +278,58 @@ pub trait ErasureCoder: Send + Sync {
         true
     }
 
-    /// Shard lengths must be multiples of this.
-    fn shard_alignment(&self) -> usize;
+    /// The engine that computes this code.
+    fn engine(&self) -> &XorCodec;
+
+    /// Number of data shards `n`.
+    fn data_shards(&self) -> usize {
+        self.engine().data_shards()
+    }
+
+    /// Number of parity shards `p`.
+    fn parity_shards(&self) -> usize {
+        self.engine().parity_shards()
+    }
+
+    /// Total shards `n + p`.
+    fn total_shards(&self) -> usize {
+        self.engine().total_shards()
+    }
+
+    /// Shard lengths must be multiples of this (the packet count `w`).
+    fn shard_alignment(&self) -> usize {
+        self.engine().packets_per_shard()
+    }
 
     /// The shard length produced for `data_len` bytes of input.
-    fn shard_len(&self, data_len: usize) -> usize;
+    fn shard_len(&self, data_len: usize) -> usize {
+        self.engine().shard_len(data_len)
+    }
 
     /// Split `data` into the `n` padded data shards (no parity).
-    fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>>;
+    fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>> {
+        self.engine().split_data(data)
+    }
 
     /// Encode into freshly allocated shards.
-    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError>;
+    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
+        self.engine().encode(data)
+    }
 
     /// Encode into caller-owned shard buffers (resized as needed).
-    fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError>;
+    fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
+        self.engine().encode_into(data, shards)
+    }
 
     /// Recover the original `data_len` bytes from surviving shards.
-    fn decode(
-        &self,
-        shards: &[Option<Vec<u8>>],
-        data_len: usize,
-    ) -> Result<Vec<u8>, EcError>;
+    fn decode(&self, shards: &[Option<Vec<u8>>], data_len: usize) -> Result<Vec<u8>, EcError> {
+        self.engine().decode(shards, data_len)
+    }
 
     /// Rebuild every missing (`None`) shard in place.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError>;
+    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
+        self.engine().reconstruct(shards)
+    }
 
     /// Rebuild exactly `targets`, reading only the shards
     /// [`ErasureCoder::repair_sources`] names; other `None` entries are
@@ -322,12 +339,16 @@ pub trait ErasureCoder: Send + Sync {
         &self,
         shards: &mut [Option<Vec<u8>>],
         targets: &[usize],
-    ) -> Result<(), EcError>;
+    ) -> Result<(), EcError> {
+        self.engine().reconstruct_subset(shards, targets)
+    }
 
     /// The surviving shard indices a repair of `lost` must read. For a
     /// locality-aware codec this is where single-loss repairs shrink to
     /// the local group.
-    fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError>;
+    fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
+        self.engine().repair_sources(lost)
+    }
 
     /// Delta parity update after one data shard changes from `old` to
     /// `new`; all `p` parity shards are updated in place.
@@ -337,139 +358,63 @@ pub trait ErasureCoder: Send + Sync {
         old: &[u8],
         new: &[u8],
         parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError>;
+    ) -> Result<(), EcError> {
+        self.engine().update_parity(shard_index, old, new, parity)
+    }
 
-    /// Re-encode a strict subset of parity shards from complete data
-    /// (`rows` 0-based within the parity block, strictly increasing).
+    /// Re-encode a subset of parity shards from complete data (`rows`
+    /// 0-based within the parity block, strictly increasing).
     fn encode_parity_partial(
         &self,
         data: &[&[u8]],
         parity: &mut [&mut [u8]],
         rows: &[usize],
-    ) -> Result<(), EcError>;
+    ) -> Result<(), EcError> {
+        self.engine().encode_parity_partial(data, parity, rows)
+    }
 
     /// Check parity consistency against the data shards.
-    fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError>;
+    fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
+        self.engine().verify(shards)
+    }
 
     /// XOR count of the full encode program (metrics).
-    fn encode_xor_count(&self) -> usize;
+    fn encode_xor_count(&self) -> usize {
+        self.engine().encode_slp().xor_count()
+    }
 
     /// XOR count of one data shard's delta-update program (metrics).
-    fn update_xor_count(&self, shard_index: usize) -> Result<usize, EcError>;
+    fn update_xor_count(&self, shard_index: usize) -> Result<usize, EcError> {
+        Ok(self.engine().update_slp(shard_index)?.xor_count())
+    }
 
     /// Number of decode programs currently cached (metrics; a repair
     /// path that claims to use a cached local program can prove it
     /// here).
-    fn decode_cache_len(&self) -> usize;
+    fn decode_cache_len(&self) -> usize {
+        self.engine().decode_cache_len()
+    }
 
     /// Number of partial (delta/row-subset) programs cached (metrics).
-    fn partial_cache_len(&self) -> usize;
+    fn partial_cache_len(&self) -> usize {
+        self.engine().partial_cache_len()
+    }
 }
 
 impl ErasureCoder for RsCodec {
     fn spec(&self) -> CodecSpec {
-        CodecSpec::rs(self.data_shards(), self.parity_shards())
+        CodecSpec::rs(self.engine().data_shards(), self.engine().parity_shards())
     }
 
-    fn data_shards(&self) -> usize {
-        RsCodec::data_shards(self)
-    }
-
-    fn parity_shards(&self) -> usize {
-        RsCodec::parity_shards(self)
-    }
-
-    fn shard_alignment(&self) -> usize {
-        crate::layout::PACKETS_PER_SHARD
-    }
-
-    fn shard_len(&self, data_len: usize) -> usize {
-        RsCodec::shard_len(self, data_len)
-    }
-
-    fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        RsCodec::split_data(self, data)
-    }
-
-    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
-        RsCodec::encode(self, data)
-    }
-
-    fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
-        RsCodec::encode_into(self, data, shards)
-    }
-
-    fn decode(
-        &self,
-        shards: &[Option<Vec<u8>>],
-        data_len: usize,
-    ) -> Result<Vec<u8>, EcError> {
-        RsCodec::decode(self, shards, data_len)
-    }
-
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        RsCodec::reconstruct(self, shards)
-    }
-
-    fn reconstruct_subset(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        targets: &[usize],
-    ) -> Result<(), EcError> {
-        RsCodec::reconstruct_subset(self, shards, targets)
-    }
-
-    fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
-        RsCodec::repair_sources(self, lost)
-    }
-
-    fn update_parity(
-        &self,
-        shard_index: usize,
-        old: &[u8],
-        new: &[u8],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError> {
-        RsCodec::update_parity(self, shard_index, old, new, parity)
-    }
-
-    fn encode_parity_partial(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        rows: &[usize],
-    ) -> Result<(), EcError> {
-        RsCodec::encode_parity_partial(self, data, parity, rows)
-    }
-
-    fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
-        RsCodec::verify(self, shards)
-    }
-
-    fn encode_xor_count(&self) -> usize {
-        self.encode_slp().xor_count()
-    }
-
-    fn update_xor_count(&self, shard_index: usize) -> Result<usize, EcError> {
-        Ok(self.update_slp(shard_index)?.xor_count())
-    }
-
-    fn decode_cache_len(&self) -> usize {
-        RsCodec::decode_cache_len(self)
-    }
-
-    fn partial_cache_len(&self) -> usize {
-        RsCodec::partial_cache_len(self)
+    fn engine(&self) -> &XorCodec {
+        self
     }
 }
 
 impl ErasureCoder for LrcCodec {
     fn spec(&self) -> CodecSpec {
-        CodecSpec::lrc(
-            RsCodec::data_shards(self),
-            RsCodec::parity_shards(self),
-            self.group_size(),
-        )
+        let engine = self.engine();
+        CodecSpec::lrc(engine.data_shards(), engine.parity_shards(), self.group_size())
     }
 
     /// LRC trades MDS-ness for cheap local repair: some ≤ `p` loss
@@ -479,108 +424,8 @@ impl ErasureCoder for LrcCodec {
         false
     }
 
-    fn data_shards(&self) -> usize {
-        RsCodec::data_shards(self)
-    }
-
-    fn parity_shards(&self) -> usize {
-        RsCodec::parity_shards(self)
-    }
-
-    fn shard_alignment(&self) -> usize {
-        crate::layout::PACKETS_PER_SHARD
-    }
-
-    fn shard_len(&self, data_len: usize) -> usize {
-        RsCodec::shard_len(self, data_len)
-    }
-
-    fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        RsCodec::split_data(self, data)
-    }
-
-    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
-        RsCodec::encode(self, data)
-    }
-
-    fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
-        RsCodec::encode_into(self, data, shards)
-    }
-
-    fn decode(
-        &self,
-        shards: &[Option<Vec<u8>>],
-        data_len: usize,
-    ) -> Result<Vec<u8>, EcError> {
-        RsCodec::decode(self, shards, data_len)
-    }
-
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        RsCodec::reconstruct(self, shards)
-    }
-
-    fn reconstruct_subset(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        targets: &[usize],
-    ) -> Result<(), EcError> {
-        RsCodec::reconstruct_subset(self, shards, targets)
-    }
-
-    fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
-        RsCodec::repair_sources(self, lost)
-    }
-
-    fn update_parity(
-        &self,
-        shard_index: usize,
-        old: &[u8],
-        new: &[u8],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError> {
-        RsCodec::update_parity(self, shard_index, old, new, parity)
-    }
-
-    fn encode_parity_partial(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        rows: &[usize],
-    ) -> Result<(), EcError> {
-        RsCodec::encode_parity_partial(self, data, parity, rows)
-    }
-
-    fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
-        RsCodec::verify(self, shards)
-    }
-
-    fn encode_xor_count(&self) -> usize {
-        self.encode_slp().xor_count()
-    }
-
-    fn update_xor_count(&self, shard_index: usize) -> Result<usize, EcError> {
-        Ok(self.update_slp(shard_index)?.xor_count())
-    }
-
-    fn decode_cache_len(&self) -> usize {
-        RsCodec::decode_cache_len(self)
-    }
-
-    fn partial_cache_len(&self) -> usize {
-        RsCodec::partial_cache_len(self)
-    }
-}
-
-/// [`ArrayCodecError`] → [`EcError`], preserving the typed shape the
-/// upper layers branch on.
-fn map_array(e: ArrayCodecError) -> EcError {
-    match e {
-        ArrayCodecError::Shards(m) => EcError::ShardLength(m),
-        ArrayCodecError::TooManyErasures { missing } => {
-            EcError::TooManyErasures { missing, parity: 2 }
-        }
-        ArrayCodecError::Unsolvable { lost } => EcError::SingularPattern { lost },
-        ArrayCodecError::MissingSource { shard } => EcError::MissingSource { shard },
+    fn engine(&self) -> &XorCodec {
+        self
     }
 }
 
@@ -588,101 +433,14 @@ impl ErasureCoder for ArrayCodec {
     fn spec(&self) -> CodecSpec {
         CodecSpec {
             id: if self.is_evenodd() { CodecId::EvenOdd } else { CodecId::Rdp },
-            data_shards: self.data_shards(),
+            data_shards: self.engine().data_shards(),
             parity_shards: 2,
             group_size: 0,
         }
     }
 
-    fn data_shards(&self) -> usize {
-        ArrayCodec::data_shards(self)
-    }
-
-    fn parity_shards(&self) -> usize {
-        ArrayCodec::parity_shards(self)
-    }
-
-    fn shard_alignment(&self) -> usize {
-        self.symbols_per_shard()
-    }
-
-    fn shard_len(&self, data_len: usize) -> usize {
-        ArrayCodec::shard_len(self, data_len)
-    }
-
-    fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        ArrayCodec::split_data(self, data)
-    }
-
-    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
-        ArrayCodec::encode(self, data).map_err(map_array)
-    }
-
-    fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
-        ArrayCodec::encode_into(self, data, shards).map_err(map_array)
-    }
-
-    fn decode(
-        &self,
-        shards: &[Option<Vec<u8>>],
-        data_len: usize,
-    ) -> Result<Vec<u8>, EcError> {
-        ArrayCodec::decode(self, shards, data_len).map_err(map_array)
-    }
-
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        ArrayCodec::reconstruct(self, shards).map_err(map_array)
-    }
-
-    fn reconstruct_subset(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        targets: &[usize],
-    ) -> Result<(), EcError> {
-        ArrayCodec::reconstruct_subset(self, shards, targets).map_err(map_array)
-    }
-
-    fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
-        ArrayCodec::repair_sources(self, lost).map_err(map_array)
-    }
-
-    fn update_parity(
-        &self,
-        shard_index: usize,
-        old: &[u8],
-        new: &[u8],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError> {
-        ArrayCodec::update_parity(self, shard_index, old, new, parity).map_err(map_array)
-    }
-
-    fn encode_parity_partial(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        rows: &[usize],
-    ) -> Result<(), EcError> {
-        ArrayCodec::encode_parity_partial(self, data, parity, rows).map_err(map_array)
-    }
-
-    fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
-        ArrayCodec::verify(self, shards).map_err(map_array)
-    }
-
-    fn encode_xor_count(&self) -> usize {
-        self.encode_slp().xor_count()
-    }
-
-    fn update_xor_count(&self, shard_index: usize) -> Result<usize, EcError> {
-        Ok(self.update_slp(shard_index).map_err(map_array)?.xor_count())
-    }
-
-    fn decode_cache_len(&self) -> usize {
-        ArrayCodec::decode_cache_len(self)
-    }
-
-    fn partial_cache_len(&self) -> usize {
-        ArrayCodec::partial_cache_len(self)
+    fn engine(&self) -> &XorCodec {
+        self
     }
 }
 
@@ -777,5 +535,35 @@ mod tests {
         let codec = codec_for_with(&spec, cfg).unwrap();
         assert_eq!(codec.data_shards(), 4);
         assert_eq!(codec.parity_shards(), 2);
+
+        // Every family gets the whole engine configuration, not just the
+        // parallelism: an array code honours the cache cap, kernel and
+        // blocksize it was resolved with.
+        let cfg = RsConfig::new(5, 2)
+            .decode_cache_cap(2)
+            .kernel(crate::Kernel::Scalar)
+            .blocksize(64);
+        let spec = CodecSpec::parse("evenodd", 5, 2).unwrap();
+        let codec = codec_for_with(&spec, cfg).unwrap();
+        assert_eq!(*codec.engine().engine_config(), cfg.engine());
+        let data: Vec<u8> = (0..5 * 4 * 9 + 3).map(|i| (i * 151 + 17) as u8).collect();
+        let shards = codec.encode(&data).unwrap();
+        let mut patterns = 0;
+        for a in 0..7 {
+            for b in a + 1..7 {
+                let mut rx: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
+                rx[a] = None;
+                rx[b] = None;
+                assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {a},{b}");
+                assert!(codec.decode_cache_len() <= 2, "cache exceeded its cap at {a},{b}");
+                patterns += 1;
+            }
+        }
+        assert_eq!(patterns, 21);
+        // An engine knob the engine rejects is rejected for every family.
+        assert!(matches!(
+            codec_for_with(&spec, cfg.blocksize(0)).map(|_| ()),
+            Err(EcError::InvalidParams(_))
+        ));
     }
 }

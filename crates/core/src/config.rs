@@ -1,10 +1,13 @@
 //! Codec configuration.
 
+use array_codes::EngineConfig;
 use gf256::MatrixKind;
 use slp_optimizer::OptConfig;
 use xor_runtime::Kernel;
 
-/// Full configuration of an [`crate::RsCodec`].
+/// Full configuration of an [`crate::RsCodec`]: the code (`n`, `p`,
+/// coding-matrix construction) plus the six engine knobs of
+/// [`EngineConfig`], flattened into one builder.
 ///
 /// The engine knobs (kernel, blocksize, parallelism) default to the
 /// machine's **tuned profile**: on first use `ec-tune` micro-benchmarks
@@ -15,16 +18,11 @@ use xor_runtime::Kernel;
 /// optimization, 1 KiB blocks (§7.4 picks `B = 1K` on Intel, `B = 2K`
 /// on AMD), and the fastest XOR kernel the CPU offers.
 ///
-/// Precedence, lowest to highest — the profile never overrides anything
-/// a human asked for:
-///
-/// 1. static paper defaults;
-/// 2. the tuned profile ([`ec_tune::engine_defaults`]);
-/// 3. environment: `XORSLP_KERNEL` (`scalar` | `wide64` | `avx2` |
-///    `avx512` | `neon` | `auto`), `XORSLP_BLOCKSIZE` (bytes),
-///    `XORSLP_PARALLELISM` (`0` = auto or a worker count) — CI uses
-///    these to force the whole suite through each engine configuration;
-/// 4. explicit builder calls.
+/// Precedence, lowest to highest — paper defaults, tuned profile,
+/// `XORSLP_KERNEL` / `XORSLP_BLOCKSIZE` / `XORSLP_PARALLELISM`, explicit
+/// builder calls — is documented and applied by
+/// [`EngineConfig::tuned`]; the profile never overrides anything a human
+/// asked for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RsConfig {
     /// Number of data shards `n`.
@@ -60,17 +58,30 @@ impl RsConfig {
     /// the full precedence chain). The first call on a cold machine runs
     /// the `ec-tune` micro-benchmark once and caches it.
     pub fn new(data_shards: usize, parity_shards: usize) -> RsConfig {
-        let tuned = ec_tune::engine_defaults();
+        let engine = EngineConfig::tuned();
         RsConfig {
             data_shards,
             parity_shards,
             matrix: MatrixKind::IsalPower,
-            opt: OptConfig::default(),
-            blocksize: xor_runtime::env_blocksize().unwrap_or(tuned.blocksize),
-            kernel: Kernel::from_env().unwrap_or(tuned.kernel),
-            parallelism: xor_runtime::env_parallelism().unwrap_or(tuned.parallelism),
-            decode_cache_cap: 0,
-            partial_cache_cap: 0,
+            opt: engine.opt,
+            blocksize: engine.blocksize,
+            kernel: engine.kernel,
+            parallelism: engine.parallelism,
+            decode_cache_cap: engine.decode_cache_cap,
+            partial_cache_cap: engine.partial_cache_cap,
+        }
+    }
+
+    /// The engine half of this configuration — what every codec family
+    /// is built with, whatever its matrix.
+    pub fn engine(&self) -> EngineConfig {
+        EngineConfig {
+            opt: self.opt,
+            blocksize: self.blocksize,
+            kernel: self.kernel,
+            parallelism: self.parallelism,
+            decode_cache_cap: self.decode_cache_cap,
+            partial_cache_cap: self.partial_cache_cap,
         }
     }
 

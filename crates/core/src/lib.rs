@@ -7,7 +7,10 @@
 //! GF(2^8). This crate takes the XOR-based route (§1 of the paper):
 //!
 //! 1. the coding matrix is expanded to a bit-matrix over F2
-//!    ([`bitmatrix`]);
+//!    ([`bitmatrix`]) — **this is all [`RsCodec`] and [`LrcCodec`] do**:
+//!    they are matrix constructors (validate the geometry, build the
+//!    GF(2^8) rows, expand) that hand the result to the shared
+//!    [`XorCodec`] engine and deref to it;
 //! 2. the bit-matrix product *is* a straight-line program of array XORs
 //!    ([`slp`]);
 //! 3. that program is compressed (XorRePair), fused (deforestation) and
@@ -15,9 +18,17 @@
 //! 4. the optimized program is executed blockwise with SIMD XOR kernels by
 //!    [`xor_runtime`].
 //!
-//! Decoding gathers any `n` surviving shards, inverts the corresponding
-//! rows of the coding matrix, and runs the same pipeline on the inverse;
-//! programs are cached per erasure pattern.
+//! Steps 2–4, and every operation built on them, belong to the engine
+//! (`array-codes`), which knows no field: decoding picks surviving
+//! packets until the generator rows reach full rank, inverts that square
+//! **over GF(2)**, and runs the same pipeline on the recovery rows;
+//! programs are cached per erasure pattern. For an RS or LRC matrix this
+//! is bit-for-bit the expansion of the GF(2^8) inverse — the expansion is
+//! an injective ring homomorphism — so the paper's program sizes (755
+//! and 1368 XORs for RS(10, 4)) are unchanged. GF(2^8) arithmetic itself
+//! appears only in the two constructors and in the test oracle
+//! (`reference.rs`). The registry ([`codec_for`], [`ErasureCoder`]) puts
+//! the array codes behind the same interface.
 //!
 //! # Quick start
 //!
@@ -39,7 +50,7 @@
 //!
 //! # Shard layout
 //!
-//! Each shard is striped into `w = 8` equal *packets*; bit `t` of packets
+//! Each RS/LRC shard is striped into `w = 8` equal *packets*; bit `t` of packets
 //! `0..8` of a shard forms one GF(2^8) symbol (the Blömer et al.
 //! construction). Parity produced this way is self-consistent — encode →
 //! erase → decode always restores the original bytes — but its raw bytes
@@ -51,15 +62,12 @@
 mod codec;
 mod coder;
 mod config;
-mod error;
-mod layout;
 mod lrc;
-mod lru;
 
+pub use array_codes::{EcError, EngineConfig, XorCodec};
 pub use codec::RsCodec;
 pub use coder::{codec_for, codec_for_with, codec_names, CodecId, CodecSpec, ErasureCoder};
 pub use config::RsConfig;
-pub use error::EcError;
 pub use lrc::LrcCodec;
 pub use gf256::MatrixKind;
 pub use slp_optimizer::{Compression, OptConfig, Scheduling};

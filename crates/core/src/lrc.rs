@@ -21,16 +21,16 @@
 
 use crate::codec::RsCodec;
 use crate::config::RsConfig;
-use crate::error::EcError;
+use array_codes::EcError;
 use gf256::{Gf, GfMatrix};
 
 /// A locally-repairable code LRC(n, r, g): `n` data shards in groups of
 /// `r`, one XOR local parity per group, `g` global parity shards.
 ///
-/// Derefs to [`RsCodec`], so the full codec surface (`encode`, `decode`,
-/// `reconstruct`, `update_parity`, `repair_sources`, …) is available
-/// directly; the decode machinery is locality-aware through the matrix's
-/// group annotations.
+/// Derefs to [`RsCodec`] and through it to the engine, so the full codec
+/// surface (`encode`, `decode`, `reconstruct`, `update_parity`,
+/// `repair_sources`, …) is available directly; the decode machinery is
+/// locality-aware through the matrix's group annotations.
 pub struct LrcCodec {
     inner: RsCodec,
     group_size: usize,
@@ -132,11 +132,6 @@ impl LrcCodec {
     pub fn global_parity(&self) -> usize {
         self.inner.parity_shards() - self.local_parity()
     }
-
-    /// The underlying matrix codec.
-    pub fn as_rs(&self) -> &RsCodec {
-        &self.inner
-    }
 }
 
 impl std::ops::Deref for LrcCodec {
@@ -150,7 +145,6 @@ impl std::ops::Deref for LrcCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout;
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i as u32).wrapping_mul(2654435761) as u8).collect()
@@ -315,7 +309,7 @@ mod tests {
     fn shard_alignment_matches_rs() {
         let codec = LrcCodec::new(4, 2, 1).unwrap();
         for len in [0usize, 1, 7, 8, 31, 4096] {
-            assert_eq!(codec.shard_len(len), layout::shard_len_for(len, 4));
+            assert_eq!(codec.shard_len(len), len.div_ceil(4).div_ceil(8) * 8);
         }
     }
 }

@@ -24,6 +24,87 @@ fn registry_codecs() -> &'static [Box<dyn ErasureCoder>] {
     })
 }
 
+/// Validation is the engine's, so it is the same for every family: the
+/// index, count, length and alignment checks RS always had now guard the
+/// array codes too, with the same typed errors and no panics.
+#[test]
+fn registry_validation_is_uniform() {
+    for codec in registry_codecs() {
+        let name = codec.spec().name();
+        let (n, p, t) = (codec.data_shards(), codec.parity_shards(), codec.total_shards());
+        let align = codec.shard_alignment();
+        let data: Vec<u8> = (0..n * align * 5).map(|i| (i * 29 + 3) as u8).collect();
+        let shards = codec.encode(&data).unwrap();
+        let len = shards[0].len();
+        let all: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
+
+        // More data than the shards can hold is refused, not truncated.
+        assert_eq!(codec.decode(&all, n * len).unwrap().len(), n * len, "{name}");
+        assert!(
+            matches!(codec.decode(&all, n * len + 1), Err(EcError::ShardLength(_))),
+            "{name}: decode past capacity"
+        );
+
+        // Out-of-range shard indices are typed, never a panic.
+        for bad in [t, 99] {
+            assert!(
+                matches!(codec.repair_sources(&[bad]), Err(EcError::InvalidParams(_))),
+                "{name}: repair_sources([{bad}])"
+            );
+            assert!(
+                matches!(
+                    codec.reconstruct_subset(&mut all.clone(), &[bad]),
+                    Err(EcError::InvalidParams(_))
+                ),
+                "{name}: reconstruct_subset([{bad}])"
+            );
+        }
+        assert!(
+            matches!(codec.update_xor_count(n), Err(EcError::InvalidParams(_))),
+            "{name}: update program of a parity index"
+        );
+        assert!(
+            matches!(codec.decode(&all[..t - 1], 0), Err(EcError::ShardCount { .. })),
+            "{name}: shard count"
+        );
+
+        // Unequal and misaligned shard lengths: one error for every
+        // operation that takes whole shards.
+        let mut unequal = shards.clone();
+        unequal[1].truncate(len - align);
+        let misaligned: Vec<Vec<u8>> = shards.iter().map(|s| s[..len - 1].to_vec()).collect();
+        for (what, bad) in [("unequal", &unequal), ("misaligned", &misaligned)] {
+            let mut held: Vec<Option<Vec<u8>>> = bad.iter().cloned().map(Some).collect();
+            held[0] = None;
+            let checks = [
+                codec.verify(bad).map(|_| ()),
+                codec.decode(&held, 1).map(|_| ()),
+                codec.reconstruct(&mut held.clone()),
+                {
+                    let mut parity: Vec<Vec<u8>> = bad[n..].to_vec();
+                    let mut prefs: Vec<&mut [u8]> =
+                        parity.iter_mut().map(Vec::as_mut_slice).collect();
+                    codec.update_parity(1, &bad[1], &bad[1], &mut prefs)
+                },
+                {
+                    let refs: Vec<&[u8]> = bad[..n].iter().map(Vec::as_slice).collect();
+                    let mut parity: Vec<Vec<u8>> = bad[n..].to_vec();
+                    let mut prefs: Vec<&mut [u8]> =
+                        parity.iter_mut().map(Vec::as_mut_slice).collect();
+                    let rows: Vec<usize> = (0..p).collect();
+                    codec.encode_parity_partial(&refs, &mut prefs, &rows)
+                },
+            ];
+            for (k, r) in checks.iter().enumerate() {
+                assert!(
+                    matches!(r, Err(EcError::ShardLength(_))),
+                    "{name}: {what} shards, check {k}: {r:?}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

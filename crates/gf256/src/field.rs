@@ -11,7 +11,7 @@ pub const GF_ORDER: usize = 256;
 /// The primitive polynomial `x^8 + x^4 + x^3 + x^2 + 1` defining the field.
 pub const GF_PRIMITIVE_POLY: u16 = PRIMITIVE_POLY;
 
-/// An element of GF(2^8) = F_2[x]/(x^8+x^4+x^3+x^2+1).
+/// An element of GF(2^8) = `F_2[x]/(x^8+x^4+x^3+x^2+1)`.
 ///
 /// The wrapped byte is the coefficient vector of the residue polynomial:
 /// bit `i` is the coefficient of `x^i`. Addition is XOR; multiplication is

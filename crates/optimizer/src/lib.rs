@@ -1,7 +1,7 @@
 //! Optimization passes for XOR straight-line programs, implementing §4–§6
 //! of the paper:
 //!
-//! * **Compression** (§4): [`repair`] — the grammar-compression heuristic
+//! * **Compression** (§4): [`mod@repair`] — the grammar-compression heuristic
 //!   RePair adapted to `SLP⊕`, and XorRePair, its extension with the
 //!   cancellation-aware `Rebuild` subroutine;
 //! * **Fusion** (§5): [`fusion`] — deforestation for SLPs: variables used

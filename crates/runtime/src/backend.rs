@@ -1,70 +1,19 @@
-//! The compute-backend seam: where a compiled XOR program meets hardware.
+//! Where a compiled XOR program meets the worker pool.
 //!
 //! Codecs compile matrices down to [`ExecProgram`]s and then only ever
-//! *execute* them. [`ComputeBackend`] cuts an explicit trait at exactly
-//! that boundary, so the execution substrate — which pool, how many
-//! stripes, eventually which *device* — is a pluggable property of a
-//! codec instead of hard-wired plumbing. The CPU implementation
-//! ([`CpuBackend`]) wraps the striped [`ExecPool`] engine; an
-//! accelerator backend (the ParXive-style feature-gated CUDA seam) would
-//! implement the same two entry points and slot in without touching any
-//! codec code.
-//!
-//! The trait is object-safe on purpose: codecs hold an
-//! `Arc<dyn ComputeBackend>`, so one backend can be shared by every
-//! codec a process constructs.
+//! *execute* them. [`CpuBackend`] is that execution substrate: a
+//! [`PoolChoice`] plus the two striped entry points every codec
+//! operation goes through.
 
 use crate::exec::{ExecError, ExecProgram};
-use crate::pool::{ExecPool, PoolChoice};
-use std::sync::Arc;
+use crate::pool::PoolChoice;
 
-/// An execution substrate for compiled XOR programs.
-///
-/// Implementations must be semantically identical to
-/// [`ExecProgram::run_with_arena`]: same outputs for same inputs, shape
-/// errors reported before any byte is written. They differ only in
-/// *where* and *how parallel* the element-wise work runs.
-pub trait ComputeBackend: Send + Sync {
-    /// Human-readable backend name (`"cpu"`), used by diagnostics and the
-    /// autotuner's profile fingerprint.
-    fn name(&self) -> &'static str;
-
-    /// The backend's parallel width — the stripe-count ceiling for one
-    /// program run, and the natural chunk fan-out for callers that split
-    /// non-program work (hashing, verification) themselves.
-    ///
-    /// Always at least 1.
-    fn lanes(&self) -> usize;
-
-    /// Execute a compiled program over full shards: read `inputs`,
-    /// overwrite `outputs`.
-    fn run(
-        &self,
-        prog: &ExecProgram,
-        inputs: &[&[u8]],
-        outputs: &mut [&mut [u8]],
-    ) -> Result<(), ExecError>;
-
-    /// The delta-update discipline: run `prog` over `old ⊕ new` (each
-    /// shard split into `pps` equal packets) and XOR the program's
-    /// outputs into `shards` in place. See
-    /// [`ExecProgram::run_delta_striped`] for the shape contract the
-    /// caller has already validated.
-    fn run_delta(
-        &self,
-        prog: &ExecProgram,
-        pps: usize,
-        old: &[u8],
-        new: &[u8],
-        shards: &mut [&mut [u8]],
-    ) -> Result<(), ExecError>;
-}
-
-/// The CPU backend: striped execution across an [`ExecPool`].
+/// Striped execution across an [`ExecPool`](crate::ExecPool).
 ///
 /// `parallelism = 0` shares the lazily-created machine-sized global
-/// pool; `k ≥ 1` owns a dedicated `k`-worker pool (the PR-2 semantics,
-/// unchanged — this type is `PoolChoice` wearing the trait).
+/// pool; `k ≥ 1` owns a dedicated `k`-worker pool. Semantically
+/// identical to [`ExecProgram::run_with_arena`]: same outputs for same
+/// inputs, shape errors reported before any byte is written.
 pub struct CpuBackend {
     pool: PoolChoice,
 }
@@ -77,23 +26,18 @@ impl CpuBackend {
         }
     }
 
-    /// The underlying pool, for callers that submit their own scoped
-    /// tasks (e.g. multi-threaded whole-object verification).
-    pub fn pool(&self) -> &ExecPool {
-        self.pool.pool()
-    }
-}
-
-impl ComputeBackend for CpuBackend {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn lanes(&self) -> usize {
+    /// The parallel width — the stripe-count ceiling for one program
+    /// run, and the natural chunk fan-out for callers that split
+    /// non-program work (hashing, verification) themselves.
+    ///
+    /// Always at least 1.
+    pub fn lanes(&self) -> usize {
         self.pool.workers()
     }
 
-    fn run(
+    /// Execute a compiled program over full shards: read `inputs`,
+    /// overwrite `outputs`.
+    pub fn run(
         &self,
         prog: &ExecProgram,
         inputs: &[&[u8]],
@@ -102,23 +46,21 @@ impl ComputeBackend for CpuBackend {
         prog.run_striped(inputs, outputs, self.pool.pool(), self.pool.workers())
     }
 
-    fn run_delta(
+    /// The delta-update discipline: run `prog` over `old ⊕ new` (split
+    /// into `pps` equal packets) and XOR the program's outputs into the
+    /// `targets` packets in place. See
+    /// [`ExecProgram::run_delta_striped`] for the shape contract the
+    /// caller has already validated.
+    pub fn run_delta(
         &self,
         prog: &ExecProgram,
         pps: usize,
         old: &[u8],
         new: &[u8],
-        shards: &mut [&mut [u8]],
+        targets: &mut [&mut [u8]],
     ) -> Result<(), ExecError> {
-        prog.run_delta_striped(pps, old, new, shards, self.pool.pool(), self.pool.workers())
+        prog.run_delta_striped(pps, old, new, targets, self.pool.pool(), self.pool.workers())
     }
-}
-
-/// Construct the default backend for a `parallelism` knob — the one
-/// place codec constructors call, so swapping the default substrate is a
-/// one-line change.
-pub fn cpu_backend(parallelism: usize) -> Arc<dyn ComputeBackend> {
-    Arc::new(CpuBackend::from_parallelism(parallelism))
 }
 
 #[cfg(test)]
@@ -146,8 +88,7 @@ mod tests {
         let p = section_4_1();
         let prog = ExecProgram::compile(&p, 64, Kernel::Auto);
         for parallelism in [0usize, 1, 3] {
-            let backend = cpu_backend(parallelism);
-            assert_eq!(backend.name(), "cpu");
+            let backend = CpuBackend::from_parallelism(parallelism);
             assert!(backend.lanes() >= 1);
             let data: Vec<Vec<u8>> = (0..4)
                 .map(|k| (0..1000).map(|i| ((k * 37 + i * 11) % 256) as u8).collect())
@@ -168,7 +109,7 @@ mod tests {
     fn cpu_backend_reports_shape_errors() {
         let p = section_4_1();
         let prog = ExecProgram::compile(&p, 64, Kernel::Scalar);
-        let backend = cpu_backend(1);
+        let backend = CpuBackend::from_parallelism(1);
         let a = vec![0u8; 8];
         let refs: Vec<&[u8]> = vec![&a; 3]; // one input short
         let mut outs = vec![vec![0u8; 8]; 3];
@@ -177,13 +118,5 @@ mod tests {
             backend.run(&prog, &refs, &mut orefs),
             Err(ExecError::InputCount { expected: 4, got: 3 })
         );
-    }
-
-    #[test]
-    fn backend_is_share_and_object_safe() {
-        let backend: Arc<dyn ComputeBackend> = cpu_backend(2);
-        let clone = backend.clone();
-        assert_eq!(clone.name(), "cpu");
-        assert_eq!(clone.lanes(), 2);
     }
 }

@@ -182,7 +182,7 @@ pub fn available_kernels() -> Vec<Kernel> {
 /// * `dst` may only alias a source at the *same* address (no partial
 ///   overlap);
 /// * for the SIMD kernels ([`Kernel::Avx2`], [`Kernel::Avx512`],
-///   [`Kernel::Neon`]) the CPU must support the corresponding feature
+///   `Kernel::Neon`) the CPU must support the corresponding feature
 ///   (check [`Kernel::is_available`] or use [`Kernel::resolve`]).
 ///
 /// # Panics

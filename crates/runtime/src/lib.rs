@@ -24,9 +24,7 @@
 //! [`plan_stripes`] splits any byte range into blocksize-aligned stripes,
 //! so [`ExecProgram::run_striped`] executes one program across all cores
 //! with zero steady-state allocation. Codecs reach all of this through
-//! the [`ComputeBackend`] trait — the seam at the compiled-program
-//! boundary that a non-CPU executor would implement; [`CpuBackend`] is
-//! the striped-pool implementation everything uses today.
+//! [`CpuBackend`], a pool choice plus the two striped entry points.
 
 mod arena;
 mod backend;
@@ -36,7 +34,7 @@ mod partition;
 mod pool;
 
 pub use arena::{with_byte_scratch, with_ref_scratch, AlignedBuf, StripedBuf, VarArena, CACHE_PAGE};
-pub use backend::{cpu_backend, ComputeBackend, CpuBackend};
+pub use backend::CpuBackend;
 pub use exec::{ExecError, ExecProgram};
 pub use kernels::{available_kernels, xor_accumulate, xor_into, xor_slices, Kernel};
 pub use partition::{plan_stripes, StripePlan};

@@ -165,25 +165,25 @@ impl ExecProgram {
         }
     }
 
-    /// The delta-update execution discipline shared by the codecs: run
-    /// this program over `old ⊕ new` (each shard split into `pps` equal
-    /// packets) and XOR its outputs into `shards` in place.
+    /// The delta-update execution discipline of the codec engine: run
+    /// this program over `old ⊕ new` (split into `pps` equal packets) and
+    /// XOR its outputs, one packet each, into `targets` in place.
     ///
     /// Everything transient — the delta shard and the program outputs —
     /// lives in the calling thread's persistent byte scratch, so a
-    /// steady-state update allocates nothing and memsets nothing (the
-    /// program overwrites its outputs in full before they are read).
+    /// steady-state update memsets nothing (the program overwrites its
+    /// outputs in full before they are read).
     ///
-    /// The caller has already validated shapes: `old`, `new` and every
-    /// shard share one length, a positive multiple of `pps`, and the
-    /// packet counts match the program (`pps` inputs, `shards.len() ×
-    /// pps` outputs).
+    /// The caller has already validated shapes: `old` and `new` share one
+    /// length, a positive multiple of `pps`; every target is one packet
+    /// (`len / pps` bytes) long; and the counts match the program (`pps`
+    /// inputs, `targets.len()` outputs).
     pub fn run_delta_striped(
         &self,
         pps: usize,
         old: &[u8],
         new: &[u8],
-        shards: &mut [&mut [u8]],
+        targets: &mut [&mut [u8]],
         pool: &ExecPool,
         max_stripes: usize,
     ) -> Result<(), ExecError> {
@@ -192,19 +192,16 @@ impl ExecProgram {
             return Ok(());
         }
         let pl = len / pps;
-        with_byte_scratch((shards.len() + 1) * len, |scratch| {
+        with_byte_scratch(len + targets.len() * pl, |scratch| {
             let (delta, dp) = scratch.split_at_mut(len);
             xor_slices(self.kernel(), delta, &[old, new]);
             {
                 let inputs: Vec<&[u8]> = delta.chunks_exact(pl).collect();
-                let mut outputs: Vec<&mut [u8]> = dp
-                    .chunks_exact_mut(len)
-                    .flat_map(|s| s.chunks_exact_mut(pl))
-                    .collect();
+                let mut outputs: Vec<&mut [u8]> = dp.chunks_exact_mut(pl).collect();
                 self.run_striped(&inputs, &mut outputs, pool, max_stripes)?;
             }
-            for (shard, d) in shards.iter_mut().zip(dp.chunks_exact(len)) {
-                xor_accumulate(self.kernel(), shard, d);
+            for (target, d) in targets.iter_mut().zip(dp.chunks_exact(pl)) {
+                xor_accumulate(self.kernel(), target, d);
             }
             Ok(())
         })

@@ -64,7 +64,7 @@ impl ScrubScheduler {
     }
 
     /// Completed cycles so far (drains the log; only the most recent
-    /// [`MAX_CYCLES`] are retained between drains).
+    /// `MAX_CYCLES` are retained between drains).
     pub fn take_cycles(&self) -> Vec<ScrubCycle> {
         lock(&self.shared.cycles).drain(..).collect()
     }

@@ -202,7 +202,7 @@ impl<'c, R: Read> StreamDecoder<'c, R> {
     }
 
     /// Arm per-frame Merkle verification for shard `i` (see
-    /// [`ChunkScanner::set_trusted_leaves`]). Frames that fail their
+    /// `ChunkScanner::set_trusted_leaves`). Frames that fail their
     /// leaf hash are treated exactly like CRC failures: the chunk is
     /// erasure-decoded around them.
     pub fn set_trusted_leaves(&mut self, i: usize, leaves: Vec<Hash>) {

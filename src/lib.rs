@@ -11,7 +11,8 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`codec`] | `ec-core` | the RS(n,p) codec, the [`ErasureCoder`] registry and [`LrcCodec`] — start here |
+//! | [`codec`] | `ec-core` | the RS(n,p) and LRC matrix constructors and the [`ErasureCoder`] registry — start here |
+//! | [`arrays`] | `array-codes` | the [`XorCodec`] engine every family runs on, plus EVENODD / RDP |
 //! | [`gf`] | `gf256` | GF(2^8) field and matrix algebra |
 //! | [`bits`] | `bitmatrix` | F2 matrices, companion expansion |
 //! | [`slp`] | `slp` | SLP IR, semantics, metrics, LRU cache model |
@@ -47,11 +48,11 @@
 //! ## Delta updates
 //!
 //! Parity is linear in the data, so a single-shard write never needs a
-//! full re-encode: [`RsCodec::update_parity`] runs the cached *column*
-//! program of the changed shard over `old ⊕ new` and accumulates the
-//! result into the parity shards, and
-//! [`RsCodec::encode_parity_partial`] re-encodes only a chosen subset of
-//! parity rows (partial repair).
+//! full re-encode: [`XorCodec::update_parity`] (every codec derefs to
+//! the engine) runs the cached *column* program of the changed shard
+//! over `old ⊕ new` and accumulates the result into the parity shards,
+//! and [`XorCodec::encode_parity_partial`] re-encodes only a chosen
+//! subset of parity rows (partial repair).
 //!
 //! ```
 //! use xorslp_ec::RsCodec;
@@ -92,7 +93,7 @@
 //! locality group (`r` reads instead of `n`); see "Choosing a codec" in
 //! the README.
 
-pub use array_codes::{ArrayCodec, ArrayCodecError};
+pub use array_codes::{ArrayCodec, EngineConfig, XorCodec};
 pub use ec_core::{
     codec_for, codec_for_with, codec_names, CodecId, CodecSpec, Compression, EcError,
     ErasureCoder, Kernel, LrcCodec, MatrixKind, OptConfig, RsCodec, RsConfig, Scheduling,
@@ -103,9 +104,7 @@ pub use ec_stream::{
 };
 pub use ec_tune::{engine_defaults, EngineDefaults, Profile, TuneOptions};
 pub use ec_wire::{crc32, Crc32};
-pub use xor_runtime::{
-    cpu_backend, plan_stripes, ComputeBackend, CpuBackend, ExecPool, PoolChoice, StripePlan,
-};
+pub use xor_runtime::{plan_stripes, CpuBackend, ExecPool, PoolChoice, StripePlan};
 
 /// The erasure codec (re-export of `ec-core`).
 pub mod codec {
@@ -144,8 +143,8 @@ pub mod baseline {
     pub use gf_baseline::*;
 }
 
-/// EVENODD and RDP two-parity array codes on the SLP pipeline (re-export
-/// of `array-codes`).
+/// The XOR-linear codec engine every family runs on, and the EVENODD and
+/// RDP two-parity array codes (re-export of `array-codes`).
 pub mod arrays {
     pub use array_codes::*;
 }
