@@ -14,9 +14,10 @@
 //! into place, so a crashed node never leaves a half-written blob under
 //! a live key.
 
+use crate::proto::write_gathered;
 use ec_wire::crc32;
 use std::fs;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSliceMut, Read};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every blob file.
@@ -24,6 +25,9 @@ pub const BLOB_MAGIC: [u8; 8] = *b"XSLPECB1";
 
 /// Fixed framing overhead: magic + length prefix + CRC trailer.
 pub const BLOB_OVERHEAD: u64 = 16;
+
+/// Magic + length prefix: what a blob file opens with.
+const BLOB_HEAD: usize = 12;
 
 /// File-name suffix of blob files (temp files use `.tmp` instead; scans
 /// ignore them and [`BlobStore::open`] sweeps crash leftovers).
@@ -115,13 +119,13 @@ impl BlobStore {
         ));
         {
             let mut f = fs::File::create(&tmp_path)?;
-            let write = (|| {
-                f.write_all(&BLOB_MAGIC)?;
-                f.write_all(&(data.len() as u32).to_le_bytes())?;
-                f.write_all(data)?;
-                f.write_all(&crc32(data).to_le_bytes())?;
-                f.sync_data()
-            })();
+            let mut head = [0u8; BLOB_HEAD];
+            head[..8].copy_from_slice(&BLOB_MAGIC);
+            head[8..].copy_from_slice(&(data.len() as u32).to_le_bytes());
+            let trailer = crc32(data).to_le_bytes();
+            // The whole frame in one gathered write, then to disk.
+            let write = write_gathered(&mut f, &[&head, data, &trailer], &mut 0)
+                .and_then(|()| f.sync_data());
             if let Err(e) = write {
                 drop(f);
                 let _ = fs::remove_file(&tmp_path);
@@ -148,24 +152,30 @@ impl BlobStore {
                 "file is {file_len} bytes, below the {BLOB_OVERHEAD}-byte frame minimum"
             )));
         }
-        let mut head = [0u8; 12];
-        f.read_exact(&mut head)?;
+        if file_len > BLOB_OVERHEAD + u32::MAX as u64 {
+            return Err(BlobError::Corrupt(format!(
+                "file is {file_len} bytes, above what a frame can declare"
+            )));
+        }
+        // The whole file in one scattered read: the head lands on the
+        // stack, payload and trailer in the buffer that is returned.
+        let mut head = [0u8; BLOB_HEAD];
+        let mut payload = vec![0u8; file_len as usize - BLOB_HEAD];
+        read_scattered(&mut f, &mut head, &mut payload)?;
         if head[..8] != BLOB_MAGIC {
             return Err(BlobError::Corrupt("bad blob magic".into()));
         }
         let payload_len =
-            u32::from_le_bytes(head[8..12].try_into().expect("fixed slice")) as u64;
+            u32::from_le_bytes(head[8..].try_into().expect("fixed slice")) as u64;
         if file_len != BLOB_OVERHEAD + payload_len {
             return Err(BlobError::Corrupt(format!(
                 "file is {file_len} bytes but the frame declares {} (truncated or grown)",
                 BLOB_OVERHEAD + payload_len
             )));
         }
-        let mut payload = vec![0u8; payload_len as usize];
-        f.read_exact(&mut payload)?;
-        let mut trailer = [0u8; 4];
-        f.read_exact(&mut trailer)?;
+        let trailer = payload[payload_len as usize..].try_into().expect("file length checked");
         let stored = u32::from_le_bytes(trailer);
+        payload.truncate(payload_len as usize);
         let actual = crc32(&payload);
         if stored != actual {
             return Err(BlobError::Corrupt(format!(
@@ -276,6 +286,23 @@ impl BlobStore {
         }
         Ok((count, bytes))
     }
+}
+
+/// Fill `head` then `body` from `f`, in one `readv(2)` where the file
+/// delivers (it does, short of a signal). The file ending early is
+/// `UnexpectedEof`.
+fn read_scattered(f: &mut fs::File, head: &mut [u8], body: &mut [u8]) -> std::io::Result<()> {
+    let mut filled = 0;
+    while filled < head.len() {
+        let bufs = &mut [IoSliceMut::new(&mut head[filled..]), IoSliceMut::new(body)];
+        match f.read_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    f.read_exact(&mut body[filled - head.len()..])
 }
 
 fn hex_encode(bytes: &[u8]) -> String {

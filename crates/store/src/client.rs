@@ -2,28 +2,41 @@
 //! connection, with typed request methods, uniform timeouts, and a
 //! pipelined send/receive path.
 //!
+//! Every request is a [`BatchOp`]; every opcode has a `send_*` that puts
+//! its frame on the wire without waiting and a `recv_*` that resolves
+//! it, and the blocking methods (`get`, `put`, …) are the two in a row.
 //! The protocol's request ids (frame v2, `docs/STORE.md`) let several
-//! requests ride one connection concurrently: [`NodeClient::send_batch`]
-//! (or the per-op `send_*` methods) puts frames on the wire without
-//! waiting, and [`NodeClient::recv_matching`] collects answers in *any*
-//! arrival order — responses for other outstanding requests are parked
-//! until their turn. A response carrying an id that was never issued is
-//! a typed protocol violation (a lying or confused node), after which
-//! the connection must be abandoned.
+//! requests ride one connection: [`NodeClient::recv_matching`] collects
+//! answers in *any* arrival order — responses for other outstanding
+//! requests are parked until their turn. A response carrying an id that
+//! was never issued is a typed protocol violation (a lying or confused
+//! node), after which the connection must be abandoned.
 //!
-//! Pipelining discipline: a batch must be all-small-request (GETs,
-//! DELETEs) or all-small-response (PUTs). Never pipeline a request whose
-//! *response* is large behind a request whose *body* is large — with
-//! both directions full, two finite TCP buffers can deadlock.
+//! The same frames move two ways. A connection from
+//! [`NodeClient::connect`] blocks, under its timeout. The cluster's
+//! completion loop (`fanout.rs`) dials its own with `NodeClient::dial`:
+//! those never block, a frame that does not fit the socket buffer is
+//! `push`ed on when the socket is writable again, and an answer that
+//! has only half arrived is `pull`ed on when it is readable — one thread
+//! keeps every node's connection moving.
+//!
+//! Requests whose *body* is bulky (`PUT`) and requests whose *answer*
+//! may be (`GET`, the listings, `HASH_SUBTREE`) are never outstanding
+//! together on one connection: a blocking client that is busy writing
+//! the one while the node is busy writing the other deadlocks two finite
+//! TCP buffers. Every cluster round is all of one kind; a `debug_assert`
+//! where requests are staged holds the line.
 
 use crate::blob::BlobStat;
 use crate::error::StoreError;
-use ec_wire::merkle::Hash;
 use crate::proto::{
-    op, parse_err, put_str, read_frame, status, write_frame, Frame, FrameError, PayloadReader,
+    frame_crc, frame_head, op, parse_err, put_str, status, write_gathered, FrameError,
+    FrameReader, PayloadReader, MAX_BODY, MAX_KEY,
 };
-use std::collections::{HashMap, HashSet};
-use std::net::{TcpStream, ToSocketAddrs};
+use crate::sys;
+use ec_wire::merkle::Hash;
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A node's `HEALTH` answer.
@@ -35,8 +48,9 @@ pub struct NodeHealth {
     pub bytes: u64,
 }
 
-/// One operation of a pipelined batch (see [`NodeClient::send_batch`]).
-#[derive(Debug)]
+/// One request to a node — what [`NodeClient::send`] frames, and what a
+/// cluster round carries per job.
+#[derive(Clone, Copy, Debug)]
 pub enum BatchOp<'a> {
     /// Store `data` under `key`.
     Put { key: &'a str, data: &'a [u8] },
@@ -44,6 +58,68 @@ pub enum BatchOp<'a> {
     Get { key: &'a str },
     /// Delete the blob under `key`.
     Delete { key: &'a str },
+    /// Size and integrity of the blob under `key`, without moving it.
+    Stat { key: &'a str },
+    /// All keys starting with `prefix`.
+    List { prefix: &'a str },
+    /// All keys starting with `prefix`, with age and payload length.
+    ListAged { prefix: &'a str },
+    /// Node liveness and usage.
+    Health,
+    /// `count` hashes from `start` of one level of a Merkle tree — see
+    /// [`NodeClient::hash_subtree`].
+    HashSubtree { key: &'a str, leaf_size: u32, stored: bool, level: u8, start: u32, count: u32 },
+}
+
+impl<'a> BatchOp<'a> {
+    /// The opcode, the small leading part of the payload (key or prefix
+    /// and fixed fields), and the bulk part sent as it lies.
+    fn encode(&self) -> (u8, Vec<u8>, &'a [u8]) {
+        let lead = |key: &str| {
+            let mut lead = Vec::with_capacity(2 + key.len() + 14);
+            put_str(&mut lead, key);
+            lead
+        };
+        match *self {
+            BatchOp::Put { key, data } => (op::PUT_SHARD, lead(key), data),
+            BatchOp::Get { key } => (op::GET_SHARD, lead(key), &[]),
+            BatchOp::Delete { key } => (op::DELETE, lead(key), &[]),
+            BatchOp::Stat { key } => (op::STAT, lead(key), &[]),
+            BatchOp::List { prefix } => (op::LIST, lead(prefix), &[]),
+            BatchOp::ListAged { prefix } => (op::LIST_AGED, lead(prefix), &[]),
+            BatchOp::Health => (op::HEALTH, Vec::new(), &[]),
+            BatchOp::HashSubtree { key, leaf_size, stored, level, start, count } => {
+                let mut lead = lead(key);
+                lead.extend_from_slice(&leaf_size.to_le_bytes());
+                lead.push(stored as u8);
+                lead.push(level);
+                lead.extend_from_slice(&start.to_le_bytes());
+                lead.extend_from_slice(&count.to_le_bytes());
+                (op::HASH_SUBTREE, lead, &[])
+            }
+        }
+    }
+}
+
+/// Whether an opcode's answer can be bulky (see the module docs).
+fn bulky_answer(tag: u8) -> bool {
+    matches!(tag, op::GET_SHARD | op::LIST | op::LIST_AGED | op::HASH_SUBTREE)
+}
+
+/// What a node said to one request: the `OK` payload, or its typed
+/// `ERR` as [`StoreError::Remote`].
+pub(crate) type Answer = Result<Vec<u8>, StoreError>;
+
+/// One request frame on its way out: `[lead | bulk | crc]`, and how much
+/// of it the socket has taken. The bulk part is borrowed, never copied.
+pub(crate) struct Staged<'a> {
+    /// The id the answer will carry.
+    pub(crate) id: u32,
+    /// Frame head and the request's leading payload bytes.
+    lead: Vec<u8>,
+    bulk: &'a [u8],
+    crc: [u8; 4],
+    written: usize,
 }
 
 /// One connection to one shard node. All operations observe the
@@ -53,69 +129,166 @@ pub enum BatchOp<'a> {
 pub struct NodeClient {
     stream: TcpStream,
     next_id: u32,
-    /// Ids issued but not yet resolved. Bounds `parked`: only responses
-    /// to ids in this set are ever parked, so a hostile node cannot grow
-    /// client memory with unsolicited frames.
-    pending: HashSet<u32>,
-    /// Responses that arrived while the caller was waiting for a
+    /// Opcode of every request issued and not yet answered. Bounds
+    /// `parked`: only answers to ids in this map are ever parked, so a
+    /// hostile node cannot grow client memory with unsolicited frames.
+    pending: HashMap<u32, u8>,
+    /// Answers that arrived while the caller was waiting for a
     /// different id.
-    parked: HashMap<u32, Frame>,
+    parked: HashMap<u32, Answer>,
+    /// The answer being received; keeps its place across the reads of a
+    /// connection that does not block.
+    reader: FrameReader,
+}
+
+fn resolve_addr(addr: &str) -> Result<SocketAddr, StoreError> {
+    addr.to_socket_addrs()
+        .map_err(|e| StoreError::InvalidArg(format!("cannot resolve node address `{addr}`: {e}")))?
+        .next()
+        .ok_or_else(|| StoreError::InvalidArg(format!("node address `{addr}` resolves to nothing")))
 }
 
 impl NodeClient {
+    fn over(stream: TcpStream) -> NodeClient {
+        NodeClient {
+            stream,
+            next_id: 1,
+            pending: HashMap::new(),
+            parked: HashMap::new(),
+            reader: FrameReader::default(),
+        }
+    }
+
     /// Connect to `addr` (a `host:port` string) with `timeout` applied
     /// to the connect itself and to every subsequent read and write.
     pub fn connect(addr: &str, timeout: Duration) -> Result<NodeClient, StoreError> {
-        let sock = addr
-            .to_socket_addrs()
-            .map_err(|e| {
-                StoreError::InvalidArg(format!("cannot resolve node address `{addr}`: {e}"))
-            })?
-            .next()
-            .ok_or_else(|| {
-                StoreError::InvalidArg(format!("node address `{addr}` resolves to nothing"))
-            })?;
-        let stream = TcpStream::connect_timeout(&sock, timeout).map_err(StoreError::Io)?;
+        let stream = TcpStream::connect_timeout(&resolve_addr(addr)?, timeout)
+            .map_err(StoreError::Io)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        Ok(NodeClient {
-            stream,
-            next_id: 1,
-            pending: HashSet::new(),
-            parked: HashMap::new(),
-        })
+        Ok(NodeClient::over(stream))
     }
 
-    /// Re-bound every subsequent socket read/write. The fan-out layer
-    /// uses this to shrink per-I/O timeouts to an operation deadline's
-    /// remaining budget.
-    pub fn set_io_timeout(&mut self, timeout: Duration) -> Result<(), StoreError> {
-        // A zero timeout would mean "non-blocking", not "expired".
-        let t = timeout.max(Duration::from_millis(1));
-        self.stream.set_read_timeout(Some(t))?;
-        self.stream.set_write_timeout(Some(t))?;
-        Ok(())
+    /// Start connecting to `addr` without waiting for the node: the
+    /// completion loop's connection, which never blocks. Poll the
+    /// [`NodeClient::socket`] for writability, then ask
+    /// [`NodeClient::established`].
+    pub(crate) fn dial(addr: &str) -> Result<NodeClient, StoreError> {
+        let stream = sys::connect_nonblocking(&resolve_addr(addr)?).map_err(StoreError::Io)?;
+        Ok(NodeClient::over(stream))
     }
 
-    /// Put one request frame on the wire without waiting for the answer;
-    /// returns the request id to pass to [`NodeClient::recv_matching`].
-    fn send_request(&mut self, tag: u8, parts: &[&[u8]]) -> Result<u32, StoreError> {
-        let payload_len: usize = parts.iter().map(|p| p.len()).sum();
-        if payload_len + 6 > crate::proto::MAX_BODY {
+    /// Whether a dialed connection got through, once its socket polls
+    /// writable.
+    pub(crate) fn established(&mut self) -> Result<(), StoreError> {
+        if let Some(e) = self.stream.take_error()? {
+            return Err(StoreError::Io(e));
+        }
+        self.stream.set_nodelay(true).map_err(StoreError::Io)
+    }
+
+    /// The socket, for `poll(2)`.
+    pub(crate) fn socket(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// Frame `op` under a fresh request id, ready to [`NodeClient::push`].
+    pub(crate) fn stage<'a>(&mut self, op: &BatchOp<'a>) -> Result<Staged<'a>, StoreError> {
+        let (tag, payload_lead, bulk) = op.encode();
+        let payload_len = payload_lead.len() + bulk.len();
+        if payload_len + 6 > MAX_BODY {
             // Checked here so an oversized blob is a typed error, not a
-            // panic of `write_frame`'s contract assert.
+            // panic of `frame_head`'s contract assert.
             return Err(StoreError::InvalidArg(format!(
-                "request payload of {payload_len} bytes exceeds the \
-                 {}-byte frame cap",
-                crate::proto::MAX_BODY
+                "request payload of {payload_len} bytes exceeds the {MAX_BODY}-byte frame cap"
             )));
         }
+        debug_assert!(
+            !self.pending.values().any(|&t| match tag {
+                op::PUT_SHARD => bulky_answer(t),
+                _ => bulky_answer(tag) && t == op::PUT_SHARD,
+            }),
+            "a PUT and a request with a bulky answer outstanding on one connection"
+        );
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        write_frame(&mut self.stream, tag, Some(id), parts)?;
-        self.pending.insert(id);
-        Ok(id)
+        let (head, used) = frame_head(tag, Some(id), payload_len);
+        let crc = frame_crc(&head[4..used], &[&payload_lead, bulk]);
+        let mut lead = Vec::with_capacity(used + payload_lead.len());
+        lead.extend_from_slice(&head[..used]);
+        lead.extend_from_slice(&payload_lead);
+        self.pending.insert(id, tag);
+        Ok(Staged { id, lead, bulk, crc, written: 0 })
+    }
+
+    /// Write what is left of `staged`, as one gathered write where the
+    /// socket has room. On a connection that does not block,
+    /// `WouldBlock` means "call again when writable".
+    pub(crate) fn push(&mut self, staged: &mut Staged<'_>) -> std::io::Result<()> {
+        let bufs = [&staged.lead[..], staged.bulk, &staged.crc];
+        write_gathered(&mut self.stream, &bufs, &mut staged.written)
+    }
+
+    /// Read the next answer off the wire: the id it is for and what it
+    /// says. `None` when the socket has no more to give right now — a
+    /// blocking connection's timeout, or simply "call again when
+    /// readable" on one that does not block. An `Err` is a connection
+    /// that can no longer be trusted: closed, a broken frame, or an id
+    /// that is not outstanding.
+    pub(crate) fn pull(&mut self) -> Result<Option<(u32, Answer)>, StoreError> {
+        let frame = match self.reader.read(&mut self.stream) {
+            Ok(frame) => frame,
+            Err(FrameError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(None)
+            }
+            Err(FrameError::Eof) => {
+                return Err(StoreError::Protocol("node closed the connection mid-request".into()))
+            }
+            Err(other) => return Err(other.into()),
+        };
+        let answer = match frame.tag {
+            status::OK => Ok(frame.payload),
+            status::ERR => Err(parse_err(&frame.payload)),
+            other => {
+                return Err(StoreError::Protocol(format!("unexpected response tag {other:#04x}")))
+            }
+        };
+        match frame.request_id {
+            Some(id) if self.pending.remove(&id).is_some() => Ok(Some((id, answer))),
+            // An id we never issued (or one already answered): the node
+            // is lying or desynchronized. The stream can no longer be
+            // trusted.
+            Some(id) => Err(StoreError::Protocol(format!(
+                "response carries unexpected request id {id}"
+            ))),
+            // A version-1 (id-less) frame mid-pipeline: nodes answer
+            // framing errors this way before closing.
+            None => Err(answer.err().unwrap_or_else(|| {
+                StoreError::Protocol("un-addressed response frame in a pipelined exchange".into())
+            })),
+        }
+    }
+
+    /// Put one request on the wire without waiting for the answer;
+    /// returns the request id to resolve with the opcode's `recv_*`
+    /// method (or [`NodeClient::recv_matching`]).
+    pub fn send(&mut self, op: &BatchOp<'_>) -> Result<u32, StoreError> {
+        let mut staged = self.stage(op)?;
+        self.push(&mut staged)?;
+        Ok(staged.id)
+    }
+
+    /// Put a whole batch of requests on the wire back-to-back; returns
+    /// the request ids in operation order. Collect the answers with the
+    /// matching `recv_*` method per op (any order).
+    pub fn send_batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<u32>, StoreError> {
+        ops.iter().map(|op| self.send(op)).collect()
     }
 
     /// Receive the response for request `id`, tolerating out-of-order
@@ -125,89 +298,38 @@ impl NodeClient {
     /// [`StoreError::Protocol`] for an id that was never issued (after
     /// which the connection is poisoned and must be dropped).
     pub fn recv_matching(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
-        if !self.pending.contains(&id) {
+        if let Some(answer) = self.parked.remove(&id) {
+            return answer;
+        }
+        if !self.pending.contains_key(&id) {
             return Err(StoreError::Protocol(format!(
                 "request id {id} is not outstanding on this connection"
             )));
         }
         loop {
-            if let Some(frame) = self.parked.remove(&id) {
-                self.pending.remove(&id);
-                return resolve(frame);
-            }
-            let frame = read_frame(&mut self.stream).map_err(|e| match e {
-                FrameError::Eof => {
-                    StoreError::Protocol("node closed the connection mid-request".into())
-                }
-                other => other.into(),
-            })?;
-            match frame.request_id {
-                Some(rid) if rid == id => {
-                    self.pending.remove(&id);
-                    return resolve(frame);
-                }
-                Some(rid) if self.pending.contains(&rid) && !self.parked.contains_key(&rid) => {
-                    self.parked.insert(rid, frame);
-                }
-                Some(rid) => {
-                    // An id we never issued (or a replay of one already
-                    // parked): the node is lying or desynchronized. The
-                    // stream can no longer be trusted.
-                    return Err(StoreError::Protocol(format!(
-                        "response carries unexpected request id {rid}"
-                    )));
-                }
-                None => {
-                    // A version-1 (id-less) frame mid-pipeline: nodes
-                    // answer framing errors this way before closing.
-                    return match frame.tag {
-                        status::ERR => Err(parse_err(&frame.payload)),
-                        _ => Err(StoreError::Protocol(
-                            "un-addressed response frame in a pipelined exchange".into(),
-                        )),
-                    };
+            match self.pull()? {
+                None => return Err(StoreError::Timeout),
+                Some((rid, answer)) if rid == id => return answer,
+                Some((rid, answer)) => {
+                    self.parked.insert(rid, answer);
                 }
             }
         }
-    }
-
-    /// Send one request and wait for its answer (the serial path).
-    fn request(&mut self, tag: u8, parts: &[&[u8]]) -> Result<Vec<u8>, StoreError> {
-        let id = self.send_request(tag, parts)?;
-        self.recv_matching(id)
-    }
-
-    /// Put a whole batch of requests on the wire back-to-back; returns
-    /// the request ids in operation order. Collect the answers with the
-    /// matching `recv_*` method per op (any order). See the module docs
-    /// for the pipelining discipline that avoids TCP-buffer deadlock.
-    pub fn send_batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<u32>, StoreError> {
-        let mut ids = Vec::with_capacity(ops.len());
-        for op in ops {
-            ids.push(match op {
-                BatchOp::Put { key, data } => self.send_put(key, data)?,
-                BatchOp::Get { key } => self.send_get(key)?,
-                BatchOp::Delete { key } => self.send_delete(key)?,
-            });
-        }
-        Ok(ids)
     }
 
     /// Pipelined send of a PUT; resolve with [`NodeClient::recv_put`].
     pub fn send_put(&mut self, key: &str, data: &[u8]) -> Result<u32, StoreError> {
-        let mut head = Vec::with_capacity(2 + key.len());
-        put_str(&mut head, key);
-        self.send_request(op::PUT_SHARD, &[&head, data])
+        self.send(&BatchOp::Put { key, data })
     }
 
     /// Resolve a pipelined PUT.
     pub fn recv_put(&mut self, id: u32) -> Result<(), StoreError> {
-        expect_empty(&self.recv_matching(id)?)
+        reply::put(self.recv_matching(id))
     }
 
     /// Pipelined send of a GET; resolve with [`NodeClient::recv_get`].
     pub fn send_get(&mut self, key: &str) -> Result<u32, StoreError> {
-        self.send_request(op::GET_SHARD, &[&keyed(key)])
+        self.send(&BatchOp::Get { key })
     }
 
     /// Resolve a pipelined GET.
@@ -218,16 +340,74 @@ impl NodeClient {
     /// Pipelined send of a DELETE; resolve with
     /// [`NodeClient::recv_delete`].
     pub fn send_delete(&mut self, key: &str) -> Result<u32, StoreError> {
-        self.send_request(op::DELETE, &[&keyed(key)])
+        self.send(&BatchOp::Delete { key })
     }
 
     /// Resolve a pipelined DELETE; returns whether the key existed.
     pub fn recv_delete(&mut self, id: u32) -> Result<bool, StoreError> {
-        let payload = self.recv_matching(id)?;
-        match payload[..] {
-            [existed] => Ok(existed != 0),
-            _ => Err(StoreError::Protocol("malformed DELETE response".into())),
-        }
+        reply::delete(self.recv_matching(id))
+    }
+
+    /// Pipelined send of a STAT; resolve with [`NodeClient::recv_stat`].
+    pub fn send_stat(&mut self, key: &str) -> Result<u32, StoreError> {
+        self.send(&BatchOp::Stat { key })
+    }
+
+    /// Resolve a pipelined STAT.
+    pub fn recv_stat(&mut self, id: u32) -> Result<BlobStat, StoreError> {
+        reply::stat(self.recv_matching(id))
+    }
+
+    /// Pipelined send of a LIST; resolve with [`NodeClient::recv_list`].
+    pub fn send_list(&mut self, prefix: &str) -> Result<u32, StoreError> {
+        self.send(&BatchOp::List { prefix })
+    }
+
+    /// Resolve a pipelined LIST.
+    pub fn recv_list(&mut self, id: u32) -> Result<Vec<String>, StoreError> {
+        reply::list(self.recv_matching(id))
+    }
+
+    /// Pipelined send of a LIST_AGED; resolve with
+    /// [`NodeClient::recv_list_aged`].
+    pub fn send_list_aged(&mut self, prefix: &str) -> Result<u32, StoreError> {
+        self.send(&BatchOp::ListAged { prefix })
+    }
+
+    /// Resolve a pipelined LIST_AGED.
+    pub fn recv_list_aged(&mut self, id: u32) -> Result<Vec<(String, u64, u64)>, StoreError> {
+        reply::list_aged(self.recv_matching(id))
+    }
+
+    /// Pipelined send of a HEALTH; resolve with
+    /// [`NodeClient::recv_health`].
+    pub fn send_health(&mut self) -> Result<u32, StoreError> {
+        self.send(&BatchOp::Health)
+    }
+
+    /// Resolve a pipelined HEALTH.
+    pub fn recv_health(&mut self, id: u32) -> Result<NodeHealth, StoreError> {
+        reply::health(self.recv_matching(id))
+    }
+
+    /// Pipelined send of a HASH_SUBTREE (arguments as
+    /// [`NodeClient::hash_subtree`]); resolve with
+    /// [`NodeClient::recv_hash_subtree`].
+    pub fn send_hash_subtree(
+        &mut self,
+        key: &str,
+        leaf_size: u32,
+        stored: bool,
+        level: u8,
+        start: u32,
+        count: u32,
+    ) -> Result<u32, StoreError> {
+        self.send(&BatchOp::HashSubtree { key, leaf_size, stored, level, start, count })
+    }
+
+    /// Resolve a pipelined HASH_SUBTREE that asked for `count` hashes.
+    pub fn recv_hash_subtree(&mut self, id: u32, count: u32) -> Result<Vec<Hash>, StoreError> {
+        reply::hash_subtree(self.recv_matching(id), count)
     }
 
     /// Store `data` under `key` on the node.
@@ -250,23 +430,8 @@ impl NodeClient {
 
     /// All keys on the node starting with `prefix`.
     pub fn list(&mut self, prefix: &str) -> Result<Vec<String>, StoreError> {
-        let payload = self.request(op::LIST, &[&keyed_allow_empty(prefix)])?;
-        let mut r = PayloadReader::new(&payload);
-        let parse = |r: &mut PayloadReader| -> Result<Vec<String>, String> {
-            let count = r.u32()? as usize;
-            // The frame cap already bounds the payload; this only guards
-            // a lying count against a huge up-front reservation.
-            let mut keys = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                keys.push(r.str_bounded(crate::proto::MAX_KEY, "key")?.to_string());
-            }
-            Ok(keys)
-        };
-        let keys = parse(&mut r)
-            .map_err(|e| StoreError::Protocol(format!("malformed LIST response: {e}")))?;
-        r.finish()
-            .map_err(|e| StoreError::Protocol(format!("malformed LIST response: {e}")))?;
-        Ok(keys)
+        let id = self.send_list(prefix)?;
+        self.recv_list(id)
     }
 
     /// All keys on the node starting with `prefix`, each with its age
@@ -274,48 +439,16 @@ impl NodeClient {
     /// scrub-time GC's view of a node. A pre-GC node answers
     /// `ERR BadRequest` for the unknown opcode; callers treat that as
     /// "this node cannot be collected yet", not as damage.
-    pub fn list_aged(
-        &mut self,
-        prefix: &str,
-    ) -> Result<Vec<(String, u64, u64)>, StoreError> {
-        let payload = self.request(op::LIST_AGED, &[&keyed_allow_empty(prefix)])?;
-        let mut r = PayloadReader::new(&payload);
-        let parse = |r: &mut PayloadReader| -> Result<Vec<(String, u64, u64)>, String> {
-            let count = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                let key = r.str_bounded(crate::proto::MAX_KEY, "key")?.to_string();
-                let age_secs = r.u64()?;
-                let len = r.u64()?;
-                entries.push((key, age_secs, len));
-            }
-            Ok(entries)
-        };
-        let entries = parse(&mut r).map_err(|e| {
-            StoreError::Protocol(format!("malformed LIST_AGED response: {e}"))
-        })?;
-        r.finish().map_err(|e| {
-            StoreError::Protocol(format!("malformed LIST_AGED response: {e}"))
-        })?;
-        Ok(entries)
+    pub fn list_aged(&mut self, prefix: &str) -> Result<Vec<(String, u64, u64)>, StoreError> {
+        let id = self.send_list_aged(prefix)?;
+        self.recv_list_aged(id)
     }
 
     /// Size and integrity of the blob under `key`, without transferring
     /// it.
     pub fn stat(&mut self, key: &str) -> Result<BlobStat, StoreError> {
-        let payload = self.request(op::STAT, &[&keyed(key)])?;
-        let mut r = PayloadReader::new(&payload);
-        let parse = |r: &mut PayloadReader| -> Result<BlobStat, String> {
-            let len = r.u64()?;
-            let crc = r.u32()?;
-            let ok = r.u8()? != 0;
-            Ok(BlobStat { len, crc, ok })
-        };
-        let stat = parse(&mut r)
-            .map_err(|e| StoreError::Protocol(format!("malformed STAT response: {e}")))?;
-        r.finish()
-            .map_err(|e| StoreError::Protocol(format!("malformed STAT response: {e}")))?;
-        Ok(stat)
+        let id = self.send_stat(key)?;
+        self.recv_stat(id)
     }
 
     /// A slice of one level of the Merkle tree over the blob at `key`:
@@ -334,15 +467,92 @@ impl NodeClient {
         start: u32,
         count: u32,
     ) -> Result<Vec<Hash>, StoreError> {
-        let mut req = keyed(key);
-        req.extend_from_slice(&leaf_size.to_le_bytes());
-        req.push(stored as u8);
-        req.push(level);
-        req.extend_from_slice(&start.to_le_bytes());
-        req.extend_from_slice(&count.to_le_bytes());
-        let payload = self.request(op::HASH_SUBTREE, &[&req])?;
+        let id = self.send_hash_subtree(key, leaf_size, stored, level, start, count)?;
+        self.recv_hash_subtree(id, count)
+    }
+
+    /// Node liveness and usage.
+    pub fn health(&mut self) -> Result<NodeHealth, StoreError> {
+        let id = self.send_health()?;
+        self.recv_health(id)
+    }
+}
+
+/// What each opcode's answer means — shared by the `recv_*` methods
+/// and by the cluster's rounds, whose jobs interpret an [`Answer`] as it
+/// arrives. A transport failure or typed `ERR` passes through; an `OK`
+/// payload the opcode cannot have produced is a [`StoreError::Protocol`].
+pub(crate) mod reply {
+    use super::*;
+
+    /// Run `parse` over an `OK` payload that it must consume whole.
+    fn parsed<T>(
+        answer: Answer,
+        what: &str,
+        parse: impl FnOnce(&mut PayloadReader) -> Result<T, String>,
+    ) -> Result<T, StoreError> {
+        let payload = answer?;
         let mut r = PayloadReader::new(&payload);
-        let parse = |r: &mut PayloadReader| -> Result<Vec<Hash>, String> {
+        parse(&mut r)
+            .and_then(|value| r.finish().map(|()| value))
+            .map_err(|e| StoreError::Protocol(format!("malformed {what} response: {e}")))
+    }
+
+    pub(crate) fn put(answer: Answer) -> Result<(), StoreError> {
+        if answer?.is_empty() {
+            Ok(())
+        } else {
+            Err(StoreError::Protocol("unexpected payload in empty response".into()))
+        }
+    }
+
+    /// Whether the deleted key existed.
+    pub(crate) fn delete(answer: Answer) -> Result<bool, StoreError> {
+        match answer?[..] {
+            [existed] => Ok(existed != 0),
+            _ => Err(StoreError::Protocol("malformed DELETE response".into())),
+        }
+    }
+
+    pub(crate) fn stat(answer: Answer) -> Result<BlobStat, StoreError> {
+        parsed(answer, "STAT", |r| {
+            Ok(BlobStat { len: r.u64()?, crc: r.u32()?, ok: r.u8()? != 0 })
+        })
+    }
+
+    pub(crate) fn list(answer: Answer) -> Result<Vec<String>, StoreError> {
+        parsed(answer, "LIST", |r| {
+            let count = r.u32()? as usize;
+            // The frame cap already bounds the payload; this only guards
+            // a lying count against a huge up-front reservation.
+            let mut keys = Vec::with_capacity(count.min(4096));
+            for _ in 0..count {
+                keys.push(r.str_bounded(MAX_KEY, "key")?.to_string());
+            }
+            Ok(keys)
+        })
+    }
+
+    /// `(key, age_secs, len)` per entry.
+    pub(crate) fn list_aged(answer: Answer) -> Result<Vec<(String, u64, u64)>, StoreError> {
+        parsed(answer, "LIST_AGED", |r| {
+            let count = r.u32()? as usize;
+            let mut entries = Vec::with_capacity(count.min(4096));
+            for _ in 0..count {
+                let key = r.str_bounded(MAX_KEY, "key")?.to_string();
+                entries.push((key, r.u64()?, r.u64()?));
+            }
+            Ok(entries)
+        })
+    }
+
+    pub(crate) fn health(answer: Answer) -> Result<NodeHealth, StoreError> {
+        parsed(answer, "HEALTH", |r| Ok(NodeHealth { blobs: r.u64()?, bytes: r.u64()? }))
+    }
+
+    /// The `count` hashes a `HASH_SUBTREE` asked for.
+    pub(crate) fn hash_subtree(answer: Answer, count: u32) -> Result<Vec<Hash>, StoreError> {
+        parsed(answer, "HASH_SUBTREE", |r| {
             let got = r.u32()? as usize;
             if got != count as usize {
                 return Err(format!("asked for {count} hashes, node sent {got}"));
@@ -356,57 +566,6 @@ impl NodeClient {
                 hashes.push(h);
             }
             Ok(hashes)
-        };
-        let hashes = parse(&mut r).map_err(|e| {
-            StoreError::Protocol(format!("malformed HASH_SUBTREE response: {e}"))
-        })?;
-        r.finish().map_err(|e| {
-            StoreError::Protocol(format!("malformed HASH_SUBTREE response: {e}"))
-        })?;
-        Ok(hashes)
-    }
-
-    /// Node liveness and usage.
-    pub fn health(&mut self) -> Result<NodeHealth, StoreError> {
-        let payload = self.request(op::HEALTH, &[])?;
-        let mut r = PayloadReader::new(&payload);
-        let parse = |r: &mut PayloadReader| -> Result<NodeHealth, String> {
-            let blobs = r.u64()?;
-            let bytes = r.u64()?;
-            Ok(NodeHealth { blobs, bytes })
-        };
-        let health = parse(&mut r)
-            .map_err(|e| StoreError::Protocol(format!("malformed HEALTH response: {e}")))?;
-        r.finish()
-            .map_err(|e| StoreError::Protocol(format!("malformed HEALTH response: {e}")))?;
-        Ok(health)
-    }
-}
-
-fn resolve(frame: Frame) -> Result<Vec<u8>, StoreError> {
-    match frame.tag {
-        status::OK => Ok(frame.payload),
-        status::ERR => Err(parse_err(&frame.payload)),
-        other => Err(StoreError::Protocol(format!(
-            "unexpected response tag {other:#04x}"
-        ))),
-    }
-}
-
-fn keyed(key: &str) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(2 + key.len());
-    put_str(&mut payload, key);
-    payload
-}
-
-fn keyed_allow_empty(prefix: &str) -> Vec<u8> {
-    keyed(prefix) // the wire shape is identical; only validation differs
-}
-
-fn expect_empty(payload: &[u8]) -> Result<(), StoreError> {
-    if payload.is_empty() {
-        Ok(())
-    } else {
-        Err(StoreError::Protocol("unexpected payload in empty response".into()))
+        })
     }
 }

@@ -40,7 +40,7 @@
 //! readable, and a `get` racing a re-put decodes one generation or the
 //! other, never a mixture.
 
-use crate::client::{NodeClient, NodeHealth};
+use crate::client::{reply, Answer, BatchOp, NodeHealth};
 use crate::error::{RemoteErrorCode, StoreError};
 use crate::fanout::ParallelConnSet;
 use crate::manifest::{
@@ -57,13 +57,24 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One shard-fetch outcome slot as the first-n predicates see it:
-/// `None` = still in flight, outer `Err` = transport failure, inner
+/// How one shard fetch ended: outer `Err` = transport failure, inner
 /// `Err` = the node answered but the shard is damaged or absent.
-type FetchSlot = Option<Result<Result<Vec<u8>, ShardFault>, StoreError>>;
+type Fetched = Result<Result<Vec<u8>, ShardFault>, StoreError>;
+
+/// One shard-fetch outcome slot as the first-n predicates see it:
+/// `None` = still in flight.
+type FetchSlot = Option<Fetched>;
+
+/// One write of a prepare round: the node, the key, the bytes, and the
+/// index its failpoint trips at (`None` = it never trips).
+type Ship<'a> = (&'a str, String, &'a [u8], Option<usize>);
 
 /// Default network timeout (connect + each read/write).
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The key scrub's liveness probe `STAT`s: outside the `m:` / `s:` /
+/// `t:` families, so no writer ever creates it.
+const LIVENESS_KEY: &str = "?alive";
 
 /// Default GC grace window: a shard blob younger than this (by its own
 /// node's clock) is never collected, however orphaned it looks — it may
@@ -338,7 +349,7 @@ impl ObjectScrub {
 /// Result of a [`Cluster::scrub`].
 #[derive(Clone, Debug)]
 pub struct ClusterScrubReport {
-    /// Nodes that did not answer `HEALTH`.
+    /// Nodes that did not answer the sweep's opening liveness probe.
     pub dead_nodes: Vec<String>,
     /// Per-object results.
     pub objects: Vec<ObjectScrub>,
@@ -647,31 +658,19 @@ impl Cluster {
         // generation untouched and the partial shards left for GC.
         let tree_bytes: Vec<Vec<u8>> =
             hash_blobs.iter().map(HashBlob::to_bytes).collect();
-        let ships: Vec<(usize, &String, String, &[u8])> = shards
+        // The hash blob trips at its shard's index, so a simulated
+        // crash after k shard writes strands at most k shard/hash pairs.
+        let ships: Vec<Ship> = shards
             .iter()
             .enumerate()
             .map(|(i, shard)| {
-                (i, &placement[i], manifest.shard_key(object, i), shard.as_slice())
+                (placement[i].as_str(), manifest.shard_key(object, i), shard.as_slice(), Some(i))
             })
             .chain(tree_bytes.iter().enumerate().map(|(i, bytes)| {
-                (i, &placement[i], tree_key(object, i, generation), bytes.as_slice())
+                (placement[i].as_str(), tree_key(object, i, generation), bytes.as_slice(), Some(i))
             }))
             .collect();
-        let jobs: Vec<_> = ships
-            .iter()
-            .map(|(i, addr, key, bytes)| {
-                let (i, key, bytes) = (*i, key, *bytes);
-                let fp = self.failpoint.clone();
-                (addr.to_string(), move |c: &mut NodeClient| {
-                    // The hash blob trips at its shard's index, so a
-                    // simulated crash after k shard writes strands at
-                    // most k shard/hash pairs.
-                    trip(&fp, "put.shard", i)?;
-                    c.put(key, bytes)
-                })
-            })
-            .collect();
-        for result in conns.run_batch(jobs) {
+        for result in self.ship(conns, "put.shard", &ships) {
             result?;
         }
         // Publish: the manifest replication is the commit point.
@@ -695,16 +694,9 @@ impl Cluster {
     ) -> Result<usize, StoreError> {
         let bytes = manifest.to_bytes();
         let key = manifest_key(object);
-        let jobs: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|addr| {
-                let (key, bytes) = (&key, &bytes);
-                (addr.clone(), move |c: &mut NodeClient| c.put(key, bytes))
-            })
-            .collect();
+        let targets = self.nodes.iter().map(String::as_str);
         let mut replicas = 0;
-        for (addr, result) in self.nodes.iter().zip(conns.run_batch(jobs)) {
+        for (addr, result) in self.nodes.iter().zip(put_everywhere(conns, targets, &key, &bytes)) {
             match result {
                 Ok(()) => replicas += 1,
                 Err(e) if manifest.placement.contains(addr) => return Err(e),
@@ -712,6 +704,34 @@ impl Cluster {
             }
         }
         Ok(replicas)
+    }
+
+    /// One prepare round: write every ship whose failpoint holds, all
+    /// at once, and fail the ones it trips as if the client had died
+    /// before sending them (`point` names the failpoint). Results in
+    /// ship order.
+    fn ship(
+        &self,
+        conns: &mut ParallelConnSet,
+        point: &'static str,
+        ships: &[Ship],
+    ) -> Vec<Result<(), StoreError>> {
+        let tripped: Vec<Option<StoreError>> = ships
+            .iter()
+            .map(|(.., at)| at.and_then(|i| trip(&self.failpoint, point, i).err()))
+            .collect();
+        let jobs: Vec<_> = (ships.iter().zip(&tripped))
+            .filter(|(_, tripped)| tripped.is_none())
+            .map(|((addr, key, data, _), _)| (*addr, BatchOp::Put { key, data }, reply::put))
+            .collect();
+        let mut sent = conns.run_batch(jobs).into_iter();
+        tripped
+            .into_iter()
+            .map(|tripped| match tripped {
+                Some(e) => Err(e),
+                None => sent.next().expect("one result per ship sent"),
+            })
+            .collect()
     }
 
     /// Delete `object` everywhere. Returns the number of shard blobs
@@ -734,16 +754,11 @@ impl Cluster {
         // where the object was half-destroyed yet still live.
         let tomb = manifest::tombstone_bytes(manifest.generation + 1);
         let key = manifest_key(object);
-        let jobs: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|addr| {
-                let (key, tomb) = (&key, &tomb);
-                (addr.clone(), move |c: &mut NodeClient| c.put(key, tomb))
-            })
-            .collect();
-        let accepted =
-            conns.run_batch(jobs).into_iter().filter(Result::is_ok).count();
+        let targets = self.nodes.iter().map(String::as_str);
+        let accepted = put_everywhere(&mut conns, targets, &key, &tomb)
+            .into_iter()
+            .filter(Result::is_ok)
+            .count();
         if accepted == 0 {
             return Err(StoreError::Io(std::io::Error::new(
                 std::io::ErrorKind::ConnectionRefused,
@@ -764,9 +779,7 @@ impl Cluster {
         }
         let jobs: Vec<_> = doomed
             .iter()
-            .map(|(addr, key, _)| {
-                (addr.clone(), move |c: &mut NodeClient| c.delete(key))
-            })
+            .map(|(addr, key, _)| (addr.as_str(), BatchOp::Delete { key }, reply::delete))
             .collect();
         // The returned count stays what it always was: *shard* blobs
         // removed (hash blobs are bookkeeping, not payload).
@@ -801,10 +814,7 @@ impl Cluster {
             .collect();
         let jobs: Vec<_> = targets
             .iter()
-            .map(|addr| {
-                let key = &key;
-                (addr.to_string(), move |c: &mut NodeClient| c.get(key))
-            })
+            .map(|addr| (addr.as_str(), BatchOp::Get { key: &key }, std::convert::identity))
             .collect();
         let mut vote = RecordVote::default();
         for result in conns.run_batch(jobs) {
@@ -930,11 +940,9 @@ impl Cluster {
         // stop at n arbitrary arrivals at all: some ≤ p loss patterns
         // are undecodable, so it waits for all data or for every fetch
         // to settle.
-        let jobs: Vec<_> = (0..total)
-            .map(|i| {
-                (manifest.placement[i].clone(), shard_fetch_job(object, &manifest, i))
-            })
-            .collect();
+        let all: Vec<usize> = (0..total).collect();
+        let keys = shard_keys(object, &manifest, &all);
+        let jobs = shard_fetch_jobs(&manifest, &keys, &all);
         let is_mds = self.codec.is_mds();
         let served = |o: &FetchSlot| matches!(o, Some(Ok(Ok(_))));
         let all_data =
@@ -1147,12 +1155,12 @@ impl Cluster {
                 manifest.shard_gen[i]
             }
         };
-        let ships: Vec<(String, String, &[u8], Option<usize>)> = changed
+        let ships: Vec<Ship> = changed
             .iter()
             .enumerate()
             .map(|(ship_idx, &i)| {
                 (
-                    manifest.placement[i].clone(),
+                    manifest.placement[i].as_str(),
                     manifest::shard_key(object, i, new_gen),
                     new[i].as_slice(),
                     Some(ship_idx),
@@ -1160,7 +1168,7 @@ impl Cluster {
             })
             .chain(parity.iter().enumerate().map(|(j, shard)| {
                 (
-                    manifest.placement[n + j].clone(),
+                    manifest.placement[n + j].as_str(),
                     manifest::shard_key(object, n + j, new_gen),
                     shard.as_slice(),
                     Some(changed.len() + j),
@@ -1168,27 +1176,14 @@ impl Cluster {
             }))
             .chain(tree_bytes.iter().enumerate().map(|(i, bytes)| {
                 (
-                    manifest.placement[i].clone(),
+                    manifest.placement[i].as_str(),
                     tree_key(object, i, tree_gen(i)),
                     bytes.as_slice(),
                     None,
                 )
             }))
             .collect();
-        let jobs: Vec<_> = ships
-            .iter()
-            .map(|(addr, key, bytes, fail_idx)| {
-                let (key, bytes, fail_idx) = (key, *bytes, *fail_idx);
-                let fp = self.failpoint.clone();
-                (addr.clone(), move |c: &mut NodeClient| {
-                    if let Some(ship_idx) = fail_idx {
-                        trip(&fp, "overwrite.shard", ship_idx)?;
-                    }
-                    c.put(key, bytes)
-                })
-            })
-            .collect();
-        for result in conns.run_batch(jobs) {
+        for result in self.ship(&mut conns, "overwrite.shard", &ships) {
             result?;
         }
         for &i in &changed {
@@ -1225,14 +1220,9 @@ impl Cluster {
         manifest: &Manifest,
         indices: &[usize],
     ) -> Vec<Option<Vec<u8>>> {
-        let jobs: Vec<_> = indices
-            .iter()
-            .map(|&i| {
-                (manifest.placement[i].clone(), shard_fetch_job(object, manifest, i))
-            })
-            .collect();
+        let keys = shard_keys(object, manifest, indices);
         conns
-            .run_batch(jobs)
+            .run_batch(shard_fetch_jobs(manifest, &keys, indices))
             .into_iter()
             .map(|r| match r {
                 Ok(Ok(bytes)) => Some(bytes),
@@ -1250,15 +1240,10 @@ impl Cluster {
         manifest: &Manifest,
         indices: &[usize],
     ) -> Vec<Result<Vec<u8>, ShardFault>> {
-        let jobs: Vec<_> = indices
-            .iter()
-            .map(|&i| {
-                (manifest.placement[i].clone(), shard_fetch_job(object, manifest, i))
-            })
-            .collect();
+        let keys = shard_keys(object, manifest, indices);
         indices
             .iter()
-            .zip(conns.run_batch(jobs))
+            .zip(conns.run_batch(shard_fetch_jobs(manifest, &keys, indices)))
             .map(|(&i, r)| match r {
                 Ok(inner) => inner,
                 Err(e) => {
@@ -1303,7 +1288,7 @@ impl Cluster {
             .collect();
         let jobs: Vec<_> = targets
             .iter()
-            .map(|addr| (addr.to_string(), |c: &mut NodeClient| c.list("m:")))
+            .map(|addr| (addr.as_str(), BatchOp::List { prefix: "m:" }, reply::list))
             .collect();
         let mut names = BTreeSet::new();
         let mut reachable = 0usize;
@@ -1341,7 +1326,7 @@ impl Cluster {
         let jobs: Vec<_> = self
             .nodes
             .iter()
-            .map(|addr| (addr.clone(), |c: &mut NodeClient| c.health()))
+            .map(|addr| (addr.as_str(), BatchOp::Health, reply::health))
             .collect();
         ClusterHealth {
             nodes: self
@@ -1378,7 +1363,7 @@ impl Cluster {
         self.scrub_via_opts(conns, false)
     }
 
-    /// One connection set for the whole sweep: the opening health probe
+    /// One connection set for the whole sweep: the opening liveness probe
     /// fans out to every node at once, and a node it finds dead is
     /// marked dead *once* in the shared state — every later touch this
     /// cycle fast-fails instead of paying a fresh connect timeout per
@@ -1388,16 +1373,21 @@ impl Cluster {
         conns: &mut ParallelConnSet,
         deep: bool,
     ) -> Result<ClusterScrubReport, StoreError> {
+        // The liveness probe asks for nothing the node has to look for:
+        // `HEALTH` walks the blob directory and stats every file, which
+        // at a few thousand blobs is milliseconds per node, while the
+        // typed `NotFound` of a `STAT` on a key no writer uses is one
+        // failed `open` — and just as much a sign of life.
         let jobs: Vec<_> = self
             .nodes
             .iter()
-            .map(|addr| (addr.clone(), |c: &mut NodeClient| c.health()))
+            .map(|addr| (addr.as_str(), BatchOp::Stat { key: LIVENESS_KEY }, reply::stat))
             .collect();
         let dead_nodes: Vec<String> = self
             .nodes
             .iter()
             .zip(conns.run_batch(jobs))
-            .filter(|(_, result)| result.is_err())
+            .filter(|(_, answer)| !matches!(answer, Ok(_) | Err(StoreError::Remote { .. })))
             .map(|(addr, _)| addr.clone())
             .collect();
         let mut report = ClusterScrubReport {
@@ -1458,16 +1448,24 @@ impl Cluster {
         // put that died before any manifest landed leaves keys no
         // manifest listing will ever name).
         type AgedListing = Vec<(String, u64, u64)>; // (key, age_secs, len)
-        let mut listings: Vec<(String, AgedListing)> = Vec::new();
+        // One round, two listings per node: shard keys and their `t:`
+        // hash-blob twins are collected by the same rule; a node that
+        // answers one listing answers the other (same opcode), so the
+        // extension cannot half-apply.
+        let jobs: Vec<_> = self
+            .nodes
+            .iter()
+            .flat_map(|addr| {
+                ["s:", "t:"].map(|prefix| (addr.as_str(), BatchOp::ListAged { prefix }, reply::list_aged))
+            })
+            .collect();
+        let mut answers = conns.run_batch(jobs).into_iter();
+        let mut listings: Vec<(&str, AgedListing)> = Vec::new();
         for addr in &self.nodes {
-            // Shard keys and their `t:` hash-blob twins are collected by
-            // the same rule; a node that answers one listing answers the
-            // other (same opcode), so the extension cannot half-apply.
-            if let Ok(mut entries) = conns.with(addr, |c| c.list_aged("s:")) {
-                if let Ok(trees) = conns.with(addr, |c| c.list_aged("t:")) {
-                    entries.extend(trees);
-                }
-                listings.push((addr.clone(), entries));
+            let (shards, trees) = (answers.next(), answers.next());
+            if let Some(Ok(mut entries)) = shards {
+                entries.extend(trees.and_then(Result::ok).unwrap_or_default());
+                listings.push((addr, entries));
             }
         }
         let mut objects = BTreeSet::new();
@@ -1490,44 +1488,40 @@ impl Cluster {
             }
             live.insert(object.clone(), vote.current());
         }
-        let mut collected: BTreeSet<(String, u64)> = BTreeSet::new();
+        // Every node's doomed keys, then one delete round across nodes.
+        let mut doomed: Vec<(&str, &(String, u64, u64))> = Vec::new();
         for (addr, entries) in &listings {
-            let doomed: Vec<&(String, u64, u64)> = entries
-                .iter()
-                .filter(|(key, age_secs, _)| {
-                    let Some((object, idx, gen)) = parse_gc_key(key) else {
-                        return false; // not ours to judge
-                    };
-                    let is_live = match live.get(object) {
-                        None => return false, // election deferred: keep
-                        Some(None) => false,
-                        Some(Some(m)) => {
-                            m.placement.get(idx) == Some(addr)
-                                && m.shard_gen.get(idx) == Some(&gen)
-                                // A `t:` blob is live only for manifests
-                                // that actually carry hashes — a stray
-                                // one beside a pre-hash object is
-                                // garbage even at the live generation.
-                                && (!key.starts_with("t:") || m.has_hashes())
-                        }
-                    };
-                    !is_live && *age_secs >= grace_secs
-                })
-                .collect();
-            let jobs: Vec<_> = doomed
-                .iter()
-                .map(|(key, _, _)| {
-                    (addr.clone(), move |c: &mut NodeClient| c.delete(key))
-                })
-                .collect();
-            for (entry, result) in doomed.iter().zip(conns.run_batch(jobs)) {
-                if matches!(result, Ok(true)) {
-                    let (key, _, len) = entry;
-                    let (object, _, gen) =
-                        parse_gc_key(key).expect("filtered above");
-                    collected.insert((object.to_string(), gen));
-                    report.bytes_reclaimed += len;
-                }
+            let is_doomed = |(key, age_secs, _): &&(String, u64, u64)| {
+                let Some((object, idx, gen)) = parse_gc_key(key) else {
+                    return false; // not ours to judge
+                };
+                let is_live = match live.get(object) {
+                    None => return false, // election deferred: keep
+                    Some(None) => false,
+                    Some(Some(m)) => {
+                        m.placement.get(idx).map(String::as_str) == Some(*addr)
+                            && m.shard_gen.get(idx) == Some(&gen)
+                            // A `t:` blob is live only for manifests
+                            // that actually carry hashes — a stray
+                            // one beside a pre-hash object is
+                            // garbage even at the live generation.
+                            && (!key.starts_with("t:") || m.has_hashes())
+                    }
+                };
+                !is_live && *age_secs >= grace_secs
+            };
+            doomed.extend(entries.iter().filter(is_doomed).map(|entry| (*addr, entry)));
+        }
+        let jobs: Vec<_> = doomed
+            .iter()
+            .map(|(addr, (key, _, _))| (*addr, BatchOp::Delete { key }, reply::delete))
+            .collect();
+        let mut collected: BTreeSet<(&str, u64)> = BTreeSet::new();
+        for ((_, (key, _, len)), result) in doomed.iter().zip(conns.run_batch(jobs)) {
+            if matches!(result, Ok(true)) {
+                let (object, _, gen) = parse_gc_key(key).expect("filtered above");
+                collected.insert((object, gen));
+                report.bytes_reclaimed += len;
             }
         }
         report.generations_collected = collected.len() as u64;
@@ -1622,41 +1616,42 @@ impl Cluster {
         let widths =
             MerkleTree::level_widths(leaf_count(manifest.shard_len, leaf_size as u64));
         let top = (widths.len() - 1) as u8;
-        type RootPair = (Result<Hash, StoreError>, Result<Hash, StoreError>);
-        let jobs: Vec<_> = (0..total)
+        // Two jobs per shard, pipelined on the shard's node: the root of
+        // the computed tree, then the root of the stored one.
+        let keys: Vec<[String; 2]> = (0..total)
             .map(|i| {
-                let skey = manifest.shard_key(object, i);
-                let tkey =
-                    tree_key(object, i, manifest.shard_gen.get(i).copied().unwrap_or(0));
-                let job = move |c: &mut NodeClient| -> Result<RootPair, StoreError> {
-                    let computed =
-                        c.hash_subtree(&skey, leaf_size, false, top, 0, 1).map(|v| v[0]);
-                    let stored =
-                        c.hash_subtree(&tkey, leaf_size, true, top, 0, 1).map(|v| v[0]);
-                    Ok((computed, stored))
-                };
-                (manifest.placement[i].clone(), job)
+                let gen = manifest.shard_gen.get(i).copied().unwrap_or(0);
+                [manifest.shard_key(object, i), tree_key(object, i, gen)]
             })
             .collect();
+        let jobs: Vec<_> = (keys.iter().zip(&manifest.placement))
+            .flat_map(|(keys, addr)| [(addr, &keys[0], false), (addr, &keys[1], true)])
+            .map(|(addr, key, stored)| {
+                let (level, start, count) = (top, 0, 1);
+                let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
+                (addr.as_str(), op, |answer| reply::hash_subtree(answer, 1).map(|v| v[0]))
+            })
+            .collect();
+        let mut roots = conns.run_batch(jobs).into_iter();
         let mut health = Vec::with_capacity(total);
         let mut hash_bytes_read = 0u64;
         let mut damaged_leaves = Vec::new();
         let is_unsupported = |e: &StoreError| {
             matches!(e, StoreError::Remote { code: RemoteErrorCode::BadRequest, .. })
         };
-        for (i, result) in conns.run_batch(jobs).into_iter().enumerate() {
-            let addr = &manifest.placement[i];
-            let (computed, stored) = match result {
-                Ok(pair) => pair,
+        for (i, addr) in manifest.placement.iter().enumerate() {
+            let computed = roots.next().expect("a computed root per shard");
+            let stored = roots.next().expect("a stored root per shard");
+            match &computed {
+                Ok(_) => hash_bytes_read += 32,
+                Err(e) if is_unsupported(e) => return Ok(None),
+                Err(StoreError::Remote { .. }) => {}
+                // Anything but an answer from the node is the
+                // connection's failure, and the stored root's went with it.
                 Err(e) => {
                     health.push(ShardHealth::Missing(format!("{addr}: {e}")));
                     continue;
                 }
-            };
-            match &computed {
-                Ok(_) => hash_bytes_read += 32,
-                Err(e) if is_unsupported(e) => return Ok(None),
-                _ => {}
             }
             match &stored {
                 Ok(_) => hash_bytes_read += 32,
@@ -1762,20 +1757,28 @@ impl Cluster {
         let mut suspects = vec![0usize];
         for level in (0..top).rev() {
             let width = widths[level] as usize;
+            // One round per level: the children of every suspect, from
+            // the computed tree and from the stored one.
+            let jobs: Vec<_> = suspects
+                .iter()
+                .flat_map(|&parent| [(parent, &skey, false), (parent, &tkey, true)])
+                .map(|(parent, key, stored)| {
+                    let start = parent as u32 * 2;
+                    let count = 2.min(width as u32 - start);
+                    let level = level as u8;
+                    let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
+                    (addr.as_str(), op, move |answer| reply::hash_subtree(answer, count))
+                })
+                .collect();
+            let mut children = conns.run_batch(jobs).into_iter();
             let mut next = Vec::with_capacity(suspects.len() * 2);
             for &parent in &suspects {
-                let start = parent * 2;
-                let count = 2.min(width - start) as u32;
-                let computed = conns.with(addr, |c| {
-                    c.hash_subtree(&skey, leaf_size, false, level as u8, start as u32, count)
-                })?;
-                let stored = conns.with(addr, |c| {
-                    c.hash_subtree(&tkey, leaf_size, true, level as u8, start as u32, count)
-                })?;
+                let computed = children.next().expect("computed children per suspect")?;
+                let stored = children.next().expect("stored children per suspect")?;
                 *hash_bytes_read += 32 * (computed.len() + stored.len()) as u64;
-                for k in 0..count as usize {
-                    if computed[k] != stored[k] {
-                        next.push(start + k);
+                for (k, (c, s)) in computed.iter().zip(&stored).enumerate() {
+                    if c != s {
+                        next.push(parent * 2 + k);
                     }
                 }
             }
@@ -1866,28 +1869,25 @@ impl Cluster {
                      the manifest Merkle root — refusing to publish"
                 )));
             }
-            match conns.with(&manifest.placement[i], |c| {
-                c.put(&manifest.shard_key(object, i), shard)
-            }) {
+            let addr = &manifest.placement[i];
+            let put = BatchOp::Put { key: &manifest.shard_key(object, i), data: shard };
+            match conns.with(addr, put, reply::put) {
                 Ok(()) => {
                     report.repaired.push(i);
                     // The shard's bytes were just re-derived; refresh
                     // the leaf cache beside them so the next scrub can
                     // descend again. Best-effort: a missed rewrite is
                     // re-flagged as `BadHashes` next cycle.
-                    if manifest.has_hashes()
-                        && conns
-                            .with(&manifest.placement[i], |c| {
-                                c.put(
-                                    &tree_key(object, i, manifest.shard_gen[i]),
-                                    &HashBlob::from_shard(shard, manifest.hash_leaf_size)
-                                        .to_bytes(),
-                                )
-                            })
-                            .is_ok()
-                        && !report.hash_blobs_rewritten.contains(&i)
-                    {
-                        report.hash_blobs_rewritten.push(i);
+                    if manifest.has_hashes() {
+                        let put = BatchOp::Put {
+                            key: &tree_key(object, i, manifest.shard_gen[i]),
+                            data: &HashBlob::from_shard(shard, manifest.hash_leaf_size).to_bytes(),
+                        };
+                        if conns.with(addr, put, reply::put).is_ok()
+                            && !report.hash_blobs_rewritten.contains(&i)
+                        {
+                            report.hash_blobs_rewritten.push(i);
+                        }
                     }
                 }
                 Err(_) => report.unplaced.push(i),
@@ -1901,14 +1901,16 @@ impl Cluster {
             manifest.generation += 1;
             let bytes = manifest.to_bytes();
             let key = manifest_key(object);
-            for addr in &self.nodes {
+            let targets = self.nodes.iter().map(String::as_str);
+            for (addr, result) in
+                self.nodes.iter().zip(put_everywhere(conns, targets, &key, &bytes))
+            {
                 let required = retargeted
                     .iter()
                     .any(|&i| &manifest.placement[i] == addr && report.repaired.contains(&i));
-                match conns.with(addr, |c| c.put(&key, &bytes)) {
-                    Ok(()) => {}
+                match result {
                     Err(e) if required => return Err(e),
-                    Err(_) => {}
+                    _ => {}
                 }
             }
         }
@@ -1937,9 +1939,15 @@ impl Cluster {
             let Some(shard) = shard else { continue };
             let addr = &manifest.placement[i];
             let tkey = tree_key(object, i, manifest.shard_gen[i]);
-            let stored = conns.with(addr, |c| {
-                c.hash_subtree(&tkey, manifest.hash_leaf_size, true, top, 0, 1)
-            });
+            let root = BatchOp::HashSubtree {
+                key: &tkey,
+                leaf_size: manifest.hash_leaf_size,
+                stored: true,
+                level: top,
+                start: 0,
+                count: 1,
+            };
+            let stored = conns.with(addr, root, |answer| reply::hash_subtree(answer, 1));
             let needs_rewrite = match stored {
                 // A stored root that re-hashes to the manifest root
                 // proves the whole blob (the node derives it from the
@@ -1954,18 +1962,12 @@ impl Cluster {
                 // Transport failure — nothing to rewrite onto.
                 Err(_) => continue,
             };
-            if needs_rewrite
-                && conns
-                    .with(addr, |c| {
-                        c.put(
-                            &tkey,
-                            &HashBlob::from_shard(shard, manifest.hash_leaf_size)
-                                .to_bytes(),
-                        )
-                    })
-                    .is_ok()
-            {
-                report.hash_blobs_rewritten.push(i);
+            if needs_rewrite {
+                let blob = HashBlob::from_shard(shard, manifest.hash_leaf_size).to_bytes();
+                let rewrite = BatchOp::Put { key: &tkey, data: &blob };
+                if conns.with(addr, rewrite, reply::put).is_ok() {
+                    report.hash_blobs_rewritten.push(i);
+                }
             }
         }
     }
@@ -2253,12 +2255,12 @@ impl Cluster {
             // writes, so `repair.shard` trip semantics are unchanged;
             // the parallel `shard_of` vec maps each ship back to the
             // shard index it publishes (None = hash blob).
-            let mut ships: Vec<(String, String, &[u8], Option<usize>)> = Vec::new();
+            let mut ships: Vec<Ship> = Vec::new();
             let mut shard_of: Vec<Option<usize>> = Vec::new();
             for (write_idx, &i) in affected.iter().enumerate() {
-                let target = replacements[manifest.placement[i].as_str()].to_string();
+                let target = replacements[manifest.placement[i].as_str()];
                 ships.push((
-                    target.clone(),
+                    target,
                     manifest::shard_key(object, i, new_gen),
                     shards[i].as_deref().expect("reconstructed"),
                     Some(write_idx),
@@ -2274,19 +2276,9 @@ impl Cluster {
                     shard_of.push(None);
                 }
             }
-            let jobs: Vec<_> = ships
-                .into_iter()
-                .map(|(target, key, bytes, fail_idx)| {
-                    let fp = self.failpoint.clone();
-                    (target, move |c: &mut NodeClient| {
-                        if let Some(idx) = fail_idx {
-                            trip(&fp, "repair.shard", idx)?;
-                        }
-                        c.put(&key, bytes)
-                    })
-                })
-                .collect();
-            for (meta, result) in shard_of.iter().zip(conns.run_batch(jobs)) {
+            for (meta, result) in
+                shard_of.iter().zip(self.ship(conns, "repair.shard", &ships))
+            {
                 result?;
                 let Some(i) = *meta else { continue };
                 let target = replacements[manifest.placement[i].as_str()];
@@ -2303,14 +2295,7 @@ impl Cluster {
             // generation bump and no cluster-wide republish — each
             // replacement just needs its discovery copy seeded.
             let bytes = manifest.to_bytes();
-            let jobs: Vec<_> = replacements
-                .values()
-                .map(|&target| {
-                    let (key, bytes) = (&key, &bytes);
-                    (target.to_string(), move |c: &mut NodeClient| c.put(key, bytes))
-                })
-                .collect();
-            for result in conns.run_batch(jobs) {
+            for result in put_everywhere(conns, replacements.values().copied(), &key, &bytes) {
                 result?;
             }
             return Ok(());
@@ -2332,14 +2317,8 @@ impl Cluster {
                 replacements.get(addr.as_str()).copied().unwrap_or(addr.as_str())
             })
             .collect();
-        let jobs: Vec<_> = targets
-            .iter()
-            .map(|&addr| {
-                let (key, bytes) = (&key, &bytes);
-                (addr.to_string(), move |c: &mut NodeClient| c.put(key, bytes))
-            })
-            .collect();
-        for (&addr, result) in targets.iter().zip(conns.run_batch(jobs)) {
+        let published = put_everywhere(conns, targets.iter().copied(), &key, &bytes);
+        for (&addr, result) in targets.iter().zip(published) {
             match result {
                 Ok(()) => {}
                 Err(e) if replacements.values().any(|&r| r == addr) => return Err(e),
@@ -2357,29 +2336,48 @@ fn parse_gc_key(key: &str) -> Option<(&str, usize, u64)> {
     parse_shard_key(key).or_else(|| crate::tree::parse_tree_key(key))
 }
 
-/// A self-contained (`'static`) fetch-and-validate job for shard `i` of
-/// `object`: suitable for both barrier batches and detached first-n
-/// workers. The outer `Err` is a transport failure (the fan-out layer
-/// drops the connection); the inner result is the typed shard outcome.
-fn shard_fetch_job(
-    object: &str,
-    manifest: &Manifest,
-    i: usize,
-) -> impl FnOnce(&mut NodeClient) -> Result<Result<Vec<u8>, ShardFault>, StoreError>
-       + Send
-       + 'static {
-    let key = manifest.shard_key(object, i);
-    let addr = manifest.placement[i].clone();
+/// Write `bytes` under `key` on every one of `targets`, in one round;
+/// results in target order.
+fn put_everywhere<'a>(
+    conns: &mut ParallelConnSet,
+    targets: impl Iterator<Item = &'a str>,
+    key: &str,
+    bytes: &[u8],
+) -> Vec<Result<(), StoreError>> {
+    let put = BatchOp::Put { key, data: bytes };
+    conns.run_batch(targets.map(|addr| (addr, put, reply::put)).collect())
+}
+
+/// The keys of shards `indices` of `object`, for
+/// [`shard_fetch_jobs`] to borrow.
+fn shard_keys(object: &str, manifest: &Manifest, indices: &[usize]) -> Vec<String> {
+    indices.iter().map(|&i| manifest.shard_key(object, i)).collect()
+}
+
+/// One fetch-and-validate job per shard in `indices` (`keys` from
+/// [`shard_keys`]), for barrier rounds and first-n reads alike. Each
+/// shard is checked as its answer arrives, on the thread running the
+/// round. The outer `Err` of a [`Fetched`] is a transport failure (the
+/// fan-out layer drops the connection); the inner result is the typed
+/// shard outcome.
+fn shard_fetch_jobs<'a>(
+    manifest: &'a Manifest,
+    keys: &'a [String],
+    indices: &'a [usize],
+) -> Vec<crate::fanout::Job<'a, impl FnOnce(Answer) -> Fetched + 'a>> {
+    (indices.iter().zip(keys))
+        .map(|(&i, key)| {
+            let addr = manifest.placement[i].as_str();
+            (addr, BatchOp::Get { key }, move |answer| check_shard(manifest, i, answer))
+        })
+        .collect()
+}
+
+/// Judge what a node answered to the fetch of shard `i`.
+fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
+    let addr = &manifest.placement[i];
     let want_len = manifest.shard_len;
-    let want_crc = manifest.shard_crc[i];
-    // Version-4 manifests carry per-shard Merkle roots: every consumer
-    // of this job — get, overwrite's old-shard fetch, repair's survivor
-    // fetch, the full-read scrub — gets end-to-end hash verification
-    // for free, so even a CRC-colliding flip cannot slip into a decode.
-    let want_root = manifest
-        .has_hashes()
-        .then(|| (manifest.shard_root[i], manifest.hash_leaf_size as usize));
-    move |c| match c.get(&key) {
+    match answer {
         Ok(bytes) => {
             if bytes.len() as u64 != want_len {
                 return Ok(Err(ShardFault::Corrupt(format!(
@@ -2387,18 +2385,24 @@ fn shard_fetch_job(
                     bytes.len()
                 ))));
             }
-            if crc32(&bytes) != want_crc {
+            if crc32(&bytes) != manifest.shard_crc[i] {
                 return Ok(Err(ShardFault::Corrupt(format!(
                     "shard bytes from {addr} fail the manifest checksum"
                 ))));
             }
-            if let Some((root, leaf_size)) = want_root {
-                if MerkleTree::from_payload(&bytes, leaf_size).root() != root {
-                    return Ok(Err(ShardFault::Corrupt(format!(
-                        "shard bytes from {addr} fail the manifest Merkle root \
-                         (CRC-32 passes — checksum-colliding damage)"
-                    ))));
-                }
+            // Version-4 manifests carry per-shard Merkle roots: every
+            // consumer of this job — get, overwrite's old-shard fetch,
+            // repair's survivor fetch, the full-read scrub — gets
+            // end-to-end hash verification for free, so even a
+            // CRC-colliding flip cannot slip into a decode.
+            if manifest.has_hashes()
+                && MerkleTree::from_payload(&bytes, manifest.hash_leaf_size as usize).root()
+                    != manifest.shard_root[i]
+            {
+                return Ok(Err(ShardFault::Corrupt(format!(
+                    "shard bytes from {addr} fail the manifest Merkle root \
+                     (CRC-32 passes — checksum-colliding damage)"
+                ))));
             }
             Ok(Ok(bytes))
         }
@@ -2452,6 +2456,180 @@ mod tests {
             1,
             "a dead node must be dialed once per sweep, not once per object"
         );
+        drop(nodes);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    // -----------------------------------------------------------------
+    // The completion loop (`fanout.rs`) against scripted peers.
+    // -----------------------------------------------------------------
+
+    use crate::proto::{self, op, status};
+    use std::convert::identity;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    fn listener() -> (TcpListener, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
+    }
+
+    /// Read one request off `stream`: its id and `(opcode, key)`.
+    fn request(stream: &mut TcpStream) -> Result<(u32, (u8, String)), proto::FrameError> {
+        let frame = proto::read_frame(stream)?;
+        let key = proto::PayloadReader::new(&frame.payload).key().unwrap().to_string();
+        Ok((frame.request_id.expect("the client speaks v2"), (frame.tag, key)))
+    }
+
+    fn get(key: &str) -> BatchOp<'_> {
+        BatchOp::Get { key }
+    }
+
+    #[test]
+    fn silent_nodes_cost_one_timeout_between_them() {
+        // Two peers that take the connection (the kernel completes the
+        // handshake from the listen backlog) and never say a word.
+        let (_quiet_a, a) = listener();
+        let (_quiet_b, b) = listener();
+        let timeout = Duration::from_millis(600);
+        let mut conns = ParallelConnSet::new(timeout, None);
+        let start = Instant::now();
+        let results = conns.run_batch(vec![(&*a, get("k"), identity), (&*b, get("k"), identity)]);
+        let took = start.elapsed();
+        assert!(results.iter().all(|r| matches!(r, Err(StoreError::Timeout))), "{results:?}");
+        assert!(took >= timeout, "gave up early: {took:?}");
+        assert!(took < timeout * 2 - timeout / 4, "the nodes were waited for in turn: {took:?}");
+    }
+
+    #[test]
+    fn a_dead_address_is_dialed_once_per_operation() {
+        let (gone, addr) = listener();
+        drop(gone);
+        let mut conns = ParallelConnSet::new(PATIENCE, None);
+        for round in 0..3 {
+            let results = conns.run_batch(vec![(&*addr, get("a"), identity), (&*addr, get("b"), identity)]);
+            for (job, result) in results.iter().enumerate() {
+                let Err(StoreError::Io(e)) = result else {
+                    panic!("round {round}, job {job}: {result:?}");
+                };
+                assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused);
+                // Only the dial itself tells the kernel's story; the
+                // rest fail fast on the mark it left.
+                assert_eq!(e.to_string().contains("marked dead"), (round, job) != (0, 0), "{e}");
+            }
+        }
+        assert_eq!(conns.connect_attempts(&addr), 1);
+    }
+
+    #[test]
+    fn same_address_jobs_are_pipelined_in_job_order() {
+        // A node that answers nothing until it has read all six
+        // requests: a client that waited for an answer before sending
+        // the next request would never get one.
+        let (node, addr) = listener();
+        let seen = std::thread::spawn(move || {
+            let (mut stream, _) = node.accept().unwrap();
+            let requests: Vec<_> = (0..6).map(|_| request(&mut stream).unwrap()).collect();
+            for (id, _) in requests.iter().rev() {
+                proto::write_frame(&mut stream, status::OK, Some(*id), &[]).unwrap();
+            }
+            requests.into_iter().map(|(_, what)| what).collect::<Vec<_>>()
+        });
+        let keys = ["s:0", "t:0", "s:1", "t:1", "s:2", "t:2"];
+        let jobs: Vec<_> = keys
+            .iter()
+            .map(|&key| (&*addr, BatchOp::Put { key, data: b"bytes" }, reply::put))
+            .collect();
+        let mut conns = ParallelConnSet::new(PATIENCE, None);
+        for result in conns.run_batch(jobs) {
+            result.unwrap();
+        }
+        let want: Vec<_> = keys.iter().map(|k| (op::PUT_SHARD, k.to_string())).collect();
+        assert_eq!(seen.join().unwrap(), want, "shard before its hash blob, in job order");
+        assert_eq!(conns.connect_attempts(&addr), 1);
+    }
+
+    #[test]
+    fn an_abandoned_stragglers_connection_is_never_reused() {
+        let (prompt, prompt_addr) = listener();
+        let (straggler, straggler_addr) = listener();
+        let answering = std::thread::spawn(move || {
+            let (mut stream, _) = prompt.accept().unwrap();
+            while let Ok((id, _)) = request(&mut stream) {
+                proto::write_frame(&mut stream, status::OK, Some(id), &[b"prompt"]).unwrap();
+            }
+        });
+        let (report, reported) = mpsc::channel();
+        let straggling = std::thread::spawn(move || {
+            // First connection: take the request and sit on it. The
+            // client must hang up on it, not talk to it again.
+            let (mut first, _) = straggler.accept().unwrap();
+            let (_, asked) = request(&mut first).unwrap();
+            report.send(asked.1).unwrap();
+            let hung_up = matches!(request(&mut first), Err(proto::FrameError::Eof));
+            // Second connection: behave.
+            let (mut second, _) = straggler.accept().unwrap();
+            let (id, asked) = request(&mut second).unwrap();
+            proto::write_frame(&mut second, status::OK, Some(id), &[b"late"]).unwrap();
+            (hung_up, asked.1)
+        });
+
+        let mut conns = ParallelConnSet::new(PATIENCE, None);
+        let jobs = vec![(&*prompt_addr, get("one"), identity), (&*straggler_addr, get("one"), identity)];
+        let enough = |outcomes: &[Option<Result<Vec<u8>, StoreError>>]| outcomes[0].is_some();
+        let first = conns.run_first_n(jobs, enough, enough);
+        assert_eq!(first.outcomes[0].as_ref().unwrap().as_ref().unwrap(), b"prompt");
+        assert!(first.outcomes[1].is_none() && first.elapsed[1].is_none() && !first.timed_out);
+        assert_eq!(reported.recv_timeout(PATIENCE).unwrap(), "one");
+
+        // The next round finds the prompt node's connection in the pool
+        // and has to dial the straggler afresh.
+        let jobs = vec![(&*prompt_addr, get("two"), identity), (&*straggler_addr, get("two"), identity)];
+        let second = conns.run_batch(jobs);
+        assert_eq!(second[0].as_ref().unwrap(), b"prompt");
+        assert_eq!(second[1].as_ref().unwrap(), b"late");
+        assert_eq!(straggling.join().unwrap(), (true, "two".to_string()));
+        assert_eq!(conns.connect_attempts(&prompt_addr), 1);
+        assert_eq!(conns.connect_attempts(&straggler_addr), 2);
+        drop(conns);
+        answering.join().unwrap();
+    }
+
+    #[test]
+    fn a_round_costs_the_slowest_node_not_the_sum() {
+        // Every node sits on each shard request for 250 ms. Asked in
+        // turn, the four shard writes of a put alone would take a
+        // second; asked at once, the whole put and the get after it take
+        // about one delay each.
+        let delay = Duration::from_millis(250);
+        let root = std::env::temp_dir().join(format!("ec_store_maxrtt_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let nodes: Vec<NodeHandle> = (0..4)
+            .map(|i| {
+                let opts = crate::node::NodeOptions {
+                    workers: 2,
+                    response_delay: Some(delay),
+                    delay_key_prefix: Some("s:".to_string()),
+                };
+                NodeHandle::spawn_with(&root.join(format!("n{i}")), "127.0.0.1:0", opts).unwrap()
+            })
+            .collect();
+        let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+        let cluster = Cluster::new(addrs, RsConfig::new(3, 1)).unwrap();
+        let data = vec![0xA5u8; 30_000];
+        let start = Instant::now();
+        cluster.put("obj", &data).unwrap();
+        let put = start.elapsed();
+        let start = Instant::now();
+        assert_eq!(cluster.get("obj").unwrap(), data);
+        let got = start.elapsed();
+        for (what, took) in [("put", put), ("get", got)] {
+            assert!(took >= delay, "{what} dodged the injected delay: {took:?}");
+            assert!(took < delay * 5 / 2, "{what} paid the nodes in turn: {took:?}");
+        }
         drop(nodes);
         let _ = std::fs::remove_dir_all(&root);
     }

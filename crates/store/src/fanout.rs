@@ -1,51 +1,52 @@
-//! Concurrent per-node fan-out: the engine that turns sum-of-RTT
-//! cluster operations into max-of-RTT ones.
+//! Per-node fan-out on one thread: the engine that turns sum-of-RTT
+//! cluster operations into max-of-RTT ones without a thread per request.
 //!
-//! [`ParallelConnSet`] keeps at most one connection per node address
-//! (like the serial set it replaces) and adds two shapes of
-//! concurrency:
+//! A cluster operation is a sequence of *rounds*. A round is a list of
+//! jobs — a node address, a typed request ([`BatchOp`]) and a `post`
+//! closure that turns the node's answer into the job's result — and the
+//! calling thread runs all of it from one completion loop: connects
+//! that do not block, every request put on the wire at once (the jobs
+//! of one address pipelined on that address's single connection, in job
+//! order), and answers taken in whatever order `poll(2)` reports them,
+//! matched to their job by request id. Every node is waited for at
+//! once, so dead or silent nodes cost a round one timeout between them,
+//! not one each. Two shapes:
 //!
-//! * [`ParallelConnSet::run_batch`] — run every job of a batch
-//!   concurrently, one scoped thread per distinct address; jobs for the
-//!   same address share that address's single connection and run in
-//!   order on it. The batch completes in ~max(per-node time) instead of
-//!   the sum, and the barrier returns every connection to the pool.
-//! * [`ParallelConnSet::run_first_n`] — issue every job and return as
-//!   soon as a caller-supplied predicate over the partial results is
-//!   satisfied, abandoning stragglers: the first-n-of-n+p read path,
-//!   where one slow node must not add its RTT to every read. Workers
-//!   are detached; a straggler that finishes after the harvest just
-//!   drops its connection.
+//! * [`ParallelConnSet::run_batch`] — a barrier: returns when every job
+//!   has its result, in ~max(per-node time) instead of the sum;
+//! * [`ParallelConnSet::run_first_n`] — returns as soon as a
+//!   caller-supplied predicate over the partial results is satisfied:
+//!   the first-n-of-n+p read path, where one slow node must not add its
+//!   RTT to every read. A straggler is abandoned by dropping its socket.
 //!
-//! The threading mirrors `xor_runtime::ExecPool` idiom: shared state
-//! behind a `Mutex` + `Condvar` board, `lock_unpoisoned` everywhere,
-//! scoped threads where a barrier is wanted.
+//! **The trade-off.** `post` runs on the calling thread, between
+//! `poll`s: the CRC-32 + Merkle check of each fetched shard happens as
+//! that shard arrives, overlapped with the wait for the others but no
+//! longer with *each other* (the design this replaces ran 14 of them on
+//! 14 threads). On one CPU the sum is the same and the spawns and joins
+//! are gone; on a many-core client reading large objects over a fast
+//! network, up to `n + p` shard checks (~0.7 ms per MiB of shard) now
+//! queue on one core. No workload measures that yet.
 //!
-//! Connection lifecycle (same rules as the serial set had): a connect
-//! failure marks the address *dead for the rest of the operation* — no
-//! reconnect storms against a down node — typed `ERR` answers keep the
-//! connection (the stream is intact, the node just said no), and any
-//! other failure drops the possibly-desynced connection so the next
-//! use reconnects. A per-operation deadline, when set, shrinks every
-//! per-I/O timeout to the remaining budget and fails the whole batch
-//! with [`StoreError::Timeout`] once spent.
+//! Connection lifecycle: at most one connection per node address, kept
+//! for the operation the set serves — not beyond: a node parks an idle
+//! connection on a worker that looks up every 100 ms, so connections
+//! held across operations starve a node with fewer workers than clients.
+//! A connect failure marks the address *dead for the rest of the
+//! operation* — no reconnect storms against a down node; typed `ERR`
+//! answers keep the connection (the stream is intact, the node just said
+//! no); any other failure drops the possibly-desynced connection, fails
+//! what else the round had on it, and lets the next round reconnect. A
+//! connection on which nothing moves for the I/O timeout is given up
+//! with [`StoreError::Timeout`], and a per-operation deadline, when set,
+//! ends the round it expires in.
 
-use crate::client::NodeClient;
+use crate::client::{Answer, BatchOp, NodeClient, Staged};
 use crate::error::StoreError;
-use std::collections::HashMap;
-use std::mem;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
+use std::collections::{HashMap, VecDeque};
+use std::io::{Error, ErrorKind};
 use std::time::{Duration, Instant};
-use xor_runtime::lock_unpoisoned as lock;
-
-/// Fan-out threads spawned at once by one batch; larger batches run in
-/// waves. Real geometries sit far below this — it only bounds thread
-/// count under a pathological membership list.
-const MAX_FANOUT: usize = 64;
-
-/// Condvar re-check tick while waiting for first-n results.
-const WAIT_TICK: Duration = Duration::from_millis(100);
 
 /// One node address's slot in the pool.
 enum Slot {
@@ -56,17 +57,21 @@ enum Slot {
     Dead,
 }
 
-/// One node's slice of a batch: address, pooled slot, indexed jobs.
-type NodeWork<F> = (String, Option<Slot>, Vec<(usize, F)>);
+/// One job of a round: the node to ask, what to ask, and `post`, which
+/// makes the job's result of the node's [`Answer`] (or of the transport
+/// failure that stood in for one).
+pub(crate) type Job<'a, F> = (&'a str, BatchOp<'a>, F);
 
-/// What [`drive`] hands back: the slot to re-pool (`None` = dropped),
-/// connect attempts made, and the per-job results.
-type Driven<T> = (Option<Slot>, u32, Vec<(usize, Result<T, StoreError>)>);
+/// What a [`Job`]'s `post` is.
+pub(crate) trait Post<T>: FnOnce(Answer) -> Result<T, StoreError> {}
+impl<T, F: FnOnce(Answer) -> Result<T, StoreError>> Post<T> for F {}
+
+/// Per-job outcomes of a round; `None` = still in flight when it ended.
+type Outcomes<T> = [Option<Result<T, StoreError>>];
 
 /// Result of a [`ParallelConnSet::run_first_n`].
 pub(crate) struct FirstN<T> {
-    /// Per-job outcome; `None` = still in flight when the harvest
-    /// happened (an abandoned straggler).
+    /// Per-job outcome; `None` = an abandoned straggler.
     pub outcomes: Vec<Option<Result<T, StoreError>>>,
     /// Issue-to-completion time per job (`None` for abandoned jobs).
     pub elapsed: Vec<Option<Duration>>,
@@ -75,26 +80,8 @@ pub(crate) struct FirstN<T> {
     pub timed_out: bool,
 }
 
-/// Shared completion board of one first-n fan-out.
-struct Board<T> {
-    state: Mutex<BoardState<T>>,
-    progress: Condvar,
-}
-
-struct BoardState<T> {
-    outcomes: Vec<Option<Result<T, StoreError>>>,
-    elapsed: Vec<Option<Duration>>,
-    done: usize,
-    /// Set once the caller has taken the results: late finishers must
-    /// not touch the (already moved-out) vectors, and their connections
-    /// are dropped rather than returned.
-    harvested: bool,
-    /// Slots (and connect-attempt counts) to fold back into the pool.
-    returns: Vec<(String, Option<Slot>, u32)>,
-}
-
 /// A pool of at-most-one connection per node address, scoped to one
-/// cluster operation, with concurrent batch execution.
+/// cluster operation, and the completion loop that runs rounds on it.
 pub(crate) struct ParallelConnSet {
     timeout: Duration,
     /// Absolute deadline of the operation this set serves (`None` =
@@ -106,30 +93,159 @@ pub(crate) struct ParallelConnSet {
     connects: HashMap<String, u32>,
 }
 
+/// The jobs of a round and what has become of them.
+struct Round<'a, T, F> {
+    ops: Vec<BatchOp<'a>>,
+    posts: Vec<Option<F>>,
+    outcomes: Vec<Option<Result<T, StoreError>>>,
+    elapsed: Vec<Option<Duration>>,
+    issued: Instant,
+    /// Jobs without an outcome yet.
+    open: usize,
+}
+
+impl<T, F: Post<T>> Round<'_, T, F> {
+    /// Give `job` its outcome. Returns whether the connection that
+    /// produced the answer is still good: it is unless `post` found
+    /// something other than a result or the node's typed refusal.
+    fn settle(&mut self, job: usize, answer: Answer) -> bool {
+        let post = self.posts[job].take().expect("a job settles once");
+        let outcome = post(answer);
+        let intact = matches!(outcome, Ok(_) | Err(StoreError::Remote { .. }));
+        self.outcomes[job] = Some(outcome);
+        self.elapsed[job] = Some(self.issued.elapsed());
+        self.open -= 1;
+        intact
+    }
+}
+
+/// One address's share of a round: its connection and the jobs still
+/// owed an outcome, by how far each has got.
+struct Lane<'a> {
+    addr: &'a str,
+    conn: Option<NodeClient>,
+    /// The connection was dialed this round and is not through yet.
+    connecting: bool,
+    /// The address is dead for the operation.
+    dead: bool,
+    /// Jobs not yet framed, in job order.
+    unsent: VecDeque<usize>,
+    /// The job whose frame is partly on the wire.
+    staged: Option<(usize, Staged<'a>)>,
+    /// `(request id, job)` of every request on the wire and unanswered.
+    inflight: Vec<(u32, usize)>,
+    /// When to give the connection up if nothing has moved on it.
+    stall_at: Instant,
+}
+
+impl<'a> Lane<'a> {
+    /// What `poll` should watch this lane's socket for; `0` = nothing
+    /// outstanding.
+    fn wants(&self) -> i16 {
+        let mut events = 0;
+        if self.connecting || self.staged.is_some() || !self.unsent.is_empty() {
+            events |= POLLOUT;
+        }
+        if !self.inflight.is_empty() {
+            events |= POLLIN;
+        }
+        events
+    }
+
+    /// Move the lane as far as its socket allows: finish the connect,
+    /// read unless `events` says only "writable", write unless it says
+    /// only "readable" (an error or hang-up condition is found out by
+    /// whichever the lane has reason to try). An `Err` is for
+    /// [`Lane::fail`].
+    fn advance<T, F: Post<T>>(
+        &mut self,
+        events: i16,
+        round: &mut Round<'a, T, F>,
+    ) -> Result<(), StoreError> {
+        let conn = self.conn.as_mut().expect("only lanes with a connection are advanced");
+        if self.connecting {
+            conn.established()?;
+            self.connecting = false;
+        }
+        while events & !POLLOUT != 0 && !self.inflight.is_empty() {
+            let Some((id, answer)) = conn.pull()? else { break };
+            let at = self.inflight.iter().position(|&(sent, _)| sent == id).ok_or_else(|| {
+                StoreError::Protocol(format!("response to request {id}, which is still being sent"))
+            })?;
+            let (_, job) = self.inflight.remove(at);
+            if !round.settle(job, answer) {
+                return Err(StoreError::Protocol(format!(
+                    "connection to {} abandoned after an unusable answer",
+                    self.addr
+                )));
+            }
+        }
+        if events & !POLLIN == 0 {
+            return Ok(());
+        }
+        loop {
+            if self.staged.is_none() {
+                let Some(job) = self.unsent.pop_front() else { break };
+                match conn.stage(&round.ops[job]) {
+                    Ok(staged) => self.staged = Some((job, staged)),
+                    // Refused before it touched the wire (over the
+                    // frame cap): the connection is none the worse.
+                    Err(e) => {
+                        round.settle(job, Err(e));
+                        continue;
+                    }
+                }
+            }
+            let (job, staged) = self.staged.as_mut().expect("staged above");
+            match conn.push(staged) {
+                Ok(()) => self.inflight.push((staged.id, *job)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => return Err(StoreError::Io(e)),
+            }
+            self.staged = None;
+        }
+        Ok(())
+    }
+
+    /// Drop the connection and settle everything the lane still owed:
+    /// the oldest job with `error` itself, the rest with its echo. A
+    /// failure to connect also marks the address dead.
+    fn fail<T, F: Post<T>>(&mut self, error: StoreError, round: &mut Round<'a, T, F>) {
+        self.dead |= self.connecting || self.conn.is_none();
+        (self.conn, self.connecting) = (None, false);
+        let dead = self.dead;
+        let echo = |addr: &str| match (&error, dead) {
+            (_, true) => dead_err(addr),
+            (StoreError::Timeout, _) => StoreError::Timeout,
+            (e, _) => StoreError::Io(Error::new(
+                ErrorKind::ConnectionAborted,
+                format!("connection to {addr} failed earlier in this round: {e}"),
+            )),
+        };
+        let owed: Vec<usize> = (self.inflight.drain(..).map(|(_, job)| job))
+            .chain(self.staged.take().map(|(job, _)| job))
+            .chain(self.unsent.drain(..))
+            .collect();
+        let echoes: Vec<StoreError> = owed.iter().skip(1).map(|_| echo(self.addr)).collect();
+        for (job, e) in owed.into_iter().zip(std::iter::once(error).chain(echoes)) {
+            round.settle(job, Err(e));
+        }
+    }
+}
+
 impl ParallelConnSet {
     pub(crate) fn new(timeout: Duration, deadline: Option<Instant>) -> ParallelConnSet {
-        ParallelConnSet {
-            timeout,
-            deadline,
-            slots: HashMap::new(),
-            connects: HashMap::new(),
-        }
+        ParallelConnSet { timeout, deadline, slots: HashMap::new(), connects: HashMap::new() }
     }
 
     /// The per-I/O budget right now: the configured timeout, shrunk to
     /// the operation deadline's remaining time. [`StoreError::Timeout`]
     /// once the deadline is spent.
     fn io_budget(&self) -> Result<Duration, StoreError> {
-        match self.deadline {
-            None => Ok(self.timeout),
-            Some(deadline) => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    Err(StoreError::Timeout)
-                } else {
-                    Ok(self.timeout.min(remaining))
-                }
-            }
+        let Some(deadline) = self.deadline else { return Ok(self.timeout) };
+        match deadline.saturating_duration_since(Instant::now()) {
+            Duration::ZERO => Err(StoreError::Timeout),
+            remaining => Ok(self.timeout.min(remaining)),
         }
     }
 
@@ -139,101 +255,35 @@ impl ParallelConnSet {
         self.connects.get(addr).copied().unwrap_or(0)
     }
 
-    /// Run one job against one node on the pooled connection (the
-    /// serial path, for low-volume touches).
+    /// A round of one job (for low-volume touches).
     pub(crate) fn with<T>(
         &mut self,
         addr: &str,
-        f: impl FnOnce(&mut NodeClient) -> Result<T, StoreError>,
+        op: BatchOp<'_>,
+        post: impl Post<T>,
     ) -> Result<T, StoreError> {
-        let budget = self.io_budget()?;
-        let slot = self.slots.remove(addr);
-        let (slot, attempts, mut outs) = drive(addr, slot, budget, vec![(0usize, f)]);
-        self.credit(addr.to_string(), slot, attempts);
-        outs.pop().expect("exactly one job ran").1
+        self.run_batch(vec![(addr, op, post)]).pop().expect("one job, one outcome")
     }
 
-    /// Run every job concurrently — one scoped thread per distinct
-    /// address, same-address jobs serialized on that address's single
-    /// connection — and return the results in job order. The whole
-    /// batch costs ~max(per-node time).
-    pub(crate) fn run_batch<T, F>(
+    /// Run every job — all addresses at once, same-address jobs
+    /// pipelined in order on that address's single connection — and
+    /// return the results in job order once all are in. The whole batch
+    /// costs ~max(per-node time).
+    pub(crate) fn run_batch<'a, T, F: Post<T>>(
         &mut self,
-        jobs: Vec<(String, F)>,
-    ) -> Vec<Result<T, StoreError>>
-    where
-        T: Send,
-        F: FnOnce(&mut NodeClient) -> Result<T, StoreError> + Send,
-    {
-        let budget = match self.io_budget() {
-            Ok(b) => b,
-            Err(_) => return jobs.into_iter().map(|_| Err(StoreError::Timeout)).collect(),
-        };
-        let count = jobs.len();
-        // Group by address, preserving per-address job order.
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, Vec<(usize, F)>> = HashMap::new();
-        for (idx, (addr, job)) in jobs.into_iter().enumerate() {
-            match groups.get_mut(&addr) {
-                Some(list) => list.push((idx, job)),
-                None => {
-                    order.push(addr.clone());
-                    groups.insert(addr, vec![(idx, job)]);
-                }
-            }
-        }
-        let mut results: Vec<Option<Result<T, StoreError>>> =
-            (0..count).map(|_| None).collect();
-        for wave in order.chunks(MAX_FANOUT) {
-            let work: Vec<NodeWork<F>> = wave
-                .iter()
-                .map(|addr| {
-                    (
-                        addr.clone(),
-                        self.slots.remove(addr),
-                        groups.remove(addr).expect("grouped above"),
-                    )
-                })
-                .collect();
-            let finished: Vec<(String, Driven<T>)> =
-                thread::scope(|s| {
-                    let handles: Vec<_> = work
-                        .into_iter()
-                        .map(|(addr, slot, jobs)| {
-                            s.spawn(move || {
-                                let driven = drive(&addr, slot, budget, jobs);
-                                (addr, driven)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|panic| {
-                                std::panic::resume_unwind(panic)
-                            })
-                        })
-                        .collect()
-                });
-            for (addr, (slot, attempts, outs)) in finished {
-                self.credit(addr, slot, attempts);
-                for (idx, result) in outs {
-                    results[idx] = Some(result);
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every job was dispatched"))
-            .collect()
+        jobs: Vec<Job<'a, F>>,
+    ) -> Vec<Result<T, StoreError>> {
+        let never = |_: &Outcomes<T>| false;
+        // Only the operation deadline ends a round with a job unsettled.
+        let timed_out = || Err(StoreError::Timeout);
+        let round = self.run_first_n(jobs, never, never);
+        round.outcomes.into_iter().map(|o| o.unwrap_or_else(timed_out)).collect()
     }
 
-    /// Issue every job on its own detached worker and return as soon as
-    /// enough of them finished (or every job finished, or the deadline
-    /// expired). Stragglers are abandoned: their slot entry leaves the
-    /// pool (the next touch of that address reconnects) and whatever
-    /// they produce is dropped.
-    ///
+    /// Issue every job and return as soon as enough of them finished
+    /// (or every job finished, or the deadline expired). Stragglers are
+    /// abandoned: their connection is dropped (the next touch of that
+    /// address reconnects) and whatever they would have produced with it.
     /// Two completion predicates over the partial outcomes:
     ///
     /// * `prefer` — the ideal stopping set; return the moment it holds;
@@ -247,193 +297,140 @@ impl ParallelConnSet {
     /// microseconds behind the n-th arrival — the common case on
     /// uniform-latency clusters — a wait proportional to the observed
     /// round-trip collects them and the cheap path applies. A genuinely
-    /// slow straggler (the case first-n reads exist for) blows through
-    /// the linger and is abandoned at ~1.5x the fast-node RTT, nowhere
-    /// near the straggler's. Pass the same closure for both to disable
-    /// the distinction.
-    pub(crate) fn run_first_n<T, F>(
+    /// slow straggler blows through the linger and is abandoned at ~1.5x
+    /// the fast-node RTT. Pass the same closure for both to disable the
+    /// distinction.
+    pub(crate) fn run_first_n<'a, T, F: Post<T>>(
         &mut self,
-        jobs: Vec<(String, F)>,
-        prefer: impl Fn(&[Option<Result<T, StoreError>>]) -> bool,
-        stop: impl Fn(&[Option<Result<T, StoreError>>]) -> bool,
-    ) -> FirstN<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut NodeClient) -> Result<T, StoreError> + Send + 'static,
-    {
+        jobs: Vec<Job<'a, F>>,
+        prefer: impl Fn(&Outcomes<T>) -> bool,
+        stop: impl Fn(&Outcomes<T>) -> bool,
+    ) -> FirstN<T> {
         let count = jobs.len();
-        let budget = match self.io_budget() {
-            Ok(b) => b,
-            Err(_) => {
-                return FirstN {
-                    outcomes: (0..count).map(|_| None).collect(),
-                    elapsed: vec![None; count],
-                    timed_out: true,
+        let mut round = Round {
+            ops: Vec::with_capacity(count),
+            posts: Vec::with_capacity(count),
+            outcomes: (0..count).map(|_| None).collect(),
+            elapsed: vec![None; count],
+            issued: Instant::now(),
+            open: count,
+        };
+        let Ok(budget) = self.io_budget() else {
+            return FirstN { outcomes: round.outcomes, elapsed: round.elapsed, timed_out: true };
+        };
+        // One lane per address, jobs in job order.
+        let mut lanes: Vec<Lane<'a>> = Vec::new();
+        for (job, (addr, op, post)) in jobs.into_iter().enumerate() {
+            round.ops.push(op);
+            round.posts.push(Some(post));
+            let lane = lanes.iter().position(|l| l.addr == addr).unwrap_or_else(|| {
+                lanes.push(Lane {
+                    addr,
+                    conn: None,
+                    connecting: false,
+                    dead: false,
+                    unsent: VecDeque::new(),
+                    staged: None,
+                    inflight: Vec::new(),
+                    stall_at: round.issued + budget,
+                });
+                lanes.len() - 1
+            });
+            lanes[lane].unsent.push_back(job);
+        }
+        for lane in &mut lanes {
+            match self.slots.remove(lane.addr) {
+                Some(Slot::Ready(conn)) => {
+                    lane.conn = Some(conn);
+                    if let Err(e) = lane.advance(POLLOUT, &mut round) {
+                        lane.fail(e, &mut round);
+                    }
+                }
+                Some(Slot::Dead) => lane.fail(dead_err(lane.addr), &mut round),
+                None => {
+                    *self.connects.entry(lane.addr.to_string()).or_insert(0) += 1;
+                    match NodeClient::dial(lane.addr) {
+                        Ok(conn) => (lane.conn, lane.connecting) = (Some(conn), true),
+                        Err(e) => lane.fail(e, &mut round),
+                    }
                 }
             }
-        };
-        let board = Arc::new(Board {
-            state: Mutex::new(BoardState {
-                outcomes: (0..count).map(|_| None).collect(),
-                elapsed: vec![None; count],
-                done: 0,
-                harvested: false,
-                returns: Vec::new(),
-            }),
-            progress: Condvar::new(),
-        });
-        for (idx, (addr, job)) in jobs.into_iter().enumerate() {
-            let slot = self.slots.remove(&addr);
-            let worker_board = board.clone();
-            let spawned = thread::Builder::new()
-                .name(format!("store-fanout-{idx}"))
-                .spawn(move || {
-                    let start = Instant::now();
-                    let (slot, attempts, mut outs) =
-                        drive(&addr, slot, budget, vec![(idx, job)]);
-                    let result = outs.pop().expect("exactly one job ran").1;
-                    let mut st = lock(&worker_board.state);
-                    if st.harvested {
-                        return; // straggler: result unwanted, conn dropped
-                    }
-                    st.outcomes[idx] = Some(result);
-                    st.elapsed[idx] = Some(start.elapsed());
-                    st.done += 1;
-                    st.returns.push((addr, slot, attempts));
-                    drop(st);
-                    worker_board.progress.notify_all();
-                });
-            if spawned.is_err() {
-                // Spawn failure (resource exhaustion): the job and slot
-                // are gone with the dropped closure; record the loss so
-                // the caller is not left waiting on a job that never ran.
-                let mut st = lock(&board.state);
-                st.outcomes[idx] = Some(Err(StoreError::Io(std::io::Error::other(
-                    "could not spawn a fan-out worker",
-                ))));
-                st.elapsed[idx] = Some(Duration::ZERO);
-                st.done += 1;
-            }
         }
-        let issued = Instant::now();
+
         let mut linger_until: Option<Instant> = None;
         let mut timed_out = false;
-        let mut st = lock(&board.state);
+        let mut fds: Vec<PollFd> = Vec::with_capacity(lanes.len());
+        let mut polled: Vec<usize> = Vec::with_capacity(lanes.len());
         loop {
-            if st.done == count || prefer(&st.outcomes) {
+            if round.open == 0 || prefer(&round.outcomes) {
                 break;
             }
             let now = Instant::now();
-            if stop(&st.outcomes) {
+            if stop(&round.outcomes) {
                 // Sufficient but not ideal: linger for `prefer` by half
                 // of the time the sufficient set took to arrive.
-                let until = *linger_until
-                    .get_or_insert_with(|| now + now.duration_since(issued) / 2);
+                let until = *linger_until.get_or_insert(now + (now - round.issued) / 2);
                 if now >= until {
                     break;
                 }
             }
-            if let Some(deadline) = self.deadline {
-                if now >= deadline {
-                    timed_out = true;
-                    break;
-                }
+            if self.deadline.is_some_and(|deadline| now >= deadline) {
+                timed_out = true;
+                break;
             }
-            let mut wait = self
-                .deadline
-                .map(|d| d.saturating_duration_since(now).min(WAIT_TICK))
-                .unwrap_or(WAIT_TICK);
-            if let Some(until) = linger_until {
-                wait = wait.min(until.saturating_duration_since(now)).max(Duration::from_micros(100));
+            fds.clear();
+            polled.clear();
+            let mut wake = [linger_until, self.deadline].into_iter().flatten().min();
+            for (i, lane) in lanes.iter().enumerate() {
+                let (Some(conn), events @ 1..) = (&lane.conn, lane.wants()) else { continue };
+                fds.push(PollFd::new(conn.socket(), events));
+                polled.push(i);
+                wake = Some(wake.map_or(lane.stall_at, |w| w.min(lane.stall_at)));
             }
-            st = board
-                .progress
-                .wait_timeout(st, wait)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
-        st.harvested = true;
-        let outcomes = mem::take(&mut st.outcomes);
-        let elapsed = mem::take(&mut st.elapsed);
-        let returns = mem::take(&mut st.returns);
-        drop(st);
-        for (addr, slot, attempts) in returns {
-            self.credit(addr, slot, attempts);
-        }
-        FirstN { outcomes, elapsed, timed_out }
-    }
-
-    /// Fold a worker's slot and connect-attempt count back into the
-    /// pool (`None` slot = connection dropped as possibly desynced).
-    fn credit(&mut self, addr: String, slot: Option<Slot>, attempts: u32) {
-        if attempts > 0 {
-            *self.connects.entry(addr.clone()).or_insert(0) += attempts;
-        }
-        if let Some(slot) = slot {
-            self.slots.insert(addr, slot);
-        }
-    }
-}
-
-/// Drive `jobs` serially over `addr`'s single connection, applying the
-/// lifecycle rules (connect failure ⇒ dead for the operation; `Remote`
-/// answer keeps the connection; any other failure drops it and the
-/// next job reconnects). Returns the slot to pool (`None` = dropped),
-/// the connect attempts made, and the per-job results.
-fn drive<T, F>(
-    addr: &str,
-    slot: Option<Slot>,
-    budget: Duration,
-    jobs: Vec<(usize, F)>,
-) -> Driven<T>
-where
-    F: FnOnce(&mut NodeClient) -> Result<T, StoreError>,
-{
-    let mut conn = None;
-    let mut dead = false;
-    match slot {
-        Some(Slot::Ready(mut c)) => {
-            let _ = c.set_io_timeout(budget);
-            conn = Some(c);
-        }
-        Some(Slot::Dead) => dead = true,
-        None => {}
-    }
-    let mut attempts = 0u32;
-    let mut outs = Vec::with_capacity(jobs.len());
-    for (idx, job) in jobs {
-        if dead {
-            outs.push((idx, Err(dead_err(addr))));
-            continue;
-        }
-        if conn.is_none() {
-            attempts += 1;
-            match NodeClient::connect(addr, budget) {
-                Ok(c) => conn = Some(c),
-                Err(e) => {
-                    dead = true;
-                    outs.push((idx, Err(e)));
-                    continue;
+            // Every open job sits on a lane with a connection (failing a
+            // lane settles its jobs), so there is always a socket to wait on.
+            let wake = wake.expect("open jobs have live lanes");
+            let ready = sys::poll_ready(&mut fds, wake.saturating_duration_since(now));
+            let now = Instant::now();
+            for (fd, &i) in fds.iter().zip(&polled) {
+                let lane = &mut lanes[i];
+                match &ready {
+                    Ok(_) if fd.revents != 0 => {
+                        lane.stall_at = now + budget;
+                        if let Err(e) = lane.advance(fd.revents, &mut round) {
+                            lane.fail(e, &mut round);
+                        }
+                    }
+                    Ok(_) if now >= lane.stall_at => {
+                        let stalled = match lane.connecting {
+                            true => StoreError::Io(ErrorKind::TimedOut.into()),
+                            false => StoreError::Timeout,
+                        };
+                        lane.fail(stalled, &mut round);
+                    }
+                    Ok(_) => {}
+                    Err(e) => lane.fail(StoreError::Io(Error::new(e.kind(), e.to_string())), &mut round),
                 }
             }
         }
-        let c = conn.as_mut().expect("connected above");
-        match job(c) {
-            Ok(v) => outs.push((idx, Ok(v))),
-            Err(e @ StoreError::Remote { .. }) => outs.push((idx, Err(e))),
-            Err(e) => {
-                conn = None;
-                outs.push((idx, Err(e)));
+        // Back to the pool: connections with nothing outstanding, and
+        // the verdict on addresses that refused. A lane abandoned
+        // mid-request is dropped with its socket.
+        for lane in lanes {
+            let idle = lane.wants() == 0;
+            if lane.dead {
+                self.slots.insert(lane.addr.to_string(), Slot::Dead);
+            } else if let Some(conn) = lane.conn.filter(|_| idle) {
+                self.slots.insert(lane.addr.to_string(), Slot::Ready(conn));
             }
         }
+        FirstN { outcomes: round.outcomes, elapsed: round.elapsed, timed_out }
     }
-    let slot = if dead { Some(Slot::Dead) } else { conn.map(Slot::Ready) };
-    (slot, attempts, outs)
 }
 
 fn dead_err(addr: &str) -> StoreError {
-    StoreError::Io(std::io::Error::new(
-        std::io::ErrorKind::ConnectionRefused,
+    StoreError::Io(Error::new(
+        ErrorKind::ConnectionRefused,
         format!("node {addr} is unreachable (marked dead this operation)"),
     ))
 }

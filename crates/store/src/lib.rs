@@ -67,6 +67,8 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 mod blob;
 mod client;
 mod cluster;
@@ -77,6 +79,7 @@ mod node;
 mod placement;
 pub mod proto;
 mod scrub;
+mod sys;
 mod tree;
 
 pub use blob::{BlobError, BlobStat, BlobStore, BLOB_MAGIC, BLOB_OVERHEAD};

@@ -25,7 +25,7 @@
 //! line noise and never allocates more than the cap for a single frame.
 
 use crate::error::{RemoteErrorCode, StoreError};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Protocol version this build speaks (and writes by default).
 pub const PROTO_VERSION: u8 = 2;
@@ -170,7 +170,86 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Write one frame (`tag` + concatenated `parts`) to the stream.
+/// The bytes every frame opens with — `[u32 len][version][tag]` and, for
+/// version 2, `[u32 id]`: at most this many, and no legal frame (header,
+/// payload, CRC) is shorter.
+const HEAD_MAX: usize = 10;
+
+/// Encode a frame's opening bytes for a payload of `payload_len` bytes:
+/// the buffer and how much of it is used (6 for version 1, 10 for
+/// version 2). Bytes `[4..used]` are the part of the body the CRC covers
+/// ahead of the payload.
+pub(crate) fn frame_head(
+    tag: u8,
+    request_id: Option<u32>,
+    payload_len: usize,
+) -> ([u8; HEAD_MAX], usize) {
+    let mut head = [0u8; HEAD_MAX];
+    let used = match request_id {
+        Some(id) => {
+            head[4] = PROTO_VERSION;
+            head[6..10].copy_from_slice(&id.to_le_bytes());
+            10
+        }
+        None => {
+            head[4] = MIN_PROTO_VERSION;
+            6
+        }
+    };
+    head[5] = tag;
+    let body_len = payload_len + used - 4;
+    assert!(body_len <= MAX_BODY, "frame payload exceeds MAX_BODY");
+    head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    (head, used)
+}
+
+/// The CRC trailer of a frame whose body is `body_head` (version, tag,
+/// id) followed by `parts`.
+pub(crate) fn frame_crc(body_head: &[u8], parts: &[&[u8]]) -> [u8; 4] {
+    let mut crc = ec_wire::Crc32::new();
+    crc.update(body_head);
+    for part in parts {
+        crc.update(part);
+    }
+    crc.finish().to_le_bytes()
+}
+
+/// Write the concatenation of `bufs` from byte offset `*written` on,
+/// gathering what is left into one `write_vectored` call per attempt —
+/// one `writev(2)` on a socket with room, however many pieces the frame
+/// has. `*written` advances as bytes are accepted, so after an error
+/// (a non-blocking socket's `WouldBlock` included) the same call resumes
+/// where the stream stopped.
+pub(crate) fn write_gathered(
+    w: &mut impl Write,
+    bufs: &[&[u8]],
+    written: &mut usize,
+) -> std::io::Result<()> {
+    let total: usize = bufs.iter().map(|b| b.len()).sum();
+    let mut slices = Vec::with_capacity(bufs.len());
+    while *written < total {
+        slices.clear();
+        let mut skip = *written;
+        for buf in bufs {
+            if skip >= buf.len() {
+                skip -= buf.len();
+            } else {
+                slices.push(IoSlice::new(&buf[skip..]));
+                skip = 0;
+            }
+        }
+        match w.write_vectored(&slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => *written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Write one frame (`tag` + concatenated `parts`) to the stream, as one
+/// gathered write: `[head | parts… | crc]`.
 ///
 /// `request_id: Some(id)` writes a version-2 frame carrying the id;
 /// `None` writes a version-1 frame (used to answer version-1 peers and
@@ -185,27 +264,13 @@ pub fn write_frame(
     parts: &[&[u8]],
 ) -> std::io::Result<()> {
     let payload_len: usize = parts.iter().map(|p| p.len()).sum();
-    let head: &[u8] = match request_id {
-        Some(_) => &[PROTO_VERSION, tag],
-        None => &[MIN_PROTO_VERSION, tag],
-    };
-    let id_bytes = request_id.map(u32::to_le_bytes);
-    let id_slice: &[u8] = id_bytes.as_ref().map(|b| &b[..]).unwrap_or(&[]);
-    let body_len = payload_len + head.len() + id_slice.len();
-    assert!(body_len <= MAX_BODY, "frame payload exceeds MAX_BODY");
-    let mut crc = ec_wire::Crc32::new();
-    crc.update(head);
-    crc.update(id_slice);
-    for part in parts {
-        crc.update(part);
-    }
-    w.write_all(&(body_len as u32).to_le_bytes())?;
-    w.write_all(head)?;
-    w.write_all(id_slice)?;
-    for part in parts {
-        w.write_all(part)?;
-    }
-    w.write_all(&crc.finish().to_le_bytes())?;
+    let (head, used) = frame_head(tag, request_id, payload_len);
+    let crc = frame_crc(&head[4..used], parts);
+    let mut bufs = Vec::with_capacity(parts.len() + 2);
+    bufs.push(&head[..used]);
+    bufs.extend_from_slice(parts);
+    bufs.push(&crc);
+    write_gathered(w, &bufs, &mut 0)?;
     w.flush()
 }
 
@@ -217,67 +282,98 @@ pub fn write_frame(
 /// before being rejected — a corrupted frame reports `BadCrc`, not a
 /// phantom version error.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    let mut len_bytes = [0u8; 4];
-    read_exact_or_eof(r, &mut len_bytes)?;
-    let body_len = u32::from_le_bytes(len_bytes);
-    if body_len < 2 || body_len as usize > MAX_BODY {
-        return Err(FrameError::BadLength(body_len));
-    }
-    // Version + tag (and the v2 request id) are read separately so the
-    // payload lands in its own exact-size buffer — no post-hoc drain()
-    // memmove of a potentially 64 MiB shard to strip the header bytes.
-    let mut head = [0u8; 2];
-    r.read_exact(&mut head)?;
-    let (request_id, id_bytes): (Option<u32>, [u8; 4]) = if head[0] == 2 {
-        if body_len < 6 {
-            return Err(FrameError::BadLength(body_len));
-        }
-        let mut id = [0u8; 4];
-        r.read_exact(&mut id)?;
-        (Some(u32::from_le_bytes(id)), id)
-    } else {
-        (None, [0u8; 4])
-    };
-    let header_len = if request_id.is_some() { 6 } else { 2 };
-    let mut payload = vec![0u8; body_len as usize - header_len];
-    r.read_exact(&mut payload)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let mut crc = ec_wire::Crc32::new();
-    crc.update(&head);
-    if request_id.is_some() {
-        crc.update(&id_bytes);
-    }
-    crc.update(&payload);
-    if u32::from_le_bytes(crc_bytes) != crc.finish() {
-        return Err(FrameError::BadCrc);
-    }
-    if head[0] < MIN_PROTO_VERSION || head[0] > PROTO_VERSION {
-        return Err(FrameError::BadVersion(head[0]));
-    }
-    Ok(Frame { tag: head[1], request_id, payload })
+    FrameReader::default().read(r)
 }
 
-/// Read exactly `buf.len()` bytes, mapping a clean close *before the
-/// first byte* to [`FrameError::Eof`] (the normal end of a connection)
-/// and a close mid-buffer to [`FrameError::Truncated`].
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 {
-                    FrameError::Eof
-                } else {
-                    FrameError::Truncated
-                })
-            }
-            Ok(k) => filled += k,
+/// A frame parser that keeps its place: [`FrameReader::read`] returns a
+/// whole frame or an error, and after an error that only means "no more
+/// bytes *yet*" (`WouldBlock` from a non-blocking socket) the next call
+/// carries on from the byte where the stream stopped.
+///
+/// A frame costs two reads where the stream delivers: the first into a
+/// 10-byte buffer — a version-2 header exactly, and no more
+/// than the shortest legal frame, so it never runs into the frame
+/// pipelined behind this one — and the second for payload and CRC
+/// trailer together, into one buffer whose tail is split off.
+#[derive(Default)]
+pub struct FrameReader {
+    head: [u8; HEAD_MAX],
+    head_filled: usize,
+    /// Payload then CRC trailer; empty until the header is in (after
+    /// that never, since the trailer alone is four bytes).
+    body: Vec<u8>,
+    body_filled: usize,
+}
+
+impl FrameReader {
+    /// Read (or go on reading) one frame from `r`.
+    pub fn read(&mut self, r: &mut impl Read) -> Result<Frame, FrameError> {
+        while self.head_filled < HEAD_MAX {
+            let k = read_some(r, &mut self.head[self.head_filled..], self.head_filled == 0)?;
+            self.head_filled += k;
+            self.check_head()?;
+        }
+        let body_len = u32::from_le_bytes(self.head[..4].try_into().expect("4 bytes"));
+        let id_len = if self.head[4] == 2 { 4 } else { 0 };
+        let payload_len = body_len as usize - 2 - id_len;
+        if self.body.is_empty() {
+            // Sized from a length `check_head` bounded by `MAX_BODY`.
+            // What the first read took past a version-1 header is the
+            // start of this buffer.
+            self.body = vec![0u8; payload_len + 4];
+            let carried = &self.head[6 + id_len..];
+            self.body[..carried.len()].copy_from_slice(carried);
+            self.body_filled = carried.len();
+        }
+        while self.body_filled < self.body.len() {
+            self.body_filled += read_some(r, &mut self.body[self.body_filled..], false)?;
+        }
+        let (head, mut payload) = (self.head, std::mem::take(&mut self.body));
+        *self = FrameReader::default();
+        let crc = frame_crc(&head[4..6 + id_len], &[&payload[..payload_len]]);
+        let intact = payload[payload_len..] == crc;
+        payload.truncate(payload_len);
+        if !intact {
+            return Err(FrameError::BadCrc);
+        }
+        if head[4] < MIN_PROTO_VERSION || head[4] > PROTO_VERSION {
+            return Err(FrameError::BadVersion(head[4]));
+        }
+        let request_id =
+            (id_len == 4).then(|| u32::from_le_bytes(head[6..].try_into().expect("4 bytes")));
+        Ok(Frame { tag: head[5], request_id, payload })
+    }
+
+    /// Judge the length prefix the moment its four bytes are in —
+    /// before anything is allocated, and without waiting for bytes a
+    /// hostile or confused peer may never send — and a version-2 length
+    /// too short for its id as soon as the version byte and tag are.
+    fn check_head(&self) -> Result<(), FrameError> {
+        if self.head_filled < 4 {
+            return Ok(());
+        }
+        let body_len = u32::from_le_bytes(self.head[..4].try_into().expect("4 bytes"));
+        let too_short_for_v2 = self.head_filled >= 6 && self.head[4] == 2 && body_len < 6;
+        if body_len < 2 || body_len as usize > MAX_BODY || too_short_for_v2 {
+            return Err(FrameError::BadLength(body_len));
+        }
+        Ok(())
+    }
+}
+
+/// One `read` into `buf`, retried over `Interrupted`. The stream ending
+/// is [`FrameError::Eof`] between frames (`at_start`: the normal end of
+/// a connection) and [`FrameError::Truncated`] anywhere inside one.
+fn read_some(r: &mut impl Read, buf: &mut [u8], at_start: bool) -> Result<usize, FrameError> {
+    loop {
+        match r.read(buf) {
+            Ok(0) if at_start => return Err(FrameError::Eof),
+            Ok(0) => return Err(FrameError::Truncated),
+            Ok(k) => return Ok(k),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -578,5 +674,334 @@ mod tests {
         // panic.
         assert!(matches!(parse_err(&[99, 0, 0]), StoreError::Protocol(_)));
         assert!(matches!(parse_err(&[]), StoreError::Protocol(_)));
+    }
+
+    // -----------------------------------------------------------------
+    // Gathered writer and two-read reader against the field-by-field
+    // pair they replaced.
+    // -----------------------------------------------------------------
+
+    /// The frame writer and reader as they were: one `write_all` per
+    /// field (six per frame), one `read_exact` per field (five). Kept
+    /// as the oracle.
+    mod oracle {
+        use super::super::*;
+
+        pub fn write_frame(
+            w: &mut impl Write,
+            tag: u8,
+            request_id: Option<u32>,
+            parts: &[&[u8]],
+        ) -> std::io::Result<()> {
+            let payload_len: usize = parts.iter().map(|p| p.len()).sum();
+            let head: &[u8] = match request_id {
+                Some(_) => &[PROTO_VERSION, tag],
+                None => &[MIN_PROTO_VERSION, tag],
+            };
+            let id_bytes = request_id.map(u32::to_le_bytes);
+            let id_slice: &[u8] = id_bytes.as_ref().map(|b| &b[..]).unwrap_or(&[]);
+            let body_len = payload_len + head.len() + id_slice.len();
+            assert!(body_len <= MAX_BODY, "frame payload exceeds MAX_BODY");
+            let mut crc = ec_wire::Crc32::new();
+            crc.update(head);
+            crc.update(id_slice);
+            for part in parts {
+                crc.update(part);
+            }
+            w.write_all(&(body_len as u32).to_le_bytes())?;
+            w.write_all(head)?;
+            w.write_all(id_slice)?;
+            for part in parts {
+                w.write_all(part)?;
+            }
+            w.write_all(&crc.finish().to_le_bytes())?;
+            w.flush()
+        }
+
+        pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+            let mut len_bytes = [0u8; 4];
+            read_exact_or_eof(r, &mut len_bytes)?;
+            let body_len = u32::from_le_bytes(len_bytes);
+            if body_len < 2 || body_len as usize > MAX_BODY {
+                return Err(FrameError::BadLength(body_len));
+            }
+            let mut head = [0u8; 2];
+            r.read_exact(&mut head)?;
+            let (request_id, id_bytes): (Option<u32>, [u8; 4]) = if head[0] == 2 {
+                if body_len < 6 {
+                    return Err(FrameError::BadLength(body_len));
+                }
+                let mut id = [0u8; 4];
+                r.read_exact(&mut id)?;
+                (Some(u32::from_le_bytes(id)), id)
+            } else {
+                (None, [0u8; 4])
+            };
+            let header_len = if request_id.is_some() { 6 } else { 2 };
+            let mut payload = vec![0u8; body_len as usize - header_len];
+            r.read_exact(&mut payload)?;
+            let mut crc_bytes = [0u8; 4];
+            r.read_exact(&mut crc_bytes)?;
+            let mut crc = ec_wire::Crc32::new();
+            crc.update(&head);
+            if request_id.is_some() {
+                crc.update(&id_bytes);
+            }
+            crc.update(&payload);
+            if u32::from_le_bytes(crc_bytes) != crc.finish() {
+                return Err(FrameError::BadCrc);
+            }
+            if head[0] < MIN_PROTO_VERSION || head[0] > PROTO_VERSION {
+                return Err(FrameError::BadVersion(head[0]));
+            }
+            Ok(Frame { tag: head[1], request_id, payload })
+        }
+
+        fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
+            let mut filled = 0;
+            while filled < buf.len() {
+                match r.read(&mut buf[filled..]) {
+                    Ok(0) if filled == 0 => return Err(FrameError::Eof),
+                    Ok(0) => return Err(FrameError::Truncated),
+                    Ok(k) => filled += k,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// A sink that takes at most `per_call` bytes per call and counts
+    /// its calls by kind.
+    struct Sink {
+        bytes: Vec<u8>,
+        per_call: usize,
+        vectored_calls: usize,
+        plain_calls: usize,
+    }
+
+    impl Sink {
+        fn taking(per_call: usize) -> Sink {
+            Sink { bytes: Vec::new(), per_call, vectored_calls: 0, plain_calls: 0 }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.plain_calls += 1;
+            let n = buf.len().min(self.per_call);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored_calls += 1;
+            let mut room = self.per_call;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.per_call - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader that hands out `bytes` in pieces of the sizes in
+    /// `pieces` (cycled; a zero counts as one), and — when `stutter` —
+    /// reports `WouldBlock` before every piece, the way a non-blocking
+    /// socket does between segments.
+    struct Pieces<'a> {
+        bytes: &'a [u8],
+        pieces: Vec<usize>,
+        calls: usize,
+        stutter: bool,
+    }
+
+    impl<'a> Pieces<'a> {
+        fn of(bytes: &'a [u8], pieces: &[usize]) -> Pieces<'a> {
+            Pieces { bytes, pieces: pieces.to_vec(), calls: 0, stutter: false }
+        }
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.stutter && self.calls % 2 == 1 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let piece = self.pieces[self.calls % self.pieces.len()].max(1);
+            let n = piece.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// What a read came to, in a form two readers can be compared by:
+    /// the frame, or which error (with its value where it has one).
+    fn verdict(result: Result<Frame, FrameError>) -> String {
+        match result {
+            Ok(frame) => format!("{frame:?}"),
+            Err(FrameError::Io(e)) => format!("Io({:?})", e.kind()),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    fn encoded(tag: u8, id: Option<u32>, parts: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        oracle::write_frame(&mut bytes, tag, id, parts).unwrap();
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Same bytes as the oracle for any tag, id and split of the
+        /// payload into parts — through a sink that takes everything
+        /// (one `write_vectored`, nothing else) and through one that
+        /// takes `k` bytes a call.
+        #[test]
+        fn gathered_writer_matches_the_oracle(
+            tag in proptest::prelude::any::<u8>(),
+            id in proptest::prelude::any::<u32>(),
+            versioned in 0u8..2,
+            parts in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+                0..5,
+            ),
+            k in 1usize..64,
+        ) {
+            let id = (versioned == 1).then_some(id);
+            let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            let want = encoded(tag, id, &parts);
+
+            let mut roomy = Sink::taking(usize::MAX);
+            write_frame(&mut roomy, tag, id, &parts).unwrap();
+            assert_eq!(roomy.bytes, want);
+            assert_eq!((roomy.vectored_calls, roomy.plain_calls), (1, 0));
+
+            let mut tight = Sink::taking(k);
+            write_frame(&mut tight, tag, id, &parts).unwrap();
+            assert_eq!(tight.bytes, want);
+            assert_eq!(tight.vectored_calls, want.len().div_ceil(k));
+        }
+
+        /// Same frame as the oracle however the stream is cut up — a
+        /// byte at a time, at arbitrary points, with `WouldBlock`
+        /// between any two pieces — and the same error for every
+        /// truncation.
+        #[test]
+        fn two_read_reader_matches_the_oracle(
+            tag in proptest::prelude::any::<u8>(),
+            id in proptest::prelude::any::<u32>(),
+            versioned in 0u8..2,
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            pieces in proptest::collection::vec(0usize..40, 1..8),
+        ) {
+            let id = (versioned == 1).then_some(id);
+            let bytes = encoded(tag, id, &[&payload]);
+            let want = verdict(oracle::read_frame(&mut Cursor::new(&bytes)));
+            assert_eq!(want, format!("{:?}", Frame { tag, request_id: id, payload }));
+
+            assert_eq!(verdict(read_frame(&mut Cursor::new(&bytes))), want);
+            assert_eq!(verdict(read_frame(&mut Pieces::of(&bytes, &[1]))), want);
+            assert_eq!(verdict(read_frame(&mut Pieces::of(&bytes, &pieces))), want);
+
+            // The same reader carries on across `WouldBlock`s.
+            let mut stream = Pieces { stutter: true, ..Pieces::of(&bytes, &pieces) };
+            let mut reader = FrameReader::default();
+            let got = loop {
+                match reader.read(&mut stream) {
+                    Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                    done => break done,
+                }
+            };
+            assert_eq!(verdict(got), want);
+
+            for cut in 0..bytes.len() {
+                let want = verdict(oracle::read_frame(&mut Cursor::new(&bytes[..cut])));
+                for pieces in [&[usize::MAX][..], &[1], &pieces] {
+                    let got = read_frame(&mut Pieces::of(&bytes[..cut], pieces));
+                    assert_eq!(verdict(got), want, "cut at {cut}, pieces {pieces:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_reads_as_the_oracle_reads_it() {
+        for id in [None, Some(0x0102_0304u32)] {
+            let bytes = encoded(op::GET_SHARD, id, &[b"k", b"ey"]);
+            for bit in 0..bytes.len() * 8 {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let want = verdict(oracle::read_frame(&mut Cursor::new(&bad)));
+                for pieces in [&[usize::MAX][..], &[1], &[3, 7]] {
+                    let got = read_frame(&mut Pieces::of(&bad, pieces));
+                    assert_eq!(verdict(got), want, "id {id:?}, bit {bit}, pieces {pieces:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inflated_length_is_refused_on_its_fourth_byte() {
+        // A stream that blocks for good after the length prefix: the
+        // verdict must come from the prefix alone — no buffer is sized
+        // from it, no further byte is waited for. One past the cap and
+        // the largest prefix there is; the cap itself is a legal length
+        // and does wait.
+        for (len, refused) in [(MAX_BODY as u32 + 1, true), (u32::MAX, true), (MAX_BODY as u32, false)] {
+            let prefix = len.to_le_bytes();
+            let mut stream = Pieces { stutter: true, ..Pieces::of(&prefix, &[1]) };
+            let mut reader = FrameReader::default();
+            let mut blocked = 0;
+            let verdict = loop {
+                match reader.read(&mut stream) {
+                    Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        blocked += 1;
+                        if blocked > 8 {
+                            break None;
+                        }
+                    }
+                    other => break Some(other),
+                }
+            };
+            match verdict {
+                Some(Err(FrameError::BadLength(l))) => assert!(refused && l == len),
+                // The stream ran dry mid-header: the reader was still
+                // waiting, as it must for a legal length.
+                Some(Err(FrameError::Truncated)) => assert!(!refused, "length {len}"),
+                other => panic!("length {len}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn back_to_back_frames_parse_as_two_with_no_over_read() {
+        let first = encoded(op::PUT_SHARD, Some(1), &[b"key", &[7u8; 100]]);
+        for second in [
+            encoded(op::HEALTH, Some(2), &[]),
+            encoded(op::HEALTH, None, &[]),
+            encoded(op::GET_SHARD, None, &[b"a-longer-v1-payload"]),
+        ] {
+            for (a, b) in [(&first, &second), (&second, &first)] {
+                let mut both = a.clone();
+                both.extend_from_slice(b);
+                let mut cursor = Cursor::new(&both);
+                let mut reader = FrameReader::default();
+                let one = reader.read(&mut cursor).unwrap();
+                assert_eq!(cursor.position() as usize, a.len(), "read into the next frame");
+                let two = reader.read(&mut cursor).unwrap();
+                assert_eq!(verdict(Ok(one)), verdict(oracle::read_frame(&mut Cursor::new(a))));
+                assert_eq!(verdict(Ok(two)), verdict(oracle::read_frame(&mut Cursor::new(b))));
+                assert!(matches!(reader.read(&mut cursor), Err(FrameError::Eof)));
+            }
+        }
     }
 }

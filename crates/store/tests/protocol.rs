@@ -406,3 +406,77 @@ fn hostile_response_id_is_a_typed_error_and_poisons_the_connection() {
     drop(c);
     server.join().unwrap();
 }
+
+#[test]
+fn two_requests_in_one_segment_get_two_answers() {
+    // Both frames leave in one write, so the node's first read of the
+    // second connection byte finds them back to back: its reader must
+    // stop at the end of the first frame, not run into the second.
+    let (_node, addr, dir) = spawn_node("backtoback");
+    let mut s = raw(&addr);
+    s.set_nodelay(true).unwrap();
+    let mut put = Vec::new();
+    put.extend_from_slice(&1u16.to_le_bytes());
+    put.extend_from_slice(b"kpayload");
+    let mut get = Vec::new();
+    get.extend_from_slice(&1u16.to_le_bytes());
+    get.push(b'k');
+    for second_id in [Some(8u32), None] {
+        let mut both = Vec::new();
+        proto::write_frame(&mut both, op::PUT_SHARD, Some(7), &[&put]).unwrap();
+        proto::write_frame(&mut both, op::GET_SHARD, second_id, &[&get]).unwrap();
+        s.write_all(&both).unwrap();
+        assert_eq!(read_raw_frame(&mut s), (status::OK, Some(7), Vec::new()));
+        assert_eq!(read_raw_frame(&mut s), (status::OK, second_id, b"payload".to_vec()));
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_request_trickled_a_byte_at_a_time_is_served() {
+    let (_node, addr, dir) = spawn_node("trickle");
+    let mut s = raw(&addr);
+    s.set_nodelay(true).unwrap();
+    for id in [Some(3u32), None] {
+        let mut frame = Vec::new();
+        proto::write_frame(&mut frame, op::HEALTH, id, &[]).unwrap();
+        for byte in frame {
+            s.write_all(&[byte]).unwrap();
+        }
+        let (tag, echoed, _) = read_raw_frame(&mut s);
+        assert_eq!((tag, echoed), (status::OK, id));
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn every_opcode_pipelines_and_resolves_in_any_order() {
+    let (_node, addr, dir) = spawn_node("allops");
+    let mut c = client(&addr);
+    c.put("s:one", &[1u8; 100]).unwrap();
+    c.put("s:two", &[2u8; 50]).unwrap();
+    // Five requests on the wire before any answer is read, resolved
+    // back to front.
+    let stat = c.send_stat("s:one").unwrap();
+    let list = c.send_list("s:").unwrap();
+    let aged = c.send_list_aged("s:t").unwrap();
+    let health = c.send_health().unwrap();
+    let root = c.send_hash_subtree("s:one", 64, false, 1, 0, 1).unwrap();
+    assert_eq!(c.recv_hash_subtree(root, 1).unwrap().len(), 1);
+    assert_eq!(c.recv_health(health).unwrap().blobs, 2);
+    let aged = c.recv_list_aged(aged).unwrap();
+    assert_eq!(aged.len(), 1);
+    assert_eq!((aged[0].0.as_str(), aged[0].2), ("s:two", 50));
+    assert_eq!(c.recv_list(list).unwrap(), ["s:one", "s:two"]);
+    let stat = c.recv_stat(stat).unwrap();
+    assert!(stat.ok && stat.len == 100);
+    // A typed refusal resolves like any other answer and leaves the
+    // connection serving.
+    let missing = c.send_stat("absent").unwrap();
+    match c.recv_stat(missing) {
+        Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {}
+        other => panic!("expected NotFound, got {other:?}"),
+    }
+    assert_eq!(c.get("s:two").unwrap(), [2u8; 50]);
+    let _ = std::fs::remove_dir_all(dir);
+}
