@@ -49,16 +49,14 @@ VERBS:
     get        fetch <object> into <file>: all N+P shard fetches are
                issued at once and the read completes on the first N that
                suffice, abandoning stragglers; degrades over up to P dead
-               nodes (--verbose: per-shard outcome and timing, and whether
-               the read was Merkle-verified or CRC-only)
+               nodes (--verbose: per-shard outcome and timing)
     overwrite  replace <object> with <file>, shipping deltas when possible
     delete     remove <object> from all nodes
     list       all objects known to the cluster (--verbose: the object's
-               Merkle root and per-shard roots, or `crc-only` for objects
-               stored before hashing)
+               Merkle root and per-shard roots)
     health     per-node liveness and usage
     scrub      verify every object end-to-end; exit 1 on damage.
-               Hash-carrying objects verify incrementally: 32-byte Merkle
+               Objects verify incrementally: 32-byte Merkle
                roots are compared and mismatches descended to the exact
                damaged leaves, moving zero payload bytes when healthy
                (--deep: force the full-read data↔parity re-encode;
@@ -335,14 +333,7 @@ fn get(opts: &Opts) -> Result<ExitCode, CliError> {
         println!("fetched `{object}` ({} bytes), all shards healthy", data.len());
     }
     if opts.verbose {
-        println!(
-            "  integrity: {}",
-            if report.hash_verified {
-                "every served shard verified against its manifest Merkle root"
-            } else {
-                "CRC-only (object stored before per-shard hashing)"
-            }
-        );
+        println!("  integrity: every served shard verified against its manifest Merkle root");
         for fetch in &report.shards {
             let elapsed = fetch
                 .elapsed
@@ -413,17 +404,13 @@ fn list(opts: &Opts) -> Result<ExitCode, CliError> {
                     m.data_shards, m.parity_shards, m.object_len
                 );
                 if opts.verbose {
-                    if m.has_hashes() {
-                        println!(
-                            "  object root {} ({} B leaves)",
-                            hex(&m.object_root),
-                            m.hash_leaf_size
-                        );
-                        for (i, root) in m.shard_root.iter().enumerate() {
-                            println!("  shard {i:>2} root {}", hex(root));
-                        }
-                    } else {
-                        println!("  crc-only (stored before per-shard hashing)");
+                    println!(
+                        "  object root {} ({} B leaves)",
+                        hex(&m.object_root),
+                        m.hash_leaf_size
+                    );
+                    for (i, root) in m.shard_root.iter().enumerate() {
+                        println!("  shard {i:>2} root {}", hex(root));
                     }
                 }
             }

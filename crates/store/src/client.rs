@@ -5,7 +5,7 @@
 //! Every request is a [`BatchOp`]; every opcode has a `send_*` that puts
 //! its frame on the wire without waiting and a `recv_*` that resolves
 //! it, and the blocking methods (`get`, `put`, …) are the two in a row.
-//! The protocol's request ids (frame v2, `docs/STORE.md`) let several
+//! The protocol's request ids (`docs/STORE.md`) let several
 //! requests ride one connection: [`NodeClient::recv_matching`] collects
 //! answers in *any* arrival order — responses for other outstanding
 //! requests are parked until their turn. A response carrying an id that
@@ -31,7 +31,7 @@ use crate::blob::BlobStat;
 use crate::error::StoreError;
 use crate::proto::{
     frame_crc, frame_head, op, parse_err, put_str, status, write_gathered, FrameError,
-    FrameReader, PayloadReader, MAX_BODY, MAX_KEY,
+    FrameReader, PayloadReader, MAX_BODY, MAX_KEY, NO_REQUEST_ID,
 };
 use crate::sys;
 use ec_wire::merkle::Hash;
@@ -212,11 +212,16 @@ impl NodeClient {
             "a PUT and a request with a bulky answer outstanding on one connection"
         );
         let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        let (head, used) = frame_head(tag, Some(id), payload_len);
-        let crc = frame_crc(&head[4..used], &[&payload_lead, bulk]);
-        let mut lead = Vec::with_capacity(used + payload_lead.len());
-        lead.extend_from_slice(&head[..used]);
+        // The reserved id is the node's, never a request's: skip it
+        // when the counter wraps.
+        self.next_id = match self.next_id.wrapping_add(1) {
+            NO_REQUEST_ID => NO_REQUEST_ID + 1,
+            next => next,
+        };
+        let head = frame_head(tag, id, payload_len);
+        let crc = frame_crc(&head[4..], &[&payload_lead, bulk]);
+        let mut lead = Vec::with_capacity(head.len() + payload_lead.len());
+        lead.extend_from_slice(&head);
         lead.extend_from_slice(&payload_lead);
         self.pending.insert(id, tag);
         Ok(Staged { id, lead, bulk, crc, written: 0 })
@@ -260,18 +265,18 @@ impl NodeClient {
             }
         };
         match frame.request_id {
-            Some(id) if self.pending.remove(&id).is_some() => Ok(Some((id, answer))),
+            // The reserved id mid-pipeline: nodes answer framing errors
+            // this way before closing.
+            NO_REQUEST_ID => Err(answer.err().unwrap_or_else(|| {
+                StoreError::Protocol("un-addressed response frame in a pipelined exchange".into())
+            })),
+            id if self.pending.remove(&id).is_some() => Ok(Some((id, answer))),
             // An id we never issued (or one already answered): the node
             // is lying or desynchronized. The stream can no longer be
             // trusted.
-            Some(id) => Err(StoreError::Protocol(format!(
+            id => Err(StoreError::Protocol(format!(
                 "response carries unexpected request id {id}"
             ))),
-            // A version-1 (id-less) frame mid-pipeline: nodes answer
-            // framing errors this way before closing.
-            None => Err(answer.err().unwrap_or_else(|| {
-                StoreError::Protocol("un-addressed response frame in a pipelined exchange".into())
-            })),
         }
     }
 
@@ -436,9 +441,7 @@ impl NodeClient {
 
     /// All keys on the node starting with `prefix`, each with its age
     /// in seconds (node-clock mtime) and payload length — the
-    /// scrub-time GC's view of a node. A pre-GC node answers
-    /// `ERR BadRequest` for the unknown opcode; callers treat that as
-    /// "this node cannot be collected yet", not as damage.
+    /// scrub-time GC's view of a node.
     pub fn list_aged(&mut self, prefix: &str) -> Result<Vec<(String, u64, u64)>, StoreError> {
         let id = self.send_list_aged(prefix)?;
         self.recv_list_aged(id)
@@ -567,5 +570,40 @@ pub(crate) mod reply {
             }
             Ok(hashes)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::RemoteErrorCode;
+    use crate::proto::{err_payload, read_frame, write_frame};
+    use std::net::TcpListener;
+
+    #[test]
+    fn the_reserved_id_is_the_nodes_alone() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut client = NodeClient::connect(&addr, Duration::from_secs(10)).unwrap();
+
+        // Never issued, not even when the counter wraps.
+        client.next_id = u32::MAX;
+        let ids: Vec<u32> =
+            (0..2).map(|_| client.stage(&BatchOp::Health).unwrap().id).collect();
+        assert_eq!(ids, [u32::MAX, 1]);
+
+        // And an `ERR` carrying it is the node's verdict on the stream,
+        // surfaced as the typed error it holds.
+        let (mut peer, _) = listener.accept().unwrap();
+        let id = client.send_health().unwrap();
+        assert_eq!(read_frame(&mut peer).unwrap().request_id, id);
+        let refusal = err_payload(RemoteErrorCode::BadFrame, "frame checksum mismatch");
+        write_frame(&mut peer, status::ERR, NO_REQUEST_ID, &[&refusal]).unwrap();
+        match client.recv_health(id) {
+            Err(StoreError::Remote { code: RemoteErrorCode::BadFrame, message }) => {
+                assert_eq!(message, "frame checksum mismatch");
+            }
+            other => panic!("expected the node's BadFrame, got {other:?}"),
+        }
     }
 }

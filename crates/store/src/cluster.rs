@@ -178,12 +178,9 @@ pub struct GetReport {
     /// corrupt blob) and were reconstructed around. Abandoned
     /// stragglers are not failures and are not listed here.
     pub missing: Vec<usize>,
-    /// Every shard fetch of the read, with outcome and timing.
+    /// Every shard fetch of the read, with outcome and timing. Every
+    /// served shard was verified against its manifest Merkle root.
     pub shards: Vec<ShardFetch>,
-    /// Whether every served shard was verified against its manifest
-    /// Merkle root (version-4 manifests). `false` means the object
-    /// predates the hash fields and only CRC-32 vouched for the bytes.
-    pub hash_verified: bool,
 }
 
 impl GetReport {
@@ -323,14 +320,14 @@ pub struct ObjectScrub {
     /// object.
     pub hash_bytes_read: u64,
     /// Shard payload bytes fetched. Zero on the incremental path for a
-    /// healthy object; the full-read path (pre-hash manifests, or
-    /// [`Cluster::scrub_deep`]) pays `(n + p) · shard_len` here.
+    /// healthy object; the full-read path ([`Cluster::scrub_deep`])
+    /// pays `(n + p) · shard_len` here.
     pub payload_bytes_read: u64,
     /// Per damaged shard, the exact leaf indices (at the manifest's
     /// `hash_leaf_size` granularity) where the node's computed tree and
     /// the trusted stored tree disagree — the descent's damage
     /// attribution. Empty for shards whose damage could not be
-    /// localized (missing shard, untrusted hash blob, pre-hash object).
+    /// localized (missing shard, untrusted hash blob).
     pub damaged_leaves: Vec<(usize, Vec<usize>)>,
 }
 
@@ -772,10 +769,7 @@ impl Cluster {
         let mut doomed: Vec<(String, String, bool)> = Vec::new();
         for (i, addr) in manifest.placement.iter().enumerate() {
             doomed.push((addr.clone(), manifest.shard_key(object, i), true));
-            if manifest.has_hashes() {
-                let gen = manifest.shard_gen.get(i).copied().unwrap_or(0);
-                doomed.push((addr.clone(), tree_key(object, i, gen), false));
-            }
+            doomed.push((addr.clone(), tree_key(object, i, manifest.shard_gen[i]), false));
         }
         let jobs: Vec<_> = doomed
             .iter()
@@ -995,12 +989,7 @@ impl Cluster {
             });
         }
         let data = self.codec.decode(&shards, manifest.object_len as usize)?;
-        let report = GetReport {
-            missing,
-            shards: fetches,
-            hash_verified: manifest.has_hashes(),
-        };
-        Ok((data, report))
+        Ok((data, GetReport { missing, shards: fetches }))
     }
 
     // ------------------------------------------------------------------
@@ -1135,12 +1124,10 @@ impl Cluster {
         let new_gen = manifest.generation + 1;
         // The delta path holds every post-overwrite shard byte (new
         // data + updated parity), so it recomputes all n + p Merkle
-        // roots — and thereby *upgrades* a pre-hash object to a
-        // version-4 manifest as a side effect. Hash blobs for every
-        // shard ship alongside: changed shards under the new
-        // generation's keys, unchanged shards under their existing keys
-        // (the blob content is a pure function of bytes already
-        // published, so rewriting it is idempotent).
+        // roots. Hash blobs for every shard ship alongside: changed
+        // shards under the new generation's keys, unchanged shards under
+        // their existing keys (the blob content is a pure function of
+        // bytes already published, so rewriting it is idempotent).
         let hash_blobs: Vec<HashBlob> = new
             .iter()
             .map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE))
@@ -1435,9 +1422,8 @@ impl Cluster {
     ///   manifest references it: it may belong to a put that has not
     ///   published *yet* (ages come from each node's own clock via
     ///   `LIST_AGED`, so no cross-node clock agreement is assumed);
-    /// * a node that cannot answer `LIST_AGED` — unreachable, or a
-    ///   pre-GC build answering `BadRequest` to the unknown opcode — is
-    ///   skipped; its garbage waits for a later cycle.
+    /// * a node that does not answer `LIST_AGED` is skipped; its garbage
+    ///   waits for a later cycle.
     ///
     /// GC failures are deliberately non-fatal to the scrub: collection
     /// is bookkeeping, and the next cycle retries everything.
@@ -1501,11 +1487,6 @@ impl Cluster {
                     Some(Some(m)) => {
                         m.placement.get(idx).map(String::as_str) == Some(*addr)
                             && m.shard_gen.get(idx) == Some(&gen)
-                            // A `t:` blob is live only for manifests
-                            // that actually carry hashes — a stray
-                            // one beside a pre-hash object is
-                            // garbage even at the live generation.
-                            && (!key.starts_with("t:") || m.has_hashes())
                     }
                 };
                 !is_live && *age_secs >= grace_secs
@@ -1535,15 +1516,13 @@ impl Cluster {
     ) -> Result<ObjectScrub, StoreError> {
         let manifest = self.fetch_manifest(conns, object, &[])?;
         self.check_geometry(object, &manifest)?;
-        if manifest.has_hashes() && !deep {
-            // Incremental path: O(p · log leaves) hash bytes, zero
-            // payload bytes for a healthy object. `None` means some
-            // node predates `HASH_SUBTREE` — fall back to full reads.
-            if let Some(scrub) = self.scrub_object_incremental(conns, object, &manifest)? {
-                return Ok(scrub);
-            }
+        if deep {
+            self.scrub_object_full(conns, object, &manifest)
+        } else {
+            // O(p · log leaves) hash bytes, zero payload bytes for a
+            // healthy object.
+            self.scrub_object_incremental(conns, object, &manifest)
         }
-        self.scrub_object_full(conns, object, &manifest)
     }
 
     /// The full-read scrub: fetch every shard (CRC- and root-verified by
@@ -1590,7 +1569,7 @@ impl Cluster {
         })
     }
 
-    /// The incremental (Merkle) scrub of one version-4 object.
+    /// The incremental (Merkle) scrub of one object.
     ///
     /// Round 1 fetches two 32-byte roots per shard over `HASH_SUBTREE`:
     /// the node's *computed* root (re-hashed from the shard blob as it
@@ -1602,15 +1581,12 @@ impl Cluster {
     /// mismatch descends the two trees level by level, fetching only
     /// the children of mismatching nodes, to name the exact damaged
     /// leaves in O(damaged · log leaves) hash transfers.
-    ///
-    /// Returns `Ok(None)` when a node does not speak `HASH_SUBTREE`
-    /// (pre-hash build): the caller falls back to the full-read path.
     fn scrub_object_incremental(
         &self,
         conns: &mut ParallelConnSet,
         object: &str,
         manifest: &Manifest,
-    ) -> Result<Option<ObjectScrub>, StoreError> {
+    ) -> Result<ObjectScrub, StoreError> {
         let total = manifest.total_shards();
         let leaf_size = manifest.hash_leaf_size;
         let widths =
@@ -1619,10 +1595,7 @@ impl Cluster {
         // Two jobs per shard, pipelined on the shard's node: the root of
         // the computed tree, then the root of the stored one.
         let keys: Vec<[String; 2]> = (0..total)
-            .map(|i| {
-                let gen = manifest.shard_gen.get(i).copied().unwrap_or(0);
-                [manifest.shard_key(object, i), tree_key(object, i, gen)]
-            })
+            .map(|i| [manifest.shard_key(object, i), tree_key(object, i, manifest.shard_gen[i])])
             .collect();
         let jobs: Vec<_> = (keys.iter().zip(&manifest.placement))
             .flat_map(|(keys, addr)| [(addr, &keys[0], false), (addr, &keys[1], true)])
@@ -1636,28 +1609,10 @@ impl Cluster {
         let mut health = Vec::with_capacity(total);
         let mut hash_bytes_read = 0u64;
         let mut damaged_leaves = Vec::new();
-        let is_unsupported = |e: &StoreError| {
-            matches!(e, StoreError::Remote { code: RemoteErrorCode::BadRequest, .. })
-        };
         for (i, addr) in manifest.placement.iter().enumerate() {
             let computed = roots.next().expect("a computed root per shard");
             let stored = roots.next().expect("a stored root per shard");
-            match &computed {
-                Ok(_) => hash_bytes_read += 32,
-                Err(e) if is_unsupported(e) => return Ok(None),
-                Err(StoreError::Remote { .. }) => {}
-                // Anything but an answer from the node is the
-                // connection's failure, and the stored root's went with it.
-                Err(e) => {
-                    health.push(ShardHealth::Missing(format!("{addr}: {e}")));
-                    continue;
-                }
-            }
-            match &stored {
-                Ok(_) => hash_bytes_read += 32,
-                Err(e) if is_unsupported(e) => return Ok(None),
-                _ => {}
-            }
+            hash_bytes_read += 32 * (computed.is_ok() as u64 + stored.is_ok() as u64);
             let computed = match computed {
                 Ok(root) => root,
                 Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {
@@ -1666,8 +1621,14 @@ impl Cluster {
                     )));
                     continue;
                 }
-                Err(e) => {
+                Err(e @ StoreError::Remote { .. }) => {
                     health.push(ShardHealth::Corrupt(format!("{addr}: {e}")));
+                    continue;
+                }
+                // Anything but an answer from the node is the
+                // connection's failure, and the stored root's went with it.
+                Err(e) => {
+                    health.push(ShardHealth::Missing(format!("{addr}: {e}")));
                     continue;
                 }
             };
@@ -1727,14 +1688,14 @@ impl Cluster {
         let payload_healthy = health
             .iter()
             .all(|h| matches!(h, ShardHealth::Ok | ShardHealth::BadHashes(_)));
-        Ok(Some(ObjectScrub {
+        Ok(ObjectScrub {
             object: object.to_string(),
             shards: health,
             parity_consistent: if payload_healthy { Some(true) } else { None },
             hash_bytes_read,
             payload_bytes_read: 0,
             damaged_leaves,
-        }))
+        })
     }
 
     /// Walk shard `i`'s computed and stored trees from the root's
@@ -1751,7 +1712,7 @@ impl Cluster {
     ) -> Result<Vec<usize>, StoreError> {
         let addr = &manifest.placement[i];
         let skey = manifest.shard_key(object, i);
-        let tkey = tree_key(object, i, manifest.shard_gen.get(i).copied().unwrap_or(0));
+        let tkey = tree_key(object, i, manifest.shard_gen[i]);
         let leaf_size = manifest.hash_leaf_size;
         let top = widths.len() - 1;
         let mut suspects = vec![0usize];
@@ -1817,9 +1778,7 @@ impl Cluster {
         // only damage is a lost/rotted `t:` blob ([`ShardHealth::
         // BadHashes`]) has zero payload damage, so the early return
         // below would otherwise skip the one thing that needs fixing.
-        if manifest.has_hashes() {
-            self.audit_hash_blobs(conns, object, &manifest, &shards, &mut report);
-        }
+        self.audit_hash_blobs(conns, object, &manifest, &shards, &mut report);
         if damaged.is_empty() {
             return Ok(report);
         }
@@ -1859,10 +1818,8 @@ impl Cluster {
             // fault or an internally inconsistent manifest — publishing
             // would overwrite a (possibly recoverable) shard with bytes
             // the manifest itself disowns.
-            if manifest.has_hashes()
-                && MerkleTree::from_payload(shard, manifest.hash_leaf_size as usize)
-                    .root()
-                    != manifest.shard_root[i]
+            if MerkleTree::from_payload(shard, manifest.hash_leaf_size as usize).root()
+                != manifest.shard_root[i]
             {
                 return Err(StoreError::Manifest(format!(
                     "repair of `{object}` shard {i}: reconstructed bytes fail \
@@ -1878,16 +1835,14 @@ impl Cluster {
                     // the leaf cache beside them so the next scrub can
                     // descend again. Best-effort: a missed rewrite is
                     // re-flagged as `BadHashes` next cycle.
-                    if manifest.has_hashes() {
-                        let put = BatchOp::Put {
-                            key: &tree_key(object, i, manifest.shard_gen[i]),
-                            data: &HashBlob::from_shard(shard, manifest.hash_leaf_size).to_bytes(),
-                        };
-                        if conns.with(addr, put, reply::put).is_ok()
-                            && !report.hash_blobs_rewritten.contains(&i)
-                        {
-                            report.hash_blobs_rewritten.push(i);
-                        }
+                    let put = BatchOp::Put {
+                        key: &tree_key(object, i, manifest.shard_gen[i]),
+                        data: &HashBlob::from_shard(shard, manifest.hash_leaf_size).to_bytes(),
+                    };
+                    if conns.with(addr, put, reply::put).is_ok()
+                        && !report.hash_blobs_rewritten.contains(&i)
+                    {
+                        report.hash_blobs_rewritten.push(i);
                     }
                 }
                 Err(_) => report.unplaced.push(i),
@@ -1953,11 +1908,6 @@ impl Cluster {
                 // proves the whole blob (the node derives it from the
                 // stored leaves).
                 Ok(roots) => roots[0] != manifest.shard_root[i],
-                // Pre-hash node: it can hold the blob but not answer
-                // for it; leave it alone.
-                Err(StoreError::Remote {
-                    code: RemoteErrorCode::BadRequest, ..
-                }) => continue,
                 Err(StoreError::Remote { .. }) => true,
                 // Transport failure — nothing to rewrite onto.
                 Err(_) => continue,
@@ -2219,74 +2169,54 @@ impl Cluster {
             // reconstruction were root-verified on fetch, so a mismatch
             // here is a codec fault or a lying manifest — either way
             // these bytes must not become the object's new truth.
-            if manifest.has_hashes() {
-                for &i in &affected {
-                    let shard = shards[i].as_deref().expect("reconstructed");
-                    if MerkleTree::from_payload(shard, manifest.hash_leaf_size as usize)
-                        .root()
-                        != manifest.shard_root[i]
-                    {
-                        return Err(StoreError::Manifest(format!(
-                            "repair of `{object}` shard {i}: reconstructed bytes \
-                             fail the manifest Merkle root — refusing to publish"
-                        )));
-                    }
+            for &i in &affected {
+                let shard = shards[i].as_deref().expect("reconstructed");
+                if MerkleTree::from_payload(shard, manifest.hash_leaf_size as usize).root()
+                    != manifest.shard_root[i]
+                {
+                    return Err(StoreError::Manifest(format!(
+                        "repair of `{object}` shard {i}: reconstructed bytes \
+                         fail the manifest Merkle root — refusing to publish"
+                    )));
                 }
             }
             // Prepare: one concurrent round places every rebuilt shard —
-            // and, for hashed objects, its regenerated `t:` leaf cache —
-            // on its replacement node, under the new generation's keys.
-            let tree_bytes: Vec<Vec<u8>> = if manifest.has_hashes() {
-                affected
-                    .iter()
-                    .map(|&i| {
-                        HashBlob::from_shard(
-                            shards[i].as_deref().expect("reconstructed"),
-                            manifest.hash_leaf_size,
-                        )
-                        .to_bytes()
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            // Uniform ship tuples (one closure type per batch): the
-            // failpoint index is `Some(write_idx)` only for shard
-            // writes, so `repair.shard` trip semantics are unchanged;
-            // the parallel `shard_of` vec maps each ship back to the
-            // shard index it publishes (None = hash blob).
-            let mut ships: Vec<Ship> = Vec::new();
-            let mut shard_of: Vec<Option<usize>> = Vec::new();
-            for (write_idx, &i) in affected.iter().enumerate() {
-                let target = replacements[manifest.placement[i].as_str()];
-                ships.push((
-                    target,
-                    manifest::shard_key(object, i, new_gen),
-                    shards[i].as_deref().expect("reconstructed"),
-                    Some(write_idx),
-                ));
-                shard_of.push(Some(i));
-                if manifest.has_hashes() {
-                    ships.push((
-                        target,
-                        tree_key(object, i, new_gen),
-                        &tree_bytes[write_idx],
-                        None,
-                    ));
-                    shard_of.push(None);
-                }
-            }
-            for (meta, result) in
-                shard_of.iter().zip(self.ship(conns, "repair.shard", &ships))
-            {
-                result?;
-                let Some(i) = *meta else { continue };
+            // and its regenerated `t:` leaf cache — on its replacement
+            // node, under the new generation's keys.
+            let tree_bytes: Vec<Vec<u8>> = affected
+                .iter()
+                .map(|&i| {
+                    HashBlob::from_shard(
+                        shards[i].as_deref().expect("reconstructed"),
+                        manifest.hash_leaf_size,
+                    )
+                    .to_bytes()
+                })
+                .collect();
+            // A shard write, then its hash blob's, per lost shard. The
+            // failpoint index is `Some(write_idx)` only for shard writes,
+            // so `repair.shard` trips per shard.
+            let ships: Vec<Ship> = affected
+                .iter()
+                .enumerate()
+                .flat_map(|(write_idx, &i)| {
+                    let target = replacements[manifest.placement[i].as_str()];
+                    let shard = shards[i].as_deref().expect("reconstructed");
+                    [
+                        (target, manifest::shard_key(object, i, new_gen), shard, Some(write_idx)),
+                        (target, tree_key(object, i, new_gen), tree_bytes[write_idx].as_slice(), None),
+                    ]
+                })
+                .collect();
+            let mut placed = self.ship(conns, "repair.shard", &ships).into_iter();
+            for &i in &affected {
+                placed.next().expect("a shard write per lost shard")?;
                 let target = replacements[manifest.placement[i].as_str()];
                 manifest.placement[i] = target.to_string();
                 manifest.shard_gen[i] = new_gen;
-                let shard = shards[i].as_ref().expect("reconstructed");
                 report.shards_rebuilt += 1;
-                report.bytes_rebuilt += shard.len() as u64;
+                report.bytes_rebuilt += shards[i].as_ref().expect("reconstructed").len() as u64;
+                placed.next().expect("a hash-blob write per lost shard")?;
             }
         }
         let key = manifest_key(object);
@@ -2390,14 +2320,12 @@ fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
                     "shard bytes from {addr} fail the manifest checksum"
                 ))));
             }
-            // Version-4 manifests carry per-shard Merkle roots: every
-            // consumer of this job — get, overwrite's old-shard fetch,
-            // repair's survivor fetch, the full-read scrub — gets
+            // Every consumer of this job — get, overwrite's old-shard
+            // fetch, repair's survivor fetch, the full-read scrub — gets
             // end-to-end hash verification for free, so even a
             // CRC-colliding flip cannot slip into a decode.
-            if manifest.has_hashes()
-                && MerkleTree::from_payload(&bytes, manifest.hash_leaf_size as usize).root()
-                    != manifest.shard_root[i]
+            if MerkleTree::from_payload(&bytes, manifest.hash_leaf_size as usize).root()
+                != manifest.shard_root[i]
             {
                 return Ok(Err(ShardFault::Corrupt(format!(
                     "shard bytes from {addr} fail the manifest Merkle root \
@@ -2481,7 +2409,7 @@ mod tests {
     fn request(stream: &mut TcpStream) -> Result<(u32, (u8, String)), proto::FrameError> {
         let frame = proto::read_frame(stream)?;
         let key = proto::PayloadReader::new(&frame.payload).key().unwrap().to_string();
-        Ok((frame.request_id.expect("the client speaks v2"), (frame.tag, key)))
+        Ok((frame.request_id, (frame.tag, key)))
     }
 
     fn get(key: &str) -> BatchOp<'_> {
@@ -2534,7 +2462,7 @@ mod tests {
             let (mut stream, _) = node.accept().unwrap();
             let requests: Vec<_> = (0..6).map(|_| request(&mut stream).unwrap()).collect();
             for (id, _) in requests.iter().rev() {
-                proto::write_frame(&mut stream, status::OK, Some(*id), &[]).unwrap();
+                proto::write_frame(&mut stream, status::OK, *id, &[]).unwrap();
             }
             requests.into_iter().map(|(_, what)| what).collect::<Vec<_>>()
         });
@@ -2559,7 +2487,7 @@ mod tests {
         let answering = std::thread::spawn(move || {
             let (mut stream, _) = prompt.accept().unwrap();
             while let Ok((id, _)) = request(&mut stream) {
-                proto::write_frame(&mut stream, status::OK, Some(id), &[b"prompt"]).unwrap();
+                proto::write_frame(&mut stream, status::OK, id, &[b"prompt"]).unwrap();
             }
         });
         let (report, reported) = mpsc::channel();
@@ -2573,7 +2501,7 @@ mod tests {
             // Second connection: behave.
             let (mut second, _) = straggler.accept().unwrap();
             let (id, asked) = request(&mut second).unwrap();
-            proto::write_frame(&mut second, status::OK, Some(id), &[b"late"]).unwrap();
+            proto::write_frame(&mut second, status::OK, id, &[b"late"]).unwrap();
             (hung_up, asked.1)
         });
 
@@ -2630,6 +2558,41 @@ mod tests {
             assert!(took >= delay, "{what} dodged the injected delay: {took:?}");
             assert!(took < delay * 5 / 2, "{what} paid the nodes in turn: {took:?}");
         }
+        drop(nodes);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_read_does_not_wait_out_one_slow_node() {
+        // One node of four sits on each shard request for 600 ms. A put
+        // needs every ack and pays it; a read has enough with the other
+        // three, lingers a fraction of *their* round trip, and abandons
+        // the straggler — which is slowness, not damage.
+        let slow = Duration::from_millis(600);
+        let root = std::env::temp_dir().join(format!("ec_store_straggler_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let nodes: Vec<NodeHandle> = (0..4)
+            .map(|i| {
+                let opts = crate::node::NodeOptions {
+                    workers: 2,
+                    response_delay: (i == 0).then_some(slow),
+                    delay_key_prefix: Some("s:".to_string()),
+                };
+                NodeHandle::spawn_with(&root.join(format!("n{i}")), "127.0.0.1:0", opts).unwrap()
+            })
+            .collect();
+        let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+        let cluster = Cluster::new(addrs.clone(), RsConfig::new(3, 1)).unwrap();
+        let data = vec![0x5Au8; 30_000];
+        cluster.put("obj", &data).unwrap();
+        let start = Instant::now();
+        let (got, report) = cluster.get_with_report("obj").unwrap();
+        let took = start.elapsed();
+        assert_eq!(got, data);
+        assert!(took < slow / 2, "the read waited for the straggler: {took:?}");
+        assert!(!report.degraded(), "{report:?}");
+        let straggler = cluster.manifest("obj").unwrap().placement.iter().position(|a| *a == addrs[0]);
+        assert_eq!(report.abandoned(), Vec::from_iter(straggler));
         drop(nodes);
         let _ = std::fs::remove_dir_all(&root);
     }

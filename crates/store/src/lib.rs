@@ -26,7 +26,7 @@
 //!   exchange fans out concurrently over pipelined request-id framed
 //!   connections, so operations cost ~max(per-node RTT), not the sum,
 //!   and an optional per-op deadline surfaces as a typed timeout;
-//! * **integrity** ([`Manifest`] v4 + [`HashBlob`]): every object
+//! * **integrity** ([`Manifest`] + [`HashBlob`]): every object
 //!   carries per-shard SHA-256 Merkle roots and an object root in its
 //!   manifest, with the leaf hashes cached beside each shard as a `t:`
 //!   blob — so scrub verifies a healthy object by comparing 32-byte
@@ -35,7 +35,7 @@
 //!   catching even CRC-colliding tampering end-to-end;
 //! * **scrub** ([`ScrubScheduler`]): periodic end-to-end verification —
 //!   per-shard manifest CRCs plus Merkle-root comparison (full
-//!   data↔parity re-encode for pre-hash objects or on demand) — with
+//!   data↔parity re-encode on demand) — with
 //!   automatic repair of what it finds, each rebuilt shard proven
 //!   against its manifest root before it is published;
 //! * the `xorslp-store` CLI wiring `serve` / `put` / `get` / `overwrite`
@@ -94,7 +94,7 @@ pub use error::{RemoteErrorCode, StoreError};
 pub use manifest::{
     manifest_key, parse_record, parse_shard_key, shard_key, tombstone_bytes,
     Manifest, ManifestRecord, MANIFEST_MAGIC, MANIFEST_VERSION, MAX_OBJECT_NAME,
-    MIN_MANIFEST_VERSION, TOMBSTONE_MAGIC,
+    TOMBSTONE_MAGIC,
 };
 pub use node::{NodeHandle, NodeOptions};
 pub use placement::{rank_nodes, score};

@@ -4,14 +4,13 @@
 //! A manifest is written at `put` time and replicated to every cluster
 //! node under key `m:<object>`; each shard lives under a
 //! generation-qualified key `s:<idx>g<gen>:<object>` on the node the
-//! manifest names (legacy shards, written before generations were
-//! key-qualified, live under `s:<idx>:<object>` and are recorded with
-//! `shard_gen == 0`). The per-shard CRC-32s recorded here are the
-//! *end-to-end* ground truth for scrub: a shard whose blob frame is
-//! internally consistent but whose content no longer matches the
-//! manifest is attributably damaged (rewritten or rotted before its
-//! frame CRC was computed), which is what lets scrub name the lying
-//! shard instead of only proving "data and parity disagree".
+//! manifest names. The per-shard CRC-32s and SHA-256 Merkle roots
+//! recorded here are the *end-to-end* ground truth for reads and scrub:
+//! a shard whose blob frame is internally consistent but whose content
+//! no longer matches the manifest is attributably damaged (rewritten or
+//! rotted before its frame CRC was computed), which is what lets scrub
+//! name the lying shard instead of only proving "data and parity
+//! disagree".
 //!
 //! Generation-qualified keys are what make the write path crash-atomic:
 //! a re-put writes its shards under *new* keys beside the live
@@ -22,26 +21,18 @@
 
 use crate::error::StoreError;
 use crate::proto::{put_str, PayloadReader, MAX_KEY};
-use ec_core::{CodecId, CodecSpec, EcError};
+use ec_core::{CodecSpec, EcError};
 use ec_wire::crc32;
 use ec_wire::merkle::{root_over_roots, Hash};
-use ec_wire::SHA256_LEN;
 
 /// Magic prefix of the serialized manifest.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"XSLPECM1";
 
-/// Serialization version this build writes *when the manifest carries
-/// hash roots* ([`Manifest::has_hashes`]); a rootless manifest still
-/// writes version 3, so repairing a pre-hash object never silently
-/// upgrades its record. Version 1 (no codec identity) is still read and
-/// normalizes to the RS codec it implied; version 2 (no per-shard
-/// generations) reads with every `shard_gen` zero, i.e. the legacy
-/// un-suffixed shard keys; version 3 predates the Merkle fields and
-/// reads with `hash_leaf_size == 0` (CRC-only integrity).
+/// The one manifest/tombstone serialization version this build writes
+/// and reads. The version byte exists so that the *next* change to the
+/// record is refused, typed, by this build — not so that older records
+/// stay readable (`docs/STORE.md`, "Compatibility policy").
 pub const MANIFEST_VERSION: u8 = 4;
-
-/// Oldest manifest/tombstone version this build still reads.
-pub const MIN_MANIFEST_VERSION: u8 = 1;
 
 /// Upper bound on one node address string in a manifest.
 pub const MAX_ADDR: usize = 256;
@@ -55,21 +46,13 @@ pub fn manifest_key(object: &str) -> String {
     format!("m:{object}")
 }
 
-/// Key of shard `index` of an object at write `generation`.
-///
-/// Generation 0 never occurs on the write path (the first write of any
-/// object is generation ≥ 1) and denotes a *legacy* shard written by a
-/// pre-v3 build under the un-suffixed key form; everything newer embeds
-/// the generation as 16 hex digits so that concurrent generations of
-/// the same shard coexist on one node. The two forms stay unambiguous —
-/// the byte after the 3-digit index is `:` (legacy) or `g` (qualified),
-/// before the object name (which may itself contain `:`) begins.
+/// Key of shard `index` of an object at write `generation`: the
+/// generation is embedded as 16 hex digits so that concurrent
+/// generations of the same shard coexist on one node. The fixed-width
+/// prefix ends before the object name (which may itself contain `:`)
+/// begins.
 pub fn shard_key(object: &str, index: usize, generation: u64) -> String {
-    if generation == 0 {
-        format!("s:{index:03}:{object}")
-    } else {
-        format!("s:{index:03}g{generation:016x}:{object}")
-    }
+    format!("s:{index:03}g{generation:016x}:{object}")
 }
 
 /// Decompose a shard key into `(object, index, generation)` — the GC's
@@ -80,7 +63,7 @@ pub fn parse_shard_key(key: &str) -> Option<(&str, usize, u64)> {
 }
 
 /// The shared grammar behind [`parse_shard_key`] and
-/// [`crate::tree::parse_tree_key`]: `<prefix><iii>[g<16 hex>]:<object>`.
+/// [`crate::tree::parse_tree_key`]: `<prefix><iii>g<16 hex>:<object>`.
 pub(crate) fn parse_prefixed_key<'a>(
     key: &'a str,
     prefix: &str,
@@ -88,9 +71,6 @@ pub(crate) fn parse_prefixed_key<'a>(
     let rest = key.strip_prefix(prefix)?;
     let (idx_digits, rest) = rest.split_at_checked(3)?;
     let index = idx_digits.parse::<usize>().ok()?;
-    if let Some(object) = rest.strip_prefix(':') {
-        return Some((object, index, 0));
-    }
     let rest = rest.strip_prefix('g')?;
     let (gen_digits, rest) = rest.split_at_checked(16)?;
     let generation = u64::from_str_radix(gen_digits, 16).ok()?;
@@ -155,10 +135,9 @@ pub fn parse_record(bytes: &[u8]) -> Result<ManifestRecord, StoreError> {
         return Err(StoreError::Manifest("tombstone checksum mismatch".into()));
     }
     let version = body[TOMBSTONE_MAGIC.len()];
-    if !(MIN_MANIFEST_VERSION..=MANIFEST_VERSION).contains(&version) {
+    if version != MANIFEST_VERSION {
         return Err(StoreError::Manifest(format!(
-            "unsupported tombstone version {version} (this build reads \
-             {MIN_MANIFEST_VERSION}..={MANIFEST_VERSION})"
+            "unsupported tombstone version {version} (this build reads {MANIFEST_VERSION})"
         )));
     }
     let generation = u64::from_le_bytes(
@@ -174,8 +153,7 @@ pub struct Manifest {
     pub data_shards: u16,
     /// Parity shards `p`.
     pub parity_shards: u16,
-    /// Wire identifier of the codec family ([`CodecId::wire`]).
-    /// Version 1 manifests normalize to RS (`1`) on read.
+    /// Wire identifier of the codec family ([`ec_core::CodecId::wire`]).
     pub codec_id: u16,
     /// LRC locality-group size `r`; `0` for every other family.
     pub group_size: u16,
@@ -196,24 +174,22 @@ pub struct Manifest {
     /// `shard_crc[i]` is the CRC-32 of shard `i`'s exact bytes.
     pub shard_crc: Vec<u32>,
     /// `shard_gen[i]` is the write generation embedded in shard `i`'s
-    /// key ([`shard_key`]); `0` means the legacy un-suffixed key form
-    /// (pre-v3 manifests read as all-zero). Per-shard rather than
-    /// manifest-wide so a delta overwrite can publish changed shards
-    /// under the new generation while unchanged data shards keep their
-    /// existing immutable keys.
+    /// key ([`shard_key`]). Per-shard rather than manifest-wide so a
+    /// delta overwrite can publish changed shards under the new
+    /// generation while unchanged data shards keep their existing
+    /// immutable keys.
     pub shard_gen: Vec<u64>,
-    /// Leaf granularity of the Merkle fields below; `0` means this
-    /// manifest predates them (read from a version ≤ 3 record) and the
-    /// object is CRC-only.
+    /// Leaf granularity of the Merkle fields below (never zero in a
+    /// parsed record).
     pub hash_leaf_size: u32,
     /// `shard_root[i]` is the SHA-256 Merkle root of shard `i`'s exact
     /// bytes at [`Manifest::hash_leaf_size`] leaves — the end-to-end
     /// ground truth that, unlike [`Manifest::shard_crc`], cannot be
-    /// forged by a CRC-preserving flip. Empty when `hash_leaf_size == 0`.
+    /// forged by a CRC-preserving flip.
     pub shard_root: Vec<Hash>,
     /// Merkle root over [`Manifest::shard_root`]
     /// ([`ec_wire::merkle::root_over_roots`]) — one 32-byte commitment
-    /// to the whole object. All zeros when `hash_leaf_size == 0`.
+    /// to the whole object.
     pub object_root: Hash,
 }
 
@@ -223,18 +199,11 @@ impl Manifest {
         self.data_shards as usize + self.parity_shards as usize
     }
 
-    /// Whether this manifest carries Merkle roots (version-4 records);
-    /// `false` for objects written or last repaired by a pre-hash build,
-    /// which stay CRC-only until an overwrite recomputes their roots.
-    pub fn has_hashes(&self) -> bool {
-        self.hash_leaf_size != 0
-    }
-
     /// Key of shard `index` as this manifest references it: the
     /// placement address plus this key is the complete, immutable
     /// location of the shard's bytes.
     pub fn shard_key(&self, object: &str, index: usize) -> String {
-        shard_key(object, index, self.shard_gen.get(index).copied().unwrap_or(0))
+        shard_key(object, index, self.shard_gen[index])
     }
 
     /// The codec spec the object was encoded under, validated: an
@@ -254,7 +223,7 @@ impl Manifest {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.placement.len() * 64);
         out.extend_from_slice(&MANIFEST_MAGIC);
-        out.push(if self.has_hashes() { MANIFEST_VERSION } else { 3 });
+        out.push(MANIFEST_VERSION);
         out.extend_from_slice(&self.data_shards.to_le_bytes());
         out.extend_from_slice(&self.parity_shards.to_le_bytes());
         out.extend_from_slice(&self.codec_id.to_le_bytes());
@@ -262,21 +231,14 @@ impl Manifest {
         out.extend_from_slice(&self.generation.to_le_bytes());
         out.extend_from_slice(&self.object_len.to_le_bytes());
         out.extend_from_slice(&self.shard_len.to_le_bytes());
-        if self.has_hashes() {
-            out.extend_from_slice(&self.hash_leaf_size.to_le_bytes());
-        }
+        out.extend_from_slice(&self.hash_leaf_size.to_le_bytes());
         for (i, (addr, crc)) in self.placement.iter().zip(&self.shard_crc).enumerate() {
             put_str(&mut out, addr);
             out.extend_from_slice(&crc.to_le_bytes());
-            let gen = self.shard_gen.get(i).copied().unwrap_or(0);
-            out.extend_from_slice(&gen.to_le_bytes());
-            if self.has_hashes() {
-                out.extend_from_slice(&self.shard_root[i]);
-            }
+            out.extend_from_slice(&self.shard_gen[i].to_le_bytes());
+            out.extend_from_slice(&self.shard_root[i]);
         }
-        if self.has_hashes() {
-            out.extend_from_slice(&self.object_root);
-        }
+        out.extend_from_slice(&self.object_root);
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
@@ -303,28 +265,22 @@ impl Manifest {
                 return Err("bad manifest magic".into());
             }
             let version = r.u8()?;
-            if !(MIN_MANIFEST_VERSION..=MANIFEST_VERSION).contains(&version) {
+            if version != MANIFEST_VERSION {
                 return Err(format!(
                     "unsupported manifest version {version} (this build reads \
-                     {MIN_MANIFEST_VERSION}..={MANIFEST_VERSION})"
+                     {MANIFEST_VERSION})"
                 ));
             }
             let data_shards = r.u16()?;
             let parity_shards = r.u16()?;
-            // Version 1 predates the codec fields; it meant RS.
-            let (codec_id, group_size) = if version == 1 {
-                (CodecId::Rs.wire(), 0)
-            } else {
-                (r.u16()?, r.u16()?)
-            };
+            let codec_id = r.u16()?;
+            let group_size = r.u16()?;
             let generation = r.u64()?;
             let object_len = r.u64()?;
             let shard_len = r.u64()?;
-            // Version 4 added the Merkle fields; a v4 writer never emits
-            // a zero leaf size (rootless manifests stay version 3).
-            let hash_leaf_size = if version >= 4 { r.u32()? } else { 0 };
-            if version >= 4 && hash_leaf_size == 0 {
-                return Err("version 4 manifest with zero hash leaf size".into());
+            let hash_leaf_size = r.u32()?;
+            if hash_leaf_size == 0 {
+                return Err("manifest with zero hash leaf size".into());
             }
             let total = data_shards as usize + parity_shards as usize;
             if data_shards == 0 || parity_shards == 0 || total > 255 {
@@ -341,27 +297,14 @@ impl Manifest {
             let mut placement = Vec::with_capacity(total);
             let mut shard_crc = Vec::with_capacity(total);
             let mut shard_gen = Vec::with_capacity(total);
-            let mut shard_root = Vec::with_capacity(if version >= 4 { total } else { 0 });
+            let mut shard_root = Vec::with_capacity(total);
             for _ in 0..total {
                 placement.push(r.str_bounded(MAX_ADDR, "node address")?.to_string());
                 shard_crc.push(r.u32()?);
-                // Versions 1–2 predate per-shard generations; their
-                // shards live under the legacy un-suffixed keys.
-                shard_gen.push(if version >= 3 { r.u64()? } else { 0 });
-                if version >= 4 {
-                    let mut root = [0u8; SHA256_LEN];
-                    for b in &mut root {
-                        *b = r.u8()?;
-                    }
-                    shard_root.push(root);
-                }
+                shard_gen.push(r.u64()?);
+                shard_root.push(r.array()?);
             }
-            let mut object_root = [0u8; SHA256_LEN];
-            if version >= 4 {
-                for b in &mut object_root {
-                    *b = r.u8()?;
-                }
-            }
+            let object_root = r.array()?;
             Ok(Manifest {
                 data_shards,
                 parity_shards,
@@ -397,9 +340,7 @@ impl Manifest {
         // where the two disagree was corrupted in a CRC-colliding way or
         // hand-forged, and trusting either half would let scrub and get
         // validate against different ground truths.
-        if manifest.has_hashes()
-            && manifest.object_root != root_over_roots(&manifest.shard_root)
-        {
+        if manifest.object_root != root_over_roots(&manifest.shard_root) {
             return Err(bad("object root does not commit to the shard roots".into()));
         }
         Ok(manifest)
@@ -409,8 +350,13 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_core::CodecId;
+    use ec_wire::SHA256_LEN;
 
     fn sample() -> Manifest {
+        let shard_root: Vec<Hash> = (0..6u8)
+            .map(|i| ec_wire::merkle::leaf_hash(&[i; 16]))
+            .collect();
         Manifest {
             data_shards: 4,
             parity_shards: 2,
@@ -422,21 +368,9 @@ mod tests {
             placement: (0..6).map(|i| format!("127.0.0.1:{}", 7000 + i)).collect(),
             shard_crc: (0..6).map(|i| 0xDEAD_0000 + i).collect(),
             shard_gen: vec![3, 3, 1, 3, 3, 3],
-            hash_leaf_size: 0,
-            shard_root: Vec::new(),
-            object_root: [0u8; SHA256_LEN],
-        }
-    }
-
-    fn hashed_sample() -> Manifest {
-        let shard_root: Vec<Hash> = (0..6u8)
-            .map(|i| ec_wire::merkle::leaf_hash(&[i; 16]))
-            .collect();
-        Manifest {
             hash_leaf_size: 65536,
             object_root: root_over_roots(&shard_root),
             shard_root,
-            ..sample()
         }
     }
 
@@ -444,25 +378,20 @@ mod tests {
     fn roundtrips() {
         let m = sample();
         assert_eq!(Manifest::from_bytes(&m.to_bytes()).unwrap(), m);
-        // Rootless manifests serialize as version 3, hashed as 4 — so a
-        // repair of a pre-hash object never silently upgrades its record.
-        assert_eq!(m.to_bytes()[MANIFEST_MAGIC.len()], 3);
-        let h = hashed_sample();
-        assert_eq!(Manifest::from_bytes(&h.to_bytes()).unwrap(), h);
-        assert_eq!(h.to_bytes()[MANIFEST_MAGIC.len()], MANIFEST_VERSION);
+        assert_eq!(m.to_bytes()[MANIFEST_MAGIC.len()], MANIFEST_VERSION);
     }
 
     #[test]
     fn forged_hash_fields_rejected() {
         // A manifest whose object root does not commit to its shard
         // roots must be refused even though its CRC is self-consistent.
-        let mut m = hashed_sample();
+        let mut m = sample();
         m.shard_root[2][0] ^= 0x01;
         assert!(matches!(
             Manifest::from_bytes(&m.to_bytes()),
             Err(StoreError::Manifest(_))
         ));
-        m = hashed_sample();
+        m = sample();
         m.object_root[31] ^= 0x80;
         assert!(Manifest::from_bytes(&m.to_bytes()).is_err());
     }
@@ -475,15 +404,14 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_detected() {
-        for bytes in [sample().to_bytes(), hashed_sample().to_bytes()] {
-            for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] ^= 0x10;
-                assert!(
-                    Manifest::from_bytes(&bad).is_err(),
-                    "flip at byte {i} went undetected"
-                );
-            }
+        let bytes = sample().to_bytes();
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x10;
+            assert!(
+                Manifest::from_bytes(&bad).is_err(),
+                "flip at byte {i} went undetected"
+            );
         }
     }
 
@@ -510,39 +438,71 @@ mod tests {
 
     #[test]
     fn truncation_rejected() {
-        for bytes in [sample().to_bytes(), hashed_sample().to_bytes()] {
-            for cut in 0..bytes.len() {
-                assert!(Manifest::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-            }
+        let bytes = sample().to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(Manifest::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
-    #[test]
-    fn v3_manifests_read_as_crc_only() {
-        // Fabricate the version-3 wire form: per-shard generations but
-        // no Merkle fields. The parse must come back rootless
-        // (`hash_leaf_size == 0`), never invent hashes.
-        let m = sample();
+    /// A manifest as the writer of `version` (1, 2 or 3) laid it out,
+    /// CRC and all: version 1 had no codec fields, versions 1–2 no
+    /// per-shard generations, versions 1–3 no Merkle fields.
+    fn retired_manifest(m: &Manifest, version: u8) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MANIFEST_MAGIC);
-        out.push(3);
+        out.push(version);
         out.extend_from_slice(&m.data_shards.to_le_bytes());
         out.extend_from_slice(&m.parity_shards.to_le_bytes());
-        out.extend_from_slice(&m.codec_id.to_le_bytes());
-        out.extend_from_slice(&m.group_size.to_le_bytes());
+        if version >= 2 {
+            out.extend_from_slice(&m.codec_id.to_le_bytes());
+            out.extend_from_slice(&m.group_size.to_le_bytes());
+        }
         out.extend_from_slice(&m.generation.to_le_bytes());
         out.extend_from_slice(&m.object_len.to_le_bytes());
         out.extend_from_slice(&m.shard_len.to_le_bytes());
         for (i, (addr, crc)) in m.placement.iter().zip(&m.shard_crc).enumerate() {
             put_str(&mut out, addr);
             out.extend_from_slice(&crc.to_le_bytes());
-            out.extend_from_slice(&m.shard_gen[i].to_le_bytes());
+            if version >= 3 {
+                out.extend_from_slice(&m.shard_gen[i].to_le_bytes());
+            }
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
-        let parsed = Manifest::from_bytes(&out).unwrap();
-        assert_eq!(parsed, m);
-        assert!(!parsed.has_hashes());
+        out
+    }
+
+    #[test]
+    fn retired_versions_are_refused_by_name() {
+        // Well-formed, CRC-valid records of every version this format
+        // ever had: each is refused whole, with the version found and
+        // the one read in the message — through both entry points.
+        let refusal = |bytes: &[u8]| match parse_record(bytes) {
+            Err(StoreError::Manifest(msg)) => msg,
+            other => panic!("not refused as a manifest error: {other:?}"),
+        };
+        for version in [1u8, 2, 3] {
+            let bytes = retired_manifest(&sample(), version);
+            assert_eq!(
+                refusal(&bytes),
+                format!("unsupported manifest version {version} (this build reads 4)")
+            );
+            assert!(Manifest::from_bytes(&bytes).is_err());
+
+            let mut tomb = tombstone_bytes(42);
+            tomb[TOMBSTONE_MAGIC.len()] = version;
+            let at = tomb.len() - 4;
+            let crc = crc32(&tomb[..at]);
+            tomb[at..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                refusal(&tomb),
+                format!("unsupported tombstone version {version} (this build reads 4)")
+            );
+        }
+        // And the one way a version-4 record could still claim to be
+        // rootless: a zero leaf size.
+        let rootless = Manifest { hash_leaf_size: 0, ..sample() };
+        assert_eq!(refusal(&rootless.to_bytes()), "manifest with zero hash leaf size");
     }
 
     #[test]
@@ -577,63 +537,13 @@ mod tests {
             placement: (0..7).map(|i| format!("127.0.0.1:{}", 7000 + i)).collect(),
             shard_crc: (0..7).map(|i| 0xBEEF_0000 + i).collect(),
             shard_gen: vec![3; 7],
+            shard_root: vec![[0u8; SHA256_LEN]; 7],
+            object_root: root_over_roots(&[[0u8; SHA256_LEN]; 7]),
             ..sample()
         };
         let parsed = Manifest::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(parsed, m);
         assert_eq!(parsed.codec_spec().unwrap(), CodecSpec::lrc(4, 3, 2));
-    }
-
-    #[test]
-    fn v1_manifests_read_as_rs() {
-        // Fabricate the version-1 wire form: no codec fields at all,
-        // no per-shard generations.
-        let m = Manifest { shard_gen: vec![0; 6], ..sample() };
-        let mut out = Vec::new();
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.push(1);
-        out.extend_from_slice(&m.data_shards.to_le_bytes());
-        out.extend_from_slice(&m.parity_shards.to_le_bytes());
-        out.extend_from_slice(&m.generation.to_le_bytes());
-        out.extend_from_slice(&m.object_len.to_le_bytes());
-        out.extend_from_slice(&m.shard_len.to_le_bytes());
-        for (addr, crc) in m.placement.iter().zip(&m.shard_crc) {
-            put_str(&mut out, addr);
-            out.extend_from_slice(&crc.to_le_bytes());
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        let parsed = Manifest::from_bytes(&out).unwrap();
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.codec_spec().unwrap(), CodecSpec::rs(4, 2));
-    }
-
-    #[test]
-    fn v2_manifests_read_with_legacy_shard_keys() {
-        // Fabricate the version-2 wire form: codec fields present,
-        // per-shard `[addr][crc]` without generations. The parse must
-        // fill `shard_gen` with zeros so every shard key resolves to
-        // the legacy un-suffixed form the v2 writer actually used.
-        let m = Manifest { shard_gen: vec![0; 6], ..sample() };
-        let mut out = Vec::new();
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.push(2);
-        out.extend_from_slice(&m.data_shards.to_le_bytes());
-        out.extend_from_slice(&m.parity_shards.to_le_bytes());
-        out.extend_from_slice(&m.codec_id.to_le_bytes());
-        out.extend_from_slice(&m.group_size.to_le_bytes());
-        out.extend_from_slice(&m.generation.to_le_bytes());
-        out.extend_from_slice(&m.object_len.to_le_bytes());
-        out.extend_from_slice(&m.shard_len.to_le_bytes());
-        for (addr, crc) in m.placement.iter().zip(&m.shard_crc) {
-            put_str(&mut out, addr);
-            out.extend_from_slice(&crc.to_le_bytes());
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        let parsed = Manifest::from_bytes(&out).unwrap();
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.shard_key("obj", 3), "s:003:obj");
     }
 
     #[test]
@@ -655,7 +565,7 @@ mod tests {
     #[test]
     fn keys_and_names() {
         assert_eq!(manifest_key("obj"), "m:obj");
-        assert_eq!(shard_key("obj", 7, 0), "s:007:obj");
+        assert_eq!(shard_key("obj", 7, 0), "s:007g0000000000000000:obj");
         assert_eq!(shard_key("obj", 7, 0x2a), "s:007g000000000000002a:obj");
         validate_object_name("obj").unwrap();
         assert!(validate_object_name("").is_err());
@@ -678,6 +588,7 @@ mod tests {
             "s:01",
             "s:007",
             "s:007obj",
+            "s:007:obj",
             "s:007g123:obj",
             "s:007g00000000000000zz:obj",
             "s:007g0000000000000001obj",

@@ -342,9 +342,8 @@ fn serve_connection(
                 // Payload-level errors answer with a typed ERR on an
                 // intact stream and keep serving; only a failed write
                 // (or the framing errors below) closes the connection.
-                // The response echoes the request's id (and with it the
-                // frame version): a version-1 peer gets a version-1
-                // answer, a pipelining peer gets its id back.
+                // The response echoes the request's id, so a pipelining
+                // peer can match it.
                 let (tag, payload) = dispatch(&frame, &shared.store);
                 if write_frame(&mut stream, tag, frame.request_id, &[&payload]).is_err() {
                     return ConnOutcome::Done;
@@ -356,9 +355,9 @@ fn serve_connection(
                 // One best-effort typed answer, then close: after a
                 // framing error the stream position is unknowable.
                 // No request id was recovered from the broken frame, so
-                // the answer is a version-1 (id-less) frame.
+                // the answer carries the reserved one.
                 let payload = err_payload(RemoteErrorCode::BadFrame, &e.detail());
-                let _ = write_frame(&mut stream, status::ERR, None, &[&payload]);
+                let _ = write_frame(&mut stream, status::ERR, proto::NO_REQUEST_ID, &[&payload]);
                 // Half-close and briefly drain what the peer already
                 // sent: closing a socket with unread received bytes
                 // RSTs the connection, which would destroy the ERR

@@ -7,17 +7,17 @@
 //! ┌────────────┬──────────────────────────────────────┬───────────────┐
 //! │ u32 LE len │ body (len bytes)                     │ u32 LE CRC-32 │
 //! │            │  [0] version  [1] tag                │ of the body   │
-//! │            │  [2..6] u32 request id (version ≥ 2) │               │
+//! │            │  [2..6] u32 request id               │               │
 //! │            │  [..] payload                        │               │
 //! └────────────┴──────────────────────────────────────┴───────────────┘
 //! ```
 //!
-//! Version 2 adds a u32 **request id** between the tag and the payload:
-//! a node echoes the id (and the version) of the request it is
-//! answering, which lets a client keep several requests in flight on
-//! one connection and match responses without trusting arrival order.
-//! Version-1 frames (no id field) are still read — an old client
-//! talking to a new node gets version-1 answers back.
+//! The u32 **request id** between the tag and the payload is an echo
+//! token: a node answers with the id of the request it is answering,
+//! which lets a client keep several requests in flight on one
+//! connection and match responses without trusting arrival order. One
+//! frame version is written and read; a frame carrying any other
+//! version byte is refused with a typed [`FrameError::BadVersion`].
 //!
 //! The reader is hostile-input hardened: the length prefix is bounded by
 //! [`MAX_BODY`] *before* any allocation, the CRC covers the whole body,
@@ -27,12 +27,13 @@
 use crate::error::{RemoteErrorCode, StoreError};
 use std::io::{IoSlice, Read, Write};
 
-/// Protocol version this build speaks (and writes by default).
+/// The one protocol version this build writes and reads.
 pub const PROTO_VERSION: u8 = 2;
 
-/// Oldest protocol version still read. Version 1 framed the body as
-/// `[version][tag][payload]` with no request id.
-pub const MIN_PROTO_VERSION: u8 = 1;
+/// The reserved request id meaning "no request recovered": a node puts
+/// it on the `ERR BadFrame` answer to a frame too broken to carry an id
+/// of its own. Clients never issue it.
+pub const NO_REQUEST_ID: u32 = 0;
 
 /// Upper bound on a frame body (version + tag + id + payload). Shard
 /// payloads dominate; 64 MiB bounds a single object shard, and a
@@ -64,8 +65,7 @@ pub mod op {
     /// `[u32 count] count × ([u16 key_len][key][u64 age_secs][u64 len])`.
     /// Age is seconds since the blob's last write *on the node's own
     /// clock*, which is what lets the scrub-time GC apply its grace
-    /// window without any cross-node clock agreement. A pre-GC node
-    /// answers `ERR BadRequest` (unknown opcode) and the GC skips it.
+    /// window without any cross-node clock agreement.
     pub const LIST_AGED: u8 = 0x07;
     /// Read a slice of one level of a shard's Merkle tree:
     /// `[u16 key_len][key][u32 leaf_size][u8 source][u8 level]
@@ -78,8 +78,6 @@ pub mod op {
     /// coordinates with no tree bytes on the wire. This is what lets
     /// scrub verify a healthy shard in 32 bytes and descend into a
     /// damaged one fetching O(log leaves) hashes instead of the payload.
-    /// A pre-hash node answers `ERR BadRequest` (unknown opcode) and
-    /// the scrub falls back to a full read.
     pub const HASH_SUBTREE: u8 = 0x08;
 }
 
@@ -101,7 +99,7 @@ pub enum FrameError {
     /// The stream ended mid-frame.
     Truncated,
     /// The length prefix exceeds [`MAX_BODY`], or is too short to hold
-    /// the header its version byte demands.
+    /// the version, tag and request id.
     BadLength(u32),
     /// The body checksum does not match.
     BadCrc,
@@ -118,14 +116,11 @@ impl FrameError {
             FrameError::Eof => "connection closed".into(),
             FrameError::Truncated => "stream ended mid-frame".into(),
             FrameError::BadLength(len) => {
-                format!("frame length {len} outside 2..={MAX_BODY} (or too short for its version's header)")
+                format!("frame length {len} outside 6..={MAX_BODY}")
             }
             FrameError::BadCrc => "frame checksum mismatch".into(),
             FrameError::BadVersion(v) => {
-                format!(
-                    "unsupported protocol version {v} (this build speaks \
-                     {MIN_PROTO_VERSION}..={PROTO_VERSION})"
-                )
+                format!("unsupported protocol version {v} (this build speaks {PROTO_VERSION})")
             }
             FrameError::Io(e) => format!("i/o error: {e}"),
         }
@@ -158,49 +153,33 @@ impl From<FrameError> for StoreError {
     }
 }
 
-/// A parsed frame: the tag byte, the request id (`None` for a version-1
-/// frame) and the payload.
+/// A parsed frame: the tag byte, the request id and the payload.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Frame {
     pub tag: u8,
-    /// Echo token for pipelining. `Some` on version-2 frames; a node
-    /// answering a request copies the request's id (and version) into
-    /// the response.
-    pub request_id: Option<u32>,
+    /// Echo token for pipelining: a node answering a request copies the
+    /// request's id into the response ([`NO_REQUEST_ID`] when it could
+    /// not recover one).
+    pub request_id: u32,
     pub payload: Vec<u8>,
 }
 
-/// The bytes every frame opens with — `[u32 len][version][tag]` and, for
-/// version 2, `[u32 id]`: at most this many, and no legal frame (header,
-/// payload, CRC) is shorter.
-const HEAD_MAX: usize = 10;
+/// The bytes every frame opens with — `[u32 len][version][tag][u32 id]`
+/// — and fewer than any legal frame (header, payload, CRC) has.
+const HEAD_LEN: usize = 10;
 
-/// Encode a frame's opening bytes for a payload of `payload_len` bytes:
-/// the buffer and how much of it is used (6 for version 1, 10 for
-/// version 2). Bytes `[4..used]` are the part of the body the CRC covers
-/// ahead of the payload.
-pub(crate) fn frame_head(
-    tag: u8,
-    request_id: Option<u32>,
-    payload_len: usize,
-) -> ([u8; HEAD_MAX], usize) {
-    let mut head = [0u8; HEAD_MAX];
-    let used = match request_id {
-        Some(id) => {
-            head[4] = PROTO_VERSION;
-            head[6..10].copy_from_slice(&id.to_le_bytes());
-            10
-        }
-        None => {
-            head[4] = MIN_PROTO_VERSION;
-            6
-        }
-    };
-    head[5] = tag;
-    let body_len = payload_len + used - 4;
+/// Encode a frame's opening bytes for a payload of `payload_len` bytes.
+/// Bytes `[4..]` are the part of the body the CRC covers ahead of the
+/// payload.
+pub(crate) fn frame_head(tag: u8, request_id: u32, payload_len: usize) -> [u8; HEAD_LEN] {
+    let body_len = payload_len + HEAD_LEN - 4;
     assert!(body_len <= MAX_BODY, "frame payload exceeds MAX_BODY");
+    let mut head = [0u8; HEAD_LEN];
     head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    (head, used)
+    head[4] = PROTO_VERSION;
+    head[5] = tag;
+    head[6..].copy_from_slice(&request_id.to_le_bytes());
+    head
 }
 
 /// The CRC trailer of a frame whose body is `body_head` (version, tag,
@@ -251,30 +230,26 @@ pub(crate) fn write_gathered(
 /// Write one frame (`tag` + concatenated `parts`) to the stream, as one
 /// gathered write: `[head | parts… | crc]`.
 ///
-/// `request_id: Some(id)` writes a version-2 frame carrying the id;
-/// `None` writes a version-1 frame (used to answer version-1 peers and
-/// for framing-error responses, where no request id was recovered).
-///
 /// Taking the payload in parts lets callers frame a shard without first
 /// copying it into one contiguous buffer.
 pub fn write_frame(
     w: &mut impl Write,
     tag: u8,
-    request_id: Option<u32>,
+    request_id: u32,
     parts: &[&[u8]],
 ) -> std::io::Result<()> {
     let payload_len: usize = parts.iter().map(|p| p.len()).sum();
-    let (head, used) = frame_head(tag, request_id, payload_len);
-    let crc = frame_crc(&head[4..used], parts);
+    let head = frame_head(tag, request_id, payload_len);
+    let crc = frame_crc(&head[4..], parts);
     let mut bufs = Vec::with_capacity(parts.len() + 2);
-    bufs.push(&head[..used]);
+    bufs.push(&head[..]);
     bufs.extend_from_slice(parts);
     bufs.push(&crc);
     write_gathered(w, &bufs, &mut 0)?;
     w.flush()
 }
 
-/// Read and validate one frame (either version).
+/// Read and validate one frame.
 ///
 /// The length prefix is checked against [`MAX_BODY`] before the body
 /// buffer is allocated, so a hostile peer cannot make the node reserve
@@ -291,13 +266,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
 /// carries on from the byte where the stream stopped.
 ///
 /// A frame costs two reads where the stream delivers: the first into a
-/// 10-byte buffer — a version-2 header exactly, and no more
-/// than the shortest legal frame, so it never runs into the frame
-/// pipelined behind this one — and the second for payload and CRC
-/// trailer together, into one buffer whose tail is split off.
+/// 10-byte buffer — the header exactly, and less than the shortest
+/// legal frame, so it never runs into the frame pipelined behind this
+/// one — and the second for payload and CRC trailer together, into one
+/// buffer whose tail is split off.
 #[derive(Default)]
 pub struct FrameReader {
-    head: [u8; HEAD_MAX],
+    head: [u8; HEAD_LEN],
     head_filled: usize,
     /// Payload then CRC trailer; empty until the header is in (after
     /// that never, since the trailer alone is four bytes).
@@ -308,53 +283,44 @@ pub struct FrameReader {
 impl FrameReader {
     /// Read (or go on reading) one frame from `r`.
     pub fn read(&mut self, r: &mut impl Read) -> Result<Frame, FrameError> {
-        while self.head_filled < HEAD_MAX {
+        while self.head_filled < HEAD_LEN {
             let k = read_some(r, &mut self.head[self.head_filled..], self.head_filled == 0)?;
             self.head_filled += k;
             self.check_head()?;
         }
         let body_len = u32::from_le_bytes(self.head[..4].try_into().expect("4 bytes"));
-        let id_len = if self.head[4] == 2 { 4 } else { 0 };
-        let payload_len = body_len as usize - 2 - id_len;
+        let payload_len = body_len as usize - (HEAD_LEN - 4);
         if self.body.is_empty() {
             // Sized from a length `check_head` bounded by `MAX_BODY`.
-            // What the first read took past a version-1 header is the
-            // start of this buffer.
             self.body = vec![0u8; payload_len + 4];
-            let carried = &self.head[6 + id_len..];
-            self.body[..carried.len()].copy_from_slice(carried);
-            self.body_filled = carried.len();
         }
         while self.body_filled < self.body.len() {
             self.body_filled += read_some(r, &mut self.body[self.body_filled..], false)?;
         }
         let (head, mut payload) = (self.head, std::mem::take(&mut self.body));
         *self = FrameReader::default();
-        let crc = frame_crc(&head[4..6 + id_len], &[&payload[..payload_len]]);
+        let crc = frame_crc(&head[4..], &[&payload[..payload_len]]);
         let intact = payload[payload_len..] == crc;
         payload.truncate(payload_len);
         if !intact {
             return Err(FrameError::BadCrc);
         }
-        if head[4] < MIN_PROTO_VERSION || head[4] > PROTO_VERSION {
+        if head[4] != PROTO_VERSION {
             return Err(FrameError::BadVersion(head[4]));
         }
-        let request_id =
-            (id_len == 4).then(|| u32::from_le_bytes(head[6..].try_into().expect("4 bytes")));
+        let request_id = u32::from_le_bytes(head[6..].try_into().expect("4 bytes"));
         Ok(Frame { tag: head[5], request_id, payload })
     }
 
     /// Judge the length prefix the moment its four bytes are in —
     /// before anything is allocated, and without waiting for bytes a
-    /// hostile or confused peer may never send — and a version-2 length
-    /// too short for its id as soon as the version byte and tag are.
+    /// hostile or confused peer may never send.
     fn check_head(&self) -> Result<(), FrameError> {
         if self.head_filled < 4 {
             return Ok(());
         }
         let body_len = u32::from_le_bytes(self.head[..4].try_into().expect("4 bytes"));
-        let too_short_for_v2 = self.head_filled >= 6 && self.head[4] == 2 && body_len < 6;
-        if body_len < 2 || body_len as usize > MAX_BODY || too_short_for_v2 {
+        if (body_len as usize) < HEAD_LEN - 4 || body_len as usize > MAX_BODY {
             return Err(FrameError::BadLength(body_len));
         }
         Ok(())
@@ -424,7 +390,7 @@ impl<'a> PayloadReader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
         let end = self.pos.checked_add(N).ok_or("payload truncated")?;
         let slice = self.buf.get(self.pos..end).ok_or("payload truncated")?;
         self.pos = end;
@@ -502,27 +468,38 @@ mod tests {
     use ec_wire::crc32;
     use std::io::Cursor;
 
+    /// `body` framed by hand — length prefix, CRC trailer — for bodies
+    /// `write_frame` would never produce.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::from((body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(body);
+        buf.extend_from_slice(&crc32(body).to_le_bytes());
+        buf
+    }
+
     #[test]
     fn v2_frame_roundtrips_with_id() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, op::PUT_SHARD, Some(0xDEAD_BEEF), &[b"abc", b"", b"defg"])
+        write_frame(&mut buf, op::PUT_SHARD, 0xDEAD_BEEF, &[b"abc", b"", b"defg"])
             .unwrap();
         let frame = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(frame.tag, op::PUT_SHARD);
-        assert_eq!(frame.request_id, Some(0xDEAD_BEEF));
+        assert_eq!(frame.request_id, 0xDEAD_BEEF);
         assert_eq!(frame.payload, b"abcdefg");
     }
 
     #[test]
-    fn v1_frame_roundtrips_without_id() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, op::GET_SHARD, None, &[b"key"]).unwrap();
-        // The legacy framing: version byte 1, no id field.
-        assert_eq!(buf[4], 1);
-        let frame = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(frame.tag, op::GET_SHARD);
-        assert_eq!(frame.request_id, None);
-        assert_eq!(frame.payload, b"key");
+    fn retired_version_is_refused_by_name() {
+        // What the retired layout put on the wire — `[version 1][tag]
+        // [payload]`, no id, CRC valid — is refused whole: as a version
+        // this build does not speak once there are enough bytes to read
+        // it as a frame, as a length no frame can have before that.
+        let get = framed(&[&[1u8, op::GET_SHARD][..], b"\x03\x00key"].concat());
+        let err = read_frame(&mut Cursor::new(get)).unwrap_err();
+        assert!(matches!(err, FrameError::BadVersion(1)), "{err:?}");
+        assert_eq!(err.detail(), "unsupported protocol version 1 (this build speaks 2)");
+        let err = read_frame(&mut Cursor::new(framed(&[1u8, op::HEALTH]))).unwrap_err();
+        assert!(matches!(err, FrameError::BadLength(2)), "{err:?}");
     }
 
     #[test]
@@ -535,19 +512,14 @@ mod tests {
 
     #[test]
     fn truncation_everywhere_is_typed() {
-        for id in [None, Some(7u32)] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, op::HEALTH, id, &[b"xy"]).unwrap();
-            // Cutting the stream at every byte boundary: the first 0..4
-            // bytes are a truncated length prefix (or clean EOF at 0);
-            // everything after is a truncated body/CRC.
-            for cut in 1..buf.len() {
-                let err = read_frame(&mut Cursor::new(&buf[..cut])).unwrap_err();
-                assert!(
-                    matches!(err, FrameError::Truncated),
-                    "id {id:?}, cut at {cut}: {err:?}"
-                );
-            }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, op::HEALTH, 7, &[b"xy"]).unwrap();
+        // Cutting the stream at every byte boundary: the first 0..4
+        // bytes are a truncated length prefix (or clean EOF at 0);
+        // everything after is a truncated body/CRC.
+        for cut in 1..buf.len() {
+            let err = read_frame(&mut Cursor::new(&buf[..cut])).unwrap_err();
+            assert!(matches!(err, FrameError::Truncated), "cut at {cut}: {err:?}");
         }
     }
 
@@ -563,8 +535,8 @@ mod tests {
             read_frame(&mut Cursor::new(&buf)),
             Err(FrameError::BadLength(u32::MAX))
         ));
-        // Lengths too short for version + tag are equally invalid.
-        for short in [0u32, 1] {
+        // Lengths too short for version + tag + id are equally invalid.
+        for short in 0u32..6 {
             let buf = short.to_le_bytes();
             assert!(matches!(
                 read_frame(&mut Cursor::new(&buf)),
@@ -575,14 +547,11 @@ mod tests {
 
     #[test]
     fn v2_frame_too_short_for_its_id_is_bad_length() {
-        // A version-2 frame must carry at least version + tag + u32 id.
-        // body_len in 2..6 with version byte 2 is structurally invalid.
+        // A frame must carry at least version + tag + u32 id: a
+        // CRC-valid body shorter than that is structurally invalid.
         for body in [vec![2u8, op::HEALTH], vec![2u8, op::HEALTH, 0, 0]] {
-            let mut buf = Vec::from((body.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&body);
-            buf.extend_from_slice(&crc32(&body).to_le_bytes());
             assert!(matches!(
-                read_frame(&mut Cursor::new(&buf)),
+                read_frame(&mut Cursor::new(framed(&body))),
                 Err(FrameError::BadLength(_))
             ));
         }
@@ -590,21 +559,13 @@ mod tests {
 
     #[test]
     fn corrupt_body_detected() {
-        for id in [None, Some(42u32)] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, op::GET_SHARD, id, &[b"key"]).unwrap();
-            for flip in 4..buf.len() {
-                let mut bad = buf.clone();
-                bad[flip] ^= 0x20;
-                let err = read_frame(&mut Cursor::new(&bad)).unwrap_err();
-                // Flipping the version byte of a v1 frame to 0x21 (or a
-                // v2 byte to 0x22) re-frames the body, but either way
-                // the CRC no longer matches what is read.
-                assert!(
-                    matches!(err, FrameError::BadCrc | FrameError::Truncated),
-                    "id {id:?}, flip at {flip}: {err:?}"
-                );
-            }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, op::GET_SHARD, 42, &[b"key"]).unwrap();
+        for flip in 4..buf.len() {
+            let mut bad = buf.clone();
+            bad[flip] ^= 0x20;
+            let err = read_frame(&mut Cursor::new(&bad)).unwrap_err();
+            assert!(matches!(err, FrameError::BadCrc), "flip at {flip}: {err:?}");
         }
     }
 
@@ -612,10 +573,7 @@ mod tests {
     fn wrong_version_detected_after_crc() {
         // A well-formed frame of a future protocol version: CRC valid,
         // version byte unsupported.
-        let body = [9u8, op::HEALTH];
-        let mut buf = Vec::from((body.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&body);
-        buf.extend_from_slice(&crc32(&body).to_le_bytes());
+        let buf = framed(&[9u8, op::HEALTH, 1, 0, 0, 0]);
         assert!(matches!(
             read_frame(&mut Cursor::new(&buf)),
             Err(FrameError::BadVersion(9))
@@ -681,36 +639,32 @@ mod tests {
     // pair they replaced.
     // -----------------------------------------------------------------
 
-    /// The frame writer and reader as they were: one `write_all` per
-    /// field (six per frame), one `read_exact` per field (five). Kept
-    /// as the oracle.
+    /// The frame writer and reader as they were before the gathered
+    /// write and the two-read parse: one `write_all` per field (six per
+    /// frame), one `read_exact` per field (five). Kept as the oracle.
     mod oracle {
         use super::super::*;
 
         pub fn write_frame(
             w: &mut impl Write,
             tag: u8,
-            request_id: Option<u32>,
+            request_id: u32,
             parts: &[&[u8]],
         ) -> std::io::Result<()> {
             let payload_len: usize = parts.iter().map(|p| p.len()).sum();
-            let head: &[u8] = match request_id {
-                Some(_) => &[PROTO_VERSION, tag],
-                None => &[MIN_PROTO_VERSION, tag],
-            };
-            let id_bytes = request_id.map(u32::to_le_bytes);
-            let id_slice: &[u8] = id_bytes.as_ref().map(|b| &b[..]).unwrap_or(&[]);
-            let body_len = payload_len + head.len() + id_slice.len();
+            let head = [PROTO_VERSION, tag];
+            let id = request_id.to_le_bytes();
+            let body_len = payload_len + head.len() + id.len();
             assert!(body_len <= MAX_BODY, "frame payload exceeds MAX_BODY");
             let mut crc = ec_wire::Crc32::new();
-            crc.update(head);
-            crc.update(id_slice);
+            crc.update(&head);
+            crc.update(&id);
             for part in parts {
                 crc.update(part);
             }
             w.write_all(&(body_len as u32).to_le_bytes())?;
-            w.write_all(head)?;
-            w.write_all(id_slice)?;
+            w.write_all(&head)?;
+            w.write_all(&id)?;
             for part in parts {
                 w.write_all(part)?;
             }
@@ -722,39 +676,28 @@ mod tests {
             let mut len_bytes = [0u8; 4];
             read_exact_or_eof(r, &mut len_bytes)?;
             let body_len = u32::from_le_bytes(len_bytes);
-            if body_len < 2 || body_len as usize > MAX_BODY {
+            if body_len < 6 || body_len as usize > MAX_BODY {
                 return Err(FrameError::BadLength(body_len));
             }
             let mut head = [0u8; 2];
             r.read_exact(&mut head)?;
-            let (request_id, id_bytes): (Option<u32>, [u8; 4]) = if head[0] == 2 {
-                if body_len < 6 {
-                    return Err(FrameError::BadLength(body_len));
-                }
-                let mut id = [0u8; 4];
-                r.read_exact(&mut id)?;
-                (Some(u32::from_le_bytes(id)), id)
-            } else {
-                (None, [0u8; 4])
-            };
-            let header_len = if request_id.is_some() { 6 } else { 2 };
-            let mut payload = vec![0u8; body_len as usize - header_len];
+            let mut id = [0u8; 4];
+            r.read_exact(&mut id)?;
+            let mut payload = vec![0u8; body_len as usize - 6];
             r.read_exact(&mut payload)?;
             let mut crc_bytes = [0u8; 4];
             r.read_exact(&mut crc_bytes)?;
             let mut crc = ec_wire::Crc32::new();
             crc.update(&head);
-            if request_id.is_some() {
-                crc.update(&id_bytes);
-            }
+            crc.update(&id);
             crc.update(&payload);
             if u32::from_le_bytes(crc_bytes) != crc.finish() {
                 return Err(FrameError::BadCrc);
             }
-            if head[0] < MIN_PROTO_VERSION || head[0] > PROTO_VERSION {
+            if head[0] != PROTO_VERSION {
                 return Err(FrameError::BadVersion(head[0]));
             }
-            Ok(Frame { tag: head[1], request_id, payload })
+            Ok(Frame { tag: head[1], request_id: u32::from_le_bytes(id), payload })
         }
 
         fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
@@ -852,7 +795,7 @@ mod tests {
         }
     }
 
-    fn encoded(tag: u8, id: Option<u32>, parts: &[&[u8]]) -> Vec<u8> {
+    fn encoded(tag: u8, id: u32, parts: &[&[u8]]) -> Vec<u8> {
         let mut bytes = Vec::new();
         oracle::write_frame(&mut bytes, tag, id, parts).unwrap();
         bytes
@@ -869,14 +812,12 @@ mod tests {
         fn gathered_writer_matches_the_oracle(
             tag in proptest::prelude::any::<u8>(),
             id in proptest::prelude::any::<u32>(),
-            versioned in 0u8..2,
             parts in proptest::collection::vec(
                 proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
                 0..5,
             ),
             k in 1usize..64,
         ) {
-            let id = (versioned == 1).then_some(id);
             let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
             let want = encoded(tag, id, &parts);
 
@@ -899,11 +840,9 @@ mod tests {
         fn two_read_reader_matches_the_oracle(
             tag in proptest::prelude::any::<u8>(),
             id in proptest::prelude::any::<u32>(),
-            versioned in 0u8..2,
             payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
             pieces in proptest::collection::vec(0usize..40, 1..8),
         ) {
-            let id = (versioned == 1).then_some(id);
             let bytes = encoded(tag, id, &[&payload]);
             let want = verdict(oracle::read_frame(&mut Cursor::new(&bytes)));
             assert_eq!(want, format!("{:?}", Frame { tag, request_id: id, payload }));
@@ -935,16 +874,14 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_reads_as_the_oracle_reads_it() {
-        for id in [None, Some(0x0102_0304u32)] {
-            let bytes = encoded(op::GET_SHARD, id, &[b"k", b"ey"]);
-            for bit in 0..bytes.len() * 8 {
-                let mut bad = bytes.clone();
-                bad[bit / 8] ^= 1 << (bit % 8);
-                let want = verdict(oracle::read_frame(&mut Cursor::new(&bad)));
-                for pieces in [&[usize::MAX][..], &[1], &[3, 7]] {
-                    let got = read_frame(&mut Pieces::of(&bad, pieces));
-                    assert_eq!(verdict(got), want, "id {id:?}, bit {bit}, pieces {pieces:?}");
-                }
+        let bytes = encoded(op::GET_SHARD, 0x0102_0304, &[b"k", b"ey"]);
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let want = verdict(oracle::read_frame(&mut Cursor::new(&bad)));
+            for pieces in [&[usize::MAX][..], &[1], &[3, 7]] {
+                let got = read_frame(&mut Pieces::of(&bad, pieces));
+                assert_eq!(verdict(got), want, "bit {bit}, pieces {pieces:?}");
             }
         }
     }
@@ -984,11 +921,10 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_parse_as_two_with_no_over_read() {
-        let first = encoded(op::PUT_SHARD, Some(1), &[b"key", &[7u8; 100]]);
+        let first = encoded(op::PUT_SHARD, 1, &[b"key", &[7u8; 100]]);
         for second in [
-            encoded(op::HEALTH, Some(2), &[]),
-            encoded(op::HEALTH, None, &[]),
-            encoded(op::GET_SHARD, None, &[b"a-longer-v1-payload"]),
+            encoded(op::HEALTH, 2, &[]),
+            encoded(op::GET_SHARD, NO_REQUEST_ID, &[b"a-longer-payload"]),
         ] {
             for (a, b) in [(&first, &second), (&second, &first)] {
                 let mut both = a.clone();

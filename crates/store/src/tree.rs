@@ -2,7 +2,7 @@
 //! blobs (`t:` keys) and the manifest-root arithmetic the incremental
 //! scrub descends over.
 //!
-//! Every version-4 manifest records one SHA-256 Merkle root per shard
+//! Every manifest records one SHA-256 Merkle root per shard
 //! plus the object root over those roots
 //! ([`ec_wire::merkle::root_over_roots`]). Beside each shard blob
 //! (`s:<idx>g<gen>:<object>`) lives a *hash blob*
@@ -45,11 +45,7 @@ pub const HASH_LEAF_SIZE: u32 = 64 * 1024;
 /// rides the same [`crate::proto::MAX_KEY`] budget and the same GC
 /// liveness rule.
 pub fn tree_key(object: &str, index: usize, generation: u64) -> String {
-    if generation == 0 {
-        format!("t:{index:03}:{object}")
-    } else {
-        format!("t:{index:03}g{generation:016x}:{object}")
-    }
+    format!("t:{index:03}g{generation:016x}:{object}")
 }
 
 /// Decompose a tree key into `(object, index, generation)` — the GC's
@@ -173,13 +169,13 @@ mod tests {
 
     #[test]
     fn tree_keys_mirror_shard_keys() {
-        assert_eq!(tree_key("obj", 7, 0), "t:007:obj");
+        assert_eq!(tree_key("obj", 7, 0), "t:007g0000000000000000:obj");
         assert_eq!(tree_key("obj", 7, 0x2a), "t:007g000000000000002a:obj");
         for gen in [0u64, 1, 42, u64::MAX] {
             let key = tree_key("a:b/c", 17, gen);
             assert_eq!(parse_tree_key(&key), Some(("a:b/c", 17, gen)));
         }
-        for bad in ["s:007:obj", "t:", "t:01", "t:007obj", "t:007g123:obj"] {
+        for bad in ["s:007g0000000000000001:obj", "t:007:obj", "t:", "t:01", "t:007obj", "t:007g123:obj"] {
             assert_eq!(parse_tree_key(bad), None, "{bad}");
         }
     }

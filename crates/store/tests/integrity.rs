@@ -9,7 +9,10 @@
 //! bytes, and that repair heals it with a root proof before publishing.
 
 use ec_core::RsConfig;
-use ec_store::{Cluster, NodeHandle, ShardHealth, HASH_LEAF_SIZE};
+use ec_store::{
+    manifest_key, Cluster, Manifest, NodeClient, NodeHandle, ShardHealth, StoreError,
+    HASH_LEAF_SIZE, MANIFEST_MAGIC,
+};
 use ec_wire::crc32;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -242,4 +245,75 @@ fn hash_blob_damage_is_bad_hashes_and_rewritten() {
     rewritten.sort_unstable();
     assert_eq!(rewritten, damaged);
     assert!(cluster.scrub().unwrap().clean());
+}
+
+/// The record a writer from before generation-qualified keys and Merkle
+/// roots would have left for `m` (manifest version 2: codec identity,
+/// then `[addr][crc]` per shard), claiming `generation`. CRC-valid.
+fn retired_manifest(m: &Manifest, generation: u64) -> Vec<u8> {
+    let mut out = MANIFEST_MAGIC.to_vec();
+    out.push(2);
+    out.extend_from_slice(&m.data_shards.to_le_bytes());
+    out.extend_from_slice(&m.parity_shards.to_le_bytes());
+    out.extend_from_slice(&m.codec_id.to_le_bytes());
+    out.extend_from_slice(&m.group_size.to_le_bytes());
+    out.extend_from_slice(&generation.to_le_bytes());
+    out.extend_from_slice(&m.object_len.to_le_bytes());
+    out.extend_from_slice(&m.shard_len.to_le_bytes());
+    for (addr, crc) in m.placement.iter().zip(&m.shard_crc) {
+        out.extend_from_slice(&(addr.len() as u16).to_le_bytes());
+        out.extend_from_slice(addr.as_bytes());
+        out.extend_from_slice(&crc.to_le_bytes());
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Whether an object is Merkle-protected is decided by the manifest
+/// parser, not by whichever replica claims the highest generation: a
+/// rootless record of a retired version is a damaged replica, outvoted
+/// like any other, and the keys it would have pointed at are nobody's.
+#[test]
+fn a_rootless_replica_cannot_downgrade_an_object() {
+    let tc = TestCluster::spawn("stale", 5);
+    let cluster = tc.cluster(3, 2).with_gc_grace(Duration::ZERO);
+    let data = sample_data(200_000, 5);
+    cluster.put("obj", &data).unwrap();
+    let real = cluster.manifest("obj").unwrap();
+
+    // One node holds a CRC-valid version-2 record at a generation far
+    // above the real one, and the un-suffixed shard key it names.
+    let holder = &real.placement[0];
+    let mut node = NodeClient::connect(holder, TIMEOUT).unwrap();
+    node.put(&manifest_key("obj"), &retired_manifest(&real, real.generation + 7)).unwrap();
+    node.put("s:000:obj", &vec![0xEE; real.shard_len as usize]).unwrap();
+
+    // The election skips it: the real manifest still wins, and the read
+    // is served — whole, undegraded — from root-checked shards.
+    assert_eq!(cluster.manifest("obj").unwrap(), real);
+    let (got, report) = cluster.get_with_report("obj").unwrap();
+    assert_eq!(got, data);
+    assert!(!report.degraded(), "{report:?}");
+
+    // Scrub sees a clean object, and its GC — grace zero, so anything
+    // it may judge it collects — leaves the foreign key alone.
+    let scrub = cluster.scrub().unwrap();
+    assert!(scrub.clean(), "{scrub:?}");
+    assert_eq!(scrub.objects.len(), 1);
+    assert_eq!(scrub.generations_collected, 0);
+    assert_eq!(node.get("s:000:obj").unwrap(), vec![0xEE; real.shard_len as usize]);
+
+    // With every replica rootless the object is unreadable, typed — not
+    // readable CRC-only.
+    for addr in &tc.addrs {
+        let mut node = NodeClient::connect(addr, TIMEOUT).unwrap();
+        node.put(&manifest_key("obj"), &retired_manifest(&real, real.generation)).unwrap();
+    }
+    match cluster.get("obj") {
+        Err(StoreError::Manifest(msg)) => {
+            assert_eq!(msg, "unsupported manifest version 2 (this build reads 4)");
+        }
+        other => panic!("expected the version refusal, got {other:?}"),
+    }
 }

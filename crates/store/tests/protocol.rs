@@ -48,10 +48,18 @@ fn assert_still_serving(addr: &str) {
     c.delete("liveness-probe").unwrap();
 }
 
+/// `body` framed by hand — length prefix, CRC trailer — for bodies
+/// `proto::write_frame` would never produce.
+fn raw_frame(body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::from((body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&ec_wire::crc32(body).to_le_bytes());
+    frame
+}
+
 /// Read one raw frame (len, body, crc) and return
-/// `(tag, request_id, payload)`. Accepts both wire versions: a v2 body
-/// carries a 4-byte request id after the tag; a v1 body does not.
-fn read_raw_frame(s: &mut TcpStream) -> (u8, Option<u32>, Vec<u8>) {
+/// `(tag, request_id, payload)`.
+fn read_raw_frame(s: &mut TcpStream) -> (u8, u32, Vec<u8>) {
     let mut len = [0u8; 4];
     s.read_exact(&mut len).expect("frame length");
     let body_len = u32::from_le_bytes(len) as usize;
@@ -60,16 +68,9 @@ fn read_raw_frame(s: &mut TcpStream) -> (u8, Option<u32>, Vec<u8>) {
     let mut crc = [0u8; 4];
     s.read_exact(&mut crc).expect("frame crc");
     assert_eq!(u32::from_le_bytes(crc), ec_wire::crc32(&body), "response CRC");
-    match body[0] {
-        proto::PROTO_VERSION => {
-            let id = u32::from_le_bytes(body[2..6].try_into().unwrap());
-            (body[1], Some(id), body[6..].to_vec())
-        }
-        v => {
-            assert_eq!(v, proto::MIN_PROTO_VERSION, "unknown response version");
-            (body[1], None, body[2..].to_vec())
-        }
-    }
+    assert_eq!(body[0], proto::PROTO_VERSION, "unknown response version");
+    let id = u32::from_le_bytes(body[2..6].try_into().unwrap());
+    (body[1], id, body[6..].to_vec())
 }
 
 #[test]
@@ -78,8 +79,8 @@ fn garbage_bytes_get_a_typed_answer_and_a_close() {
     let mut s = raw(&addr);
     // An HTTP request: the first 4 bytes parse as an absurd length.
     s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-    let (tag, _, payload) = read_raw_frame(&mut s);
-    assert_eq!(tag, status::ERR);
+    let (tag, id, payload) = read_raw_frame(&mut s);
+    assert_eq!((tag, id), (status::ERR, proto::NO_REQUEST_ID));
     assert_eq!(payload[0], RemoteErrorCode::BadFrame as u8);
     // The node closes after a framing error.
     let mut rest = Vec::new();
@@ -122,7 +123,7 @@ fn bad_crc_and_bad_version_are_rejected() {
     {
         let mut s = raw(&addr);
         let mut frame = Vec::new();
-        proto::write_frame(&mut frame, op::HEALTH, None, &[]).unwrap();
+        proto::write_frame(&mut frame, op::HEALTH, 1, &[]).unwrap();
         let body_start = 4;
         frame[body_start + 1] ^= 0x01; // flip the opcode under the CRC
         s.write_all(&frame).unwrap();
@@ -133,10 +134,7 @@ fn bad_crc_and_bad_version_are_rejected() {
     // Correct CRC, unsupported version byte.
     {
         let mut s = raw(&addr);
-        let body = [99u8, op::HEALTH];
-        s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-        s.write_all(&body).unwrap();
-        s.write_all(&ec_wire::crc32(&body).to_le_bytes()).unwrap();
+        s.write_all(&raw_frame(&[99u8, op::HEALTH, 1, 0, 0, 0])).unwrap();
         let (tag, _, payload) = read_raw_frame(&mut s);
         assert_eq!(tag, status::ERR);
         assert_eq!(payload[0], RemoteErrorCode::BadFrame as u8);
@@ -150,7 +148,7 @@ fn malformed_payloads_keep_the_connection_alive() {
     let (_node, addr, dir) = spawn_node("badreq");
     let mut s = raw(&addr);
     // Unknown opcode: typed BadRequest, stream stays usable.
-    proto::write_frame(&mut s, 0x7F, None, &[]).unwrap();
+    proto::write_frame(&mut s, 0x7F, 1, &[]).unwrap();
     let (tag, _, payload) = read_raw_frame(&mut s);
     assert_eq!(tag, status::ERR);
     assert_eq!(payload[0], RemoteErrorCode::BadRequest as u8);
@@ -159,7 +157,7 @@ fn malformed_payloads_keep_the_connection_alive() {
     let mut bad_key = Vec::new();
     bad_key.extend_from_slice(&200u16.to_le_bytes());
     bad_key.extend_from_slice(b"short");
-    proto::write_frame(&mut s, op::GET_SHARD, None, &[&bad_key]).unwrap();
+    proto::write_frame(&mut s, op::GET_SHARD, 2, &[&bad_key]).unwrap();
     let (tag, _, payload) = read_raw_frame(&mut s);
     assert_eq!(tag, status::ERR);
     assert_eq!(payload[0], RemoteErrorCode::BadRequest as u8);
@@ -169,7 +167,7 @@ fn malformed_payloads_keep_the_connection_alive() {
     let key = "k".repeat(proto::MAX_KEY + 1);
     long_key.extend_from_slice(&(key.len() as u16).to_le_bytes());
     long_key.extend_from_slice(key.as_bytes());
-    proto::write_frame(&mut s, op::GET_SHARD, None, &[&long_key]).unwrap();
+    proto::write_frame(&mut s, op::GET_SHARD, 3, &[&long_key]).unwrap();
     let (tag, _, payload) = read_raw_frame(&mut s);
     assert_eq!(tag, status::ERR);
     assert_eq!(payload[0], RemoteErrorCode::BadRequest as u8);
@@ -178,13 +176,13 @@ fn malformed_payloads_keep_the_connection_alive() {
     let mut trailing = Vec::new();
     trailing.extend_from_slice(&1u16.to_le_bytes());
     trailing.extend_from_slice(b"kEXTRA");
-    proto::write_frame(&mut s, op::GET_SHARD, None, &[&trailing]).unwrap();
+    proto::write_frame(&mut s, op::GET_SHARD, 4, &[&trailing]).unwrap();
     let (tag, _, payload) = read_raw_frame(&mut s);
     assert_eq!(tag, status::ERR);
     assert_eq!(payload[0], RemoteErrorCode::BadRequest as u8);
 
     // …and the same connection still serves honest requests.
-    proto::write_frame(&mut s, op::HEALTH, None, &[]).unwrap();
+    proto::write_frame(&mut s, op::HEALTH, 5, &[]).unwrap();
     let (tag, _, _) = read_raw_frame(&mut s);
     assert_eq!(tag, status::OK);
     let _ = std::fs::remove_dir_all(dir);
@@ -270,7 +268,7 @@ fn idle_connections_do_not_starve_honest_clients() {
     // The silent connections are still alive (not dropped), just
     // deprioritized: one of them can still speak and be served.
     let mut late = _silent.into_iter().next().unwrap();
-    proto::write_frame(&mut late, op::HEALTH, None, &[]).unwrap();
+    proto::write_frame(&mut late, op::HEALTH, 1, &[]).unwrap();
     let (tag, _, _) = read_raw_frame(&mut late);
     assert_eq!(tag, status::OK);
     let _ = std::fs::remove_dir_all(dir);
@@ -293,44 +291,48 @@ fn shutdown_kills_inflight_connections() {
 fn v2_responses_echo_the_request_id() {
     let (_node, addr, dir) = spawn_node("idecho");
     let mut s = raw(&addr);
-    proto::write_frame(&mut s, op::HEALTH, Some(0xDEAD_BEEF), &[]).unwrap();
+    proto::write_frame(&mut s, op::HEALTH, 0xDEAD_BEEF, &[]).unwrap();
     let (tag, id, _) = read_raw_frame(&mut s);
     assert_eq!(tag, status::OK);
-    assert_eq!(id, Some(0xDEAD_BEEF), "response must echo the request id");
+    assert_eq!(id, 0xDEAD_BEEF, "response must echo the request id");
     // Ids are opaque to the node: no ordering or uniqueness demands.
     for weird in [0u32, u32::MAX, 7, 7] {
-        proto::write_frame(&mut s, op::HEALTH, Some(weird), &[]).unwrap();
+        proto::write_frame(&mut s, op::HEALTH, weird, &[]).unwrap();
         let (tag, id, _) = read_raw_frame(&mut s);
         assert_eq!(tag, status::OK);
-        assert_eq!(id, Some(weird));
+        assert_eq!(id, weird);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
-fn v1_requests_get_v1_answers() {
-    // Old-version compat: a v1 (id-less) request is answered with a v1
-    // frame — an old client never sees four mystery bytes prepended to
-    // its payload.
-    let (_node, addr, dir) = spawn_node("v1compat");
+fn a_version_1_request_gets_one_bad_frame_answer_and_a_close() {
+    // The retired framing — `[version 1][tag][payload]`, no request id,
+    // CRC valid — is not served: the node answers once, with the typed
+    // `BadFrame` naming the version and the reserved id (it recovered
+    // none), and closes. It keeps serving everyone else.
+    let (_node, addr, dir) = spawn_node("v1refused");
     let mut s = raw(&addr);
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&1u16.to_le_bytes());
-    payload.push(b'k');
-    payload.extend_from_slice(b"value-bytes");
-    proto::write_frame(&mut s, op::PUT_SHARD, None, &[&payload]).unwrap();
-    let (tag, id, body) = read_raw_frame(&mut s);
-    assert_eq!(tag, status::OK);
-    assert_eq!(id, None, "a v1 request must be answered with a v1 frame");
-    assert!(body.is_empty());
-    let mut get = Vec::new();
-    get.extend_from_slice(&1u16.to_le_bytes());
-    get.push(b'k');
-    proto::write_frame(&mut s, op::GET_SHARD, None, &[&get]).unwrap();
-    let (tag, id, body) = read_raw_frame(&mut s);
-    assert_eq!(tag, status::OK);
-    assert_eq!(id, None);
-    assert_eq!(body, b"value-bytes");
+    let mut body = vec![1u8, op::PUT_SHARD];
+    body.extend_from_slice(&1u16.to_le_bytes());
+    body.extend_from_slice(b"kvalue-bytes");
+    s.write_all(&raw_frame(&body)).unwrap();
+    let (tag, id, payload) = read_raw_frame(&mut s);
+    assert_eq!((tag, id), (status::ERR, proto::NO_REQUEST_ID));
+    match proto::parse_err(&payload) {
+        StoreError::Remote { code: RemoteErrorCode::BadFrame, message } => {
+            assert_eq!(message, "unsupported protocol version 1 (this build speaks 2)");
+        }
+        other => panic!("expected a typed BadFrame, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(s.read_to_end(&mut rest).unwrap(), 0, "one answer, then a close");
+    // Nothing was stored on the strength of that frame.
+    assert!(matches!(
+        client(&addr).get("k"),
+        Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. })
+    ));
+    assert_still_serving(&addr);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -368,7 +370,7 @@ fn pipelined_responses_resolve_out_of_order() {
 
 #[test]
 fn hostile_response_id_is_a_typed_error_and_poisons_the_connection() {
-    // A lying "node": answers every request with a well-formed v2 frame
+    // A lying "node": answers every request with a well-formed frame
     // carrying a request id the client never issued.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -383,7 +385,7 @@ fn hostile_response_id_is_a_typed_error_and_poisons_the_connection() {
             if s.read_exact(&mut body).is_err() {
                 return; // body + trailing crc
             }
-            if proto::write_frame(&mut s, status::OK, Some(0x4141_4141), &[b"x"])
+            if proto::write_frame(&mut s, status::OK, 0x4141_4141, &[b"x"])
                 .is_err()
             {
                 return;
@@ -421,14 +423,12 @@ fn two_requests_in_one_segment_get_two_answers() {
     let mut get = Vec::new();
     get.extend_from_slice(&1u16.to_le_bytes());
     get.push(b'k');
-    for second_id in [Some(8u32), None] {
-        let mut both = Vec::new();
-        proto::write_frame(&mut both, op::PUT_SHARD, Some(7), &[&put]).unwrap();
-        proto::write_frame(&mut both, op::GET_SHARD, second_id, &[&get]).unwrap();
-        s.write_all(&both).unwrap();
-        assert_eq!(read_raw_frame(&mut s), (status::OK, Some(7), Vec::new()));
-        assert_eq!(read_raw_frame(&mut s), (status::OK, second_id, b"payload".to_vec()));
-    }
+    let mut both = Vec::new();
+    proto::write_frame(&mut both, op::PUT_SHARD, 7, &[&put]).unwrap();
+    proto::write_frame(&mut both, op::GET_SHARD, 8, &[&get]).unwrap();
+    s.write_all(&both).unwrap();
+    assert_eq!(read_raw_frame(&mut s), (status::OK, 7, Vec::new()));
+    assert_eq!(read_raw_frame(&mut s), (status::OK, 8, b"payload".to_vec()));
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -437,15 +437,13 @@ fn a_request_trickled_a_byte_at_a_time_is_served() {
     let (_node, addr, dir) = spawn_node("trickle");
     let mut s = raw(&addr);
     s.set_nodelay(true).unwrap();
-    for id in [Some(3u32), None] {
-        let mut frame = Vec::new();
-        proto::write_frame(&mut frame, op::HEALTH, id, &[]).unwrap();
-        for byte in frame {
-            s.write_all(&[byte]).unwrap();
-        }
-        let (tag, echoed, _) = read_raw_frame(&mut s);
-        assert_eq!((tag, echoed), (status::OK, id));
+    let mut frame = Vec::new();
+    proto::write_frame(&mut frame, op::HEALTH, 3, &[]).unwrap();
+    for byte in frame {
+        s.write_all(&[byte]).unwrap();
     }
+    let (tag, echoed, _) = read_raw_frame(&mut s);
+    assert_eq!((tag, echoed), (status::OK, 3));
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -48,12 +48,11 @@ pub enum ShardState {
     /// The file length does not match the header's geometry (truncation,
     /// or trailing garbage).
     WrongLength { expected: u64, actual: u64 },
-    /// One or more chunk payloads fail their CRC-32 — or, on a v3
-    /// archive with an elected root vector, their trusted SHA-256 leaf
-    /// (CRC-preserving tampering lands here, attributed to exact
-    /// chunks).
+    /// One or more chunk payloads fail their CRC-32 — or, under an
+    /// elected root vector, their trusted SHA-256 leaf (CRC-preserving
+    /// tampering lands here, attributed to exact chunks).
     Corrupt { chunks: Vec<u64> },
-    /// v3 only: the shard's hash trailer is unreadable, inconsistent
+    /// The shard's hash trailer is unreadable, inconsistent
     /// with itself, or disagrees with the root vector a majority of
     /// shards voted for. The payload may read clean, but nothing can
     /// vouch for it — repair rewrites the file and re-proves its root.
@@ -90,8 +89,8 @@ pub struct VerifyReport {
     /// `shards[i]` is the state of shard file `i`.
     pub shards: Vec<ShardState>,
     /// True iff the walk verified frames against an elected Merkle root
-    /// vector (v3), not just CRC-32. False for pre-v3 archives and for
-    /// a v3 archive whose trailers could not elect a majority.
+    /// vector, not just CRC-32. False when the trailers could not elect
+    /// a majority.
     pub hash_checked: bool,
 }
 
@@ -138,7 +137,7 @@ pub struct RepairReport {
     pub bytes_read: u64,
 }
 
-/// The elected hash truth of a v3 archive: the majority root vector,
+/// The elected hash truth of an archive: the majority root vector,
 /// the object root it implies, and — per shard — the trusted leaf
 /// hashes of every shard whose trailer matched the election.
 struct HashContext {
@@ -288,7 +287,7 @@ impl Archive {
     /// it is self-consistent (its leaves build its own recorded root and
     /// its object root matches its root vector).
     fn read_trailer(&self, index: usize) -> Option<HashTrailer> {
-        let offset = self.meta.hash_trailer_offset()?;
+        let offset = self.meta.hash_trailer_offset();
         let len = HashTrailer::wire_len(&self.meta)? as usize;
         let mut f = File::open(self.shard_path(index)).ok()?;
         f.seek(SeekFrom::Start(offset)).ok()?;
@@ -299,7 +298,7 @@ impl Archive {
             .filter(|t| t.self_consistent(index))
     }
 
-    /// Elect the authoritative hash context of a v3 archive: every
+    /// Elect the authoritative hash context of the archive: every
     /// self-consistent trailer votes for its root vector, the plurality
     /// wins (a tie is no election — like `open`'s header vote, two
     /// equally supported truths cannot be told apart). Shards whose
@@ -307,9 +306,6 @@ impl Archive {
     /// hashes authenticated, via the shard root and SHA-256 collision
     /// resistance, by the election itself.
     fn hash_context(&self) -> Option<HashContext> {
-        if !self.meta.hash_trailer {
-            return None;
-        }
         let t = self.meta.total_shards();
         let trailers: Vec<Option<HashTrailer>> = (0..t).map(|i| self.read_trailer(i)).collect();
         let mut votes: HashMap<Vec<Hash>, usize> = HashMap::new();
@@ -330,8 +326,8 @@ impl Archive {
         Some(HashContext { trusted, shard_roots, object_root })
     }
 
-    /// The elected per-shard Merkle roots and object root of a v3
-    /// archive (`None` for pre-v3 archives or when no majority exists).
+    /// The elected per-shard Merkle roots and object root (`None` when
+    /// no majority exists).
     pub fn elected_roots(&self) -> Option<(Vec<Hash>, Hash)> {
         self.hash_context().map(|c| (c.shard_roots, c.object_root))
     }
@@ -512,12 +508,11 @@ impl Archive {
         if damaged.is_empty() {
             return Ok(RepairReport::default());
         }
-        // A repair plan reads only a subset of shards, so on a v3
-        // archive it needs the elected root vector to fill in the
-        // unread shards' roots (and to prove the rebuild). No election
-        // ⇒ full pass, which can recompute every root from scratch.
-        let plan_viable = !self.meta.hash_trailer || self.hash_context().is_some();
-        if plan_viable {
+        // A repair plan reads only a subset of shards, so it needs the
+        // elected root vector to fill in the unread shards' roots (and
+        // to prove the rebuild). No election ⇒ full pass, which can
+        // recompute every root from scratch.
+        if self.hash_context().is_some() {
             if let Ok(plan) = self.codec.repair_sources(&damaged) {
                 if plan.len() + damaged.len() < self.meta.total_shards() {
                     match self.repair_pass(&damaged, Some(&plan)) {
@@ -539,11 +534,6 @@ impl Archive {
         let t = self.meta.total_shards();
         let p = self.meta.parity_shards as usize;
         let ctx = self.hash_context();
-        // No election on a v3 archive ⇒ the trailer must be rebuilt
-        // from every shard's actual bytes, so every shard's leaves are
-        // tracked (full pass only; `repair` gates plans on the
-        // election).
-        let track_all = self.meta.hash_trailer && ctx.is_none();
 
         // Every file with a trusted header feeds the scan — including
         // damaged ones, whose surviving chunks still count as sources
@@ -631,11 +621,13 @@ impl Archive {
                     w.write_all(slice)?;
                     w.write_all(&crc32(slice).to_le_bytes())?;
                 }
-                if self.meta.hash_trailer {
-                    for (i, leaves) in new_leaves.iter_mut().enumerate().take(t) {
-                        if track_all || damaged.contains(&i) {
-                            leaves.push(leaf_hash(slice_of(i)));
-                        }
+                // No election ⇒ the trailer must be rebuilt from every
+                // shard's actual bytes, so every shard's leaves are
+                // tracked (full pass only; `repair` gates plans on the
+                // election).
+                for (i, leaves) in new_leaves.iter_mut().enumerate().take(t) {
+                    if ctx.is_none() || damaged.contains(&i) {
+                        leaves.push(leaf_hash(slice_of(i)));
                     }
                 }
                 Ok(())
@@ -647,39 +639,37 @@ impl Archive {
             }
         }
 
-        // v3: finish each replacement file with its hash trailer — and
+        // Finish each replacement file with its hash trailer — and
         // prove the restoration first. Under an election the rebuilt
         // shard's root must equal the elected root: reconstruction from
         // verified sources is byte-exact, so a mismatch means the walk
         // was fed something unprovable and the file must not publish.
-        if self.meta.hash_trailer {
-            let shard_roots: Vec<Hash> = match &ctx {
-                Some(ctx) => ctx.shard_roots.clone(),
-                None => new_leaves
-                    .iter()
-                    .map(|ls| MerkleTree::from_leaves(ls.clone()).root())
-                    .collect(),
-            };
-            let mut failure: Option<StreamError> = None;
-            for &mut (i, ref mut w) in &mut writers {
-                let trailer = HashTrailer::new(new_leaves[i].clone(), shard_roots.clone());
-                if trailer.own_root() != shard_roots[i] {
-                    failure = Some(StreamError::Format(format!(
-                        "restored shard {i} hashes to a different Merkle root than \
-                         the elected vector — refusing to publish it"
-                    )));
-                    break;
-                }
-                if let Err(e) = w.write_all(&trailer.to_bytes()) {
-                    failure = Some(e.into());
-                    break;
-                }
+        let shard_roots: Vec<Hash> = match &ctx {
+            Some(ctx) => ctx.shard_roots.clone(),
+            None => new_leaves
+                .iter()
+                .map(|ls| MerkleTree::from_leaves(ls.clone()).root())
+                .collect(),
+        };
+        let mut failure: Option<StreamError> = None;
+        for &mut (i, ref mut w) in &mut writers {
+            let trailer = HashTrailer::new(new_leaves[i].clone(), shard_roots.clone());
+            if trailer.own_root() != shard_roots[i] {
+                failure = Some(StreamError::Format(format!(
+                    "restored shard {i} hashes to a different Merkle root than \
+                     the elected vector — refusing to publish it"
+                )));
+                break;
             }
-            if let Some(e) = failure {
-                drop(writers);
-                self.discard_tmps(&damaged, tmp_path);
-                return Err(e);
+            if let Err(e) = w.write_all(&trailer.to_bytes()) {
+                failure = Some(e.into());
+                break;
             }
+        }
+        if let Some(e) = failure {
+            drop(writers);
+            self.discard_tmps(&damaged, tmp_path);
+            return Err(e);
         }
 
         for (i, w) in writers {
@@ -703,7 +693,6 @@ impl Archive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::FORMAT_VERSION;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -803,97 +792,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Rewrite a freshly created (v3) archive as what an older writer
-    /// produced: strip every hash trailer, stamp `version` into each
-    /// header (zeroing the codec fields for v1), refresh the CRCs.
-    fn downgrade(shards: &Path, total: usize, version: u32) {
-        for i in 0..total {
-            let path = shards.join(shard_file_name(i));
-            let mut bytes = fs::read(&path).unwrap();
-            let h = ShardHeader::from_bytes(bytes[..crate::format::HEADER_LEN].try_into().unwrap())
-                .unwrap();
-            let mut plain = h.meta;
-            plain.hash_trailer = false;
-            bytes.truncate(plain.shard_file_len() as usize);
-            bytes[8..12].copy_from_slice(&version.to_le_bytes());
-            if version == 1 {
-                bytes[18..20].copy_from_slice(&[0, 0]);
-                bytes[40..42].copy_from_slice(&[0, 0]);
-            }
-            let crc = crc32(&bytes[..crate::format::HEADER_LEN - 4]);
-            bytes[60..64].copy_from_slice(&crc.to_le_bytes());
-            fs::write(&path, bytes).unwrap();
-        }
-    }
-
-    #[test]
-    fn v1_archive_opens_as_rs() {
-        let dir = tmp_dir("v1_compat");
-        let input = write_input(&dir, 30_000);
-        let shards = dir.join("shards");
-        let a = Archive::create(&input, &shards, 4, 2, 4096).unwrap();
-        drop(a);
-        downgrade(&shards, 6, 1);
-
-        let a = Archive::open(&shards).unwrap();
-        assert_eq!(a.codec().spec(), CodecSpec::rs(4, 2));
-        assert!(!a.meta().hash_trailer);
-        let report = a.verify().unwrap();
-        assert!(report.all_ok());
-        // Pre-v3: nothing to hash-check, and the report says so.
-        assert!(!report.hash_checked);
-        assert!(a.elected_roots().is_none());
-        let restored = dir.join("restored.bin");
-        let rep = a.extract(&restored).unwrap();
-        assert!(!rep.hash_verified);
-        assert_eq!(fs::read(&input).unwrap(), fs::read(&restored).unwrap());
-
-        // And a repaired (rewritten) shard comes back as version 2 —
-        // not silently upgraded to 3, since its siblings carry no
-        // trailer — while the survivors stay v1. Mixed generations
-        // agree on the same metadata, so open still votes unanimously.
-        fs::remove_file(a.shard_path(3)).unwrap();
-        let a = Archive::open(&shards).unwrap();
-        a.repair().unwrap();
-        assert!(a.verify().unwrap().all_ok());
-        let rewritten = fs::read(a.shard_path(3)).unwrap();
-        assert_eq!(u32::from_le_bytes(rewritten[8..12].try_into().unwrap()), 2);
-        const { assert!(FORMAT_VERSION > 2) };
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v2_archive_roundtrips_without_hashes() {
-        let dir = tmp_dir("v2_compat");
-        let input = write_input(&dir, 25_000);
-        let shards = dir.join("shards");
-        let spec = CodecSpec::lrc(4, 3, 2);
-        let a = Archive::create_with_spec(&input, &shards, &spec, 4096).unwrap();
-        drop(a);
-        downgrade(&shards, 7, 2);
-
-        // The codec identity survives (v2 carried it); the hash layer
-        // reports itself absent rather than failing.
-        let a = Archive::open(&shards).unwrap();
-        assert_eq!(a.codec().spec(), spec);
-        assert!(!a.meta().hash_trailer);
-        let report = a.verify().unwrap();
-        assert!(report.all_ok() && !report.hash_checked);
-        let restored = dir.join("restored.bin");
-        let rep = a.extract(&restored).unwrap();
-        assert!(!rep.hash_verified);
-        assert_eq!(fs::read(&input).unwrap(), fs::read(&restored).unwrap());
-        // Repair keeps writing v2: no trailer appears on the rewrite.
-        fs::remove_file(a.shard_path(1)).unwrap();
-        let a = Archive::open(&shards).unwrap();
-        a.repair().unwrap();
-        assert!(a.verify().unwrap().all_ok());
-        let rewritten = fs::read(a.shard_path(1)).unwrap();
-        assert_eq!(u32::from_le_bytes(rewritten[8..12].try_into().unwrap()), 2);
-        assert_eq!(rewritten.len() as u64, a.meta().shard_file_len());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn crc_forged_tamper_is_caught_and_localized() {
         use ec_wire::crc_preserving_flip;
@@ -951,7 +849,7 @@ mod tests {
         // can no longer prove its bytes, so it is flagged and rebuilt.
         let path = a.shard_path(4);
         let mut bytes = fs::read(&path).unwrap();
-        let off = a.meta().hash_trailer_offset().unwrap() as usize;
+        let off = a.meta().hash_trailer_offset() as usize;
         for b in &mut bytes[off + 10..off + 20] {
             *b ^= 0xFF;
         }

@@ -191,18 +191,14 @@ fn info(args: &[String]) -> Result<ExitCode, CliError> {
     println!("chunk size:    {} bytes", m.chunk_size);
     println!("chunks:        {}", m.chunk_count);
     println!("shard file:    {} bytes each", m.shard_file_len());
-    if m.hash_trailer {
-        match archive.elected_roots() {
-            Some((shard_roots, object_root)) => {
-                println!("object root:   {}", ec_wire::hash_hex(&object_root));
-                for (i, r) in shard_roots.iter().enumerate() {
-                    println!("  shard {i:3} root: {}", ec_wire::hash_hex(r));
-                }
+    match archive.elected_roots() {
+        Some((shard_roots, object_root)) => {
+            println!("object root:   {}", ec_wire::hash_hex(&object_root));
+            for (i, r) in shard_roots.iter().enumerate() {
+                println!("  shard {i:3} root: {}", ec_wire::hash_hex(r));
             }
-            None => println!("object root:   <no quorum among hash trailers>"),
         }
-    } else {
-        println!("integrity:     CRC-only (pre-v3 shards, no hash trailer)");
+        None => println!("object root:   <no quorum among hash trailers>"),
     }
     Ok(ExitCode::SUCCESS)
 }

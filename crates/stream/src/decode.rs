@@ -141,9 +141,9 @@ pub struct ExtractReport {
     /// Original-data bytes written out.
     pub bytes_written: u64,
     /// True iff every frame that fed the output was verified against
-    /// the archive's Merkle leaves (v3 archives with an elected root
-    /// vector); false means CRC-only — bit-rot evidence, not tamper
-    /// evidence.
+    /// the archive's Merkle leaves (the trailers elected a root vector
+    /// and every serving shard matched it); false means CRC-only —
+    /// bit-rot evidence, not tamper evidence.
     pub hash_verified: bool,
 }
 

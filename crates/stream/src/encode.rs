@@ -51,7 +51,7 @@ pub struct StreamEncoder<'c, W: Write + Seek> {
     /// Reusable per-shard slice buffers (`encode_into` targets).
     shard_bufs: Vec<Vec<u8>>,
     /// `leaves[i]` accumulates shard `i`'s per-chunk SHA-256 leaf hashes
-    /// for the version-3 hash trailer (32 bytes per shard per chunk —
+    /// for the hash trailer (32 bytes per shard per chunk —
     /// the only state that grows with the stream, and only
     /// logarithmically relative to the data).
     leaves: Vec<Vec<Hash>>,
@@ -233,7 +233,7 @@ mod tests {
         }
         // The hash trailer starts right after the last frame, and each
         // shard's stored leaves are the leaf hashes of its frames.
-        assert_eq!(meta.hash_trailer_offset(), Some(offset as u64));
+        assert_eq!(meta.hash_trailer_offset(), offset as u64);
         for (i, file) in files.iter().enumerate() {
             let t = HashTrailer::from_bytes(&file[offset..], &meta).unwrap();
             assert!(t.self_consistent(i), "shard {i}");

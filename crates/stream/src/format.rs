@@ -8,7 +8,7 @@
 //! so shards are recoverable without side-channel files and truncation is
 //! detectable from the length.
 //!
-//! Version 3 appends a [`HashTrailer`] after the last frame: this
+//! After the last frame comes the [`HashTrailer`]: this
 //! shard's per-chunk SHA-256 leaf hashes, the Merkle roots of **all**
 //! `n + p` shards, and the object root over those roots. CRC-32 catches
 //! bit-rot; the trailer catches what CRC-32 cannot — a slice rewritten
@@ -20,24 +20,20 @@ use ec_wire::crc32;
 use ec_wire::merkle::{Hash, MerkleTree};
 use ec_wire::SHA256_LEN;
 use crate::error::StreamError;
-use ec_core::{CodecId, CodecSpec, EcError};
+use ec_core::{CodecSpec, EcError};
 use std::io::{Read, Write};
 
 /// The 8-byte magic at offset 0: `xorslp_ec` shard, format generation 1.
 pub const MAGIC: [u8; 8] = *b"XSLPECS1";
 
-/// The header format version this implementation writes for new
-/// archives. Version 1 (no codec identity; the fields at offsets 18 and
-/// 40 were reserved-zero) and version 2 (codec identity, no hash
-/// trailer) are still read; a v1/v2 archive round-trips at its own
-/// version — repair never silently upgrades a file's format.
+/// The one header format version this implementation writes and reads.
+/// The version field exists so that the *next* change to the format is
+/// refused, typed, by this build — not so that older files stay
+/// readable (`docs/FORMAT.md`, "Compatibility policy").
 pub const FORMAT_VERSION: u32 = 3;
 
-/// The oldest header version this implementation still reads.
-pub const MIN_FORMAT_VERSION: u32 = 1;
-
-/// Total header length in bytes (fixed for version 1; trailing reserved
-/// space leaves room for additive extensions without a size change).
+/// Total header length in bytes (fixed; trailing reserved space leaves
+/// room for additive extensions without a size change).
 pub const HEADER_LEN: usize = 64;
 
 /// Per-frame trailer: the CRC-32 of the frame's payload.
@@ -60,9 +56,7 @@ pub struct ArchiveMeta {
     pub data_shards: u16,
     /// Parity shards `p`.
     pub parity_shards: u16,
-    /// Wire identifier of the codec family ([`CodecId::wire`]). Version
-    /// 1 headers carried no codec field; they normalize to RS (`1`) on
-    /// read, so mixed v1/v2 RS shard sets still agree on their metadata.
+    /// Wire identifier of the codec family ([`ec_core::CodecId::wire`]).
     pub codec_id: u16,
     /// LRC locality-group size `r`; `0` for every other family.
     pub group_size: u16,
@@ -72,12 +66,6 @@ pub struct ArchiveMeta {
     pub chunk_count: u64,
     /// Exact byte length of the archived data.
     pub original_len: u64,
-    /// Whether each shard file ends in a [`HashTrailer`] (version 3).
-    /// Not a wire field of its own — it is carried by the header's
-    /// version number — but it changes the file length, so it must take
-    /// part in header voting: a v2 and a v3 shard set are different
-    /// archives even when every other parameter agrees.
-    pub hash_trailer: bool,
 }
 
 /// The format-level slice length: the smallest `align`-multiple length
@@ -121,7 +109,6 @@ impl ArchiveMeta {
             chunk_size,
             chunk_count,
             original_len,
-            hash_trailer: true,
         }
     }
 
@@ -190,17 +177,16 @@ impl ArchiveMeta {
                 .checked_add(self.slice_len(self.chunk_count - 1) as u64)?
                 .checked_add(FRAME_TRAILER_LEN as u64)?;
         }
-        if self.hash_trailer {
-            len = len.checked_add(HashTrailer::wire_len(self)?)?;
-        }
-        Some(len)
+        len.checked_add(HashTrailer::wire_len(self)?)
     }
 
-    /// Byte offset of the hash trailer within an intact shard file
-    /// (`None` for pre-v3 archives, which have no trailer).
-    pub fn hash_trailer_offset(&self) -> Option<u64> {
-        self.hash_trailer
-            .then(|| self.shard_file_len() - HashTrailer::wire_len(self).expect("validated"))
+    /// Byte offset of the hash trailer within an intact shard file.
+    ///
+    /// # Panics
+    /// As [`ArchiveMeta::shard_file_len`].
+    pub fn hash_trailer_offset(&self) -> u64 {
+        let trailer = HashTrailer::wire_len(self).expect("validated metadata cannot overflow");
+        self.shard_file_len() - trailer
     }
 
     /// Internal consistency checks shared by the reader and the writer.
@@ -246,7 +232,7 @@ impl ArchiveMeta {
     }
 }
 
-/// The version-3 hash trailer at the end of every shard file:
+/// The hash trailer at the end of every shard file:
 ///
 /// ```text
 /// [chunk_count × 32] this shard's per-chunk SHA-256 leaf hashes
@@ -268,7 +254,7 @@ pub struct HashTrailer {
     pub leaves: Vec<Hash>,
     /// `shard_roots[i]` is the Merkle root of shard `i`'s leaves.
     pub shard_roots: Vec<Hash>,
-    /// Merkle root over `shard_roots` (as pre-hashed leaves).
+    /// Merkle root over `shard_roots` (taken as leaves as they are).
     pub object_root: Hash,
 }
 
@@ -284,7 +270,7 @@ impl HashTrailer {
     }
 
     /// The object root implied by a shard-root vector: the Merkle root
-    /// over the roots, treated as pre-hashed leaves. Shared with the
+    /// over the roots, taken as leaves as they are. Shared with the
     /// object store's manifest ([`ec_wire::merkle::root_over_roots`]),
     /// so the two surfaces commit to identical bytes identically.
     pub fn object_root_of(shard_roots: &[Hash]) -> Hash {
@@ -368,11 +354,7 @@ impl ShardHeader {
         let m = &self.meta;
         let mut b = [0u8; HEADER_LEN];
         b[0..8].copy_from_slice(&MAGIC);
-        // The version is a property of the archive on disk, not of this
-        // build: a trailerless (v2) archive keeps writing v2 headers
-        // under repair, so mixed-generation shard sets stay unanimous.
-        let version: u32 = if m.hash_trailer { 3 } else { 2 };
-        b[8..12].copy_from_slice(&version.to_le_bytes());
+        b[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
         b[12..14].copy_from_slice(&m.data_shards.to_le_bytes());
         b[14..16].copy_from_slice(&m.parity_shards.to_le_bytes());
         b[16..18].copy_from_slice(&self.shard_index.to_le_bytes());
@@ -407,31 +389,22 @@ impl ShardHeader {
             return Err(StreamError::Format("bad magic (not a shard file)".into()));
         }
         let version = le32(8);
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StreamError::Format(format!(
-                "unsupported format version {version} (this build reads \
-                 {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                "unsupported format version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
         if le32(60) != crc32(&b[..HEADER_LEN - 4]) {
             return Err(StreamError::Format("header checksum mismatch".into()));
         }
-        // Version 1 predates the codec fields: both offsets were
-        // reserved-zero, and the codec was implicitly RS.
-        let (codec_id, group_size) = if version == 1 {
-            (CodecId::Rs.wire(), 0)
-        } else {
-            (le16(18), le16(40))
-        };
         let meta = ArchiveMeta {
             data_shards: le16(12),
             parity_shards: le16(14),
-            codec_id,
-            group_size,
+            codec_id: le16(18),
+            group_size: le16(40),
             chunk_size: le32(20),
             chunk_count: le64(24),
             original_len: le64(32),
-            hash_trailer: version >= 3,
         };
         // Typed rejection first: an unknown wire id or an unrealizable
         // family geometry is an `EcError`, not a generic format string.
@@ -464,6 +437,7 @@ impl ShardHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_core::CodecId;
 
     fn meta() -> ArchiveMeta {
         ArchiveMeta::new(10, 4, 1 << 20, 3 * (1 << 20) + 12345)
@@ -512,7 +486,7 @@ mod tests {
         assert_eq!(m.slice_len(0), slice_len_for(1 << 20, 10, 8) as usize);
         assert_eq!(m.slice_len(3), slice_len_for(12345, 10, 8) as usize);
         assert_eq!(slice_len_for(12345, 10, 8), 1240); // ceil(1234.5)→1235, →8-align 1240
-        // v3: frames plus the hash trailer (4 leaves + 14 roots + object
+        // Frames plus the hash trailer (4 leaves + 14 roots + object
         // root, CRC'd).
         let trailer = 32 * (4 + 14 + 1) + 4;
         assert_eq!(HashTrailer::wire_len(&m), Some(trailer));
@@ -520,13 +494,7 @@ mod tests {
             + 3 * (slice_len_for(1 << 20, 10, 8) + 4)
             + (1240 + 4);
         assert_eq!(m.shard_file_len(), frames_end + trailer);
-        assert_eq!(m.hash_trailer_offset(), Some(frames_end));
-        // The same geometry without the trailer (a v2 archive) ends at
-        // the last frame.
-        let mut v2 = m;
-        v2.hash_trailer = false;
-        assert_eq!(v2.shard_file_len(), frames_end);
-        assert_eq!(v2.hash_trailer_offset(), None);
+        assert_eq!(m.hash_trailer_offset(), frames_end);
     }
 
     #[test]
@@ -577,27 +545,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_headers_read_as_rs() {
-        // Fabricate what a version-1 writer produced: version 1, zeros
-        // in the (then reserved) codec fields, a fresh CRC.
+    fn retired_versions_are_refused_by_name() {
+        // What an older writer's header looked like, CRC and all: the
+        // only thing wrong with it is the version, and the refusal says
+        // which one was found and which one is read.
         let h = ShardHeader { meta: meta(), shard_index: 3 };
-        let mut b = h.to_bytes();
-        b[8..12].copy_from_slice(&1u32.to_le_bytes());
-        b[18..20].copy_from_slice(&[0, 0]);
-        let crc = crc32(&b[..HEADER_LEN - 4]);
-        b[60..64].copy_from_slice(&crc.to_le_bytes());
-        let parsed = ShardHeader::from_bytes(&b).unwrap();
-        // Normalizes to the v2 RS meta (same fields, no hash trailer) —
-        // mixed v1/v2 shard sets vote for identical metadata.
-        let mut expect = h;
-        expect.meta.hash_trailer = false;
-        assert_eq!(parsed, expect);
-        assert_eq!(parsed.meta.codec_spec().unwrap(), CodecSpec::rs(10, 4));
-        // And a v2 meta writes version 2 back out, byte-identical modulo
-        // the version round-trip.
-        let again = ShardHeader::from_bytes(&parsed.to_bytes()).unwrap();
-        assert_eq!(again, parsed);
-        assert_eq!(u32::from_le_bytes(parsed.to_bytes()[8..12].try_into().unwrap()), 2);
+        for retired in [1u32, 2] {
+            let mut b = h.to_bytes();
+            b[8..12].copy_from_slice(&retired.to_le_bytes());
+            if retired == 1 {
+                // Version 1 kept the codec fields reserved-zero.
+                b[18..20].copy_from_slice(&[0, 0]);
+            }
+            let crc = crc32(&b[..HEADER_LEN - 4]);
+            b[60..64].copy_from_slice(&crc.to_le_bytes());
+            let Err(StreamError::Format(msg)) = ShardHeader::from_bytes(&b) else {
+                panic!("version {retired} header was not refused as a format error");
+            };
+            assert_eq!(
+                msg,
+                format!("unsupported format version {retired} (this build reads 3)")
+            );
+        }
     }
 
     #[test]
@@ -650,7 +619,6 @@ mod tests {
             chunk_size: 1,
             chunk_count: u64::MAX,
             original_len: u64::MAX,
-            hash_trailer: true,
         };
         assert!(hostile.validate().is_err());
         // A chunk size beyond the implementation cap (would demand

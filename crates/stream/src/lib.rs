@@ -15,12 +15,13 @@
 //!   length, a CRC-32 per chunk payload and a CRC-32 over the header —
 //!   shards are recoverable with no side-channel files, and `open`
 //!   resolves the recorded codec back through the registry;
-//! * the version-3 integrity layer: every shard file ends in a
+//! * the integrity layer: every shard file ends in a
 //!   [`HashTrailer`] — per-chunk SHA-256 leaf hashes, every shard's
 //!   Merkle root, and the object root — so verify/extract/repair can
 //!   catch and localize CRC-preserving tampering, elect the true roots
 //!   by majority when trailers disagree, and prove a repaired shard's
-//!   bytes before publishing them (v1/v2 archives still read, CRC-only);
+//!   bytes before publishing them (one format version is written and
+//!   read; any other is a typed refusal);
 //! * [`Archive`]: `create` / `extract` / `verify` / `scrub` / `repair`
 //!   over a directory of shard files. `verify` pinpoints missing,
 //!   truncated and bit-flipped shards from the checksums; `repair`
@@ -74,7 +75,7 @@ pub use decode::{ExtractReport, StreamDecoder};
 pub use encode::StreamEncoder;
 pub use error::StreamError;
 pub use format::{
-    ArchiveMeta, HashTrailer, ShardHeader, FORMAT_VERSION, HEADER_LEN, MAGIC, MIN_FORMAT_VERSION,
+    ArchiveMeta, HashTrailer, ShardHeader, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 
 #[cfg(test)]
