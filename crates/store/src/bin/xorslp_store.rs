@@ -362,8 +362,10 @@ fn overwrite(opts: &Opts) -> Result<ExitCode, CliError> {
     match report.mode {
         OverwriteMode::Delta => println!(
             "delta overwrite of `{object}`: {} changed data shards, {} shards \
-             shipped, {} XORs vs {} for a full re-encode ({:.1}x cheaper)",
+             read, {} shards shipped, {} XORs vs {} for a full re-encode \
+             ({:.1}x cheaper)",
             report.changed.len(),
+            report.shards_read,
             report.shards_written,
             report.xor_count,
             report.full_xor_count,

@@ -11,9 +11,10 @@
 //!   any `n` arrivals — abandoning stragglers, so one slow node does
 //!   not tax every read; degraded reads reconstruct through the codec's
 //!   cached decode programs;
-//! * `overwrite` is the delta path: only changed data shards ship, and
-//!   parity is brought up to date with the cached per-column programs
-//!   (`old ⊕ new`, not the world);
+//! * `overwrite` is the delta path: the manifest's Merkle roots say
+//!   which data shards changed, only those and the parity are read and
+//!   shipped, and parity is brought up to date with the cached
+//!   per-column programs (`old ⊕ new`, not the world);
 //! * `repair_nodes` rebuilds any number of simultaneously-dead nodes
 //!   onto replacements in **one survivor fetch + one reconstruct per
 //!   object** (not one pass per dead node), fetching only the shards
@@ -222,6 +223,11 @@ pub struct OverwriteReport {
     /// Shards actually shipped to nodes (changed data + parity for the
     /// delta path; `n + p` for the full path; `0` for no change).
     pub shards_written: usize,
+    /// Old shards fetched to compute the write: the changed data shards
+    /// and the `p` parity shards for the delta path; `0` otherwise
+    /// (which shards changed is read off the manifest's Merkle roots,
+    /// not off the stored payloads).
+    pub shards_read: usize,
     /// XOR instructions the executed path costs per packet-byte
     /// (column programs of the changed shards for delta; the full
     /// encode program otherwise). Comparing the two *proves* the delta
@@ -596,12 +602,14 @@ impl Cluster {
         // stale records lose the freshest-record vote.
         let vote = self.fetch_record(&mut conns, object, &[]);
         let generation = vote.next_generation();
-        self.put_inner(&mut conns, object, data, generation)
+        self.put_inner(&mut conns, object, data, generation, None)
     }
 
     /// [`Cluster::put`] with the generation election already decided
     /// (the overwrite fallbacks fetched the manifest; no second
-    /// cluster-wide sweep). Superseded shards — the prior generation's
+    /// cluster-wide sweep) and, from an overwrite that already hashed
+    /// them to find what changed, the data shards' hash blobs in
+    /// `data_blobs`. Superseded shards — the prior generation's
     /// keys, and ex-placement blobs stranded by membership churn — are
     /// deliberately *not* reclaimed here: a concurrent reader may still
     /// be fetching the prior generation it resolved, so collection
@@ -612,6 +620,7 @@ impl Cluster {
         object: &str,
         data: &[u8],
         generation: u64,
+        data_blobs: Option<Vec<HashBlob>>,
     ) -> Result<PutReport, StoreError> {
         let shard_len = self.codec.shard_len(data.len());
         if shard_len + MAX_KEY + 64 > MAX_BODY {
@@ -628,9 +637,13 @@ impl Cluster {
         // roots (and the object root over them) ride in the manifest as
         // the end-to-end ground truth, and the leaf hashes ship beside
         // each shard as its `t:` blob so scrub can descend without
-        // re-reading payloads.
-        let hash_blobs: Vec<HashBlob> =
-            shards.iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)).collect();
+        // re-reading payloads. The shards the caller's blobs do not
+        // cover (parity after an overwrite; all of them for a put) are
+        // hashed here.
+        let mut hash_blobs = data_blobs.unwrap_or_default();
+        let hashed = hash_blobs.len();
+        hash_blobs
+            .extend(shards[hashed..].iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)));
         let shard_root: Vec<Hash> = hash_blobs.iter().map(HashBlob::root).collect();
         let manifest = Manifest {
             data_shards: spec.data_shards as u16,
@@ -997,11 +1010,18 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Replace `object`'s content, shipping deltas instead of the world
-    /// when possible: unchanged data shards are not rewritten, and
-    /// parity is updated with the cached per-column programs over
-    /// `old ⊕ new`. Falls back to a full re-put when the shard geometry
-    /// changes, every data shard changed, or the old shards/parity are
-    /// not all retrievable.
+    /// when possible. Which data shards changed is decided from the
+    /// manifest alone — a new shard whose SHA-256 Merkle root equals
+    /// `shard_root[i]` is unchanged, and is neither read nor rewritten —
+    /// then the changed old shards and the `p` parity shards are fetched
+    /// in one round and parity is updated with the cached per-column
+    /// programs over `old ⊕ new`. Falls back to a full re-put when the
+    /// shard geometry changes, every data shard changed, or a *changed*
+    /// old shard or a parity shard is not retrievable.
+    ///
+    /// An overwrite never reads the shards it does not change, so a dead
+    /// or rotten **unchanged** shard neither stops the delta nor is
+    /// noticed by it: finding that damage is [`Cluster::scrub`]'s job.
     ///
     /// Like [`Cluster::put`], writes to one object must be serialized
     /// by the caller: the delta path is a read-modify-write of parity
@@ -1014,175 +1034,137 @@ impl Cluster {
         data: &[u8],
     ) -> Result<OverwriteReport, StoreError> {
         validate_object_name(object)?;
+        let (n, p) = (self.codec.data_shards(), self.codec.parity_shards());
         let full_xor = self.codec.encode_xor_count();
-        // `prior` is the live manifest overwrite already fetched — it
-        // won the generation election, so `generation + 1` beats every
-        // replica and tombstone without a second cluster sweep.
-        let full = |this: &Cluster,
-                    conns: &mut ParallelConnSet,
-                    prior: Manifest|
-         -> Result<OverwriteReport, StoreError> {
-            let generation = prior.generation + 1;
-            let report = this.put_inner(conns, object, data, generation)?;
-            Ok(OverwriteReport {
-                mode: OverwriteMode::Full,
-                changed: (0..this.codec.data_shards()).collect(),
-                shards_written: report.shards_written,
-                xor_count: full_xor,
-                full_xor_count: full_xor,
-            })
+        let full_report = |put: PutReport| OverwriteReport {
+            mode: OverwriteMode::Full,
+            changed: (0..n).collect(),
+            shards_written: put.shards_written,
+            shards_read: 0,
+            xor_count: full_xor,
+            full_xor_count: full_xor,
         };
 
         let mut conns = self.conns();
         let mut manifest = match self.fetch_manifest(&mut conns, object, &[]) {
             Ok(m) => m,
-            Err(StoreError::NotFound(_)) => {
-                // Absent (or tombstoned): a plain put re-runs the
-                // generation election and resurrects cleanly.
-                let report = self.put(object, data)?;
-                return Ok(OverwriteReport {
-                    mode: OverwriteMode::Full,
-                    changed: (0..self.codec.data_shards()).collect(),
-                    shards_written: report.shards_written,
-                    xor_count: full_xor,
-                    full_xor_count: full_xor,
-                });
-            }
+            // Absent (or tombstoned): a plain put re-runs the
+            // generation election and resurrects cleanly.
+            Err(StoreError::NotFound(_)) => return self.put(object, data).map(full_report),
             Err(e) => return Err(e),
         };
         self.check_geometry(object, &manifest)?;
-        let (n, p) = (self.codec.data_shards(), self.codec.parity_shards());
+        // The manifest just fetched won the generation election, so
+        // `generation + 1` beats every replica and tombstone without a
+        // second cluster sweep — on the full path as on the delta path.
+        let new_gen = manifest.generation + 1;
         if self.codec.shard_len(data.len()) as u64 != manifest.shard_len {
             // Geometry changed: delta cannot apply.
-            return full(self, &mut conns, manifest);
+            return self.put_inner(&mut conns, object, data, new_gen, None).map(full_report);
         }
 
-        // Old data shards (checksum-validated), one fan-out round:
-        // without all of them the change set is unknowable — fall back.
-        let mut old: Vec<Vec<u8>> = Vec::with_capacity(n);
-        for result in self.fetch_shards(&mut conns, object, &manifest, &(0..n).collect::<Vec<_>>()) {
-            match result {
-                Some(shard) => old.push(shard),
-                None => return full(self, &mut conns, manifest),
-            }
-        }
+        // Change detection, zero payload reads: hash the new data shards
+        // (the blobs ship with whatever changed, on either path) and
+        // compare roots with the manifest's. Roots, never `shard_crc`
+        // alone — CRC-32 is linear and an edit can preserve it. A
+        // manifest hashed at another leaf size has no comparable roots:
+        // every shard counts as changed.
         let new = self.codec.split_data(data);
-        let changed: Vec<usize> = (0..n).filter(|&i| old[i] != new[i]).collect();
+        let new_blobs: Vec<HashBlob> =
+            new.iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)).collect();
+        let same_leaves = manifest.hash_leaf_size == HASH_LEAF_SIZE;
+        let changed: Vec<usize> = (0..n)
+            .filter(|&i| !same_leaves || new_blobs[i].root() != manifest.shard_root[i])
+            .collect();
         if changed.is_empty() {
             if data.len() as u64 != manifest.object_len {
                 // Same shard bytes, different logical length (padding
                 // collision): only the manifest needs refreshing.
                 manifest.object_len = data.len() as u64;
-                manifest.generation += 1;
+                manifest.generation = new_gen;
                 self.replicate_manifest(&mut conns, object, &manifest)?;
             }
             return Ok(OverwriteReport {
                 mode: OverwriteMode::NoChange,
                 changed,
                 shards_written: 0,
+                shards_read: 0,
                 xor_count: 0,
                 full_xor_count: full_xor,
             });
         }
         if changed.len() == n {
             // Nothing survives; re-encoding is strictly cheaper.
-            return full(self, &mut conns, manifest);
+            return self
+                .put_inner(&mut conns, object, data, new_gen, Some(new_blobs))
+                .map(full_report);
         }
         let delta_xor: usize = changed
             .iter()
             .map(|&i| self.codec.update_xor_count(i))
             .sum::<Result<usize, _>>()?;
 
-        // Parity RMW: all p parity shards must be present to update in
-        // place.
-        let parity_idx: Vec<usize> = (n..n + p).collect();
-        let mut parity: Vec<Vec<u8>> = Vec::with_capacity(p);
-        for result in self.fetch_shards(&mut conns, object, &manifest, &parity_idx) {
-            match result {
-                Some(shard) => parity.push(shard),
-                None => return full(self, &mut conns, manifest),
-            }
-        }
+        // The one read round: the changed old data shards and all p
+        // parity shards (each CRC- and root-verified against the
+        // manifest). The parity RMW needs every one of them — fall back
+        // without.
+        let touched: Vec<usize> = changed.iter().copied().chain(n..n + p).collect();
+        let fetched: Option<Vec<Vec<u8>>> =
+            self.fetch_shards(&mut conns, object, &manifest, &touched).into_iter().collect();
+        let Some(mut old) = fetched else {
+            return self
+                .put_inner(&mut conns, object, data, new_gen, Some(new_blobs))
+                .map(full_report);
+        };
+        let mut parity = old.split_off(changed.len());
         {
             let mut prefs: Vec<&mut [u8]> =
                 parity.iter_mut().map(Vec::as_mut_slice).collect();
-            for &i in &changed {
-                self.codec.update_parity(i, &old[i], &new[i], &mut prefs)?;
+            for (&i, old) in changed.iter().zip(old) {
+                self.codec.update_parity(i, &old, &new[i], &mut prefs)?;
             }
         }
 
-        // Prepare: ship changed data shards + all updated parity under
-        // the *new* generation's keys, in one round. Unchanged data
-        // shards keep their existing keys — that is the delta saving —
-        // and the old generation's changed/parity keys stay untouched
-        // beside the new ones, so a crash anywhere below leaves the
-        // published generation byte-exact for readers and the partial
-        // new-generation shards for GC. (The old delta path RMW'd
-        // parity *in place* under the live keys: a crash mid-round
-        // could leave more than `p` published shards clobbered, losing
-        // both generations.)
-        let new_gen = manifest.generation + 1;
-        // The delta path holds every post-overwrite shard byte (new
-        // data + updated parity), so it recomputes all n + p Merkle
-        // roots. Hash blobs for every shard ship alongside: changed
-        // shards under the new generation's keys, unchanged shards under
-        // their existing keys (the blob content is a pure function of
-        // bytes already published, so rewriting it is idempotent).
-        let hash_blobs: Vec<HashBlob> = new
+        // Prepare: ship the changed data shards and the updated parity,
+        // each with its hash blob, under the *new* generation's keys in
+        // one round. Unchanged data shards keep their keys, generations,
+        // roots and stored hash blobs — that is the delta saving — and
+        // the old generation's changed/parity keys stay untouched beside
+        // the new ones, so a crash anywhere below leaves the published
+        // generation byte-exact for readers and the partial
+        // new-generation shards for GC.
+        let parity_blobs: Vec<HashBlob> =
+            parity.iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)).collect();
+        let shipped: Vec<(usize, &[u8], &HashBlob)> = touched
             .iter()
-            .map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE))
-            .chain(parity.iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)))
+            .map(|&i| match i.checked_sub(n) {
+                None => (i, new[i].as_slice(), &new_blobs[i]),
+                Some(j) => (i, parity[j].as_slice(), &parity_blobs[j]),
+            })
             .collect();
         let tree_bytes: Vec<Vec<u8>> =
-            hash_blobs.iter().map(HashBlob::to_bytes).collect();
-        let tree_gen = |i: usize| {
-            if changed.contains(&i) || i >= n {
-                new_gen
-            } else {
-                manifest.shard_gen[i]
-            }
-        };
-        let ships: Vec<Ship> = changed
+            shipped.iter().map(|(_, _, blob)| blob.to_bytes()).collect();
+        // As in `put_inner`, a hash blob trips at its shard's index.
+        let ships: Vec<Ship> = shipped
             .iter()
             .enumerate()
-            .map(|(ship_idx, &i)| {
-                (
-                    manifest.placement[i].as_str(),
-                    manifest::shard_key(object, i, new_gen),
-                    new[i].as_slice(),
-                    Some(ship_idx),
-                )
+            .map(|(at, &(i, shard, _))| {
+                let key = manifest::shard_key(object, i, new_gen);
+                (manifest.placement[i].as_str(), key, shard, Some(at))
             })
-            .chain(parity.iter().enumerate().map(|(j, shard)| {
-                (
-                    manifest.placement[n + j].as_str(),
-                    manifest::shard_key(object, n + j, new_gen),
-                    shard.as_slice(),
-                    Some(changed.len() + j),
-                )
-            }))
-            .chain(tree_bytes.iter().enumerate().map(|(i, bytes)| {
-                (
-                    manifest.placement[i].as_str(),
-                    tree_key(object, i, tree_gen(i)),
-                    bytes.as_slice(),
-                    None,
-                )
+            .chain(shipped.iter().zip(&tree_bytes).enumerate().map(|(at, (&(i, ..), bytes))| {
+                let key = tree_key(object, i, new_gen);
+                (manifest.placement[i].as_str(), key, bytes.as_slice(), Some(at))
             }))
             .collect();
         for result in self.ship(&mut conns, "overwrite.shard", &ships) {
             result?;
         }
-        for &i in &changed {
-            manifest.shard_crc[i] = crc32(&new[i]);
+        for &(i, shard, blob) in &shipped {
+            manifest.shard_crc[i] = crc32(shard);
             manifest.shard_gen[i] = new_gen;
+            manifest.shard_root[i] = blob.root();
         }
-        for (j, shard) in parity.iter().enumerate() {
-            manifest.shard_crc[n + j] = crc32(shard);
-            manifest.shard_gen[n + j] = new_gen;
-        }
-        manifest.hash_leaf_size = HASH_LEAF_SIZE;
-        manifest.shard_root = hash_blobs.iter().map(HashBlob::root).collect();
         manifest.object_root = root_over_roots(&manifest.shard_root);
         manifest.object_len = data.len() as u64;
         manifest.generation = new_gen;
@@ -1191,7 +1173,8 @@ impl Cluster {
         self.replicate_manifest(&mut conns, object, &manifest)?;
         Ok(OverwriteReport {
             mode: OverwriteMode::Delta,
-            shards_written: changed.len() + p,
+            shards_written: touched.len(),
+            shards_read: touched.len(),
             changed,
             xor_count: delta_xor,
             full_xor_count: full_xor,
@@ -2320,10 +2303,11 @@ fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
                     "shard bytes from {addr} fail the manifest checksum"
                 ))));
             }
-            // Every consumer of this job — get, overwrite's old-shard
-            // fetch, repair's survivor fetch, the full-read scrub — gets
-            // end-to-end hash verification for free, so even a
-            // CRC-colliding flip cannot slip into a decode.
+            // Every consumer of this job — get, overwrite's fetch of the
+            // changed shards and parity, repair's survivor fetch, the
+            // full-read scrub — gets end-to-end hash verification for
+            // free, so even a CRC-colliding flip cannot slip into a
+            // decode.
             if MerkleTree::from_payload(&bytes, manifest.hash_leaf_size as usize).root()
                 != manifest.shard_root[i]
             {

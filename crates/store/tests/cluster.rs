@@ -5,8 +5,8 @@
 
 use ec_core::{CodecSpec, RsConfig};
 use ec_store::{
-    Cluster, NodeHandle, OverwriteMode, ScrubCycle, ScrubScheduler, ShardHealth,
-    StoreError,
+    Cluster, NodeClient, NodeHandle, OverwriteMode, ScrubCycle, ScrubScheduler,
+    ShardHealth, StoreError,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,6 +72,27 @@ impl TestCluster {
     /// Index of the node serving `addr`.
     fn index_of(&self, addr: &str) -> usize {
         self.addrs.iter().position(|a| a == addr).expect("known addr")
+    }
+
+    /// Delete the blob under `key` on the node at `addr`: the node
+    /// lives, the blob is gone.
+    fn lose(&self, addr: &str, key: &str) {
+        let mut node = NodeClient::connect(addr, TIMEOUT).unwrap();
+        assert!(node.delete(key).unwrap(), "{key} was not on {addr}");
+    }
+
+    /// Flip one payload bit of the blob under `key` on the node at
+    /// `addr`, in its file, behind the node's back.
+    fn rot(&self, addr: &str, key: &str) {
+        let hex: String = key.bytes().map(|b| format!("{b:02x}")).collect();
+        let path = self
+            .root
+            .join(format!("node{}", self.index_of(addr)))
+            .join(format!("{hex}.blob"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
     }
 }
 
@@ -238,6 +259,9 @@ fn delta_overwrite_ships_less_and_proves_it() {
     assert_eq!(report.mode, OverwriteMode::Delta);
     assert_eq!(report.changed, vec![0]);
     assert_eq!(report.shards_written, 1 + 2); // one data shard + p parity
+    // ... and read no more than it shipped: the old bytes of the one
+    // changed shard and the parity it updates, not the object.
+    assert_eq!(report.shards_read, 1 + 2);
     // The SLP metrics prove the delta is strictly cheaper than a full
     // re-encode, and the cache introspection proves the column program
     // path actually ran.
@@ -253,18 +277,193 @@ fn delta_overwrite_ships_less_and_proves_it() {
     // Unchanged content: nothing ships.
     let report = cluster.overwrite("doc", &v2).unwrap();
     assert_eq!(report.mode, OverwriteMode::NoChange);
-    assert_eq!(report.shards_written, 0);
+    assert_eq!((report.shards_written, report.shards_read), (0, 0));
 
     // A size change forces the full path.
     let v3 = sample_data(96 * 1024, 3);
     let report = cluster.overwrite("doc", &v3).unwrap();
     assert_eq!(report.mode, OverwriteMode::Full);
+    assert_eq!(report.shards_read, 0);
     assert_eq!(cluster.get("doc").unwrap(), v3);
 
     // Overwrite of a nonexistent object degrades to a plain put.
     let report = cluster.overwrite("fresh", &original).unwrap();
     assert_eq!(report.mode, OverwriteMode::Full);
     assert_eq!(cluster.get("fresh").unwrap(), original);
+}
+
+/// A delta overwrite and a fresh put of the same bytes must agree on
+/// every integrity field of the manifest: the delta path updates only
+/// the indices it touched, so a stale or mis-indexed root would show
+/// here — and in the deep scrub, which re-reads every shard and
+/// re-encodes parity.
+#[test]
+fn delta_overwrite_matches_a_fresh_put() {
+    let geometries = [
+        ("rs", CodecSpec::rs(10, 4), 1usize << 20),
+        ("lrc", CodecSpec::lrc(4, 3, 2), 600_000),
+    ];
+    for (tag, spec, len) in geometries {
+        let nodes = spec.data_shards + spec.parity_shards;
+        let (a_nodes, b_nodes) = (
+            TestCluster::spawn(&format!("deltaeq_a_{tag}"), nodes),
+            TestCluster::spawn(&format!("deltaeq_b_{tag}"), nodes),
+        );
+        let open = |tc: &TestCluster| {
+            Cluster::with_spec(tc.addrs.clone(), &spec).unwrap().with_timeout(TIMEOUT)
+        };
+        let (a, b) = (open(&a_nodes), open(&b_nodes));
+        let mut model = sample_data(len, 5);
+        a.put("obj", &model).unwrap();
+        let shard_len = a.codec().shard_len(len);
+
+        // Seeded ranges: leaf-aligned 64 KiB, one byte, a few hundred
+        // bytes across a shard boundary, and up to two shards' worth
+        // anywhere. Every byte of a range changes (XOR with non-zero),
+        // so the changed shards are exactly the ones it overlaps.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ len as u64;
+        let mut next = |below: usize| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % below
+        };
+        for round in 0..8 {
+            let (at, range) = match round % 4 {
+                0 => (next(len / 65_536) * 65_536, 65_536),
+                1 => (next(len), 1),
+                2 => ((1 + next(spec.data_shards - 1)) * shard_len - 100, 300),
+                _ => {
+                    let range = 1 + next(2 * shard_len);
+                    (next(len - range), range)
+                }
+            };
+            for byte in &mut model[at..at + range] {
+                *byte ^= 1 + next(255) as u8;
+            }
+            let what = format!("{tag} round {round}: {range} bytes at {at}");
+            let touched: Vec<usize> = (at / shard_len..=(at + range - 1) / shard_len).collect();
+
+            let report = a.overwrite("obj", &model).unwrap();
+            assert_eq!(report.mode, OverwriteMode::Delta, "{what}");
+            assert_eq!(report.changed, touched, "{what}");
+            assert_eq!(report.shards_read, touched.len() + spec.parity_shards, "{what}");
+            b.put("obj", &model).unwrap();
+
+            let (delta, fresh) = (a.manifest("obj").unwrap(), b.manifest("obj").unwrap());
+            assert_eq!(delta.shard_root, fresh.shard_root, "{what}");
+            assert_eq!(delta.shard_crc, fresh.shard_crc, "{what}");
+            assert_eq!(delta.object_root, fresh.object_root, "{what}");
+            assert_eq!(delta.object_len, fresh.object_len, "{what}");
+            assert_eq!(a.get("obj").unwrap(), model, "{what}");
+            let deep = a.scrub_deep().unwrap();
+            assert!(deep.clean(), "{what}: {deep:?}");
+        }
+    }
+}
+
+/// The trade the root-based change detection makes: an overwrite reads
+/// only the shards it changes (and parity), so damage to an *unchanged*
+/// data shard neither stops the delta nor is noticed by it — the next
+/// scrub names it. Damage to anything the delta must read still forces
+/// the full path, which heals it by rewriting everything.
+#[test]
+fn delta_overwrite_reads_only_what_it_changes() {
+    let (n, p) = (4usize, 2usize);
+    let original = sample_data(64 * 1024, 2);
+    let mut v2 = original.clone();
+    for b in &mut v2[..100] {
+        *b ^= 0x3C; // data shard 0 only
+    }
+
+    // Damage to unchanged data shard 2: lost, or rotten.
+    for (case, rotten) in [("unchanged_lost", false), ("unchanged_rotten", true)] {
+        let tc = TestCluster::spawn(case, n + p);
+        let cluster = tc.cluster(n, p);
+        cluster.put("doc", &original).unwrap();
+        let before = cluster.manifest("doc").unwrap();
+        let (addr, key) = (&before.placement[2], before.shard_key("doc", 2));
+        if rotten {
+            tc.rot(addr, &key);
+        } else {
+            tc.lose(addr, &key);
+        }
+
+        let report = cluster.overwrite("doc", &v2).unwrap();
+        assert_eq!(report.mode, OverwriteMode::Delta, "{case}");
+        assert_eq!(report.changed, vec![0], "{case}");
+        let (got, read) = cluster.get_with_report("doc").unwrap();
+        assert_eq!(got, v2, "{case}");
+        assert_eq!(read.missing, vec![2], "{case}");
+        // The damaged shard kept its key and generation: it is still
+        // the put's shard, and scrub finds it there.
+        let after = cluster.manifest("doc").unwrap();
+        assert_eq!(after.shard_gen[2], before.generation, "{case}");
+        let scrub = cluster.scrub().unwrap();
+        assert_eq!(scrub.objects.len(), 1, "{case}");
+        assert_eq!(scrub.objects[0].damaged(), vec![2], "{case}: {scrub:?}");
+        let health = &scrub.objects[0].shards[2];
+        if rotten {
+            assert!(matches!(health, ShardHealth::Corrupt(_)), "{case}: {health:?}");
+        } else {
+            assert!(matches!(health, ShardHealth::Missing(_)), "{case}: {health:?}");
+        }
+    }
+
+    // Damage to the changed data shard 0, or to parity shard n + 1: the
+    // read-modify-write cannot run, the whole object is re-put.
+    for (case, shard, rotten) in [("changed_lost", 0, false), ("parity_rotten", n + 1, true)] {
+        let tc = TestCluster::spawn(case, n + p);
+        let cluster = tc.cluster(n, p);
+        cluster.put("doc", &original).unwrap();
+        let before = cluster.manifest("doc").unwrap();
+        let (addr, key) = (&before.placement[shard], before.shard_key("doc", shard));
+        if rotten {
+            tc.rot(addr, &key);
+        } else {
+            tc.lose(addr, &key);
+        }
+
+        let report = cluster.overwrite("doc", &v2).unwrap();
+        assert_eq!(report.mode, OverwriteMode::Full, "{case}");
+        assert_eq!((report.shards_written, report.shards_read), (n + p, 0), "{case}");
+        let (got, read) = cluster.get_with_report("doc").unwrap();
+        assert_eq!(got, v2, "{case}");
+        assert!(!read.degraded(), "{case}");
+        assert!(cluster.scrub().unwrap().clean(), "{case}");
+    }
+}
+
+/// Two objects that differ only in how many trailing zeros are content
+/// and how many are padding have the same shards: the overwrite ships
+/// nothing and republishes the manifest with the new length.
+#[test]
+fn padding_collision_overwrite_republishes_only_the_manifest() {
+    let tc = TestCluster::spawn("padding", 6);
+    let cluster = tc.cluster(4, 2);
+    let short = sample_data(1000, 6);
+    let mut long = short.clone();
+    long.push(0);
+    assert_eq!(cluster.codec().split_data(&short), cluster.codec().split_data(&long));
+    cluster.put("doc", &short).unwrap();
+    let before = cluster.manifest("doc").unwrap();
+
+    let report = cluster.overwrite("doc", &long).unwrap();
+    assert_eq!(report.mode, OverwriteMode::NoChange);
+    assert_eq!(report.changed, Vec::<usize>::new());
+    assert_eq!((report.shards_written, report.shards_read), (0, 0));
+    let after = cluster.manifest("doc").unwrap();
+    assert_eq!(after.generation, before.generation + 1);
+    assert_eq!(after.object_len, 1001);
+    // Every shard is still the put's: same keys, same roots.
+    assert_eq!(after.shard_gen, before.shard_gen);
+    assert_eq!(after.shard_root, before.shard_root);
+    assert_eq!(after.object_root, before.object_root);
+    assert_eq!(cluster.get("doc").unwrap(), long);
+    assert!(cluster.scrub().unwrap().clean());
+
+    // The same bytes again: not even the manifest moves.
+    let report = cluster.overwrite("doc", &long).unwrap();
+    assert_eq!(report.mode, OverwriteMode::NoChange);
+    assert_eq!(cluster.manifest("doc").unwrap().generation, after.generation);
 }
 
 #[test]

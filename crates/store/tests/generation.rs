@@ -78,13 +78,18 @@ impl Rig {
     /// Every `s:`-prefixed key on every live node, as sorted
     /// `(addr, key)` pairs — the ground truth for "zero orphans".
     fn shard_keys(&self) -> Vec<(String, String)> {
+        self.keys("s:")
+    }
+
+    /// Likewise for any key family (`t:` = the shards' hash blobs).
+    fn keys(&self, prefix: &str) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             if node.is_none() {
                 continue;
             }
             let mut c = NodeClient::connect(&self.addrs[i], TIMEOUT).unwrap();
-            for key in c.list("s:").unwrap() {
+            for key in c.list(prefix).unwrap() {
                 out.push((self.addrs[i].clone(), key));
             }
         }
@@ -181,6 +186,8 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
     let v1 = sample(96_000, 3);
     clean.put("obj", &v1).unwrap();
     let live_keys = rig.shard_keys();
+    let live_tree_keys = rig.keys("t:");
+    assert_eq!(live_tree_keys.len(), n + p, "one hash blob per shard");
 
     // Flip bytes inside data shard 0 only: the delta path ships one
     // changed data shard plus both parity shards — three writes.
@@ -198,6 +205,17 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
         let crashing = rig.cluster(n, p).with_failpoint(failpoint(point, k));
         crashing.overwrite("obj", &v2).unwrap_err();
 
+        // A crash after k shard writes strands at most k shard/hash
+        // pairs: a hash blob trips where its shard does.
+        let landed = if point == "overwrite.shard" { k } else { ships };
+        for (what, now, live) in [
+            ("shard", rig.shard_keys(), &live_keys),
+            ("hash blob", rig.keys("t:"), &live_tree_keys),
+        ] {
+            let stranded = now.iter().filter(|key| !live.contains(key)).count();
+            assert_eq!(stranded, landed, "{point}={k} stranded {what} keys: {now:?}");
+        }
+
         let (got, report) = clean.get_with_report("obj").unwrap();
         assert_eq!(got, v1, "{point}={k} corrupted the live generation");
         assert!(!report.degraded(), "{point}={k}");
@@ -205,6 +223,7 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
         let scrub = clean.scrub().unwrap();
         assert!(scrub.clean(), "{point}={k}: {scrub:?}");
         assert_eq!(rig.shard_keys(), live_keys, "{point}={k} left orphans");
+        assert_eq!(rig.keys("t:"), live_tree_keys, "{point}={k} left orphan hash blobs");
     }
 
     // The real overwrite lands; the keys it superseded (changed data +
@@ -218,6 +237,12 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
     let keys = rig.shard_keys();
     assert_eq!(keys.len(), n + p);
     assert_ne!(keys, live_keys);
+    // Hash blobs follow their shards: the unchanged data shards' blobs
+    // are the very keys the put wrote, the other three are new.
+    let tree_keys = rig.keys("t:");
+    assert_eq!(tree_keys.len(), n + p);
+    let kept = tree_keys.iter().filter(|key| live_tree_keys.contains(key)).count();
+    assert_eq!(kept, n - 1, "{tree_keys:?}");
 }
 
 #[test]

@@ -10,8 +10,8 @@
 
 use ec_core::RsConfig;
 use ec_store::{
-    manifest_key, Cluster, Manifest, NodeClient, NodeHandle, ShardHealth, StoreError,
-    HASH_LEAF_SIZE, MANIFEST_MAGIC,
+    manifest_key, Cluster, Manifest, NodeClient, NodeHandle, OverwriteMode, ShardHealth,
+    StoreError, HASH_LEAF_SIZE, MANIFEST_MAGIC,
 };
 use ec_wire::crc32;
 use std::path::{Path, PathBuf};
@@ -196,6 +196,39 @@ fn crc_colliding_tamper_is_caught_localized_and_repaired() {
     assert!(cluster.scrub().unwrap().clean());
     assert!(cluster.scrub_deep().unwrap().clean());
     assert_eq!(cluster.get("victim").unwrap(), data);
+}
+
+/// The same pattern as a *legitimate edit*: an overwrite whose only
+/// change leaves a data shard's CRC-32 exactly where it was. The
+/// overwrite decides what changed from the manifest, without reading
+/// the old shard — so it must decide from the SHA-256 roots, and still
+/// ship the shard.
+#[test]
+fn crc_preserving_edit_is_still_a_changed_shard() {
+    let tc = TestCluster::spawn("crcedit", 5);
+    let cluster = tc.cluster(3, 2);
+    let data = sample_data(400_000, 11);
+    cluster.put("doc", &data).unwrap();
+    let before = cluster.manifest("doc").unwrap();
+
+    let at = before.shard_len as usize + 70_000; // inside data shard 1
+    let mut edited = data.clone();
+    for (k, b) in CRC_NEUTRAL_FLIP.iter().enumerate() {
+        edited[at + k] ^= b;
+    }
+    let new_shards = cluster.codec().split_data(&edited);
+    assert_eq!(crc32(&new_shards[1]), before.shard_crc[1], "the edit must be CRC-32 neutral");
+
+    let report = cluster.overwrite("doc", &edited).unwrap();
+    assert_eq!(report.mode, OverwriteMode::Delta);
+    assert_eq!(report.changed, vec![1]);
+    assert_eq!((report.shards_read, report.shards_written), (1 + 2, 1 + 2));
+    assert_eq!(cluster.get("doc").unwrap(), edited);
+    let after = cluster.manifest("doc").unwrap();
+    assert_eq!(after.shard_crc[1], before.shard_crc[1]);
+    assert_ne!(after.shard_root[1], before.shard_root[1]);
+    assert_eq!(after.shard_gen[1], after.generation, "the shard was rewritten");
+    assert!(cluster.scrub_deep().unwrap().clean());
 }
 
 /// Losing or rotting a `t:` hash blob is damage to the *cache*, not the
