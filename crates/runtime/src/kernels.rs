@@ -191,10 +191,18 @@ pub unsafe fn xor_into(kernel: Kernel, dst: *mut u8, srcs: &[*const u8], len: us
     assert!(!srcs.is_empty(), "XOR of zero sources is undefined");
     if srcs.len() == 1 {
         if !std::ptr::eq(srcs[0], dst as *const u8) {
+            // SAFETY: both pointers are valid for `len` bytes (caller),
+            // and a source that is not `dst` itself does not overlap it
+            // (the caller's aliasing rule).
             std::ptr::copy_nonoverlapping(srcs[0], dst, len);
         }
         return;
     }
+    // SAFETY (every arm): the caller's contract is the inner kernels'
+    // contract word for word — pointers valid for `base + len = len`
+    // bytes, exact-address aliasing only — and the caller vouches for
+    // the CPU feature of the SIMD kernel it names; `Auto` resolves to a
+    // kernel `is_available()` confirmed.
     match kernel {
         Kernel::Scalar => xor_scalar(dst, srcs, 0, len),
         Kernel::Wide64 => xor_wide64(dst, srcs, 0, len),
@@ -212,6 +220,13 @@ pub unsafe fn xor_into(kernel: Kernel, dst: *mut u8, srcs: &[*const u8], len: us
 // arrays, so tail handoffs (wide → scalar) never materialize a shifted
 // copy of `srcs` — the executor's inner loop stays allocation-free.
 
+/// Byte-at-a-time reference kernel, and every wider kernel's tail.
+///
+/// # Safety
+/// `dst` and every `srcs[k]` must be valid for `base + len` bytes, and
+/// `dst` may alias a source only at the same address: each byte is read
+/// from all sources before it is written, so exact aliasing is sound
+/// and a partial overlap would read bytes already overwritten.
 unsafe fn xor_scalar(dst: *mut u8, srcs: &[*const u8], base: usize, len: usize) {
     for i in base..base + len {
         let mut acc = *srcs[0].add(i);
@@ -222,6 +237,12 @@ unsafe fn xor_scalar(dst: *mut u8, srcs: &[*const u8], base: usize, len: usize) 
     }
 }
 
+/// Eight bytes per step through `read_unaligned` / `write_unaligned`,
+/// so no pointer needs any alignment; the last `len % 8` bytes go to
+/// [`xor_scalar`].
+///
+/// # Safety
+/// As [`xor_scalar`]: every word touched lies in `base..base + len`.
 unsafe fn xor_wide64(dst: *mut u8, srcs: &[*const u8], base: usize, len: usize) {
     let words = len / 8;
     for w in 0..words {
@@ -238,6 +259,11 @@ unsafe fn xor_wide64(dst: *mut u8, srcs: &[*const u8], base: usize, len: usize) 
     }
 }
 
+/// # Safety
+/// As [`xor_scalar`] with `base = 0`, and the CPU must support `avx2`
+/// (`Kernel::Avx2.is_available()`). Every vector access is a `loadu` /
+/// `storeu` inside `off..off + 64 ≤ len`, so no alignment is needed;
+/// the tail under 32 bytes goes to [`xor_wide64`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn xor_avx2(dst: *mut u8, srcs: &[*const u8], len: usize) {
@@ -268,6 +294,11 @@ unsafe fn xor_avx2(dst: *mut u8, srcs: &[*const u8], len: usize) {
     }
 }
 
+/// # Safety
+/// As [`xor_scalar`] with `base = 0`, and the CPU must support
+/// `avx512f` (`Kernel::Avx512.is_available()`). Every vector access is
+/// a `loadu` / `storeu` inside `off..off + 128 ≤ len`, so no alignment
+/// is needed; the tail under 64 bytes goes to [`xor_wide64`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn xor_avx512(dst: *mut u8, srcs: &[*const u8], len: usize) {
@@ -298,6 +329,12 @@ unsafe fn xor_avx512(dst: *mut u8, srcs: &[*const u8], len: usize) {
     }
 }
 
+/// # Safety
+/// As [`xor_scalar`] with `base = 0`, and the CPU must support `neon`
+/// (`Kernel::Neon.is_available()`). `vld1q_u8` / `vst1q_u8` take byte
+/// pointers and need no alignment; every access lies inside
+/// `off..off + 64 ≤ len`, and the tail under 16 bytes goes to
+/// [`xor_wide64`].
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
 unsafe fn xor_neon(dst: *mut u8, srcs: &[*const u8], len: usize) {
@@ -338,13 +375,18 @@ unsafe fn xor_neon(dst: *mut u8, srcs: &[*const u8], len: usize) {
 /// Safe convenience wrapper over slices, used by tests and small callers.
 ///
 /// # Panics
-/// Panics if lengths differ or `srcs` is empty.
+/// Panics if lengths differ, `srcs` is empty, or this CPU cannot run
+/// `kernel`.
 pub fn xor_slices(kernel: Kernel, dst: &mut [u8], srcs: &[&[u8]]) {
     assert!(!srcs.is_empty(), "XOR of zero sources is undefined");
+    assert!(kernel.is_available(), "this CPU cannot run the {} kernel", kernel.name());
     for s in srcs {
         assert_eq!(s.len(), dst.len(), "length mismatch");
     }
     let ptrs: Vec<*const u8> = srcs.iter().map(|s| s.as_ptr()).collect();
+    // SAFETY: every pointer comes from a slice asserted to be
+    // `dst.len()` long, `&mut dst` cannot overlap a shared `&[u8]`, and
+    // `is_available()` was asserted above.
     unsafe { xor_into(kernel, dst.as_mut_ptr(), &ptrs, dst.len()) }
 }
 
@@ -356,9 +398,10 @@ pub fn xor_slices(kernel: Kernel, dst: &mut [u8], srcs: &[&[u8]]) {
 /// the one aliasing form every kernel supports (pebble reuse).
 ///
 /// # Panics
-/// Panics if the lengths differ.
+/// Panics if the lengths differ or this CPU cannot run `kernel`.
 pub fn xor_accumulate(kernel: Kernel, dst: &mut [u8], src: &[u8]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
+    assert!(kernel.is_available(), "this CPU cannot run the {} kernel", kernel.name());
     if dst.is_empty() {
         return;
     }
@@ -367,6 +410,10 @@ pub fn xor_accumulate(kernel: Kernel, dst: &mut [u8], src: &[u8]) {
     // a shared as_ptr tag under Stacked Borrows).
     let d = dst.as_mut_ptr();
     let srcs = [d as *const u8, src.as_ptr()];
+    // SAFETY: both slices are `dst.len()` long and `is_available()`
+    // holds (asserted above); `dst` aliases `srcs[0]` at exactly its own
+    // address, the one permitted form, and cannot overlap the shared
+    // borrow `src`.
     unsafe { xor_into(kernel, d, &srcs, dst.len()) }
 }
 
@@ -415,6 +462,9 @@ mod tests {
             let q: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(7)).collect();
             let expect: Vec<u8> = p.iter().zip(&q).map(|(a, b)| a ^ b).collect();
             let ptrs = [p.as_ptr(), q.as_ptr()];
+            // SAFETY: `p` and `q` are 100 bytes each, `dst` is `p` at
+            // its own address, and `all_kernels()` lists only kernels
+            // this CPU runs.
             unsafe { xor_into(k, p.as_mut_ptr(), &ptrs, 100) };
             assert_eq!(p, expect, "kernel {k:?}");
         }
@@ -447,6 +497,8 @@ mod tests {
     fn self_copy_is_noop() {
         let mut buf: Vec<u8> = (0..64u8).collect();
         let ptr = buf.as_ptr();
+        // SAFETY: one 64-byte buffer as both `dst` and the only source,
+        // same address; `Wide64` needs no CPU feature.
         unsafe { xor_into(Kernel::Wide64, buf.as_mut_ptr(), &[ptr], 64) };
         assert_eq!(buf, (0..64u8).collect::<Vec<u8>>());
     }

@@ -642,8 +642,7 @@ impl Cluster {
         // hashed here.
         let mut hash_blobs = data_blobs.unwrap_or_default();
         let hashed = hash_blobs.len();
-        hash_blobs
-            .extend(shards[hashed..].iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)));
+        hash_blobs.extend(HashBlob::from_shards(&shards[hashed..], HASH_LEAF_SIZE));
         let shard_root: Vec<Hash> = hash_blobs.iter().map(HashBlob::root).collect();
         let manifest = Manifest {
             data_shards: spec.data_shards as u16,
@@ -1070,8 +1069,7 @@ impl Cluster {
         // manifest hashed at another leaf size has no comparable roots:
         // every shard counts as changed.
         let new = self.codec.split_data(data);
-        let new_blobs: Vec<HashBlob> =
-            new.iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)).collect();
+        let new_blobs = HashBlob::from_shards(&new, HASH_LEAF_SIZE);
         let same_leaves = manifest.hash_leaf_size == HASH_LEAF_SIZE;
         let changed: Vec<usize> = (0..n)
             .filter(|&i| !same_leaves || new_blobs[i].root() != manifest.shard_root[i])
@@ -1133,8 +1131,7 @@ impl Cluster {
         // the new ones, so a crash anywhere below leaves the published
         // generation byte-exact for readers and the partial
         // new-generation shards for GC.
-        let parity_blobs: Vec<HashBlob> =
-            parity.iter().map(|s| HashBlob::from_shard(s, HASH_LEAF_SIZE)).collect();
+        let parity_blobs = HashBlob::from_shards(&parity, HASH_LEAF_SIZE);
         let shipped: Vec<(usize, &[u8], &HashBlob)> = touched
             .iter()
             .map(|&i| match i.checked_sub(n) {

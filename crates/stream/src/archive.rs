@@ -13,7 +13,7 @@ use crate::encode::StreamEncoder;
 use crate::error::StreamError;
 use crate::format::{ArchiveMeta, HashTrailer, ShardHeader};
 use ec_wire::crc32;
-use ec_wire::merkle::{leaf_hash, Hash, MerkleTree};
+use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};
 use ec_core::{codec_for, codec_for_with, CodecSpec, EcError, ErasureCoder, RsConfig};
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -580,6 +580,12 @@ impl Archive {
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; t];
         let mut spare: Vec<Vec<u8>> = Vec::new();
         let mut new_leaves: Vec<Vec<Hash>> = vec![Vec::new(); t];
+        // No election ⇒ the trailer must be rebuilt from every shard's
+        // actual bytes, so every shard's leaves are tracked (full pass
+        // only; `repair` gates plans on the election).
+        let tracked: Vec<usize> =
+            (0..t).filter(|i| ctx.is_none() || damaged.contains(i)).collect();
+        let mut chunk_leaves = vec![Hash::default(); tracked.len()];
         for c in 0..self.meta.chunk_count {
             let live = scanner.live_count() as u64;
             scanner.read_chunk(c);
@@ -621,14 +627,10 @@ impl Archive {
                     w.write_all(slice)?;
                     w.write_all(&crc32(slice).to_le_bytes())?;
                 }
-                // No election ⇒ the trailer must be rebuilt from every
-                // shard's actual bytes, so every shard's leaves are
-                // tracked (full pass only; `repair` gates plans on the
-                // election).
-                for (i, leaves) in new_leaves.iter_mut().enumerate().take(t) {
-                    if ctx.is_none() || damaged.contains(&i) {
-                        leaves.push(leaf_hash(slice_of(i)));
-                    }
+                let slices: Vec<&[u8]> = tracked.iter().map(|&i| slice_of(i)).collect();
+                leaf_hashes_into(&slices, &mut chunk_leaves);
+                for (&i, leaf) in tracked.iter().zip(&chunk_leaves) {
+                    new_leaves[i].push(*leaf);
                 }
                 Ok(())
             })();

@@ -2,7 +2,7 @@
 //! shard streams survive, chunk by chunk, in bounded memory.
 
 use ec_wire::crc32;
-use ec_wire::merkle::{leaf_hash, Hash};
+use ec_wire::merkle::{leaf_hashes_into, Hash, LEAF_BATCH};
 use crate::error::StreamError;
 use crate::format::{ArchiveMeta, FRAME_TRAILER_LEN};
 use ec_core::ErasureCoder;
@@ -86,11 +86,28 @@ impl<R: Read> ChunkScanner<R> {
                 continue;
             }
             self.good[i] = u32::from_le_bytes(trailer) == crc32(&self.slices[i]);
-            if self.good[i] {
-                if let Some(leaves) = &self.trusted[i] {
-                    self.good[i] =
-                        leaves.get(chunk as usize) == Some(&leaf_hash(&self.slices[i]));
+        }
+        // Then the leaf check of every CRC-good frame that has a trusted
+        // leaf, hashed together: the frames of a chunk are equally long.
+        // They are staged a kernel call's worth at a time because the
+        // frames to skip can sit anywhere among the shards.
+        let mut shard = [0usize; LEAF_BATCH];
+        let mut staged: [&[u8]; LEAF_BATCH] = [&[]; LEAF_BATCH];
+        let mut hashes = [Hash::default(); LEAF_BATCH];
+        let mut next = 0;
+        while next < self.sources.len() {
+            let mut count = 0;
+            while next < self.sources.len() && count < LEAF_BATCH {
+                if self.good[next] && self.trusted[next].is_some() {
+                    (shard[count], staged[count]) = (next, &self.slices[next]);
+                    count += 1;
                 }
+                next += 1;
+            }
+            leaf_hashes_into(&staged[..count], &mut hashes[..count]);
+            for (&i, hash) in shard[..count].iter().zip(&hashes) {
+                let leaves = self.trusted[i].as_ref().expect("staged only with trusted leaves");
+                self.good[i] = leaves.get(chunk as usize) == Some(hash);
             }
         }
     }

@@ -10,7 +10,7 @@
 //! program across the striped execution engine.
 
 use ec_wire::crc32;
-use ec_wire::merkle::{leaf_hash, Hash, MerkleTree};
+use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};
 use crate::error::StreamError;
 use crate::format::{ArchiveMeta, HashTrailer, ShardHeader, HEADER_LEN};
 use ec_core::ErasureCoder;
@@ -55,6 +55,8 @@ pub struct StreamEncoder<'c, W: Write + Seek> {
     /// the only state that grows with the stream, and only
     /// logarithmically relative to the data).
     leaves: Vec<Vec<Hash>>,
+    /// The `n + p` leaf hashes of the chunk being flushed.
+    chunk_leaves: Vec<Hash>,
     chunks_written: u64,
     total_in: u64,
 }
@@ -91,6 +93,7 @@ impl<'c, W: Write + Seek> StreamEncoder<'c, W> {
             fill: 0,
             shard_bufs: vec![Vec::new(); codec.total_shards()],
             leaves: vec![Vec::new(); codec.total_shards()],
+            chunk_leaves: vec![Hash::default(); codec.total_shards()],
             chunks_written: 0,
             total_in: 0,
         })
@@ -138,12 +141,13 @@ impl<'c, W: Write + Seek> StreamEncoder<'c, W> {
             return Ok(());
         }
         self.codec.encode_into(&self.buf[..self.fill], &mut self.shard_bufs)?;
-        for ((shard, sink), leaves) in
-            self.shard_bufs.iter().zip(&mut self.sinks).zip(&mut self.leaves)
-        {
+        // A chunk's slices are equally long: one batch, all lanes.
+        leaf_hashes_into(&self.shard_bufs, &mut self.chunk_leaves);
+        let per_shard = self.shard_bufs.iter().zip(&mut self.sinks).zip(&mut self.leaves);
+        for (((shard, sink), leaves), leaf) in per_shard.zip(&self.chunk_leaves) {
             sink.write_all(shard)?;
             sink.write_all(&crc32(shard).to_le_bytes())?;
-            leaves.push(leaf_hash(shard));
+            leaves.push(*leaf);
         }
         self.total_in += self.fill as u64;
         self.chunks_written += 1;

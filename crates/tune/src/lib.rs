@@ -294,8 +294,13 @@ mod tests {
         assert!(r.contains("kernel:     xor8"));
         assert!(r.contains("blocksize:  2048"));
         assert!(r.contains("<- chosen"));
+        // `sha256=` names the single-message kernel and, after a `+`,
+        // the lane kernel Merkle leaves are batched through, if any.
         let (crc, sha) = ec_wire::integrity_kernels();
         assert!(r.contains(&format!("integrity:  crc32={crc} sha256={sha} ")), "{r}");
+        let kernels = ec_wire::implementations();
+        assert!(sha.starts_with(kernels.sha256[0].0), "{sha}");
+        assert_eq!(sha.contains('+'), kernels.leaf_batch.len() > 1, "{sha}");
         assert!(r.contains("xor1") && r.contains("900"));
         // Sorted fastest-first: the winner line precedes the scalar line.
         assert!(r.find("4200").unwrap() < r.find("900 ").unwrap());

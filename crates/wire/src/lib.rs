@@ -26,24 +26,33 @@ pub use crc::{crc32, crc_preserving_flip, Crc32};
 pub use sha256::{hash_hex, sha256, Sha256, SHA256_LEN};
 
 /// The CRC-32 and SHA-256 kernels this process runs, as `(crc, sha)`
-/// names — `("pclmul", "sha-ni")` where the CPU has the instructions,
-/// `("slice16", "portable")` otherwise. Detected once, on first use;
-/// there is no override, because the output bytes do not depend on it.
+/// names — `("pclmul", "sha-ni+avx512x16")` where the CPU has all the
+/// instructions, `("slice16", "portable")` where it has none; after the
+/// `+` is the lane kernel [`merkle::leaf_hashes_into`] batches with,
+/// when there is one. Detected once, on first use; there is no
+/// override, because the output bytes do not depend on it.
 pub fn integrity_kernels() -> (&'static str, &'static str) {
-    (crc::selected().0, sha256::selected().0)
+    (crc::selected().0, sha256::selected_name())
 }
 
 /// A fresh digest bound to each kernel the running CPU offers, by name,
-/// fastest first and the portable one always last — what
+/// fastest first and the portable one always last, and likewise each
+/// way of hashing a batch of Merkle leaves — what
 /// `tests/kernel_equivalence.rs` sweeps. Everything else gets the
-/// process-wide choice from [`Crc32::new`] / [`Sha256::new`].
+/// process-wide choice from [`Crc32::new`] / [`Sha256::new`] /
+/// [`merkle::leaf_hashes_into`].
 #[doc(hidden)]
 pub struct Implementations {
     pub crc32: Vec<(&'static str, Crc32)>,
     pub sha256: Vec<(&'static str, Sha256)>,
+    pub leaf_batch: Vec<(&'static str, merkle::LeafBatch)>,
 }
 
 #[doc(hidden)]
 pub fn implementations() -> Implementations {
-    Implementations { crc32: crc::implementations(), sha256: sha256::implementations() }
+    Implementations {
+        crc32: crc::implementations(),
+        sha256: sha256::implementations(),
+        leaf_batch: merkle::LeafBatch::implementations(),
+    }
 }

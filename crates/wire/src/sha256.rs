@@ -14,10 +14,24 @@
 //! Validated against the NIST FIPS 180-4 example vectors (one-block,
 //! two-block, and the million-`a` stress vector) in the tests below.
 //!
-//! Two kernels run the compression function: a portable one, and on
-//! x86-64 with `sha` + `ssse3` + `sse4.1` the Intel SHA extensions. The
-//! process picks one on first use ([`selected`]); the digest is the
-//! same bit for bit on either (`tests/kernel_equivalence.rs`).
+//! Three kernels run the compression function. Two advance one message:
+//! a portable one, and on x86-64 with `sha` + `ssse3` + `sse4.1` the
+//! Intel SHA extensions; the process picks one on first use
+//! ([`selected`]) and every [`Sha256`] runs it. The third advances
+//! **sixteen** messages at once, one per 32-bit lane of a 512-bit
+//! register (x86-64 with `avx512f` + `avx512bw`, [`selected_lanes`]):
+//! `sha256rnds2` is a serial dependency chain that one message cannot
+//! fill, whereas sixteen equal-length messages share every instruction
+//! of the plain round function (the multi-buffer idea of Gopal et al.,
+//! Intel 2010). Only [`sha256_lanes`] drives it, and only
+//! `merkle::leaf_hashes_into` calls that — a Merkle tree's leaves are
+//! the independent, equal-length messages the lanes need.
+//!
+//! The digest cannot depend on the kernel: all three compute the FIPS
+//! 180-4 compression function over the same padded blocks, the lanes
+//! never mix (every operation is element-wise once the message words
+//! are transposed), and `tests/kernel_equivalence.rs` checks each one
+//! against an oracle that shares no code with this file.
 
 use std::sync::OnceLock;
 
@@ -183,6 +197,213 @@ mod sha_ni {
     }
 }
 
+/// How many messages a lane kernel advances per call.
+pub(crate) const LANES: usize = 16;
+
+/// [`LANES`] SHA-256 states held transposed — `[word][lane]` — so each
+/// working variable `a`…`h` is one 512-bit register of the lane kernel.
+pub(crate) type LaneStates = [[u32; LANES]; 8];
+
+/// A lane kernel: advance [`LANES`] independent states by `nblocks`
+/// 64-byte blocks each, lane `l` reading its blocks from `blocks[l]`.
+///
+/// # Safety
+///
+/// Every `blocks[l]` must be valid for reads of `64 * nblocks` bytes
+/// (no alignment is required), and the kernel must have come from
+/// [`lane_kernels`], which lists one only on a CPU that can run it.
+pub(crate) type CompressLanesFn = unsafe fn(&mut LaneStates, &[*const u8; LANES], usize);
+
+/// The lane kernel spelled with the single-message one: each lane in
+/// turn through [`selected`]. It defines what a [`CompressLanesFn`]
+/// computes and lets [`sha256_lanes`]' staging be tested on a CPU
+/// without AVX-512; no production path picks it ([`selected_lanes`]).
+///
+/// # Safety
+///
+/// As [`CompressLanesFn`].
+unsafe fn compress_lanes_serial(
+    states: &mut LaneStates,
+    blocks: &[*const u8; LANES],
+    nblocks: usize,
+) {
+    let compress = selected().1;
+    for (l, &lane_blocks) in blocks.iter().enumerate() {
+        let mut state: [u32; 8] = std::array::from_fn(|word| states[word][l]);
+        // SAFETY: the caller guarantees `64 * nblocks` readable bytes
+        // behind every lane pointer.
+        compress(&mut state, unsafe { std::slice::from_raw_parts(lane_blocks, 64 * nblocks) });
+        for (word, value) in state.into_iter().enumerate() {
+            states[word][l] = value;
+        }
+    }
+}
+
+/// AVX-512: sixteen messages, one per dword lane. The sixteen blocks
+/// are loaded, byte-swapped and transposed (16×16 dwords) so register
+/// `w[t]` holds schedule word `t` of every lane; from there the round
+/// function is the portable kernel's, element-wise — `vprord` for the
+/// rotations, one `vpternlogd` each for the three-way XORs, `Ch` and
+/// `Maj` — over the same 16-word rolling schedule.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{LaneStates, K, LANES};
+    use std::arch::x86_64::*;
+
+    /// 16×16 dword transpose: `rows[i]` lane `j` ↔ `rows[j]` lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(rows: &mut [__m512i; 16]) {
+        // Within each 128-bit quarter: 4×4 dword blocks, via dword then
+        // qword interleaves. After this, `q[4i + k]` quarter `c` holds
+        // column `4c + k` of rows `4i..4i + 4`.
+        let mut d = [_mm512_setzero_si512(); 16];
+        for i in 0..8 {
+            d[2 * i] = _mm512_unpacklo_epi32(rows[2 * i], rows[2 * i + 1]);
+            d[2 * i + 1] = _mm512_unpackhi_epi32(rows[2 * i], rows[2 * i + 1]);
+        }
+        let mut q = [_mm512_setzero_si512(); 16];
+        for i in 0..4 {
+            q[4 * i] = _mm512_unpacklo_epi64(d[4 * i], d[4 * i + 2]);
+            q[4 * i + 1] = _mm512_unpackhi_epi64(d[4 * i], d[4 * i + 2]);
+            q[4 * i + 2] = _mm512_unpacklo_epi64(d[4 * i + 1], d[4 * i + 3]);
+            q[4 * i + 3] = _mm512_unpackhi_epi64(d[4 * i + 1], d[4 * i + 3]);
+        }
+        // Across quarters: a 4×4 transpose of 128-bit quarters among
+        // `q[k]`, `q[4 + k]`, `q[8 + k]`, `q[12 + k]`.
+        for k in 0..4 {
+            let even_lo = _mm512_shuffle_i32x4(q[k], q[4 + k], 0x88);
+            let odd_lo = _mm512_shuffle_i32x4(q[k], q[4 + k], 0xDD);
+            let even_hi = _mm512_shuffle_i32x4(q[8 + k], q[12 + k], 0x88);
+            let odd_hi = _mm512_shuffle_i32x4(q[8 + k], q[12 + k], 0xDD);
+            rows[k] = _mm512_shuffle_i32x4(even_lo, even_hi, 0x88);
+            rows[4 + k] = _mm512_shuffle_i32x4(odd_lo, odd_hi, 0x88);
+            rows[8 + k] = _mm512_shuffle_i32x4(even_lo, even_hi, 0xDD);
+            rows[12 + k] = _mm512_shuffle_i32x4(odd_lo, odd_hi, 0xDD);
+        }
+    }
+
+    /// # Safety
+    ///
+    /// As [`super::CompressLanesFn`]: `lane_kernels()` lists this
+    /// function only after `is_x86_feature_detected!` confirmed
+    /// `avx512f` and `avx512bw`, and every `blocks[l]` is valid for
+    /// reads of `64 * nblocks` bytes.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn compress(
+        states: &mut LaneStates,
+        blocks: &[*const u8; LANES],
+        nblocks: usize,
+    ) {
+        /// One round on all lanes; `$kw` is `K[t] + W[t]`. Same renaming
+        /// scheme as the portable kernel's `round!`.
+        macro_rules! round {
+            ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $kw:expr) => {
+                let big_s1 = _mm512_ternarylogic_epi32(
+                    _mm512_ror_epi32($e, 6),
+                    _mm512_ror_epi32($e, 11),
+                    _mm512_ror_epi32($e, 25),
+                    XOR3,
+                );
+                let ch = _mm512_ternarylogic_epi32($e, $f, $g, CH);
+                let t1 = _mm512_add_epi32(
+                    _mm512_add_epi32($h, big_s1),
+                    _mm512_add_epi32(ch, $kw),
+                );
+                let big_s0 = _mm512_ternarylogic_epi32(
+                    _mm512_ror_epi32($a, 2),
+                    _mm512_ror_epi32($a, 13),
+                    _mm512_ror_epi32($a, 22),
+                    XOR3,
+                );
+                let maj = _mm512_ternarylogic_epi32($a, $b, $c, MAJ);
+                $d = _mm512_add_epi32($d, t1);
+                $h = _mm512_add_epi32(t1, _mm512_add_epi32(big_s0, maj));
+            };
+        }
+        // `vpternlogd` truth tables: x ^ y ^ z, x ? y : z, majority.
+        const XOR3: i32 = 0x96;
+        const CH: i32 = 0xCA;
+        const MAJ: i32 = 0xE8;
+
+        // SAFETY (both): the pointer comes from a reference to 16
+        // `u32`s, and the unaligned load/store intrinsics have no
+        // alignment requirement.
+        let load_state = |row: &[u32; LANES]| unsafe { _mm512_loadu_si512(row.as_ptr().cast()) };
+        let store_state =
+            |row: &mut [u32; LANES], v| unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
+
+        let big_endian =
+            _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
+        let mut state: [__m512i; 8] = std::array::from_fn(|word| load_state(&states[word]));
+        for block in 0..nblocks {
+            let mut w = [_mm512_setzero_si512(); 16];
+            for (row, lane_blocks) in w.iter_mut().zip(blocks) {
+                // SAFETY: `block < nblocks`, so the 64 bytes at
+                // `64 * block` lie inside the `64 * nblocks` the caller
+                // vouches for; the load is the unaligned one.
+                let bytes = unsafe { _mm512_loadu_si512(lane_blocks.add(64 * block).cast()) };
+                *row = _mm512_shuffle_epi8(bytes, big_endian);
+            }
+            transpose(&mut w);
+
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+            for base in (0..64).step_by(16) {
+                // `K[t] + W[t]` for round `t = base + j`; from round 16
+                // on, `W[t]` overwrites `W[t-16]` in the ring first.
+                // `j` is a literal at every use, so `w` stays in
+                // registers.
+                macro_rules! kw {
+                    ($j:literal) => {{
+                        if base > 0 {
+                            let (w15, w2) = (w[($j + 1) & 15], w[($j + 14) & 15]);
+                            let s0 = _mm512_ternarylogic_epi32(
+                                _mm512_ror_epi32(w15, 7),
+                                _mm512_ror_epi32(w15, 18),
+                                _mm512_srli_epi32(w15, 3),
+                                XOR3,
+                            );
+                            let s1 = _mm512_ternarylogic_epi32(
+                                _mm512_ror_epi32(w2, 17),
+                                _mm512_ror_epi32(w2, 19),
+                                _mm512_srli_epi32(w2, 10),
+                                XOR3,
+                            );
+                            w[$j] = _mm512_add_epi32(
+                                _mm512_add_epi32(w[$j], s0),
+                                _mm512_add_epi32(w[($j + 9) & 15], s1),
+                            );
+                        }
+                        _mm512_add_epi32(w[$j], _mm512_set1_epi32(K[base + $j] as i32))
+                    }};
+                }
+                round!(a b c d e f g h, kw!(0));
+                round!(h a b c d e f g, kw!(1));
+                round!(g h a b c d e f, kw!(2));
+                round!(f g h a b c d e, kw!(3));
+                round!(e f g h a b c d, kw!(4));
+                round!(d e f g h a b c, kw!(5));
+                round!(c d e f g h a b, kw!(6));
+                round!(b c d e f g h a, kw!(7));
+                round!(a b c d e f g h, kw!(8));
+                round!(h a b c d e f g, kw!(9));
+                round!(g h a b c d e f, kw!(10));
+                round!(f g h a b c d e, kw!(11));
+                round!(e f g h a b c d, kw!(12));
+                round!(d e f g h a b c, kw!(13));
+                round!(c d e f g h a b, kw!(14));
+                round!(b c d e f g h a, kw!(15));
+            }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = _mm512_add_epi32(*s, v);
+            }
+        }
+        for (row, v) in states.iter_mut().zip(state) {
+            store_state(row, v);
+        }
+    }
+}
+
 /// Every SHA-256 kernel this CPU can run as `(name, kernel)`, fastest
 /// first; the portable kernel is always the last entry.
 fn kernels() -> Vec<(&'static str, CompressFn)> {
@@ -207,6 +428,103 @@ pub(crate) fn selected() -> (&'static str, CompressFn) {
 /// One fresh digest per available kernel, for the equivalence tests.
 pub(crate) fn implementations() -> Vec<(&'static str, Sha256)> {
     kernels().into_iter().map(|(name, compress)| (name, Sha256::with_kernel(compress))).collect()
+}
+
+/// Every lane kernel this CPU can run as `(name, kernel)`, fastest
+/// first; the serial spelling is always the last entry.
+pub(crate) fn lane_kernels() -> Vec<(&'static str, CompressLanesFn)> {
+    let mut list: Vec<(&'static str, CompressLanesFn)> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+    {
+        list.push(("avx512x16", avx512::compress));
+    }
+    list.push(("serial", compress_lanes_serial));
+    list
+}
+
+/// The lane kernel this process uses: the hardware one, or `None`
+/// where there is none — the serial spelling is never worth a batch,
+/// callers hash message by message instead. Not cached here; both
+/// callers ([`selected_name`], `merkle`'s batch choice) ask once.
+pub(crate) fn selected_lanes() -> Option<(&'static str, CompressLanesFn)> {
+    let kernels = lane_kernels();
+    (kernels.len() > 1).then(|| kernels[0])
+}
+
+/// What [`selected`] and [`selected_lanes`] picked, as one name:
+/// `sha-ni+avx512x16`, or just `sha-ni` where there is no lane kernel.
+pub(crate) fn selected_name() -> &'static str {
+    static NAME: OnceLock<String> = OnceLock::new();
+    NAME.get_or_init(|| match selected_lanes() {
+        Some((lanes, _)) => format!("{}+{lanes}", selected().0),
+        None => selected().0.to_string(),
+    })
+}
+
+/// SHA-256 of `prefix ‖ message` for 1 to [`LANES`] messages of one
+/// length, all advanced together by `compress`; `out[i]` is
+/// `messages[i]`'s digest. Allocation-free: what cannot be hashed in
+/// place — the first block, which `prefix` shifts off the message's
+/// 64-byte grid, and the padded tail — is staged per lane on the stack.
+/// `compress` must be an entry of [`lane_kernels`]: that is what makes
+/// it runnable on this CPU.
+pub(crate) fn sha256_lanes<T: AsRef<[u8]>>(
+    compress: CompressLanesFn,
+    prefix: u8,
+    messages: &[T],
+    out: &mut [[u8; SHA256_LEN]],
+) {
+    assert!((1..=LANES).contains(&messages.len()), "1 to {LANES} messages per call");
+    assert_eq!(out.len(), messages.len(), "one digest slot per message");
+    let len = messages[0].as_ref().len();
+    // Memory safety below rests on this: every lane is read to `len`.
+    assert!(messages.iter().all(|m| m.as_ref().len() == len), "messages must be equally long");
+    // An unoccupied lane redoes the last message; its digest is dropped.
+    let lane = |l: usize| messages[l.min(messages.len() - 1)].as_ref();
+
+    let mut states: LaneStates = std::array::from_fn(|word| [H0[word]; LANES]);
+    let mut staged = [[0u8; 128]; LANES];
+    let mut hashed = 0; // message bytes consumed so far, the same in every lane
+    if len >= 63 {
+        for (l, block) in staged.iter_mut().enumerate() {
+            block[0] = prefix;
+            block[1..64].copy_from_slice(&lane(l)[..63]);
+        }
+        let whole = (len - 63) / 64;
+        // SAFETY: `compress` came from `lane_kernels()`. Each staged
+        // pointer has 128 ≥ 64 bytes behind it; each in-place pointer
+        // starts 63 bytes into a `len`-byte message and is read for
+        // `64 * whole ≤ len - 63` bytes.
+        unsafe {
+            compress(&mut states, &std::array::from_fn(|l| staged[l].as_ptr()), 1);
+            compress(&mut states, &std::array::from_fn(|l| lane(l)[63..].as_ptr()), whole);
+        }
+        hashed = 63 + 64 * whole;
+    }
+    // The tail: what is left of `prefix ‖ message` (under 64 bytes),
+    // 0x80, zeros, and the bit length closing the first block that has
+    // eight bytes to spare.
+    let prefix_left = usize::from(len < 63);
+    let fill = prefix_left + (len - hashed);
+    let tail_blocks = if fill < 56 { 1 } else { 2 };
+    let bit_len = (len as u64 + 1).wrapping_mul(8).to_be_bytes();
+    for (l, block) in staged.iter_mut().enumerate() {
+        *block = [0; 128];
+        block[..prefix_left].fill(prefix);
+        block[prefix_left..fill].copy_from_slice(&lane(l)[hashed..]);
+        block[fill] = 0x80;
+        block[64 * tail_blocks - 8..64 * tail_blocks].copy_from_slice(&bit_len);
+    }
+    // SAFETY: `compress` came from `lane_kernels()`, and each staged
+    // pointer has 128 ≥ `64 * tail_blocks` bytes behind it.
+    unsafe { compress(&mut states, &std::array::from_fn(|l| staged[l].as_ptr()), tail_blocks) };
+    for (l, digest) in out.iter_mut().enumerate() {
+        for (word, bytes) in digest.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+            *bytes = states[word][l].to_be_bytes();
+        }
+    }
 }
 
 /// A running SHA-256 digest for incremental (streaming) updates.

@@ -11,8 +11,13 @@
 //! `update`. CRC-32 is checked against a bit-at-a-time oracle that
 //! shares no table or constant with the crate; SHA-256 against the FIPS
 //! 180-4 vectors and, for every other input, against a textbook
-//! transcription of the standard that derives its own constants.
+//! transcription of the standard that derives its own constants. The
+//! batched Merkle-leaf hash — sixteen messages to a kernel call where
+//! the CPU has the lane kernel — adds two axes, how many lanes are
+//! occupied and which message sits in which, and is checked against
+//! the same textbook oracle.
 
+use ec_wire::merkle::{leaf_hash, leaf_hashes_into, LEAF_BATCH};
 use ec_wire::{
     crc32, crc_preserving_flip, implementations, sha256, Crc32, Implementations, Sha256,
 };
@@ -121,12 +126,19 @@ fn sha256_textbook(data: &[u8]) -> [u8; 32] {
 
 #[test]
 fn portable_kernels_are_always_listed_and_the_selection_is_one_of_the_list() {
-    let Implementations { crc32: crcs, sha256: shas } = implementations();
+    let Implementations { crc32: crcs, sha256: shas, leaf_batch: batches } = implementations();
     assert_eq!(crcs.last().map(|(n, _)| *n), Some("slice16"));
     assert_eq!(shas.last().map(|(n, _)| *n), Some("portable"));
+    assert_eq!(batches.last().map(|(n, _)| *n), Some("serial"));
     let (crc, sha) = ec_wire::integrity_kernels();
     assert_eq!(crc, crcs[0].0, "the process runs the fastest listed CRC kernel");
-    assert_eq!(sha, shas[0].0, "the process runs the fastest listed SHA kernel");
+    // `single` or `single+lanes`: the fastest listed SHA kernel, and the
+    // hardware lane kernel when one is listed before the serial spelling.
+    let want_sha = match batches.as_slice() {
+        [(lanes, _), _, ..] => format!("{}+{lanes}", shas[0].0),
+        _ => shas[0].0.to_string(),
+    };
+    assert_eq!(sha, want_sha, "the process runs the fastest listed SHA kernels");
 }
 
 #[test]
@@ -205,9 +217,53 @@ fn sha256_matches_textbook_oracle_at_every_seam_and_offset() {
     }
 }
 
+/// The batched leaf hash on every lane kernel: each seam length × base
+/// offsets 0/1/16/63 × 1..=16 occupied lanes, every lane's digest
+/// against the textbook `sha256(0x00 ‖ message)`. Each lane holds its
+/// own bytes (a distinct `fill` seed), so a kernel that swapped two
+/// lanes, or filed a digest under the wrong index, cannot pass.
+#[test]
+fn leaf_batch_matches_textbook_oracle_at_every_seam_offset_and_occupancy() {
+    const LANES: usize = LEAF_BATCH;
+    let batches = implementations().leaf_batch;
+    for len in seam_lengths() {
+        let messages: Vec<Vec<u8>> = (0..LANES).map(|lane| fill(len, 100 + lane)).collect();
+        let want: Vec<[u8; 32]> = messages
+            .iter()
+            .map(|message| sha256_textbook(&[&[0x00], &message[..]].concat()))
+            .collect();
+        for offset in [0usize, 1, 16, 63] {
+            // Same bytes at a different address: copy them there.
+            let moved: Vec<Vec<u8>> =
+                messages.iter().map(|m| [&vec![0u8; offset][..], &m[..]].concat()).collect();
+            let chunks: Vec<&[u8]> = moved.iter().map(|m| &m[offset..]).collect();
+            for occupied in 1..=LANES {
+                // The shard-sized seam adds only in-place middle blocks
+                // to what 4097 covers; unoptimised, its full sweep is
+                // most of this test's time, so it keeps the occupancies
+                // the shipped geometries produce (RS(6,3), RS(10,4)) and
+                // the two ends.
+                if len > 4097 && ![1, 9, 14, LANES].contains(&occupied) {
+                    continue;
+                }
+                for (name, batch) in &batches {
+                    let mut got = vec![[0u8; 32]; occupied];
+                    batch.hash_into(&chunks[..occupied], &mut got);
+                    assert_eq!(
+                        got,
+                        want[..occupied],
+                        "leaf batch {name} diverges at len={len} offset={offset} \
+                         occupied={occupied}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn crc_preserving_flip_evades_crc_and_not_sha256_on_every_kernel() {
-    let Implementations { crc32: crcs, sha256: shas } = implementations();
+    let Implementations { crc32: crcs, sha256: shas, .. } = implementations();
     // Long enough that the flip lands inside the folded region of the
     // carry-less-multiply kernel as well as in its table-driven tail.
     let base = fill(1000, 3);
@@ -236,13 +292,23 @@ fn crc_preserving_flip_evades_crc_and_not_sha256_on_every_kernel() {
 /// kernel; they must agree with the list too.
 #[test]
 fn public_one_shots_agree_with_the_listed_kernels() {
-    let Implementations { crc32: crcs, sha256: shas } = implementations();
+    let Implementations { crc32: crcs, sha256: shas, leaf_batch: batches } = implementations();
     let data = fill(10_000, 4);
     for (name, kernel) in &crcs {
         assert_eq!(crc32(&data), crc_with(kernel, &[&data]), "{name}");
     }
     for (name, kernel) in &shas {
         assert_eq!(sha256(&data), sha_with(kernel, &[&data]), "{name}");
+    }
+    // 40 leaves of 250 bytes: two full kernel calls and a run of eight.
+    let chunks: Vec<&[u8]> = data.chunks(250).collect();
+    let mut want = vec![[0u8; 32]; chunks.len()];
+    leaf_hashes_into(&chunks, &mut want);
+    assert_eq!(want, chunks.iter().map(|c| leaf_hash(c)).collect::<Vec<_>>());
+    for (name, batch) in &batches {
+        let mut got = vec![[0u8; 32]; chunks.len()];
+        batch.hash_into(&chunks, &mut got);
+        assert_eq!(got, want, "{name}");
     }
 }
 
@@ -265,7 +331,7 @@ proptest! {
         cuts.sort_unstable();
         let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &data[w[0]..w[1]]).collect();
 
-        let Implementations { crc32: crcs, sha256: shas } = implementations();
+        let Implementations { crc32: crcs, sha256: shas, .. } = implementations();
         let want_crc = crc32_bitwise(data);
         for (name, kernel) in &crcs {
             prop_assert_eq!(crc_with(kernel, &parts), want_crc, "crc kernel {}", name);
