@@ -1,0 +1,495 @@
+//! The read path: the manifest election, first-n `get`, shard fetches
+//! and the checks every fetched shard passes, and discovery.
+
+use super::{Cluster, ClusterHealth, RecordVote, ShardFault};
+use crate::client::{reply, Answer, BatchOp};
+use crate::error::{RemoteErrorCode, StoreError};
+use crate::fanout::ParallelConnSet;
+use crate::manifest::{self, manifest_key, validate_object_name, Manifest, ManifestRecord};
+use ec_wire::crc32;
+use ec_wire::merkle::MerkleTree;
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+/// How one shard fetch ended: outer `Err` = transport failure, inner
+/// `Err` = the node answered but the shard is damaged or absent.
+type Fetched = Result<Result<Vec<u8>, ShardFault>, StoreError>;
+
+/// One shard-fetch outcome slot as the first-n predicates see it:
+/// `None` = still in flight.
+type FetchSlot = Option<Fetched>;
+
+/// How one shard fetch of a first-n read ended.
+#[derive(Clone, Debug)]
+pub enum ShardOutcome {
+    /// Arrived and passed validation; available to the decode.
+    Served,
+    /// Still in flight when the read already had enough — the straggler
+    /// the first-n path exists to not wait for.
+    Abandoned,
+    /// The node was unreachable, or the blob absent (reason recorded).
+    Dead(String),
+    /// Bytes arrived but failed the manifest checksum / length check.
+    Corrupt(String),
+}
+
+impl ShardOutcome {
+    /// Whether this fetch failed (as opposed to served or abandoned).
+    pub fn failed(&self) -> bool {
+        matches!(self, ShardOutcome::Dead(_) | ShardOutcome::Corrupt(_))
+    }
+}
+
+/// Per-shard observability of one read: what each of the `n + p`
+/// concurrently-issued fetches did, and how long it took.
+#[derive(Clone, Debug)]
+pub struct ShardFetch {
+    /// Shard index.
+    pub index: usize,
+    /// The node the fetch targeted.
+    pub node: String,
+    pub outcome: ShardOutcome,
+    /// Issue-to-completion time (`None` for abandoned fetches).
+    pub elapsed: Option<Duration>,
+}
+
+/// Result of a [`Cluster::get_with_report`].
+#[derive(Clone, Debug)]
+pub struct GetReport {
+    /// Shard indices whose fetch *failed* (unreachable node, absent or
+    /// corrupt blob) and were reconstructed around. Abandoned
+    /// stragglers are not failures and are not listed here.
+    pub missing: Vec<usize>,
+    /// Every shard fetch of the read, with outcome and timing. Every
+    /// served shard was verified against its manifest Merkle root.
+    pub shards: Vec<ShardFetch>,
+}
+
+impl GetReport {
+    /// Whether the read observed real damage (a failed shard fetch).
+    /// Early-returning past a slow-but-healthy straggler is not
+    /// degradation.
+    pub fn degraded(&self) -> bool {
+        !self.missing.is_empty()
+    }
+
+    /// Shard indices abandoned as stragglers.
+    pub fn abandoned(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .filter(|s| matches!(s.outcome, ShardOutcome::Abandoned))
+            .map(|s| s.index)
+            .collect()
+    }
+}
+
+/// The keys of shards `indices` of `object`, for
+/// [`shard_fetch_jobs`] to borrow.
+fn shard_keys(object: &str, manifest: &Manifest, indices: &[usize]) -> Vec<String> {
+    indices.iter().map(|&i| manifest.shard_key(object, i)).collect()
+}
+
+/// One fetch-and-validate job per shard in `indices` (`keys` from
+/// [`shard_keys`]), for barrier rounds and first-n reads alike. Each
+/// shard is checked as its answer arrives, on the thread running the
+/// round. The outer `Err` of a [`Fetched`] is a transport failure (the
+/// fan-out layer drops the connection); the inner result is the typed
+/// shard outcome.
+fn shard_fetch_jobs<'a>(
+    manifest: &'a Manifest,
+    keys: &'a [String],
+    indices: &'a [usize],
+) -> Vec<crate::fanout::Job<'a, impl FnOnce(Answer) -> Fetched + 'a>> {
+    (indices.iter().zip(keys))
+        .map(|(&i, key)| {
+            let addr = manifest.placement[i].as_str();
+            (addr, BatchOp::Get { key }, move |answer| check_shard(manifest, i, answer))
+        })
+        .collect()
+}
+
+/// Judge what a node answered to the fetch of shard `i`.
+fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
+    let addr = &manifest.placement[i];
+    let want_len = manifest.shard_len;
+    match answer {
+        Ok(bytes) => {
+            if bytes.len() as u64 != want_len {
+                return Ok(Err(ShardFault::Corrupt(format!(
+                    "node {addr} returned {} bytes, manifest says {want_len}",
+                    bytes.len()
+                ))));
+            }
+            if crc32(&bytes) != manifest.shard_crc[i] {
+                return Ok(Err(ShardFault::Corrupt(format!(
+                    "shard bytes from {addr} fail the manifest checksum"
+                ))));
+            }
+            // Every consumer of this job — get, overwrite's fetch of the
+            // changed shards and parity, repair's survivor fetch, the
+            // full-read scrub — gets end-to-end hash verification for
+            // free, so even a CRC-colliding flip cannot slip into a
+            // decode.
+            if MerkleTree::from_payload(&bytes, manifest.hash_leaf_size as usize).root()
+                != manifest.shard_root[i]
+            {
+                return Ok(Err(ShardFault::Corrupt(format!(
+                    "shard bytes from {addr} fail the manifest Merkle root \
+                     (CRC-32 passes — checksum-colliding damage)"
+                ))));
+            }
+            Ok(Ok(bytes))
+        }
+        Err(StoreError::Remote { code: RemoteErrorCode::CorruptBlob, message }) => {
+            Ok(Err(ShardFault::Corrupt(format!("{addr}: corrupt blob: {message}"))))
+        }
+        Err(e @ StoreError::Remote { .. }) => {
+            Ok(Err(ShardFault::Missing(format!("{addr}: {e}"))))
+        }
+        Err(e) => Err(e),
+    }
+}
+
+impl Cluster {
+    /// Poll every node (skipping `exclude`) for the object's manifest
+    /// record — one concurrent fan-out round — and tally the generation
+    /// election. The election deliberately waits for *every* reachable
+    /// node: returning on the first few answers could miss the freshest
+    /// generation or a tombstone and resurrect stale data.
+    pub(super) fn fetch_record(
+        &self,
+        conns: &mut ParallelConnSet,
+        object: &str,
+        exclude: &[&str],
+    ) -> RecordVote {
+        let key = manifest_key(object);
+        let targets: Vec<&String> = self
+            .nodes
+            .iter()
+            .filter(|a| !exclude.contains(&a.as_str()))
+            .collect();
+        let jobs: Vec<_> = targets
+            .iter()
+            .map(|addr| (addr.as_str(), BatchOp::Get { key: &key }, std::convert::identity))
+            .collect();
+        let mut vote = RecordVote::default();
+        for result in conns.run_batch(jobs) {
+            match result {
+                Ok(bytes) => {
+                    vote.reachable += 1;
+                    match manifest::parse_record(&bytes) {
+                        Ok(ManifestRecord::Live(m))
+                            if vote
+                                .live
+                                .as_ref()
+                                .is_none_or(|b| m.generation > b.generation) =>
+                        {
+                            vote.live = Some(m)
+                        }
+                        Ok(ManifestRecord::Live(_)) => {}
+                        Ok(ManifestRecord::Tombstone { generation }) => {
+                            vote.tombstone =
+                                Some(vote.tombstone.unwrap_or(0).max(generation));
+                        }
+                        Err(e) => vote.rot_err = Some(e),
+                    }
+                }
+                Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {
+                    vote.reachable += 1;
+                }
+                Err(e @ StoreError::Remote { .. }) => vote.rot_err = Some(e),
+                Err(e) => vote.conn_err = Some(e),
+            }
+        }
+        vote
+    }
+
+    /// The freshest *live* manifest: the highest-generation valid copy
+    /// wins (a node that slept through a write cannot serve a stale
+    /// shard map), unless a tombstone of equal or higher generation
+    /// supersedes it — then the object is deleted. Corrupt replicas are
+    /// skipped, not fatal, but are reported honestly when no usable
+    /// replica exists (rot must not masquerade as "not found").
+    pub(super) fn fetch_manifest(
+        &self,
+        conns: &mut ParallelConnSet,
+        object: &str,
+        exclude: &[&str],
+    ) -> Result<Manifest, StoreError> {
+        let vote = self.fetch_record(conns, object, exclude);
+        let not_found = || StoreError::NotFound(object.to_string());
+        if vote.live.is_some() || vote.tombstone.is_some() {
+            return vote.current().ok_or_else(not_found);
+        }
+        match (vote.rot_err, vote.conn_err) {
+            (Some(e), _) => Err(e),
+            // Every node unreachable: that's the story.
+            (None, Some(e)) if vote.reachable == 0 => Err(e),
+            _ => Err(not_found()),
+        }
+    }
+
+    /// Check that a fetched manifest matches this cluster's codec —
+    /// exact [`CodecSpec`] equality, so a same-geometry object stored
+    /// under a different family (or group size) is refused with a typed
+    /// error instead of decoded into garbage.
+    pub(super) fn check_geometry(&self, object: &str, m: &Manifest) -> Result<(), StoreError> {
+        let stored = m.codec_spec().map_err(StoreError::Codec)?;
+        let ours = self.codec.spec();
+        if stored != ours {
+            return Err(StoreError::Manifest(format!(
+                "object `{object}` is stored as {}({}, {}) but the cluster is \
+                 configured as {}({}, {})",
+                stored.name(),
+                stored.data_shards,
+                stored.parity_shards,
+                ours.name(),
+                ours.data_shards,
+                ours.parity_shards
+            )));
+        }
+        Ok(())
+    }
+
+    /// The freshest live manifest of `object` — no geometry check, so
+    /// this also answers "what codec was this stored under?" for
+    /// objects the current cluster codec cannot read.
+    pub fn manifest(&self, object: &str) -> Result<Manifest, StoreError> {
+        validate_object_name(object)?;
+        self.fetch_manifest(&mut self.conns(), object, &[])
+    }
+
+    /// Read `object` (degrading transparently over up to `p` missing
+    /// shards).
+    pub fn get(&self, object: &str) -> Result<Vec<u8>, StoreError> {
+        self.get_with_report(object).map(|(data, _)| data)
+    }
+
+    /// [`Cluster::get`] plus the per-shard fetch report: which shards
+    /// were served, which failed and were reconstructed around, which
+    /// stragglers the first-n early return abandoned, and how long each
+    /// fetch took.
+    pub fn get_with_report(
+        &self,
+        object: &str,
+    ) -> Result<(Vec<u8>, GetReport), StoreError> {
+        validate_object_name(object)?;
+        let mut conns = self.conns();
+        let manifest = self.fetch_manifest(&mut conns, object, &[])?;
+        self.check_geometry(object, &manifest)?;
+        let (n, total) = (self.codec.data_shards(), manifest.total_shards());
+
+        // First-n read: issue all n + p fetches concurrently and return
+        // as soon as enough arrived. Preferred stopping set: all data
+        // shards (a straight column-copy decode). Sufficient, for an
+        // MDS codec: any n arrivals — after a short proportional linger
+        // for the data stragglers, since a reconstruction decode is
+        // dearer than a sub-RTT wait. A non-MDS codec (LRC) must not
+        // stop at n arbitrary arrivals at all: some ≤ p loss patterns
+        // are undecodable, so it waits for all data or for every fetch
+        // to settle.
+        let all: Vec<usize> = (0..total).collect();
+        let keys = shard_keys(object, &manifest, &all);
+        let jobs = shard_fetch_jobs(&manifest, &keys, &all);
+        let is_mds = self.codec.is_mds();
+        let served = |o: &FetchSlot| matches!(o, Some(Ok(Ok(_))));
+        let all_data =
+            move |outcomes: &[FetchSlot]| outcomes[..n].iter().all(served);
+        let first = conns.run_first_n(jobs, all_data, move |outcomes| {
+            all_data(outcomes)
+                || (is_mds && outcomes.iter().filter(|o| served(o)).count() >= n)
+        });
+
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; total];
+        let mut fetches = Vec::with_capacity(total);
+        let mut missing = Vec::new();
+        for (i, outcome) in first.outcomes.into_iter().enumerate() {
+            let outcome = match outcome {
+                Some(Ok(Ok(bytes))) => {
+                    shards[i] = Some(bytes);
+                    ShardOutcome::Served
+                }
+                Some(Ok(Err(ShardFault::Corrupt(msg)))) => {
+                    missing.push(i);
+                    ShardOutcome::Corrupt(msg)
+                }
+                Some(Ok(Err(ShardFault::Missing(msg)))) => {
+                    missing.push(i);
+                    ShardOutcome::Dead(msg)
+                }
+                Some(Err(e)) => {
+                    missing.push(i);
+                    ShardOutcome::Dead(format!("{}: {e}", manifest.placement[i]))
+                }
+                None => ShardOutcome::Abandoned,
+            };
+            fetches.push(ShardFetch {
+                index: i,
+                node: manifest.placement[i].clone(),
+                outcome,
+                elapsed: first.elapsed[i],
+            });
+        }
+        let have = shards.iter().flatten().count();
+        if have < n {
+            return Err(if first.timed_out {
+                StoreError::Timeout
+            } else {
+                StoreError::Unavailable {
+                    object: object.to_string(),
+                    needed: n,
+                    have,
+                }
+            });
+        }
+        let data = self.codec.decode(&shards, manifest.object_len as usize)?;
+        Ok((data, GetReport { missing, shards: fetches }))
+    }
+
+    /// Fetch the given shard indices in one round: per index, the
+    /// validated bytes or the typed fault (for scrub attribution; a
+    /// transport failure is `Missing`).
+    pub(super) fn fetch_shards(
+        &self,
+        conns: &mut ParallelConnSet,
+        object: &str,
+        manifest: &Manifest,
+        indices: &[usize],
+    ) -> Vec<Result<Vec<u8>, ShardFault>> {
+        let keys = shard_keys(object, manifest, indices);
+        indices
+            .iter()
+            .zip(conns.run_batch(shard_fetch_jobs(manifest, &keys, indices)))
+            .map(|(&i, r)| match r {
+                Ok(inner) => inner,
+                Err(e) => {
+                    Err(ShardFault::Missing(format!("{}: {e}", manifest.placement[i])))
+                }
+            })
+            .collect()
+    }
+
+    /// All object names known to any reachable node, via the replicated
+    /// manifests.
+    pub fn objects(&self) -> Result<Vec<String>, StoreError> {
+        let mut conns = self.conns();
+        let names = self.objects_via(&mut conns, &[])?;
+        // Tombstoned (deleted) objects still hold an `m:` record on
+        // every node; the listing is by key, so filter them through the
+        // record election.
+        Ok(names
+            .into_iter()
+            .filter(|name| {
+                !matches!(
+                    self.fetch_manifest(&mut conns, name, &[]),
+                    Err(StoreError::NotFound(_))
+                )
+            })
+            .collect())
+    }
+
+    pub(super) fn objects_via(
+        &self,
+        conns: &mut ParallelConnSet,
+        exclude: &[&str],
+    ) -> Result<Vec<String>, StoreError> {
+        let targets: Vec<&String> = self
+            .nodes
+            .iter()
+            .filter(|a| !exclude.contains(&a.as_str()))
+            .collect();
+        let jobs: Vec<_> = targets
+            .iter()
+            .map(|addr| (addr.as_str(), BatchOp::List { prefix: "m:" }, reply::list))
+            .collect();
+        let mut names = BTreeSet::new();
+        let mut reachable = 0usize;
+        let mut timed_out = false;
+        for result in conns.run_batch(jobs) {
+            match result {
+                Ok(keys) => {
+                    reachable += 1;
+                    for key in keys {
+                        names.insert(key["m:".len()..].to_string());
+                    }
+                }
+                Err(StoreError::Timeout) => timed_out = true,
+                Err(_) => {}
+            }
+        }
+        if reachable == 0 {
+            // The operation budget running out is a different story
+            // from every node being down — keep the timeout typed.
+            return Err(if timed_out {
+                StoreError::Timeout
+            } else {
+                StoreError::Io(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionRefused,
+                    "no cluster node is reachable",
+                ))
+            });
+        }
+        Ok(names.into_iter().collect())
+    }
+
+    /// Per-node liveness and usage, probed concurrently.
+    pub fn health(&self) -> ClusterHealth {
+        let mut conns = self.conns();
+        let jobs: Vec<_> = self
+            .nodes
+            .iter()
+            .map(|addr| (addr.as_str(), BatchOp::Health, reply::health))
+            .collect();
+        ClusterHealth {
+            nodes: self
+                .nodes
+                .iter()
+                .zip(conns.run_batch(jobs))
+                .map(|(addr, result)| (addr.clone(), result.ok()))
+                .collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::NodeHandle;
+    use ec_core::RsConfig;
+    use std::time::Instant;
+
+    #[test]
+    fn a_read_does_not_wait_out_one_slow_node() {
+        // One node of four sits on each shard request for 600 ms. A put
+        // needs every ack and pays it; a read has enough with the other
+        // three, lingers a fraction of *their* round trip, and abandons
+        // the straggler — which is slowness, not damage.
+        let slow = Duration::from_millis(600);
+        let root = std::env::temp_dir().join(format!("ec_store_straggler_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let nodes: Vec<NodeHandle> = (0..4)
+            .map(|i| {
+                let opts = crate::node::NodeOptions {
+                    workers: 2,
+                    response_delay: (i == 0).then_some(slow),
+                    delay_key_prefix: Some("s:".to_string()),
+                };
+                NodeHandle::spawn_with(&root.join(format!("n{i}")), "127.0.0.1:0", opts).unwrap()
+            })
+            .collect();
+        let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+        let cluster = Cluster::new(addrs.clone(), RsConfig::new(3, 1)).unwrap();
+        let data = vec![0x5Au8; 30_000];
+        cluster.put("obj", &data).unwrap();
+        let start = Instant::now();
+        let (got, report) = cluster.get_with_report("obj").unwrap();
+        let took = start.elapsed();
+        assert_eq!(got, data);
+        assert!(took < slow / 2, "the read waited for the straggler: {took:?}");
+        assert!(!report.degraded(), "{report:?}");
+        let straggler = cluster.manifest("obj").unwrap().placement.iter().position(|a| *a == addrs[0]);
+        assert_eq!(report.abandoned(), Vec::from_iter(straggler));
+        drop(nodes);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}

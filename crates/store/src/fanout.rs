@@ -260,16 +260,6 @@ impl ParallelConnSet {
         self.connects.get(addr).copied().unwrap_or(0)
     }
 
-    /// A round of one job (for low-volume touches).
-    pub(crate) fn with<T>(
-        &mut self,
-        addr: &str,
-        op: BatchOp<'_>,
-        post: impl Post<T>,
-    ) -> Result<T, StoreError> {
-        self.run_batch(vec![(addr, op, post)]).pop().expect("one job, one outcome")
-    }
-
     /// Run every job — all addresses at once, same-address jobs
     /// pipelined in order on that address's single connection — and
     /// return the results in job order once all are in. The whole batch

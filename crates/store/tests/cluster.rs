@@ -5,8 +5,8 @@
 
 use ec_core::{CodecSpec, RsConfig};
 use ec_store::{
-    Cluster, NodeClient, NodeHandle, OverwriteMode, ScrubCycle, ScrubScheduler,
-    ShardHealth, StoreError,
+    manifest_key, parse_record, Cluster, ManifestRecord, NodeClient, NodeHandle, OverwriteMode,
+    ScrubCycle, ScrubScheduler, ShardHealth, StoreError,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,6 +93,17 @@ impl TestCluster {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
+    }
+
+    /// Every `s:` key on every live node, as sorted `(addr, key)` pairs.
+    fn shard_keys(&self) -> Vec<(String, String)> {
+        let mut keys = Vec::new();
+        for (addr, _) in self.addrs.iter().zip(&self.nodes).filter(|(_, n)| n.is_some()) {
+            let mut node = NodeClient::connect(addr, TIMEOUT).unwrap();
+            keys.extend(node.list("s:").unwrap().into_iter().map(|key| (addr.clone(), key)));
+        }
+        keys.sort();
+        keys
     }
 }
 
@@ -473,6 +484,8 @@ fn scrub_attributes_and_repairs_bit_rot() {
     let data = sample_data(40_000, 9);
     cluster.put("victim", &data).unwrap();
     assert!(cluster.scrub().unwrap().clean());
+    let before = cluster.manifest("victim").unwrap();
+    let keys = tc.shard_keys();
 
     // Rot one shard blob on disk, behind the node's back: find it by
     // scanning the node directories for a shard-sized blob.
@@ -515,8 +528,12 @@ fn scrub_attributes_and_repairs_bit_rot() {
     assert_eq!(cluster.get("victim").unwrap(), data);
     let (_, repairs) = cluster.scrub_and_repair().unwrap();
     assert_eq!(repairs.len(), 1);
-    assert_eq!(repairs[0].1.as_ref().unwrap().repaired.len(), 1);
+    assert_eq!(repairs[0].1.as_ref().unwrap().repaired, bad);
     assert!(cluster.scrub().unwrap().clean());
+    // In place: the same generation, the same shard keys, no new one.
+    let after = cluster.manifest("victim").unwrap();
+    assert_eq!((after.generation, &after.shard_gen), (before.generation, &before.shard_gen));
+    assert_eq!(tc.shard_keys(), keys);
 }
 
 #[test]
@@ -525,6 +542,7 @@ fn restarted_empty_node_repairs_in_place() {
     let mut cluster = tc.cluster(2, 2);
     let data = sample_data(30_000, 4);
     cluster.put("obj", &data).unwrap();
+    let before = cluster.manifest("obj").unwrap();
     // Kill a node and wipe its directory (disk replaced), then restart
     // it on the same address.
     let idx = tc.index_of(&cluster.nodes()[0].clone());
@@ -540,8 +558,40 @@ fn restarted_empty_node_repairs_in_place() {
     // Same-address repair: `--dead X` without a replacement.
     let report = cluster.repair_node(&addr, &addr).unwrap();
     assert!(report.failed.is_empty(), "{:?}", report.failed);
+    assert_eq!(report.shards_rebuilt, 1);
+    // The shard went back under its live keys: no shard moved, so the
+    // generation stands and the restarted node holds the manifest again.
+    assert_eq!(cluster.manifest("obj").unwrap().generation, before.generation);
+    let mut node = NodeClient::connect(&addr, TIMEOUT).unwrap();
+    let copy = parse_record(&node.get(&manifest_key("obj")).unwrap()).unwrap();
+    assert_eq!(copy, ManifestRecord::Live(before));
     assert!(cluster.scrub().unwrap().clean());
     assert_eq!(cluster.get("obj").unwrap(), data);
+}
+
+/// A shard that did not land never enters the map: a damaged shard
+/// whose node left the membership is rebuilt for the best spare member,
+/// and when that member does not take it, the repair reports it
+/// unplaced and publishes nothing.
+#[test]
+fn an_unplaced_shard_is_never_published() {
+    let mut tc = TestCluster::spawn("unplaced", 4);
+    let open = |members: &[String]| {
+        Cluster::new(members.to_vec(), RsConfig::new(2, 1)).unwrap().with_timeout(TIMEOUT)
+    };
+    let old = open(&tc.addrs[..3]);
+    old.put("obj", &sample_data(20_000, 8)).unwrap();
+    let before = old.manifest("obj").unwrap();
+    let i = before.placement.iter().position(|a| *a == tc.addrs[0]).expect("A holds a shard");
+    tc.lose(&tc.addrs[0], &before.shard_key("obj", i));
+    tc.kill(3);
+
+    let cluster = open(&tc.addrs[1..]);
+    let report = cluster.repair_object("obj").unwrap();
+    assert_eq!(report.unplaced, vec![i], "{report:?}");
+    assert!(report.repaired.is_empty(), "{report:?}");
+    let after = cluster.manifest("obj").unwrap();
+    assert_eq!((after.placement, after.generation), (before.placement, before.generation));
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! degraded-free, and the next scrub's GC pass must sweep the
 //! unpublished generation so no node keeps orphaned shard keys.
 //! Plus: snapshot reads during a slow re-put never observe a
-//! mixed-generation decode, and a crashed repair is retryable.
+//! mixed-generation decode, and a crashed repair — of a dead node or of
+//! scrub damage — is retryable.
 
 use ec_core::RsConfig;
 use ec_store::{
@@ -249,10 +250,11 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
 fn aborted_repair_is_retryable_and_leaves_no_orphans() {
     let mut rig = Rig::spawn("repair_crash", 3);
     let data = sample(40_000, 7);
-    {
+    let before = {
         let cluster = rig.cluster(2, 1);
         cluster.put("obj", &data).unwrap();
-    }
+        cluster.manifest("obj").unwrap()
+    };
     let dead = rig.addrs[0].clone();
     rig.kill(0);
     let replacement = rig.spawn_replacement();
@@ -286,6 +288,12 @@ fn aborted_repair_is_retryable_and_leaves_no_orphans() {
         .with_gc_grace(Duration::ZERO);
     let report = cluster.repair_node(&dead, &replacement).unwrap();
     assert!(report.failed.is_empty(), "{report:?}");
+    // The shard moved to another node, so it landed under generation
+    // g + 1 and that manifest was published.
+    let after = cluster.manifest("obj").unwrap();
+    assert_eq!(after.generation, before.generation + 1);
+    let moved = after.placement.iter().position(|a| *a == replacement).expect("a moved shard");
+    assert_eq!(after.shard_gen[moved], after.generation);
     let (got, read) = cluster.get_with_report("obj").unwrap();
     assert_eq!(got, data);
     assert!(!read.degraded());
@@ -296,6 +304,34 @@ fn aborted_repair_is_retryable_and_leaves_no_orphans() {
     for (_, key) in &keys {
         assert_eq!(parse_shard_key(key).expect("parseable").0, "obj");
     }
+}
+
+/// A scrub repair is a write path like the others: crashed before its
+/// first shard write, it leaves the manifest and the damage exactly as
+/// they were, and the retry heals the object in place.
+#[test]
+fn aborted_object_repair_changes_nothing() {
+    let rig = Rig::spawn("object_repair_crash", 3);
+    let cluster = rig.cluster(2, 1);
+    let data = sample(40_000, 9);
+    cluster.put("obj", &data).unwrap();
+    let before = cluster.manifest("obj").unwrap();
+    let mut node = NodeClient::connect(&before.placement[0], TIMEOUT).unwrap();
+    assert!(node.delete(&before.shard_key("obj", 0)).unwrap());
+
+    let crashing = rig.cluster(2, 1).with_failpoint(failpoint("repair.shard", 0));
+    let err = crashing.repair_object("obj").unwrap_err();
+    assert!(err.to_string().contains("failpoint"), "{err}");
+    assert_eq!(cluster.manifest("obj").unwrap(), before);
+    let scrub = cluster.scrub().unwrap();
+    assert_eq!(scrub.objects[0].damaged(), vec![0], "{scrub:?}");
+    assert_eq!(cluster.get("obj").unwrap(), data);
+
+    let report = cluster.repair_object("obj").unwrap();
+    assert_eq!(report.repaired, vec![0], "{report:?}");
+    assert_eq!(cluster.manifest("obj").unwrap(), before);
+    assert!(cluster.scrub().unwrap().clean());
+    assert_eq!(cluster.get("obj").unwrap(), data);
 }
 
 #[test]
