@@ -586,20 +586,24 @@ impl XorCodec {
         if self.encode_prologue(&[old, new], parity, 2, self.p)? == 0 {
             return Ok(());
         }
-        // delta = old ⊕ new, then delta-parity = column program (delta),
-        // accumulated in place. The program covers only the parity
-        // packets this column feeds; with a locality-grouped matrix that
-        // is the shard's own local parity plus the globals, so the
-        // untouched packets are skipped here.
+        // parity ⊕= column program (old ⊕ new), one fused blocked pass.
+        // The program covers only the parity packets this column feeds;
+        // with a locality-grouped matrix that is the shard's own local
+        // parity plus the globals, so the untouched packets are skipped
+        // here. The packet list is thread-local scratch: a steady-state
+        // update allocates nothing.
         let entry = self.partial_program(PartialKey::Column(shard_index));
-        let mut touched: Vec<&mut [u8]> = parity
-            .iter_mut()
-            .flat_map(|s| layout::packets_mut(s, self.w))
-            .enumerate()
-            .filter(|(r, _)| entry.rows.binary_search(r).is_ok())
-            .map(|(_, packet)| packet)
-            .collect();
-        Ok(self.backend.run_delta(&entry.prog, self.w, old, new, &mut touched)?)
+        xor_runtime::with_ref_scratch(|_, touched| {
+            touched.extend(
+                parity
+                    .iter_mut()
+                    .flat_map(|s| layout::packets_mut(s, self.w))
+                    .enumerate()
+                    .filter(|(r, _)| entry.rows.binary_search(r).is_ok())
+                    .map(|(_, packet)| packet),
+            );
+            Ok(self.backend.run_delta(&entry.prog, self.w, old, new, touched)?)
+        })
     }
 
     /// Re-encode a *subset* of the parity shards from the full data.
@@ -899,55 +903,24 @@ impl XorCodec {
 
     /// Verify that parity shards are consistent with the data shards.
     ///
-    /// The comparison runs stripe by stripe: each chunk of `workers ×
-    /// blocksize` packet bytes of expected parity is computed (striped
-    /// across the pool, like encode) into a small reused scratch buffer
-    /// — one chunk's worth, not `p` full shards — and compared
-    /// immediately. The first mismatching chunk aborts the scan, so
-    /// detecting corruption near the front of a large stripe costs a few
-    /// blocks of work, not a full re-encode, while a clean scan keeps
-    /// the pool parallelism of the full encode.
+    /// The encode program runs through the fused blocked loop with a
+    /// compare epilogue: each block of expected parity is computed in
+    /// block-local strips and compared with the stored parity block while
+    /// both are in L1, so no expected parity is written out. On one
+    /// stripe the scan stops at the first mismatching block, so
+    /// corruption near the front of a large stripe costs a few blocks of
+    /// work, not a full re-encode; a pooled codec stripes the scan like
+    /// encode.
     pub fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
-        let n = self.n;
         self.check_total(shards.len())?;
         let len = layout::common_shard_len(shards.iter().map(Vec::as_slice), self.w)?;
         if len == 0 {
             return Ok(true);
         }
-        let pl = len / self.w;
-        let data_packets: Vec<&[u8]> =
-            shards[..n].iter().flat_map(|s| layout::packets(s, self.w)).collect();
-        let parity_packets: Vec<&[u8]> =
-            shards[n..].iter().flat_map(|s| layout::packets(s, self.w)).collect();
-
-        // Chunk width: one compiled block per backend lane, so each chunk
-        // re-encodes at full engine parallelism while the scratch (and
-        // the early-exit granularity) stays a bounded, reusable strip.
-        let step = self
-            .enc_prog
-            .blocksize()
-            .saturating_mul(self.backend.lanes())
-            .min(pl)
-            .max(1);
-        xor_runtime::with_byte_scratch(parity_packets.len() * step, |scratch| {
-            let mut start = 0;
-            while start < pl {
-                let width = step.min(pl - start);
-                let r = start..start + width;
-                let inputs: Vec<&[u8]> = data_packets.iter().map(|s| &s[r.clone()]).collect();
-                let mut outputs: Vec<&mut [u8]> =
-                    scratch.chunks_exact_mut(step).map(|c| &mut c[..width]).collect();
-                self.backend.run(&self.enc_prog, &inputs, &mut outputs)?;
-                let mismatch = parity_packets
-                    .iter()
-                    .zip(scratch.chunks_exact(step))
-                    .any(|(actual, expected)| actual[r.clone()] != expected[..width]);
-                if mismatch {
-                    return Ok(false);
-                }
-                start += width;
-            }
-            Ok(true)
+        xor_runtime::with_ref_scratch(|packets, _| {
+            packets.extend(shards.iter().flat_map(|s| layout::packets(s, self.w)));
+            let (data, parity) = packets.split_at(self.n * self.w);
+            Ok(self.backend.verify(&self.enc_prog, data, parity)?)
         })
     }
 }

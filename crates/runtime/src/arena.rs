@@ -20,6 +20,10 @@ pub struct AlignedBuf {
 
 // SAFETY: AlignedBuf uniquely owns its allocation, like Vec<u8>.
 unsafe impl Send for AlignedBuf {}
+// SAFETY: like Vec<u8>: `&AlignedBuf` offers only reads (`as_slice`) and
+// a raw base pointer; every write needs `&mut self` or goes through that
+// pointer under its user's own contract (`VarArena` strips are handed to
+// one thread at a time).
 unsafe impl Sync for AlignedBuf {}
 
 impl AlignedBuf {
@@ -218,31 +222,6 @@ impl StripedBuf {
     }
 }
 
-thread_local! {
-    /// The calling thread's reusable byte scratch (see
-    /// [`with_byte_scratch`]): grows to the largest request and is then
-    /// reused, so steady-state hot paths (delta updates, stripe-wise
-    /// verify) allocate nothing.
-    static BYTE_SCRATCH: std::cell::RefCell<Vec<u8>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Run `f` over `need` bytes of this thread's persistent scratch buffer.
-///
-/// The scratch contents are whatever a previous caller left there —
-/// treat the slice as uninitialized and overwrite before reading. Not
-/// re-entrant: `f` must not itself call `with_byte_scratch` on the same
-/// thread (the codec hot paths that use this never nest).
-pub fn with_byte_scratch<R>(need: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-    BYTE_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < need {
-            buf.resize(need, 0);
-        }
-        f(&mut buf[..need])
-    })
-}
-
 /// The resting form of the [`with_ref_scratch`] vectors: always empty,
 /// so the `'static` lifetime is never attached to a live reference.
 type RefScratch = (Vec<&'static [u8]>, Vec<&'static mut [u8]>);
@@ -261,8 +240,7 @@ thread_local! {
 /// The codec hot paths flatten shards into per-packet slice lists on
 /// every call; collecting those into fresh `Vec`s is the last per-call
 /// allocation on the steady-state encode path. This helper lends out
-/// capacity-retaining vectors instead — the `with_byte_scratch`
-/// discipline applied to reference lists. Not re-entrant: a nested call
+/// capacity-retaining vectors instead. Not re-entrant: a nested call
 /// simply sees empty fresh vectors (graceful, but unshared).
 pub fn with_ref_scratch<'a, R>(
     f: impl FnOnce(&mut Vec<&'a [u8]>, &mut Vec<&'a mut [u8]>) -> R,
@@ -277,6 +255,7 @@ pub fn with_ref_scratch<'a, R>(
     // elements. Lifetimes do not affect layout.
     let mut ins: Vec<&'a [u8]> = unsafe { std::mem::transmute::<Vec<&'static [u8]>, _>(ins) };
     let mut outs: Vec<&'a mut [u8]> =
+        // SAFETY: as for `ins` — an empty `Vec`, lifetime-only transmute.
         unsafe { std::mem::transmute::<Vec<&'static mut [u8]>, _>(outs) };
     let r = f(&mut ins, &mut outs);
     ins.clear();
@@ -284,6 +263,7 @@ pub fn with_ref_scratch<'a, R>(
     // SAFETY: cleared above — empty again, lifetime-only transmute back.
     let ins: Vec<&'static [u8]> = unsafe { std::mem::transmute::<Vec<&'a [u8]>, _>(ins) };
     let outs: Vec<&'static mut [u8]> =
+        // SAFETY: cleared above — empty again, lifetime-only transmute back.
         unsafe { std::mem::transmute::<Vec<&'a mut [u8]>, _>(outs) };
     REF_SCRATCH.with(|cell| {
         let mut b = cell.borrow_mut();
@@ -296,25 +276,6 @@ pub fn with_ref_scratch<'a, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn byte_scratch_grows_and_is_reused() {
-        let p1 = with_byte_scratch(100, |buf| {
-            assert_eq!(buf.len(), 100);
-            buf.fill(0xEE);
-            buf.as_ptr() as usize
-        });
-        // A larger request grows the buffer; a smaller one reuses it.
-        with_byte_scratch(1000, |buf| assert_eq!(buf.len(), 1000));
-        let p2 = with_byte_scratch(50, |buf| {
-            assert_eq!(buf.len(), 50);
-            buf.as_ptr() as usize
-        });
-        // After the grow the backing allocation is stable.
-        let p3 = with_byte_scratch(1000, |buf| buf.as_ptr() as usize);
-        assert_eq!(p2, p3);
-        let _ = p1;
-    }
 
     #[test]
     fn ref_scratch_is_empty_on_entry_and_reuses_capacity() {

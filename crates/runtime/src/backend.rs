@@ -2,7 +2,7 @@
 //!
 //! Codecs compile matrices down to [`ExecProgram`]s and then only ever
 //! *execute* them. [`CpuBackend`] is that execution substrate: a
-//! [`PoolChoice`] plus the two striped entry points every codec
+//! [`PoolChoice`] plus the three striped entry points every codec
 //! operation goes through.
 
 use crate::exec::{ExecError, ExecProgram};
@@ -26,15 +26,6 @@ impl CpuBackend {
         }
     }
 
-    /// The parallel width — the stripe-count ceiling for one program
-    /// run, and the natural chunk fan-out for callers that split
-    /// non-program work (hashing, verification) themselves.
-    ///
-    /// Always at least 1.
-    pub fn lanes(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// Execute a compiled program over full shards: read `inputs`,
     /// overwrite `outputs`.
     pub fn run(
@@ -46,11 +37,10 @@ impl CpuBackend {
         prog.run_striped(inputs, outputs, self.pool.pool(), self.pool.workers())
     }
 
-    /// The delta-update discipline: run `prog` over `old ⊕ new` (split
-    /// into `pps` equal packets) and XOR the program's outputs into the
-    /// `targets` packets in place. See
-    /// [`ExecProgram::run_delta_striped`] for the shape contract the
-    /// caller has already validated.
+    /// The delta update: run `prog` over `old ⊕ new` (split into `pps`
+    /// equal packets) and XOR the program's outputs into the `targets`
+    /// packets in place, in one fused pass
+    /// ([`ExecProgram::run_delta_striped`]).
     pub fn run_delta(
         &self,
         prog: &ExecProgram,
@@ -60,6 +50,17 @@ impl CpuBackend {
         targets: &mut [&mut [u8]],
     ) -> Result<(), ExecError> {
         prog.run_delta_striped(pps, old, new, targets, self.pool.pool(), self.pool.workers())
+    }
+
+    /// Whether `prog` maps `inputs` to `expected`, computed block by
+    /// block and never written out ([`ExecProgram::verify_striped`]).
+    pub fn verify(
+        &self,
+        prog: &ExecProgram,
+        inputs: &[&[u8]],
+        expected: &[&[u8]],
+    ) -> Result<bool, ExecError> {
+        prog.verify_striped(inputs, expected, self.pool.pool(), self.pool.workers())
     }
 }
 
@@ -89,7 +90,6 @@ mod tests {
         let prog = ExecProgram::compile(&p, 64, Kernel::Auto);
         for parallelism in [0usize, 1, 3] {
             let backend = CpuBackend::from_parallelism(parallelism);
-            assert!(backend.lanes() >= 1);
             let data: Vec<Vec<u8>> = (0..4)
                 .map(|k| (0..1000).map(|i| ((k * 37 + i * 11) % 256) as u8).collect())
                 .collect();

@@ -1,10 +1,27 @@
 //! The blocked SLP executor (§6.1): run a compiled program over byte
 //! arrays, chunk by chunk, with no allocation in the hot loop.
+//!
+//! Two loops share the compiled form:
+//!
+//! * [`ExecProgram::run_with_arena`] — the plain run: inputs read in
+//!   place, returned variables written straight into the caller's output
+//!   buffers, temporaries in full-length arena strips.
+//! * `ExecProgram::run_fused` — the deforested run (§6's second
+//!   optimisation: no intermediate array that the next pass only reads
+//!   back). Every variable lives in a `B`-byte block-local arena strip,
+//!   and each block runs a prologue, the instructions and an epilogue
+//!   while its bytes are in L1. The delta prologue XORs `old` and `new`
+//!   into the input strips; the accumulate epilogue XORs each output
+//!   strip into its target packet; the compare epilogue checks it against
+//!   an expected packet and stops at the first mismatch. Delta parity
+//!   updates and parity verification run here, so neither writes out a
+//!   delta, a delta-parity or an expected-parity array.
 
 use crate::arena::VarArena;
 use crate::kernels::{xor_into, Kernel};
 use slp::{Slp, Term};
 use std::fmt;
+use std::ops::Range;
 
 /// A resolved operand: input array or variable buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -14,13 +31,32 @@ enum Slot {
 }
 
 thread_local! {
-    /// Per-thread reusable pointer tables for [`ExecProgram::run_with_arena`]:
-    /// resolved input bases, variable bases, and the per-instruction source
-    /// list. Raw pointers never escape a single call; keeping the vectors
+    /// Per-thread reusable pointer tables for both blocked loops: resolved
+    /// input bases, variable bases, and the per-instruction source list.
+    /// Raw pointers never escape a single call; keeping the vectors
     /// thread-local (pool workers and inline callers alike) makes a
     /// steady-state run allocation-free.
     static PTR_SCRATCH: std::cell::RefCell<(Vec<*const u8>, Vec<*mut u8>, Vec<*const u8>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
+}
+
+/// Where the fused loop's program inputs come from.
+#[derive(Clone, Copy)]
+pub(crate) enum FusedInputs<'a> {
+    /// Input `k` is packet `k` of `old ⊕ new`: both hold `n_inputs` equal
+    /// packets back to back. The delta prologue writes each block of it
+    /// to the input's block-local strip.
+    Delta { old: &'a [u8], new: &'a [u8] },
+    /// Input `k` is `packets[k]`, read in place.
+    Packets(&'a [&'a [u8]]),
+}
+
+/// What the fused loop's epilogue does with each output block.
+pub(crate) enum FusedOutputs<'a, 'b> {
+    /// XOR output `j` into `targets[j]`.
+    Accumulate(&'a mut [&'b mut [u8]]),
+    /// Compare output `j` with `expected[j]`; stop at the first mismatch.
+    Compare(&'a [&'b [u8]]),
 }
 
 #[derive(Clone, Debug)]
@@ -78,9 +114,11 @@ impl ExecProgram {
     /// Compile `slp` for the given blocksize and kernel.
     ///
     /// # Panics
-    /// Panics if `blocksize == 0` or the SLP fails validation.
+    /// Panics if `blocksize == 0`, the SLP fails validation, or this CPU
+    /// cannot run `kernel` (both loops call it unchecked).
     pub fn compile(slp: &Slp, blocksize: usize, kernel: Kernel) -> ExecProgram {
         assert!(blocksize > 0, "blocksize must be positive");
+        assert!(kernel.is_available(), "this CPU cannot run the {} kernel", kernel.name());
         slp.validate().expect("cannot compile an ill-formed SLP");
         let n_vars = slp.n_vars();
 
@@ -188,16 +226,7 @@ impl ExecProgram {
         if len == 0 {
             return Ok(());
         }
-        if !arena.fits(self.n_vars, len, self.blocksize) {
-            // Grow, never shrink: keep the larger of the old and new
-            // requirements so a long-lived (e.g. pool-worker) arena
-            // converges instead of thrashing between program shapes.
-            *arena = VarArena::new(
-                self.n_vars.max(arena.n_vars()),
-                len.max(arena.array_len()),
-                self.blocksize,
-            );
-        }
+        self.fit_arena(arena, self.n_vars, len);
 
         // The pointer tables live in thread-local scratch (capacity
         // retained across calls) so repeated runs allocate nothing.
@@ -218,11 +247,12 @@ impl ExecProgram {
             srcs.clear();
             srcs.reserve(self.max_arity);
 
+            // Plain address arithmetic; the kernel call that dereferences
+            // the result states why it is in bounds.
             let resolve = |s: Slot, off: usize| -> *const u8 {
-                // SAFETY: offsets stay within `len` by loop construction.
                 match s {
-                    Slot::Input(k) => unsafe { input_ptrs[k as usize].add(off) },
-                    Slot::Var(v) => unsafe { var_ptrs[v as usize].add(off) as *const u8 },
+                    Slot::Input(k) => input_ptrs[k as usize].wrapping_add(off),
+                    Slot::Var(v) => var_ptrs[v as usize].wrapping_add(off) as *const u8,
                 }
             };
 
@@ -283,6 +313,166 @@ impl ExecProgram {
             }
         });
         Ok(())
+    }
+
+    /// Grow `arena` to `strips` strips of at least `len` bytes at this
+    /// program's staggering. Grow, never shrink: keep the larger of the
+    /// old and new requirements so a long-lived (e.g. pool-worker) arena
+    /// converges instead of thrashing between program shapes.
+    fn fit_arena(&self, arena: &mut VarArena, strips: usize, len: usize) {
+        if !arena.fits(strips, len, self.blocksize) {
+            *arena = VarArena::new(
+                strips.max(arena.n_vars()),
+                len.max(arena.array_len()),
+                self.blocksize,
+            );
+        }
+    }
+
+    /// The fused blocked loop over packet offsets `range`: for each
+    /// `B`-byte block, the input prologue, every instruction and the
+    /// output epilogue, with every variable (and every delta input) in a
+    /// block-local strip of `arena`. Inputs are whole packets, addressed
+    /// at `range`; output `j` is the `range` window of its packet, so
+    /// `outputs[j][0]` is packet offset `range.start`.
+    ///
+    /// A constant output takes its input's block (the delta strip, or the
+    /// input packet itself); a variable returned twice is combined into
+    /// each of its targets. Returns `false` iff the compare epilogue
+    /// found a mismatch, which ends the loop.
+    ///
+    /// # Panics
+    /// Panics if the shapes disagree with the program and `range` (the
+    /// striped entry points validate them first and report typed errors).
+    pub(crate) fn run_fused(
+        &self,
+        range: Range<usize>,
+        inputs: FusedInputs<'_>,
+        mut outputs: FusedOutputs<'_, '_>,
+        arena: &mut VarArena,
+    ) -> bool {
+        let n_in = self.n_inputs;
+        let width = range.len();
+        // These checks are what make every pointer below valid for the
+        // block it is used on. Delta inputs take the first `n_in` strips.
+        let (delta_pl, first_var) = match inputs {
+            FusedInputs::Delta { old, new } => {
+                let pl = old.len() / n_in;
+                assert!(old.len() == new.len() && range.end <= pl, "delta shape");
+                (pl, n_in)
+            }
+            FusedInputs::Packets(packets) => {
+                assert_eq!(packets.len(), n_in, "input count");
+                assert!(packets.iter().all(|p| p.len() >= range.end), "input length");
+                (0, 0)
+            }
+        };
+        let windows_ok = match &outputs {
+            FusedOutputs::Accumulate(t) => {
+                t.len() == self.outputs.len() && t.iter().all(|o| o.len() == width)
+            }
+            FusedOutputs::Compare(e) => {
+                e.len() == self.outputs.len() && e.iter().all(|o| o.len() == width)
+            }
+        };
+        assert!(windows_ok, "output windows");
+        if width == 0 {
+            return true;
+        }
+        let blocksize = self.blocksize;
+        self.fit_arena(arena, first_var + self.n_vars, blocksize);
+
+        PTR_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let (input_ptrs, var_ptrs, srcs) = &mut *scratch;
+            // A delta input is its strip; an in-place input is its
+            // packet's base pointer and is offset per block instead.
+            input_ptrs.clear();
+            match inputs {
+                FusedInputs::Delta { .. } => {
+                    input_ptrs.extend((0..n_in).map(|k| arena.var_ptr(k) as *const u8));
+                }
+                FusedInputs::Packets(packets) => {
+                    input_ptrs.extend(packets.iter().map(|p| p.as_ptr()));
+                }
+            }
+            var_ptrs.clear();
+            var_ptrs.extend((0..self.n_vars).map(|v| arena.var_ptr(first_var + v)));
+            srcs.clear();
+            srcs.reserve(self.max_arity);
+            let resolve = |s: Slot, input_off: usize| -> *const u8 {
+                match s {
+                    Slot::Input(k) => input_ptrs[k as usize].wrapping_add(input_off),
+                    Slot::Var(v) => var_ptrs[v as usize] as *const u8,
+                }
+            };
+
+            let mut start = range.start;
+            while start < range.end {
+                let chunk = blocksize.min(range.end - start);
+                let input_off = match inputs {
+                    FusedInputs::Delta { old, new } => {
+                        for (k, &strip) in input_ptrs.iter().enumerate() {
+                            let at = k * delta_pl + start;
+                            let block = at..at + chunk;
+                            let pair = [old[block.clone()].as_ptr(), new[block].as_ptr()];
+                            // SAFETY: both sources are `chunk`-byte slices
+                            // (bounds-checked above); the strip is one of
+                            // the arena's disjoint strips of at least
+                            // `blocksize ≥ chunk` bytes, which no caller
+                            // slice can overlap; `self.kernel` is resolved
+                            // and available.
+                            unsafe { xor_into(self.kernel, strip as *mut u8, &pair, chunk) };
+                        }
+                        0
+                    }
+                    FusedInputs::Packets(_) => start,
+                };
+                for instr in &self.instrs {
+                    srcs.clear();
+                    srcs.extend(instr.args.iter().map(|&a| resolve(a, input_off)));
+                    // SAFETY: every source is a variable strip or an input
+                    // block, each valid for `chunk` bytes (strips hold
+                    // `blocksize ≥ chunk` bytes; input packets were
+                    // checked to reach `range.end`); the destination strip
+                    // may equal a source exactly (pebble reuse), never
+                    // overlap one partially, since strips are disjoint
+                    // and inputs are caller memory.
+                    unsafe { xor_into(self.kernel, var_ptrs[instr.dst as usize], srcs, chunk) };
+                }
+                let at = start - range.start;
+                match &mut outputs {
+                    FusedOutputs::Accumulate(targets) => {
+                        for (target, &slot) in targets.iter_mut().zip(&self.outputs) {
+                            let dst = target[at..at + chunk].as_mut_ptr();
+                            let pair = [dst as *const u8, resolve(slot, input_off)];
+                            // SAFETY: `dst` is a `chunk`-byte block of a
+                            // target window this call holds exclusively
+                            // (`&mut` outer borrow), aliased only by
+                            // itself as the first source; the second
+                            // source is a strip or input block valid for
+                            // `chunk` bytes that cannot overlap it.
+                            unsafe { xor_into(self.kernel, dst, &pair, chunk) };
+                        }
+                    }
+                    FusedOutputs::Compare(expected) => {
+                        for (want, &slot) in expected.iter().zip(&self.outputs) {
+                            let block = resolve(slot, input_off);
+                            // SAFETY: a strip or input block valid for
+                            // `chunk` bytes and initialised (strips were
+                            // zeroed at allocation and written this block);
+                            // nothing writes it while this borrow lives.
+                            let got = unsafe { std::slice::from_raw_parts(block, chunk) };
+                            if got != &want[at..at + chunk] {
+                                return false;
+                            }
+                        }
+                    }
+                }
+                start += chunk;
+            }
+            true
+        })
     }
 
     /// Convenience: run with a freshly allocated arena.

@@ -16,15 +16,17 @@
 //!   keeps blocks from colliding in L1 cache sets;
 //! * [`ExecProgram`] — a compiled SLP: slot-resolved instructions run for
 //!   every chunk index over input, variable, and output buffers without
-//!   any per-run allocation.
-
+//!   any per-run allocation. Delta updates and verification run the same
+//!   program through a fused loop that forms, transforms and consumes
+//!   each block in block-local strips, never writing an intermediate
+//!   array.
 //!
 //! Parallelism is a first-class subsystem: [`ExecPool`] keeps a
 //! persistent set of workers (one grow-on-demand [`VarArena`] each) and
 //! [`plan_stripes`] splits any byte range into blocksize-aligned stripes,
 //! so [`ExecProgram::run_striped`] executes one program across all cores
 //! with zero steady-state allocation. Codecs reach all of this through
-//! [`CpuBackend`], a pool choice plus the two striped entry points.
+//! [`CpuBackend`], a pool choice plus the three striped entry points.
 
 mod arena;
 mod backend;
@@ -33,7 +35,7 @@ mod kernels;
 mod partition;
 mod pool;
 
-pub use arena::{with_byte_scratch, with_ref_scratch, AlignedBuf, StripedBuf, VarArena, CACHE_PAGE};
+pub use arena::{with_ref_scratch, AlignedBuf, StripedBuf, VarArena, CACHE_PAGE};
 pub use backend::CpuBackend;
 pub use exec::{ExecError, ExecProgram};
 pub use kernels::{available_kernels, xor_accumulate, xor_into, xor_slices, Kernel};

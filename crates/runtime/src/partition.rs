@@ -9,20 +9,25 @@
 //! smaller than one `B`-block, so short shards simply run as one stripe
 //! instead of degenerating to per-byte splits, and stripe boundaries are
 //! `B`-aligned so each worker's blocked loop sees no mid-block seams.
+//!
+//! Three entry points share one stripe driver: [`ExecProgram::run_striped`]
+//! (the plain blocked loop), and [`ExecProgram::run_delta_striped`] and
+//! [`ExecProgram::verify_striped`] (the fused loop with its accumulate
+//! and compare epilogues). A single-stripe plan runs inline on the
+//! caller's thread-local arena and allocates nothing.
 
-use crate::arena::{with_byte_scratch, VarArena};
-use crate::exec::{ExecError, ExecProgram};
-use crate::kernels::{xor_accumulate, xor_slices};
+use crate::arena::VarArena;
+use crate::exec::{ExecError, ExecProgram, FusedInputs, FusedOutputs};
 use crate::pool::{lock_unpoisoned, ExecPool, ScopedTask};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 thread_local! {
     /// The calling thread's own grow-on-demand arena, used when a plan
-    /// collapses to a single stripe: running inline skips the pool
-    /// handoff (two context switches) that multi-megabyte stripes
-    /// amortize but short shards and `parallelism = 1` codecs would not.
+    /// collapses to a single stripe (see `ExecProgram::for_each_stripe`).
     static CALLER_ARENA: RefCell<VarArena> = RefCell::new(VarArena::new(1, 1, 1024));
 }
 
@@ -80,7 +85,98 @@ pub fn plan_stripes(packet_len: usize, blocksize: usize, max_stripes: usize) -> 
     StripePlan { ranges }
 }
 
+/// `packets` cut to the window `r`: the list itself when `r` is their
+/// whole length (so the single-stripe path allocates nothing), else a
+/// fresh list of windows.
+fn windows<'a>(packets: &'a [&'a [u8]], r: &Range<usize>, len: usize) -> Cow<'a, [&'a [u8]]> {
+    if r.len() == len {
+        Cow::Borrowed(packets)
+    } else {
+        Cow::Owned(packets.iter().map(|p| &p[r.clone()]).collect())
+    }
+}
+
 impl ExecProgram {
+    /// Check the `inputs` and `outputs` packets against the program and
+    /// return their common length.
+    fn check_shapes<O: AsRef<[u8]>>(
+        &self,
+        inputs: &[&[u8]],
+        outputs: &[O],
+    ) -> Result<usize, ExecError> {
+        if inputs.len() != self.n_inputs() {
+            return Err(ExecError::InputCount { expected: self.n_inputs(), got: inputs.len() });
+        }
+        if outputs.len() != self.n_outputs() {
+            return Err(ExecError::OutputCount { expected: self.n_outputs(), got: outputs.len() });
+        }
+        let len = inputs
+            .first()
+            .map(|a| a.len())
+            .or_else(|| outputs.first().map(|o| o.as_ref().len()))
+            .unwrap_or(0);
+        if inputs.iter().any(|a| a.len() != len) || outputs.iter().any(|o| o.as_ref().len() != len)
+        {
+            return Err(ExecError::LengthMismatch);
+        }
+        Ok(len)
+    }
+
+    /// Run `f` once per stripe of a `len`-byte packet range, with the
+    /// stripe's range, the matching window of every `outputs` packet and
+    /// an arena. One stripe runs inline on the caller's thread-local
+    /// arena: no plan, no pool handoff (two context switches that
+    /// multi-megabyte stripes amortize and short shards and
+    /// `parallelism = 1` codecs would not), no allocation. More stripes
+    /// run one pool task each on the workers' persistent arenas.
+    ///
+    /// Returns `Ok(false)` iff some stripe's `f` did, and the first error
+    /// any stripe reported.
+    fn for_each_stripe(
+        &self,
+        len: usize,
+        outputs: &mut [&mut [u8]],
+        pool: &ExecPool,
+        max_stripes: usize,
+        f: impl Fn(Range<usize>, &mut [&mut [u8]], &mut VarArena) -> Result<bool, ExecError> + Sync,
+    ) -> Result<bool, ExecError> {
+        let blocks = len.div_ceil(self.blocksize().max(1));
+        if max_stripes.max(1).min(blocks) <= 1 {
+            return CALLER_ARENA.with(|a| f(0..len, outputs, &mut a.borrow_mut()));
+        }
+        let plan = plan_stripes(len, self.blocksize(), max_stripes);
+
+        // Split every output packet at the same offsets, peeled off
+        // front-to-back with split_at_mut so each stripe owns its windows.
+        let failure: Mutex<Option<ExecError>> = Mutex::new(None);
+        // Relaxed: it publishes nothing, and is read only after
+        // `run_scoped` has waited on every task's latch (a mutex).
+        let all_true = AtomicBool::new(true);
+        let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(plan.len());
+        let mut outs: Vec<&mut [u8]> = outputs.iter_mut().map(|s| &mut **s).collect();
+        for r in plan.ranges() {
+            let mut rest = Vec::with_capacity(outs.len());
+            let mut part = Vec::with_capacity(outs.len());
+            for o in outs {
+                let (head, tail) = o.split_at_mut(r.len());
+                part.push(head);
+                rest.push(tail);
+            }
+            outs = rest;
+            let (r, f, failure, all_true) = (r.clone(), &f, &failure, &all_true);
+            tasks.push(Box::new(move |arena| match f(r, &mut part, arena) {
+                Ok(true) => {}
+                Ok(false) => all_true.store(false, Ordering::Relaxed),
+                Err(e) => *lock_unpoisoned(failure) = Some(e),
+            }));
+        }
+        pool.run_scoped(tasks);
+        match failure.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+            Some(e) => Err(e),
+            None => Ok(all_true.into_inner()),
+        }
+    }
+
     /// Run the program striped across a worker pool: the packet range is
     /// split by [`plan_stripes`] (with this program's blocksize) into at
     /// most `max_stripes` blocksize-aligned stripes, each executed on a
@@ -97,87 +193,27 @@ impl ExecProgram {
     ) -> Result<(), ExecError> {
         // Validate shapes up front so errors surface before any task is
         // submitted (stripe slices inherit validity from the full run).
-        if inputs.len() != self.n_inputs() {
-            return Err(ExecError::InputCount {
-                expected: self.n_inputs(),
-                got: inputs.len(),
-            });
-        }
-        if outputs.len() != self.n_outputs() {
-            return Err(ExecError::OutputCount {
-                expected: self.n_outputs(),
-                got: outputs.len(),
-            });
-        }
-        let len = inputs
-            .first()
-            .map(|a| a.len())
-            .or_else(|| outputs.first().map(|a| a.len()))
-            .unwrap_or(0);
-        if inputs.iter().any(|a| a.len() != len)
-            || outputs.iter().any(|a| a.len() != len)
-        {
-            return Err(ExecError::LengthMismatch);
-        }
-
+        let len = self.check_shapes(inputs, outputs)?;
         if len == 0 {
             return Ok(());
         }
-        // Serial fast path, decided without materializing a plan (keeps
-        // the single-stripe case — short shards, `parallelism = 1` —
-        // allocation-free): run inline on the caller with its
-        // thread-local arena, same per-worker-arena guarantees, no pool
-        // handoff.
-        let blocks = len.div_ceil(self.blocksize().max(1));
-        if max_stripes.max(1).min(blocks) == 1 {
-            return CALLER_ARENA
-                .with(|a| self.run_with_arena(inputs, outputs, &mut a.borrow_mut()));
-        }
-        let plan = plan_stripes(len, self.blocksize(), max_stripes);
-
-        // Split every packet at the same offsets. Outputs are peeled off
-        // front-to-back with split_at_mut so each stripe owns its slices.
-        let failure: Mutex<Option<ExecError>> = Mutex::new(None);
-        let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(plan.len());
-        let mut outs: Vec<&mut [u8]> = outputs.iter_mut().map(|s| &mut **s).collect();
-        for r in plan.ranges() {
-            let ins: Vec<&[u8]> = inputs.iter().map(|s| &s[r.clone()]).collect();
-            let width = r.end - r.start;
-            let mut rest = Vec::with_capacity(outs.len());
-            let mut part = Vec::with_capacity(outs.len());
-            for o in outs {
-                let (head, tail) = o.split_at_mut(width);
-                part.push(head);
-                rest.push(tail);
-            }
-            outs = rest;
-            let failure = &failure;
-            tasks.push(Box::new(move |arena| {
-                if let Err(e) = self.run_with_arena(&ins, &mut part, arena) {
-                    *lock_unpoisoned(failure) = Some(e);
-                }
-            }));
-        }
-        pool.run_scoped(tasks);
-        match failure.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.for_each_stripe(len, outputs, pool, max_stripes, |r, part, arena| {
+            self.run_with_arena(&windows(inputs, &r, len), part, arena)?;
+            Ok(true)
+        })?;
+        Ok(())
     }
 
-    /// The delta-update execution discipline of the codec engine: run
-    /// this program over `old ⊕ new` (split into `pps` equal packets) and
-    /// XOR its outputs, one packet each, into `targets` in place.
+    /// The delta update: run this program over `old ⊕ new` (each split
+    /// into `pps` equal packets, the program's inputs) and XOR its
+    /// outputs, one packet each, into `targets` in place.
     ///
-    /// Everything transient — the delta shard and the program outputs —
-    /// lives in the calling thread's persistent byte scratch, so a
-    /// steady-state update memsets nothing (the program overwrites its
-    /// outputs in full before they are read).
-    ///
-    /// The caller has already validated shapes: `old` and `new` share one
-    /// length, a positive multiple of `pps`; every target is one packet
-    /// (`len / pps` bytes) long; and the counts match the program (`pps`
-    /// inputs, `targets.len()` outputs).
+    /// One fused blocked pass per stripe: each `B`-byte block of the
+    /// delta is formed in a block-local strip, run through the program
+    /// and accumulated into the targets while it is in L1, so no delta
+    /// or delta-parity array is ever written out and no scratch buffer
+    /// exists. The same loop runs inline for one stripe and on the pool
+    /// workers' arenas for more.
     pub fn run_delta_striped(
         &self,
         pps: usize,
@@ -187,23 +223,46 @@ impl ExecProgram {
         pool: &ExecPool,
         max_stripes: usize,
     ) -> Result<(), ExecError> {
-        let len = old.len();
-        if len == 0 {
+        if pps != self.n_inputs() {
+            return Err(ExecError::InputCount { expected: self.n_inputs(), got: pps });
+        }
+        if targets.len() != self.n_outputs() {
+            return Err(ExecError::OutputCount { expected: self.n_outputs(), got: targets.len() });
+        }
+        let pl = old.len() / pps.max(1);
+        if new.len() != old.len() || old.len() != pl * pps || targets.iter().any(|t| t.len() != pl)
+        {
+            return Err(ExecError::LengthMismatch);
+        }
+        if pl == 0 {
             return Ok(());
         }
-        let pl = len / pps;
-        with_byte_scratch(len + targets.len() * pl, |scratch| {
-            let (delta, dp) = scratch.split_at_mut(len);
-            xor_slices(self.kernel(), delta, &[old, new]);
-            {
-                let inputs: Vec<&[u8]> = delta.chunks_exact(pl).collect();
-                let mut outputs: Vec<&mut [u8]> = dp.chunks_exact_mut(pl).collect();
-                self.run_striped(&inputs, &mut outputs, pool, max_stripes)?;
-            }
-            for (target, d) in targets.iter_mut().zip(dp.chunks_exact(pl)) {
-                xor_accumulate(self.kernel(), target, d);
-            }
-            Ok(())
+        let inputs = FusedInputs::Delta { old, new };
+        self.for_each_stripe(pl, targets, pool, max_stripes, |r, part, arena| {
+            Ok(self.run_fused(r, inputs, FusedOutputs::Accumulate(part), arena))
+        })?;
+        Ok(())
+    }
+
+    /// Whether the program's outputs on `inputs` equal `expected`,
+    /// without writing them anywhere: the fused blocked pass with a
+    /// compare epilogue, striped like [`ExecProgram::run_striped`]. One
+    /// stripe stops at the first mismatching block.
+    pub fn verify_striped(
+        &self,
+        inputs: &[&[u8]],
+        expected: &[&[u8]],
+        pool: &ExecPool,
+        max_stripes: usize,
+    ) -> Result<bool, ExecError> {
+        let len = self.check_shapes(inputs, expected)?;
+        if len == 0 {
+            return Ok(true);
+        }
+        let inputs = FusedInputs::Packets(inputs);
+        self.for_each_stripe(len, &mut [], pool, max_stripes, |r, _, arena| {
+            let want = windows(expected, &r, len);
+            Ok(self.run_fused(r, inputs, FusedOutputs::Compare(&want), arena))
         })
     }
 }
@@ -211,7 +270,7 @@ impl ExecProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::Kernel;
+    use crate::kernels::{xor_accumulate, xor_slices, Kernel};
     use slp::Term::{Const, Var};
     use slp::{Instr, Slp};
 
@@ -337,6 +396,195 @@ mod tests {
         let mut outs: Vec<Vec<u8>> = vec![vec![]; 3];
         let mut orefs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(prog.run_striped(&refs, &mut orefs, &pool, 2), Ok(()));
+    }
+
+    /// The three-pass delta update the fused loop replaced, kept as its
+    /// oracle: `old ⊕ new` into a delta array, the program into a
+    /// delta-parity array, then each output accumulated into its target.
+    fn three_pass_delta(
+        prog: &ExecProgram,
+        old: &[u8],
+        new: &[u8],
+        targets: &mut [Vec<u8>],
+        pool: &ExecPool,
+        max_stripes: usize,
+    ) {
+        let pl = old.len() / prog.n_inputs();
+        let mut delta = vec![0u8; old.len()];
+        xor_slices(prog.kernel(), &mut delta, &[old, new]);
+        let inputs: Vec<&[u8]> = delta.chunks_exact(pl).collect();
+        let mut dp = vec![vec![0u8; pl]; targets.len()];
+        let mut outputs: Vec<&mut [u8]> = dp.iter_mut().map(Vec::as_mut_slice).collect();
+        prog.run_striped(&inputs, &mut outputs, pool, max_stripes).unwrap();
+        for (target, d) in targets.iter_mut().zip(&dp) {
+            xor_accumulate(prog.kernel(), target, d);
+        }
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*).
+    fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// A random `rows × cols` column bit-matrix with no zero row (a zero
+    /// row has no SLP form), through the default optimizer pipeline.
+    fn random_column_program(rows: usize, cols: usize, seed: u64) -> Slp {
+        let bits = random_bytes(rows * cols, seed);
+        let text: Vec<String> = bits
+            .chunks_exact(cols)
+            .enumerate()
+            .map(|(r, row)| {
+                (0..cols)
+                    .map(|c| if row[c] & 1 == 1 || c == r % cols { '1' } else { '0' })
+                    .collect()
+            })
+            .collect();
+        let text: Vec<&str> = text.iter().map(String::as_str).collect();
+        let base = slp::binary_slp_from_bitmatrix(&bitmatrix::BitMatrix::parse(&text));
+        slp_optimizer::optimize(&base, slp_optimizer::OptConfig::default())
+    }
+
+    /// The programs the fused loop must agree on: the §4.1 example, the
+    /// §2.1 scheduled form (an output pebble rewritten in place), one
+    /// with a constant and a duplicated output, and optimized random
+    /// column programs shaped like RS(10,4)'s (32 × 8) and a small one.
+    fn fused_loop_programs() -> Vec<(&'static str, Slp)> {
+        let section_2_1 = Slp::new(
+            7,
+            vec![
+                Instr::new(0, vec![Const(0), Const(1)]),
+                Instr::new(3, vec![Const(2), Const(3), Const(4)]),
+                Instr::new(1, vec![Var(3), Const(5)]),
+                Instr::new(3, vec![Var(3), Const(6)]),
+            ],
+            vec![Var(0), Var(1), Var(3)],
+        )
+        .unwrap();
+        let const_and_dup = Slp::new(
+            3,
+            vec![
+                Instr::new(0, vec![Const(0), Const(1)]),
+                Instr::new(1, vec![Var(0), Const(2)]),
+            ],
+            vec![Var(1), Const(2), Var(0), Var(1)],
+        )
+        .unwrap();
+        vec![
+            ("section_4_1", section_4_1()),
+            ("section_2_1", section_2_1),
+            ("const_and_dup", const_and_dup),
+            ("random_32x8", random_column_program(32, 8, 41)),
+            ("random_8x4", random_column_program(8, 4, 42)),
+        ]
+    }
+
+    #[test]
+    fn fused_delta_matches_three_pass_oracle() {
+        let pool = ExecPool::new(3);
+        let programs = fused_loop_programs();
+        for kernel in crate::kernels::available_kernels() {
+            for blocksize in [1usize, 7, 64, 1024, 4096] {
+                for (name, p) in &programs {
+                    let prog = ExecProgram::compile(p, blocksize, kernel);
+                    let (n_in, n_out) = (prog.n_inputs(), prog.n_outputs());
+                    for pl in [1usize, 63, 64, 1000, 1024, 4097, 8205] {
+                        let old = random_bytes(n_in * pl, pl as u64);
+                        let new = random_bytes(n_in * pl, pl as u64 + 1);
+                        let base: Vec<Vec<u8>> =
+                            (0..n_out).map(|j| random_bytes(pl, 100 + j as u64)).collect();
+                        for stripes in 1..=3 {
+                            let mut expect = base.clone();
+                            three_pass_delta(&prog, &old, &new, &mut expect, &pool, stripes);
+                            let mut got = base.clone();
+                            let mut targets: Vec<&mut [u8]> =
+                                got.iter_mut().map(Vec::as_mut_slice).collect();
+                            prog.run_delta_striped(n_in, &old, &new, &mut targets, &pool, stripes)
+                                .unwrap();
+                            assert!(
+                                got == expect,
+                                "{name} kernel {kernel:?} B={blocksize} pl={pl} stripes={stripes}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_verify_finds_every_single_byte_flip() {
+        let pool = ExecPool::new(3);
+        for kernel in crate::kernels::available_kernels() {
+            for blocksize in [1usize, 64, 1024] {
+                for (name, p) in fused_loop_programs() {
+                    let prog = ExecProgram::compile(&p, blocksize, kernel);
+                    let pl = 1000;
+                    let data: Vec<Vec<u8>> =
+                        (0..prog.n_inputs()).map(|k| random_bytes(pl, k as u64)).collect();
+                    let inputs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                    let mut parity = p.run_reference(&inputs);
+                    for stripes in 1..=3 {
+                        let ctx = format!("{name} {kernel:?} B={blocksize} stripes={stripes}");
+                        let check = |parity: &[Vec<u8>]| {
+                            let expected: Vec<&[u8]> = parity.iter().map(Vec::as_slice).collect();
+                            prog.verify_striped(&inputs, &expected, &pool, stripes).unwrap()
+                        };
+                        assert!(check(&parity), "{ctx}: clean");
+                        for j in 0..parity.len() {
+                            for at in [0, blocksize.min(pl - 1), pl / 2, pl - 1] {
+                                parity[j][at] ^= 0x10;
+                                assert!(!check(&parity), "{ctx}: output {j} byte {at}");
+                                parity[j][at] ^= 0x10;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_entry_points_report_shape_errors() {
+        let prog = ExecProgram::compile(&section_4_1(), 64, Kernel::Scalar);
+        let pool = ExecPool::new(2);
+        let (old, new) = (vec![0u8; 4 * 8], vec![0u8; 4 * 8]);
+        let mut bufs = vec![vec![0u8; 8]; 3];
+        let mut targets: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        assert_eq!(
+            prog.run_delta_striped(3, &old, &new, &mut targets, &pool, 2),
+            Err(ExecError::InputCount { expected: 4, got: 3 })
+        );
+        assert_eq!(
+            prog.run_delta_striped(4, &old, &new[..16], &mut targets, &pool, 2),
+            Err(ExecError::LengthMismatch)
+        );
+        assert_eq!(
+            prog.run_delta_striped(4, &old, &new, &mut targets[..2], &pool, 2),
+            Err(ExecError::OutputCount { expected: 3, got: 2 })
+        );
+        let mut empty: Vec<&mut [u8]> = vec![&mut [], &mut [], &mut []];
+        assert_eq!(prog.run_delta_striped(4, &[], &[], &mut empty, &pool, 2), Ok(()));
+        let a = vec![0u8; 8];
+        let short = vec![0u8; 4];
+        let ins: Vec<&[u8]> = vec![&a; 4];
+        assert_eq!(
+            prog.verify_striped(&ins, &[&a, &a, &short], &pool, 2),
+            Err(ExecError::LengthMismatch)
+        );
+        assert_eq!(
+            prog.verify_striped(&ins[..3], &[&a, &a, &a], &pool, 2),
+            Err(ExecError::InputCount { expected: 4, got: 3 })
+        );
+        let none: &[u8] = &[];
+        assert_eq!(prog.verify_striped(&[none; 4], &[none; 3], &pool, 2), Ok(true));
     }
 
     #[test]
