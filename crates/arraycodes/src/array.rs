@@ -26,12 +26,12 @@ pub struct ArrayCodec {
 
 impl ArrayCodec {
     /// EVENODD with `k` data disks on the default engine
-    /// ([`EngineConfig::tuned`]); the prime is the smallest ≥ max(k, 3).
+    /// ([`EngineConfig::new`]); the prime is the smallest ≥ max(k, 3).
     ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn evenodd(k: usize) -> ArrayCodec {
-        ArrayCodec::evenodd_with(k, EngineConfig::tuned()).expect("need at least one data disk")
+        ArrayCodec::evenodd_with(k, EngineConfig::new()).expect("need at least one data disk")
     }
 
     /// RDP with `k` data disks on the default engine; the prime is the
@@ -40,7 +40,7 @@ impl ArrayCodec {
     /// # Panics
     /// Panics if `k == 0`.
     pub fn rdp(k: usize) -> ArrayCodec {
-        ArrayCodec::rdp_with(k, EngineConfig::tuned()).expect("need at least one data disk")
+        ArrayCodec::rdp_with(k, EngineConfig::new()).expect("need at least one data disk")
     }
 
     /// [`ArrayCodec::evenodd`] on an explicit engine configuration.

@@ -12,26 +12,26 @@ use slp::{binary_slp_from_bitmatrix, Slp};
 use slp_optimizer::{optimize, OptConfig};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use xor_runtime::{lock_unpoisoned as lock, CpuBackend, ExecPool, ExecProgram, Kernel};
+use xor_runtime::{lock_unpoisoned as lock, ExecPool, ExecProgram, Kernel, PoolChoice};
 
 /// The engine knobs of an [`XorCodec`]: how programs are optimized,
 /// compiled, executed and cached. Which *code* runs is not in here.
 ///
-/// Precedence, lowest to highest — the profile never overrides anything
-/// a human asked for:
+/// Precedence, lowest to highest:
 ///
-/// 1. static paper defaults (§7.4: `Dfs(Fu(XorRePair(P)))`, 1 KiB
-///    blocks, the fastest XOR kernel the CPU offers);
-/// 2. the tuned profile ([`ec_tune::engine_defaults`]): on first use
-///    `ec-tune` micro-benchmarks kernel × blocksize × stripe-count on
-///    the actual CPU and caches the winner per machine;
-/// 3. environment: `XORSLP_KERNEL` (`scalar` | `wide64` | `avx2` |
-///    `avx512` | `neon` | `auto`), `XORSLP_BLOCKSIZE` (bytes),
-///    `XORSLP_PARALLELISM` (`0` = auto or a worker count) — CI uses
-///    these to force the whole suite through each engine configuration;
-/// 4. explicit field writes on the value [`EngineConfig::tuned`] returns.
+/// 1. the paper's constants ([`EngineConfig::PAPER`]; §7.4:
+///    `Dfs(Fu(XorRePair(P)))`, `B = 1024`, the widest XOR kernel the CPU
+///    offers, the machine-sized pool);
+/// 2. environment: `XORSLP_KERNEL` (`scalar` | `wide64` | `avx2` |
+///    `avx512` | `neon` | `auto`) and `XORSLP_PARALLELISM` (`0` = auto or
+///    a worker count) — CI uses these to force the whole suite through
+///    each engine configuration;
+/// 3. explicit field writes on the value [`EngineConfig::new`] returns.
 ///
-/// Steps 1–3 are applied in [`EngineConfig::tuned`] and nowhere else.
+/// Steps 1–2 are applied in [`EngineConfig::new`] and nowhere else. The
+/// best `B` is a property of the machine (§7.4 picks 1K on Intel, 2K on
+/// AMD); the `table_7_2_blocksize` / `table_7_4_blocksize` binaries
+/// re-measure it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// SLP optimization pipeline (§4–§6).
@@ -56,20 +56,32 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default engine: paper defaults, refined by the machine's
-    /// tuned profile, refined by env overrides (see the type docs). The
-    /// first call on a cold machine runs the `ec-tune` micro-benchmark
-    /// once and caches it.
-    pub fn tuned() -> EngineConfig {
-        let tuned = ec_tune::engine_defaults();
+    /// The paper's engine, with every cache capacity on auto.
+    pub const PAPER: EngineConfig = EngineConfig {
+        opt: OptConfig::FULL_DFS,
+        blocksize: 1024,
+        kernel: Kernel::Auto,
+        parallelism: 0,
+        decode_cache_cap: 0,
+        partial_cache_cap: 0,
+    };
+
+    /// The default engine: [`EngineConfig::PAPER`] with the
+    /// `XORSLP_KERNEL` / `XORSLP_PARALLELISM` overrides applied (see the
+    /// type docs).
+    pub fn new() -> EngineConfig {
+        let paper = EngineConfig::PAPER;
         EngineConfig {
-            opt: OptConfig::default(),
-            blocksize: xor_runtime::env_blocksize().unwrap_or(tuned.blocksize),
-            kernel: Kernel::from_env().unwrap_or(tuned.kernel),
-            parallelism: xor_runtime::env_parallelism().unwrap_or(tuned.parallelism),
-            decode_cache_cap: 0,
-            partial_cache_cap: 0,
+            kernel: Kernel::from_env().unwrap_or(paper.kernel),
+            parallelism: xor_runtime::env_parallelism().unwrap_or(paper.parallelism),
+            ..paper
         }
+    }
+}
+
+impl Default for EngineConfig {
+    fn default() -> EngineConfig {
+        EngineConfig::new()
     }
 }
 
@@ -150,7 +162,7 @@ pub struct XorCodec {
     groups: Vec<Vec<usize>>,
     enc_slp: Slp,
     enc_prog: ExecProgram,
-    backend: CpuBackend,
+    pool: PoolChoice,
     dec_cache: Mutex<LruCache<Vec<usize>, Arc<DecProgram>>>,
     partial_cache: Mutex<LruCache<PartialKey, Arc<PartialProgram>>>,
 }
@@ -242,7 +254,7 @@ impl XorCodec {
             groups,
             enc_slp,
             enc_prog,
-            backend: CpuBackend::from_parallelism(cfg.parallelism),
+            pool: PoolChoice::from_parallelism(cfg.parallelism),
             dec_cache: Mutex::new(LruCache::new(decode_cap)),
             partial_cache: Mutex::new(LruCache::new(partial_cap)),
         })
@@ -252,7 +264,7 @@ impl XorCodec {
     /// compiled programs are kept.
     pub(crate) fn with_parallelism(mut self, parallelism: usize) -> XorCodec {
         self.cfg.parallelism = parallelism;
-        self.backend = CpuBackend::from_parallelism(parallelism);
+        self.pool = PoolChoice::from_parallelism(parallelism);
         self
     }
 
@@ -392,7 +404,7 @@ impl XorCodec {
         let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s, self.w)).collect();
         let mut outputs: Vec<&mut [u8]> =
             out.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
-        Ok(self.backend.run(prog, &inputs, &mut outputs)?)
+        Ok(prog.run_striped(&inputs, &mut outputs, self.pool.pool(), self.pool.workers())?)
     }
 
     /// Compute all parity shards from data shards, zero-copy.
@@ -470,7 +482,7 @@ impl XorCodec {
         xor_runtime::with_ref_scratch(|inputs, outputs| {
             inputs.extend(data_part.iter().flat_map(|s| s.chunks_exact(pl)));
             outputs.extend(parity_part.iter_mut().flat_map(|s| s.chunks_exact_mut(pl)));
-            self.backend.run(&self.enc_prog, inputs, outputs)
+            self.enc_prog.run_striped(inputs, outputs, self.pool.pool(), self.pool.workers())
         })?;
         Ok(())
     }
@@ -602,7 +614,14 @@ impl XorCodec {
                     .filter(|(r, _)| entry.rows.binary_search(r).is_ok())
                     .map(|(_, packet)| packet),
             );
-            Ok(self.backend.run_delta(&entry.prog, self.w, old, new, touched)?)
+            Ok(entry.prog.run_delta_striped(
+                self.w,
+                old,
+                new,
+                touched,
+                self.pool.pool(),
+                self.pool.workers(),
+            )?)
         })
     }
 
@@ -770,7 +789,7 @@ impl XorCodec {
                 .collect();
             let mut outputs: Vec<&mut [u8]> =
                 rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
-            self.backend.run(prog, &inputs, &mut outputs)?;
+            prog.run_striped(&inputs, &mut outputs, self.pool.pool(), self.pool.workers())?;
         }
         Ok(rebuilt)
     }
@@ -920,7 +939,7 @@ impl XorCodec {
         xor_runtime::with_ref_scratch(|packets, _| {
             packets.extend(shards.iter().flat_map(|s| layout::packets(s, self.w)));
             let (data, parity) = packets.split_at(self.n * self.w);
-            Ok(self.backend.verify(&self.enc_prog, data, parity)?)
+            Ok(self.enc_prog.verify_striped(data, parity, self.pool.pool(), self.pool.workers())?)
         })
     }
 }
@@ -1156,7 +1175,7 @@ mod tests {
     }
 
     fn toy() -> XorCodec {
-        toy_with(EngineConfig { blocksize: 64, ..EngineConfig::tuned() })
+        toy_with(EngineConfig { blocksize: 64, ..EngineConfig::new() })
     }
 
     /// Deterministic pseudo-random bytes (xorshift64*).
@@ -1323,7 +1342,7 @@ mod tests {
 
     #[test]
     fn constructor_rejects_malformed_codes() {
-        let cfg = EngineConfig::tuned();
+        let cfg = EngineConfig::new();
         let new = |n, p, w, m: &BitMatrix, groups, cfg| {
             XorCodec::new(n, p, w, m, groups, cfg).map(|_| ())
         };
@@ -1350,7 +1369,7 @@ mod tests {
 
     #[test]
     fn decode_cache_evicts_least_recently_used() {
-        let codec = toy_with(EngineConfig { decode_cache_cap: 2, ..EngineConfig::tuned() });
+        let codec = toy_with(EngineConfig { decode_cache_cap: 2, ..EngineConfig::new() });
         assert_eq!(codec.decode_cache_capacity(), 2);
         let p0 = codec.decode_program(&[0]).unwrap();
         let p1 = codec.decode_program(&[1]).unwrap();
@@ -1388,7 +1407,7 @@ mod tests {
 
     #[test]
     fn partial_cache_is_reused_and_bounded() {
-        let codec = toy_with(EngineConfig { partial_cache_cap: 2, ..EngineConfig::tuned() });
+        let codec = toy_with(EngineConfig { partial_cache_cap: 2, ..EngineConfig::new() });
         assert_eq!(codec.partial_cache_capacity(), 2);
         let a = codec.partial_program(PartialKey::Column(0));
         let b = codec.partial_program(PartialKey::Column(0));

@@ -9,20 +9,14 @@ use xor_runtime::Kernel;
 /// coding-matrix construction) plus the six engine knobs of
 /// [`EngineConfig`], flattened into one builder.
 ///
-/// The engine knobs (kernel, blocksize, parallelism) default to the
-/// machine's **tuned profile**: on first use `ec-tune` micro-benchmarks
-/// kernel × blocksize × stripe-count on the actual CPU and caches the
-/// winner per machine (§7's tables, made live). Without a profile
-/// (`XORSLP_TUNE=off`), the defaults are the paper's Intel testbed
-/// setting: ISA-L's power coding matrix, `Dfs(Fu(XorRePair(P)))`
-/// optimization, 1 KiB blocks (§7.4 picks `B = 1K` on Intel, `B = 2K`
-/// on AMD), and the fastest XOR kernel the CPU offers.
+/// The defaults are the paper's Intel testbed setting: ISA-L's power
+/// coding matrix, `Dfs(Fu(XorRePair(P)))` optimization, 1 KiB blocks
+/// (§7.4 picks `B = 1K` on Intel, `B = 2K` on AMD), the widest XOR
+/// kernel the CPU offers, and the machine-sized worker pool.
 ///
-/// Precedence, lowest to highest — paper defaults, tuned profile,
-/// `XORSLP_KERNEL` / `XORSLP_BLOCKSIZE` / `XORSLP_PARALLELISM`, explicit
-/// builder calls — is documented and applied by
-/// [`EngineConfig::tuned`]; the profile never overrides anything a human
-/// asked for.
+/// Precedence, lowest to highest — those constants, `XORSLP_KERNEL` /
+/// `XORSLP_PARALLELISM`, explicit builder calls — is documented and
+/// applied by [`EngineConfig::new`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RsConfig {
     /// Number of data shards `n`.
@@ -53,12 +47,11 @@ pub struct RsConfig {
 }
 
 impl RsConfig {
-    /// The default configuration for an RS(n, p) codec: the machine's
-    /// tuned profile, refined by env overrides (see the type docs for
-    /// the full precedence chain). The first call on a cold machine runs
-    /// the `ec-tune` micro-benchmark once and caches it.
+    /// The default configuration for an RS(n, p) codec: the paper's
+    /// constants, refined by env overrides (see the type docs for the
+    /// full precedence chain).
     pub fn new(data_shards: usize, parity_shards: usize) -> RsConfig {
-        let engine = EngineConfig::tuned();
+        let engine = EngineConfig::new();
         RsConfig {
             data_shards,
             parity_shards,
@@ -137,30 +130,27 @@ mod tests {
         let c = RsConfig::new(10, 4);
         assert_eq!(c.matrix, MatrixKind::IsalPower);
         assert_eq!(c.opt, OptConfig::FULL_DFS);
-        // Engine knobs mirror profile-then-env precedence exactly (env
-        // vars are how CI forces every engine configuration through the
-        // suite; the tuned profile fills whatever env leaves unset).
-        let tuned = ec_tune::engine_defaults();
-        assert_eq!(
-            c.blocksize,
-            xor_runtime::env_blocksize().unwrap_or(tuned.blocksize)
-        );
-        assert_eq!(c.kernel, Kernel::from_env().unwrap_or(tuned.kernel));
-        assert_eq!(
-            c.parallelism,
-            xor_runtime::env_parallelism().unwrap_or(tuned.parallelism)
-        );
+        // Kernel and parallelism are the paper's constants unless CI's
+        // env vars force an engine configuration through the suite;
+        // nothing else moves them.
+        assert_eq!(c.blocksize, 1024);
+        assert_eq!(c.kernel, Kernel::from_env().unwrap_or(Kernel::Auto));
+        assert_eq!(c.parallelism, xor_runtime::env_parallelism().unwrap_or(0));
         assert_eq!(c.decode_cache_cap, 0);
         assert_eq!(c.partial_cache_cap, 0);
+        assert_eq!(c.engine(), EngineConfig::new());
     }
 
     #[test]
     fn paper_defaults_hold_when_tuning_is_off() {
-        // The static bottom of the precedence chain is still the paper's
-        // configuration.
-        assert_eq!(ec_tune::EngineDefaults::PAPER.blocksize, 1024);
-        assert_eq!(ec_tune::EngineDefaults::PAPER.kernel, Kernel::Auto);
-        assert_eq!(ec_tune::EngineDefaults::PAPER.parallelism, 0);
+        // The bottom of the precedence chain is the paper's configuration,
+        // a constant: no measurement or file can move it.
+        let paper = EngineConfig::PAPER;
+        assert_eq!(paper.opt, OptConfig::FULL_DFS);
+        assert_eq!(paper.blocksize, 1024);
+        assert_eq!(paper.kernel, Kernel::Auto);
+        assert_eq!(paper.parallelism, 0);
+        assert_eq!((paper.decode_cache_cap, paper.partial_cache_cap), (0, 0));
     }
 
     #[test]

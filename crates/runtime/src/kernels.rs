@@ -14,8 +14,8 @@
 //!
 //! Every kernel produces byte-identical output (asserted by the
 //! equivalence matrix in `tests/kernel_equivalence.rs`); they differ only
-//! in throughput, which is exactly what the `ec-tune` autotuner measures
-//! per machine.
+//! in throughput, which the §7 table binaries (`table_7_2_blocksize`,
+//! `table_7_4_blocksize`) measure per machine.
 //!
 //! # Aliasing contract
 //!
@@ -48,8 +48,8 @@ pub enum Kernel {
 impl Kernel {
     /// Resolve [`Kernel::Auto`] to a concrete kernel for this CPU:
     /// AVX-512 > AVX2 > `u64` on x86-64, NEON on aarch64. "Best" here
-    /// means *widest*; the per-machine throughput winner (wider is not
-    /// always faster) is what the `ec-tune` profile records.
+    /// means *widest*; whether wider is faster on a given machine is a
+    /// question for the §7 table binaries, not for this function.
     pub fn resolve(self) -> Kernel {
         match self {
             Kernel::Auto => {
@@ -153,8 +153,8 @@ impl Kernel {
 }
 
 /// Every concrete kernel this CPU can execute, slowest-lane first
-/// (scalar, wide64, then the SIMD tiers). This is the autotuner's
-/// candidate set and the equivalence tests' iteration domain.
+/// (scalar, wide64, then the SIMD tiers): the equivalence tests'
+/// iteration domain.
 pub fn available_kernels() -> Vec<Kernel> {
     let mut ks = vec![Kernel::Scalar, Kernel::Wide64];
     #[cfg(target_arch = "x86_64")]

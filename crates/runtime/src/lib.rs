@@ -25,22 +25,19 @@
 //! persistent set of workers (one grow-on-demand [`VarArena`] each) and
 //! [`plan_stripes`] splits any byte range into blocksize-aligned stripes,
 //! so [`ExecProgram::run_striped`] executes one program across all cores
-//! with zero steady-state allocation. Codecs reach all of this through
-//! [`CpuBackend`], a pool choice plus the three striped entry points.
+//! with zero steady-state allocation. Codecs hold a [`PoolChoice`] and
+//! call the three striped entry points with its pool.
 
 mod arena;
-mod backend;
 mod exec;
 mod kernels;
 mod partition;
 mod pool;
 
 pub use arena::{with_ref_scratch, AlignedBuf, StripedBuf, VarArena, CACHE_PAGE};
-pub use backend::CpuBackend;
 pub use exec::{ExecError, ExecProgram};
 pub use kernels::{available_kernels, xor_accumulate, xor_into, xor_slices, Kernel};
 pub use partition::{plan_stripes, StripePlan};
 pub use pool::{
-    default_parallelism, env_blocksize, env_parallelism, lock_unpoisoned, ExecPool, PoolChoice,
-    ScopedTask,
+    default_parallelism, env_parallelism, lock_unpoisoned, ExecPool, PoolChoice, ScopedTask,
 };

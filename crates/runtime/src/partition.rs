@@ -346,22 +346,24 @@ mod tests {
     fn striped_run_matches_reference_across_shapes() {
         let p = section_4_1();
         let pool = ExecPool::new(3);
-        // Lengths below, at, and far above one block; odd tails.
+        let prog = ExecProgram::compile(&p, 64, Kernel::Auto);
+        // Lengths below, at, and far above one block; odd tails. One
+        // stripe is the inline path a `parallelism = 1` codec takes.
         for len in [1usize, 63, 64, 65, 1000, 64 * 7 + 13] {
             let data: Vec<Vec<u8>> = (0..4)
                 .map(|k| (0..len).map(|i| ((k * 37 + i * 11) % 256) as u8).collect())
                 .collect();
             let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
             let expect = p.run_reference(&refs);
-            let prog = ExecProgram::compile(&p, 64, Kernel::Auto);
-            let mut outs = vec![vec![0u8; len]; 3];
-            {
-                let mut orefs: Vec<&mut [u8]> =
-                    outs.iter_mut().map(Vec::as_mut_slice).collect();
-                prog.run_striped(&refs, &mut orefs, &pool, pool.workers())
-                    .unwrap();
+            for stripes in [1, pool.workers()] {
+                let mut outs = vec![vec![0u8; len]; 3];
+                {
+                    let mut orefs: Vec<&mut [u8]> =
+                        outs.iter_mut().map(Vec::as_mut_slice).collect();
+                    prog.run_striped(&refs, &mut orefs, &pool, stripes).unwrap();
+                }
+                assert_eq!(outs, expect, "len {len}, {stripes} stripes");
             }
-            assert_eq!(outs, expect, "len {len}");
         }
     }
 

@@ -245,18 +245,6 @@ pub fn env_parallelism() -> Option<usize> {
     std::env::var("XORSLP_PARALLELISM").ok()?.trim().parse().ok()
 }
 
-/// The `XORSLP_BLOCKSIZE` environment override, if set and a positive
-/// byte count. Same precedence as the other engine env knobs: above the
-/// tuned profile, below explicit builder calls.
-pub fn env_blocksize() -> Option<usize> {
-    std::env::var("XORSLP_BLOCKSIZE")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&b: &usize| b > 0)
-}
-
 /// A pool selected from a `parallelism` knob: `0` borrows the shared
 /// [`ExecPool::global`] pool, `k ≥ 1` owns a dedicated `k`-worker pool.
 pub enum PoolChoice {

@@ -127,7 +127,7 @@ proptest! {
 
     /// All kernels also agree with *each other* on random data (pairwise
     /// through the reference is implied; this pins the cross-kernel
-    /// equality the autotuner relies on when it swaps kernels).
+    /// equality that `XORSLP_KERNEL` relies on when it swaps kernels).
     #[test]
     fn kernels_agree_pairwise(len in 1usize..3000, n_srcs in 1usize..=8) {
         let backing: Vec<Vec<u8>> = (0..n_srcs)

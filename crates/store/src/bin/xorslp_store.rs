@@ -32,7 +32,6 @@ USAGE:
     xorslp-store scrub     <cluster> [--repair] [--deep] [--gc-grace SECS] [GEOMETRY]
     xorslp-store repair    <cluster> --dead ADDR [--replacement ADDR]
                            [--dead ADDR [--replacement ADDR]]... [GEOMETRY]
-    xorslp-store tune      [--force]
 
 ARGS:
     <cluster>  comma-separated node addresses, e.g. 127.0.0.1:7501,127.0.0.1:7502
@@ -71,9 +70,6 @@ VERBS:
                the same address, e.g. after restarting it empty); repeat
                --dead/--replacement pairs to repair several nodes in one
                batch pass that reads each survivor once
-    tune       micro-benchmark kernel x blocksize x stripes on this CPU,
-               cache the winner, and print the chosen configuration
-               (--force re-measures even with a valid cache)
 ";
 
 enum CliError {
@@ -116,7 +112,6 @@ struct Opts {
     codec: String,
     workers: usize,
     repair: bool,
-    force: bool,
     verbose: bool,
     deep: bool,
     gc_grace: Option<u64>,
@@ -134,7 +129,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         codec: "rs".to_string(),
         workers: 0,
         repair: false,
-        force: false,
         verbose: false,
         deep: false,
         gc_grace: None,
@@ -163,7 +157,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
                     .clone();
             }
             "--repair" => opts.repair = true,
-            "--force" => opts.force = true,
             "--verbose" => opts.verbose = true,
             "--deep" => opts.deep = true,
             "--gc-grace" => {
@@ -234,7 +227,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         "health" => health(&opts),
         "scrub" => scrub(&opts),
         "repair" => repair(&opts),
-        "tune" => tune(&opts),
         "-h" | "--help" | "help" => {
             print!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -244,14 +236,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::from(2))
         }
     }
-}
-
-fn tune(opts: &Opts) -> Result<ExitCode, CliError> {
-    if !opts.positional.is_empty() {
-        return Err(CliError::Usage("tune takes no positional arguments".into()));
-    }
-    print!("{}", ec_tune::cli_tune(opts.force));
-    Ok(ExitCode::SUCCESS)
 }
 
 fn serve(opts: &Opts) -> Result<ExitCode, CliError> {

@@ -8,7 +8,6 @@
 //! xorslp-archive scrub   <dir>
 //! xorslp-archive repair  <dir>
 //! xorslp-archive extract <dir> <output>
-//! xorslp-archive tune    [--force]
 //! ```
 //!
 //! `verify` and `scrub` exit 1 when damage is found (repairable with
@@ -30,7 +29,6 @@ USAGE:
     xorslp-archive scrub   <dir>
     xorslp-archive repair  <dir>
     xorslp-archive extract <dir> <output>
-    xorslp-archive tune    [--force]
 
 VERBS:
     create    split <input> into N data + P parity shard files under <dir>
@@ -41,9 +39,6 @@ VERBS:
     scrub     verify + full parity-consistency scan; exit 1 on damage
     repair    rebuild damaged shard files from the survivors
     extract   restore the original file from the surviving shards
-    tune      micro-benchmark kernel x blocksize x stripes on this CPU,
-              cache the winner, and print the chosen configuration
-              (--force re-measures even with a valid cache)
 ";
 
 /// Command-line mistakes and archive failures are different error
@@ -87,7 +82,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         "scrub" => verify(&args[1..], true),
         "repair" => repair(&args[1..]),
         "extract" => extract(&args[1..]),
-        "tune" => tune(&args[1..]),
         "-h" | "--help" | "help" => {
             print!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -97,20 +91,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::from(2))
         }
     }
-}
-
-fn tune(args: &[String]) -> Result<ExitCode, CliError> {
-    let mut force = false;
-    for a in args {
-        match a.as_str() {
-            "--force" => force = true,
-            other => {
-                return Err(CliError::Usage(format!("unknown tune option `{other}`")));
-            }
-        }
-    }
-    print!("{}", ec_tune::cli_tune(force));
-    Ok(ExitCode::SUCCESS)
 }
 
 fn parse_num(args: &[String], i: &mut usize, flag: &str) -> Result<usize, CliError> {

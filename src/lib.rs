@@ -22,7 +22,6 @@
 //! | [`stream`] | `ec-stream` | streaming archives: shard format, scrub & repair |
 //! | [`store`] | `ec-store` | networked object store: shard nodes, placement, degraded reads, online repair |
 //! | [`wire`] | `ec-wire` | CRC-32, SHA-256 and Merkle trees shared by the archive and store formats |
-//! | [`tune`] | `ec-tune` | per-machine kernel/blocksize/stripe autotuner + profile cache |
 //!
 //! ## Quick start
 //!
@@ -102,9 +101,8 @@ pub use ec_store::{Cluster, NodeHandle, ScrubScheduler, StoreError};
 pub use ec_stream::{
     Archive, ArchiveMeta, ShardState, StreamDecoder, StreamEncoder, StreamError,
 };
-pub use ec_tune::{engine_defaults, EngineDefaults, Profile, TuneOptions};
 pub use ec_wire::{crc32, Crc32};
-pub use xor_runtime::{plan_stripes, CpuBackend, ExecPool, PoolChoice, StripePlan};
+pub use xor_runtime::{plan_stripes, ExecPool, PoolChoice, StripePlan};
 
 /// The erasure codec (re-export of `ec-core`).
 pub mod codec {
@@ -167,11 +165,4 @@ pub mod store {
 /// store wire protocol (re-export of `ec-wire`).
 pub mod wire {
     pub use ec_wire::*;
-}
-
-/// The per-machine kernel/blocksize/stripe autotuner and its CRC-
-/// protected profile cache (re-export of `ec-tune`); see
-/// `docs/TUNING.md`.
-pub mod tune {
-    pub use ec_tune::*;
 }
