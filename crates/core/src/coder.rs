@@ -257,9 +257,8 @@ pub fn codec_for_with(
 /// and clusters hold a `Box<dyn ErasureCoder>` resolved from the
 /// artifact's own [`CodecSpec`].
 ///
-/// An implementor supplies its identity ([`ErasureCoder::spec`], and
-/// [`ErasureCoder::is_mds`] if it is not) and its
-/// [`ErasureCoder::engine`]; everything else forwards to that
+/// An implementor supplies its identity ([`ErasureCoder::spec`]) and
+/// its [`ErasureCoder::engine`]; everything else forwards to that
 /// [`XorCodec`], whose methods carry the full documentation.
 ///
 /// Geometry contract: `total_shards()` shard buffers, shard lengths equal
@@ -268,15 +267,6 @@ pub fn codec_for_with(
 pub trait ErasureCoder: Send + Sync {
     /// The self-describing identity of this codec.
     fn spec(&self) -> CodecSpec;
-
-    /// Whether the code is MDS: *any* `n` of the `n + p` shards decode.
-    /// Readers that stop at the first `n` arrivals (hedged/first-n
-    /// reads) may only do so under an MDS code; a non-MDS codec (LRC)
-    /// must wait for a set it can actually decode. Defaults to `true` —
-    /// RS and the array codes are MDS by construction.
-    fn is_mds(&self) -> bool {
-        true
-    }
 
     /// The engine that computes this code.
     fn engine(&self) -> &XorCodec;
@@ -415,13 +405,6 @@ impl ErasureCoder for LrcCodec {
     fn spec(&self) -> CodecSpec {
         let engine = self.engine();
         CodecSpec::lrc(engine.data_shards(), engine.parity_shards(), self.group_size())
-    }
-
-    /// LRC trades MDS-ness for cheap local repair: some ≤ `p` loss
-    /// patterns are unrecoverable, so "any `n` arrivals" is not a
-    /// decodable set and first-n readers must not stop early.
-    fn is_mds(&self) -> bool {
-        false
     }
 
     fn engine(&self) -> &XorCodec {

@@ -45,10 +45,11 @@ VERBS:
                (--delay-ms: hold every response N ms — a latency shim for
                benchmarks; --delay-prefix: only for keys starting with P)
     put        erasure-code <file> across the cluster as <object>
-    get        fetch <object> into <file>: all N+P shard fetches are
-               issued at once and the read completes on the first N that
-               suffice, abandoning stragglers; degrades over up to P dead
-               nodes (--verbose: per-shard outcome and timing)
+    get        fetch <object> into <file>: the N data shards are fetched,
+               a parity shard only as the backup for a failed or
+               straggling one, and the read completes as soon as what it
+               was served decodes; degrades over up to P dead nodes
+               (--verbose: per-shard outcome and timing)
     overwrite  replace <object> with <file>, shipping deltas when possible
     delete     remove <object> from all nodes
     list       all objects known to the cluster (--verbose: the object's
@@ -326,6 +327,7 @@ fn get(opts: &Opts) -> Result<ExitCode, CliError> {
             let outcome = match &fetch.outcome {
                 ShardOutcome::Served => "served".to_string(),
                 ShardOutcome::Abandoned => "abandoned (straggler)".to_string(),
+                ShardOutcome::NotRequested => "not requested".to_string(),
                 ShardOutcome::Dead(reason) => format!("dead: {reason}"),
                 ShardOutcome::Corrupt(reason) => format!("corrupt: {reason}"),
             };

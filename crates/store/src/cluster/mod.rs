@@ -6,11 +6,16 @@
 //!   the SLP-optimized codec), ships all of them *concurrently* to the
 //!   top-ranked nodes of the object's rendezvous ordering, and
 //!   replicates a [`Manifest`] to every node in one more fan-out round;
-//! * `get` issues all `n + p` shard fetches at once and returns on the
-//!   **first n** that suffice — all data shards, or (for an MDS codec)
-//!   any `n` arrivals — abandoning stragglers, so one slow node does
-//!   not tax every read; degraded reads reconstruct through the codec's
-//!   cached decode programs;
+//! * `get` is **data first**: it fetches the `n` data shards and holds
+//!   the parity fetches back in the same round. A failed data fetch
+//!   releases at once the backup the codec's repair plan names (the
+//!   first surviving parity for RS, the group's local parity for LRC);
+//!   a data fetch still out after twice the time the served majority
+//!   took is a straggler and is backed the same way, so one slow node
+//!   does not tax every read. The read returns as soon as what it was
+//!   served decodes; degraded reads reconstruct through the codec's
+//!   cached decode programs. A healthy read no longer sees a lost
+//!   parity shard — finding that is scrub's job;
 //! * `overwrite` is the delta path: the manifest's Merkle roots say
 //!   which data shards changed, only those and the parity are read and
 //!   shipped, and parity is brought up to date with the cached
@@ -438,7 +443,7 @@ mod tests {
         let mut conns = ParallelConnSet::new(PATIENCE, None);
         let jobs = vec![(&*prompt_addr, get("one"), identity), (&*straggler_addr, get("one"), identity)];
         let enough = |outcomes: &[Option<Result<Vec<u8>, StoreError>>]| outcomes[0].is_some();
-        let first = conns.run_first_n(jobs, enough, enough);
+        let first = conns.run_first_n(jobs, enough, crate::fanout::release_all);
         assert_eq!(first.outcomes[0].as_ref().unwrap().as_ref().unwrap(), b"prompt");
         assert!(first.outcomes[1].is_none() && first.elapsed[1].is_none() && !first.timed_out);
         assert_eq!(reported.recv_timeout(PATIENCE).unwrap(), "one");
@@ -454,6 +459,48 @@ mod tests {
         assert_eq!(conns.connect_attempts(&straggler_addr), 2);
         drop(conns);
         answering.join().unwrap();
+    }
+
+    #[test]
+    fn a_held_job_goes_out_only_when_released() {
+        // Job 1 is released once job 0 has its answer; job 2 never is.
+        // The backup's node must see its request only after the prompt
+        // node answered, and the never-released job's node not even a
+        // connect.
+        let (prompt, prompt_addr) = listener();
+        let (backup, backup_addr) = listener();
+        let (_unasked, unasked_addr) = listener();
+        let (told, answered) = mpsc::channel();
+        let prompting = std::thread::spawn(move || {
+            let (mut stream, _) = prompt.accept().unwrap();
+            let (id, _) = request(&mut stream).unwrap();
+            told.send(()).unwrap();
+            proto::write_frame(&mut stream, status::OK, id, &[b"first"]).unwrap();
+        });
+        let backing = std::thread::spawn(move || {
+            let (mut stream, _) = backup.accept().unwrap();
+            let (id, _) = request(&mut stream).unwrap();
+            let after_the_first = answered.try_recv().is_ok();
+            proto::write_frame(&mut stream, status::OK, id, &[b"backup"]).unwrap();
+            after_the_first
+        });
+
+        let mut conns = ParallelConnSet::new(PATIENCE, None);
+        let jobs = vec![
+            (&*prompt_addr, get("k"), identity),
+            (&*backup_addr, get("k"), identity),
+            (&*unasked_addr, get("k"), identity),
+        ];
+        let release = |round: &crate::fanout::Progress<'_, Vec<u8>>| crate::fanout::Release {
+            jobs: if round.outcomes[0].is_some() { vec![0, 1] } else { vec![0] },
+            recheck: None,
+        };
+        let round = conns.run_first_n(jobs, |outcomes| outcomes[1].is_some(), release);
+        assert_eq!(round.outcomes[1].as_ref().unwrap().as_ref().unwrap(), b"backup");
+        assert_eq!(round.held, [false, false, true]);
+        assert!(backing.join().unwrap(), "the backup went out before the first answer");
+        prompting.join().unwrap();
+        assert_eq!(conns.connect_attempts(&unasked_addr), 0);
     }
 
     #[test]

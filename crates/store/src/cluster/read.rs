@@ -1,11 +1,12 @@
-//! The read path: the manifest election, first-n `get`, shard fetches
-//! and the checks every fetched shard passes, and discovery.
+//! The read path: the manifest election, the data-first `get`, shard
+//! fetches and the checks every fetched shard passes, and discovery.
 
 use super::{Cluster, ClusterHealth, RecordVote, ShardFault};
 use crate::client::{reply, Answer, BatchOp};
 use crate::error::{RemoteErrorCode, StoreError};
-use crate::fanout::ParallelConnSet;
+use crate::fanout::{ParallelConnSet, Progress, Release};
 use crate::manifest::{self, manifest_key, validate_object_name, Manifest, ManifestRecord};
+use ec_core::ErasureCoder;
 use ec_wire::crc32;
 use ec_wire::merkle::MerkleTree;
 use std::collections::BTreeSet;
@@ -15,18 +16,20 @@ use std::time::Duration;
 /// `Err` = the node answered but the shard is damaged or absent.
 type Fetched = Result<Result<Vec<u8>, ShardFault>, StoreError>;
 
-/// One shard-fetch outcome slot as the first-n predicates see it:
-/// `None` = still in flight.
+/// One shard-fetch outcome slot as a `get`'s hooks see it: `None` =
+/// held back or still in flight.
 type FetchSlot = Option<Fetched>;
 
-/// How one shard fetch of a first-n read ended.
+/// How one shard fetch of a `get` ended.
 #[derive(Clone, Debug)]
 pub enum ShardOutcome {
     /// Arrived and passed validation; available to the decode.
     Served,
-    /// Still in flight when the read already had enough — the straggler
-    /// the first-n path exists to not wait for.
+    /// Still in flight when the read already had enough — a straggler
+    /// the read did not wait for.
     Abandoned,
+    /// Never asked for: a parity shard the read could do without.
+    NotRequested,
     /// The node was unreachable, or the blob absent (reason recorded).
     Dead(String),
     /// Bytes arrived but failed the manifest checksum / length check.
@@ -34,22 +37,24 @@ pub enum ShardOutcome {
 }
 
 impl ShardOutcome {
-    /// Whether this fetch failed (as opposed to served or abandoned).
+    /// Whether this fetch failed (as opposed to served, abandoned or
+    /// never requested).
     pub fn failed(&self) -> bool {
         matches!(self, ShardOutcome::Dead(_) | ShardOutcome::Corrupt(_))
     }
 }
 
-/// Per-shard observability of one read: what each of the `n + p`
-/// concurrently-issued fetches did, and how long it took.
+/// Per-shard observability of one read: what became of each of the
+/// `n + p` shards, and how long its fetch took.
 #[derive(Clone, Debug)]
 pub struct ShardFetch {
     /// Shard index.
     pub index: usize,
-    /// The node the fetch targeted.
+    /// The node holding the shard.
     pub node: String,
     pub outcome: ShardOutcome,
-    /// Issue-to-completion time (`None` for abandoned fetches).
+    /// Request-to-completion time (`None` for fetches abandoned or
+    /// never requested).
     pub elapsed: Option<Duration>,
 }
 
@@ -57,11 +62,13 @@ pub struct ShardFetch {
 #[derive(Clone, Debug)]
 pub struct GetReport {
     /// Shard indices whose fetch *failed* (unreachable node, absent or
-    /// corrupt blob) and were reconstructed around. Abandoned
-    /// stragglers are not failures and are not listed here.
+    /// corrupt blob). Abandoned stragglers and shards never requested
+    /// are not failures and are not listed here — so a lost parity
+    /// shard shows only when a read needed it; finding it otherwise is
+    /// scrub's job.
     pub missing: Vec<usize>,
-    /// Every shard fetch of the read, with outcome and timing. Every
-    /// served shard was verified against its manifest Merkle root.
+    /// One entry per shard, in index order, with outcome and timing.
+    /// Every served shard was verified against its manifest Merkle root.
     pub shards: Vec<ShardFetch>,
 }
 
@@ -73,14 +80,75 @@ impl GetReport {
         !self.missing.is_empty()
     }
 
-    /// Shard indices abandoned as stragglers.
+    /// Shard indices the read finished without, for no fault of theirs:
+    /// stragglers it stopped waiting for, and shards it never asked for.
     pub fn abandoned(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .filter(|s| matches!(s.outcome, ShardOutcome::Abandoned))
+            .filter(|s| matches!(s.outcome, ShardOutcome::Abandoned | ShardOutcome::NotRequested))
             .map(|s| s.index)
             .collect()
     }
+}
+
+fn served(slot: &FetchSlot) -> bool {
+    matches!(slot, Some(Ok(Ok(_))))
+}
+
+/// Whether the shards a `get` has been served decode: all `n` data
+/// shards, or a set the codec's decode plan accepts.
+fn decodable(codec: &dyn ErasureCoder, outcomes: &[FetchSlot]) -> bool {
+    if outcomes[..codec.data_shards()].iter().all(served) {
+        return true;
+    }
+    let unserved: Vec<usize> = (0..outcomes.len()).filter(|&i| !served(&outcomes[i])).collect();
+    codec.repair_sources(&unserved).is_ok()
+}
+
+/// A `get`'s release hook: which shard fetches it wants on the wire.
+/// Every data shard from the start, and once a data fetch has failed or
+/// straggles, the shards the codec's repair plan for the lost ones names
+/// — for RS the first surviving parity per lost shard, for LRC the
+/// group's local parity.
+///
+/// The straggler rule comes from the round's own arrivals: once most
+/// data fetches have been served, one still out after twice the time
+/// the slowest of those took is a straggler. A healthy peer lands within
+/// the majority's spread, so a healthy read does not hedge, and a
+/// straggler holds the read up by at most the majority's time again
+/// before its backup goes out. With half or fewer served there is
+/// nothing to compare against, so a read whose nodes are all slow just
+/// waits for them.
+fn wanted(
+    codec: &dyn ErasureCoder,
+    round: &Progress<'_, Result<Vec<u8>, ShardFault>>,
+) -> Release {
+    let n = codec.data_shards();
+    let outcomes = round.outcomes;
+    let mut lost: Vec<usize> =
+        (0..outcomes.len()).filter(|&i| matches!(outcomes[i], Some(Ok(Err(_)) | Err(_)))).collect();
+    let arrivals: Vec<Duration> =
+        (0..n).filter(|&i| served(&outcomes[i])).filter_map(|i| round.elapsed[i]).collect();
+    let outstanding: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
+    let mut recheck = None;
+    if 2 * arrivals.len() > n && !outstanding.is_empty() {
+        let patience = 2 * *arrivals.iter().max().expect("a majority was served");
+        if round.now >= patience {
+            lost.extend(outstanding);
+        } else {
+            recheck = Some(patience);
+        }
+    }
+    let jobs = if lost.is_empty() {
+        (0..n).collect()
+    } else {
+        match codec.repair_sources(&lost) {
+            Ok(plan) => (0..n).chain(plan).collect(),
+            // More lost than the code tolerates: ask everyone.
+            Err(_) => (0..outcomes.len()).collect(),
+        }
+    };
+    Release { jobs, recheck }
 }
 
 /// The keys of shards `indices` of `object`, for
@@ -90,7 +158,7 @@ fn shard_keys(object: &str, manifest: &Manifest, indices: &[usize]) -> Vec<Strin
 }
 
 /// One fetch-and-validate job per shard in `indices` (`keys` from
-/// [`shard_keys`]), for barrier rounds and first-n reads alike. Each
+/// [`shard_keys`]), for barrier rounds and `get`'s held round alike. Each
 /// shard is checked as its answer arrives, on the thread running the
 /// round. The outer `Err` of a [`Fetched`] is a transport failure (the
 /// fan-out layer drops the connection); the inner result is the typed
@@ -267,8 +335,8 @@ impl Cluster {
 
     /// [`Cluster::get`] plus the per-shard fetch report: which shards
     /// were served, which failed and were reconstructed around, which
-    /// stragglers the first-n early return abandoned, and how long each
-    /// fetch took.
+    /// stragglers the read did not wait for, which it never asked for,
+    /// and how long each fetch took.
     pub fn get_with_report(
         &self,
         object: &str,
@@ -279,26 +347,20 @@ impl Cluster {
         self.check_geometry(object, &manifest)?;
         let (n, total) = (self.codec.data_shards(), manifest.total_shards());
 
-        // First-n read: issue all n + p fetches concurrently and return
-        // as soon as enough arrived. Preferred stopping set: all data
-        // shards (a straight column-copy decode). Sufficient, for an
-        // MDS codec: any n arrivals — after a short proportional linger
-        // for the data stragglers, since a reconstruction decode is
-        // dearer than a sub-RTT wait. A non-MDS codec (LRC) must not
-        // stop at n arbitrary arrivals at all: some ≤ p loss patterns
-        // are undecodable, so it waits for all data or for every fetch
-        // to settle.
+        // Data first: a systematic code serves a healthy read from its
+        // n data shards alone, so the parity fetches are held back in
+        // the same round and go out only as backups — for a failed data
+        // fetch at once, for a straggler by the rule in `wanted`. The
+        // read returns as soon as what it was served decodes.
         let all: Vec<usize> = (0..total).collect();
         let keys = shard_keys(object, &manifest, &all);
         let jobs = shard_fetch_jobs(&manifest, &keys, &all);
-        let is_mds = self.codec.is_mds();
-        let served = |o: &FetchSlot| matches!(o, Some(Ok(Ok(_))));
-        let all_data =
-            move |outcomes: &[FetchSlot]| outcomes[..n].iter().all(served);
-        let first = conns.run_first_n(jobs, all_data, move |outcomes| {
-            all_data(outcomes)
-                || (is_mds && outcomes.iter().filter(|o| served(o)).count() >= n)
-        });
+        let codec = &*self.codec;
+        let first = conns.run_first_n(
+            jobs,
+            |outcomes| decodable(codec, outcomes),
+            |round| wanted(codec, round),
+        );
 
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; total];
         let mut fetches = Vec::with_capacity(total);
@@ -321,6 +383,7 @@ impl Cluster {
                     missing.push(i);
                     ShardOutcome::Dead(format!("{}: {e}", manifest.placement[i]))
                 }
+                None if first.held[i] => ShardOutcome::NotRequested,
                 None => ShardOutcome::Abandoned,
             };
             fetches.push(ShardFetch {

@@ -14,10 +14,13 @@
 //!
 //! * [`ParallelConnSet::run_batch`] — a barrier: returns when every job
 //!   has its result, in ~max(per-node time) instead of the sum;
-//! * [`ParallelConnSet::run_first_n`] — returns as soon as a
-//!   caller-supplied predicate over the partial results is satisfied:
-//!   the first-n-of-n+p read path, where one slow node must not add its
-//!   RTT to every read. A straggler is abandoned by dropping its socket.
+//! * [`ParallelConnSet::run_first_n`] — every job starts *held*; a
+//!   caller-supplied release hook, consulted as the round progresses,
+//!   names the jobs to put on the wire, and the round returns as soon
+//!   as a predicate over the partial results holds: the read path, which
+//!   asks for the data shards, holds the parity back for a failure or a
+//!   straggler, and never adds one slow node's RTT to every read. A
+//!   straggler is abandoned by dropping its socket.
 //!
 //! **The trade-off.** `post` runs on the calling thread, between
 //! `poll`s: the CRC-32 + Merkle check of each fetched shard happens as
@@ -25,12 +28,12 @@
 //! longer with *each other* (the design this replaces ran 14 of them on
 //! 14 threads). On one CPU the sum is the same and the spawns and joins
 //! are gone; on a many-core client reading large objects over a fast
-//! network, up to `n + p` shard checks now queue on one core: ~0.7 ms
-//! per MiB of shard with SHA-NI one leaf at a time, ~0.35 ms once a
-//! shard has the eight 64 KiB leaves (512 KiB) that take its Merkle
-//! check through the 16-lane kernel. Each check still covers one
+//! network, a healthy read's `n` shard checks now queue on one core:
+//! ~0.7 ms per MiB of shard with SHA-NI one leaf at a time, ~0.35 ms
+//! once a shard has the eight 64 KiB leaves (512 KiB) that take its
+//! Merkle check through the 16-lane kernel. Each check still covers one
 //! shard: batching leaves *across* arriving shards would mean holding
-//! verdicts back past the first-n predicate. No workload measures
+//! verdicts back past the completion predicate. No workload measures
 //! either yet.
 //!
 //! Connection lifecycle: at most one connection per node address, kept
@@ -71,17 +74,44 @@ pub(crate) type Job<'a, F> = (&'a str, BatchOp<'a>, F);
 pub(crate) trait Post<T>: FnOnce(Answer) -> Result<T, StoreError> {}
 impl<T, F: FnOnce(Answer) -> Result<T, StoreError>> Post<T> for F {}
 
-/// Per-job outcomes of a round; `None` = still in flight when it ended.
+/// Per-job outcomes of a round; `None` = held back, or still in flight.
 type Outcomes<T> = [Option<Result<T, StoreError>>];
+
+/// How a round stands, as its release hook sees it.
+pub(crate) struct Progress<'r, T> {
+    /// Per-job outcome; `None` = held back or still in flight.
+    pub outcomes: &'r Outcomes<T>,
+    /// Release-to-completion time of every settled job.
+    pub elapsed: &'r [Option<Duration>],
+    /// Time since the round began.
+    pub now: Duration,
+}
+
+/// A release hook's answer.
+pub(crate) struct Release {
+    /// The jobs wanted on the wire; those already released are ignored.
+    pub jobs: Vec<usize>,
+    /// Round time at which to ask again if nothing settles before.
+    pub recheck: Option<Duration>,
+}
+
+/// The release hook of a barrier: every job, at once.
+pub(crate) fn release_all<T>(round: &Progress<'_, T>) -> Release {
+    Release { jobs: (0..round.outcomes.len()).collect(), recheck: None }
+}
 
 /// Result of a [`ParallelConnSet::run_first_n`].
 pub(crate) struct FirstN<T> {
-    /// Per-job outcome; `None` = an abandoned straggler.
+    /// Per-job outcome; `None` = never released, or an abandoned
+    /// straggler.
     pub outcomes: Vec<Option<Result<T, StoreError>>>,
-    /// Issue-to-completion time per job (`None` for abandoned jobs).
+    /// Release-to-completion time per job (`None` for jobs without an
+    /// outcome).
     pub elapsed: Vec<Option<Duration>>,
+    /// Per job, whether the round ended with it still held back.
+    pub held: Vec<bool>,
     /// Whether the per-operation deadline expired before the predicate
-    /// was satisfied or every job completed.
+    /// was satisfied or every released job completed.
     pub timed_out: bool,
 }
 
@@ -100,12 +130,15 @@ pub(crate) struct ParallelConnSet {
 
 /// The jobs of a round and what has become of them.
 struct Round<'a, T, F> {
+    addrs: Vec<&'a str>,
     ops: Vec<BatchOp<'a>>,
     posts: Vec<Option<F>>,
     outcomes: Vec<Option<Result<T, StoreError>>>,
     elapsed: Vec<Option<Duration>>,
-    issued: Instant,
-    /// Jobs without an outcome yet.
+    /// When each job was released; `None` = still held back.
+    released: Vec<Option<Instant>>,
+    began: Instant,
+    /// Released jobs without an outcome yet.
     open: usize,
 }
 
@@ -118,9 +151,18 @@ impl<T, F: Post<T>> Round<'_, T, F> {
         let outcome = post(answer);
         let intact = matches!(outcome, Ok(_) | Err(StoreError::Remote { .. }));
         self.outcomes[job] = Some(outcome);
-        self.elapsed[job] = Some(self.issued.elapsed());
+        self.elapsed[job] = self.released[job].map(|at| at.elapsed());
         self.open -= 1;
         intact
+    }
+
+    fn progress(&self) -> Progress<'_, T> {
+        Progress { outcomes: &self.outcomes, elapsed: &self.elapsed, now: self.began.elapsed() }
+    }
+
+    fn finish(self, timed_out: bool) -> FirstN<T> {
+        let held = self.released.iter().map(Option::is_none).collect();
+        FirstN { outcomes: self.outcomes, elapsed: self.elapsed, held, timed_out }
     }
 }
 
@@ -268,114 +310,81 @@ impl ParallelConnSet {
         &mut self,
         jobs: Vec<Job<'a, F>>,
     ) -> Vec<Result<T, StoreError>> {
-        let never = |_: &Outcomes<T>| false;
         // Only the operation deadline ends a round with a job unsettled.
         let timed_out = || Err(StoreError::Timeout);
-        let round = self.run_first_n(jobs, never, never);
+        let round = self.run_first_n(jobs, |_| false, release_all);
         round.outcomes.into_iter().map(|o| o.unwrap_or_else(timed_out)).collect()
     }
 
-    /// Issue every job and return as soon as enough of them finished
-    /// (or every job finished, or the deadline expired). Stragglers are
-    /// abandoned: their connection is dropped (the next touch of that
-    /// address reconnects) and whatever they would have produced with it.
-    /// Two completion predicates over the partial outcomes:
-    ///
-    /// * `prefer` — the ideal stopping set; return the moment it holds;
-    /// * `stop` — a sufficient set. Once it holds the wait *lingers*
-    ///   briefly — half the time taken to reach it — hoping `prefer`
-    ///   lands too, then returns anyway.
-    ///
-    /// The linger is the hedged-read compromise: when `stop` is merely
-    /// sufficient (an MDS "any n of n + p" read that would pay an extra
-    /// reconstruction) and the outstanding fetches are only
-    /// microseconds behind the n-th arrival — the common case on
-    /// uniform-latency clusters — a wait proportional to the observed
-    /// round-trip collects them and the cheap path applies. A genuinely
-    /// slow straggler blows through the linger and is abandoned at ~1.5x
-    /// the fast-node RTT. Pass the same closure for both to disable the
-    /// distinction.
+    /// Run a round whose jobs all start *held*. `release` names the jobs
+    /// to put on the wire: it is asked before the first wait, after every
+    /// wake while a job is still held, and again at once when what it
+    /// released settled on the spot (an address found dead). The round
+    /// returns as soon as `enough` holds over the partial outcomes, or
+    /// nothing released is left in flight and `release` names nothing
+    /// new, or the deadline expires. Stragglers are abandoned: their
+    /// connection is dropped (the next touch of that address reconnects)
+    /// and whatever they would have produced with it.
     pub(crate) fn run_first_n<'a, T, F: Post<T>>(
         &mut self,
         jobs: Vec<Job<'a, F>>,
-        prefer: impl Fn(&Outcomes<T>) -> bool,
-        stop: impl Fn(&Outcomes<T>) -> bool,
+        enough: impl Fn(&Outcomes<T>) -> bool,
+        mut release: impl FnMut(&Progress<'_, T>) -> Release,
     ) -> FirstN<T> {
         let count = jobs.len();
         let mut round = Round {
+            addrs: Vec::with_capacity(count),
             ops: Vec::with_capacity(count),
             posts: Vec::with_capacity(count),
             outcomes: (0..count).map(|_| None).collect(),
             elapsed: vec![None; count],
-            issued: Instant::now(),
-            open: count,
+            released: vec![None; count],
+            began: Instant::now(),
+            open: 0,
         };
-        let Ok(budget) = self.io_budget() else {
-            return FirstN { outcomes: round.outcomes, elapsed: round.elapsed, timed_out: true };
-        };
-        // One lane per address, jobs in job order.
-        let mut lanes: Vec<Lane<'a>> = Vec::new();
-        for (job, (addr, op, post)) in jobs.into_iter().enumerate() {
+        for (addr, op, post) in jobs {
+            round.addrs.push(addr);
             round.ops.push(op);
             round.posts.push(Some(post));
-            let lane = lanes.iter().position(|l| l.addr == addr).unwrap_or_else(|| {
-                lanes.push(Lane {
-                    addr,
-                    conn: None,
-                    connecting: false,
-                    dead: false,
-                    unsent: VecDeque::new(),
-                    staged: None,
-                    inflight: Vec::new(),
-                    stall_at: round.issued + budget,
-                });
-                lanes.len() - 1
-            });
-            lanes[lane].unsent.push_back(job);
         }
-        for lane in &mut lanes {
-            match self.slots.remove(lane.addr) {
-                Some(Slot::Ready(conn)) => {
-                    lane.conn = Some(conn);
-                    if let Err(e) = lane.advance(POLLOUT, &mut round) {
-                        lane.fail(e, &mut round);
-                    }
-                }
-                Some(Slot::Dead) => lane.fail(dead_err(lane.addr), &mut round),
-                None => {
-                    *self.connects.entry(lane.addr.to_string()).or_insert(0) += 1;
-                    match NodeClient::dial(lane.addr) {
-                        Ok(conn) => (lane.conn, lane.connecting) = (Some(conn), true),
-                        Err(e) => lane.fail(e, &mut round),
-                    }
-                }
-            }
-        }
-
-        let mut linger_until: Option<Instant> = None;
+        let Ok(budget) = self.io_budget() else {
+            return round.finish(true);
+        };
+        // One lane per address, opened by the first job released to it.
+        let mut lanes: Vec<Lane<'a>> = Vec::new();
         let mut timed_out = false;
-        let mut fds: Vec<PollFd> = Vec::with_capacity(lanes.len());
-        let mut polled: Vec<usize> = Vec::with_capacity(lanes.len());
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut polled: Vec<usize> = Vec::new();
         loop {
-            if round.open == 0 || prefer(&round.outcomes) {
+            if enough(&round.outcomes) {
                 break;
             }
-            let now = Instant::now();
-            if stop(&round.outcomes) {
-                // Sufficient but not ideal: linger for `prefer` by half
-                // of the time the sufficient set took to arrive.
-                let until = *linger_until.get_or_insert(now + (now - round.issued) / 2);
-                if now >= until {
+            let mut recheck = None;
+            while round.released.contains(&None) {
+                let ask = release(&round.progress());
+                recheck = ask.recheck.map(|after| round.began + after);
+                let mut fresh = false;
+                for job in ask.jobs {
+                    if round.released[job].is_none() {
+                        self.release_job(&mut lanes, &mut round, job, budget);
+                        fresh = true;
+                    }
+                }
+                if !fresh {
                     break;
                 }
             }
+            if round.open == 0 {
+                break;
+            }
+            let now = Instant::now();
             if self.deadline.is_some_and(|deadline| now >= deadline) {
                 timed_out = true;
                 break;
             }
             fds.clear();
             polled.clear();
-            let mut wake = [linger_until, self.deadline].into_iter().flatten().min();
+            let mut wake = [recheck, self.deadline].into_iter().flatten().min();
             for (i, lane) in lanes.iter().enumerate() {
                 let (Some(conn), events @ 1..) = (&lane.conn, lane.wants()) else { continue };
                 fds.push(PollFd::new(conn.socket(), events));
@@ -419,7 +428,60 @@ impl ParallelConnSet {
                 self.slots.insert(lane.addr.to_string(), Slot::Ready(conn));
             }
         }
-        FirstN { outcomes: round.outcomes, elapsed: round.elapsed, timed_out }
+        round.finish(timed_out)
+    }
+
+    /// Put `job` on its address's lane — opened on first use, from the
+    /// pool or by a dial — and onto the wire as far as the socket allows.
+    fn release_job<'a, T, F: Post<T>>(
+        &mut self,
+        lanes: &mut Vec<Lane<'a>>,
+        round: &mut Round<'a, T, F>,
+        job: usize,
+        budget: Duration,
+    ) {
+        let addr = round.addrs[job];
+        let now = Instant::now();
+        round.released[job] = Some(now);
+        round.open += 1;
+        let at = lanes.iter().position(|l| l.addr == addr).unwrap_or_else(|| {
+            lanes.push(Lane {
+                addr,
+                conn: None,
+                connecting: false,
+                dead: false,
+                unsent: VecDeque::new(),
+                staged: None,
+                inflight: Vec::new(),
+                stall_at: now,
+            });
+            lanes.len() - 1
+        });
+        let lane = &mut lanes[at];
+        if lane.wants() == 0 {
+            lane.stall_at = now + budget;
+        }
+        lane.unsent.push_back(job);
+        if lane.conn.is_none() && !lane.dead {
+            match self.slots.remove(addr) {
+                Some(Slot::Ready(conn)) => lane.conn = Some(conn),
+                Some(Slot::Dead) => lane.dead = true,
+                None => {
+                    *self.connects.entry(addr.to_string()).or_insert(0) += 1;
+                    match NodeClient::dial(addr) {
+                        Ok(conn) => (lane.conn, lane.connecting) = (Some(conn), true),
+                        Err(e) => return lane.fail(e, round),
+                    }
+                }
+            }
+        }
+        if lane.dead {
+            lane.fail(dead_err(addr), round);
+        } else if !lane.connecting {
+            if let Err(e) = lane.advance(POLLOUT, round) {
+                lane.fail(e, round);
+            }
+        }
     }
 }
 

@@ -14,11 +14,12 @@
 //!   placement with replicated shard-map [`Manifest`]s, striped `put`
 //!   through any registered [`ec_core::ErasureCoder`] (the manifest
 //!   records the codec; mismatches are typed errors, never garbage
-//!   decodes), **first-n reads** (`get` issues all `n + p` shard
-//!   fetches concurrently and returns on the first `n` that suffice,
-//!   abandoning stragglers; degraded reads reconstruct through the
-//!   decode-program LRU), delta `overwrite` (changed shards +
-//!   per-column parity updates, not a full re-put), and online batch
+//!   decodes), **data-first reads** (`get` fetches the `n` data shards
+//!   and sends a parity fetch only as the backup the codec's repair
+//!   plan names for a failed or straggling one; degraded reads
+//!   reconstruct through the decode-program LRU), delta `overwrite`
+//!   (changed shards + per-column parity updates, not a full re-put),
+//!   and online batch
 //!   `repair_nodes` — any number of simultaneously-dead nodes rebuilt
 //!   with one survivor fetch + one reconstruct per object, fetching
 //!   only the codec's repair plan when it applies (under LRC a single

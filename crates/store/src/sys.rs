@@ -142,7 +142,8 @@ pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
 
 /// Wait until one of `fds` has something to say or `timeout` passes;
 /// returns how many do. `ppoll` rather than `poll` for its nanosecond
-/// timeout: a first-n read lingers for fractions of a millisecond.
+/// timeout: a read's straggler hedge wakes on a patience of fractions of
+/// a millisecond.
 pub(crate) fn poll_ready(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
     let timeout = TimeSpec {
         sec: timeout.as_secs().min(i64::MAX as u64) as i64,

@@ -5,8 +5,8 @@
 
 use ec_core::{CodecSpec, RsConfig};
 use ec_store::{
-    manifest_key, parse_record, Cluster, ManifestRecord, NodeClient, NodeHandle, OverwriteMode,
-    ScrubCycle, ScrubScheduler, ShardHealth, StoreError,
+    manifest_key, parse_record, Cluster, GetReport, ManifestRecord, NodeClient, NodeHandle,
+    OverwriteMode, ScrubCycle, ScrubScheduler, ShardHealth, ShardOutcome, StoreError,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,6 +140,108 @@ fn roundtrip_various_sizes() {
         Err(StoreError::NotFound(_))
     ));
     assert_eq!(cluster.objects().unwrap().len(), 5);
+}
+
+/// The shard indices a read asked for, in index order.
+fn requested(report: &GetReport) -> Vec<usize> {
+    (report.shards.iter())
+        .filter(|s| !matches!(s.outcome, ShardOutcome::NotRequested))
+        .map(|s| s.index)
+        .collect()
+}
+
+/// A healthy read is served by the data shards alone: the report still
+/// has one entry per shard, in index order, and the parity entries say
+/// they were never asked for.
+#[test]
+fn a_healthy_read_fetches_only_the_data_shards() {
+    let (n, p) = (4, 2);
+    let tc = TestCluster::spawn("datafirst", n + p);
+    let cluster = tc.cluster(n, p);
+    let data = sample_data(40_000, 3);
+    cluster.put("obj", &data).unwrap();
+    let (got, report) = cluster.get_with_report("obj").unwrap();
+    assert_eq!(got, data);
+    assert_eq!(report.shards.len(), n + p);
+    for (i, fetch) in report.shards.iter().enumerate() {
+        assert_eq!(fetch.index, i, "{report:?}");
+        let want_served = i < n;
+        match &fetch.outcome {
+            ShardOutcome::Served => assert!(want_served, "{report:?}"),
+            ShardOutcome::NotRequested => assert!(!want_served, "{report:?}"),
+            other => panic!("shard {i}: {other:?}"),
+        }
+    }
+    assert!(!report.degraded());
+}
+
+/// A failed data fetch releases exactly the backup the codec's repair
+/// plan names — for RS the first surviving parity — and the shard is
+/// reported missing.
+#[test]
+fn a_lost_data_shard_releases_the_parity_its_repair_plan_names() {
+    let (n, p) = (4, 2);
+    let tc = TestCluster::spawn("backup", n + p);
+    let cluster = tc.cluster(n, p);
+    for i in 0..n {
+        let name = format!("obj-{i}");
+        let data = sample_data(40_000, i);
+        cluster.put(&name, &data).unwrap();
+        let m = cluster.manifest(&name).unwrap();
+        tc.lose(&m.placement[i], &m.shard_key(&name, i));
+        let (got, report) = cluster.get_with_report(&name).unwrap();
+        assert_eq!(got, data, "{name}");
+        assert_eq!(report.missing, vec![i], "{report:?}");
+        let plan = cluster.codec().repair_sources(&[i]).unwrap();
+        let backups: Vec<usize> = plan.into_iter().filter(|&s| s >= n).collect();
+        assert_eq!(backups.len(), 1, "{backups:?}");
+        let parity: Vec<usize> = requested(&report).into_iter().filter(|&s| s >= n).collect();
+        assert_eq!(parity, backups, "{report:?}");
+        assert!(matches!(report.shards[backups[0]].outcome, ShardOutcome::Served));
+    }
+}
+
+/// Under LRC(4, 3, r=2) — groups {0,1} and {2,3}, local parities 4 and
+/// 5, global parity 6 — a lost data shard is backed by its own group's
+/// local parity, never by a global one.
+#[test]
+fn an_lrc_read_backs_a_lost_shard_with_its_local_parity() {
+    let spec = CodecSpec::lrc(4, 3, 2);
+    let tc = TestCluster::spawn("lrcread", 7);
+    let cluster = Cluster::with_spec(tc.addrs.clone(), &spec).unwrap().with_timeout(TIMEOUT);
+    for i in 0..4 {
+        let name = format!("obj-{i}");
+        let data = sample_data(30_000, i);
+        cluster.put(&name, &data).unwrap();
+        let m = cluster.manifest(&name).unwrap();
+        tc.lose(&m.placement[i], &m.shard_key(&name, i));
+        let (got, report) = cluster.get_with_report(&name).unwrap();
+        assert_eq!(got, data, "{name}");
+        assert_eq!(report.missing, vec![i], "{report:?}");
+        let parity: Vec<usize> = requested(&report).into_iter().filter(|&s| s >= 4).collect();
+        assert_eq!(parity, vec![4 + i / 2], "{report:?}");
+    }
+}
+
+/// A read that rebuilt deleted data shards says so, every time: a
+/// backup goes out only after the failure it covers has settled, so the
+/// read can never complete with the deleted shards merely outstanding.
+#[test]
+fn a_read_around_deleted_data_shards_reports_them_missing() {
+    let tc = TestCluster::spawn("deleted", 14);
+    let cluster = tc.cluster(10, 4);
+    let data = sample_data(200_000, 7);
+    cluster.put("obj", &data).unwrap();
+    let m = cluster.manifest("obj").unwrap();
+    for i in [0, 1] {
+        tc.lose(&m.placement[i], &m.shard_key("obj", i));
+    }
+    for read in 0..50 {
+        let (got, report) = cluster.get_with_report("obj").unwrap();
+        assert_eq!(got, data, "read {read}");
+        assert_eq!(report.missing, vec![0, 1], "read {read}: {report:?}");
+        assert!(report.degraded(), "read {read}");
+    }
 }
 
 #[test]
