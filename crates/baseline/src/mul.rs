@@ -17,6 +17,10 @@ pub enum GfBackend {
 
 impl GfBackend {
     /// Resolve [`GfBackend::Auto`] for this CPU.
+    ///
+    /// # Panics
+    /// If [`GfBackend::Avx2`] is asked for on a CPU without AVX2: the
+    /// kernels' safety rests on this check.
     pub fn resolve(self) -> GfBackend {
         match self {
             GfBackend::Auto => {
@@ -28,7 +32,12 @@ impl GfBackend {
                 }
                 GfBackend::Table
             }
-            b => b,
+            #[cfg(target_arch = "x86_64")]
+            GfBackend::Avx2 => {
+                assert!(std::arch::is_x86_feature_detected!("avx2"), "GfBackend::Avx2 needs AVX2");
+                GfBackend::Avx2
+            }
+            GfBackend::Table => GfBackend::Table,
         }
     }
 
@@ -83,6 +92,8 @@ pub fn mul_slice(backend: GfBackend, c: Gf, src: &[u8], dst: &mut [u8]) {
                 *d = row[s as usize];
             }
         }
+        // SAFETY: `resolve` returned `Avx2`, so the CPU has AVX2, and the
+        // lengths were asserted equal above.
         #[cfg(target_arch = "x86_64")]
         GfBackend::Avx2 => unsafe { mul_avx2(c, src, dst, false) },
         GfBackend::Auto => unreachable!("resolved above"),
@@ -99,6 +110,7 @@ pub fn mul_slice_acc(backend: GfBackend, c: Gf, src: &[u8], dst: &mut [u8]) {
                 *d ^= row[s as usize];
             }
         }
+        // SAFETY: as in `mul_slice`.
         #[cfg(target_arch = "x86_64")]
         GfBackend::Avx2 => unsafe { mul_avx2(c, src, dst, true) },
         GfBackend::Auto => unreachable!("resolved above"),
@@ -289,6 +301,9 @@ pub fn dot_product(
             let mut r0 = 0;
             while r0 < tables.rows() {
                 let group = (tables.rows() - r0).min(4);
+                // SAFETY: `resolve` returned `Avx2`, so the CPU has AVX2;
+                // the counts and lengths were asserted above, and
+                // `r0 + group <= tables.rows()`.
                 unsafe { dot_product_avx2(tables, inputs, outputs, len, r0, group) };
                 r0 += group;
             }

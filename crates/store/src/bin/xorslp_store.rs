@@ -42,7 +42,8 @@ ARGS:
 
 VERBS:
     serve      run a shard node: store blobs under <dir>, listen on <addr>
-               (--delay-ms: hold every response N ms — a latency shim for
+               (--workers: serving loops, one thread each, default 4;
+               --delay-ms: hold every response N ms — a latency shim for
                benchmarks; --delay-prefix: only for keys starting with P)
     put        erasure-code <file> across the cluster as <object>
     get        fetch <object> into <file>: the N data shards are fetched,
@@ -263,7 +264,7 @@ fn serve(opts: &Opts) -> Result<ExitCode, CliError> {
         ),
         None => println!("serving {dir} on {}", node.addr()),
     }
-    // Serve until killed; the acceptor and workers do all the work.
+    // Serve until killed; the serving loops do all the work.
     loop {
         std::thread::park();
     }

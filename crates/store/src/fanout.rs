@@ -37,9 +37,9 @@
 //! either yet.
 //!
 //! Connection lifecycle: at most one connection per node address, kept
-//! for the operation the set serves — not beyond: a node parks an idle
-//! connection on a worker that looks up every 100 ms, so connections
-//! held across operations starve a node with fewer workers than clients.
+//! for the operation the set serves. An idle connection costs a node no
+//! thread, so keeping them across operations waits only on a rule for
+//! when a kept one is poisoned and redialed, proved under network faults.
 //! A connect failure marks the address *dead for the rest of the
 //! operation* — no reconnect storms against a down node; typed `ERR`
 //! answers keep the connection (the stream is intact, the node just said

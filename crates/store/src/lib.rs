@@ -7,9 +7,9 @@
 //!
 //! * **shard node** ([`NodeHandle`]): a directory-backed blob store
 //!   served over a length-prefixed, CRC-framed binary protocol on plain
-//!   `std::net` TCP (`docs/STORE.md`) — acceptor + worker-thread model,
-//!   hostile-input hardened, blobs stored as CRC-trailed frames so
-//!   bit-rot is attributable per shard;
+//!   `std::net` TCP (`docs/STORE.md`) — a few identical `poll(2)`
+//!   serving loops, hostile-input hardened, blobs stored as CRC-trailed
+//!   frames so bit-rot is attributable per shard;
 //! * **cluster client** ([`Cluster`]): deterministic rendezvous
 //!   placement with replicated shard-map [`Manifest`]s, striped `put`
 //!   through any registered [`ec_core::ErasureCoder`] (the manifest

@@ -1,64 +1,71 @@
 //! The shard node: a [`BlobStore`] served over the framed TCP protocol.
 //!
-//! The threading model mirrors `xor_runtime::ExecPool`: one acceptor
-//! thread pushes connections into a `Mutex<VecDeque>` + `Condvar` queue
-//! and a small fixed set of worker threads pops and serves them — no
-//! thread-per-connection, no async runtime, bounded memory under a
-//! connection flood (the queue has a hard cap; overflow connections are
-//! dropped at accept).
+//! A node is `workers` identical serving loops. Each owns the
+//! connections it accepted and `poll(2)`s them together with the shared
+//! non-blocking listener (`sys.rs`, as the client's completion loop
+//! does): requests are read with the resumable [`FrameReader`], run
+//! against the [`BlobStore`] inline, and answered with `write_gathered`
+//! from wherever the socket stopped, so a quiet connection holds no
+//! thread. A connection is served one request at a time and is not read
+//! while its answer is going out (docs/STORE.md §1). Every wait — the
+//! frame, idle and write-stall deadlines, the injected delay, the drain
+//! after a `BadFrame` answer — is a per-connection instant that bounds
+//! the poll.
 //!
 //! Hostile-input posture: a frame's length prefix is bounded before any
 //! allocation ([`crate::proto::MAX_BODY`]), malformed payloads get typed
 //! `ERR` responses on an intact stream, and framing-level damage gets
 //! one `ERR BadFrame` answer before the connection is closed (after a
-//! framing error the stream position is unknowable). A worker stuck on
-//! a silent peer gives up after [`FRAME_DEADLINE`]; an in-flight
-//! shutdown is noticed within [`POLL_TICK`].
+//! framing error the stream position is unknowable).
 
 use crate::blob::{BlobError, BlobStore};
 use crate::error::RemoteErrorCode;
 use crate::proto::{
-    self, err_payload, op, read_frame, status, write_frame, Frame, FrameError,
-    PayloadReader,
+    self, err_payload, frame_crc, frame_head, op, status, write_gathered, Frame, FrameError,
+    FrameReader, PayloadReader, HEAD_LEN,
 };
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tree::HashBlob;
 use ec_wire::merkle::MerkleTree;
-use std::collections::VecDeque;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use xor_runtime::lock_unpoisoned as lock;
-
-/// How often a blocked worker re-checks the shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(100);
 
 /// A peer that started a frame must finish it within this budget
-/// (slow-loris bound); an idle connection may sit quietly for
-/// [`IDLE_DEADLINE`] between frames.
+/// (slow-loris bound), and a peer being answered must take bytes at
+/// least this often.
 const FRAME_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Idle connections are closed after this long without a frame.
 const IDLE_DEADLINE: Duration = Duration::from_secs(60);
 
-/// Accepted-but-unserved connections beyond this are dropped (connection
-/// floods must not grow server memory).
-const ACCEPT_BACKLOG: usize = 1024;
+/// Connections past this many open on the node are closed at accept
+/// (connection floods must not grow server memory).
+const MAX_CONNECTIONS: usize = 1024;
 
-/// Default worker-thread count when `workers == 0`.
+/// How long a loop leaves the listener out of its poll set after a
+/// failed `accept` (EMFILE under an fd-exhaustion flood): a listener
+/// that stays readable would otherwise spin the loop at 100% CPU.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a connection closed for a framing error is drained.
+const DRAIN: Duration = Duration::from_millis(250);
+
+/// Default serving-loop count when `workers == 0`.
 const DEFAULT_WORKERS: usize = 4;
 
 struct Shared {
     store: BlobStore,
+    /// Non-blocking; every loop polls it and accepts from it.
+    listener: TcpListener,
     shutdown: AtomicBool,
-    /// Connections awaiting a worker, each with the instant it went
-    /// idle (preserved across yields so the idle deadline still fires
-    /// for a connection that keeps getting requeued).
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    ready: Condvar,
+    /// Connections open across every loop, capped at [`MAX_CONNECTIONS`].
+    open: AtomicUsize,
     /// Artificial per-request service delay (RTT injection for latency
     /// benchmarks and the CI slow-node round). Applied after a request
     /// frame is read, before it is dispatched.
@@ -72,9 +79,10 @@ struct Shared {
 /// Tuning knobs for [`NodeHandle::spawn_with`].
 #[derive(Clone, Debug, Default)]
 pub struct NodeOptions {
-    /// Connection-serving threads (`0` = default).
+    /// Serving loops, one thread each, each serving any number of
+    /// connections (`0` = default).
     pub workers: usize,
-    /// Sleep this long before answering each request — a deterministic
+    /// Hold each request this long before answering it — a deterministic
     /// stand-in for network RTT, used to demonstrate that cluster
     /// operations pay max-of-RTT rather than sum-of-RTT.
     pub response_delay: Option<Duration>,
@@ -84,8 +92,8 @@ pub struct NodeOptions {
 }
 
 /// A running shard node. Dropping the handle (or calling
-/// [`NodeHandle::shutdown`]) stops the acceptor, drains the workers and
-/// closes every in-flight connection.
+/// [`NodeHandle::shutdown`]) stops the serving loops and closes every
+/// connection.
 pub struct NodeHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -94,7 +102,7 @@ pub struct NodeHandle {
 
 impl NodeHandle {
     /// Serve `dir` on `bind` (e.g. `"127.0.0.1:0"` for an ephemeral
-    /// port) with `workers` connection-serving threads (`0` = default).
+    /// port) with `workers` serving loops (`0` = default).
     pub fn spawn(dir: &Path, bind: &str, workers: usize) -> std::io::Result<NodeHandle> {
         NodeHandle::spawn_with(dir, bind, NodeOptions { workers, ..NodeOptions::default() })
     }
@@ -103,33 +111,25 @@ impl NodeHandle {
     pub fn spawn_with(dir: &Path, bind: &str, opts: NodeOptions) -> std::io::Result<NodeHandle> {
         let store = BlobStore::open(dir)?;
         let listener = TcpListener::bind(bind)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             store,
+            listener,
             shutdown: AtomicBool::new(false),
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
+            open: AtomicUsize::new(0),
             response_delay: opts.response_delay,
             delay_key_prefix: opts.delay_key_prefix,
         });
         let workers = if opts.workers == 0 { DEFAULT_WORKERS } else { opts.workers };
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
-            let shared = shared.clone();
-            threads.push(
+        let threads = (0..workers)
+            .map(|i| {
+                let shared = shared.clone();
                 thread::Builder::new()
-                    .name(format!("store-accept-{addr}"))
-                    .spawn(move || acceptor_loop(&listener, &shared))?,
-            );
-        }
-        for i in 0..workers {
-            let shared = shared.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("store-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
+                    .name(format!("store-serve-{i}"))
+                    .spawn(move || serve(&shared))
+            })
+            .collect::<std::io::Result<_>>()?;
         Ok(NodeHandle { addr, shared, threads })
     }
 
@@ -139,10 +139,10 @@ impl NodeHandle {
         self.addr
     }
 
-    /// Stop serving: the acceptor exits, queued and in-flight
-    /// connections are dropped, and all threads are joined. From the
-    /// clients' perspective the node is dead (connection refused /
-    /// reset) — this is also how tests and the example kill nodes.
+    /// Stop serving: the loops exit, every connection is closed, and
+    /// all threads are joined. From the clients' perspective the node
+    /// is dead (connection refused / reset) — this is also how tests
+    /// and the example kill nodes.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -151,10 +151,12 @@ impl NodeHandle {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the acceptor out of `accept()` with a throwaway
-        // connection, and the workers out of their condvar wait.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        self.shared.ready.notify_all();
+        // Every loop polls the listener, so throwaway connections wake
+        // them. One per loop: a loop accepts at most one connection between
+        // two looks at the flag, and a wake it accepts is lost to the rest.
+        for _ in &self.threads {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -167,221 +169,209 @@ impl Drop for NodeHandle {
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let conn = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+/// One serving loop: wait until the listener or a connection is ready or
+/// due, move each such connection as far as it goes, take at most one
+/// new connection, and again — until shutdown.
+fn serve(shared: &Shared) {
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    // When the listener rejoins the poll set after a failed `accept`.
+    let mut listen_at = Instant::now();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        let listening = now >= listen_at;
+        let mut wake = (!listening).then_some(listen_at);
+        fds.clear();
+        if listening {
+            fds.push(PollFd::new(&shared.listener, POLLIN));
         }
-        let Ok((stream, _peer)) = conn else {
-            // Persistent accept failures (EMFILE under an fd-exhaustion
-            // flood) would otherwise busy-spin at 100% CPU.
-            thread::sleep(Duration::from_millis(10));
+        for conn in &conns {
+            fds.push(PollFd::new(&conn.stream, conn.phase.events()));
+            wake = Some(wake.map_or(conn.deadline, |w| w.min(conn.deadline)));
+        }
+        // Nothing due: sleep until the listener or a connection speaks.
+        let timeout = wake.map_or(Duration::MAX, |w| w.saturating_duration_since(now));
+        if sys::poll_ready(&mut fds, timeout).is_err() {
+            // ENOMEM: back off rather than spin.
+            thread::sleep(ACCEPT_BACKOFF);
             continue;
-        };
-        // Short read timeouts let workers poll the shutdown flag; the
-        // write timeout bounds a worker stuck sending to a stalled peer.
-        let _ = stream.set_read_timeout(Some(POLL_TICK));
-        let _ = stream.set_write_timeout(Some(FRAME_DEADLINE));
-        let _ = stream.set_nodelay(true);
-        let mut q = lock(&shared.queue);
-        if q.len() >= ACCEPT_BACKLOG {
-            continue; // drop the connection: flood protection
         }
-        q.push_back((stream, Instant::now()));
-        drop(q);
-        shared.ready.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let (stream, idle_since) = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(s) = q.pop_front() {
-                    break s;
-                }
-                q = shared
-                    .ready
-                    .wait_timeout(q, POLL_TICK)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .0;
+        let now = Instant::now();
+        let (listener, conn_fds) = fds.split_at(listening as usize);
+        let mut revents = conn_fds.iter().map(|fd| fd.revents);
+        conns.retain_mut(|conn| {
+            let revents = revents.next().expect("one pollfd per connection");
+            let keep = (revents == 0 && now < conn.deadline) || conn.advance(revents, now, shared);
+            if !keep {
+                shared.open.fetch_sub(1, Ordering::Relaxed);
             }
-        };
-        // A panic while serving one connection (a bug, or an assert in
-        // a lower layer) must not shrink the worker pool for the node's
-        // lifetime — contain it and move to the next connection.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_connection(stream, idle_since, shared)
-        }));
-        if let Ok(ConnOutcome::Yield(stream, idle_since)) = outcome {
-            let mut q = lock(&shared.queue);
-            if q.len() < ACCEPT_BACKLOG {
-                q.push_back((stream, idle_since));
-                drop(q);
-                shared.ready.notify_one();
+            keep
+        });
+        if listener.first().is_some_and(|fd| fd.revents != 0) {
+            match shared.listener.accept() {
+                Ok((stream, _peer)) => conns.extend(admit(stream, shared)),
+                // Another loop took it.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(_) => listen_at = now + ACCEPT_BACKOFF,
             }
         }
     }
 }
 
-/// What a worker should do with a connection it stopped serving.
-enum ConnOutcome {
-    /// Finished (EOF, error, deadline, shutdown): drop it.
-    Done,
-    /// Idle while other connections were waiting: requeue it (with its
-    /// original idle timestamp, so the idle deadline still accrues).
-    Yield(TcpStream, Instant),
+/// A freshly accepted connection — or `None`, the socket closed, when the
+/// node is full (flood protection) or the socket cannot be set up.
+fn admit(stream: TcpStream, shared: &Shared) -> Option<Conn> {
+    if shared.open.fetch_add(1, Ordering::Relaxed) >= MAX_CONNECTIONS
+        || stream.set_nonblocking(true).is_err()
+    {
+        shared.open.fetch_sub(1, Ordering::Relaxed);
+        return None;
+    }
+    let _ = stream.set_nodelay(true);
+    Some(Conn {
+        stream,
+        reader: FrameReader::default(),
+        phase: Phase::Reading,
+        deadline: Instant::now() + IDLE_DEADLINE,
+    })
 }
 
-/// Wraps the socket so `read_frame` blocks *interruptibly* while a
-/// frame is in flight: timeouts are swallowed and retried until the
-/// frame deadline passes (slow-loris bound) or the node shuts down.
-/// Idle waiting *between* frames lives in [`serve_connection`], which
-/// can yield the worker instead of camping on a silent peer.
-struct PatientReader<'a> {
-    stream: &'a TcpStream,
-    shared: &'a Shared,
+/// One connection a loop serves.
+struct Conn {
+    stream: TcpStream,
+    /// The request being received; keeps its place across `WouldBlock`.
+    reader: FrameReader,
+    phase: Phase,
+    /// The idle or frame deadline while reading, the stall deadline while
+    /// writing, the end of a drain — past it the connection is closed —
+    /// or when a delayed request is due.
     deadline: Instant,
 }
 
-impl Read for PatientReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "node shutting down",
-                ));
-            }
-            // Checked every iteration — not only on timeouts — so a
-            // peer trickling one byte per poll tick cannot dodge the
-            // slow-loris bound by keeping each read() successful.
-            if Instant::now() > self.deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "frame not completed in time",
-                ));
-            }
-            let mut sock = self.stream; // `impl Read for &TcpStream`
-            match sock.read(buf) {
-                Ok(n) => return Ok(n),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+enum Phase {
+    /// Waiting for a request frame, or for the rest of one.
+    Reading,
+    /// A request is in; it is served at the deadline — at once, unless a
+    /// response delay is injected.
+    Delayed(Frame),
+    /// An answer is going out, `written` bytes of it so far; `close`
+    /// after a framing error.
+    Writing { head: [u8; HEAD_LEN], payload: Vec<u8>, crc: [u8; 4], written: usize, close: bool },
+    /// Half-closed after a framing error: what the peer still sends is
+    /// read and dropped, until it closes or the drain runs out.
+    Draining,
+}
+
+impl Phase {
+    /// What `poll` should watch the socket for. A delayed answer waits
+    /// on its deadline alone (errors are reported regardless).
+    fn events(&self) -> i16 {
+        match self {
+            Phase::Reading | Phase::Draining => POLLIN,
+            Phase::Writing { .. } => POLLOUT,
+            Phase::Delayed(_) => 0,
         }
     }
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    mut idle_since: Instant,
-    shared: &Shared,
-) -> ConnOutcome {
-    loop {
-        // Idle phase: wait for the first byte of the next frame without
-        // monopolizing the worker. A silent connection yields whenever
-        // other connections are queued, so `workers` quiet peers cannot
-        // starve the node.
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return ConnOutcome::Done, // EOF between frames
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return ConnOutcome::Done;
-                }
-                if Instant::now().duration_since(idle_since) > IDLE_DEADLINE {
-                    return ConnOutcome::Done;
-                }
-                if !lock(&shared.queue).is_empty() {
-                    return ConnOutcome::Yield(stream, idle_since);
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return ConnOutcome::Done,
+impl Conn {
+    /// Move the connection as far as its socket and deadline allow, given
+    /// what `poll` reported for it. `false` = done with: close it.
+    fn advance(&mut self, revents: i16, now: Instant, shared: &Shared) -> bool {
+        match self.phase {
+            // An error or hang-up while the answer was held.
+            Phase::Delayed(_) if revents != 0 => return false,
+            Phase::Delayed(_) => {}
+            // Idle too long, a frame or an answer stalled, a drain done.
+            _ if now >= self.deadline => return false,
+            _ => {}
         }
-        // A frame has begun: read it whole under the slow-loris bound.
-        let frame = {
-            let mut reader = PatientReader {
-                stream: &stream,
-                shared,
-                deadline: Instant::now() + FRAME_DEADLINE,
-            };
-            read_frame(&mut reader)
-        };
-        match frame {
-            Ok(frame) => {
-                // RTT injection for benchmarks: pretend the request
-                // spent `response_delay` on the wire. Sleep in poll-tick
-                // slices so shutdown still lands promptly.
-                if let Some(delay) = shared.response_delay.filter(|_| delay_applies(shared, &frame)) {
-                    let until = Instant::now() + delay;
-                    while Instant::now() < until {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            return ConnOutcome::Done;
+        loop {
+            match &mut self.phase {
+                Phase::Reading => {
+                    let in_frame = self.reader.in_frame();
+                    match self.reader.read(&mut self.stream) {
+                        Ok(frame) => {
+                            let delay =
+                                shared.response_delay.filter(|_| delay_applies(shared, &frame));
+                            self.deadline = Instant::now() + delay.unwrap_or_default();
+                            self.phase = Phase::Delayed(frame);
                         }
-                        thread::sleep(POLL_TICK.min(until.saturating_duration_since(Instant::now())));
+                        Err(FrameError::Io(e)) if e.kind() == ErrorKind::WouldBlock => {
+                            if !in_frame && self.reader.in_frame() {
+                                self.deadline = Instant::now() + FRAME_DEADLINE;
+                            }
+                            return true;
+                        }
+                        Err(FrameError::Eof | FrameError::Io(_)) => return false,
+                        Err(e) => {
+                            // One best-effort typed answer, then close.
+                            // No request id was recovered from the broken
+                            // frame, so the answer carries the reserved one.
+                            let payload = err_payload(RemoteErrorCode::BadFrame, &e.detail());
+                            self.send(status::ERR, proto::NO_REQUEST_ID, payload, true);
+                        }
                     }
                 }
-                // Payload-level errors answer with a typed ERR on an
-                // intact stream and keep serving; only a failed write
-                // (or the framing errors below) closes the connection.
-                // The response echoes the request's id, so a pipelining
-                // peer can match it.
-                let (tag, payload) = dispatch(&frame, &shared.store);
-                if write_frame(&mut stream, tag, frame.request_id, &[&payload]).is_err() {
-                    return ConnOutcome::Done;
+                Phase::Delayed(_) if Instant::now() < self.deadline => return true,
+                Phase::Delayed(_) => {
+                    let Phase::Delayed(frame) = std::mem::replace(&mut self.phase, Phase::Reading)
+                    else {
+                        unreachable!("matched above")
+                    };
+                    // A panic while serving one request (a bug, or an
+                    // assert in a lower layer) drops this connection, not
+                    // the loop and every other connection on it.
+                    let store = &shared.store;
+                    let served = panic::catch_unwind(AssertUnwindSafe(|| dispatch(&frame, store)));
+                    let Ok((tag, payload)) = served else { return false };
+                    // Payload-level errors are typed `ERR` answers on an
+                    // intact stream. The answer echoes the request's id,
+                    // so a pipelining peer can match it.
+                    self.send(tag, frame.request_id, payload, false);
                 }
-                idle_since = Instant::now();
-            }
-            Err(FrameError::Eof) => return ConnOutcome::Done,
-            Err(e) => {
-                // One best-effort typed answer, then close: after a
-                // framing error the stream position is unknowable.
-                // No request id was recovered from the broken frame, so
-                // the answer carries the reserved one.
-                let payload = err_payload(RemoteErrorCode::BadFrame, &e.detail());
-                let _ = write_frame(&mut stream, status::ERR, proto::NO_REQUEST_ID, &[&payload]);
-                // Half-close and briefly drain what the peer already
-                // sent: closing a socket with unread received bytes
-                // RSTs the connection, which would destroy the ERR
-                // answer before the peer can read it.
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                let deadline = Instant::now() + Duration::from_millis(250);
-                let mut sink = [0u8; 4096];
-                let mut s = &stream;
-                while Instant::now() < deadline {
-                    match s.read(&mut sink) {
-                        Ok(0) => break,
-                        Ok(_) => {}
-                        Err(err)
-                            if matches!(
-                                err.kind(),
-                                std::io::ErrorKind::WouldBlock
-                                    | std::io::ErrorKind::TimedOut
-                            ) => {}
-                        Err(_) => break,
+                Phase::Writing { head, payload, crc, written, close } => {
+                    let (before, close) = (*written, *close);
+                    let bufs = [&head[..], &payload[..], &crc[..]];
+                    match write_gathered(&mut self.stream, &bufs, written) {
+                        Ok(()) if close => {
+                            // Half-close and briefly drain what the peer
+                            // already sent: closing a socket with unread
+                            // received bytes RSTs the connection, which
+                            // would destroy the answer before the peer
+                            // can read it.
+                            let _ = self.stream.shutdown(Shutdown::Write);
+                            self.phase = Phase::Draining;
+                            self.deadline = Instant::now() + DRAIN;
+                        }
+                        Ok(()) => {
+                            self.phase = Phase::Reading;
+                            self.deadline = Instant::now() + IDLE_DEADLINE;
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            if *written > before {
+                                self.deadline = Instant::now() + FRAME_DEADLINE;
+                            }
+                            return true;
+                        }
+                        Err(_) => return false,
                     }
                 }
-                return ConnOutcome::Done;
+                Phase::Draining => match (&self.stream).read(&mut [0u8; 4096]) {
+                    Ok(1..) => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                    _ => return false,
+                },
             }
         }
+    }
+
+    /// Start writing one answer frame; `close` the connection after it.
+    fn send(&mut self, tag: u8, request_id: u32, payload: Vec<u8>, close: bool) {
+        let head = frame_head(tag, request_id, payload.len());
+        let crc = frame_crc(&head[4..], &[&payload]);
+        self.phase = Phase::Writing { head, payload, crc, written: 0, close };
+        self.deadline = Instant::now() + FRAME_DEADLINE;
     }
 }
 

@@ -166,7 +166,7 @@ pub struct Frame {
 
 /// The bytes every frame opens with — `[u32 len][version][tag][u32 id]`
 /// — and fewer than any legal frame (header, payload, CRC) has.
-const HEAD_LEN: usize = 10;
+pub(crate) const HEAD_LEN: usize = 10;
 
 /// Encode a frame's opening bytes for a payload of `payload_len` bytes.
 /// Bytes `[4..]` are the part of the body the CRC covers ahead of the
@@ -310,6 +310,11 @@ impl FrameReader {
         }
         let request_id = u32::from_le_bytes(head[6..].try_into().expect("4 bytes"));
         Ok(Frame { tag: head[5], request_id, payload })
+    }
+
+    /// Whether part of a frame is in and the rest is not.
+    pub(crate) fn in_frame(&self) -> bool {
+        self.head_filled > 0
     }
 
     /// Judge the length prefix the moment its four bytes are in —

@@ -1,5 +1,6 @@
-//! The two things the client's completion loop needs that `std::net`
-//! does not offer: a TCP `connect` that does not block, and `poll(2)`.
+//! The two things the store's poll loops (`fanout.rs`, `node.rs`) need
+//! that `std::net` does not offer: a TCP `connect` that does not block,
+//! and `poll(2)`.
 //!
 //! Both are reached through the C library `std` already links — no
 //! crate for three calls. Everything `std` *does* offer stays in `std`:
@@ -12,7 +13,7 @@
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
 compile_error!(
-    "ec-store's client loop speaks the 64-bit Linux socket ABI; port crates/store/src/sys.rs"
+    "ec-store's poll loops speak the 64-bit Linux socket ABI; port crates/store/src/sys.rs"
 );
 
 use std::io;
@@ -43,8 +44,9 @@ pub(crate) struct PollFd {
 }
 
 impl PollFd {
-    pub(crate) fn new(stream: &TcpStream, events: i16) -> PollFd {
-        PollFd { fd: stream.as_raw_fd(), events, revents: 0 }
+    /// Watch `socket` (a stream or a listener) for `events`.
+    pub(crate) fn new(socket: &impl AsRawFd, events: i16) -> PollFd {
+        PollFd { fd: socket.as_raw_fd(), events, revents: 0 }
     }
 }
 

@@ -4,11 +4,11 @@
 //! one node all succeed.
 
 use ec_store::proto::{self, op, status};
-use ec_store::{NodeClient, NodeHandle, RemoteErrorCode, StoreError};
+use ec_store::{BatchOp, NodeClient, NodeHandle, NodeOptions, RemoteErrorCode, StoreError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -251,13 +251,13 @@ fn concurrent_clients_hammering_one_node() {
 
 #[test]
 fn idle_connections_do_not_starve_honest_clients() {
-    // The node has 2 workers; park 4 silent connections on it, then do
-    // real work. Quiet connections must yield their workers (they are
-    // requeued between frames), so honest requests are served promptly
-    // instead of waiting out a 60 s idle deadline.
+    // The node has 2 serving loops; park 4 silent connections on it,
+    // then do real work. A quiet connection holds no loop (each loop
+    // polls all of its connections), so honest requests are served
+    // promptly instead of waiting out a 60 s idle deadline.
     let (_node, addr, dir) = spawn_node("idlestarve");
     let _silent: Vec<TcpStream> = (0..4).map(|_| raw(&addr)).collect();
-    std::thread::sleep(Duration::from_millis(300)); // workers adopt them
+    std::thread::sleep(Duration::from_millis(300)); // the loops accept them
     let start = std::time::Instant::now();
     assert_still_serving(&addr);
     assert!(
@@ -265,8 +265,8 @@ fn idle_connections_do_not_starve_honest_clients() {
         "honest client starved by idle connections ({:?})",
         start.elapsed()
     );
-    // The silent connections are still alive (not dropped), just
-    // deprioritized: one of them can still speak and be served.
+    // The silent connections are still alive (not dropped): one of them
+    // can still speak and be served.
     let mut late = _silent.into_iter().next().unwrap();
     proto::write_frame(&mut late, op::HEALTH, 1, &[]).unwrap();
     let (tag, _, _) = read_raw_frame(&mut late);
@@ -476,5 +476,70 @@ fn every_opcode_pipelines_and_resolves_in_any_order() {
         other => panic!("expected NotFound, got {other:?}"),
     }
     assert_eq!(c.get("s:two").unwrap(), [2u8; 50]);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_kept_connection_is_not_queued_behind_silent_peers() {
+    // Four silent connections outnumber the node's two serving threads.
+    // A client that keeps its connection and pauses between requests is
+    // still answered at once: a quiet peer holds no thread.
+    let (_node, addr, dir) = spawn_node("keptconn");
+    let _silent: Vec<TcpStream> = (0..4).map(|_| raw(&addr)).collect();
+    let mut c = client(&addr);
+    c.health().unwrap(); // accepted after the silent four
+    let mut total = Duration::ZERO;
+    for _ in 0..20 {
+        std::thread::sleep(Duration::from_millis(150));
+        let start = Instant::now();
+        c.health().unwrap();
+        total += start.elapsed();
+    }
+    assert!(
+        total < Duration::from_millis(200),
+        "20 requests on a kept connection took {total:?} between them"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn injected_delays_on_two_connections_overlap() {
+    // One serving thread, two connections, one delayed request on each:
+    // the delays run side by side, not one after the other.
+    let dir = temp_dir("delays");
+    let opts = NodeOptions {
+        workers: 1,
+        response_delay: Some(Duration::from_millis(200)),
+        delay_key_prefix: None,
+    };
+    let node = NodeHandle::spawn_with(&dir, "127.0.0.1:0", opts).expect("spawn node");
+    let addr = node.addr().to_string();
+    let (mut a, mut b) = (client(&addr), client(&addr));
+    let start = Instant::now();
+    let (id_a, id_b) = (a.send(&BatchOp::Health).unwrap(), b.send(&BatchOp::Health).unwrap());
+    a.recv_matching(id_a).unwrap();
+    b.recv_matching(id_b).unwrap();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(300), "two 200 ms delays took {took:?}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn shutdown_is_prompt_with_idle_connections() {
+    let (node, addr, dir) = spawn_node("idleshutdown");
+    let idle: Vec<TcpStream> = (0..8).map(|_| raw(&addr)).collect();
+    client(&addr).health().unwrap(); // accepted after the idle eight
+    let start = Instant::now();
+    node.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    // Every idle connection was closed with the node.
+    for mut s in idle {
+        match s.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("an idle connection outlived its node: {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

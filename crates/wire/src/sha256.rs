@@ -137,12 +137,15 @@ mod sha_ni {
 
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-        // SAFETY (all three): the pointer comes from a reference to 16
-        // bytes of `u32`s or `u8`s, and the unaligned load/store
-        // intrinsics have no alignment requirement.
+        // SAFETY: the pointer comes from a reference to 16 bytes of
+        // `u32`s, and the unaligned load has no alignment requirement.
         let load_words = |w: &[u32; 4]| unsafe { _mm_loadu_si128(w.as_ptr().cast()) };
+        // SAFETY: as `load_words`, for 16 `u8`s.
         let load_bytes = |b: &[u8; 16]| unsafe { _mm_loadu_si128(b.as_ptr().cast()) };
         let store_words =
+            // SAFETY: the pointer comes from an exclusive reference to 16
+            // bytes of `u32`s, and the unaligned store has no alignment
+            // requirement.
             |w: &mut [u32; 4], v| unsafe { _mm_storeu_si128(w.as_mut_ptr().cast(), v) };
 
         let (halves, _) = state.as_chunks_mut::<4>();
@@ -326,11 +329,13 @@ mod avx512 {
         const CH: i32 = 0xCA;
         const MAJ: i32 = 0xE8;
 
-        // SAFETY (both): the pointer comes from a reference to 16
-        // `u32`s, and the unaligned load/store intrinsics have no
-        // alignment requirement.
+        // SAFETY: the pointer comes from a reference to 16 `u32`s, and
+        // the unaligned load has no alignment requirement.
         let load_state = |row: &[u32; LANES]| unsafe { _mm512_loadu_si512(row.as_ptr().cast()) };
         let store_state =
+            // SAFETY: the pointer comes from an exclusive reference to 16
+            // `u32`s, and the unaligned store has no alignment
+            // requirement.
             |row: &mut [u32; LANES], v| unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
 
         let big_endian =
