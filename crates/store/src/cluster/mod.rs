@@ -64,7 +64,7 @@ pub use write::{OverwriteMode, OverwriteReport, PutReport};
 
 use crate::client::NodeHealth;
 use crate::error::StoreError;
-use crate::fanout::ParallelConnSet;
+use crate::fanout::{ParallelConnSet, Pool};
 use crate::manifest::Manifest;
 use crate::placement;
 use ec_core::{codec_for_with, CodecSpec, ErasureCoder, RsConfig};
@@ -178,9 +178,21 @@ pub struct ClusterHealth {
     pub nodes: Vec<(String, Option<NodeHealth>)>,
 }
 
-/// A client of a set of shard nodes, holding the codec and the node
-/// membership. All read-side operations take `&self` and the cluster is
-/// `Send + Sync` — share it behind an `Arc` across client threads.
+/// A client of a set of shard nodes, holding the codec, the node
+/// membership and the connections it keeps between operations. All
+/// read-side operations take `&self` and the cluster is `Send + Sync` —
+/// share it behind an `Arc` across client threads.
+///
+/// **Kept connections**: the cluster holds at most one idle connection
+/// per node address for its lifetime. Each operation takes a node's kept
+/// connection before it would dial, and gives back what it leaves idle
+/// and intact; threads sharing one cluster dial for the connections they
+/// do not find kept, and leave one per node behind. A kept connection is
+/// closed rather than reused when a zero-timeout poll finds it readable
+/// (the node closed it, reset it, or sent bytes nobody asked for) or it
+/// has been idle half the node's idle deadline; every failure that drops
+/// a connection mid-operation also keeps it out of the pool, and a node
+/// found dead is dialed again by the next operation.
 ///
 /// **Write concurrency**: writes to *different* objects may run
 /// concurrently, but writes to one object (`put` / `overwrite` /
@@ -190,6 +202,9 @@ pub struct ClusterHealth {
 pub struct Cluster {
     codec: Box<dyn ErasureCoder>,
     nodes: Vec<String>,
+    /// The idle connections kept between operations, one per node at
+    /// most.
+    pool: Arc<Pool>,
     timeout: Duration,
     /// Per-operation wall-clock bound (`None` = only the per-I/O
     /// `timeout` applies).
@@ -250,6 +265,7 @@ impl Cluster {
         Ok(Cluster {
             codec,
             nodes,
+            pool: Arc::default(),
             timeout: DEFAULT_TIMEOUT,
             op_deadline: None,
             gc_grace: DEFAULT_GC_GRACE,
@@ -301,10 +317,8 @@ impl Cluster {
     }
 
     fn conns(&self) -> ParallelConnSet {
-        ParallelConnSet::new(
-            self.timeout,
-            self.op_deadline.map(|d| Instant::now() + d),
-        )
+        let deadline = self.op_deadline.map(|d| Instant::now() + d);
+        ParallelConnSet::new(self.timeout, deadline).with_pool(&self.pool)
     }
 
     /// The `n + p` node addresses hosting `object`, shard-index order.
@@ -501,6 +515,270 @@ mod tests {
         assert!(backing.join().unwrap(), "the backup went out before the first answer");
         prompting.join().unwrap();
         assert_eq!(conns.connect_attempts(&unasked_addr), 0);
+    }
+
+    // -----------------------------------------------------------------
+    // Kept connections (`fanout.rs`'s `Pool`): when one is reused, and
+    // when it is closed and the address dialed afresh.
+    // -----------------------------------------------------------------
+
+    use crate::fanout::{fresh, Pool, MAX_IDLE};
+    use crate::sys::{PollFd, POLLIN};
+    use std::io::Write;
+
+    /// Answer every request on `stream` with `OK <reply>` until the
+    /// client hangs up.
+    fn serve(stream: &mut TcpStream, reply: &[u8]) {
+        while let Ok((id, _)) = request(stream) {
+            proto::write_frame(stream, status::OK, id, &[reply]).unwrap();
+        }
+    }
+
+    /// One operation on `pool`: a GET of `key` per entry of `addrs`.
+    fn op(pool: &Arc<Pool>, addrs: &[&str], key: &str) -> (Vec<Result<Vec<u8>, StoreError>>, u32) {
+        let mut conns = ParallelConnSet::new(PATIENCE, None).with_pool(pool);
+        let results = conns.run_batch(addrs.iter().map(|&a| (a, get(key), identity)).collect());
+        let dialed = addrs.iter().map(|a| conns.connect_attempts(a)).sum();
+        (results, dialed)
+    }
+
+    /// Wait until the connection kept for `addr` has something to say
+    /// (the peer's close, or its bytes), so the next take sees it.
+    fn until_readable(pool: &Pool, addr: &str) {
+        let polled = pool.with_kept(addr, |conn, _| {
+            let mut fds = [PollFd::new(conn.socket(), POLLIN)];
+            crate::sys::poll_ready(&mut fds, PATIENCE).unwrap()
+        });
+        assert_eq!(polled, Some(1), "the kept connection never turned readable");
+    }
+
+    #[test]
+    fn a_second_operation_on_one_pool_dials_nothing() {
+        let (node, addr) = listener();
+        let serving = std::thread::spawn(move || {
+            let (mut stream, _) = node.accept().unwrap();
+            serve(&mut stream, b"kept");
+        });
+        let pool = Arc::new(Pool::default());
+        for round in 0..2 {
+            let (results, dialed) = op(&pool, &[&addr], &format!("k{round}"));
+            assert_eq!(results[0].as_ref().unwrap(), b"kept");
+            assert_eq!(dialed, u32::from(round == 0), "round {round}");
+        }
+        assert_eq!(pool.dials(&addr), 1);
+        drop(pool); // closes the kept connection: the peer sees EOF
+        serving.join().unwrap();
+    }
+
+    /// A node whose first connection answers one request with `first`,
+    /// then meets whatever comes next with `fault` and is closed; its
+    /// next connection answers everything with `second`.
+    fn faulty_peer(fault: fn(&mut TcpStream)) -> (String, std::thread::JoinHandle<()>) {
+        let (node, addr) = listener();
+        let peer = std::thread::spawn(move || {
+            let (mut first, _) = node.accept().unwrap();
+            let (id, _) = request(&mut first).unwrap();
+            proto::write_frame(&mut first, status::OK, id, &[b"first"]).unwrap();
+            fault(&mut first);
+            drop(first);
+            let (mut second, _) = node.accept().unwrap();
+            serve(&mut second, b"second");
+        });
+        (addr, peer)
+    }
+
+    /// Hold the connection open, saying nothing more, until the client
+    /// hangs up.
+    fn until_hung_up(stream: &mut TcpStream) {
+        let _ = request(stream);
+    }
+
+    #[test]
+    fn a_kept_connection_that_turned_readable_is_redialed_without_an_error() {
+        let closed: fn(&mut TcpStream) = |_| {};
+        let unsolicited: fn(&mut TcpStream) = |stream| {
+            proto::write_frame(stream, status::OK, 77, &[b"nobody asked"]).unwrap();
+            until_hung_up(stream);
+        };
+        for (what, between_ops) in [("closed by the peer", closed), ("unsolicited frame", unsolicited)] {
+            let (addr, peer) = faulty_peer(between_ops);
+            let pool = Arc::new(Pool::default());
+            assert_eq!(op(&pool, &[&addr], "a").0[0].as_ref().unwrap(), b"first");
+            until_readable(&pool, &addr);
+            let (results, dialed) = op(&pool, &[&addr], "b");
+            assert_eq!(results[0].as_ref().unwrap(), b"second", "{what}: {results:?}");
+            assert_eq!((dialed, pool.dials(&addr)), (1, 2), "{what}");
+            drop(pool);
+            peer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_abandoned_stragglers_connection_never_enters_the_pool() {
+        let (prompt, prompt_addr) = listener();
+        let (straggler, straggler_addr) = listener();
+        let answering = std::thread::spawn(move || {
+            let (mut stream, _) = prompt.accept().unwrap();
+            serve(&mut stream, b"prompt");
+        });
+        let straggling = std::thread::spawn(move || {
+            let (mut first, _) = straggler.accept().unwrap();
+            request(&mut first).unwrap();
+            let hung_up = matches!(request(&mut first), Err(proto::FrameError::Eof));
+            let (mut second, _) = straggler.accept().unwrap();
+            serve(&mut second, b"late");
+            hung_up
+        });
+
+        let pool = Arc::new(Pool::default());
+        let mut conns = ParallelConnSet::new(PATIENCE, None).with_pool(&pool);
+        let jobs = vec![(&*prompt_addr, get("one"), identity), (&*straggler_addr, get("one"), identity)];
+        let enough = |outcomes: &[Option<Result<Vec<u8>, StoreError>>]| outcomes[0].is_some();
+        let first = conns.run_first_n(jobs, enough, crate::fanout::release_all);
+        assert!(first.outcomes[1].is_none() && !first.timed_out);
+        drop(conns);
+        assert!(pool.with_kept(&prompt_addr, |_, _| ()).is_some());
+        assert!(pool.with_kept(&straggler_addr, |_, _| ()).is_none(), "the straggler was kept");
+
+        // The next operation reuses the prompt node's connection and
+        // dials the straggler afresh.
+        let (second, dialed) = op(&pool, &[&prompt_addr, &straggler_addr], "two");
+        assert_eq!(second[0].as_ref().unwrap(), b"prompt");
+        assert_eq!(second[1].as_ref().unwrap(), b"late");
+        assert_eq!(dialed, 1);
+        assert_eq!((pool.dials(&prompt_addr), pool.dials(&straggler_addr)), (1, 2));
+        drop(pool);
+        assert!(straggling.join().unwrap(), "the abandoned connection was talked to again");
+        answering.join().unwrap();
+    }
+
+    #[test]
+    fn an_address_found_dead_is_dialed_again_by_the_next_operation() {
+        let (gone, addr) = listener();
+        drop(gone);
+        let pool = Arc::new(Pool::default());
+        for round in 1..=2 {
+            // Two jobs each: the second fails fast on the first's mark.
+            let (results, dialed) = op(&pool, &[&addr, &addr], "k");
+            assert!(results.iter().all(|r| matches!(r, Err(StoreError::Io(_)))), "{results:?}");
+            assert_eq!((dialed, pool.dials(&addr)), (2, round), "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_connection_idle_for_half_the_node_deadline_is_not_reused() {
+        // The rule, against the node's deadline: reuse strictly inside
+        // half of it, so the node's idle close never races a reuse.
+        let node_deadline = Duration::from_secs(60);
+        assert!(include_str!("../node.rs")
+            .contains("const IDLE_DEADLINE: Duration = Duration::from_secs(60);"));
+        assert_eq!(MAX_IDLE * 2, node_deadline);
+        assert!(fresh(Duration::ZERO) && fresh(MAX_IDLE - Duration::from_nanos(1)));
+        assert!(!fresh(MAX_IDLE) && !fresh(node_deadline));
+
+        // And in the pool: a kept connection aged past it is closed.
+        let (addr, serving) = faulty_peer(until_hung_up);
+        let pool = Arc::new(Pool::default());
+        assert_eq!(op(&pool, &[&addr], "a").0[0].as_ref().unwrap(), b"first");
+        let aged = pool.with_kept(&addr, |_, since| *since = Instant::now() - MAX_IDLE);
+        assert!(aged.is_some());
+        let (results, dialed) = op(&pool, &[&addr], "b");
+        assert_eq!(results[0].as_ref().unwrap(), b"second");
+        assert_eq!(dialed, 1);
+        drop(pool);
+        serving.join().unwrap();
+    }
+
+    // Network faults on a *reused* connection: each ends the operation
+    // it hits in a typed error, at once or after the I/O timeout, and
+    // the next operation dials afresh and is served.
+
+    /// Run three operations against a [`faulty_peer`]: the second
+    /// (`jobs` GETs) meets `fault` on the connection the first left
+    /// kept. Returns the second operation's results and how long it
+    /// took.
+    fn fault_on_reuse(
+        jobs: usize,
+        fault: fn(&mut TcpStream),
+    ) -> (Vec<Result<Vec<u8>, StoreError>>, Duration) {
+        let (addr, peer) = faulty_peer(fault);
+        let pool = Arc::new(Pool::default());
+        let timeout = Duration::from_millis(400);
+        let run = |key: &str, count: usize| {
+            let mut conns = ParallelConnSet::new(timeout, None).with_pool(&pool);
+            let start = Instant::now();
+            let results = conns.run_batch((0..count).map(|_| (&*addr, get(key), identity)).collect());
+            (results, start.elapsed(), conns.connect_attempts(&addr))
+        };
+        let (first, _, dialed) = run("a", 1);
+        assert_eq!((first[0].as_ref().unwrap(), dialed), (&b"first".to_vec(), 1));
+        let (faulted, took, dialed) = run("b", jobs);
+        assert_eq!(dialed, 0, "the second operation did not reuse the kept connection");
+        let (third, _, dialed) = run("c", 1);
+        assert_eq!(third[0].as_ref().unwrap(), b"second", "{third:?}");
+        assert_eq!((dialed, pool.dials(&addr)), (1, 2), "the faulted connection was kept");
+        drop(pool);
+        peer.join().unwrap();
+        (faulted, took)
+    }
+
+    /// Every result is an answer or a typed transport error, and at
+    /// least one is the error; the operation did not hang.
+    fn typed_failure(what: &str, results: &[Result<Vec<u8>, StoreError>], took: Duration) {
+        let typed = |r: &Result<_, _>| {
+            matches!(r, Ok(_) | Err(StoreError::Io(_) | StoreError::Protocol(_) | StoreError::Timeout))
+        };
+        assert!(results.iter().all(typed), "{what}: {results:?}");
+        assert!(results.iter().any(Result::is_err), "{what}: {results:?}");
+        assert!(took < PATIENCE / 2, "{what} took {took:?}");
+    }
+
+    #[test]
+    fn a_reset_after_the_peer_reads_a_request_is_a_typed_error() {
+        let (results, took) = fault_on_reuse(2, |stream| {
+            request(stream).unwrap();
+            // Close with the second request unread: the kernel resets.
+            stream.peek(&mut [0]).unwrap();
+        });
+        typed_failure("reset", &results, took);
+        assert!(results.iter().all(Result::is_err), "{results:?}");
+    }
+
+    #[test]
+    fn half_an_answer_then_a_close_is_a_typed_error() {
+        let (results, took) = fault_on_reuse(1, |stream| {
+            let (id, _) = request(stream).unwrap();
+            let mut frame = Vec::new();
+            proto::write_frame(&mut frame, status::OK, id, &[&[7u8; 64][..]]).unwrap();
+            stream.write_all(&frame[..frame.len() / 2]).unwrap();
+        });
+        typed_failure("half an answer", &results, took);
+    }
+
+    #[test]
+    fn a_duplicated_response_id_is_a_typed_error() {
+        let (results, took) = fault_on_reuse(2, |stream| {
+            let (id, _) = request(stream).unwrap();
+            request(stream).unwrap();
+            for _ in 0..2 {
+                proto::write_frame(stream, status::OK, id, &[b"twice"]).unwrap();
+            }
+            until_hung_up(stream);
+        });
+        typed_failure("duplicated id", &results, took);
+        assert_eq!(results[0].as_ref().unwrap(), b"twice");
+        assert!(matches!(&results[1], Err(StoreError::Protocol(_))), "{results:?}");
+    }
+
+    #[test]
+    fn a_stall_past_the_io_timeout_is_a_typed_timeout() {
+        let (results, took) = fault_on_reuse(1, |stream| {
+            request(stream).unwrap();
+            until_hung_up(stream);
+        });
+        typed_failure("stall", &results, took);
+        assert!(matches!(results[0], Err(StoreError::Timeout)), "{results:?}");
+        assert!(took >= Duration::from_millis(400), "gave up early: {took:?}");
     }
 
     #[test]

@@ -20,6 +20,13 @@ type Fetched = Result<Result<Vec<u8>, ShardFault>, StoreError>;
 /// held back or still in flight.
 type FetchSlot = Option<Fetched>;
 
+/// The least a data fetch is waited for before it counts as a
+/// straggler, however fast the majority was. On a kept connection a
+/// healthy fetch takes well under a millisecond — the scale at which a
+/// busy host's scheduler delays one node's answer — so below this,
+/// lateness is noise, not a slow node.
+const MIN_PATIENCE: Duration = Duration::from_millis(5);
+
 /// How one shard fetch of a `get` ended.
 #[derive(Clone, Debug)]
 pub enum ShardOutcome {
@@ -113,7 +120,8 @@ fn decodable(codec: &dyn ErasureCoder, outcomes: &[FetchSlot]) -> bool {
 ///
 /// The straggler rule comes from the round's own arrivals: once most
 /// data fetches have been served, one still out after twice the time
-/// the slowest of those took is a straggler. A healthy peer lands within
+/// the slowest of those took (and at least [`MIN_PATIENCE`]) is a
+/// straggler. A healthy peer lands within
 /// the majority's spread, so a healthy read does not hedge, and a
 /// straggler holds the read up by at most the majority's time again
 /// before its backup goes out. With half or fewer served there is
@@ -132,7 +140,8 @@ fn wanted(
     let outstanding: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
     let mut recheck = None;
     if 2 * arrivals.len() > n && !outstanding.is_empty() {
-        let patience = 2 * *arrivals.iter().max().expect("a majority was served");
+        let slowest = *arrivals.iter().max().expect("a majority was served");
+        let patience = (2 * slowest).max(MIN_PATIENCE);
         if round.now >= patience {
             lost.extend(outstanding);
         } else {

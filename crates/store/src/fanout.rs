@@ -36,15 +36,31 @@
 //! verdicts back past the completion predicate. No workload measures
 //! either yet.
 //!
-//! Connection lifecycle: at most one connection per node address, kept
-//! for the operation the set serves. An idle connection costs a node no
-//! thread, so keeping them across operations waits only on a rule for
-//! when a kept one is poisoned and redialed, proved under network faults.
-//! A connect failure marks the address *dead for the rest of the
-//! operation* — no reconnect storms against a down node; typed `ERR`
-//! answers keep the connection (the stream is intact, the node just said
-//! no); any other failure drops the possibly-desynced connection, fails
-//! what else the round had on it, and lets the next round reconnect. A
+//! Connection lifecycle: at most one connection per node address in an
+//! operation, and at most one *idle* connection per address across
+//! operations. A client keeps a [`Pool`] for its lifetime; each
+//! operation's set takes a kept connection before it would dial, and
+//! when the set drops it returns every connection that ended the
+//! operation idle and intact — nothing outstanding, never failed, not an
+//! abandoned straggler. An idle connection costs a node a poll slot and
+//! no thread. A kept connection is reused only when
+//!
+//! * a zero-timeout `poll` for readable reports nothing — a FIN, an RST
+//!   or bytes nobody asked for mean the node closed the connection or is
+//!   confused, so it is closed and the address dialed afresh; and
+//! * it has been idle for less than half the node's idle deadline
+//!   ([`MAX_IDLE`], derived, not a knob), so the node's idle close can
+//!   never race a reuse.
+//!
+//! A node that vanished without a FIN (a host crash) passes both checks
+//! and shows up as [`StoreError::Timeout`] on the request, exactly as a
+//! fresh dial to a dead host would. Within an operation, a connect
+//! failure marks the address *dead for the rest of the operation* — no
+//! reconnect storms against a down node — and the next operation dials
+//! it again; typed `ERR` answers keep the connection (the stream is
+//! intact, the node just said no); any other failure drops the
+//! possibly-desynced connection, fails what else the round had on it,
+//! keeps it out of the pool, and lets the next round reconnect. A
 //! connection on which nothing moves for the I/O timeout is given up
 //! with [`StoreError::Timeout`], and a per-operation deadline, when set,
 //! ends the round it expires in.
@@ -54,9 +70,80 @@ use crate::error::StoreError;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Error, ErrorKind};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// One node address's slot in the pool.
+/// How long a node lets a connection sit without a frame before it
+/// closes it: `node.rs`'s `IDLE_DEADLINE`, the limit docs/STORE.md §7
+/// states for every node.
+const NODE_IDLE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// A kept connection idle this long is closed, not reused: half the
+/// node's idle deadline, so a request on a kept connection reaches a
+/// node with half its deadline still to run.
+pub(crate) const MAX_IDLE: Duration = Duration::from_secs(NODE_IDLE_DEADLINE.as_secs() / 2);
+
+/// Whether a connection idle for `idle` is young enough to reuse.
+pub(crate) fn fresh(idle: Duration) -> bool {
+    idle < MAX_IDLE
+}
+
+/// Whether an idle connection has nothing to say: a zero-timeout poll
+/// for readable. Readable, hung up or in error means the node closed it
+/// or sent bytes nobody asked for.
+fn quiet(conn: &NodeClient) -> bool {
+    let mut fds = [PollFd::new(conn.socket(), POLLIN)];
+    matches!(sys::poll_ready(&mut fds, Duration::ZERO), Ok(0))
+}
+
+/// The connections a client keeps between operations: at most one idle
+/// connection per node address, lent to each operation's
+/// [`ParallelConnSet`] and handed back when the set drops.
+#[derive(Default)]
+pub(crate) struct Pool(Mutex<Kept>);
+
+#[derive(Default)]
+struct Kept {
+    /// Per address: the idle connection, and when it went idle.
+    idle: HashMap<String, (NodeClient, Instant)>,
+    /// Dials per address over the pool's life, every operation counted.
+    dials: HashMap<String, u32>,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, Kept> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The kept connection to `addr`, if it may be reused (module docs);
+    /// a stale one is closed here.
+    fn take(&self, addr: &str) -> Option<NodeClient> {
+        let (conn, since) = self.lock().idle.remove(addr)?;
+        (fresh(since.elapsed()) && quiet(&conn)).then_some(conn)
+    }
+
+    /// How many times the operations served from this pool dialed
+    /// `addr`.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn dials(&self, addr: &str) -> u32 {
+        self.lock().dials.get(addr).copied().unwrap_or(0)
+    }
+
+    /// Run `f` on the connection kept for `addr` and the time it went
+    /// idle; `None` when there is none.
+    #[cfg(test)]
+    pub(crate) fn with_kept<R>(
+        &self,
+        addr: &str,
+        f: impl FnOnce(&NodeClient, &mut Instant) -> R,
+    ) -> Option<R> {
+        let mut kept = self.lock();
+        let (conn, since) = kept.idle.get_mut(addr)?;
+        Some(f(conn, since))
+    }
+}
+
+/// One node address's slot in an operation's set.
 enum Slot {
     /// An idle, believed-good connection.
     Ready(NodeClient),
@@ -115,8 +202,9 @@ pub(crate) struct FirstN<T> {
     pub timed_out: bool,
 }
 
-/// A pool of at-most-one connection per node address, scoped to one
-/// cluster operation, and the completion loop that runs rounds on it.
+/// One cluster operation's connections — at most one per node address,
+/// borrowed from a [`Pool`] or dialed, and handed back to the pool when
+/// the set drops — and the completion loop that runs rounds on them.
 pub(crate) struct ParallelConnSet {
     timeout: Duration,
     /// Absolute deadline of the operation this set serves (`None` =
@@ -126,6 +214,9 @@ pub(crate) struct ParallelConnSet {
     /// Connect attempts per address — observability, and the proof that
     /// a dead node is dialed once per operation, not once per object.
     connects: HashMap<String, u32>,
+    /// Where connections come from before a dial and go back to (`None`
+    /// = they close with the set).
+    pool: Option<Arc<Pool>>,
 }
 
 /// The jobs of a round and what has become of them.
@@ -282,7 +373,19 @@ impl<'a> Lane<'a> {
 
 impl ParallelConnSet {
     pub(crate) fn new(timeout: Duration, deadline: Option<Instant>) -> ParallelConnSet {
-        ParallelConnSet { timeout, deadline, slots: HashMap::new(), connects: HashMap::new() }
+        ParallelConnSet {
+            timeout,
+            deadline,
+            slots: HashMap::new(),
+            connects: HashMap::new(),
+            pool: None,
+        }
+    }
+
+    /// Borrow kept connections from `pool`, and return them to it.
+    pub(crate) fn with_pool(mut self, pool: &Arc<Pool>) -> ParallelConnSet {
+        self.pool = Some(Arc::clone(pool));
+        self
     }
 
     /// The per-I/O budget right now: the configured timeout, shrunk to
@@ -323,8 +426,9 @@ impl ParallelConnSet {
     /// returns as soon as `enough` holds over the partial outcomes, or
     /// nothing released is left in flight and `release` names nothing
     /// new, or the deadline expires. Stragglers are abandoned: their
-    /// connection is dropped (the next touch of that address reconnects)
-    /// and whatever they would have produced with it.
+    /// connection is dropped — never returned to the pool; the next
+    /// touch of that address reconnects — and whatever they would have
+    /// produced with it.
     pub(crate) fn run_first_n<'a, T, F: Post<T>>(
         &mut self,
         jobs: Vec<Job<'a, F>>,
@@ -417,8 +521,8 @@ impl ParallelConnSet {
                 }
             }
         }
-        // Back to the pool: connections with nothing outstanding, and
-        // the verdict on addresses that refused. A lane abandoned
+        // Back to the set: connections with nothing outstanding, and the
+        // verdict on addresses that refused. A lane abandoned
         // mid-request is dropped with its socket.
         for lane in lanes {
             let idle = lane.wants() == 0;
@@ -466,13 +570,16 @@ impl ParallelConnSet {
             match self.slots.remove(addr) {
                 Some(Slot::Ready(conn)) => lane.conn = Some(conn),
                 Some(Slot::Dead) => lane.dead = true,
-                None => {
-                    *self.connects.entry(addr.to_string()).or_insert(0) += 1;
-                    match NodeClient::dial(addr) {
-                        Ok(conn) => (lane.conn, lane.connecting) = (Some(conn), true),
-                        Err(e) => return lane.fail(e, round),
+                None => match self.pool.as_deref().and_then(|pool| pool.take(addr)) {
+                    Some(conn) => lane.conn = Some(conn),
+                    None => {
+                        *self.connects.entry(addr.to_string()).or_insert(0) += 1;
+                        match NodeClient::dial(addr) {
+                            Ok(conn) => (lane.conn, lane.connecting) = (Some(conn), true),
+                            Err(e) => return lane.fail(e, round),
+                        }
                     }
-                }
+                },
             }
         }
         if lane.dead {
@@ -480,6 +587,25 @@ impl ParallelConnSet {
         } else if !lane.connecting {
             if let Err(e) = lane.advance(POLLOUT, round) {
                 lane.fail(e, round);
+            }
+        }
+    }
+}
+
+impl Drop for ParallelConnSet {
+    /// Hand every connection the operation left idle and intact back to
+    /// the pool (one already kept for the address is closed), and add
+    /// the operation's dials to the pool's tally.
+    fn drop(&mut self) {
+        let Some(pool) = &self.pool else { return };
+        let now = Instant::now();
+        let mut kept = pool.lock();
+        for (addr, dials) in self.connects.drain() {
+            *kept.dials.entry(addr).or_insert(0) += dials;
+        }
+        for (addr, slot) in self.slots.drain() {
+            if let Slot::Ready(conn) = slot {
+                kept.idle.insert(addr, (conn, now));
             }
         }
     }

@@ -671,6 +671,116 @@ fn restarted_empty_node_repairs_in_place() {
     assert_eq!(cluster.get("obj").unwrap(), data);
 }
 
+/// `Cluster` is shared across client threads behind an `Arc`.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<Cluster>();
+};
+
+/// Every IPv4 TCP socket on this host whose remote end is the loopback
+/// `port`, as `(local port, state)` — the client ends of connections to
+/// the node serving it (`/proc/net/tcp`; states: 01 established,
+/// 08 close-wait, 04/05 fin-wait, 06 time-wait). The table is not read
+/// atomically, and other tests' sockets come and go while it is, so it
+/// is read until two reads agree.
+fn sockets_to(port: u16) -> Vec<(u16, u8)> {
+    let port_of = |end: &str| u16::from_str_radix(end.rsplit(':').next().unwrap(), 16).unwrap();
+    let read = || -> Vec<(u16, u8)> {
+        let table = std::fs::read_to_string("/proc/net/tcp").expect("/proc/net/tcp");
+        let sockets: std::collections::BTreeSet<_> = (table.lines().skip(1))
+            .filter_map(|line| {
+                let fields: Vec<&str> = line.split_whitespace().collect();
+                let state = u8::from_str_radix(fields[3], 16).unwrap();
+                (port_of(fields[2]) == port).then(|| (port_of(fields[1]), state))
+            })
+            .collect();
+        sockets.into_iter().collect()
+    };
+    let mut last = read();
+    loop {
+        match read() {
+            now if now == last => return now,
+            now => last = now,
+        }
+    }
+}
+
+fn port(addr: &str) -> u16 {
+    addr.rsplit(':').next().unwrap().parse().unwrap()
+}
+
+/// Connections this host holds open to `port`: established, or closed
+/// by the node and not yet by the client.
+fn held_open(port: u16) -> Vec<u16> {
+    (sockets_to(port).into_iter())
+        .filter(|&(_, state)| matches!(state, 0x01 | 0x08))
+        .map(|(local, _)| local)
+        .collect()
+}
+
+/// A node restarted empty at its address between two operations: the
+/// connection the cluster kept to it is found closed and dropped, the
+/// next `get` dials the node once, and decodes around its lost shard.
+#[test]
+fn a_node_restarted_empty_is_redialed_once_by_the_next_get() {
+    let mut tc = TestCluster::spawn("restartget", 4);
+    let cluster = tc.cluster(2, 2);
+    let data = sample_data(30_000, 6);
+    cluster.put("obj", &data).unwrap();
+    let addr = cluster.manifest("obj").unwrap().placement[0].clone();
+    let idx = tc.index_of(&addr);
+    let kept = held_open(port(&addr));
+    assert_eq!(kept.len(), 1, "the cluster keeps one connection per node");
+
+    tc.kill(idx);
+    let dir = tc.root.join(format!("node{idx}"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    tc.nodes[idx] = Some(NodeHandle::spawn(&dir, &addr, 2).expect("restart node"));
+    // Closed connections to the port linger in time-wait — earlier
+    // users of it, and the wake-ups the node's shutdown sends its own
+    // loops — so only sockets that change from here on are the get's.
+    let before = sockets_to(port(&addr));
+
+    let (got, report) = cluster.get_with_report("obj").unwrap();
+    assert_eq!(got, data);
+    assert_eq!(report.missing, vec![0], "{report:?}");
+    let dialed: Vec<(u16, u8)> = (sockets_to(port(&addr)).into_iter())
+        .filter(|socket| !before.contains(socket) && !kept.contains(&socket.0))
+        .collect();
+    assert_eq!(dialed.len(), 1, "one redial, and it is kept: {dialed:?}");
+    assert_eq!(held_open(port(&addr)), vec![dialed[0].0]);
+}
+
+/// Eight threads sharing one cluster each dial what they do not find
+/// kept; when they are done the cluster keeps one connection per node.
+#[test]
+fn threads_sharing_a_cluster_leave_one_kept_connection_per_node() {
+    let tc = TestCluster::spawn("sharedpool", 6);
+    let cluster = Arc::new(tc.cluster(4, 2));
+    let workers: Vec<_> = (0..8)
+        .map(|t| {
+            let cluster = cluster.clone();
+            std::thread::spawn(move || {
+                for k in 0..6 {
+                    let (name, data) = (format!("obj-{t}-{k}"), sample_data(5_000 + k, t));
+                    cluster.put(&name, &data).unwrap();
+                    assert_eq!(cluster.get(&name).unwrap(), data, "{name}");
+                }
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().expect("worker");
+    }
+    for addr in &tc.addrs {
+        assert_eq!(held_open(port(addr)).len(), 1, "{addr}: {:?}", sockets_to(port(addr)));
+    }
+    drop(cluster);
+    for addr in &tc.addrs {
+        assert_eq!(held_open(port(addr)), Vec::<u16>::new(), "{addr}: closed with the cluster");
+    }
+}
+
 /// A shard that did not land never enters the map: a damaged shard
 /// whose node left the membership is rebuilt for the best spare member,
 /// and when that member does not take it, the repair reports it
