@@ -1,7 +1,7 @@
 //! [`XorCodec`]: the one codec engine. A systematic XOR-linear erasure
 //! code is a parity bit-matrix plus a packet count per shard; everything
 //! else — encode, delta update, partial re-encode, decode, repair plans,
-//! verify, program caches — is the same for every such code and lives
+//! verify, the program table — is the same for every such code and lives
 //! here, once.
 
 use crate::error::EcError;
@@ -10,12 +10,12 @@ use crate::lru::LruCache;
 use bitmatrix::BitMatrix;
 use slp::{binary_slp_from_bitmatrix, Slp};
 use slp_optimizer::{optimize, OptConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use xor_runtime::{lock_unpoisoned as lock, ExecPool, ExecProgram, Kernel, PoolChoice};
 
 /// The engine knobs of an [`XorCodec`]: how programs are optimized,
-/// compiled, executed and cached. Which *code* runs is not in here.
+/// compiled and executed. Which *code* runs is not in here.
 ///
 /// Precedence, lowest to highest:
 ///
@@ -45,25 +45,15 @@ pub struct EngineConfig {
     /// worker (serial execution, still arena-reusing and mutex-free),
     /// `k > 1` = a dedicated `k`-worker pool.
     pub parallelism: usize,
-    /// Capacity of the per-erasure-pattern decode-program LRU cache:
-    /// `0` = auto (every empty/single/double erasure pattern fits).
-    pub decode_cache_cap: usize,
-    /// Capacity of the partial-program LRU cache (per-data-shard column
-    /// programs for delta parity updates and parity-row-subset programs
-    /// for partial repair): `0` = auto (every column program and every
-    /// single-row program fits, `n + p` entries).
-    pub partial_cache_cap: usize,
 }
 
 impl EngineConfig {
-    /// The paper's engine, with every cache capacity on auto.
+    /// The paper's engine.
     pub const PAPER: EngineConfig = EngineConfig {
         opt: OptConfig::FULL_DFS,
         blocksize: 1024,
         kernel: Kernel::Auto,
         parallelism: 0,
-        decode_cache_cap: 0,
-        partial_cache_cap: 0,
     };
 
     /// The default engine: [`EngineConfig::PAPER`] with the
@@ -85,61 +75,57 @@ impl Default for EngineConfig {
     }
 }
 
-/// A compiled decode pipeline for one erasure pattern.
-struct DecProgram {
-    /// The optimized SLP and its compiled form; `None` when no data shard
-    /// is lost (parity-only erasures need no inverse).
-    compiled: Option<(Slp, ExecProgram)>,
-    /// Indices (< n) of the data shards this program reconstructs.
-    lost_data: Vec<usize>,
-    /// `(shard, packet)` feeding each program input, in input order.
-    /// Survivor packets the recovery rows never read are dropped.
-    inputs: Vec<(usize, usize)>,
-    /// The distinct shards of `inputs`, in input order: the *exact* read
-    /// set of the program — for a locally-repairable code repairing a
-    /// single loss it is one local group, not all n survivors.
-    survivors: Vec<usize>,
-}
-
-/// Key of a cached partial (sub-matrix) XOR program.
-///
-/// The same pipeline that compiles the full parity matrix applies
-/// unchanged to any sub-matrix of it; these are the two shapes
-/// production traffic asks for.
+/// A request to the program table: what a program is compiled for.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum PartialKey {
+enum Key {
+    /// Rebuild the lost data shards of an erasure pattern (ascending,
+    /// deduplicated, losing at least one data shard).
+    Pattern(Vec<usize>),
     /// Column block `i` of the parity matrix: scales one data shard's
     /// *change* into the parity shards (delta updates).
     Column(usize),
     /// A strict subset of parity shards (ascending, 0-based within the
-    /// parity block): re-encodes only those (partial repair). The
-    /// full-row-set program is the encode program itself and is never
-    /// cached here.
+    /// parity block): re-encodes only those (partial repair).
     Rows(Vec<usize>),
 }
 
-/// A compiled partial program plus its optimized SLP (kept for metrics:
-/// the delta-update win is *provable* by comparing XOR counts).
-struct PartialProgram {
+/// A compiled XOR program and the packets it reads and writes.
+///
+/// Two requests with the same `(inputs, outputs)` compute the same
+/// linear map of the code over the same packets, so they share one
+/// `Program`: the decode of `{0, 1}` and of `{0, 1, 12, 13}` under
+/// RS(10, 4) pick the same survivors and are one entry.
+struct Program {
+    /// The optimized SLP (kept for metrics: XOR counts prove the delta
+    /// and partial-repair wins).
     slp: Slp,
     prog: ExecProgram,
-    /// Parity packets (bit-matrix rows, 0-based within the parity block,
-    /// ascending) the program produces. Column programs skip parity
-    /// packets the column block does not feed — for a locality-grouped
-    /// matrix a data shard only reaches its own group's local parity plus
-    /// the globals. Dense for row subsets.
-    rows: Vec<usize>,
+    /// `(shard, packet)` feeding each program input, in input order,
+    /// grouped by shard. A decode reads only the survivor packets its
+    /// recovery rows use: under LRC, one local group.
+    inputs: Vec<(usize, usize)>,
+    /// `(shard, packet)` each program output writes, ascending. A column
+    /// program skips the parity packets its column block does not feed.
+    outputs: Vec<(usize, usize)>,
+}
+
+/// The distinct shards of a packet list grouped by shard, in order: a
+/// program's exact read set, or the data shards a decode rebuilds.
+fn shards_of(packets: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
+    packets.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0)
 }
 
 /// A systematic XOR-linear erasure codec over `n` data and `p` parity
 /// shards of `w` packets each, defined by its `p·w × n·w` parity
 /// bit-matrix and computed entirely by optimized XOR programs.
 ///
-/// Construction compiles the optimized encode program once; decode
-/// programs are compiled lazily per erasure pattern — pick surviving
-/// packets, invert over GF(2), optimize the recovery rows — and kept in a
-/// bounded LRU cache ([`EngineConfig::decode_cache_cap`]). All methods
-/// take `&self` and the codec is `Send + Sync`.
+/// Construction compiles the optimized encode program once. Every other
+/// program — the decode of an erasure pattern (pick surviving packets,
+/// invert over GF(2), optimize the recovery rows), a delta update's
+/// column program, a partial repair's row program — is compiled on first
+/// use into one bounded LRU program table. Requests that resolve to the
+/// same packets share one program ([`XorCodec::programs`] counts them).
+/// All methods take `&self` and the codec is `Send + Sync`.
 ///
 /// Execution stripes across an [`ExecPool`] (the
 /// [`EngineConfig::parallelism`] knob): every worker owns a persistent
@@ -163,8 +149,7 @@ pub struct XorCodec {
     enc_slp: Slp,
     enc_prog: ExecProgram,
     pool: PoolChoice,
-    dec_cache: Mutex<LruCache<Vec<usize>, Arc<DecProgram>>>,
-    partial_cache: Mutex<LruCache<PartialKey, Arc<PartialProgram>>>,
+    table: Mutex<LruCache<Key, Arc<Program>>>,
 }
 
 impl XorCodec {
@@ -229,21 +214,12 @@ impl XorCodec {
         generator.paste(n * w, 0, parity);
         let enc_slp = optimize(&binary_slp_from_bitmatrix(parity), cfg.opt);
         let enc_prog = ExecProgram::compile(&enc_slp, cfg.blocksize, cfg.kernel);
-        // Auto cache capacity: every empty, single and double erasure
-        // pattern fits (1 + t + C(t, 2) keys) — the patterns production
-        // repair traffic actually cycles through.
+        // The table holds every single and double erasure pattern
+        // (t + C(t, 2) keys — the patterns repair traffic cycles through),
+        // every column and single-row program (t keys: the delta-update
+        // and parity-repair working set), and one key more.
         let t = n + p;
-        let decode_cap = match cfg.decode_cache_cap {
-            0 => 1 + t + t * (t - 1) / 2,
-            cap => cap,
-        };
-        // Auto partial-program capacity: every per-data-shard column
-        // program (the delta-update working set) and every single-row
-        // repair program fit simultaneously.
-        let partial_cap = match cfg.partial_cache_cap {
-            0 => n + p,
-            cap => cap,
-        };
+        let capacity = 1 + 2 * t + t * (t - 1) / 2;
         Ok(XorCodec {
             n,
             p,
@@ -255,8 +231,7 @@ impl XorCodec {
             enc_slp,
             enc_prog,
             pool: PoolChoice::from_parallelism(cfg.parallelism),
-            dec_cache: Mutex::new(LruCache::new(decode_cap)),
-            partial_cache: Mutex::new(LruCache::new(partial_cap)),
+            table: Mutex::new(LruCache::new(capacity)),
         })
     }
 
@@ -304,26 +279,11 @@ impl XorCodec {
         &self.enc_slp
     }
 
-    /// Number of decode programs currently cached.
-    pub fn decode_cache_len(&self) -> usize {
-        lock(&self.dec_cache).len()
-    }
-
-    /// The decode-cache capacity in effect (the resolved value of
-    /// [`EngineConfig::decode_cache_cap`]).
-    pub fn decode_cache_capacity(&self) -> usize {
-        lock(&self.dec_cache).cap()
-    }
-
-    /// Number of partial (column / row-subset) programs currently cached.
-    pub fn partial_cache_len(&self) -> usize {
-        lock(&self.partial_cache).len()
-    }
-
-    /// The partial-program cache capacity in effect (the resolved value
-    /// of [`EngineConfig::partial_cache_cap`]).
-    pub fn partial_cache_capacity(&self) -> usize {
-        lock(&self.partial_cache).cap()
+    /// Number of distinct compiled programs in the program table
+    /// (decode, column and row-subset; requests that share a program
+    /// count once).
+    pub fn programs(&self) -> usize {
+        lock(&self.table).values().map(Arc::as_ptr).collect::<HashSet<_>>().len()
     }
 
     /// The optimized decoding SLP for an erasure pattern (for metrics;
@@ -334,9 +294,8 @@ impl XorCodec {
     /// decoding is then a no-op with no program to return (repair parity
     /// with [`XorCodec::encode_parity_partial`] instead).
     pub fn decode_slp(&self, lost: &[usize]) -> Result<Slp, EcError> {
-        let dec = self.decode_program(lost)?;
-        match &dec.compiled {
-            Some((slp, _)) => Ok(slp.clone()),
+        match self.decode_program(lost)? {
+            Some(dec) => Ok(dec.slp.clone()),
             None => Err(EcError::NoDataLost),
         }
     }
@@ -514,42 +473,106 @@ impl XorCodec {
     }
 
     // ------------------------------------------------------------------
-    // Partial programs: delta updates and partial repair
+    // The program table
     // ------------------------------------------------------------------
 
-    /// Compile (or fetch from the partial-program cache) the XOR program
-    /// for a sub-matrix of the parity block.
-    ///
-    /// The pipeline is exactly the full-encode pipeline — lift the
-    /// sub-matrix to an SLP, optimize, compile — applied to a column
-    /// block (delta update) or a row subset (partial repair) of the
-    /// `p·w × n·w` parity matrix.
-    fn partial_program(&self, key: PartialKey) -> Arc<PartialProgram> {
-        if let Some(hit) = lock(&self.partial_cache).get(&key) {
-            return hit;
+    /// The compiled program for `key`. A hit is one hash lookup. A miss
+    /// resolves the request to the packets its program reads and writes;
+    /// a live entry with that signature is shared, otherwise the program
+    /// is compiled outside the lock.
+    fn program(&self, key: Key) -> Result<Arc<Program>, EcError> {
+        if let Some(hit) = lock(&self.table).get(&key) {
+            return Ok(hit);
         }
-        let (n, p, w) = (self.n, self.p, self.w);
-        let parity = self.generator.row_range(n * w, p * w);
-        let (bits, rows) = match &key {
-            PartialKey::Column(i) => {
-                // Keep only the parity packets this column block feeds: a
-                // zero row contributes nothing and has no SLP form.
-                let block = parity.col_range(i * w, w);
-                let rows: Vec<usize> =
-                    (0..p * w).filter(|&r| block.row_popcount(r) > 0).collect();
-                (block.select_rows(&rows), rows)
-            }
-            PartialKey::Rows(shards) => {
-                let rows: Vec<usize> =
-                    shards.iter().flat_map(|&r| r * w..(r + 1) * w).collect();
-                (parity.select_rows(&rows), rows)
+        let (bits, inputs, outputs) = self.resolve(&key)?;
+        let packets = |rows: Vec<usize>| -> Vec<(usize, usize)> {
+            rows.into_iter().map(|g| (g / self.w, g % self.w)).collect()
+        };
+        let (inputs, outputs) = (packets(inputs), packets(outputs));
+        let shared = |table: &LruCache<Key, Arc<Program>>| {
+            table.values().find(|p| p.inputs == inputs && p.outputs == outputs).cloned()
+        };
+        let mut table = lock(&self.table);
+        let program = match shared(&table) {
+            Some(program) => program,
+            None => {
+                drop(table);
+                let (slp, prog) = self.compile(&bits);
+                table = lock(&self.table);
+                // A concurrent miss may have compiled it meanwhile.
+                shared(&table).unwrap_or_else(|| Arc::new(Program { slp, prog, inputs, outputs }))
             }
         };
-        let (slp, prog) = self.compile(&bits);
-        let entry = Arc::new(PartialProgram { slp, prog, rows });
-        lock(&self.partial_cache).insert(key, entry.clone());
-        entry
+        table.insert(key, program.clone());
+        Ok(program)
     }
+
+    /// Resolve a request to the bit-matrix of its program and the
+    /// generator rows — packet `g % w` of shard `g / w` — it reads and
+    /// writes. A data packet is also a column of the parity matrix.
+    ///
+    /// The pipeline is exactly the full-encode pipeline applied to a
+    /// sub-matrix of the generator: a column block (delta update), a row
+    /// subset (partial repair), or the recovery rows of an inverse
+    /// (decode). An equal signature implies an identical matrix: the
+    /// chosen survivor packets are independent, so the lost packets have
+    /// exactly one expression over the ones a decode reads.
+    fn resolve(&self, key: &Key) -> Result<(BitMatrix, Vec<usize>, Vec<usize>), EcError> {
+        let (n, p, w) = (self.n, self.p, self.w);
+        match key {
+            Key::Pattern(lost) => {
+                // Greedy independent-row selection over the surviving
+                // generator rows: any n·w independent packets decode. The
+                // candidate ordering steers *which* basis wins —
+                // locality-first for a grouped code, natural order (≡ the
+                // classic first-n choice for an MDS code) otherwise.
+                let candidates = self.survivor_order(lost);
+                let rows: Vec<usize> =
+                    candidates.iter().flat_map(|&i| i * w..(i + 1) * w).collect();
+                let surviving = self.generator.select_rows(&rows);
+                let chosen = surviving.select_independent_rows();
+                if chosen.len() < n * w {
+                    return Err(EcError::SingularPattern { lost: lost.clone() });
+                }
+                let inv = surviving
+                    .select_rows(&chosen)
+                    .invert()
+                    .expect("independent rows form an invertible square");
+                // Rows of the inverse for the lost data packets express
+                // them as combinations of the chosen survivor packets.
+                let lost_rows: Vec<usize> =
+                    lost.iter().filter(|&&i| i < n).flat_map(|&i| i * w..(i + 1) * w).collect();
+                let rec = inv.select_rows(&lost_rows);
+                // Drop survivor packets no recovery row reads: the
+                // program's inputs then name exactly the shards a repair
+                // must fetch.
+                let mut used = BTreeSet::new();
+                for r in 0..rec.rows() {
+                    used.extend(rec.ones_in_row(r));
+                }
+                let used: Vec<usize> = used.into_iter().collect();
+                let inputs = used.iter().map(|&c| rows[chosen[c]]).collect();
+                Ok((rec.select_cols(&used), inputs, lost_rows))
+            }
+            Key::Column(i) => {
+                // Keep only the parity packets this column block feeds: a
+                // zero row contributes nothing and has no SLP form.
+                let block = self.generator.col_range(i * w, w);
+                let rows: Vec<usize> =
+                    (n * w..(n + p) * w).filter(|&g| block.row_popcount(g) > 0).collect();
+                Ok((block.select_rows(&rows), (i * w..(i + 1) * w).collect(), rows))
+            }
+            Key::Rows(shards) => {
+                let rows: Vec<usize> =
+                    shards.iter().flat_map(|&r| (n + r) * w..(n + r + 1) * w).collect();
+                Ok((self.generator.select_rows(&rows), (0..n * w).collect(), rows))
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Partial programs: delta updates and partial repair
+    // ------------------------------------------------------------------
 
     /// Validate and normalize a parity-row subset: ascending, in-range,
     /// non-empty. Returns `None` when the subset is the *full* row set —
@@ -604,14 +627,15 @@ impl XorCodec {
         // parity plus the globals, so the untouched packets are skipped
         // here. The packet list is thread-local scratch: a steady-state
         // update allocates nothing.
-        let entry = self.partial_program(PartialKey::Column(shard_index));
+        let entry = self.program(Key::Column(shard_index))?;
+        let (n, w) = (self.n, self.w);
         xor_runtime::with_ref_scratch(|_, touched| {
             touched.extend(
                 parity
                     .iter_mut()
-                    .flat_map(|s| layout::packets_mut(s, self.w))
+                    .flat_map(|s| layout::packets_mut(s, w))
                     .enumerate()
-                    .filter(|(r, _)| entry.rows.binary_search(r).is_ok())
+                    .filter(|(r, _)| entry.outputs.binary_search(&(n + r / w, r % w)).is_ok())
                     .map(|(_, packet)| packet),
             );
             Ok(entry.prog.run_delta_striped(
@@ -645,7 +669,7 @@ impl XorCodec {
         if self.encode_prologue(data, parity, self.n, key.len())? == 0 {
             return Ok(());
         }
-        let entry = self.partial_program(PartialKey::Rows(key));
+        let entry = self.program(Key::Rows(key))?;
         self.run_shards(&entry.prog, data, parity)
     }
 
@@ -654,7 +678,7 @@ impl XorCodec {
     /// pays, against [`XorCodec::encode_slp`] for the full stripe).
     pub fn update_slp(&self, shard_index: usize) -> Result<Slp, EcError> {
         self.check_data_index(shard_index)?;
-        Ok(self.partial_program(PartialKey::Column(shard_index)).slp.clone())
+        Ok(self.program(Key::Column(shard_index))?.slp.clone())
     }
 
     /// The optimized SLP of a parity-row-subset program (for metrics).
@@ -662,7 +686,7 @@ impl XorCodec {
     pub fn partial_encode_slp(&self, rows: &[usize]) -> Result<Slp, EcError> {
         match self.normalize_rows(rows)? {
             None => Ok(self.enc_slp.clone()),
-            Some(key) => Ok(self.partial_program(PartialKey::Rows(key)).slp.clone()),
+            Some(key) => Ok(self.program(Key::Rows(key))?.slp.clone()),
         }
     }
 
@@ -670,10 +694,10 @@ impl XorCodec {
     // Decoding
     // ------------------------------------------------------------------
 
-    /// Compile (or fetch from cache) the decode program for an erasure
-    /// pattern.
-    fn decode_program(&self, lost: &[usize]) -> Result<Arc<DecProgram>, EcError> {
-        let (n, p, w) = (self.n, self.p, self.w);
+    /// The decode program of an erasure pattern, or `None` when the
+    /// pattern loses no data shard (nothing to decode).
+    fn decode_program(&self, lost: &[usize]) -> Result<Option<Arc<Program>>, EcError> {
+        let (n, p) = (self.n, self.p);
         let mut lost: Vec<usize> = lost.to_vec();
         lost.sort_unstable();
         lost.dedup();
@@ -686,53 +710,10 @@ impl XorCodec {
         if lost.len() > p {
             return Err(EcError::TooManyErasures { missing: lost.len(), parity: p });
         }
-        if let Some(hit) = lock(&self.dec_cache).get(&lost) {
-            return Ok(hit);
+        if lost.iter().all(|&i| i >= n) {
+            return Ok(None);
         }
-
-        let lost_data: Vec<usize> = lost.iter().copied().filter(|&i| i < n).collect();
-        let (compiled, inputs): (_, Vec<(usize, usize)>) = if lost_data.is_empty() {
-            (None, Vec::new())
-        } else {
-            // Greedy independent-row selection over the surviving
-            // generator rows: any n·w independent packets decode. The
-            // candidate ordering steers *which* basis wins —
-            // locality-first for a grouped code, natural order (≡ the
-            // classic first-n choice for an MDS code) otherwise.
-            let candidates = self.survivor_order(&lost);
-            let rows: Vec<usize> = candidates.iter().flat_map(|&i| i * w..(i + 1) * w).collect();
-            let surviving = self.generator.select_rows(&rows);
-            let chosen = surviving.select_independent_rows();
-            if chosen.len() < n * w {
-                return Err(EcError::SingularPattern { lost });
-            }
-            let inv = surviving
-                .select_rows(&chosen)
-                .invert()
-                .expect("independent rows form an invertible square");
-            // Rows of the inverse for the lost data packets express them
-            // as combinations of the chosen survivor packets.
-            let lost_rows: Vec<usize> =
-                lost_data.iter().flat_map(|&i| i * w..(i + 1) * w).collect();
-            let rec = inv.select_rows(&lost_rows);
-            // Drop survivor packets no recovery row reads: the program's
-            // input list then names exactly the shards a repair must
-            // fetch (a single loss in a local group reads that group,
-            // not all n survivors).
-            let mut used = BTreeSet::new();
-            for r in 0..rec.rows() {
-                used.extend(rec.ones_in_row(r));
-            }
-            let used: Vec<usize> = used.into_iter().collect();
-            let inputs = used.iter().map(|&c| (rows[chosen[c]] / w, rows[chosen[c]] % w)).collect();
-            (Some(self.compile(&rec.select_cols(&used))), inputs)
-        };
-        // Inputs are grouped by shard, so neighbours suffice to dedup.
-        let mut survivors: Vec<usize> = inputs.iter().map(|&(shard, _)| shard).collect();
-        survivors.dedup();
-        let dec = Arc::new(DecProgram { compiled, lost_data, inputs, survivors });
-        lock(&self.dec_cache).insert(lost, dec.clone());
-        Ok(dec)
+        self.program(Key::Pattern(lost)).map(Some)
     }
 
     /// The surviving shards of an erasure pattern, in the order row
@@ -768,17 +749,17 @@ impl XorCodec {
         candidates
     }
 
-    /// Run a decode program: one rebuilt `len`-byte shard per entry of
-    /// `dec.lost_data`, from the survivor packets its inputs name (the
-    /// caller has checked they are present).
+    /// Run a decode program: one rebuilt `len`-byte shard per lost data
+    /// shard, from the survivor packets its inputs name (the caller has
+    /// checked they are present).
     fn rebuild_lost_data(
         &self,
-        dec: &DecProgram,
+        dec: &Program,
         shards: &[Option<Vec<u8>>],
         len: usize,
     ) -> Result<Vec<Vec<u8>>, EcError> {
-        let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; dec.lost_data.len()];
-        if let (Some((_, prog)), true) = (&dec.compiled, len > 0) {
+        let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; dec.outputs.len() / self.w];
+        if len > 0 {
             let pl = len / self.w;
             let inputs: Vec<&[u8]> = dec
                 .inputs
@@ -789,7 +770,7 @@ impl XorCodec {
                 .collect();
             let mut outputs: Vec<&mut [u8]> =
                 rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
-            prog.run_striped(&inputs, &mut outputs, self.pool.pool(), self.pool.workers())?;
+            dec.prog.run_striped(&inputs, &mut outputs, self.pool.pool(), self.pool.workers())?;
         }
         Ok(rebuilt)
     }
@@ -802,7 +783,7 @@ impl XorCodec {
     /// code's traffic win comes from.
     pub fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
         let dec = self.decode_program(lost)?;
-        let mut sources: BTreeSet<usize> = dec.survivors.iter().copied().collect();
+        let mut sources: BTreeSet<usize> = dec.iter().flat_map(|d| shards_of(&d.inputs)).collect();
         for &i in lost.iter().filter(|&&i| i >= self.n) {
             sources.extend(
                 (0..self.n).filter(|j| !lost.contains(j) && self.reads.get(i - self.n, *j)),
@@ -840,7 +821,8 @@ impl XorCodec {
             return Ok(());
         }
         let dec = self.decode_program(targets)?;
-        if let Some(&absent) = dec.survivors.iter().find(|&&s| shards[s].is_none()) {
+        let mut sources = dec.iter().flat_map(|d| shards_of(&d.inputs));
+        if let Some(absent) = sources.find(|&s| shards[s].is_none()) {
             return Err(EcError::MissingSource { shard: absent });
         }
         let len =
@@ -848,9 +830,11 @@ impl XorCodec {
 
         // Phase 1: reconstruct lost data shards from the program's
         // survivor inputs.
-        let rebuilt = self.rebuild_lost_data(&dec, shards, len)?;
-        for (&i, shard) in dec.lost_data.iter().zip(rebuilt) {
-            shards[i] = Some(shard);
+        if let Some(dec) = &dec {
+            let rebuilt = self.rebuild_lost_data(dec, shards, len)?;
+            for (i, shard) in shards_of(&dec.outputs).zip(rebuilt) {
+                shards[i] = Some(shard);
+            }
         }
 
         // Phase 2: re-encode only the *target* parity rows (their data
@@ -904,8 +888,10 @@ impl XorCodec {
             )));
         }
 
-        let dec = self.decode_program(&missing)?;
-        let rebuilt = self.rebuild_lost_data(&dec, shards, len)?;
+        let rebuilt = match self.decode_program(&missing)? {
+            Some(dec) => self.rebuild_lost_data(&dec, shards, len)?,
+            None => Vec::new(),
+        };
 
         // Stitch data shards back together and strip the padding.
         let mut out = Vec::with_capacity(n * len);
@@ -1274,7 +1260,7 @@ mod tests {
         // completes the basis and P2 is never read.
         let codec = toy();
         assert_eq!(codec.repair_sources(&[1]).unwrap(), vec![0, 2, 3, 4]);
-        let dec = codec.decode_program(&[1]).unwrap();
+        let dec = codec.decode_program(&[1]).unwrap().expect("data lost");
         assert_eq!(
             dec.inputs,
             vec![(0, 0), (0, 2), (2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (4, 0)]
@@ -1310,7 +1296,10 @@ mod tests {
         let base = full(&data);
 
         // Column programs produce only the parity packets they feed.
-        let rows = |i| codec.partial_program(PartialKey::Column(i)).rows.clone();
+        let rows = |i| -> Vec<usize> {
+            let column = codec.program(Key::Column(i)).unwrap();
+            column.outputs.iter().map(|&(shard, b)| (shard - n) * w + b).collect()
+        };
         assert_eq!(rows(0), (0..9).collect::<Vec<_>>());
         assert_eq!(rows(1), vec![0, 2, 3, 4, 5, 6, 7, 8], "P0 packet 1 ignores d1");
         assert_eq!(rows(2), (0..6).collect::<Vec<_>>(), "P2 ignores d2");
@@ -1364,65 +1353,99 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Program caches
+    // The program table
     // ------------------------------------------------------------------
 
     #[test]
-    fn decode_cache_evicts_least_recently_used() {
-        let codec = toy_with(EngineConfig { decode_cache_cap: 2, ..EngineConfig::new() });
-        assert_eq!(codec.decode_cache_capacity(), 2);
-        let p0 = codec.decode_program(&[0]).unwrap();
-        let p1 = codec.decode_program(&[1]).unwrap();
+    fn program_table_evicts_least_recently_used() {
+        let codec = toy();
+        *lock(&codec.table) = LruCache::new(2);
+        let p0 = codec.decode_program(&[0]).unwrap().unwrap();
+        let p1 = codec.decode_program(&[1]).unwrap().unwrap();
         // Touch [0] so [1] is the LRU entry, then insert a third pattern.
-        let p0_again = codec.decode_program(&[0]).unwrap();
+        let p0_again = codec.decode_program(&[0]).unwrap().unwrap();
         assert!(Arc::ptr_eq(&p0, &p0_again));
         let _p2 = codec.decode_program(&[2]).unwrap();
         // [1] was evicted → recompiled on next request (a fresh Arc).
         // ([0] may itself be evicted by re-inserting [1]; only the
         // recompilation of [1] is the invariant under cap 2.)
-        let p1_fresh = codec.decode_program(&[1]).unwrap();
+        let p1_fresh = codec.decode_program(&[1]).unwrap().unwrap();
         assert!(!Arc::ptr_eq(&p1, &p1_fresh));
         let data = random_bytes(9 * 24, 5);
         let shards = codec.encode(&data).unwrap();
         for lost in 0..6 {
             let rx = erase(&shards, &[lost]);
             assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {lost}");
-            assert!(codec.decode_cache_len() <= 2, "cache exceeded its cap");
+            assert!(lock(&codec.table).len() <= 2, "table exceeded its capacity");
         }
     }
 
     #[test]
-    fn decode_cache_is_reused() {
+    fn program_table_is_reused() {
         let codec = toy();
-        assert_eq!(codec.decode_cache_capacity(), 1 + 6 + 15, "auto: ≤ 2 erasures fit");
-        let p1 = codec.decode_program(&[0]).unwrap();
-        let p2 = codec.decode_program(&[0]).unwrap();
+        assert_eq!(lock(&codec.table).cap(), 1 + 2 * 6 + 15, "auto capacity");
+        let p1 = codec.decode_program(&[0]).unwrap().unwrap();
+        let p2 = codec.decode_program(&[0]).unwrap().unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         // different order (and a repeat), same pattern
-        let p3 = codec.decode_program(&[1, 0, 1]).unwrap();
-        let p4 = codec.decode_program(&[0, 1]).unwrap();
+        let p3 = codec.decode_program(&[1, 0, 1]).unwrap().unwrap();
+        let p4 = codec.decode_program(&[0, 1]).unwrap().unwrap();
         assert!(Arc::ptr_eq(&p3, &p4));
-        assert_eq!(codec.decode_cache_len(), 2);
+        assert_eq!(codec.programs(), 2);
+        // A pattern that loses no data shard holds no entry.
+        assert!(codec.decode_program(&[3, 5]).unwrap().is_none());
+        assert!(codec.decode_program(&[]).unwrap().is_none());
+        assert_eq!(lock(&codec.table).len(), 2);
     }
 
     #[test]
-    fn partial_cache_is_reused_and_bounded() {
-        let codec = toy_with(EngineConfig { partial_cache_cap: 2, ..EngineConfig::new() });
-        assert_eq!(codec.partial_cache_capacity(), 2);
-        let a = codec.partial_program(PartialKey::Column(0));
-        let b = codec.partial_program(PartialKey::Column(0));
-        assert!(Arc::ptr_eq(&a, &b), "cache hit must return the same program");
-        // Fill past the cap with distinct columns: LRU evicts column 0.
-        for i in 1..3 {
-            let _ = codec.partial_program(PartialKey::Column(i));
+    fn equal_signatures_share_one_program() {
+        // Losing d0 reads d1, d2 and P0 (its first three independent
+        // packets complete the basis); losing P2 as well changes nothing
+        // the decode reads, so both keys hold one program.
+        let codec = toy();
+        let alone = codec.decode_program(&[0]).unwrap().unwrap();
+        let with_p2 = codec.decode_program(&[0, 5]).unwrap().unwrap();
+        assert_eq!(alone.inputs, with_p2.inputs);
+        assert!(Arc::ptr_eq(&alone, &with_p2));
+        let keys = lock(&codec.table).len();
+        assert_eq!((keys, codec.programs()), (2, 1));
+        // A different survivor set is a different program.
+        let with_p0 = codec.decode_program(&[0, 3]).unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&alone, &with_p0));
+        assert_eq!(codec.programs(), 2);
+        // The shared program rebuilds both patterns.
+        let data = random_bytes(9 * 30, 8);
+        let shards = codec.encode(&data).unwrap();
+        for lost in [vec![0], vec![0, 5], vec![0, 3]] {
+            let mut rx = erase(&shards, &lost);
+            assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {lost:?}");
+            codec.reconstruct(&mut rx).unwrap();
+            assert_eq!(rx.into_iter().map(Option::unwrap).collect::<Vec<_>>(), shards);
         }
-        assert_eq!(codec.partial_cache_len(), 2);
-        assert!(!lock(&codec.partial_cache).contains(&PartialKey::Column(0)));
-        let fresh = codec.partial_program(PartialKey::Column(0));
-        assert!(!Arc::ptr_eq(&a, &fresh), "evicted program must recompile");
-        // Row-subset keys share the same cache.
-        let _ = codec.partial_program(PartialKey::Rows(vec![1]));
-        assert!(codec.partial_cache_len() <= 2, "cache exceeded its cap");
-        assert!(lock(&codec.partial_cache).contains(&PartialKey::Rows(vec![1])));
+    }
+
+    #[test]
+    fn column_and_row_programs_share_the_table() {
+        let codec = toy();
+        *lock(&codec.table) = LruCache::new(2);
+        let a = codec.program(Key::Column(0)).unwrap();
+        let b = codec.program(Key::Column(0)).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "a hit must return the same program");
+        // Fill past the capacity with distinct columns: LRU evicts column 0.
+        for i in 1..3 {
+            let _ = codec.program(Key::Column(i)).unwrap();
+        }
+        assert_eq!(codec.programs(), 2);
+        assert!(!lock(&codec.table).contains(&Key::Column(0)));
+        let fresh = codec.program(Key::Column(0)).unwrap();
+        assert!(!Arc::ptr_eq(&a, &fresh), "an evicted program must recompile");
+        // Row-subset and decode keys share the same table.
+        let _ = codec.program(Key::Rows(vec![1])).unwrap();
+        assert!(codec.programs() <= 2, "table exceeded its capacity");
+        assert!(lock(&codec.table).contains(&Key::Rows(vec![1])));
+        let _ = codec.decode_program(&[1]).unwrap();
+        assert!(lock(&codec.table).contains(&Key::Pattern(vec![1])));
+        assert!(!lock(&codec.table).contains(&Key::Column(0)));
     }
 }

@@ -10,8 +10,8 @@
 //!   parity bit-matrix and optional locality groups it owns the only
 //!   implementation of encode, delta update, partial re-encode, decode
 //!   (pick surviving packets, invert over GF(2), optimize the recovery
-//!   rows), repair planning and verification, the only program-cache
-//!   type, the only shard ↔ packet layout and the only error enum
+//!   rows), repair planning and verification, the one program table,
+//!   the only shard ↔ packet layout and the only error enum
 //!   ([`EcError`]). Reed–Solomon and LRC (`ec-core`) are constructors
 //!   that expand a GF(2^8) matrix to bits and hand it over.
 //! * [`ArrayCodec`] — EVENODD and RDP, the classical two-parity *array

@@ -1,16 +1,14 @@
-//! A small bounded least-recently-used map for compiled programs — the
-//! engine's only program-cache type (decode programs per erasure
-//! pattern, column/row-subset programs per key).
+//! A small bounded least-recently-used map: the codec's one program
+//! table (decode, column and row-subset programs).
 //!
-//! Compiling a decode program runs the whole optimization pipeline, so
-//! the cache matters — but the pattern space is `C(n+p, ≤p)`, which for
-//! wide codes is far too large to hold unboundedly. This LRU keeps the
-//! hot patterns (in practice: the handful of erasure patterns a cluster
-//! is currently repairing) and recompiles cold ones on demand.
+//! Compiling a program runs the whole optimization pipeline, so the
+//! table matters — but the pattern space is `C(n+p, ≤p)`, far too large
+//! to hold unboundedly for wide codes. This LRU keeps the hot requests
+//! (the erasure patterns a cluster is repairing, the columns it is
+//! updating) and recompiles cold ones on demand.
 //!
-//! Eviction scans for the oldest stamp, which is O(len); caps are small
-//! (default: every single and double erasure), so a linked order list
-//! would be more code for no measurable win.
+//! Eviction scans for the oldest stamp, which is O(len); the capacity is
+//! small, so a linked order list would be more code for no measurable win.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -65,12 +63,19 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.contains_key(k)
     }
 
+    /// Every cached value, without touching recency.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|(_, v)| v)
+    }
+
     /// Number of cached entries.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
     /// The configured capacity.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub fn cap(&self) -> usize {
         self.cap
     }

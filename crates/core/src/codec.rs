@@ -17,7 +17,7 @@ pub(crate) const PACKETS_PER_SHARD: usize = 8;
 /// [`XorCodec`] with `w = 8` packets per shard. It derefs to that engine,
 /// which holds every operation (`encode`, `decode`, `reconstruct`,
 /// `update_parity`, `repair_sources`, `verify`, …) and the program
-/// caches.
+/// table.
 pub struct RsCodec {
     engine: XorCodec,
     cfg: RsConfig,
@@ -194,6 +194,9 @@ mod tests {
         codec.reconstruct(&mut received).unwrap();
         assert_eq!(received[4].as_ref().unwrap(), &shards[4]);
         assert_eq!(received[5].as_ref().unwrap(), &shards[5]);
+        // Neither compiled anything: the pattern has no decode program
+        // and the full row set is the encode program.
+        assert_eq!(codec.programs(), 0);
     }
 
     #[test]
@@ -539,10 +542,50 @@ mod tests {
     }
 
     #[test]
-    fn default_partial_cache_capacity_fits_columns_and_single_rows() {
+    fn the_default_table_holds_the_repair_and_update_working_set() {
+        // Every single and double data loss, every single-parity repair
+        // of one data loss, every column and every single row: 109 keys.
+        // Nothing is evicted, so each distinct program is still there.
         let codec = RsCodec::new(10, 4).unwrap();
-        assert_eq!(codec.partial_cache_capacity(), 14);
-        assert_eq!(codec.partial_cache_len(), 0);
+        assert_eq!(codec.programs(), 0);
+        let mut keys = 0;
+        for a in 0..10 {
+            for b in a..14 {
+                codec.decode_slp(&[a, b]).unwrap();
+                keys += 1;
+            }
+            codec.update_slp(a).unwrap();
+            keys += 1;
+        }
+        for r in 0..4 {
+            codec.partial_encode_slp(&[r]).unwrap();
+            keys += 1;
+        }
+        assert_eq!(keys, 109);
+        // {d, 11..13} read what {d} reads; {d, 10} swaps in parity 11.
+        assert_eq!(codec.programs(), 10 + 45 + 10 + 10 + 4);
+    }
+
+    #[test]
+    fn a_repair_plan_and_a_wider_decode_share_one_program() {
+        // A degraded get plans `repair_sources({0, 1})`, then decodes with
+        // the parity it never asked for missing too: {0, 1, 12, 13}. Both
+        // read data 2..9 and parity 10, 11 — one program.
+        let codec = RsCodec::new(10, 4).unwrap();
+        let data = sample_data(10 * 8 * 40 + 3);
+        let shards = codec.encode(&data).unwrap();
+        let received: Vec<Option<Vec<u8>>> = shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (![0, 1, 12, 13].contains(&i)).then(|| s.clone()))
+            .collect();
+        assert_eq!(codec.repair_sources(&[0, 1]).unwrap(), vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        let decoded = codec.decode(&received, data.len()).unwrap();
+        assert_eq!(codec.programs(), 1);
+        let fresh = RsCodec::new(10, 4).unwrap();
+        assert_eq!(decoded, fresh.decode(&received, data.len()).unwrap());
+        assert_eq!(decoded, data);
+        assert_eq!(codec.decode_slp(&[0, 1]), fresh.decode_slp(&[0, 1, 12, 13]));
     }
 
     #[test]
@@ -555,12 +598,12 @@ mod tests {
         received[7] = None; // parity row 1 only
         codec.reconstruct(&mut received).unwrap();
         assert_eq!(received[7].as_ref().unwrap(), &shards[7]);
-        // The repair compiled (and cached) exactly the one-row program —
-        // not the full encode, and nothing else: asking for row 1's SLP
-        // is a cache hit.
-        assert_eq!(codec.partial_cache_len(), 1);
+        // The repair compiled exactly the one-row program — not the full
+        // encode, no decode program, nothing else: asking for row 1's SLP
+        // is a table hit.
+        assert_eq!(codec.programs(), 1);
         let slp = codec.partial_encode_slp(&[1]).unwrap();
-        assert_eq!(codec.partial_cache_len(), 1);
+        assert_eq!(codec.programs(), 1);
         assert_eq!(slp.outputs.len(), PACKETS_PER_SHARD);
         assert!(slp.xor_count() < codec.encode_slp().xor_count());
     }

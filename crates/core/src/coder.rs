@@ -235,7 +235,7 @@ pub fn codec_for(spec: &CodecSpec) -> Result<Box<dyn ErasureCoder>, EcError> {
 }
 
 /// Resolve a spec into a boxed codec, carrying the engine knobs
-/// (optimization, blocksize, kernel, parallelism, cache caps) from
+/// (optimization, blocksize, kernel, parallelism) from
 /// `cfg` into every family; the geometry always comes from the spec.
 pub fn codec_for_with(
     spec: &CodecSpec,
@@ -378,16 +378,11 @@ pub trait ErasureCoder: Send + Sync {
         Ok(self.engine().update_slp(shard_index)?.xor_count())
     }
 
-    /// Number of decode programs currently cached (metrics; a repair
-    /// path that claims to use a cached local program can prove it
-    /// here).
-    fn decode_cache_len(&self) -> usize {
-        self.engine().decode_cache_len()
-    }
-
-    /// Number of partial (delta/row-subset) programs cached (metrics).
-    fn partial_cache_len(&self) -> usize {
-        self.engine().partial_cache_len()
+    /// Number of distinct compiled programs in the codec's program table
+    /// (metrics; a repair or update path that claims to run a cached
+    /// program can prove it here).
+    fn programs(&self) -> usize {
+        self.engine().programs()
     }
 }
 
@@ -520,12 +515,9 @@ mod tests {
         assert_eq!(codec.parity_shards(), 2);
 
         // Every family gets the whole engine configuration, not just the
-        // parallelism: an array code honours the cache cap, kernel and
-        // blocksize it was resolved with.
-        let cfg = RsConfig::new(5, 2)
-            .decode_cache_cap(2)
-            .kernel(crate::Kernel::Scalar)
-            .blocksize(64);
+        // parallelism: an array code honours the kernel and blocksize it
+        // was resolved with.
+        let cfg = RsConfig::new(5, 2).kernel(crate::Kernel::Scalar).blocksize(64);
         let spec = CodecSpec::parse("evenodd", 5, 2).unwrap();
         let codec = codec_for_with(&spec, cfg).unwrap();
         assert_eq!(*codec.engine().engine_config(), cfg.engine());
@@ -538,7 +530,6 @@ mod tests {
                 rx[a] = None;
                 rx[b] = None;
                 assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {a},{b}");
-                assert!(codec.decode_cache_len() <= 2, "cache exceeded its cap at {a},{b}");
                 patterns += 1;
             }
         }

@@ -6,7 +6,7 @@ use slp_optimizer::OptConfig;
 use xor_runtime::Kernel;
 
 /// Full configuration of an [`crate::RsCodec`]: the code (`n`, `p`,
-/// coding-matrix construction) plus the six engine knobs of
+/// coding-matrix construction) plus the four engine knobs of
 /// [`EngineConfig`], flattened into one builder.
 ///
 /// The defaults are the paper's Intel testbed setting: ISA-L's power
@@ -36,14 +36,6 @@ pub struct RsConfig {
     /// dedicated worker (serial execution, still arena-reusing and
     /// mutex-free), `k > 1` = a dedicated `k`-worker pool.
     pub parallelism: usize,
-    /// Capacity of the per-erasure-pattern decode-program LRU cache:
-    /// `0` = auto (every empty/single/double erasure pattern fits).
-    pub decode_cache_cap: usize,
-    /// Capacity of the partial-program LRU cache (per-data-shard column
-    /// programs for delta parity updates and parity-row-subset programs
-    /// for partial repair): `0` = auto (every column program and every
-    /// single-row program fits, `n + p` entries).
-    pub partial_cache_cap: usize,
 }
 
 impl RsConfig {
@@ -60,8 +52,6 @@ impl RsConfig {
             blocksize: engine.blocksize,
             kernel: engine.kernel,
             parallelism: engine.parallelism,
-            decode_cache_cap: engine.decode_cache_cap,
-            partial_cache_cap: engine.partial_cache_cap,
         }
     }
 
@@ -73,8 +63,6 @@ impl RsConfig {
             blocksize: self.blocksize,
             kernel: self.kernel,
             parallelism: self.parallelism,
-            decode_cache_cap: self.decode_cache_cap,
-            partial_cache_cap: self.partial_cache_cap,
         }
     }
 
@@ -107,18 +95,6 @@ impl RsConfig {
         self.parallelism = parallelism;
         self
     }
-
-    /// Builder-style decode-cache capacity override (`0` = auto).
-    pub fn decode_cache_cap(mut self, cap: usize) -> Self {
-        self.decode_cache_cap = cap;
-        self
-    }
-
-    /// Builder-style partial-program cache capacity override (`0` = auto).
-    pub fn partial_cache_cap(mut self, cap: usize) -> Self {
-        self.partial_cache_cap = cap;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -136,8 +112,6 @@ mod tests {
         assert_eq!(c.blocksize, 1024);
         assert_eq!(c.kernel, Kernel::from_env().unwrap_or(Kernel::Auto));
         assert_eq!(c.parallelism, xor_runtime::env_parallelism().unwrap_or(0));
-        assert_eq!(c.decode_cache_cap, 0);
-        assert_eq!(c.partial_cache_cap, 0);
         assert_eq!(c.engine(), EngineConfig::new());
     }
 
@@ -150,7 +124,6 @@ mod tests {
         assert_eq!(paper.blocksize, 1024);
         assert_eq!(paper.kernel, Kernel::Auto);
         assert_eq!(paper.parallelism, 0);
-        assert_eq!((paper.decode_cache_cap, paper.partial_cache_cap), (0, 0));
     }
 
     #[test]
@@ -160,15 +133,11 @@ mod tests {
             .blocksize(2048)
             .kernel(Kernel::Scalar)
             .opt(OptConfig::BASE)
-            .parallelism(2)
-            .decode_cache_cap(7)
-            .partial_cache_cap(5);
+            .parallelism(2);
         assert_eq!(c.matrix, MatrixKind::Cauchy);
         assert_eq!(c.blocksize, 2048);
         assert_eq!(c.kernel, Kernel::Scalar);
         assert_eq!(c.opt, OptConfig::BASE);
         assert_eq!(c.parallelism, 2);
-        assert_eq!(c.decode_cache_cap, 7);
-        assert_eq!(c.partial_cache_cap, 5);
     }
 }

@@ -22,7 +22,7 @@
 //! (`array-codes`), which knows no field: decoding picks surviving
 //! packets until the generator rows reach full rank, inverts that square
 //! **over GF(2)**, and runs the same pipeline on the recovery rows;
-//! programs are cached per erasure pattern. For an RS or LRC matrix this
+//! programs are kept in one program table. For an RS or LRC matrix this
 //! is bit-for-bit the expansion of the GF(2^8) inverse — the expansion is
 //! an injective ring homomorphism — so the paper's program sizes (755
 //! and 1368 XORs for RS(10, 4)) are unchanged. GF(2^8) arithmetic itself

@@ -236,7 +236,7 @@ impl Cluster {
     }
 
     /// [`Cluster::with_spec`] carrying engine knobs (kernel,
-    /// parallelism, cache caps) from `cfg`; geometry comes from `spec`.
+    /// parallelism) from `cfg`; geometry comes from `spec`.
     pub fn with_spec_and_config(
         nodes: Vec<String>,
         spec: &CodecSpec,
@@ -306,7 +306,7 @@ impl Cluster {
         self
     }
 
-    /// The codec backing this cluster (e.g. for SLP/cache metrics).
+    /// The codec backing this cluster (e.g. for SLP/program-table metrics).
     pub fn codec(&self) -> &dyn ErasureCoder {
         &*self.codec
     }

@@ -17,7 +17,7 @@
 //!   decodes), **data-first reads** (`get` fetches the `n` data shards
 //!   and sends a parity fetch only as the backup the codec's repair
 //!   plan names for a failed or straggling one; degraded reads
-//!   reconstruct through the decode-program LRU), delta `overwrite`
+//!   reconstruct through the codec's program table), delta `overwrite`
 //!   (changed shards + per-column parity updates, not a full re-put),
 //!   and online batch
 //!   `repair_nodes` — any number of simultaneously-dead nodes rebuilt
@@ -34,11 +34,11 @@
 //!   roots (zero payload bytes moved) and descends the tree over the
 //!   `HASH_SUBTREE` opcode to name the exact damaged 64 KiB leaves,
 //!   catching even CRC-colliding tampering end-to-end;
-//! * **scrub** ([`ScrubScheduler`]): periodic end-to-end verification —
-//!   per-shard manifest CRCs plus Merkle-root comparison (full
-//!   data↔parity re-encode on demand) — with
-//!   automatic repair of what it finds, each rebuilt shard proven
-//!   against its manifest root before it is published;
+//! * **scrub** ([`Cluster::scrub`], [`Cluster::scrub_and_repair`]):
+//!   end-to-end verification — per-shard manifest CRCs plus Merkle-root
+//!   comparison (full data↔parity re-encode on demand) — and repair of
+//!   what it finds, each rebuilt shard proven against its manifest root
+//!   before it is published (`xorslp-store scrub --repair`);
 //! * the `xorslp-store` CLI wiring `serve` / `put` / `get` / `overwrite`
 //!   / `delete` / `list` / `health` / `repair` / `scrub`.
 //!
@@ -79,7 +79,6 @@ mod manifest;
 mod node;
 mod placement;
 pub mod proto;
-mod scrub;
 mod sys;
 mod tree;
 
@@ -99,7 +98,6 @@ pub use manifest::{
 };
 pub use node::{NodeHandle, NodeOptions};
 pub use placement::{rank_nodes, score};
-pub use scrub::{ScrubCycle, ScrubScheduler};
 pub use tree::{
     parse_tree_key, tree_key, HashBlob, HASH_BLOB_VERSION, HASH_LEAF_SIZE,
     HASH_MAGIC,

@@ -1,12 +1,11 @@
 //! Cluster-level failure matrix on a small geometry: degraded reads for
 //! every erasure pattern, repair ≡ original bytes, delta overwrites,
-//! scrub attribution, node death under concurrent readers, and the
-//! background scrub scheduler.
+//! scrub attribution and node death under concurrent readers.
 
 use ec_core::{CodecSpec, RsConfig};
 use ec_store::{
     manifest_key, parse_record, Cluster, GetReport, ManifestRecord, NodeClient, NodeHandle,
-    OverwriteMode, ScrubCycle, ScrubScheduler, ShardHealth, ShardOutcome, StoreError,
+    OverwriteMode, ShardHealth, ShardOutcome, StoreError,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -244,6 +243,33 @@ fn a_read_around_deleted_data_shards_reports_them_missing() {
     }
 }
 
+/// A degraded read compiles one decode program per distinct lost-data
+/// set its release hook planned. With both data shards of RS(2, 3)
+/// deleted the hook plans the first failure alone, then both; the
+/// decode, missing the parity it never asked for as well, reads what
+/// the plan for both reads and shares that program. (With n = 2 no data
+/// majority can arrive, so no straggler joins a plan.)
+#[test]
+fn a_degraded_read_compiles_one_program_per_lost_data_set() {
+    let tc = TestCluster::spawn("oneprogram", 5);
+    let cluster = tc.cluster(2, 3);
+    let data = sample_data(30_000, 3);
+    cluster.put("obj", &data).unwrap();
+    let m = cluster.manifest("obj").unwrap();
+    for i in [0, 1] {
+        tc.lose(&m.placement[i], &m.shard_key("obj", i));
+    }
+    let (got, report) = cluster.get_with_report("obj").unwrap();
+    assert_eq!(got, data);
+    assert_eq!(report.missing, vec![0, 1], "{report:?}");
+    assert_eq!(requested(&report), vec![0, 1, 2, 3], "{report:?}");
+    let programs = cluster.codec().programs();
+    assert!((1..=2).contains(&programs), "{programs} programs");
+    // The plan for {0, 1} and the decode of {0, 1, 4} are one program.
+    cluster.codec().repair_sources(&[0, 1]).unwrap();
+    assert_eq!(cluster.codec().programs(), programs);
+}
+
 #[test]
 fn invalid_arguments_are_typed() {
     let tc = TestCluster::spawn("args", 3);
@@ -360,7 +386,7 @@ fn delta_overwrite_ships_less_and_proves_it() {
     let cluster = tc.cluster(4, 2);
     let original = sample_data(64 * 1024, 1);
     cluster.put("doc", &original).unwrap();
-    let baseline_partials = cluster.codec().partial_cache_len();
+    let baseline_programs = cluster.codec().programs();
 
     // Change one shard's worth of bytes: a delta overwrite.
     let shard_len = cluster.codec().shard_len(original.len());
@@ -376,15 +402,15 @@ fn delta_overwrite_ships_less_and_proves_it() {
     // changed shard and the parity it updates, not the object.
     assert_eq!(report.shards_read, 1 + 2);
     // The SLP metrics prove the delta is strictly cheaper than a full
-    // re-encode, and the cache introspection proves the column program
-    // path actually ran.
+    // re-encode, and the program table proves the column program path
+    // actually ran.
     assert!(
         report.xor_count < report.full_xor_count,
         "{} XORs vs full {}",
         report.xor_count,
         report.full_xor_count
     );
-    assert!(cluster.codec().partial_cache_len() > baseline_partials);
+    assert!(cluster.codec().programs() > baseline_programs);
     assert_eq!(cluster.get("doc").unwrap(), v2);
 
     // Unchanged content: nothing ships.
@@ -949,8 +975,8 @@ fn scrub_gc_reclaims_orphans_after_membership_change() {
 /// local XOR parities at 4 and 5, a global RS row at 6 — repairing a
 /// node that held one data shard must fetch only the shard's locality
 /// group (its partner + the group parity: 2 shards), not the any-`n`
-/// floor of 4 survivors. `bytes_read` is the proof, and the decode
-/// cache proves the subset program actually ran.
+/// floor of 4 survivors. `bytes_read` is the proof, and the program
+/// table proves the subset program actually ran.
 #[test]
 fn lrc_repair_node_reads_only_the_local_group() {
     let mut tc = TestCluster::spawn("lrcrepair", 7);
@@ -965,7 +991,7 @@ fn lrc_repair_node_reads_only_the_local_group() {
     // holds nothing else).
     let dead_addr = cluster.manifest("obj").unwrap().placement[0].clone();
     tc.kill(tc.index_of(&dead_addr));
-    let baseline_decodes = cluster.codec().decode_cache_len();
+    let baseline_programs = cluster.codec().programs();
 
     let replacement = tc.spawn_replacement("lrc");
     let report = cluster.repair_node(&dead_addr, &replacement).unwrap();
@@ -978,8 +1004,8 @@ fn lrc_repair_node_reads_only_the_local_group() {
         "repair must read exactly the locality group, not {} any-n bytes",
         4 * shard_len
     );
-    // The group-subset decode program was compiled and cached.
-    assert!(cluster.codec().decode_cache_len() > baseline_decodes);
+    // The group-subset decode program was compiled into the table.
+    assert!(cluster.codec().programs() > baseline_programs);
     assert!(cluster.scrub().unwrap().clean());
     assert_eq!(cluster.get("obj").unwrap(), data);
 }
@@ -1013,56 +1039,6 @@ fn mismatched_codec_is_a_typed_refusal() {
     // spec (degraded read included: lose one group member).
     lrc.put("obj2", &data).unwrap();
     assert_eq!(lrc.get("obj2").unwrap(), data);
-}
-
-#[test]
-fn background_scrubber_heals_rot() {
-    let tc = TestCluster::spawn("scheduler", 5);
-    let cluster = Arc::new(tc.cluster(3, 2));
-    let data = sample_data(20_000, 2);
-    cluster.put("watched", &data).unwrap();
-
-    // Rot one shard blob, then let the scheduler find and fix it.
-    let mut rotted = false;
-    'outer: for i in 0..5 {
-        let dir = tc.root.join(format!("node{i}"));
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "blob") {
-                let bytes = std::fs::read(&path).unwrap();
-                if bytes.len() > 1000 {
-                    let mut bad = bytes;
-                    bad[500] ^= 0x10;
-                    std::fs::write(&path, &bad).unwrap();
-                    rotted = true;
-                    break 'outer;
-                }
-            }
-        }
-    }
-    assert!(rotted);
-
-    let scheduler = ScrubScheduler::start(cluster.clone(), Duration::from_millis(50));
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut healed = false;
-    while std::time::Instant::now() < deadline {
-        if cluster.scrub().map(|r| r.clean()).unwrap_or(false) {
-            healed = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert!(healed, "scheduler did not heal the rot in time");
-    let cycles = scheduler.take_cycles();
-    assert!(
-        cycles.iter().any(|c| matches!(
-            c,
-            ScrubCycle::Ran { repairs, .. } if !repairs.is_empty()
-        )),
-        "no cycle recorded a repair: {cycles:?}"
-    );
-    scheduler.stop();
-    assert_eq!(cluster.get("watched").unwrap(), data);
 }
 
 #[test]

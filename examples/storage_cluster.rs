@@ -90,7 +90,7 @@ fn main() {
 
     // Online repair: rebuild each dead node's shards onto a fresh
     // replacement from the survivors (row-subset programs re-encode
-    // lost parity; the decode-program LRU covers lost data).
+    // lost parity; the program table covers lost data).
     let t = Instant::now();
     let mut rebuilt_bytes = 0;
     for &i in &dead {

@@ -97,7 +97,7 @@ pub use ec_core::{
     codec_for, codec_for_with, codec_names, CodecId, CodecSpec, Compression, EcError,
     ErasureCoder, Kernel, LrcCodec, MatrixKind, OptConfig, RsCodec, RsConfig, Scheduling,
 };
-pub use ec_store::{Cluster, NodeHandle, ScrubScheduler, StoreError};
+pub use ec_store::{Cluster, NodeHandle, StoreError};
 pub use ec_stream::{
     Archive, ArchiveMeta, ShardState, StreamDecoder, StreamEncoder, StreamError,
 };

@@ -184,11 +184,12 @@ fn single_parity_loss_repairs_via_row_subset_program() {
     fs::remove_file(dir.join(shard_file_name(7))).unwrap(); // parity row 1
 
     let archive = Archive::open(&dir).unwrap();
-    assert_eq!(archive.codec().partial_cache_len(), 0);
+    assert_eq!(archive.codec().programs(), 0);
     archive.repair().unwrap();
-    // The repair compiled exactly one partial (row-subset) program —
-    // the PR-3 path — instead of the full p-row encode.
-    assert_eq!(archive.codec().partial_cache_len(), 1);
+    // The repair compiled exactly one program, the row-subset program,
+    // instead of the full p-row encode (and no decode program: no data
+    // shard is lost).
+    assert_eq!(archive.codec().programs(), 1);
     assert!(archive.verify().unwrap().all_ok());
 }
 

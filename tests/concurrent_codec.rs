@@ -4,11 +4,11 @@
 //! This locks in the parallel-engine refactor: the codec no longer owns
 //! `Mutex<VarArena>` scratch state (workers own their arenas), so
 //! concurrent callers must neither contend nor corrupt each other. Every
-//! thread round-trips its own data and asserts bit-exactness; the decode
-//! cache (a bounded LRU) is churned by rotating erasure patterns.
+//! thread round-trips its own data and asserts bit-exactness; the program
+//! table (a bounded LRU) is churned by rotating erasure patterns.
 
 use std::thread;
-use xorslp_ec::{RsCodec, RsConfig};
+use xorslp_ec::RsCodec;
 
 fn sample(seed: usize, len: usize) -> Vec<u8> {
     (0..len)
@@ -19,24 +19,23 @@ fn sample(seed: usize, len: usize) -> Vec<u8> {
 #[test]
 fn concurrent_mixed_traffic_roundtrips() {
     let (n, p) = (6usize, 3usize);
-    // Shared-pool codec (parallelism = auto) plus a deliberately small
-    // decode cache so eviction happens *during* the hammering.
-    let codec = RsCodec::with_config(RsConfig::new(n, p).decode_cache_cap(4)).unwrap();
-    let erasure_menu: [&[usize]; 6] = [
-        &[0],          // single data loss
-        &[7],          // single parity loss
-        &[1, 4],       // double data
-        &[2, 8],       // data + parity
-        &[6, 7, 8],    // all parity
-        &[0, 3, 5],    // triple data (max erasures)
-    ];
+    // Shared-pool codec (parallelism = auto). The menu is every pattern
+    // of at most p erasures: the 122 that lose data each key a decode
+    // program, against an auto capacity of 55 keys, so eviction happens
+    // *during* the hammering.
+    let codec = RsCodec::new(n, p).unwrap();
+    let erasure_menu: Vec<Vec<usize>> = (1u32..1 << (n + p))
+        .filter(|m| m.count_ones() as usize <= p)
+        .map(|m| (0..n + p).filter(|i| m >> i & 1 == 1).collect())
+        .collect();
+    assert_eq!(erasure_menu.len(), 9 + 36 + 84);
 
     thread::scope(|s| {
         for t in 0..8usize {
             let codec = &codec;
             let erasure_menu = &erasure_menu;
             s.spawn(move || {
-                for i in 0..10usize {
+                for i in 0..erasure_menu.len() / 8 + 1 {
                     let len = n * 64 * (1 + (t + i) % 3) + (t * 13 + i * 7) % 41;
                     let data = sample(t * 1000 + i, len);
 
@@ -59,7 +58,7 @@ fn concurrent_mixed_traffic_roundtrips() {
                     assert_eq!(&parity[..], &shards[n..], "t{t} i{i} mt encode");
 
                     // decode with a rotating erasure pattern
-                    let lost = erasure_menu[(t + i) % erasure_menu.len()];
+                    let lost = &erasure_menu[(8 * i + t) % erasure_menu.len()];
                     let mut received: Vec<Option<Vec<u8>>> =
                         shards.iter().cloned().map(Some).collect();
                     for &l in lost {
@@ -86,5 +85,5 @@ fn concurrent_mixed_traffic_roundtrips() {
     });
 
     // The LRU bound held under concurrent churn.
-    assert!(codec.decode_cache_len() <= 4);
+    assert!(codec.programs() <= 55, "{} programs", codec.programs());
 }

@@ -3,7 +3,7 @@
 //! proportional-repair guarantees — under every engine configuration the
 //! CI matrix forces via `XORSLP_KERNEL` / `XORSLP_PARALLELISM`.
 
-use xorslp_ec::{ArrayCodec, EcError, RsCodec, RsConfig};
+use xorslp_ec::{ArrayCodec, EcError, RsCodec};
 
 fn sample(len: usize, seed: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 167 + seed * 89 + 5) as u8).collect()
@@ -83,22 +83,32 @@ fn update_is_strictly_cheaper_and_bench_invariant_holds() {
 
 #[test]
 fn partial_cache_evicts_lru_and_stays_bounded() {
-    let codec = RsCodec::with_config(RsConfig::new(6, 3).partial_cache_cap(2)).unwrap();
-    assert_eq!(codec.partial_cache_capacity(), 2);
+    // Column programs share the program table with decode programs:
+    // between updates, compile more distinct decode programs than the
+    // auto capacity (55 keys for RS(6, 3)) holds. The table stays
+    // bounded, and a second round of updates, whose early column
+    // programs were evicted by then, still lands exactly.
+    let codec = RsCodec::new(6, 3).unwrap();
     let shard_len = 16;
     let data: Vec<Vec<u8>> = (0..6).map(|k| sample(shard_len, k)).collect();
     let mut parity = encode_parity(&codec, &data);
-    // Touch more distinct columns than the cache holds.
-    for (i, shard) in data.iter().enumerate() {
-        let new_shard = sample(shard_len, 50 + i);
-        {
-            let mut prefs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
+    let triples: Vec<[usize; 3]> = (0..6)
+        .flat_map(|a| (a + 1..9).flat_map(move |b| (b + 1..9).map(move |c| [a, b, c])))
+        .collect();
+    assert_eq!(triples.len(), 83);
+    let mut churn = triples.chunks(triples.len().div_ceil(6));
+    for round in 0..2 {
+        for (i, shard) in data.iter().enumerate() {
+            let new_shard = sample(shard_len, 50 + i);
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
             codec.update_parity(i, shard, &new_shard, &mut prefs).unwrap();
+            for lost in churn.next().into_iter().flatten() {
+                codec.decode_slp(lost).unwrap();
+            }
             // undo, so the stripe stays consistent while we churn
             codec.update_parity(i, &new_shard, shard, &mut prefs).unwrap();
+            assert!(codec.programs() <= 55, "round {round}: table exceeded its capacity");
         }
-        assert!(codec.partial_cache_len() <= 2, "cache exceeded its cap");
     }
     assert_eq!(parity, encode_parity(&codec, &data));
 }
@@ -114,7 +124,7 @@ fn reconstruct_single_parity_is_proportional() {
     received[8] = None; // parity row 2
     codec.reconstruct(&mut received).unwrap();
     assert_eq!(received[8].as_ref().unwrap(), &shards[8]);
-    assert_eq!(codec.partial_cache_len(), 1, "exactly the one-row program cached");
+    assert_eq!(codec.programs(), 1, "exactly the one-row program compiled");
     let one_row = codec.partial_encode_slp(&[2]).unwrap();
     assert!(one_row.xor_count() < codec.encode_slp().xor_count());
 }

@@ -2,8 +2,8 @@
 //! real sockets: an RS(10, 4) cluster of 14 loopback nodes where
 //! killing any 4 nodes still serves correct degraded `get`s, `repair`
 //! restores a fully-healthy `scrub`, and a delta `overwrite` is
-//! provably cheaper than a full re-put (SLP metrics + partial-program
-//! cache introspection).
+//! provably cheaper than a full re-put (SLP metrics + program-table
+//! introspection).
 
 use xorslp_ec::store::{Cluster, NodeHandle, OverwriteMode};
 use xorslp_ec::RsConfig;
@@ -140,7 +140,7 @@ fn delta_overwrite_is_cheaper_than_full_reput() {
     let mut v2 = original.clone();
     v2[0] ^= 0xFF;
     v2[3 * shard_len + 100] ^= 0xFF;
-    assert_eq!(cluster.codec().partial_cache_len(), 0, "no partial programs yet");
+    assert_eq!(cluster.codec().programs(), 0, "no programs yet");
     let report = cluster.overwrite("big", &v2).unwrap();
 
     assert_eq!(report.mode, OverwriteMode::Delta);
@@ -154,8 +154,8 @@ fn delta_overwrite_is_cheaper_than_full_reput() {
         report.xor_count,
         report.full_xor_count
     );
-    // Cache introspection: exactly the two column programs compiled.
-    assert_eq!(cluster.codec().partial_cache_len(), 2);
+    // Table introspection: exactly the two column programs compiled.
+    assert_eq!(cluster.codec().programs(), 2);
     assert_eq!(cluster.get("big").unwrap(), v2);
 }
 
