@@ -27,18 +27,29 @@ use slp::{Instr, Slp, Term};
 /// The result is an SSA `SLP®⊕` with the same `⟦·⟧`, no dead instructions,
 /// and `#M` no larger than the input's.
 pub fn fuse(slp: &Slp) -> Slp {
-    let mut cur = if slp.is_ssa() { slp.clone() } else { slp.to_ssa() };
-    loop {
-        let next = fuse_once(&cur);
-        if next == cur {
-            return next;
-        }
+    let ssa;
+    let input = if slp.is_ssa() {
+        slp
+    } else {
+        ssa = slp.to_ssa();
+        &ssa
+    };
+    let (mut cur, cancelled) = fuse_once(input);
+    let mut changed = cancelled && cur != *input;
+    while changed {
+        let (next, cancelled) = fuse_once(&cur);
+        changed = cancelled && next != cur;
         cur = next;
     }
+    cur
 }
 
-/// One forward unfolding pass.
-fn fuse_once(slp: &Slp) -> Slp {
+/// One forward unfolding pass. Also returns whether a term cancelled
+/// anywhere: only then can the next pass change anything. Unfolding `v`
+/// moves each read in its definition into its one reader, so every
+/// variable the pass keeps is read exactly as often as before — still not
+/// once, or still returned — unless a read cancelled on the way.
+fn fuse_once(slp: &Slp) -> (Slp, bool) {
     let uses = slp.use_counts();
     let mut returned = vec![false; slp.n_vars()];
     for &t in &slp.outputs {
@@ -47,11 +58,14 @@ fn fuse_once(slp: &Slp) -> Slp {
         }
     }
 
-    // defs[v] = current (possibly already fused) argument list of v.
+    // defs[v] = fused argument list of an inlinable v.
     let mut defs: Vec<Option<Vec<Term>>> = vec![None; slp.n_vars()];
     let inlinable = |v: u32| uses[v as usize] == 1 && !returned[v as usize];
 
-    let mut out_instrs: Vec<(u32, Vec<Term>)> = Vec::with_capacity(slp.instrs.len());
+    // The instructions kept: those not folded into their single use.
+    let mut keep: Vec<(u32, Vec<Term>)> = Vec::with_capacity(slp.instrs.len());
+    let mut cancelled = false;
+    let mut sorted = Vec::new();
     for instr in &slp.instrs {
         let mut args: Vec<Term> = Vec::with_capacity(instr.args.len());
         for &t in &instr.args {
@@ -69,7 +83,9 @@ fn fuse_once(slp: &Slp) -> Slp {
             }
         }
         let original_first = instr.args[0];
-        let mut args = cancel_duplicates(args);
+        let before = args.len();
+        let mut args = cancel_duplicates(args, &mut sorted);
+        cancelled |= args.len() < before;
         if args.is_empty() {
             // Everything cancelled: the value is the zero array. The IR has
             // no empty XOR, so represent zero as `t ⊕ t` — semantically the
@@ -84,16 +100,14 @@ fn fuse_once(slp: &Slp) -> Slp {
             };
             args = vec![t, t];
         }
-        defs[instr.dst as usize] = Some(args.clone());
-        out_instrs.push((instr.dst, args));
+        if inlinable(instr.dst) {
+            defs[instr.dst as usize] = Some(args);
+        } else {
+            keep.push((instr.dst, args));
+        }
     }
 
-    // Drop instructions that were folded into their single use, then
-    // renumber densely.
-    let keep: Vec<(u32, Vec<Term>)> = out_instrs
-        .into_iter()
-        .filter(|(dst, _)| !inlinable(*dst))
-        .collect();
+    // Renumber densely.
     let mut remap = vec![u32::MAX; slp.n_vars()];
     for (fresh, (dst, _)) in keep.iter().enumerate() {
         remap[*dst as usize] = fresh as u32;
@@ -108,19 +122,24 @@ fn fuse_once(slp: &Slp) -> Slp {
         .collect();
     let outputs: Vec<Term> = slp.outputs.iter().map(|&t| map_term(t)).collect();
 
-    Slp::new(slp.n_consts, instrs, outputs).expect("fusion emits well-formed SLPs")
+    let fused = Slp::new(slp.n_consts, instrs, outputs).expect("fusion emits well-formed SLPs");
+    (fused, cancelled)
 }
 
 /// Remove pairs of equal terms (`x ⊕ x = 0`), keeping one copy for odd
-/// multiplicities. Order of first occurrences is preserved.
-fn cancel_duplicates(args: Vec<Term>) -> Vec<Term> {
+/// multiplicities. Order of first occurrences is preserved. `sorted` is
+/// scratch space.
+fn cancel_duplicates(args: Vec<Term>, sorted: &mut Vec<Term>) -> Vec<Term> {
     use std::collections::HashMap;
+    sorted.clear();
+    sorted.extend_from_slice(&args);
+    sorted.sort_unstable();
+    if sorted.windows(2).all(|w| w[0] != w[1]) {
+        return args; // common fast path: nothing cancels
+    }
     let mut parity: HashMap<Term, usize> = HashMap::new();
     for &t in &args {
         *parity.entry(t).or_insert(0) += 1;
-    }
-    if parity.values().all(|&c| c == 1) {
-        return args; // common fast path: nothing cancels
     }
     let mut out = Vec::with_capacity(args.len());
     let mut emitted: HashMap<Term, bool> = HashMap::new();

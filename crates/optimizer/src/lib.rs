@@ -21,9 +21,10 @@
 //! tests on randomly generated programs.
 //!
 //! Compiling is cheap enough to do per operation: the full default
-//! pipeline takes about 2.4 ms for the RS(10, 4) encoder (755 XORs in, 389
-//! out) and about 6 ms for the paper's `P_dec` (1368 in, 522 out) on one
-//! x86-64 core without `popcnt`, nine tenths of it in XorRePair.
+//! pipeline takes about 1.6 ms for the RS(10, 4) encoder (755 XORs in, 389
+//! out) and about 4.3 ms for the paper's `P_dec` (1368 in, 522 out) on one
+//! x86-64 core without `popcnt` (best of warm runs), nine tenths of it in
+//! XorRePair.
 
 pub mod fusion;
 pub mod graph;

@@ -35,11 +35,38 @@
 //!    the old pick.
 //!
 //! Hence each original keeps its last walk (`Walk`: the remainder before
-//! every round, each round's pick, and how many temporals the round has
-//! met). After a step each round is probed against the new temporals only
-//! — and not even those whose size alone (`||rem| − |t||`) cannot beat the
-//! stored pick. From the first round a newcomer wins, the rest of the walk
-//! is redone against all temporals; if none wins, nothing is.
+//! every round and each round's pick). After a step each round is probed
+//! against the new temporals only; from the first round a newcomer takes,
+//! the rest of the walk is redone; if none takes one, nothing is.
+//!
+//! **The sweep touches only the walks the newcomer can change.** After a
+//! pairing step every live walk has met every temporal but the new one,
+//! `t` (invariant 3). `t` takes a round only if `|rem ⊕ t| < |rem|`, that
+//! is, only if more than half of `t` lies in `rem` — and so in the union
+//! of the walk's remainders, which the compressor keeps per original. One
+//! `|union ∩ t|` passes over a walk without reading a round — four walks
+//! in five on the RS(10, 4) encoder; the rest probe `t` once per round,
+//! with no size test first (up to two words a probe is cheaper than the
+//! unpredictable branch).
+//!
+//! **A walk the newcomer changes keeps what it can.** When `t` takes round
+//! `k` from pick `p`, every later remainder moves by `D = ⟦t⟧ ⊕ ⟦p⟧`.
+//! While `D` lies inside a remainder, that remainder shrinks by exactly
+//! `|D|`, and no temporal it has met (invariant 1) moves by more, so its
+//! pick stays, `|D|` smaller, and still first on a tie; only `t` needs a
+//! probe. A terminal remainder stays terminal the same way. The first
+//! remainder `D` does not lie inside is scanned afresh.
+//!
+//! **A fresh scan is one flat, branch-free pass.** `Temporals` keeps every
+//! temporal's value twice: in creation order, and in one contiguous array
+//! sorted by size. `||rem| − |t||` is a lower bound on `|rem ⊕ t|`, so
+//! only the sizes within the round's bound of `|rem|` can win — one run of
+//! the sorted array. Every set in it is probed, and the least
+//! `(|rem ⊕ t|, index)` — the index breaks ties exactly as the textbook
+//! scan in creation order does — is kept with a `min`, not a branch. Sets
+//! of one and two words (universes up to 128 constants: every RS(n ≤ 16)
+//! encoder, every decoder over ≤ 128 packets) get loops specialized to
+//! their width.
 //!
 //! **Pair frequencies are not stored.** `Occurrences` keeps, per term,
 //! the bitmap of originals whose definition contains it, so the count of
@@ -47,10 +74,12 @@
 //! to decrement — and `Pair(x, y)` visits exactly the originals in that
 //! intersection. The best pair comes from a `PairQueue`: count buckets of
 //! pair snapshots, each bucket a min-heap in ⊏ order, kept lazily — one
-//! snapshot is filed when a count can have risen (a definition gained a
-//! term), a stale head of the highest bucket is moved down to its live
-//! count, and a head whose bucket is its live count is the §4.3 choice. Nothing is hashed; definitions are sorted vectors
-//! of term codes and value sets are fixed-stride words in one arena
+//! snapshot is filed when a count can have risen to two or more (a
+//! definition gained a term), a stale head of the highest bucket is moved
+//! down to its live count, and a head whose bucket is its live count is
+//! the §4.3 choice. When no pair occurs twice, the choice is the least
+//! leading pair of the live definitions. Nothing is hashed; definitions
+//! are sorted vectors of term codes and value sets are fixed-stride words
 //! (`Sets`).
 
 use slp::{Instr, Slp, Term};
@@ -130,14 +159,18 @@ impl Occurrences {
         }
     }
 
-    /// Where `x`'s row starts.
-    fn start(&self, x: Code) -> usize {
-        let term = if x & CONST_BIT == 0 {
+    /// The row of `x`: constants first, then temporals.
+    fn term(&self, x: Code) -> usize {
+        if x & CONST_BIT == 0 {
             self.universe + x as usize
         } else {
             (x & !CONST_BIT) as usize
-        };
-        term * self.stride
+        }
+    }
+
+    /// Where `x`'s row starts.
+    fn start(&self, x: Code) -> usize {
+        self.term(x) * self.stride
     }
 
     fn row(&self, x: Code) -> &[u64] {
@@ -189,30 +222,40 @@ fn members(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
 /// scanning: snapshots `(count, pair)` in count buckets, each bucket a
 /// min-heap in ⊏ order, maintained lazily.
 ///
-/// Every pair that occurs at all has a snapshot whose count is at least
-/// its live count: one is filed whenever a pair's count can have risen,
-/// none when it falls. The ⊏-least pair of the highest bucket therefore
-/// bounds the best pair from above, and *is* the best pair once its
-/// bucket is its live count; a stale one is moved down to where it
-/// belongs.
+/// Every pair that occurs at least twice has a snapshot whose count is at
+/// least its live count: one is filed whenever a pair's count can have
+/// risen, none when it falls. The ⊏-least pair of the highest bucket
+/// therefore bounds the best pair from above, and *is* the best pair once
+/// its bucket is its live count; a stale one is moved down to where it
+/// belongs, or dropped below two.
+///
+/// A pair that occurs once is never filed. When no pair occurs twice,
+/// every pair that occurs at all occurs once, and the ⊏-least of them is
+/// the leading pair (the two ≺-least terms) of some definition, which
+/// `Compressor::best_pair` finds without a queue. Half of all snapshots
+/// would otherwise be looked at only to be found dead at count one.
 struct PairQueue {
-    /// `buckets[c]`: the pairs snapshotted at count `c`.
+    /// `buckets[c]`: the pairs snapshotted at count `c ≥ 2`.
     buckets: Vec<BinaryHeap<Reverse<PairKey>>>,
 }
 
 impl PairQueue {
     fn offer(&mut self, count: u32, key: PairKey) {
         let count = count as usize;
+        if count < 2 {
+            return;
+        }
         if self.buckets.len() <= count {
             self.buckets.resize_with(count + 1, BinaryHeap::new);
         }
         self.buckets[count].push(Reverse(key));
     }
 
-    /// The most frequent pair; ties broken by the lexicographic order ⊏.
+    /// The most frequent pair, if one occurs at least twice; ties broken
+    /// by the lexicographic order ⊏.
     fn best(&mut self, occ: &Occurrences) -> Option<(Code, Code)> {
         loop {
-            let stored = self.buckets.len().checked_sub(1)?;
+            let stored = self.buckets.len().checked_sub(1).filter(|&c| c >= 2)?;
             let Some(&Reverse(key)) = self.buckets[stored].peek() else {
                 self.buckets.pop();
                 continue;
@@ -226,7 +269,7 @@ impl PairQueue {
             // snapshot of its own above it.
             assert!(live < stored, "pair count above every snapshot of it");
             self.buckets[stored].pop();
-            if live > 0 {
+            if live >= 2 {
                 self.buckets[live].push(Reverse(key));
             }
         }
@@ -236,7 +279,21 @@ impl PairQueue {
 /// `|a ⊕ b|` of two value sets of equal stride.
 #[inline]
 fn symdiff_len(a: &[u64], b: &[u64]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+    match (a, b) {
+        ([a0], [b0]) => (a0 ^ b0).count_ones(),
+        ([a0, a1], [b0, b1]) => (a0 ^ b0).count_ones() + (a1 ^ b1).count_ones(),
+        _ => a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum(),
+    }
+}
+
+/// `|a ∩ b|` of two value sets of equal stride.
+#[inline]
+fn meet_len(a: &[u64], b: &[u64]) -> u32 {
+    match (a, b) {
+        ([a0], [b0]) => (a0 & b0).count_ones(),
+        ([a0, a1], [b0, b1]) => (a0 & b0).count_ones() + (a1 & b1).count_ones(),
+        _ => a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum(),
+    }
 }
 
 /// Value sets over one universe, packed back to back in one allocation:
@@ -287,25 +344,6 @@ impl Sets {
         self.seal();
     }
 
-    /// Append `⟦x⟧ ⊕ ⟦y⟧`, where a temporal's value is the set of that
-    /// index and a constant's is its singleton.
-    fn push_symdiff_of(&mut self, x: Code, y: Code) {
-        let at = self.words.len();
-        self.words.resize(at + self.stride, 0);
-        for operand in [x, y] {
-            if operand & CONST_BIT == 0 {
-                let from = operand as usize * self.stride;
-                for k in 0..self.stride {
-                    self.words[at + k] ^= self.words[from + k];
-                }
-            } else {
-                let c = (operand & !CONST_BIT) as usize;
-                self.words[at + c / 64] ^= 1 << (c % 64);
-            }
-        }
-        self.seal();
-    }
-
     /// Keep the first `len` sets.
     fn truncate(&mut self, len: usize) {
         self.lens.truncate(len);
@@ -313,14 +351,136 @@ impl Sets {
     }
 }
 
-/// The outcome of one `Rebuild` round — one remainder against the
-/// temporals probed so far.
-struct Round {
-    /// The `(|rem ⊕ t|, index of t)`-least temporal among the first `seen`
-    /// with `|rem ⊕ t| < |rem|`, if any.
-    best: Option<(u32, u32)>,
-    /// How many temporals the remainder has been probed against.
-    seen: usize,
+/// The temporals' values in creation order, and the same values sorted by
+/// size, so that a scan can visit exactly the sizes that may still win.
+struct Temporals {
+    values: Sets,
+    /// Every temporal, ordered by `(|t|, index)`: values back to back
+    /// (the stride of `values`) and indices.
+    sorted_words: Vec<u64>,
+    sorted_index: Vec<u32>,
+    /// `starts[s]`: where the temporals of size `s` begin in the sorted
+    /// order; one entry past the largest size.
+    starts: Vec<u32>,
+}
+
+impl Temporals {
+    fn new(universe: usize) -> Self {
+        Temporals {
+            values: Sets::new(universe),
+            sorted_words: Vec::new(),
+            sorted_index: Vec::new(),
+            starts: vec![0; universe + 2],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &[u64] {
+        self.values.get(i)
+    }
+
+    /// Append a temporal with value `set`.
+    #[cfg(test)]
+    fn push(&mut self, set: &[u64]) {
+        self.values.push(set);
+        self.file_last();
+    }
+
+    /// Append the temporal `x ⊕ y`, where a temporal's value is the set of
+    /// that index and a constant's is its singleton.
+    fn push_symdiff_of(&mut self, x: Code, y: Code) {
+        let values = &mut self.values;
+        let at = values.words.len();
+        values.words.resize(at + values.stride, 0);
+        for operand in [x, y] {
+            if operand & CONST_BIT == 0 {
+                let from = operand as usize * values.stride;
+                for k in 0..values.stride {
+                    values.words[at + k] ^= values.words[from + k];
+                }
+            } else {
+                let c = (operand & !CONST_BIT) as usize;
+                values.words[at + c / 64] ^= 1 << (c % 64);
+            }
+        }
+        values.seal();
+        self.file_last();
+    }
+
+    /// Insert the newest temporal at the end of its size in the sorted
+    /// order.
+    fn file_last(&mut self) {
+        let i = self.len() - 1;
+        let len = self.values.lens[i] as usize;
+        let at = self.starts[len + 1] as usize;
+        let stride = self.values.stride;
+        let words = &self.values.words[i * stride..][..stride];
+        self.sorted_words
+            .splice(at * stride..at * stride, words.iter().copied());
+        self.sorted_index.insert(at, i as u32);
+        for start in &mut self.starts[len + 1..] {
+            *start += 1;
+        }
+    }
+
+    /// The `(|rem ⊕ t|, index of t)`-least temporal with `|rem ⊕ t| <
+    /// bound`, where `len = |rem|`.
+    ///
+    /// `||rem| − |t||` is a lower bound on `|rem ⊕ t|`, so only the sizes
+    /// within `bound` of `len` are scanned: one contiguous run of the
+    /// sorted order, every set in it probed and the least key kept without
+    /// a data-dependent branch.
+    fn least_symdiff(
+        &self,
+        rem: &[u64],
+        len: u32,
+        bound: u32,
+        probes: &mut usize,
+    ) -> Option<(u32, u32)> {
+        let lo = (len + 1).saturating_sub(bound) as usize;
+        let hi = ((len + bound) as usize).min(self.starts.len() - 1);
+        let run = self.starts[lo] as usize..self.starts[hi] as usize;
+        *probes += run.len();
+        let stride = self.values.stride;
+        let words = &self.sorted_words[run.start * stride..run.end * stride];
+        let index = &self.sorted_index[run];
+        // the seed loses every tie
+        let seed = key(bound, 0);
+        let least = match *rem {
+            [r0] => least_in::<1>(&[r0], words, index, seed),
+            [r0, r1] => least_in::<2>(&[r0, r1], words, index, seed),
+            _ => words
+                .chunks_exact(stride)
+                .zip(index)
+                .map(|(set, &i)| key(symdiff_len(rem, set), i))
+                .fold(seed, u64::min),
+        };
+        let after = (least >> 32) as u32;
+        (after < bound).then_some((after, least as u32))
+    }
+}
+
+/// `(|rem ⊕ t|, index of t)` as one integer in the same order.
+#[inline]
+fn key(after: u32, index: u32) -> u64 {
+    u64::from(after) << 32 | u64::from(index)
+}
+
+/// `least` lowered by the key of every set, for sets of `W` words.
+#[inline]
+fn least_in<const W: usize>(rem: &[u64; W], words: &[u64], index: &[u32], least: u64) -> u64 {
+    let (sets, _) = words.as_chunks::<W>();
+    sets.iter()
+        .zip(index)
+        .map(|(set, &i)| {
+            let after = (0..W).map(|k| (rem[k] ^ set[k]).count_ones()).sum();
+            key(after, i)
+        })
+        .fold(least, u64::min)
 }
 
 /// The memoized `Rebuild(v)` (§4.4) of one original: starting from `⟦v⟧`,
@@ -329,11 +489,15 @@ struct Round {
 /// only ever probed against temporals it has not met.
 struct Walk {
     /// The remainder before each round; the first is the invariant value
-    /// `⟦v⟧`, each next one its predecessor XOR that round's best
-    /// temporal, and the last has no best.
+    /// `⟦v⟧`, each next one its predecessor XOR that round's pick.
     rems: Sets,
-    /// `rounds[k]` is the round of `rems[k]`.
-    rounds: Vec<Round>,
+    /// `bounds[k]`: what a newcomer must get `|rem ⊕ t|` strictly below
+    /// to take round `k` — the `|rem ⊕ t|` of its pick, or `|rem|` for the
+    /// last round, which has none.
+    bounds: Vec<u32>,
+    /// `picks[k]`: the `(|rem ⊕ t|, index of t)`-least temporal with
+    /// `|rem ⊕ t| < |rem|` for every remainder but the last.
+    picks: Vec<u32>,
     /// Size of the definition the walk yields: final remainder plus the
     /// temporals picked an odd number of times.
     candidate_len: usize,
@@ -345,23 +509,20 @@ impl Walk {
         rems.push(value);
         Walk {
             candidate_len: rems.lens[0] as usize,
+            bounds: vec![rems.lens[0]],
             rems,
-            rounds: vec![Round { best: None, seen: 0 }],
+            picks: Vec::new(),
         }
-    }
-
-    /// The temporals the walk picks, in order.
-    fn picks(&self) -> impl Iterator<Item = u32> + '_ {
-        self.rounds.iter().filter_map(|round| Some(round.best?.1))
     }
 
     /// The temporals picked an odd number of times (a revisit cancels:
     /// `t ⊕ t = 0`), each at its first pick. Walks are a handful of rounds
     /// long, so counting is quadratic rather than allocating.
     fn chosen(&self) -> impl Iterator<Item = u32> + '_ {
-        self.picks().enumerate().filter_map(|(k, idx)| {
-            let first = self.picks().position(|other| other == idx) == Some(k);
-            let odd = self.picks().filter(|&other| other == idx).count() % 2 == 1;
+        let picks = &self.picks;
+        picks.iter().enumerate().filter_map(move |(k, &idx)| {
+            let first = picks.iter().position(|&other| other == idx) == Some(k);
+            let odd = picks.iter().filter(|&&other| other == idx).count() % 2 == 1;
             (first && odd).then_some(idx)
         })
     }
@@ -375,52 +536,151 @@ impl Walk {
         def
     }
 
-    /// Probe round `k` against the temporals it has not met. A newcomer
-    /// has a larger index than every temporal met before, so it becomes
-    /// the round's best only on a strictly smaller `|rem ⊕ t|` — which
-    /// `||rem| − |t||`, a lower bound, often rules out unevaluated.
-    /// Returns whether the best changed.
-    fn catch_up(&mut self, k: usize, temporals: &Sets, probes: &mut usize) -> bool {
-        let round = &mut self.rounds[k];
-        let (rem, len) = (self.rems.get(k), self.rems.lens[k]);
-        let before = round.best.map_or(len, |b| b.0);
-        let mut bound = before;
-        for i in round.seen..temporals.len() {
-            if len.abs_diff(temporals.lens[i]) >= bound {
-                continue;
-            }
-            *probes += 1;
-            let after = symdiff_len(rem, temporals.get(i));
-            if after < bound {
-                bound = after;
-                round.best = Some((after, i as u32));
-            }
+    /// Bring the walk, which has met the temporals before `from`, up to
+    /// date with `temporals`. Each round is probed against the newcomers
+    /// only: a newcomer has a larger index than every temporal met before,
+    /// so it takes round `k` only on `|rem ⊕ t| < bounds[k]`. From the
+    /// first round a newcomer takes, the rest of the walk is redone
+    /// (`shift`, `redo`). Returns whether it was.
+    fn advance(&mut self, from: usize, temporals: &Temporals, probes: &mut usize) -> bool {
+        let Some((k, pick)) = self.taken(from, temporals, probes) else {
+            return false;
+        };
+        if from + 1 == temporals.len() && k < self.picks.len() {
+            self.shift(k, pick, temporals, probes);
+        } else {
+            self.redo(k, pick, temporals, probes);
         }
-        round.seen = temporals.len();
-        bound < before
+        true
     }
 
-    /// Bring the walk up to date with `temporals`: catch each round up in
-    /// turn; from the first round whose best has changed the rest of the
-    /// walk is dropped and redone, each new remainder probed against every
-    /// temporal.
-    fn advance(&mut self, temporals: &Sets, probes: &mut usize) {
-        let mut changed = false;
-        for k in 0.. {
-            if self.catch_up(k, temporals, probes) {
-                self.rounds.truncate(k + 1);
-                self.rems.truncate(k + 1);
+    /// The first round a newcomer (`from..`) takes, and its new pick.
+    fn taken(
+        &self,
+        from: usize,
+        temporals: &Temporals,
+        probes: &mut usize,
+    ) -> Option<(usize, (u32, u32))> {
+        // Sets of more than two words are not probed where their size
+        // alone rules them out; up to two, a probe costs less than the
+        // unpredictable branch that would skip it.
+        let wide = temporals.values.stride > 2;
+        if from + 1 == temporals.len() && !wide {
+            // After a pairing step: one newcomer, one probe per round.
+            let t = temporals.get(from);
+            let rems = self.rems.words.chunks_exact(t.len());
+            let taken = rems
+                .zip(&self.bounds)
+                .position(|(rem, &bound)| symdiff_len(rem, t) < bound);
+            *probes += taken.map_or(self.bounds.len(), |k| k + 1);
+            let k = taken?;
+            return Some((k, (symdiff_len(self.rems.get(k), t), from as u32)));
+        }
+        for k in 0..self.rems.len() {
+            let (rem, len) = (self.rems.get(k), self.rems.lens[k]);
+            let mut bound = self.bounds[k];
+            let mut pick = None;
+            for i in from..temporals.len() {
+                if wide && len.abs_diff(temporals.values.lens[i]) >= bound {
+                    continue;
+                }
+                *probes += 1;
+                let after = symdiff_len(rem, temporals.get(i));
+                if after < bound {
+                    bound = after;
+                    pick = Some((after, i as u32));
+                }
             }
-            let Some((_, idx)) = self.rounds[k].best else { break };
-            if k + 1 == self.rounds.len() {
-                self.rems.push_symdiff(k, temporals.get(idx as usize));
-                self.rounds.push(Round { best: None, seen: 0 });
-                changed = true;
+            if pick.is_some() {
+                return pick.map(|pick| (k, pick));
             }
         }
-        if changed {
-            let last = self.rems.lens[self.rems.len() - 1];
-            self.candidate_len = last as usize + self.chosen().count();
+        None
+    }
+
+    /// Make the one newcomer `pick` round `k`'s in place of its old pick.
+    ///
+    /// That moves every later remainder by `D = ⟦new⟧ ⊕ ⟦old⟧`. While `D`
+    /// lies inside a remainder, the remainder shrinks by exactly `|D|` and
+    /// no temporal it has met moves by more, so its old pick stays — at
+    /// `|D|` less, still ⊏-first on a tie — and only the newcomer needs a
+    /// probe. A terminal remainder stays terminal the same way. The first
+    /// round that changes otherwise is redone as usual.
+    fn shift(&mut self, k: usize, pick: (u32, u32), temporals: &Temporals, probes: &mut usize) {
+        let t = temporals.get(pick.1 as usize);
+        let old = temporals.get(self.picks[k] as usize);
+        let inside = |rem: &[u64]| {
+            let d = t.iter().zip(old).map(|(a, b)| a ^ b);
+            d.zip(rem).all(|(d, r)| d & !r == 0)
+        };
+        if !inside(self.rems.get(k + 1)) {
+            return self.redo(k, pick, temporals, probes);
+        }
+        let shrink = self.bounds[k] - pick.0;
+        (self.bounds[k], self.picks[k]) = pick;
+        let stride = t.len();
+        for j in k + 1..self.rems.len() {
+            let terminal = j + 1 == self.rems.len();
+            // the old pick goes only if `D` is not inside its remainder
+            let stays = terminal || inside(self.rems.get(j + 1));
+            let rem = &mut self.rems.words[j * stride..][..stride];
+            for (w, word) in rem.iter_mut().enumerate() {
+                *word ^= t[w] ^ old[w];
+            }
+            self.rems.lens[j] -= shrink;
+            if !stays {
+                return self.rescan_from(j, temporals, probes);
+            }
+            self.bounds[j] -= shrink;
+            *probes += 1;
+            let after = symdiff_len(self.rems.get(j), t);
+            if after < self.bounds[j] {
+                return self.redo(j, (after, pick.1), temporals, probes);
+            }
+        }
+        self.candidate_len = self.rems.lens[self.rems.len() - 1] as usize + self.chosen().count();
+    }
+
+    /// Make `pick` round `k`'s, and redo the rounds after it.
+    fn redo(&mut self, k: usize, pick: (u32, u32), temporals: &Temporals, probes: &mut usize) {
+        self.rems.truncate(k + 1);
+        self.bounds.truncate(k);
+        self.picks.truncate(k);
+        self.bounds.push(pick.0);
+        self.picks.push(pick.1);
+        self.rems.push_symdiff(k, temporals.get(pick.1 as usize));
+        self.rescan_from(k + 1, temporals, probes);
+    }
+
+    /// Redo the walk from round `j` on, each remainder scanned against
+    /// every temporal; the remainders up to `j` and the picks before it
+    /// stand.
+    fn rescan_from(&mut self, j: usize, temporals: &Temporals, probes: &mut usize) {
+        self.rems.truncate(j + 1);
+        self.bounds.truncate(j);
+        self.picks.truncate(j);
+        loop {
+            let k = self.rems.len() - 1;
+            let (rem, len) = (self.rems.get(k), self.rems.lens[k]);
+            let Some(pick) = temporals.least_symdiff(rem, len, len, probes) else {
+                break;
+            };
+            self.bounds.push(pick.0);
+            self.picks.push(pick.1);
+            self.rems.push_symdiff(k, temporals.get(pick.1 as usize));
+        }
+        let last = self.rems.lens[self.rems.len() - 1];
+        self.bounds.push(last);
+        self.candidate_len = last as usize + self.chosen().count();
+    }
+
+    /// Every constant of any remainder, into `union`.
+    fn union_into(&self, union: &mut [u64]) {
+        union.fill(0);
+        for rem in self.rems.words.chunks_exact(union.len()) {
+            for (word, r) in union.iter_mut().zip(rem) {
+                *word |= r;
+            }
         }
     }
 }
@@ -441,17 +701,26 @@ struct Compressor {
     /// `temporals[i]`.
     temporals: Vec<(Code, Code)>,
     /// Value of each temporal.
-    temporal_values: Sets,
+    temporal_values: Temporals,
     /// Reuse map: definition pair → existing temporal index.
     by_def: BTreeMap<PairKey, Code>,
     /// Every non-constant output, resolved or not; indices are stable.
     originals: Vec<Original>,
     /// Indices of the originals not yet resolved to a single term.
     live: Vec<usize>,
+    /// How many temporals every live walk has met.
+    swept: usize,
+    /// `unions[oi]`, at the stride of the value sets: every constant of
+    /// any remainder of original `oi`'s walk.
+    unions: Vec<u64>,
     /// Which definitions contain which term — and so every pair count.
     occ: Occurrences,
     /// The most frequent pairs first.
     pairs: PairQueue,
+    /// Per term (rows of `occ`): the last `offer_pairs` call that filed a
+    /// pair with it, so that each pair is filed once per call.
+    offered: Vec<u32>,
+    offer_calls: u32,
     /// Resolved output slots.
     out_map: Vec<Option<Term>>,
     stats: CompressStats,
@@ -477,31 +746,56 @@ impl Compressor {
                 }
             }
         }
+        let unions = originals
+            .iter()
+            .flat_map(|orig| orig.walk.rems.get(0).iter().copied())
+            .collect();
         let mut occ = Occurrences::new(universe, originals.len());
         for (oi, orig) in originals.iter().enumerate() {
             for &x in &orig.def {
                 occ.set(x, oi, true);
             }
         }
-        // One exact snapshot per pair, filed by the first original that
-        // contains it.
-        let mut pairs = PairQueue { buckets: Vec::new() };
-        for (oi, orig) in originals.iter().enumerate() {
-            for (i, &x) in orig.def.iter().enumerate() {
-                for &y in &orig.def[i + 1..] {
-                    if members(common(occ.row(x), occ.row(y))).next() == Some(oi) {
-                        pairs.offer(occ.count(x, y), pair_key(x, y));
+        // One exact snapshot per pair that occurs twice: for each constant
+        // `x`, every later term of a definition containing `x`, once
+        // (`partner_of[c] == x`: already counted), heaped by count in one
+        // pass per bucket.
+        let mut snapshots: Vec<Vec<Reverse<PairKey>>> = Vec::new();
+        let mut partner_of = vec![usize::MAX; universe];
+        for x in 0..universe {
+            let x_code = const_code(x as u32);
+            for oi in members(occ.row(x_code).iter().copied()) {
+                let def = &originals[oi].def;
+                for &y in &def[def.partition_point(|&z| z <= x_code)..] {
+                    let partner = &mut partner_of[(y & !CONST_BIT) as usize];
+                    if *partner == x {
+                        continue;
+                    }
+                    *partner = x;
+                    let count = occ.count(x_code, y) as usize;
+                    if count >= 2 {
+                        if snapshots.len() <= count {
+                            snapshots.resize_with(count + 1, Vec::new);
+                        }
+                        snapshots[count].push(Reverse(pair_key(x_code, y)));
                     }
                 }
             }
         }
+        let pairs = PairQueue {
+            buckets: snapshots.into_iter().map(BinaryHeap::from).collect(),
+        };
         Compressor {
             universe,
             temporals: Vec::new(),
-            temporal_values: Sets::new(universe),
+            temporal_values: Temporals::new(universe),
             by_def: BTreeMap::new(),
             live: (0..originals.len()).collect(),
+            swept: 0,
+            unions,
             originals,
+            offered: vec![0; universe],
+            offer_calls: 0,
             occ,
             pairs,
             out_map,
@@ -529,13 +823,25 @@ impl Compressor {
         self.occ.set(x, oi, true);
     }
 
-    /// File a snapshot of every pair `{x, z}` in original `oi`'s
-    /// definition, except those an earlier original of `batch` — the
-    /// originals being snapshotted for `x` together — files.
-    fn offer_pairs(&mut self, oi: usize, x: Code, batch: &[u64]) {
-        for &z in self.originals[oi].def.iter().filter(|&&z| z != x) {
-            if members(common(batch, self.occ.row(z))).next() == Some(oi) {
-                self.pairs.offer(self.occ.count(x, z), pair_key(x, z));
+    /// File a snapshot of every pair `{x, z}` in the definitions of the
+    /// originals in `gained`, each pair once.
+    fn offer_pairs(&mut self, x: Code, gained: &[u64]) {
+        let Compressor {
+            originals,
+            occ,
+            pairs,
+            offered,
+            offer_calls,
+            ..
+        } = self;
+        *offer_calls += 1;
+        for oi in members(gained.iter().copied()) {
+            for &z in originals[oi].def.iter().filter(|&&z| z != x) {
+                let last = &mut offered[occ.term(z)];
+                if *last != *offer_calls {
+                    *last = *offer_calls;
+                    pairs.offer(occ.count(x, z), pair_key(x, z));
+                }
             }
         }
     }
@@ -550,6 +856,7 @@ impl Compressor {
         self.temporal_values.push_symdiff_of(x, y);
         self.temporals.push(pair_terms(key));
         self.occ.push_temporal();
+        self.offered.push(0);
         self.by_def.insert(key, idx);
         self.stats.pairs += 1;
         idx
@@ -597,9 +904,7 @@ impl Compressor {
         for (word, has_t) in hit.iter_mut().zip(self.occ.row(t)) {
             *word &= has_t;
         }
-        for oi in members(hit.iter().copied()) {
-            self.offer_pairs(oi, t, &hit);
-        }
+        self.offer_pairs(t, &hit);
     }
 
     /// Replace original `oi`'s definition by `new`, term by term where
@@ -613,25 +918,58 @@ impl Compressor {
         only[oi / 64] = 1 << (oi % 64);
         for &x in new.iter().filter(|x| old.binary_search(x).is_err()) {
             self.def_insert(oi, x);
-            self.offer_pairs(oi, x, &only);
+            self.offer_pairs(x, &only);
         }
     }
 
     /// The `Rebuild` sweep of XorRePair's step (3): `Rebuild(v)` greedily
     /// re-expresses an original's value using temporal values, exploiting
     /// cancellativity; it replaces the definition when strictly shorter.
+    ///
+    /// After a pairing step every walk has met every temporal but the new
+    /// one, `t`, and `t` takes a round only if `|rem ⊕ t| < |rem|`: only
+    /// if more than half of `t` lies in `rem`, and so in the union of the
+    /// walk's remainders. One test against that union passes over most
+    /// walks without touching them.
     fn rebuild_pass(&mut self) {
+        let met = std::mem::replace(&mut self.swept, self.temporal_values.len());
+        if met == self.swept {
+            return;
+        }
+        let stride = self.temporal_values.values.stride;
+        let one_newcomer = met + 1 == self.swept;
         for li in 0..self.live.len() {
             let oi = self.live[li];
+            let union = &mut self.unions[oi * stride..][..stride];
             let orig = &mut self.originals[oi];
-            orig.walk
-                .advance(&self.temporal_values, &mut self.stats.rebuild_probes);
+            let t = self.temporal_values.get(met);
+            if one_newcomer && 2 * meet_len(union, t) <= self.temporal_values.values.lens[met] {
+                // Unchanged, its candidate is still no shorter than the
+                // definition, which pairing only ever shortens.
+                continue;
+            }
+            let probes = &mut self.stats.rebuild_probes;
+            if orig.walk.advance(met, &self.temporal_values, probes) {
+                orig.walk.union_into(union);
+            }
             if orig.walk.candidate_len < orig.def.len() {
                 let candidate = orig.walk.candidate();
                 self.def_replace(oi, &candidate);
                 self.stats.rebuilds_applied += 1;
             }
         }
+    }
+
+    /// The §4.3 choice: the most frequent pair, the ⊏-least on ties.
+    fn best_pair(&mut self) -> Option<(Code, Code)> {
+        self.pairs.best(&self.occ).or_else(|| {
+            // No pair occurs twice: the least leading pair.
+            let leading = self.live.iter().map(|&oi| {
+                let def = &self.originals[oi].def;
+                pair_key(def[0], def[1])
+            });
+            leading.min().map(pair_terms)
+        })
     }
 
     fn run(mut self, use_rebuild: bool) -> (Slp, CompressStats) {
@@ -641,8 +979,7 @@ impl Compressor {
                 break;
             }
             let (x, y) = self
-                .pairs
-                .best(&self.occ)
+                .best_pair()
                 .expect("non-alias originals always contain a pair");
             self.apply_pair(x, y);
             if use_rebuild {

@@ -3,7 +3,7 @@
 //! program, not an equivalent one — for both RePair and XorRePair.
 //! `rebuild_probes` is the one field that is meant to differ.
 
-use super::{const_code, reference, repair, xor_repair, Compressor, Round, Sets, Walk};
+use super::{const_code, reference, repair, xor_repair, Compressor, Temporals, Walk};
 use bitmatrix::BitMatrix;
 use gf256::{encoding_matrix, GfMatrix, MatrixKind};
 use proptest::prelude::*;
@@ -87,6 +87,17 @@ fn rs_10_4_encoder() {
 }
 
 #[test]
+fn rs_20_4_encoder() {
+    // 160 constants: three words per value set, past the one- and
+    // two-word scans. Two of the four parity shards when not `FULL`.
+    let matrix = encoding_matrix(MatrixKind::IsalPower, 20, 4);
+    let rows: &[usize] = if FULL { &[20, 21, 22, 23] } else { &[20, 21] };
+    let parity = BitMatrix::expand_gf_matrix(&matrix.select_rows(rows));
+    assert_eq!((parity.rows(), parity.cols()), (8 * rows.len(), 160));
+    assert_identical(&binary_slp_from_bitmatrix(&parity), "RS(20,4) P_enc");
+}
+
+#[test]
 fn rs_10_4_update_columns() {
     let parity = rs_10_4_parity_bits();
     for shard in 0..10 {
@@ -119,7 +130,11 @@ fn rs_10_4_decoders() {
 
 /// `(|rem ⊕ t|, index of t)` of every round of a walk but the last.
 fn picks(walk: &Walk) -> Vec<(u32, u32)> {
-    walk.rounds.iter().filter_map(|round| round.best).collect()
+    walk.bounds
+        .iter()
+        .copied()
+        .zip(walk.picks.iter().copied())
+        .collect()
 }
 
 /// What happened during one hand-driven XorRePair run.
@@ -143,11 +158,11 @@ fn drive(p: &Slp) -> (Slp, Events) {
         let memos = c
             .live
             .iter()
-            .filter(|&&oi| c.originals[oi].walk.rounds.len() > 1);
+            .filter(|&&oi| !c.originals[oi].walk.picks.is_empty());
         if c.live.len() < live_before && memos.count() > 0 {
             events.resolved_beside_memo += 1;
         }
-        let Some((x, y)) = c.pairs.best(&c.occ) else {
+        let Some((x, y)) = c.best_pair() else {
             break;
         };
         let temporals = c.temporals.len();
@@ -192,54 +207,148 @@ fn rare_paths_are_taken_and_still_identical() {
     assert_identical(&p, "the rare-path matrix");
 }
 
-#[test]
-fn a_newcomer_takes_a_round_only_when_strictly_better() {
+/// One walk fed four temporals in three steps, over a universe of
+/// `universe` constants (the sets only use constants 0..8). Returns the
+/// probe count after each step.
+fn newcomer_walk(universe: usize) -> [usize; 4] {
+    let set = |bits: &[u32]| {
+        let mut words = vec![0u64; universe.div_ceil(64)];
+        words[0] = bits.iter().fold(0, |w, b| w | 1 << b);
+        words
+    };
+    let mut counts = [0; 4];
+    let mut probes = 0;
+
     // ⟦v⟧ = {0..8}; t0 = {0,1}, t1 = {2,3}: the walk is t0 (6 left), t1 (4).
-    let set = |bits: &[u32]| [bits.iter().fold(0u64, |w, b| w | 1 << b)];
-    let mut temporals = Sets::new(8);
+    let mut temporals = Temporals::new(universe);
     temporals.push(&set(&[0, 1]));
     temporals.push(&set(&[2, 3]));
-    let mut probes = 0;
-    let mut walk = Walk::new(8, &set(&[0, 1, 2, 3, 4, 5, 6, 7]));
-    walk.advance(&temporals, &mut probes);
+    let mut walk = Walk::new(universe, &set(&[0, 1, 2, 3, 4, 5, 6, 7]));
+    walk.advance(0, &temporals, &mut probes);
     assert_eq!(picks(&walk), [(6, 0), (4, 1)]);
-    // three remainders against two temporals, less t1 against ⟦v⟧: once t0
-    // leaves 6, a two-element set cannot leave fewer
-    assert_eq!((walk.candidate_len, probes), (6, 5));
+    assert_eq!(walk.candidate_len, 6);
+    counts[0] = probes;
 
     // t2 = {4,5} ties with t0 in round 0 and with t1 in round 1: both keep
-    // their round (by size alone), and t2 only extends the walk: one probe
-    // against {4..8}, three for the new remainder {6,7}.
+    // their round, and t2 only extends the walk by {6,7}.
     temporals.push(&set(&[4, 5]));
-    walk.advance(&temporals, &mut probes);
+    walk.advance(2, &temporals, &mut probes);
     assert_eq!(picks(&walk), [(6, 0), (4, 1), (2, 2)]);
-    assert_eq!(probes, 9);
+    counts[1] = probes;
 
     // t3 = {0,1,2,3,4} beats t0 in round 0 (3 left < 6): that round is
-    // not rescanned, the rest of the walk is dropped unprobed, and the new
-    // remainder {5,6,7} meets all four temporals.
+    // not rescanned. The tail would move by {2,3,4}, which t1 overlaps, so
+    // it is dropped unprobed and the new remainder {5,6,7} meets all four
+    // temporals.
     temporals.push(&set(&[0, 1, 2, 3, 4]));
-    walk.advance(&temporals, &mut probes);
+    walk.advance(3, &temporals, &mut probes);
     assert_eq!(picks(&walk), [(3, 3)]);
     assert_eq!(
         walk.candidate(),
         [3, const_code(5), const_code(6), const_code(7)]
     );
-    assert_eq!((walk.candidate_len, probes), (4, 14));
+    assert_eq!(walk.candidate_len, 4);
+    counts[2] = probes;
 
     // Nothing new: no probes at all.
-    walk.advance(&temporals, &mut probes);
-    assert_eq!(probes, 14);
+    walk.advance(4, &temporals, &mut probes);
+    counts[3] = probes;
+    counts
+}
+
+#[test]
+fn a_newcomer_takes_a_round_only_when_strictly_better() {
+    // One or two words: newcomers meet every round with no size test
+    // first. (A fresh scan skips sizes too far from `|rem|`, but here
+    // every size is within reach.)
+    //  step 1: ⟦v⟧, {2..8} and {4..8} each against t0, t1 — 6;
+    //  step 2: t2 against the three remainders (9), then {6,7} against
+    //          t0..t2 — 12;
+    //  step 3: t3 against ⟦v⟧ wins at once (13), then {5,6,7} against
+    //          t0..t3 — 17.
+    assert_eq!(newcomer_walk(8), [6, 12, 17, 17]);
+    assert_eq!(newcomer_walk(128), [6, 12, 17, 17]);
+    // Three words and more: a probe is skipped when `||rem| − |t||`
+    // already cannot beat the round's bound.
+    //  step 1: as above, less t1 against ⟦v⟧ (|8 − 2| = 6 once t0 leaves
+    //          6) — 5;
+    //  step 2: t2 against ⟦v⟧ and {2..8} is skipped by size (6 ≥ 6,
+    //          4 ≥ 4), one probe against {4..8} (6), then {6,7} against
+    //          t0..t2 — 9;
+    //  step 3: t3 against ⟦v⟧ (10), then {5,6,7} against t0..t3, none
+    //          ruled out by size (|3 − 2| and |3 − 5| are below 3) — 14.
+    assert_eq!(newcomer_walk(192), [5, 9, 14, 14]);
+}
+
+/// A walk over `universe` constants fed one temporal at a time, each
+/// newcomer one constant off the pick it takes; checked against a walk fed
+/// all of them at once. Returns the probe count after each step.
+fn shifted_walk(universe: usize) -> [usize; 3] {
+    let set = |bits: &[u32]| {
+        let mut words = vec![0u64; universe.div_ceil(64)];
+        words[0] = bits.iter().fold(0, |w, b| w | 1 << b);
+        words
+    };
+    let value = set(&[0, 1, 2, 3, 4, 5, 6, 7]);
+    let mut counts = [0; 3];
+    let mut probes = 0;
+    let mut temporals = Temporals::new(universe);
+    let mut walk = Walk::new(universe, &value);
+    let mut step = |t: &[u32], walk: &mut Walk, probes: &mut usize| {
+        temporals.push(&set(t));
+        walk.advance(temporals.len() - 1, &temporals, probes);
+        let mut fresh = Walk::new(universe, &value);
+        fresh.advance(0, &temporals, &mut 0);
+        assert_eq!(picks(walk), picks(&fresh));
+        assert_eq!(walk.rems.words, fresh.rems.words);
+        assert_eq!(walk.candidate_len, fresh.candidate_len);
+    };
+
+    // t0 = {0,1}, t1 = {4,5}: the walk is t0 (6 left), t1 (4: {2,3,6,7}).
+    step(&[0, 1], &mut walk, &mut probes);
+    step(&[4, 5], &mut walk, &mut probes);
+    assert_eq!(picks(&walk), [(6, 0), (4, 1)]);
+    counts[0] = probes;
+
+    // t2 = {0,1,2} takes round 0 from t0 (5 < 6). That moves the tail by
+    // {2}, which lies inside {2..8} and {2,3,6,7}: t1 keeps round 1 at 3,
+    // {3,6,7} stays the last remainder, and t2 is probed once per round.
+    step(&[0, 1, 2], &mut walk, &mut probes);
+    assert_eq!(picks(&walk), [(5, 2), (3, 1)]);
+    assert_eq!(
+        walk.candidate(),
+        [1, 2, const_code(3), const_code(6), const_code(7)]
+    );
+    counts[1] = probes;
+
+    // t3 = {0,1,2,4} takes round 0 from t2 (4 < 5). The tail would move by
+    // {4}, which t1 holds: round 1 goes, and {3,5,6,7} is scanned afresh
+    // against all four — none shrinks it.
+    step(&[0, 1, 2, 4], &mut walk, &mut probes);
+    assert_eq!(picks(&walk), [(4, 3)]);
+    assert_eq!(walk.candidate_len, 5);
+    counts[2] = probes;
+    counts
+}
+
+#[test]
+fn a_newcomer_that_moves_the_tail_inside_it_keeps_the_later_picks() {
+    //  step 1: t0 against ⟦v⟧, which it takes, and {2..8} (2); t1
+    //          against ⟦v⟧ and {2..8}, which it takes, then {2,3,6,7}
+    //          against both — 6;
+    //  step 2: t2 against ⟦v⟧ (7), then against the two moved remainders
+    //          — 9;
+    //  step 3: t3 against ⟦v⟧ (10), then {3,5,6,7} against t0..t3 — 14.
+    assert_eq!(shifted_walk(8), [6, 9, 14]);
+    // Three words: t1 against ⟦v⟧ is skipped by size in step 1 (|8 − 2|
+    // is not below 6), and every later count is one less.
+    assert_eq!(shifted_walk(192), [5, 8, 13]);
 }
 
 #[test]
 fn a_temporal_picked_twice_cancels() {
     let mut walk = Walk::new(8, &[0xff]);
-    let best = |idx| Round {
-        best: Some((0, idx)),
-        seen: 0,
-    };
-    walk.rounds = vec![best(4), best(1), best(4), best(2), best(4), best(1)];
+    walk.picks = vec![4, 1, 4, 2, 4, 1];
     assert_eq!(walk.chosen().collect::<Vec<_>>(), [4, 2]);
 }
 
@@ -287,12 +396,12 @@ proptest! {
         ];
         let value = thin(value);
         let mut stepwise = Walk::new(128, &value);
-        let mut met = Sets::new(128);
+        let mut met = Temporals::new(128);
         for &t in &temporals {
             met.push(&thin(t));
-            stepwise.advance(&met, &mut 0);
+            stepwise.advance(met.len() - 1, &met, &mut 0);
             let mut fresh = Walk::new(128, &value);
-            fresh.advance(&met, &mut 0);
+            fresh.advance(0, &met, &mut 0);
             prop_assert_eq!(picks(&stepwise), picks(&fresh));
             prop_assert_eq!(&stepwise.rems.words, &fresh.rems.words);
             prop_assert_eq!(stepwise.candidate(), fresh.candidate());
@@ -307,5 +416,21 @@ proptest! {
     #[test]
     fn random_matrices_80_by_32(p in dense_flat_slp(80, 32, 0.3)) {
         assert_identical(&p, "a random 32 × 80 matrix");
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if FULL { 32 } else { 1 }))]
+
+    // Three and four words per value set: the scans that skip by size.
+    #[test]
+    fn random_matrices_150_by_24(p in dense_flat_slp(150, 24, 0.3)) {
+        assert_identical(&p, "a random 24 × 150 matrix");
+    }
+
+    #[test]
+    fn random_matrices_200_by_16(p in dense_flat_slp(200, 16, 0.3)) {
+        assert_identical(&p, "a random 16 × 200 matrix");
     }
 }
