@@ -46,8 +46,7 @@
 //! of the walk's remainders, which the compressor keeps per original. One
 //! `|union ∩ t|` passes over a walk without reading a round — four walks
 //! in five on the RS(10, 4) encoder; the rest probe `t` once per round,
-//! with no size test first (up to two words a probe is cheaper than the
-//! unpredictable branch).
+//! with no size test first.
 //!
 //! **A walk the newcomer changes keeps what it can.** When `t` takes round
 //! `k` from pick `p`, every later remainder moves by `D = ⟦t⟧ ⊕ ⟦p⟧`.
@@ -536,17 +535,16 @@ impl Walk {
         def
     }
 
-    /// Bring the walk, which has met the temporals before `from`, up to
-    /// date with `temporals`. Each round is probed against the newcomers
-    /// only: a newcomer has a larger index than every temporal met before,
-    /// so it takes round `k` only on `|rem ⊕ t| < bounds[k]`. From the
-    /// first round a newcomer takes, the rest of the walk is redone
-    /// (`shift`, `redo`). Returns whether it was.
-    fn advance(&mut self, from: usize, temporals: &Temporals, probes: &mut usize) -> bool {
-        let Some((k, pick)) = self.taken(from, temporals, probes) else {
+    /// Bring the walk, which has met every temporal but the newest, up to
+    /// date with `temporals`. The newcomer has a larger index than every
+    /// temporal met before, so it takes round `k` only on `|rem ⊕ t| <
+    /// bounds[k]`; from the first round it takes, the rest of the walk is
+    /// redone (`shift`, `redo`). Returns whether it was.
+    fn advance(&mut self, temporals: &Temporals, probes: &mut usize) -> bool {
+        let Some((k, pick)) = self.taken(temporals, probes) else {
             return false;
         };
-        if from + 1 == temporals.len() && k < self.picks.len() {
+        if k < self.picks.len() {
             self.shift(k, pick, temporals, probes);
         } else {
             self.redo(k, pick, temporals, probes);
@@ -554,48 +552,18 @@ impl Walk {
         true
     }
 
-    /// The first round a newcomer (`from..`) takes, and its new pick.
-    fn taken(
-        &self,
-        from: usize,
-        temporals: &Temporals,
-        probes: &mut usize,
-    ) -> Option<(usize, (u32, u32))> {
-        // Sets of more than two words are not probed where their size
-        // alone rules them out; up to two, a probe costs less than the
-        // unpredictable branch that would skip it.
-        let wide = temporals.values.stride > 2;
-        if from + 1 == temporals.len() && !wide {
-            // After a pairing step: one newcomer, one probe per round.
-            let t = temporals.get(from);
-            let rems = self.rems.words.chunks_exact(t.len());
-            let taken = rems
-                .zip(&self.bounds)
-                .position(|(rem, &bound)| symdiff_len(rem, t) < bound);
-            *probes += taken.map_or(self.bounds.len(), |k| k + 1);
-            let k = taken?;
-            return Some((k, (symdiff_len(self.rems.get(k), t), from as u32)));
-        }
-        for k in 0..self.rems.len() {
-            let (rem, len) = (self.rems.get(k), self.rems.lens[k]);
-            let mut bound = self.bounds[k];
-            let mut pick = None;
-            for i in from..temporals.len() {
-                if wide && len.abs_diff(temporals.values.lens[i]) >= bound {
-                    continue;
-                }
-                *probes += 1;
-                let after = symdiff_len(rem, temporals.get(i));
-                if after < bound {
-                    bound = after;
-                    pick = Some((after, i as u32));
-                }
-            }
-            if pick.is_some() {
-                return pick.map(|pick| (k, pick));
-            }
-        }
-        None
+    /// The first round the newest temporal takes, and its pick there: one
+    /// probe per round, with no size test first.
+    fn taken(&self, temporals: &Temporals, probes: &mut usize) -> Option<(usize, (u32, u32))> {
+        let newest = temporals.len() - 1;
+        let t = temporals.get(newest);
+        let rems = self.rems.words.chunks_exact(t.len());
+        let taken = rems
+            .zip(&self.bounds)
+            .position(|(rem, &bound)| symdiff_len(rem, t) < bound);
+        *probes += taken.map_or(self.bounds.len(), |k| k + 1);
+        let k = taken?;
+        Some((k, (symdiff_len(self.rems.get(k), t), newest as u32)))
     }
 
     /// Make the one newcomer `pick` round `k`'s in place of its old pick.
@@ -936,20 +904,20 @@ impl Compressor {
         if met == self.swept {
             return;
         }
+        debug_assert_eq!(met + 1, self.swept, "a pairing step adds one temporal");
         let stride = self.temporal_values.values.stride;
-        let one_newcomer = met + 1 == self.swept;
         for li in 0..self.live.len() {
             let oi = self.live[li];
             let union = &mut self.unions[oi * stride..][..stride];
             let orig = &mut self.originals[oi];
             let t = self.temporal_values.get(met);
-            if one_newcomer && 2 * meet_len(union, t) <= self.temporal_values.values.lens[met] {
+            if 2 * meet_len(union, t) <= self.temporal_values.values.lens[met] {
                 // Unchanged, its candidate is still no shorter than the
                 // definition, which pairing only ever shortens.
                 continue;
             }
             let probes = &mut self.stats.rebuild_probes;
-            if orig.walk.advance(met, &self.temporal_values, probes) {
+            if orig.walk.advance(&self.temporal_values, probes) {
                 orig.walk.union_into(union);
             }
             if orig.walk.candidate_len < orig.def.len() {

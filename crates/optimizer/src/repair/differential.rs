@@ -210,13 +210,13 @@ fn rare_paths_are_taken_and_still_identical() {
 /// One walk fed four temporals in three steps, over a universe of
 /// `universe` constants (the sets only use constants 0..8). Returns the
 /// probe count after each step.
-fn newcomer_walk(universe: usize) -> [usize; 4] {
+fn newcomer_walk(universe: usize) -> [usize; 3] {
     let set = |bits: &[u32]| {
         let mut words = vec![0u64; universe.div_ceil(64)];
         words[0] = bits.iter().fold(0, |w, b| w | 1 << b);
         words
     };
-    let mut counts = [0; 4];
+    let mut counts = [0; 3];
     let mut probes = 0;
 
     // ⟦v⟧ = {0..8}; t0 = {0,1}, t1 = {2,3}: the walk is t0 (6 left), t1 (4).
@@ -224,7 +224,7 @@ fn newcomer_walk(universe: usize) -> [usize; 4] {
     temporals.push(&set(&[0, 1]));
     temporals.push(&set(&[2, 3]));
     let mut walk = Walk::new(universe, &set(&[0, 1, 2, 3, 4, 5, 6, 7]));
-    walk.advance(0, &temporals, &mut probes);
+    walk.rescan_from(0, &temporals, &mut probes);
     assert_eq!(picks(&walk), [(6, 0), (4, 1)]);
     assert_eq!(walk.candidate_len, 6);
     counts[0] = probes;
@@ -232,7 +232,7 @@ fn newcomer_walk(universe: usize) -> [usize; 4] {
     // t2 = {4,5} ties with t0 in round 0 and with t1 in round 1: both keep
     // their round, and t2 only extends the walk by {6,7}.
     temporals.push(&set(&[4, 5]));
-    walk.advance(2, &temporals, &mut probes);
+    walk.advance(&temporals, &mut probes);
     assert_eq!(picks(&walk), [(6, 0), (4, 1), (2, 2)]);
     counts[1] = probes;
 
@@ -241,7 +241,7 @@ fn newcomer_walk(universe: usize) -> [usize; 4] {
     // it is dropped unprobed and the new remainder {5,6,7} meets all four
     // temporals.
     temporals.push(&set(&[0, 1, 2, 3, 4]));
-    walk.advance(3, &temporals, &mut probes);
+    walk.advance(&temporals, &mut probes);
     assert_eq!(picks(&walk), [(3, 3)]);
     assert_eq!(
         walk.candidate(),
@@ -249,35 +249,23 @@ fn newcomer_walk(universe: usize) -> [usize; 4] {
     );
     assert_eq!(walk.candidate_len, 4);
     counts[2] = probes;
-
-    // Nothing new: no probes at all.
-    walk.advance(4, &temporals, &mut probes);
-    counts[3] = probes;
     counts
 }
 
 #[test]
 fn a_newcomer_takes_a_round_only_when_strictly_better() {
-    // One or two words: newcomers meet every round with no size test
-    // first. (A fresh scan skips sizes too far from `|rem|`, but here
+    // The newcomer meets every round with no size test first, at every
+    // width. (A fresh scan skips sizes too far from `|rem|`, but here
     // every size is within reach.)
     //  step 1: ⟦v⟧, {2..8} and {4..8} each against t0, t1 — 6;
     //  step 2: t2 against the three remainders (9), then {6,7} against
     //          t0..t2 — 12;
     //  step 3: t3 against ⟦v⟧ wins at once (13), then {5,6,7} against
     //          t0..t3 — 17.
-    assert_eq!(newcomer_walk(8), [6, 12, 17, 17]);
-    assert_eq!(newcomer_walk(128), [6, 12, 17, 17]);
-    // Three words and more: a probe is skipped when `||rem| − |t||`
-    // already cannot beat the round's bound.
-    //  step 1: as above, less t1 against ⟦v⟧ (|8 − 2| = 6 once t0 leaves
-    //          6) — 5;
-    //  step 2: t2 against ⟦v⟧ and {2..8} is skipped by size (6 ≥ 6,
-    //          4 ≥ 4), one probe against {4..8} (6), then {6,7} against
-    //          t0..t2 — 9;
-    //  step 3: t3 against ⟦v⟧ (10), then {5,6,7} against t0..t3, none
-    //          ruled out by size (|3 − 2| and |3 − 5| are below 3) — 14.
-    assert_eq!(newcomer_walk(192), [5, 9, 14, 14]);
+    // One, two and three words per set: no scan branches on the width.
+    for universe in [8, 128, 192] {
+        assert_eq!(newcomer_walk(universe), [6, 12, 17], "{universe}");
+    }
 }
 
 /// A walk over `universe` constants fed one temporal at a time, each
@@ -296,9 +284,9 @@ fn shifted_walk(universe: usize) -> [usize; 3] {
     let mut walk = Walk::new(universe, &value);
     let mut step = |t: &[u32], walk: &mut Walk, probes: &mut usize| {
         temporals.push(&set(t));
-        walk.advance(temporals.len() - 1, &temporals, probes);
+        walk.advance(&temporals, probes);
         let mut fresh = Walk::new(universe, &value);
-        fresh.advance(0, &temporals, &mut 0);
+        fresh.rescan_from(0, &temporals, &mut 0);
         assert_eq!(picks(walk), picks(&fresh));
         assert_eq!(walk.rems.words, fresh.rems.words);
         assert_eq!(walk.candidate_len, fresh.candidate_len);
@@ -339,10 +327,10 @@ fn a_newcomer_that_moves_the_tail_inside_it_keeps_the_later_picks() {
     //  step 2: t2 against ⟦v⟧ (7), then against the two moved remainders
     //          — 9;
     //  step 3: t3 against ⟦v⟧ (10), then {3,5,6,7} against t0..t3 — 14.
-    assert_eq!(shifted_walk(8), [6, 9, 14]);
-    // Three words: t1 against ⟦v⟧ is skipped by size in step 1 (|8 − 2|
-    // is not below 6), and every later count is one less.
-    assert_eq!(shifted_walk(192), [5, 8, 13]);
+    // One and three words per set: the same counts.
+    for universe in [8, 192] {
+        assert_eq!(shifted_walk(universe), [6, 9, 14], "{universe}");
+    }
 }
 
 #[test]
@@ -399,9 +387,9 @@ proptest! {
         let mut met = Temporals::new(128);
         for &t in &temporals {
             met.push(&thin(t));
-            stepwise.advance(met.len() - 1, &met, &mut 0);
+            stepwise.advance(&met, &mut 0);
             let mut fresh = Walk::new(128, &value);
-            fresh.advance(0, &met, &mut 0);
+            fresh.rescan_from(0, &met, &mut 0);
             prop_assert_eq!(picks(&stepwise), picks(&fresh));
             prop_assert_eq!(&stepwise.rems.words, &fresh.rems.words);
             prop_assert_eq!(stepwise.candidate(), fresh.candidate());
@@ -423,7 +411,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if FULL { 32 } else { 1 }))]
 
-    // Three and four words per value set: the scans that skip by size.
+    // Three and four words per value set: past the one- and two-word
+    // scans.
     #[test]
     fn random_matrices_150_by_24(p in dense_flat_slp(150, 24, 0.3)) {
         assert_identical(&p, "a random 24 × 150 matrix");
