@@ -12,7 +12,7 @@ use slp::{binary_slp_from_bitmatrix, Slp};
 use slp_optimizer::{optimize, OptConfig};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
-use xor_runtime::{lock_unpoisoned as lock, ExecPool, ExecProgram, Kernel, PoolChoice};
+use xor_runtime::{lock_unpoisoned as lock, ExecProgram, Kernel, PoolChoice};
 
 /// The engine knobs of an [`XorCodec`]: how programs are optimized,
 /// compiled and executed. Which *code* runs is not in here.
@@ -41,9 +41,9 @@ pub struct EngineConfig {
     /// XOR kernel (§7.2's `xor1` vs `xor32`).
     pub kernel: Kernel,
     /// Worker threads for striped execution: `0` = auto (share the
-    /// machine-sized global [`ExecPool`]), `1` = a single dedicated
-    /// worker (serial execution, still arena-reusing and mutex-free),
-    /// `k > 1` = a dedicated `k`-worker pool.
+    /// machine-sized global [`ExecPool`](xor_runtime::ExecPool)), `1` =
+    /// a single dedicated worker (serial execution, still arena-reusing
+    /// and mutex-free), `k > 1` = a dedicated `k`-worker pool.
     pub parallelism: usize,
 }
 
@@ -127,7 +127,7 @@ fn shards_of(packets: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
 /// same packets share one program ([`XorCodec::programs`] counts them).
 /// All methods take `&self` and the codec is `Send + Sync`.
 ///
-/// Execution stripes across an [`ExecPool`] (the
+/// Execution stripes across an [`ExecPool`](xor_runtime::ExecPool) (the
 /// [`EngineConfig::parallelism`] knob): every worker owns a persistent
 /// grow-on-demand arena, so concurrent callers never serialize on shared
 /// scratch buffers and steady-state encode/decode allocates nothing.
@@ -443,32 +443,6 @@ impl XorCodec {
             outputs.extend(parity_part.iter_mut().flat_map(|s| s.chunks_exact_mut(pl)));
             self.enc_prog.run_striped(inputs, outputs, self.pool.pool(), self.pool.workers())
         })?;
-        Ok(())
-    }
-
-    /// [`XorCodec::encode_parity`] with an explicit stripe-count ceiling:
-    /// the packet range is split by the runtime partitioner into at most
-    /// `threads` blocksize-aligned stripes (XOR is position-wise, so any
-    /// split is exact) and executed on the shared global [`ExecPool`],
-    /// regardless of this codec's own `parallelism` setting.
-    ///
-    /// Prefer [`EngineConfig::parallelism`] for steady-state use; this
-    /// entry point exists for callers that scale thread counts per call
-    /// (e.g. the thread-scaling bench).
-    pub fn encode_parity_mt(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        threads: usize,
-    ) -> Result<(), EcError> {
-        if self.encode_prologue(data, parity, self.n, self.p)? == 0 {
-            return Ok(());
-        }
-        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s, self.w)).collect();
-        let mut outputs: Vec<&mut [u8]> =
-            parity.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
-        self.enc_prog
-            .run_striped(&inputs, &mut outputs, ExecPool::global(), threads.max(1))?;
         Ok(())
     }
 
@@ -809,7 +783,8 @@ impl XorCodec {
     ///
     /// # Errors
     /// [`EcError::MissingSource`] when a shard the plan requires is
-    /// `None` (the caller should fall back to fetching all survivors).
+    /// `None` ([`XorCodec::reconstruct_from`] fetches the plan and
+    /// widens it).
     pub fn reconstruct_subset(
         &self,
         shards: &mut [Option<Vec<u8>>],
@@ -866,6 +841,47 @@ impl XorCodec {
             }
         }
         Ok(())
+    }
+
+    /// Rebuild the `lost` shards, fetching their sources on demand: the
+    /// one repair loop of every container that holds shards elsewhere.
+    ///
+    /// `fetch(want, shards)` fills the entries of `want` it can get and
+    /// leaves the rest `None`; it is only asked for `None` entries. The
+    /// loop asks for the plan's shards ([`XorCodec::repair_sources`])
+    /// that `shards` lacks and rebuilds `lost` from them. If a planned
+    /// source stays absent, it asks once for every other shard outside
+    /// `lost` and rebuilds every shard still `None` — the plan may have
+    /// read one of them.
+    ///
+    /// # Errors
+    /// A plan error ([`EcError::TooManyErasures`],
+    /// [`EcError::SingularPattern`]) returns before any fetch; after the
+    /// widened fetch, the same errors count every shard still absent.
+    pub fn reconstruct_from(
+        &self,
+        shards: &mut [Option<Vec<u8>>],
+        lost: &[usize],
+        mut fetch: impl FnMut(&[usize], &mut [Option<Vec<u8>>]),
+    ) -> Result<(), EcError> {
+        self.check_total(shards.len())?;
+        let mut want = self.repair_sources(lost)?;
+        want.retain(|&i| shards[i].is_none());
+        if !want.is_empty() {
+            fetch(&want, shards);
+        }
+        match self.reconstruct_subset(shards, lost) {
+            Err(EcError::MissingSource { .. }) => {}
+            done => return done,
+        }
+        let rest: Vec<usize> = (0..shards.len())
+            .filter(|i| shards[*i].is_none() && !lost.contains(i) && !want.contains(i))
+            .collect();
+        if !rest.is_empty() {
+            fetch(&rest, shards);
+        }
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+        self.reconstruct_subset(shards, &missing)
     }
 
     /// Recover the original byte buffer from surviving shards.
@@ -1447,5 +1463,88 @@ mod tests {
         let _ = codec.decode_program(&[1]).unwrap();
         assert!(lock(&codec.table).contains(&Key::Pattern(vec![1])));
         assert!(!lock(&codec.table).contains(&Key::Column(0)));
+    }
+
+    // ------------------------------------------------------------------
+    // The repair loop
+    // ------------------------------------------------------------------
+
+    /// A `fetch` that serves `all` but withholds `refuse`, recording
+    /// every request.
+    fn recorder<'a>(
+        all: &'a [Vec<u8>],
+        refuse: &'a [usize],
+        asked: &'a mut Vec<Vec<usize>>,
+    ) -> impl FnMut(&[usize], &mut [Option<Vec<u8>>]) + 'a {
+        move |want, shards| {
+            asked.push(want.to_vec());
+            for &i in want.iter().filter(|i| !refuse.contains(i)) {
+                shards[i] = Some(all[i].clone());
+            }
+        }
+    }
+
+    #[test]
+    fn reconstruct_from_fetches_exactly_the_plan() {
+        // MDS: losing d0 of EVENODD(5) reads the first n survivors.
+        let codec = ArrayCodec::evenodd(5);
+        let shards = codec.encode(&random_bytes(5 * 4 * 16, 11)).unwrap();
+        let mut asked = Vec::new();
+        let mut rx = vec![None; shards.len()];
+        codec.reconstruct_from(&mut rx, &[0], recorder(&shards, &[], &mut asked)).unwrap();
+        assert_eq!(asked, vec![codec.repair_sources(&[0]).unwrap()]);
+        assert_eq!(asked[0], vec![1, 2, 3, 4, 5]);
+        assert_eq!(rx[0].as_ref(), Some(&shards[0]));
+        assert!(rx[6].is_none(), "the unplanned parity is never fetched");
+    }
+
+    #[test]
+    fn reconstruct_from_repairs_a_single_loss_from_its_group() {
+        // XOR locals L0 = d0 ⊕ d1, L1 = d2 ⊕ d3 and a global d0 ⊕ d3.
+        let parity = BitMatrix::parse(&["1100", "0011", "1001"]);
+        let groups = vec![vec![0, 1, 4], vec![2, 3, 5]];
+        let codec = XorCodec::new(4, 3, 1, &parity, groups, EngineConfig::new()).unwrap();
+        let shards = codec.encode(&random_bytes(4 * 40, 12)).unwrap();
+        let mut asked = Vec::new();
+        let mut rx = vec![None; shards.len()];
+        codec.reconstruct_from(&mut rx, &[2], recorder(&shards, &[], &mut asked)).unwrap();
+        assert_eq!(asked, vec![vec![3, 5]]);
+        assert_eq!(rx[2].as_ref(), Some(&shards[2]));
+    }
+
+    #[test]
+    fn reconstruct_from_widens_once_when_a_planned_source_is_refused() {
+        let codec = ArrayCodec::evenodd(5);
+        let shards = codec.encode(&random_bytes(5 * 4 * 16, 13)).unwrap();
+        let mut asked = Vec::new();
+        let mut rx = vec![None; shards.len()];
+        codec.reconstruct_from(&mut rx, &[0], recorder(&shards, &[3], &mut asked)).unwrap();
+        // The plan, then every other shard outside `lost` — only Q here.
+        assert_eq!(asked, vec![vec![1, 2, 3, 4, 5], vec![6]]);
+        // The refused source is rebuilt too: every shard equals the encode.
+        let rebuilt: Vec<Vec<u8>> = rx.into_iter().map(Option::unwrap).collect();
+        assert_eq!(rebuilt, shards);
+    }
+
+    #[test]
+    fn reconstruct_from_plan_errors_fetch_nothing() {
+        let codec = ArrayCodec::evenodd(5); // p = 2
+        let shards = codec.encode(&random_bytes(5 * 4 * 16, 14)).unwrap();
+        let mut asked = Vec::new();
+        let mut rx = vec![None; shards.len()];
+        assert_eq!(
+            codec.reconstruct_from(&mut rx, &[0, 1, 2], recorder(&shards, &[], &mut asked)),
+            Err(EcError::TooManyErasures { missing: 3, parity: 2 })
+        );
+        let toy = toy();
+        let lost = [2, 3, 4];
+        assert!(!solvable(&toy, &lost));
+        let shards = toy.encode(&random_bytes(90, 15)).unwrap();
+        let mut rx = vec![None; shards.len()];
+        assert_eq!(
+            toy.reconstruct_from(&mut rx, &lost, recorder(&shards, &[], &mut asked)),
+            Err(EcError::SingularPattern { lost: lost.to_vec() })
+        );
+        assert!(asked.is_empty(), "{asked:?}");
     }
 }

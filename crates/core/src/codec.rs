@@ -340,16 +340,16 @@ mod tests {
 
     #[test]
     fn multithreaded_encode_matches_single() {
-        let codec = RsCodec::new(8, 3).unwrap();
         let data = sample_data(8 * 1024 + 3);
-        let single = codec.encode(&data).unwrap();
+        let single = RsCodec::new(8, 3).unwrap().encode(&data).unwrap();
 
+        let codec = RsCodec::with_config(RsConfig::new(8, 3).parallelism(4)).unwrap();
         let shard_len = single[0].len();
         let data_refs: Vec<&[u8]> = single[..8].iter().map(Vec::as_slice).collect();
         let mut parity = vec![vec![0u8; shard_len]; 3];
         {
             let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            codec.encode_parity_mt(&data_refs, &mut refs, 4).unwrap();
+            codec.encode_parity(&data_refs, &mut refs).unwrap();
         }
         assert_eq!(&parity[..], &single[8..]);
     }
@@ -358,17 +358,17 @@ mod tests {
     fn short_shards_encode_mt_with_many_threads() {
         // Shards of one packet-byte each: the partitioner must fall back
         // to a single stripe (not zero work, not a per-byte split) and
-        // still produce exact parity whatever thread count is requested.
-        let codec = RsCodec::new(4, 2).unwrap();
+        // still produce exact parity whatever the worker count.
         let data = sample_data(4 * 8); // 8-byte shards → 1-byte packets
-        let single = codec.encode(&data).unwrap();
+        let single = RsCodec::new(4, 2).unwrap().encode(&data).unwrap();
         let data_refs: Vec<&[u8]> = single[..4].iter().map(Vec::as_slice).collect();
         for threads in [1usize, 2, 7, 64] {
+            let codec = RsCodec::with_config(RsConfig::new(4, 2).parallelism(threads)).unwrap();
             let mut parity = vec![vec![0u8; single[0].len()]; 2];
             {
                 let mut refs: Vec<&mut [u8]> =
                     parity.iter_mut().map(Vec::as_mut_slice).collect();
-                codec.encode_parity_mt(&data_refs, &mut refs, threads).unwrap();
+                codec.encode_parity(&data_refs, &mut refs).unwrap();
             }
             assert_eq!(&parity[..], &single[4..], "threads {threads}");
         }
@@ -609,17 +609,16 @@ mod tests {
     }
 
     #[test]
-    fn encode_parity_mt_zero_length_is_a_noop() {
-        // encode_parity_mt shares encode_parity's prologue: zero-length
-        // shards succeed identically on both paths.
-        let codec = RsCodec::new(4, 2).unwrap();
+    fn encode_parity_zero_length_is_a_noop() {
+        // Zero-length shards succeed on the serial and the pooled engine.
         let data: Vec<Vec<u8>> = vec![Vec::new(); 4];
         let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         let mut parity: Vec<Vec<u8>> = vec![Vec::new(); 2];
-        let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        codec.encode_parity_mt(&refs, &mut prefs, 4).unwrap();
-        let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        codec.encode_parity(&refs, &mut prefs).unwrap();
+        for threads in [1usize, 4] {
+            let codec = RsCodec::with_config(RsConfig::new(4, 2).parallelism(threads)).unwrap();
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+            codec.encode_parity(&refs, &mut prefs).unwrap();
+        }
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //!   touch;
 //! * one repair core serves both repairs — `repair_object` (scrub
 //!   damage) and `repair_nodes` (any number of simultaneously-dead
-//!   nodes, one survivor fetch + one reconstruct per object): fetch only
-//!   what the codec's repair plan lacks (a locally repairable codec
-//!   reads a single lost shard's group), `reconstruct_subset`, prove
-//!   each rebuilt shard against its manifest root, ship shards and hash
-//!   blobs in one round, publish only a changed shard map;
+//!   nodes, one survivor fetch + one reconstruct per object): the
+//!   codec's `reconstruct_from` fetches only what its repair plan lacks
+//!   (a locally repairable codec reads a single lost shard's group) and
+//!   rebuilds; then prove each rebuilt shard against its manifest root,
+//!   ship shards and hash blobs in one round, publish only a changed
+//!   shard map;
 //! * an optional per-operation deadline ([`Cluster::with_op_deadline`])
 //!   bounds each operation's wall clock and surfaces as the typed
 //!   [`StoreError::Timeout`].

@@ -1,6 +1,6 @@
-//! Repair: one core — plan, fetch, rebuild, prove, place, publish — and
-//! its two front ends, scrub damage (`repair_object`) and dead nodes
-//! (`repair_nodes`).
+//! Repair: one core — rebuild (the codec's plan → fetch → widen loop),
+//! prove, place, publish — and its two front ends, scrub damage
+//! (`repair_object`) and dead nodes (`repair_nodes`).
 
 use super::scrub::ClusterScrubReport;
 use super::write::publish;
@@ -124,21 +124,21 @@ impl Cluster {
     /// rebuilt and shipped with its `t:` blob; one it holds (fetched and
     /// verified, its blob stale) gets only the blob, re-derived.
     ///
-    /// 1. Fetch what the codec's repair plan for the lost shards needs
-    ///    and `shards` lacks. A planned source that is absent sends the
-    ///    fetch to every other survivor and the rebuild to every shard
-    ///    still missing (the lost shards' plan may need one of them).
-    /// 2. Rebuild with `reconstruct_subset`.
-    /// 3. Prove each rebuilt shard against `shard_root[i]`, in the one
+    /// 1. Rebuild the lost shards with the codec's repair loop,
+    ///    `reconstruct_from`, whose fetch is `fetch_shards`: it fetches
+    ///    what the repair plan needs and `shards` lacks, and on an
+    ///    absent source every other survivor, then rebuilds every shard
+    ///    still missing.
+    /// 2. Prove each rebuilt shard against `shard_root[i]`, in the one
     ///    hash pass that also makes its blob.
-    /// 4. Ship every shard and blob in one round, under the one placement
+    /// 3. Ship every shard and blob in one round, under the one placement
     ///    rule: shard `i` goes to `moves[placement[i]]`, else stays on
     ///    `placement[i]` if that is a member, else to the highest-ranked
     ///    member holding no shard of the object. A shard that stays is
     ///    written under its live keys — exactly the bytes the manifest
     ///    names, so nothing is published; one that moves is written under
     ///    generation `g + 1` keys.
-    /// 5. Only if a moved shard landed, publish manifest `g + 1` naming it
+    /// 4. Only if a moved shard landed, publish manifest `g + 1` naming it
     ///    to the post-repair membership, required on every node that took
     ///    a shard; a shard that did not land never enters the map. An
     ///    unchanged map goes to each replacement in `moves` as its
@@ -156,38 +156,22 @@ impl Cluster {
     ) -> Result<(ObjectRepairReport, u64), StoreError> {
         let (n, total) = (self.codec.data_shards(), manifest.total_shards());
         let lost: Vec<usize> = restore.iter().copied().filter(|&i| shards[i].is_none()).collect();
-        let survivors = || (0..total).filter(|i| !lost.contains(i));
         let mut bytes_read = 0;
-        if !lost.is_empty() {
-            let plan = self.codec.repair_sources(&lost);
-            let mut fallback = plan.is_err();
-            let mut want = plan.unwrap_or_else(|_| survivors().collect());
-            loop {
-                want.retain(|&i| shards[i].is_none());
-                let fetched = self.fetch_shards(conns, object, &manifest, &want);
-                for (&i, bytes) in want.iter().zip(fetched) {
-                    if let Ok(bytes) = bytes {
-                        bytes_read += bytes.len() as u64;
-                        shards[i] = Some(bytes);
-                    }
-                }
-                let missing: Vec<usize> = (0..total).filter(|&i| shards[i].is_none()).collect();
-                let have = total - missing.len();
-                if fallback && have < n {
-                    let object = object.to_string();
-                    return Err(StoreError::Unavailable { object, needed: n, have });
-                }
-                let targets = if fallback { &missing } else { &lost };
-                match self.codec.reconstruct_subset(&mut shards, targets) {
-                    Ok(()) => break,
-                    Err(EcError::MissingSource { .. }) if !fallback => {
-                        fallback = true;
-                        want = survivors().filter(|i| !want.contains(i)).collect();
-                    }
-                    Err(e) => return Err(e.into()),
+        let fetch = |want: &[usize], shards: &mut [Option<Vec<u8>>]| {
+            for (&i, bytes) in want.iter().zip(self.fetch_shards(conns, object, &manifest, want)) {
+                if let Ok(bytes) = bytes {
+                    bytes_read += bytes.len() as u64;
+                    shards[i] = Some(bytes);
                 }
             }
-        }
+        };
+        self.codec.engine().reconstruct_from(&mut shards, &lost, fetch).map_err(|e| match e {
+            EcError::TooManyErasures { missing, .. } => {
+                let object = object.to_string();
+                StoreError::Unavailable { object, needed: n, have: total - missing }
+            }
+            e => e.into(),
+        })?;
         let restored: Vec<&[u8]> =
             restore.iter().map(|&i| shards[i].as_deref().expect("held or rebuilt")).collect();
         let blobs = HashBlob::from_shards(&restored, manifest.hash_leaf_size);

@@ -11,7 +11,7 @@
 use crate::decode::{refill_shards, ChunkScanner, ExtractReport, StreamDecoder};
 use crate::encode::StreamEncoder;
 use crate::error::StreamError;
-use crate::format::{ArchiveMeta, HashTrailer, ShardHeader};
+use crate::format::{ArchiveMeta, HashTrailer, ShardHeader, FRAME_TRAILER_LEN};
 use ec_wire::crc32;
 use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};
 use ec_core::{codec_for, codec_for_with, CodecSpec, EcError, ErasureCoder, RsConfig};
@@ -453,8 +453,9 @@ impl Archive {
                 }
             }
         }
+        let all: Vec<usize> = (0..t).collect();
         for c in 0..self.meta.chunk_count {
-            scanner.read_chunk(c);
+            scanner.read_chunk(c, &all);
             for i in 0..t {
                 if present[i] && !scanner.good[i] {
                     bad_chunks[i].push(c);
@@ -484,75 +485,45 @@ impl Archive {
     /// Rewrite every damaged shard file from the survivors.
     ///
     /// Damage is re-diagnosed ([`Archive::verify`]), then the archive is
-    /// walked chunk by chunk: slices that fail their CRC are
-    /// reconstructed (missing parity rows via the partial row-subset
-    /// programs — a single bad parity shard costs one row program per
-    /// chunk, not a full re-encode) and every damaged file is rewritten
-    /// whole, re-framing its surviving good chunks as-is. Replacement
-    /// files are written next to the originals and renamed into place
-    /// only after the full pass succeeds.
+    /// walked once, chunk by chunk, and every damaged file is rewritten
+    /// whole: its good frames are re-framed as they are, and each chunk
+    /// whose frame is bad is rebuilt by the codec's repair loop
+    /// ([`XorCodec::reconstruct_from`](ec_core::XorCodec::reconstruct_from)).
+    /// The loop plans per chunk: it reads the frames of that chunk's
+    /// repair plan — an LRC's single loss reads its locality group, a
+    /// lost parity shard one row program's data — and widens to the
+    /// chunk's other frames only when a planned frame is bad too. There
+    /// is no second, full-source pass.
+    ///
+    /// Under an elected root vector, a walk reads only the damaged
+    /// shards' own frames and what the plans fetch; a damaged shard
+    /// without trusted leaves is no source at all (its frames may be
+    /// CRC-forged), and each rebuilt file must prove the elected root.
+    /// Without an election every frame is read, because the trailers are
+    /// rebuilt from all the bytes. Replacement files are written next to
+    /// the originals and renamed into place only after the walk and the
+    /// proof succeed; on any error they are deleted.
     ///
     /// Repair reads the archive twice by design: the damaged-file set
     /// must be known *before* the rebuild walk (replacement writers are
     /// created up front), and CRC-level damage is only discoverable by
     /// reading everything — a diagnose pass cannot be folded into the
     /// rebuild pass without buffering whole shard files.
-    ///
-    /// When the codec has a cheaper repair plan than "read any `n`
-    /// survivors" — an LRC repairing a single loss from its locality
-    /// group — only the plan's shard files are opened; the walk falls
-    /// back to a full-source pass if a plan source turns out damaged
-    /// at the chunk level.
     pub fn repair(&self) -> Result<RepairReport, StreamError> {
         let damaged = self.verify()?.damaged();
         if damaged.is_empty() {
             return Ok(RepairReport::default());
         }
-        // A repair plan reads only a subset of shards, so it needs the
-        // elected root vector to fill in the unread shards' roots (and
-        // to prove the rebuild). No election ⇒ full pass, which can
-        // recompute every root from scratch.
-        if self.hash_context().is_some() {
-            if let Ok(plan) = self.codec.repair_sources(&damaged) {
-                if plan.len() + damaged.len() < self.meta.total_shards() {
-                    match self.repair_pass(&damaged, Some(&plan)) {
-                        Err(StreamError::Codec(EcError::MissingSource { .. })) => {}
-                        other => return other,
-                    }
-                }
-            }
-        }
-        self.repair_pass(&damaged, None)
-    }
-
-    fn repair_pass(
-        &self,
-        damaged: &[usize],
-        plan: Option<&[usize]>,
-    ) -> Result<RepairReport, StreamError> {
-        let damaged = damaged.to_vec();
         let t = self.meta.total_shards();
         let p = self.meta.parity_shards as usize;
         let ctx = self.hash_context();
-
-        // Every file with a trusted header feeds the scan — including
-        // damaged ones, whose surviving chunks still count as sources
-        // and must be re-framed into the replacement file. A repair
-        // plan only prunes *healthy* files it does not need to read.
-        // Exception: under an election, a damaged shard *without*
-        // trusted leaves (bad trailer) is not a source at all — its
-        // frames may be CRC-forged and nothing can vouch for them, so
-        // it is rebuilt wholesale from shards that can be verified.
         let sources = (0..t)
             .map(|i| {
-                let wanted = plan
-                    .map(|plan| plan.contains(&i) || damaged.contains(&i))
-                    .unwrap_or(true);
                 let vouched = match &ctx {
                     Some(ctx) => ctx.trusted[i].is_some() || !damaged.contains(&i),
                     None => true,
                 };
-                (wanted && vouched).then(|| self.open_source(i)).flatten()
+                vouched.then(|| self.open_source(i)).flatten()
             })
             .collect();
         let mut scanner = ChunkScanner::new(self.meta, sources);
@@ -563,63 +534,54 @@ impl Archive {
                 }
             }
         }
+        // The shards whose frames every chunk reads and whose leaves the
+        // new trailers take: the damaged ones under an election, else
+        // all, because the trailers are rebuilt from every shard's bytes.
+        let tracked: Vec<usize> = if ctx.is_some() { damaged.clone() } else { (0..t).collect() };
 
         let tmp_path = |i: usize| self.dir.join(format!("{}.tmp", shard_file_name(i)));
-        let mut writers = damaged
-            .iter()
-            .map(|&i| {
-                let mut w = BufWriter::new(File::create(tmp_path(i))?);
-                ShardHeader { meta: self.meta, shard_index: i as u16 }.write_to(&mut w)?;
-                Ok((i, w))
-            })
-            .collect::<Result<Vec<_>, std::io::Error>>()
-            .inspect_err(|_| self.discard_tmps(&damaged, tmp_path))?;
-
-        let mut chunks_rebuilt = 0u64;
-        let mut bytes_read = 0u64;
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; t];
-        let mut spare: Vec<Vec<u8>> = Vec::new();
-        let mut new_leaves: Vec<Vec<Hash>> = vec![Vec::new(); t];
-        // No election ⇒ the trailer must be rebuilt from every shard's
-        // actual bytes, so every shard's leaves are tracked (full pass
-        // only; `repair` gates plans on the election).
-        let tracked: Vec<usize> =
-            (0..t).filter(|i| ctx.is_none() || damaged.contains(i)).collect();
-        let mut chunk_leaves = vec![Hash::default(); tracked.len()];
-        for c in 0..self.meta.chunk_count {
-            let live = scanner.live_count() as u64;
-            scanner.read_chunk(c);
-            bytes_read += live * (self.meta.slice_len(c) + crate::format::FRAME_TRAILER_LEN) as u64;
-            let result = (|| -> Result<(), StreamError> {
-                if plan.is_some() {
-                    // Plan mode: rebuild exactly the damaged shards'
-                    // bad slices from the plan's sources. A corrupt
-                    // chunk inside a plan source surfaces as a typed
-                    // `MissingSource`, which the caller answers with a
-                    // full-source pass.
-                    let targets: Vec<usize> =
-                        damaged.iter().copied().filter(|&i| !scanner.good[i]).collect();
-                    if !targets.is_empty() {
-                        refill_shards(&mut shards, &mut spare, &scanner.slices, &scanner.good);
-                        self.codec.reconstruct_subset(&mut shards, &targets)?;
-                        chunks_rebuilt += 1;
-                    }
-                } else {
-                    let missing = t - scanner.good_count();
-                    if missing > 0 {
-                        if missing > p {
+        let mut report = RepairReport { repaired: damaged.clone(), ..RepairReport::default() };
+        let result = (|| -> Result<(), StreamError> {
+            let mut writers = damaged
+                .iter()
+                .map(|&i| {
+                    let mut w = BufWriter::new(File::create(tmp_path(i))?);
+                    ShardHeader { meta: self.meta, shard_index: i as u16 }.write_to(&mut w)?;
+                    Ok((i, w))
+                })
+                .collect::<Result<Vec<_>, std::io::Error>>()?;
+            let mut shards: Vec<Option<Vec<u8>>> = vec![None; t];
+            let mut spare: Vec<Vec<u8>> = Vec::new();
+            let mut new_leaves: Vec<Vec<Hash>> = vec![Vec::new(); t];
+            let mut chunk_leaves = vec![Hash::default(); tracked.len()];
+            for c in 0..self.meta.chunk_count {
+                let frame = (self.meta.slice_len(c) + FRAME_TRAILER_LEN) as u64;
+                report.bytes_read += frame * scanner.read_chunk(c, &tracked) as u64;
+                let targets: Vec<usize> =
+                    damaged.iter().copied().filter(|&i| !scanner.good[i]).collect();
+                if !targets.is_empty() {
+                    // Refill every slot from this chunk: a stale slice
+                    // from the last one must not satisfy the plan.
+                    refill_shards(&mut shards, &mut spare, &scanner.slices, &scanner.good, 0..t);
+                    let bytes_read = &mut report.bytes_read;
+                    let fetch = |want: &[usize], shards: &mut [Option<Vec<u8>>]| {
+                        *bytes_read += frame * scanner.fetch(c, want) as u64;
+                        let want = want.iter().copied();
+                        refill_shards(shards, &mut spare, &scanner.slices, &scanner.good, want);
+                    };
+                    match self.codec.engine().reconstruct_from(&mut shards, &targets, fetch) {
+                        Err(EcError::TooManyErasures { missing, .. }) => {
                             return Err(StreamError::TooDamaged { chunk: c, missing, parity: p });
                         }
-                        refill_shards(&mut shards, &mut spare, &scanner.slices, &scanner.good);
-                        self.codec.reconstruct(&mut shards)?;
-                        chunks_rebuilt += 1;
+                        rebuilt => rebuilt?,
                     }
+                    report.chunks_rebuilt += 1;
                 }
                 let slice_of = |i: usize| -> &[u8] {
                     if scanner.good[i] {
                         &scanner.slices[i]
                     } else {
-                        shards[i].as_deref().expect("reconstructed above")
+                        shards[i].as_deref().expect("rebuilt above")
                     }
                 };
                 for &mut (i, ref mut w) in &mut writers {
@@ -632,63 +594,43 @@ impl Archive {
                 for (&i, leaf) in tracked.iter().zip(&chunk_leaves) {
                     new_leaves[i].push(*leaf);
                 }
-                Ok(())
-            })();
-            if let Err(e) = result {
-                drop(writers);
-                self.discard_tmps(&damaged, tmp_path);
-                return Err(e);
             }
-        }
 
-        // Finish each replacement file with its hash trailer — and
-        // prove the restoration first. Under an election the rebuilt
-        // shard's root must equal the elected root: reconstruction from
-        // verified sources is byte-exact, so a mismatch means the walk
-        // was fed something unprovable and the file must not publish.
-        let shard_roots: Vec<Hash> = match &ctx {
-            Some(ctx) => ctx.shard_roots.clone(),
-            None => new_leaves
-                .iter()
-                .map(|ls| MerkleTree::from_leaves(ls.clone()).root())
-                .collect(),
-        };
-        let mut failure: Option<StreamError> = None;
-        for &mut (i, ref mut w) in &mut writers {
-            let trailer = HashTrailer::new(new_leaves[i].clone(), shard_roots.clone());
-            if trailer.own_root() != shard_roots[i] {
-                failure = Some(StreamError::Format(format!(
-                    "restored shard {i} hashes to a different Merkle root than \
-                     the elected vector — refusing to publish it"
-                )));
-                break;
-            }
-            if let Err(e) = w.write_all(&trailer.to_bytes()) {
-                failure = Some(e.into());
-                break;
-            }
-        }
-        if let Some(e) = failure {
-            drop(writers);
-            self.discard_tmps(&damaged, tmp_path);
-            return Err(e);
-        }
-
-        for (i, w) in writers {
-            let into = |e: std::io::Error| {
-                self.discard_tmps(&damaged, tmp_path);
-                StreamError::Io(e)
+            // Finish each replacement file with its hash trailer — and
+            // prove the restoration first. Under an election the rebuilt
+            // shard's root must equal the elected root: reconstruction
+            // from verified sources is byte-exact, so a mismatch means the
+            // walk was fed something unprovable and the file must not
+            // publish.
+            let shard_roots: Vec<Hash> = match &ctx {
+                Some(ctx) => ctx.shard_roots.clone(),
+                None => new_leaves
+                    .iter()
+                    .map(|ls| MerkleTree::from_leaves(ls.clone()).root())
+                    .collect(),
             };
-            w.into_inner().map_err(|e| into(e.into_error()))?;
-            fs::rename(tmp_path(i), self.shard_path(i)).map_err(into)?;
+            for &mut (i, ref mut w) in &mut writers {
+                let trailer = HashTrailer::new(new_leaves[i].clone(), shard_roots.clone());
+                if trailer.own_root() != shard_roots[i] {
+                    return Err(StreamError::Format(format!(
+                        "restored shard {i} hashes to a different Merkle root than \
+                         the elected vector — refusing to publish it"
+                    )));
+                }
+                w.write_all(&trailer.to_bytes())?;
+            }
+            for (i, w) in writers {
+                w.into_inner().map_err(std::io::IntoInnerError::into_error)?;
+                fs::rename(tmp_path(i), self.shard_path(i))?;
+            }
+            Ok(())
+        })();
+        if result.is_err() {
+            for &i in &damaged {
+                let _ = fs::remove_file(tmp_path(i));
+            }
         }
-        Ok(RepairReport { repaired: damaged, chunks_rebuilt, bytes_read })
-    }
-
-    fn discard_tmps(&self, damaged: &[usize], tmp_path: impl Fn(usize) -> PathBuf) {
-        for &i in damaged {
-            let _ = fs::remove_file(tmp_path(i));
-        }
+        result.map(|()| report)
     }
 }
 
@@ -767,7 +709,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_repair_falls_back_when_a_source_is_corrupt() {
+    fn plan_repair_converges_when_a_source_is_corrupt() {
         let dir = tmp_dir("lrc_fallback");
         let input = write_input(&dir, 60_000);
         let spec = CodecSpec::lrc(8, 4, 4);
@@ -787,6 +729,40 @@ mod tests {
 
         let report = a.repair().unwrap();
         assert_eq!(report.repaired, vec![0, 2]);
+        assert!(a.verify().unwrap().all_ok());
+        let restored = dir.join("restored.bin");
+        a.extract(&restored).unwrap();
+        assert_eq!(fs::read(&input).unwrap(), fs::read(&restored).unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn repair_plans_each_chunk_on_its_own() {
+        let dir = tmp_dir("per_chunk_plan");
+        let input = write_input(&dir, 120_000);
+        let spec = CodecSpec::lrc(8, 4, 4);
+        let shards = dir.join("shards");
+        let a = Archive::create_with_spec(&input, &shards, &spec, 8192).unwrap();
+        let frame = |c: u64| (a.meta().slice_len(c) + FRAME_TRAILER_LEN) as u64;
+        let frames: u64 = (0..a.meta().chunk_count).map(frame).sum();
+        assert_eq!((a.meta().chunk_count, frames, frame(1)), (15, 15_060, 1_028));
+
+        // Lose shard 2 (group 0) and one byte of shard 5's chunk-1 frame
+        // (group 1).
+        fs::remove_file(a.shard_path(2)).unwrap();
+        let p5 = a.shard_path(5);
+        let mut bytes = fs::read(&p5).unwrap();
+        bytes[crate::format::HEADER_LEN + frame(0) as usize + 9] ^= 0x04;
+        fs::write(&p5, bytes).unwrap();
+        assert_eq!(a.verify().unwrap().damaged(), vec![2, 5]);
+
+        // Every chunk reads shard 5's own frame and group 0's four; only
+        // chunk 1 needs group 1's four as well. One plan for both losses
+        // over the whole walk would read nine frames of every chunk.
+        let report = a.repair().unwrap();
+        assert_eq!(report.repaired, vec![2, 5]);
+        assert_eq!(report.bytes_read, 5 * frames + 4 * frame(1));
+        assert_eq!(report.bytes_read, 79_412);
         assert!(a.verify().unwrap().all_ok());
         let restored = dir.join("restored.bin");
         a.extract(&restored).unwrap();

@@ -6,19 +6,23 @@ use ec_wire::merkle::{leaf_hashes_into, Hash, LEAF_BATCH};
 use crate::error::StreamError;
 use crate::format::{ArchiveMeta, FRAME_TRAILER_LEN};
 use ec_core::ErasureCoder;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, Write};
 
 /// Chunk-wise frame reader over a set of shard sources, shared by
 /// extraction, scrub and repair.
 ///
-/// Each call to [`ChunkScanner::read_chunk`] reads one frame from every
-/// live source into the reusable `slices` buffers and records per-shard
-/// integrity in `good`. A source that fails to produce a full frame
-/// (truncation, I/O error) is dropped for good — its framing is lost —
-/// while a CRC mismatch only poisons the current chunk.
-pub(crate) struct ChunkScanner<R: Read> {
+/// [`ChunkScanner::fetch`] reads one chunk's frame from the asked
+/// shards into the reusable `slices` buffers and records per-shard
+/// integrity in `good`; a source seeks forward over the frames it was
+/// not asked for, so a skipped frame is never read. A source that fails
+/// to produce a full frame (truncation, I/O error) is dropped for good —
+/// its framing is lost — while a CRC mismatch only poisons the current
+/// chunk.
+pub(crate) struct ChunkScanner<R: Read + Seek> {
     meta: ArchiveMeta,
     sources: Vec<Option<R>>,
+    /// Per-shard chunk index of the frame its source is positioned at.
+    at: Vec<u64>,
     /// Per-shard trusted leaf hashes (from an elected hash trailer).
     /// When present for a shard, each frame must *also* hash to its
     /// leaf — catching CRC-preserving tampering the checksum walk
@@ -30,7 +34,7 @@ pub(crate) struct ChunkScanner<R: Read> {
     pub good: Vec<bool>,
 }
 
-impl<R: Read> ChunkScanner<R> {
+impl<R: Read + Seek> ChunkScanner<R> {
     /// `sources[i]` must be positioned at shard `i`'s first frame (just
     /// past the header), or `None` when the shard is unavailable.
     pub fn new(meta: ArchiveMeta, sources: Vec<Option<R>>) -> ChunkScanner<R> {
@@ -39,6 +43,7 @@ impl<R: Read> ChunkScanner<R> {
         ChunkScanner {
             meta,
             sources,
+            at: vec![0; t],
             trusted: vec![None; t],
             slices: vec![Vec::new(); t],
             good: vec![false; t],
@@ -68,23 +73,37 @@ impl<R: Read> ChunkScanner<R> {
         any
     }
 
-    /// Read chunk `chunk`'s frame from every live source. Chunks must be
-    /// requested in order (`0, 1, 2, …`) — sources are plain readers and
-    /// are never rewound.
-    pub fn read_chunk(&mut self, chunk: u64) {
+    /// Start chunk `chunk`: clear every shard's `good`, then
+    /// [`ChunkScanner::fetch`] `shards`. Chunks must be started in
+    /// order (`0, 1, 2, …`) — sources only seek forward.
+    pub fn read_chunk(&mut self, chunk: u64, shards: &[usize]) -> usize {
+        self.good.fill(false);
+        self.fetch(chunk, shards)
+    }
+
+    /// Read chunk `chunk`'s frame from each of `shards` whose source is
+    /// live and has not read it yet; returns the number of frames read.
+    pub fn fetch(&mut self, chunk: u64, shards: &[usize]) -> usize {
         let slen = self.meta.slice_len(chunk);
+        // Only the last chunk is short, and a skip never crosses it.
+        let frame = (self.meta.slice_len(0) + FRAME_TRAILER_LEN) as u64;
         let mut trailer = [0u8; FRAME_TRAILER_LEN];
-        for i in 0..self.sources.len() {
-            self.good[i] = false;
+        let mut read = 0;
+        for &i in shards {
             let Some(src) = &mut self.sources[i] else { continue };
+            let Some(behind) = chunk.checked_sub(self.at[i]) else { continue };
+            read += 1;
             self.slices[i].resize(slen, 0);
-            let ok = src.read_exact(&mut self.slices[i]).is_ok()
+            let skip = behind.checked_mul(frame).and_then(|b| i64::try_from(b).ok());
+            let ok = skip.is_some_and(|b| b == 0 || src.seek_relative(b).is_ok())
+                && src.read_exact(&mut self.slices[i]).is_ok()
                 && src.read_exact(&mut trailer).is_ok();
             if !ok {
                 // Short read: this source's framing is gone; drop it.
                 self.sources[i] = None;
                 continue;
             }
+            self.at[i] = chunk + 1;
             self.good[i] = u32::from_le_bytes(trailer) == crc32(&self.slices[i]);
         }
         // Then the leaf check of every CRC-good frame that has a trusted
@@ -95,11 +114,12 @@ impl<R: Read> ChunkScanner<R> {
         let mut staged: [&[u8]; LEAF_BATCH] = [&[]; LEAF_BATCH];
         let mut hashes = [Hash::default(); LEAF_BATCH];
         let mut next = 0;
-        while next < self.sources.len() {
+        while next < shards.len() {
             let mut count = 0;
-            while next < self.sources.len() && count < LEAF_BATCH {
-                if self.good[next] && self.trusted[next].is_some() {
-                    (shard[count], staged[count]) = (next, &self.slices[next]);
+            while next < shards.len() && count < LEAF_BATCH {
+                let i = shards[next];
+                if self.good[i] && self.trusted[i].is_some() {
+                    (shard[count], staged[count]) = (i, &self.slices[i]);
                     count += 1;
                 }
                 next += 1;
@@ -110,36 +130,33 @@ impl<R: Read> ChunkScanner<R> {
                 self.good[i] = leaves.get(chunk as usize) == Some(hash);
             }
         }
+        read
     }
 
     /// Number of shards whose current-chunk frame passed its CRC.
     pub fn good_count(&self) -> usize {
         self.good.iter().filter(|&&g| g).count()
     }
-
-    /// Number of sources still live (not dropped for truncation); the
-    /// next [`ChunkScanner::read_chunk`] reads one frame from each.
-    pub fn live_count(&self) -> usize {
-        self.sources.iter().filter(|s| s.is_some()).count()
-    }
 }
 
-/// Refill a reusable `Option<Vec<u8>>` shard set from a scanner's chunk:
-/// good slices are copied into slots (reusing slot/spare capacity), bad
-/// slots become `None` with their buffer parked in `spare`. Keeps the
-/// degraded (erasure-decoding) path free of per-chunk slice
-/// allocations across a long archive walk.
+/// Refill the `which` slots of a reusable `Option<Vec<u8>>` shard set
+/// from a scanner's chunk: good slices are copied into slots (reusing
+/// slot/spare capacity), bad slots become `None` with their buffer
+/// parked in `spare`. Keeps the degraded (erasure-decoding) path free of
+/// per-chunk slice allocations across a long archive walk.
 pub(crate) fn refill_shards(
     shards: &mut [Option<Vec<u8>>],
     spare: &mut Vec<Vec<u8>>,
     slices: &[Vec<u8>],
     good: &[bool],
+    which: impl IntoIterator<Item = usize>,
 ) {
-    for ((slot, slice), &g) in shards.iter_mut().zip(slices).zip(good) {
-        if g {
+    for i in which {
+        let slot = &mut shards[i];
+        if good[i] {
             let mut v = slot.take().or_else(|| spare.pop()).unwrap_or_default();
             v.clear();
-            v.extend_from_slice(slice);
+            v.extend_from_slice(&slices[i]);
             *slot = Some(v);
         } else if let Some(v) = slot.take() {
             spare.push(v);
@@ -171,7 +188,7 @@ pub struct ExtractReport {
 /// original bytes out. Intact chunks cost a CRC scan and a copy; a chunk
 /// with missing or corrupt data slices is erasure-decoded from any `n`
 /// surviving slices. Memory stays `O(chunk × (n + p))`.
-pub struct StreamDecoder<'c, R: Read> {
+pub struct StreamDecoder<'c, R: Read + Seek> {
     codec: &'c dyn ErasureCoder,
     scanner: ChunkScanner<R>,
     /// Reusable shard set + parked buffers for the degraded path.
@@ -179,7 +196,7 @@ pub struct StreamDecoder<'c, R: Read> {
     spare: Vec<Vec<u8>>,
 }
 
-impl<'c, R: Read> StreamDecoder<'c, R> {
+impl<'c, R: Read + Seek> StreamDecoder<'c, R> {
     /// `sources[i]` must be positioned at shard `i`'s first frame (just
     /// past the header), or `None` for a lost shard. The codec's full
     /// spec — family, geometry, group size — must match the metadata's;
@@ -241,8 +258,9 @@ impl<'c, R: Read> StreamDecoder<'c, R> {
             hash_verified: self.scanner.fully_trusted(),
             ..Default::default()
         };
+        let all: Vec<usize> = (0..meta.total_shards()).collect();
         for c in 0..meta.chunk_count {
-            self.scanner.read_chunk(c);
+            self.scanner.read_chunk(c, &all);
             let data_len = meta.chunk_data_len(c);
             if self.scanner.good[..n].iter().all(|&g| g) {
                 // Fast path: every data slice intact — stitch and go.
@@ -266,6 +284,7 @@ impl<'c, R: Read> StreamDecoder<'c, R> {
                     &mut self.spare,
                     &self.scanner.slices,
                     &self.scanner.good,
+                    0..all.len(),
                 );
                 out.write_all(&self.codec.decode(&self.shards, data_len)?)?;
                 report.chunks_repaired += 1;

@@ -8,7 +8,7 @@
 //! table (a bounded LRU) is churned by rotating erasure patterns.
 
 use std::thread;
-use xorslp_ec::RsCodec;
+use xorslp_ec::{RsCodec, RsConfig};
 
 fn sample(seed: usize, len: usize) -> Vec<u8> {
     (0..len)
@@ -29,10 +29,15 @@ fn concurrent_mixed_traffic_roundtrips() {
         .map(|m| (0..n + p).filter(|i| m >> i & 1 == 1).collect())
         .collect();
     assert_eq!(erasure_menu.len(), 9 + 36 + 84);
+    // Dedicated pools of 1–4 workers, shared by the threads as well.
+    let pooled: Vec<RsCodec> = (1..=4)
+        .map(|k| RsCodec::with_config(RsConfig::new(n, p).parallelism(k)).unwrap())
+        .collect();
 
     thread::scope(|s| {
         for t in 0..8usize {
             let codec = &codec;
+            let pooled = &pooled;
             let erasure_menu = &erasure_menu;
             s.spawn(move || {
                 for i in 0..erasure_menu.len() / 8 + 1 {
@@ -43,7 +48,7 @@ fn concurrent_mixed_traffic_roundtrips() {
                     let shards = codec.encode(&data).unwrap();
                     assert!(codec.verify(&shards).unwrap(), "t{t} i{i} verify");
 
-                    // explicit-stripe-count encode agrees bit-for-bit
+                    // a dedicated pool's encode agrees bit-for-bit
                     let shard_len = shards[0].len();
                     let data_refs: Vec<&[u8]> =
                         shards[..n].iter().map(Vec::as_slice).collect();
@@ -51,9 +56,7 @@ fn concurrent_mixed_traffic_roundtrips() {
                     {
                         let mut refs: Vec<&mut [u8]> =
                             parity.iter_mut().map(Vec::as_mut_slice).collect();
-                        codec
-                            .encode_parity_mt(&data_refs, &mut refs, 1 + (t + i) % 4)
-                            .unwrap();
+                        pooled[(t + i) % 4].encode_parity(&data_refs, &mut refs).unwrap();
                     }
                     assert_eq!(&parity[..], &shards[n..], "t{t} i{i} mt encode");
 
