@@ -1,34 +1,29 @@
-//! Client side of the node protocol: one [`NodeClient`] per TCP
-//! connection, with typed request methods, uniform timeouts, and a
-//! pipelined send/receive path.
+//! Client side of the node protocol, with one I/O model: connections
+//! that never block, driven by the completion loop in `fanout.rs`.
 //!
-//! Every request is a [`BatchOp`]; every opcode has a `send_*` that puts
-//! its frame on the wire without waiting and a `recv_*` that resolves
-//! it, and the blocking methods (`get`, `put`, …) are the two in a row.
-//! The protocol's request ids (`docs/STORE.md`) let several
-//! requests ride one connection: [`NodeClient::recv_matching`] collects
-//! answers in *any* arrival order — responses for other outstanding
-//! requests are parked until their turn. A response carrying an id that
-//! was never issued is a typed protocol violation (a lying or confused
-//! node), after which the connection must be abandoned.
+//! A `Conn` is one connection to one node. `dial` starts the connect
+//! without waiting, `stage` frames a request ([`BatchOp`]) under a fresh
+//! request id, `push` writes as much of the frame as the socket takes,
+//! and `pull` reads as much of an answer as has arrived; each is called
+//! again when the socket is ready. The loop keeps every node's `Conn`
+//! moving from one thread and matches each answer to its job by id. An
+//! answer whose id is not in flight is a typed protocol violation (a
+//! lying or confused node), and the loop drops that connection.
 //!
-//! The same frames move two ways. A connection from
-//! [`NodeClient::connect`] blocks, under its timeout. The cluster's
-//! completion loop (`fanout.rs`) dials its own with `NodeClient::dial`:
-//! those never block, a frame that does not fit the socket buffer is
-//! `push`ed on when the socket is writable again, and an answer that
-//! has only half arrived is `pull`ed on when it is readable — one thread
-//! keeps every node's connection moving.
+//! A [`NodeClient`] is a handle on one node, not a second way to use
+//! the wire: each of its calls is a round of one job on that loop, over
+//! the connection the handle keeps between calls under the same rule as
+//! a `Cluster`'s (reused while fresh and quiet, otherwise redialed).
 //!
 //! Requests whose *body* is bulky (`PUT`) and requests whose *answer*
 //! may be (`GET`, the listings, `HASH_SUBTREE`) are never outstanding
-//! together on one connection: a blocking client that is busy writing
-//! the one while the node is busy writing the other deadlocks two finite
-//! TCP buffers. Every cluster round is all of one kind; a `debug_assert`
-//! where requests are staged holds the line.
+//! together on one connection — the protocol's "small on one side"
+//! discipline (`docs/STORE.md` §1). Every cluster round is all of one
+//! kind; a `debug_assert` where requests are staged holds the line.
 
 use crate::blob::BlobStat;
 use crate::error::StoreError;
+use crate::fanout::{ParallelConnSet, Pool, Post};
 use crate::proto::{
     frame_crc, frame_head, op, parse_err, put_str, status, write_gathered, FrameError,
     FrameReader, PayloadReader, MAX_BODY, MAX_KEY, NO_REQUEST_ID,
@@ -37,6 +32,7 @@ use crate::sys;
 use ec_wire::merkle::Hash;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A node's `HEALTH` answer.
@@ -48,10 +44,9 @@ pub struct NodeHealth {
     pub bytes: u64,
 }
 
-/// One request to a node — what [`NodeClient::send`] frames, and what a
-/// cluster round carries per job.
+/// One request to a node: what a round's job carries.
 #[derive(Clone, Copy, Debug)]
-pub enum BatchOp<'a> {
+pub(crate) enum BatchOp<'a> {
     /// Store `data` under `key`.
     Put { key: &'a str, data: &'a [u8] },
     /// Fetch the blob under `key`.
@@ -122,22 +117,14 @@ pub(crate) struct Staged<'a> {
     written: usize,
 }
 
-/// One connection to one shard node. All operations observe the
-/// connect/read/write timeout given at [`NodeClient::connect`] (each
-/// individual socket read/write, not whole operations — the cluster
-/// layer owns per-operation deadlines).
-pub struct NodeClient {
+/// One non-blocking connection to one shard node (module docs).
+pub(crate) struct Conn {
     stream: TcpStream,
     next_id: u32,
-    /// Opcode of every request issued and not yet answered. Bounds
-    /// `parked`: only answers to ids in this map are ever parked, so a
-    /// hostile node cannot grow client memory with unsolicited frames.
+    /// Opcode of every request on the wire and not yet answered: an
+    /// answer must carry one of these ids.
     pending: HashMap<u32, u8>,
-    /// Answers that arrived while the caller was waiting for a
-    /// different id.
-    parked: HashMap<u32, Answer>,
-    /// The answer being received; keeps its place across the reads of a
-    /// connection that does not block.
+    /// The answer being received; keeps its place across reads.
     reader: FrameReader,
 }
 
@@ -148,35 +135,16 @@ fn resolve_addr(addr: &str) -> Result<SocketAddr, StoreError> {
         .ok_or_else(|| StoreError::InvalidArg(format!("node address `{addr}` resolves to nothing")))
 }
 
-impl NodeClient {
-    fn over(stream: TcpStream) -> NodeClient {
-        NodeClient {
-            stream,
-            next_id: 1,
-            pending: HashMap::new(),
-            parked: HashMap::new(),
-            reader: FrameReader::default(),
-        }
+impl Conn {
+    fn over(stream: TcpStream) -> Conn {
+        Conn { stream, next_id: 1, pending: HashMap::new(), reader: FrameReader::default() }
     }
 
-    /// Connect to `addr` (a `host:port` string) with `timeout` applied
-    /// to the connect itself and to every subsequent read and write.
-    pub fn connect(addr: &str, timeout: Duration) -> Result<NodeClient, StoreError> {
-        let stream = TcpStream::connect_timeout(&resolve_addr(addr)?, timeout)
-            .map_err(StoreError::Io)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(NodeClient::over(stream))
-    }
-
-    /// Start connecting to `addr` without waiting for the node: the
-    /// completion loop's connection, which never blocks. Poll the
-    /// [`NodeClient::socket`] for writability, then ask
-    /// [`NodeClient::established`].
-    pub(crate) fn dial(addr: &str) -> Result<NodeClient, StoreError> {
+    /// Start connecting to `addr` without waiting for the node. Poll the
+    /// [`Conn::socket`] for writability, then ask [`Conn::established`].
+    pub(crate) fn dial(addr: &str) -> Result<Conn, StoreError> {
         let stream = sys::connect_nonblocking(&resolve_addr(addr)?).map_err(StoreError::Io)?;
-        Ok(NodeClient::over(stream))
+        Ok(Conn::over(stream))
     }
 
     /// Whether a dialed connection got through, once its socket polls
@@ -193,7 +161,7 @@ impl NodeClient {
         &self.stream
     }
 
-    /// Frame `op` under a fresh request id, ready to [`NodeClient::push`].
+    /// Frame `op` under a fresh request id, ready to [`Conn::push`].
     pub(crate) fn stage<'a>(&mut self, op: &BatchOp<'a>) -> Result<Staged<'a>, StoreError> {
         let (tag, payload_lead, bulk) = op.encode();
         let payload_len = payload_lead.len() + bulk.len();
@@ -228,28 +196,21 @@ impl NodeClient {
     }
 
     /// Write what is left of `staged`, as one gathered write where the
-    /// socket has room. On a connection that does not block,
-    /// `WouldBlock` means "call again when writable".
+    /// socket has room. `WouldBlock` means "call again when writable".
     pub(crate) fn push(&mut self, staged: &mut Staged<'_>) -> std::io::Result<()> {
         let bufs = [&staged.lead[..], staged.bulk, &staged.crc];
         write_gathered(&mut self.stream, &bufs, &mut staged.written)
     }
 
     /// Read the next answer off the wire: the id it is for and what it
-    /// says. `None` when the socket has no more to give right now — a
-    /// blocking connection's timeout, or simply "call again when
-    /// readable" on one that does not block. An `Err` is a connection
-    /// that can no longer be trusted: closed, a broken frame, or an id
-    /// that is not outstanding.
+    /// says. `None` when the socket has no more to give right now — "call
+    /// again when readable". An `Err` is a connection that can no longer
+    /// be trusted: closed, a broken frame, or an id that is not
+    /// outstanding.
     pub(crate) fn pull(&mut self) -> Result<Option<(u32, Answer)>, StoreError> {
         let frame = match self.reader.read(&mut self.stream) {
             Ok(frame) => frame,
-            Err(FrameError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 return Ok(None)
             }
             Err(FrameError::Eof) => {
@@ -279,179 +240,72 @@ impl NodeClient {
             ))),
         }
     }
+}
 
-    /// Put one request on the wire without waiting for the answer;
-    /// returns the request id to resolve with the opcode's `recv_*`
-    /// method (or [`NodeClient::recv_matching`]).
-    pub fn send(&mut self, op: &BatchOp<'_>) -> Result<u32, StoreError> {
-        let mut staged = self.stage(op)?;
-        self.push(&mut staged)?;
-        Ok(staged.id)
+/// A handle on one shard node. Each call is one request, run as a round
+/// of one job on the completion loop a `Cluster`'s rounds use, over a
+/// connection the handle keeps between calls: reused while it is fresh
+/// and quiet, dialed afresh otherwise (a node that closed it is simply
+/// redialed). The `timeout` given at [`NodeClient::connect`] bounds the
+/// connect and every wait for the connection to move; a request on which
+/// nothing moves that long fails with [`StoreError::Timeout`].
+pub struct NodeClient {
+    addr: String,
+    timeout: Duration,
+    pool: Arc<Pool>,
+}
+
+impl NodeClient {
+    /// Connect to `addr` (a `host:port` string), waiting at most
+    /// `timeout`: an unreachable node is an error here, not at the first
+    /// request.
+    pub fn connect(addr: &str, timeout: Duration) -> Result<NodeClient, StoreError> {
+        let stream = TcpStream::connect_timeout(&resolve_addr(addr)?, timeout)
+            .map_err(StoreError::Io)?;
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        let pool = Arc::new(Pool::default());
+        pool.keep(addr, Conn::over(stream));
+        Ok(NodeClient { addr: addr.to_string(), timeout, pool })
     }
 
-    /// Put a whole batch of requests on the wire back-to-back; returns
-    /// the request ids in operation order. Collect the answers with the
-    /// matching `recv_*` method per op (any order).
-    pub fn send_batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<u32>, StoreError> {
-        ops.iter().map(|op| self.send(op)).collect()
-    }
-
-    /// Receive the response for request `id`, tolerating out-of-order
-    /// arrival: responses to *other* outstanding requests are parked and
-    /// handed out when their id is asked for. Returns the `OK` payload,
-    /// a typed [`StoreError::Remote`] for an `ERR` answer, or a
-    /// [`StoreError::Protocol`] for an id that was never issued (after
-    /// which the connection is poisoned and must be dropped).
-    pub fn recv_matching(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
-        if let Some(answer) = self.parked.remove(&id) {
-            return answer;
-        }
-        if !self.pending.contains_key(&id) {
-            return Err(StoreError::Protocol(format!(
-                "request id {id} is not outstanding on this connection"
-            )));
-        }
-        loop {
-            match self.pull()? {
-                None => return Err(StoreError::Timeout),
-                Some((rid, answer)) if rid == id => return answer,
-                Some((rid, answer)) => {
-                    self.parked.insert(rid, answer);
-                }
-            }
-        }
-    }
-
-    /// Pipelined send of a PUT; resolve with [`NodeClient::recv_put`].
-    pub fn send_put(&mut self, key: &str, data: &[u8]) -> Result<u32, StoreError> {
-        self.send(&BatchOp::Put { key, data })
-    }
-
-    /// Resolve a pipelined PUT.
-    pub fn recv_put(&mut self, id: u32) -> Result<(), StoreError> {
-        reply::put(self.recv_matching(id))
-    }
-
-    /// Pipelined send of a GET; resolve with [`NodeClient::recv_get`].
-    pub fn send_get(&mut self, key: &str) -> Result<u32, StoreError> {
-        self.send(&BatchOp::Get { key })
-    }
-
-    /// Resolve a pipelined GET.
-    pub fn recv_get(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
-        self.recv_matching(id)
-    }
-
-    /// Pipelined send of a DELETE; resolve with
-    /// [`NodeClient::recv_delete`].
-    pub fn send_delete(&mut self, key: &str) -> Result<u32, StoreError> {
-        self.send(&BatchOp::Delete { key })
-    }
-
-    /// Resolve a pipelined DELETE; returns whether the key existed.
-    pub fn recv_delete(&mut self, id: u32) -> Result<bool, StoreError> {
-        reply::delete(self.recv_matching(id))
-    }
-
-    /// Pipelined send of a STAT; resolve with [`NodeClient::recv_stat`].
-    pub fn send_stat(&mut self, key: &str) -> Result<u32, StoreError> {
-        self.send(&BatchOp::Stat { key })
-    }
-
-    /// Resolve a pipelined STAT.
-    pub fn recv_stat(&mut self, id: u32) -> Result<BlobStat, StoreError> {
-        reply::stat(self.recv_matching(id))
-    }
-
-    /// Pipelined send of a LIST; resolve with [`NodeClient::recv_list`].
-    pub fn send_list(&mut self, prefix: &str) -> Result<u32, StoreError> {
-        self.send(&BatchOp::List { prefix })
-    }
-
-    /// Resolve a pipelined LIST.
-    pub fn recv_list(&mut self, id: u32) -> Result<Vec<String>, StoreError> {
-        reply::list(self.recv_matching(id))
-    }
-
-    /// Pipelined send of a LIST_AGED; resolve with
-    /// [`NodeClient::recv_list_aged`].
-    pub fn send_list_aged(&mut self, prefix: &str) -> Result<u32, StoreError> {
-        self.send(&BatchOp::ListAged { prefix })
-    }
-
-    /// Resolve a pipelined LIST_AGED.
-    pub fn recv_list_aged(&mut self, id: u32) -> Result<Vec<(String, u64, u64)>, StoreError> {
-        reply::list_aged(self.recv_matching(id))
-    }
-
-    /// Pipelined send of a HEALTH; resolve with
-    /// [`NodeClient::recv_health`].
-    pub fn send_health(&mut self) -> Result<u32, StoreError> {
-        self.send(&BatchOp::Health)
-    }
-
-    /// Resolve a pipelined HEALTH.
-    pub fn recv_health(&mut self, id: u32) -> Result<NodeHealth, StoreError> {
-        reply::health(self.recv_matching(id))
-    }
-
-    /// Pipelined send of a HASH_SUBTREE (arguments as
-    /// [`NodeClient::hash_subtree`]); resolve with
-    /// [`NodeClient::recv_hash_subtree`].
-    pub fn send_hash_subtree(
-        &mut self,
-        key: &str,
-        leaf_size: u32,
-        stored: bool,
-        level: u8,
-        start: u32,
-        count: u32,
-    ) -> Result<u32, StoreError> {
-        self.send(&BatchOp::HashSubtree { key, leaf_size, stored, level, start, count })
-    }
-
-    /// Resolve a pipelined HASH_SUBTREE that asked for `count` hashes.
-    pub fn recv_hash_subtree(&mut self, id: u32, count: u32) -> Result<Vec<Hash>, StoreError> {
-        reply::hash_subtree(self.recv_matching(id), count)
+    /// Run `op` as a round of one job, and make its result with `post`.
+    fn call<T>(&self, op: BatchOp<'_>, post: impl Post<T>) -> Result<T, StoreError> {
+        let mut conns = ParallelConnSet::new(self.timeout, None).with_pool(&self.pool);
+        conns.run_batch(vec![(&*self.addr, op, post)]).pop().expect("one job, one result")
     }
 
     /// Store `data` under `key` on the node.
     pub fn put(&mut self, key: &str, data: &[u8]) -> Result<(), StoreError> {
-        let id = self.send_put(key, data)?;
-        self.recv_put(id)
+        self.call(BatchOp::Put { key, data }, reply::put)
     }
 
     /// Fetch the blob under `key`.
     pub fn get(&mut self, key: &str) -> Result<Vec<u8>, StoreError> {
-        let id = self.send_get(key)?;
-        self.recv_get(id)
+        self.call(BatchOp::Get { key }, std::convert::identity)
     }
 
     /// Delete the blob under `key`; returns whether it existed.
     pub fn delete(&mut self, key: &str) -> Result<bool, StoreError> {
-        let id = self.send_delete(key)?;
-        self.recv_delete(id)
+        self.call(BatchOp::Delete { key }, reply::delete)
     }
 
     /// All keys on the node starting with `prefix`.
     pub fn list(&mut self, prefix: &str) -> Result<Vec<String>, StoreError> {
-        let id = self.send_list(prefix)?;
-        self.recv_list(id)
+        self.call(BatchOp::List { prefix }, reply::list)
     }
 
     /// All keys on the node starting with `prefix`, each with its age
     /// in seconds (node-clock mtime) and payload length — the
     /// scrub-time GC's view of a node.
     pub fn list_aged(&mut self, prefix: &str) -> Result<Vec<(String, u64, u64)>, StoreError> {
-        let id = self.send_list_aged(prefix)?;
-        self.recv_list_aged(id)
+        self.call(BatchOp::ListAged { prefix }, reply::list_aged)
     }
 
     /// Size and integrity of the blob under `key`, without transferring
     /// it.
     pub fn stat(&mut self, key: &str) -> Result<BlobStat, StoreError> {
-        let id = self.send_stat(key)?;
-        self.recv_stat(id)
+        self.call(BatchOp::Stat { key }, reply::stat)
     }
 
     /// A slice of one level of the Merkle tree over the blob at `key`:
@@ -470,21 +324,20 @@ impl NodeClient {
         start: u32,
         count: u32,
     ) -> Result<Vec<Hash>, StoreError> {
-        let id = self.send_hash_subtree(key, leaf_size, stored, level, start, count)?;
-        self.recv_hash_subtree(id, count)
+        let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
+        self.call(op, |answer| reply::hash_subtree(answer, count))
     }
 
     /// Node liveness and usage.
     pub fn health(&mut self) -> Result<NodeHealth, StoreError> {
-        let id = self.send_health()?;
-        self.recv_health(id)
+        self.call(BatchOp::Health, reply::health)
     }
 }
 
-/// What each opcode's answer means — shared by the `recv_*` methods
-/// and by the cluster's rounds, whose jobs interpret an [`Answer`] as it
-/// arrives. A transport failure or typed `ERR` passes through; an `OK`
-/// payload the opcode cannot have produced is a [`StoreError::Protocol`].
+/// What each opcode's answer means — for the jobs of every round, which
+/// interpret an [`Answer`] as it arrives. A transport failure or typed
+/// `ERR` passes through; an `OK` payload the opcode cannot have produced
+/// is a [`StoreError::Protocol`].
 pub(crate) mod reply {
     use super::*;
 
@@ -573,37 +426,125 @@ pub(crate) mod reply {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::RemoteErrorCode;
+    use crate::node::NodeHandle;
     use crate::proto::{err_payload, read_frame, write_frame};
+    use crate::sys::{PollFd, POLLIN};
     use std::net::TcpListener;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    fn listener() -> (TcpListener, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
+    }
 
     #[test]
     fn the_reserved_id_is_the_nodes_alone() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let mut client = NodeClient::connect(&addr, Duration::from_secs(10)).unwrap();
-
         // Never issued, not even when the counter wraps.
-        client.next_id = u32::MAX;
-        let ids: Vec<u32> =
-            (0..2).map(|_| client.stage(&BatchOp::Health).unwrap().id).collect();
+        let (_unserved, addr) = listener();
+        let mut conn = Conn::dial(&addr).unwrap();
+        conn.next_id = u32::MAX;
+        let ids: Vec<u32> = (0..2).map(|_| conn.stage(&BatchOp::Health).unwrap().id).collect();
         assert_eq!(ids, [u32::MAX, 1]);
 
         // And an `ERR` carrying it is the node's verdict on the stream,
         // surfaced as the typed error it holds.
-        let (mut peer, _) = listener.accept().unwrap();
-        let id = client.send_health().unwrap();
-        assert_eq!(read_frame(&mut peer).unwrap().request_id, id);
-        let refusal = err_payload(RemoteErrorCode::BadFrame, "frame checksum mismatch");
-        write_frame(&mut peer, status::ERR, NO_REQUEST_ID, &[&refusal]).unwrap();
-        match client.recv_health(id) {
+        let (node, addr) = listener();
+        let peer = std::thread::spawn(move || {
+            let (mut peer, _) = node.accept().unwrap();
+            let id = read_frame(&mut peer).unwrap().request_id;
+            let refusal = err_payload(RemoteErrorCode::BadFrame, "frame checksum mismatch");
+            write_frame(&mut peer, status::ERR, NO_REQUEST_ID, &[&refusal]).unwrap();
+            id
+        });
+        let mut client = NodeClient::connect(&addr, PATIENCE).unwrap();
+        match client.health() {
             Err(StoreError::Remote { code: RemoteErrorCode::BadFrame, message }) => {
                 assert_eq!(message, "frame checksum mismatch");
             }
             other => panic!("expected the node's BadFrame, got {other:?}"),
         }
+        assert_eq!(peer.join().unwrap(), 1, "the first request goes out under id 1");
+    }
+
+    #[test]
+    fn every_opcode_pipelines_and_resolves_in_any_order() {
+        let dir = std::env::temp_dir().join(format!("ec_store_allops_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let node = NodeHandle::spawn(&dir, "127.0.0.1:0", 2).unwrap();
+        let addr = node.addr().to_string();
+        let mut c = NodeClient::connect(&addr, PATIENCE).unwrap();
+        c.put("s:one", &[1u8; 100]).unwrap();
+        c.put("s:two", &[2u8; 50]).unwrap();
+        // Six requests in one round on one connection, each answer
+        // matched to its job by id as it arrives.
+        let jobs = vec![
+            BatchOp::Stat { key: "s:one" },
+            BatchOp::List { prefix: "s:" },
+            BatchOp::ListAged { prefix: "s:t" },
+            BatchOp::Health,
+            BatchOp::HashSubtree {
+                key: "s:one",
+                leaf_size: 64,
+                stored: false,
+                level: 1,
+                start: 0,
+                count: 1,
+            },
+            BatchOp::Stat { key: "absent" },
+        ];
+        let mut conns = ParallelConnSet::new(PATIENCE, None);
+        let jobs = jobs.into_iter().map(|op| (&*addr, op, std::convert::identity)).collect();
+        let mut answers = conns.run_batch(jobs).into_iter();
+        assert_eq!(conns.connect_attempts(&addr), 1);
+        let stat = reply::stat(answers.next().unwrap()).unwrap();
+        assert!(stat.ok && stat.len == 100);
+        assert_eq!(reply::list(answers.next().unwrap()).unwrap(), ["s:one", "s:two"]);
+        let aged = reply::list_aged(answers.next().unwrap()).unwrap();
+        assert_eq!(aged.len(), 1);
+        assert_eq!((aged[0].0.as_str(), aged[0].2), ("s:two", 50));
+        assert_eq!(reply::health(answers.next().unwrap()).unwrap().blobs, 2);
+        assert_eq!(reply::hash_subtree(answers.next().unwrap(), 1).unwrap().len(), 1);
+        // A typed refusal resolves like any other answer and leaves the
+        // connection serving.
+        match reply::stat(answers.next().unwrap()) {
+            Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {}
+            other => panic!("expected NotFound, got {other:?}"),
+        }
+        assert_eq!(c.get("s:two").unwrap(), [2u8; 50]);
+        drop(conns);
+        node.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_node_client_redials_after_its_node_closed_the_connection() {
+        // Each connection answers one HEALTH and is closed.
+        let (node, addr) = listener();
+        let peer = std::thread::spawn(move || {
+            for blobs in 1..=2u64 {
+                let (mut stream, _) = node.accept().unwrap();
+                let id = read_frame(&mut stream).unwrap().request_id;
+                let payload = [blobs.to_le_bytes(), 0u64.to_le_bytes()].concat();
+                write_frame(&mut stream, status::OK, id, &[&payload]).unwrap();
+            }
+        });
+        let mut client = NodeClient::connect(&addr, PATIENCE).unwrap();
+        assert_eq!(client.health().unwrap(), NodeHealth { blobs: 1, bytes: 0 });
+        // Wait until the kept connection shows the node's close.
+        let polled = client.pool.with_kept(&addr, |conn, _| {
+            let mut fds = [PollFd::new(conn.socket(), POLLIN)];
+            sys::poll_ready(&mut fds, PATIENCE).unwrap()
+        });
+        assert_eq!(polled, Some(1), "the kept connection never turned readable");
+        assert_eq!(client.health().unwrap(), NodeHealth { blobs: 2, bytes: 0 });
+        assert_eq!(client.pool.dials(&addr), 1);
+        peer.join().unwrap();
     }
 }

@@ -1,5 +1,8 @@
 //! Per-node fan-out on one thread: the engine that turns sum-of-RTT
-//! cluster operations into max-of-RTT ones without a thread per request.
+//! cluster operations into max-of-RTT ones without a thread per request,
+//! and the only way this crate's client side talks to a node — a
+//! `Cluster` operation runs its rounds here, and each `NodeClient` call
+//! is a round of one job.
 //!
 //! A cluster operation is a sequence of *rounds*. A round is a list of
 //! jobs — a node address, a typed request ([`BatchOp`]) and a `post`
@@ -38,7 +41,8 @@
 //!
 //! Connection lifecycle: at most one connection per node address in an
 //! operation, and at most one *idle* connection per address across
-//! operations. A client keeps a [`Pool`] for its lifetime; each
+//! operations. A client — a `Cluster`, or a `NodeClient` for its one
+//! node — keeps a [`Pool`] for its lifetime; each
 //! operation's set takes a kept connection before it would dial, and
 //! when the set drops it returns every connection that ended the
 //! operation idle and intact — nothing outstanding, never failed, not an
@@ -65,7 +69,7 @@
 //! with [`StoreError::Timeout`], and a per-operation deadline, when set,
 //! ends the round it expires in.
 
-use crate::client::{Answer, BatchOp, NodeClient, Staged};
+use crate::client::{Answer, BatchOp, Conn, Staged};
 use crate::error::StoreError;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
@@ -91,7 +95,7 @@ pub(crate) fn fresh(idle: Duration) -> bool {
 /// Whether an idle connection has nothing to say: a zero-timeout poll
 /// for readable. Readable, hung up or in error means the node closed it
 /// or sent bytes nobody asked for.
-fn quiet(conn: &NodeClient) -> bool {
+fn quiet(conn: &Conn) -> bool {
     let mut fds = [PollFd::new(conn.socket(), POLLIN)];
     matches!(sys::poll_ready(&mut fds, Duration::ZERO), Ok(0))
 }
@@ -105,7 +109,7 @@ pub(crate) struct Pool(Mutex<Kept>);
 #[derive(Default)]
 struct Kept {
     /// Per address: the idle connection, and when it went idle.
-    idle: HashMap<String, (NodeClient, Instant)>,
+    idle: HashMap<String, (Conn, Instant)>,
     /// Dials per address over the pool's life, every operation counted.
     dials: HashMap<String, u32>,
 }
@@ -117,9 +121,14 @@ impl Pool {
 
     /// The kept connection to `addr`, if it may be reused (module docs);
     /// a stale one is closed here.
-    fn take(&self, addr: &str) -> Option<NodeClient> {
+    fn take(&self, addr: &str) -> Option<Conn> {
         let (conn, since) = self.lock().idle.remove(addr)?;
         (fresh(since.elapsed()) && quiet(&conn)).then_some(conn)
+    }
+
+    /// Keep `conn`, connected by the caller, as `addr`'s idle connection.
+    pub(crate) fn keep(&self, addr: &str, conn: Conn) {
+        self.lock().idle.insert(addr.to_string(), (conn, Instant::now()));
     }
 
     /// How many times the operations served from this pool dialed
@@ -135,7 +144,7 @@ impl Pool {
     pub(crate) fn with_kept<R>(
         &self,
         addr: &str,
-        f: impl FnOnce(&NodeClient, &mut Instant) -> R,
+        f: impl FnOnce(&Conn, &mut Instant) -> R,
     ) -> Option<R> {
         let mut kept = self.lock();
         let (conn, since) = kept.idle.get_mut(addr)?;
@@ -146,7 +155,7 @@ impl Pool {
 /// One node address's slot in an operation's set.
 enum Slot {
     /// An idle, believed-good connection.
-    Ready(NodeClient),
+    Ready(Conn),
     /// Connect failed earlier this operation: every further touch
     /// fast-fails without a new connect attempt.
     Dead,
@@ -261,7 +270,7 @@ impl<T, F: Post<T>> Round<'_, T, F> {
 /// owed an outcome, by how far each has got.
 struct Lane<'a> {
     addr: &'a str,
-    conn: Option<NodeClient>,
+    conn: Option<Conn>,
     /// The connection was dialed this round and is not through yet.
     connecting: bool,
     /// The address is dead for the operation.
@@ -574,7 +583,7 @@ impl ParallelConnSet {
                     Some(conn) => lane.conn = Some(conn),
                     None => {
                         *self.connects.entry(addr.to_string()).or_insert(0) += 1;
-                        match NodeClient::dial(addr) {
+                        match Conn::dial(addr) {
                             Ok(conn) => (lane.conn, lane.connecting) = (Some(conn), true),
                             Err(e) => return lane.fail(e, round),
                         }

@@ -27,6 +27,9 @@
 //!   exchange fans out concurrently over pipelined request-id framed
 //!   connections, so operations cost ~max(per-node RTT), not the sum,
 //!   and an optional per-op deadline surfaces as a typed timeout;
+//! * **node client** ([`NodeClient`]): one node's blobs, one request per
+//!   call — each call a one-job round of the same non-blocking loop the
+//!   cluster's rounds run on, over a connection kept between calls;
 //! * **integrity** ([`Manifest`] + [`HashBlob`]): every object
 //!   carries per-shard SHA-256 Merkle roots and an object root in its
 //!   manifest, with the leaf hashes cached beside each shard as a `t:`
@@ -83,7 +86,7 @@ mod sys;
 mod tree;
 
 pub use blob::{BlobError, BlobStat, BlobStore, BLOB_MAGIC, BLOB_OVERHEAD};
-pub use client::{BatchOp, NodeClient, NodeHealth};
+pub use client::{NodeClient, NodeHealth};
 pub use cluster::{
     Cluster, ClusterHealth, ClusterScrubReport, FailPoint, GetReport,
     NodeRepairReport, ObjectRepairReport, ObjectScrub, OverwriteMode,

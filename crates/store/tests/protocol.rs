@@ -4,7 +4,7 @@
 //! one node all succeed.
 
 use ec_store::proto::{self, op, status};
-use ec_store::{BatchOp, NodeClient, NodeHandle, NodeOptions, RemoteErrorCode, StoreError};
+use ec_store::{NodeClient, NodeHandle, NodeOptions, RemoteErrorCode, StoreError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -337,34 +337,34 @@ fn a_version_1_request_gets_one_bad_frame_answer_and_a_close() {
 }
 
 #[test]
-fn pipelined_responses_resolve_out_of_order() {
+fn pipelined_requests_are_answered_in_arrival_order() {
     let (_node, addr, dir) = spawn_node("pipeline");
     let mut c = client(&addr);
     c.put("a", b"alpha").unwrap();
     c.put("b", b"beta").unwrap();
     c.put("c", b"gamma").unwrap();
-    // Three requests on the wire before any answer is read; resolved in
-    // reverse order. The node answers in arrival order, so the client's
-    // parking lot is doing the reordering.
-    let ids = c
-        .send_batch(&[
-            ec_store::BatchOp::Get { key: "a" },
-            ec_store::BatchOp::Get { key: "b" },
-            ec_store::BatchOp::Get { key: "c" },
-        ])
-        .unwrap();
-    assert_eq!(ids.len(), 3);
-    assert_eq!(c.recv_get(ids[2]).unwrap(), b"gamma");
-    assert_eq!(c.recv_get(ids[1]).unwrap(), b"beta");
-    assert_eq!(c.recv_get(ids[0]).unwrap(), b"alpha");
-    // An id that was never issued (or already resolved) is refused
-    // without touching the stream.
-    match c.recv_get(ids[0]) {
-        Err(StoreError::Protocol(msg)) => assert!(msg.contains("not outstanding")),
-        other => panic!("expected a typed protocol error, got {other:?}"),
+    // Three GETs on the wire back to back before any answer is read.
+    // The node answers in arrival order, each under its request's id;
+    // matching answers to requests is the client's business.
+    let get = |id: u32, key: &[u8], out: &mut Vec<u8>| {
+        let mut payload = Vec::from((key.len() as u16).to_le_bytes());
+        payload.extend_from_slice(key);
+        proto::write_frame(out, op::GET_SHARD, id, &[&payload]).unwrap();
+    };
+    let mut s = raw(&addr);
+    let mut frames = Vec::new();
+    for (id, key) in [(11, b"a"), (12, b"b"), (13, b"c")] {
+        get(id, key, &mut frames);
+    }
+    s.write_all(&frames).unwrap();
+    for (id, want) in [(11, &b"alpha"[..]), (12, b"beta"), (13, b"gamma")] {
+        assert_eq!(read_raw_frame(&mut s), (status::OK, id, want.to_vec()));
     }
     // The connection is still healthy after the pipelined exchange.
-    assert_eq!(c.get("b").unwrap(), b"beta");
+    let mut again = Vec::new();
+    get(14, b"b", &mut again);
+    s.write_all(&again).unwrap();
+    assert_eq!(read_raw_frame(&mut s), (status::OK, 14, b"beta".to_vec()));
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -402,9 +402,10 @@ fn hostile_response_id_is_a_typed_error_and_poisons_the_connection() {
         }
         other => panic!("expected a typed protocol error, got {other:?}"),
     }
-    // The stream can no longer be trusted: the client is dropped (as the
-    // cluster layer does on any non-Remote error) and the server sees
-    // the close rather than more requests on a desynced stream.
+    // The stream can no longer be trusted: the client's loop has
+    // already dropped the connection (as it does on any non-Remote
+    // error), so the server sees the close rather than more requests on
+    // a desynced stream.
     drop(c);
     server.join().unwrap();
 }
@@ -448,38 +449,6 @@ fn a_request_trickled_a_byte_at_a_time_is_served() {
 }
 
 #[test]
-fn every_opcode_pipelines_and_resolves_in_any_order() {
-    let (_node, addr, dir) = spawn_node("allops");
-    let mut c = client(&addr);
-    c.put("s:one", &[1u8; 100]).unwrap();
-    c.put("s:two", &[2u8; 50]).unwrap();
-    // Five requests on the wire before any answer is read, resolved
-    // back to front.
-    let stat = c.send_stat("s:one").unwrap();
-    let list = c.send_list("s:").unwrap();
-    let aged = c.send_list_aged("s:t").unwrap();
-    let health = c.send_health().unwrap();
-    let root = c.send_hash_subtree("s:one", 64, false, 1, 0, 1).unwrap();
-    assert_eq!(c.recv_hash_subtree(root, 1).unwrap().len(), 1);
-    assert_eq!(c.recv_health(health).unwrap().blobs, 2);
-    let aged = c.recv_list_aged(aged).unwrap();
-    assert_eq!(aged.len(), 1);
-    assert_eq!((aged[0].0.as_str(), aged[0].2), ("s:two", 50));
-    assert_eq!(c.recv_list(list).unwrap(), ["s:one", "s:two"]);
-    let stat = c.recv_stat(stat).unwrap();
-    assert!(stat.ok && stat.len == 100);
-    // A typed refusal resolves like any other answer and leaves the
-    // connection serving.
-    let missing = c.send_stat("absent").unwrap();
-    match c.recv_stat(missing) {
-        Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {}
-        other => panic!("expected NotFound, got {other:?}"),
-    }
-    assert_eq!(c.get("s:two").unwrap(), [2u8; 50]);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn a_kept_connection_is_not_queued_behind_silent_peers() {
     // Four silent connections outnumber the node's two serving threads.
     // A client that keeps its connection and pauses between requests is
@@ -516,9 +485,10 @@ fn injected_delays_on_two_connections_overlap() {
     let addr = node.addr().to_string();
     let (mut a, mut b) = (client(&addr), client(&addr));
     let start = Instant::now();
-    let (id_a, id_b) = (a.send(&BatchOp::Health).unwrap(), b.send(&BatchOp::Health).unwrap());
-    a.recv_matching(id_a).unwrap();
-    b.recv_matching(id_b).unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| a.health().unwrap());
+        s.spawn(|| b.health().unwrap());
+    });
     let took = start.elapsed();
     assert!(took < Duration::from_millis(300), "two 200 ms delays took {took:?}");
     let _ = std::fs::remove_dir_all(dir);

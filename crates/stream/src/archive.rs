@@ -34,6 +34,25 @@ fn parse_shard_file_name(name: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
+/// The one election rule of an archive's self-description, for its
+/// headers and its hash trailers alike: the value with strictly the
+/// most ballots wins. `Ok(None)` when nobody voted; `Err(count)` when
+/// two values tie at the top with `count` ballots each — two equally
+/// supported truths cannot be told apart, so a tie elects nothing.
+fn elect<T: Eq + std::hash::Hash>(ballots: impl IntoIterator<Item = T>) -> Result<Option<T>, usize>
+{
+    let mut votes: HashMap<T, usize> = HashMap::new();
+    for ballot in ballots {
+        *votes.entry(ballot).or_insert(0) += 1;
+    }
+    let Some(best) = votes.values().copied().max() else { return Ok(None) };
+    let mut leaders = votes.into_iter().filter(|&(_, c)| c == best).map(|(v, _)| v);
+    match (leaders.next(), leaders.next()) {
+        (winner, None) => Ok(winner),
+        (_, Some(_)) => Err(best),
+    }
+}
+
 /// Integrity state of one shard file, as diagnosed by
 /// [`Archive::verify`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -223,13 +242,14 @@ impl Archive {
 
     /// Open an existing archive from its shard files alone: headers are
     /// collected from every readable `shard-*.ecs` in `dir` and the
-    /// strict-majority metadata wins (headers are CRC-protected, so a
-    /// minority is damage, not ambiguity). A *tie* between two distinct
-    /// metadata values is an error, not a coin flip: it means the
-    /// directory holds shards of two different archives, and repairing
-    /// under the wrong one would overwrite good data.
+    /// metadata with strictly the most votes wins (headers are
+    /// CRC-protected, so a minority is damage, not ambiguity). A *tie*
+    /// between two distinct metadata values is an error, not a coin
+    /// flip: it means the directory holds shards of two different
+    /// archives, and repairing under the wrong one would overwrite good
+    /// data.
     pub fn open(dir: &Path) -> Result<Archive, StreamError> {
-        let mut votes: HashMap<ArchiveMeta, usize> = HashMap::new();
+        let mut headers = Vec::new();
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name();
@@ -239,21 +259,20 @@ impl Archive {
             }
             let Ok(file) = File::open(entry.path()) else { continue };
             if let Ok(h) = ShardHeader::read_from(&mut BufReader::new(file)) {
-                *votes.entry(h.meta).or_insert(0) += 1;
+                headers.push(h.meta);
             }
         }
-        let best = votes.values().copied().max().ok_or_else(|| {
-            StreamError::Format(format!("no readable shard headers in {}", dir.display()))
-        })?;
-        let mut leaders = votes.into_iter().filter(|&(_, c)| c == best).map(|(m, _)| m);
-        let meta = leaders.next().expect("max came from the map");
-        if leaders.next().is_some() {
-            return Err(StreamError::Format(format!(
-                "ambiguous archive: {best} shard headers each describe two different \
-                 archives in {} (mixed generations?)",
-                dir.display()
-            )));
-        }
+        let meta = elect(headers)
+            .map_err(|best| {
+                StreamError::Format(format!(
+                    "ambiguous archive: {best} shard headers each describe two different \
+                     archives in {} (mixed generations?)",
+                    dir.display()
+                ))
+            })?
+            .ok_or_else(|| {
+                StreamError::Format(format!("no readable shard headers in {}", dir.display()))
+            })?;
         let codec = codec_for(&meta.codec_spec()?)?;
         Ok(Archive { dir: dir.to_path_buf(), meta, codec })
     }
@@ -299,25 +318,16 @@ impl Archive {
     }
 
     /// Elect the authoritative hash context of the archive: every
-    /// self-consistent trailer votes for its root vector, the plurality
-    /// wins (a tie is no election — like `open`'s header vote, two
-    /// equally supported truths cannot be told apart). Shards whose
-    /// trailer matched the winner contribute *trusted leaves*: per-chunk
-    /// hashes authenticated, via the shard root and SHA-256 collision
-    /// resistance, by the election itself.
+    /// self-consistent trailer votes for its root vector, under the same
+    /// rule as `open`'s header vote (`elect`: a tie elects nothing).
+    /// Shards whose trailer matched the winner contribute *trusted
+    /// leaves*: per-chunk hashes authenticated, via the shard root and
+    /// SHA-256 collision resistance, by the election itself.
     fn hash_context(&self) -> Option<HashContext> {
         let t = self.meta.total_shards();
         let trailers: Vec<Option<HashTrailer>> = (0..t).map(|i| self.read_trailer(i)).collect();
-        let mut votes: HashMap<Vec<Hash>, usize> = HashMap::new();
-        for tr in trailers.iter().flatten() {
-            *votes.entry(tr.shard_roots.clone()).or_insert(0) += 1;
-        }
-        let best = votes.values().copied().max()?;
-        let mut leaders = votes.into_iter().filter(|&(_, c)| c == best).map(|(r, _)| r);
-        let shard_roots = leaders.next().expect("max came from the map");
-        if leaders.next().is_some() {
-            return None;
-        }
+        let ballots = trailers.iter().flatten().map(|tr| tr.shard_roots.clone());
+        let shard_roots = elect(ballots).ok()??;
         let object_root = HashTrailer::object_root_of(&shard_roots);
         let trusted = trailers
             .into_iter()
@@ -844,6 +854,37 @@ mod tests {
         assert_eq!(a.elected_roots().unwrap(), roots_before);
         let restored = dir.join("restored.bin");
         assert!(a.extract(&restored).unwrap().hash_verified);
+        assert_eq!(fs::read(&input).unwrap(), fs::read(&restored).unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tied_trailers_elect_nothing_and_extract_on_crcs_alone() {
+        let dir = tmp_dir("trailer_tie");
+        let input = write_input(&dir, 20_000);
+        let a = Archive::create(&input, &dir.join("shards"), 2, 2, 4096).unwrap();
+        // A second archive of the same geometry over different bytes.
+        let other = dir.join("other.bin");
+        let flipped: Vec<u8> = fs::read(&input).unwrap().iter().map(|b| !b).collect();
+        fs::write(&other, flipped).unwrap();
+        let b = Archive::create(&other, &dir.join("other"), 2, 2, 4096).unwrap();
+        assert_eq!(a.meta(), b.meta());
+        assert_ne!(a.elected_roots(), b.elected_roots());
+
+        // Shards 2 and 3 take the other archive's trailers: two
+        // self-consistent trailers vote for each root vector.
+        let off = a.meta().hash_trailer_offset() as usize;
+        for i in [2, 3] {
+            let mut ours = fs::read(a.shard_path(i)).unwrap();
+            ours[off..].copy_from_slice(&fs::read(b.shard_path(i)).unwrap()[off..]);
+            fs::write(a.shard_path(i), ours).unwrap();
+        }
+        assert_eq!(a.elected_roots(), None);
+
+        // No election, so the frames are trusted on their CRCs alone —
+        // which every one of them still passes.
+        let restored = dir.join("restored.bin");
+        assert!(!a.extract(&restored).unwrap().hash_verified);
         assert_eq!(fs::read(&input).unwrap(), fs::read(&restored).unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -151,12 +151,16 @@ fn put_shard_request_frame() {
     // listening socket receives for `put("s:000g…:obj", b"shard bytes")`.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut bytes = vec![0u8; PUT_SHARD_FRAME.len() / 2];
+        peer.read_exact(&mut bytes).unwrap();
+        proto::write_frame(&mut peer, proto::status::OK, 1, &[]).unwrap();
+        bytes
+    });
     let mut client = NodeClient::connect(&addr, Duration::from_secs(10)).unwrap();
-    let id = client.send_put("s:000g0000000000000001:obj", b"shard bytes").unwrap();
-    assert_eq!(id, 1);
-    let (mut peer, _) = listener.accept().unwrap();
-    let mut bytes = vec![0u8; PUT_SHARD_FRAME.len() / 2];
-    peer.read_exact(&mut bytes).unwrap();
+    client.put("s:000g0000000000000001:obj", b"shard bytes").unwrap();
+    let bytes = peer.join().unwrap();
     assert_eq!(hex(&bytes), PUT_SHARD_FRAME);
     let frame = proto::read_frame(&mut Cursor::new(&bytes)).unwrap();
     assert_eq!(frame.tag, proto::op::PUT_SHARD);
