@@ -25,7 +25,7 @@
 //! line noise and never allocates more than the cap for a single frame.
 
 use crate::error::{RemoteErrorCode, StoreError};
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 
 /// The one protocol version this build writes and reads.
 pub const PROTO_VERSION: u8 = 2;
@@ -193,39 +193,7 @@ pub(crate) fn frame_crc(body_head: &[u8], parts: &[&[u8]]) -> [u8; 4] {
     crc.finish().to_le_bytes()
 }
 
-/// Write the concatenation of `bufs` from byte offset `*written` on,
-/// gathering what is left into one `write_vectored` call per attempt —
-/// one `writev(2)` on a socket with room, however many pieces the frame
-/// has. `*written` advances as bytes are accepted, so after an error
-/// (a non-blocking socket's `WouldBlock` included) the same call resumes
-/// where the stream stopped.
-pub(crate) fn write_gathered(
-    w: &mut impl Write,
-    bufs: &[&[u8]],
-    written: &mut usize,
-) -> std::io::Result<()> {
-    let total: usize = bufs.iter().map(|b| b.len()).sum();
-    let mut slices = Vec::with_capacity(bufs.len());
-    while *written < total {
-        slices.clear();
-        let mut skip = *written;
-        for buf in bufs {
-            if skip >= buf.len() {
-                skip -= buf.len();
-            } else {
-                slices.push(IoSlice::new(&buf[skip..]));
-                skip = 0;
-            }
-        }
-        match w.write_vectored(&slices) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => *written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
+pub(crate) use ec_wire::write_gathered;
 
 /// Write one frame (`tag` + concatenated `parts`) to the stream, as one
 /// gathered write: `[head | parts… | crc]`.
@@ -471,7 +439,7 @@ pub fn parse_err(payload: &[u8]) -> StoreError {
 mod tests {
     use super::*;
     use ec_wire::crc32;
-    use std::io::Cursor;
+    use std::io::{Cursor, IoSlice};
 
     /// `body` framed by hand — length prefix, CRC trailer — for bodies
     /// `write_frame` would never produce.

@@ -8,10 +8,10 @@
 //! are read back from the shard headers themselves (majority vote
 //! across the surviving files, each header CRC-protected).
 
-use crate::decode::{refill_shards, ChunkScanner, ExtractReport, StreamDecoder};
+use crate::decode::{ChunkScanner, ExtractReport, StreamDecoder};
 use crate::encode::StreamEncoder;
 use crate::error::StreamError;
-use crate::format::{ArchiveMeta, HashTrailer, ShardHeader, FRAME_TRAILER_LEN};
+use crate::format::{ArchiveMeta, HashTrailer, ShardHeader};
 use ec_wire::crc32;
 use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};
 use ec_core::{codec_for, codec_for_with, CodecSpec, EcError, ErasureCoder, RsConfig};
@@ -464,17 +464,14 @@ impl Archive {
             }
         }
         let all: Vec<usize> = (0..t).collect();
-        for c in 0..self.meta.chunk_count {
-            scanner.read_chunk(c, &all);
+        while let Some(c) = scanner.next_chunk(&mut |_| all.clone()) {
+            let frames = scanner.chunk();
             for i in 0..t {
-                if present[i] && !scanner.good[i] {
+                if present[i] && !frames.good(i) {
                     bad_chunks[i].push(c);
                 }
             }
-            if consistency
-                && scanner.good.iter().all(|&g| g)
-                && !self.codec.verify(&scanner.slices)?
-            {
+            if consistency && frames.good_count() == t && !self.codec.verify(&frames.slices)? {
                 inconsistent.push(c);
             }
         }
@@ -561,25 +558,13 @@ impl Archive {
                 })
                 .collect::<Result<Vec<_>, std::io::Error>>()?;
             let mut shards: Vec<Option<Vec<u8>>> = vec![None; t];
-            let mut spare: Vec<Vec<u8>> = Vec::new();
             let mut new_leaves: Vec<Vec<Hash>> = vec![Vec::new(); t];
             let mut chunk_leaves = vec![Hash::default(); tracked.len()];
-            for c in 0..self.meta.chunk_count {
-                let frame = (self.meta.slice_len(c) + FRAME_TRAILER_LEN) as u64;
-                report.bytes_read += frame * scanner.read_chunk(c, &tracked) as u64;
+            while let Some(c) = scanner.next_chunk(&mut |_| tracked.clone()) {
                 let targets: Vec<usize> =
-                    damaged.iter().copied().filter(|&i| !scanner.good[i]).collect();
+                    damaged.iter().copied().filter(|&i| !scanner.chunk().good(i)).collect();
                 if !targets.is_empty() {
-                    // Refill every slot from this chunk: a stale slice
-                    // from the last one must not satisfy the plan.
-                    refill_shards(&mut shards, &mut spare, &scanner.slices, &scanner.good, 0..t);
-                    let bytes_read = &mut report.bytes_read;
-                    let fetch = |want: &[usize], shards: &mut [Option<Vec<u8>>]| {
-                        *bytes_read += frame * scanner.fetch(c, want) as u64;
-                        let want = want.iter().copied();
-                        refill_shards(shards, &mut spare, &scanner.slices, &scanner.good, want);
-                    };
-                    match self.codec.engine().reconstruct_from(&mut shards, &targets, fetch) {
+                    match scanner.rebuild(self.codec.engine(), &mut shards, &targets) {
                         Err(EcError::TooManyErasures { missing, .. }) => {
                             return Err(StreamError::TooDamaged { chunk: c, missing, parity: p });
                         }
@@ -587,9 +572,10 @@ impl Archive {
                     }
                     report.chunks_rebuilt += 1;
                 }
+                let frames = scanner.chunk();
                 let slice_of = |i: usize| -> &[u8] {
-                    if scanner.good[i] {
-                        &scanner.slices[i]
+                    if frames.good(i) {
+                        &frames.slices[i]
                     } else {
                         shards[i].as_deref().expect("rebuilt above")
                     }
@@ -605,6 +591,7 @@ impl Archive {
                     new_leaves[i].push(*leaf);
                 }
             }
+            report.bytes_read = scanner.bytes_read();
 
             // Finish each replacement file with its hash trailer — and
             // prove the restoration first. Under an election the rebuilt
@@ -647,6 +634,7 @@ impl Archive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::FRAME_TRAILER_LEN;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -886,6 +874,59 @@ mod tests {
         let restored = dir.join("restored.bin");
         assert!(!a.extract(&restored).unwrap().hash_verified);
         assert_eq!(fs::read(&input).unwrap(), fs::read(&restored).unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn extract_reads_the_data_frames_and_what_plans_name() {
+        let dir = tmp_dir("extract_reads");
+        let input = write_input(&dir, 100_000);
+        let restored = dir.join("restored.bin");
+        let extract = |a: &Archive| {
+            let report = a.extract(&restored).unwrap();
+            assert_eq!(fs::read(&input).unwrap(), fs::read(&restored).unwrap());
+            report
+        };
+        let frames = |a: &Archive| -> u64 {
+            let meta = a.meta();
+            (0..meta.chunk_count).map(|c| (meta.slice_len(c) + FRAME_TRAILER_LEN) as u64).sum()
+        };
+
+        // Healthy RS(10, 4): the ten data frames of every chunk.
+        let a = Archive::create(&input, &dir.join("rs"), 10, 4, 8192).unwrap();
+        let all = frames(&a);
+        assert_eq!(a.meta().chunk_count, 13);
+        assert_eq!(extract(&a).bytes_read, 10 * all);
+
+        // One rotten data frame: its chunk also reads the plan's parity.
+        let frame = |c: u64| (a.meta().slice_len(c) + FRAME_TRAILER_LEN) as u64;
+        let path = a.shard_path(3);
+        let clean = fs::read(&path).unwrap();
+        let mut bytes = clean.clone();
+        bytes[crate::format::HEADER_LEN + 2 * frame(0) as usize + 11] ^= 0x20;
+        fs::write(&path, bytes).unwrap();
+        assert_eq!(a.codec().repair_sources(&[3]).unwrap(), [0, 1, 2, 4, 5, 6, 7, 8, 9, 10]);
+        let report = extract(&a);
+        assert_eq!(report.chunks_repaired, 1);
+        assert_eq!(report.bytes_read, 10 * all + frame(2));
+        fs::write(&path, clean).unwrap();
+
+        // Two data files missing: eight data frames and the plan's two
+        // parity frames a chunk, not all twelve survivors.
+        fs::remove_file(a.shard_path(1)).unwrap();
+        fs::remove_file(a.shard_path(6)).unwrap();
+        let plan = a.codec().repair_sources(&[1, 6]).unwrap();
+        assert_eq!(plan.iter().filter(|&&i| i >= 10).count(), 2);
+        let report = extract(&a);
+        assert_eq!(report.chunks_repaired, 13);
+        assert_eq!(report.bytes_read, 10 * all);
+
+        // LRC(8, 4, 4) without data shard 2: seven data frames and the
+        // group's local parity 8.
+        let spec = CodecSpec::lrc(8, 4, 4);
+        let a = Archive::create_with_spec(&input, &dir.join("lrc"), &spec, 8192).unwrap();
+        fs::remove_file(a.shard_path(2)).unwrap();
+        assert_eq!(extract(&a).bytes_read, 8 * frames(&a));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

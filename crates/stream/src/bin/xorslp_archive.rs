@@ -250,10 +250,11 @@ fn extract(args: &[String]) -> Result<ExitCode, CliError> {
     let archive = Archive::open(Path::new(dir))?;
     let report = archive.extract(Path::new(output))?;
     println!(
-        "extracted {} bytes to {output} ({} chunks, {} erasure-decoded, {})",
+        "extracted {} bytes to {output} ({} chunks, {} erasure-decoded, {} frame bytes read, {})",
         report.bytes_written,
         report.chunks,
         report.chunks_repaired,
+        report.bytes_read,
         if report.hash_verified {
             "hash-verified"
         } else {

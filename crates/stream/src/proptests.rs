@@ -1,9 +1,12 @@
 //! Property tests: the streaming path is byte-equivalent to the one-shot
-//! codec across chunk sizes, data lengths, erasure patterns — and every
-//! registered codec family.
+//! codec across chunk sizes, data lengths, erasure patterns, per-frame
+//! damage — and every registered codec family.
 
-use crate::{StreamDecoder, StreamEncoder, HEADER_LEN};
+use crate::format::FRAME_TRAILER_LEN;
+use crate::{StreamDecoder, StreamEncoder, StreamError, HEADER_LEN};
 use ec_core::{codec_for, CodecSpec, ErasureCoder};
+use ec_wire::crc_preserving_flip;
+use ec_wire::merkle::leaf_hash;
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::sync::OnceLock;
@@ -39,6 +42,12 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..3000),
         chunk_sel in 0usize..CHUNKS.len(),
         lost_seed in proptest::collection::hash_set(0usize..7, 0..=2),
+        // (chunk, shard, CRC-preserving?, offset) of each damaged frame.
+        damage in proptest::collection::vec(
+            (any::<u64>(), 0usize..7, any::<bool>(), any::<usize>()),
+            0..=3,
+        ),
+        trusted_mask in any::<u8>(),
     ) {
         let codec = &*codecs()[codec_sel];
         let t = codec.total_shards();
@@ -88,7 +97,51 @@ proptest! {
             offset += slen + 4;
         }
 
-        // Streaming decode restores the data around the lost streams.
+        // Damage single frames of random chunks: a bit flip the CRC
+        // catches, or — on a shard with trusted leaves, the only place it
+        // is detectable — a CRC-preserving flip only the leaf catches.
+        let trusted = |i: usize| trusted_mask >> i & 1 == 1;
+        let payload_at = |c: u64| HEADER_LEN + c as usize * (meta.slice_len(0) + FRAME_TRAILER_LEN);
+        let leaves: Vec<Vec<_>> = files
+            .iter()
+            .map(|f| {
+                (0..meta.chunk_count)
+                    .map(|c| leaf_hash(&f[payload_at(c)..][..meta.slice_len(c)]))
+                    .collect()
+            })
+            .collect();
+        let mut files = files;
+        let mut bad: Vec<Vec<usize>> = vec![lost.clone(); meta.chunk_count as usize];
+        for &(chunk_seed, shard_seed, forge, offset) in &damage {
+            if meta.chunk_count == 0 {
+                break;
+            }
+            let (c, i) = (chunk_seed % meta.chunk_count, shard_seed % t);
+            if bad[c as usize].contains(&i) {
+                continue; // a second flip could undo the first
+            }
+            let (at, slen) = (payload_at(c), meta.slice_len(c));
+            if forge && trusted(i) && slen >= 5 {
+                crc_preserving_flip(&mut files[i], at + offset % (slen - 4));
+            } else {
+                files[i][at + offset % slen] ^= 1 << (offset % 8);
+            }
+            bad[c as usize].push(i);
+        }
+
+        // The outcome the chunks' damage calls for: byte-exact output, or
+        // the first chunk whose lost data cannot be rebuilt — typed
+        // `TooDamaged` over all of its missing or failed frames when they
+        // outnumber the parity (an LRC pattern within `p` that is not
+        // decodable is a codec error).
+        let p = codec.parity_shards();
+        let n = codec.data_shards();
+        let fatal = bad.iter_mut().enumerate().find_map(|(c, b)| {
+            b.sort_unstable();
+            let decodable = b.iter().all(|&i| i >= n) || codec.repair_sources(b).is_ok();
+            (!decodable).then_some((c as u64, b.len()))
+        });
+
         let sources: Vec<Option<Cursor<Vec<u8>>>> = files
             .iter()
             .enumerate()
@@ -101,8 +154,44 @@ proptest! {
             })
             .collect();
         let mut dec = StreamDecoder::new(codec, meta, sources).unwrap();
+        for (i, leaves) in leaves.into_iter().enumerate() {
+            if trusted(i) {
+                dec.set_trusted_leaves(i, leaves);
+            }
+        }
         let mut out = Vec::new();
-        dec.pump(&mut out).unwrap();
-        prop_assert_eq!(out, data);
+        match (dec.pump(&mut out), fatal) {
+            (Ok(_), None) => prop_assert_eq!(out, data),
+            (Err(StreamError::TooDamaged { chunk, missing, parity }), Some((c, m))) if m > p => {
+                prop_assert_eq!((chunk, missing, parity), (c, m, p));
+            }
+            (Err(StreamError::Codec(_)), Some((_, m))) if m <= p => {}
+            (result, fatal) => panic!("{result:?} where the damage calls for {fatal:?}"),
+        }
+    }
+}
+
+/// A chunk whose plan and every other parity frame are gone reports the
+/// damage of all its frames, not only the ones the plan got to read.
+#[test]
+fn an_exhausted_plan_reports_the_whole_chunk() {
+    let codec = codec_for(&CodecSpec::rs(4, 2)).unwrap();
+    let data: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
+    let sinks: Vec<Cursor<Vec<u8>>> = (0..6).map(|_| Cursor::new(Vec::new())).collect();
+    let mut enc = StreamEncoder::new(&*codec, 1024, sinks).unwrap();
+    enc.write_all(&data).unwrap();
+    let (meta, sinks) = enc.finalize().unwrap();
+    let sources = sinks
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut s)| {
+            s.set_position(HEADER_LEN as u64);
+            (![0, 4, 5].contains(&i)).then_some(s)
+        })
+        .collect();
+    let mut dec = StreamDecoder::new(&*codec, meta, sources).unwrap();
+    match dec.pump(&mut Vec::new()) {
+        Err(StreamError::TooDamaged { chunk: 0, missing: 3, parity: 2 }) => {}
+        other => panic!("expected TooDamaged over three frames, got {other:?}"),
     }
 }

@@ -25,6 +25,8 @@ mod sha256;
 pub use crc::{crc32, crc_preserving_flip, Crc32};
 pub use sha256::{hash_hex, sha256, Sha256, SHA256_LEN};
 
+use std::io::{IoSlice, Write};
+
 /// The CRC-32 and SHA-256 kernels this process runs, as `(crc, sha)`
 /// names — `("pclmul", "sha-ni+avx512x16")` where the CPU has all the
 /// instructions, `("slice16", "portable")` where it has none; after the
@@ -55,4 +57,38 @@ pub fn implementations() -> Implementations {
         sha256: sha256::implementations(),
         leaf_batch: merkle::LeafBatch::implementations(),
     }
+}
+
+/// Write the concatenation of `bufs` from byte offset `*written` on,
+/// gathering what is left into one `write_vectored` call per attempt —
+/// one `writev(2)` on a socket with room or on a file, however many
+/// pieces the frame or chunk has. `*written` advances as bytes are
+/// accepted, so after an error (a non-blocking socket's `WouldBlock`
+/// included) the same call resumes where the stream stopped.
+pub fn write_gathered(
+    w: &mut impl Write,
+    bufs: &[&[u8]],
+    written: &mut usize,
+) -> std::io::Result<()> {
+    let total: usize = bufs.iter().map(|b| b.len()).sum();
+    let mut slices = Vec::with_capacity(bufs.len());
+    while *written < total {
+        slices.clear();
+        let mut skip = *written;
+        for buf in bufs {
+            if skip >= buf.len() {
+                skip -= buf.len();
+            } else {
+                slices.push(IoSlice::new(&buf[skip..]));
+                skip = 0;
+            }
+        }
+        match w.write_vectored(&slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => *written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }

@@ -19,9 +19,10 @@
 //! different leaf sets share a root).
 //!
 //! Leaves are the bulk of the hashing and are independent messages, so
-//! every caller with more than one — a chunk's `n + p` slices, a
-//! shard's leaves, leaf *k* of every shard of an object — hands them to
-//! [`leaf_hashes_into`] together. Where the CPU has the 16-lane
+//! every caller with more than one — a chunk's `n + p` slices as they
+//! are written, the frames an archive walk reads (gathered across chunks
+//! until they fill the lanes), a shard's leaves, leaf *k* of every shard
+//! of an object — hands them to [`leaf_hashes_into`] together. Where the CPU has the 16-lane
 //! SHA-256 kernel (`sha256.rs`), runs of equal-length chunks go through
 //! it sixteen at a time; everything else — another CPU, a run too short
 //! to fill the lanes, an odd-length straggler — goes through
