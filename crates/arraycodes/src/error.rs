@@ -20,9 +20,8 @@ pub enum EcError {
     /// do" apart from caller error.
     NoDataLost,
     /// The survivor submatrix is singular — the erasure pattern is not
-    /// recoverable under this code (for RS, switch to
-    /// `MatrixKind::Cauchy`; for a non-MDS code such as LRC, the pattern
-    /// simply exceeds the construction's guarantees).
+    /// decodable under this code's matrix (for a non-MDS code such as
+    /// LRC, the pattern exceeds the construction's guarantees).
     SingularPattern { lost: Vec<usize> },
     /// A codec name or wire ID that no registered codec answers to, or a
     /// spec whose parameters the named codec cannot satisfy.
@@ -54,8 +53,7 @@ impl fmt::Display for EcError {
             ),
             EcError::SingularPattern { lost } => write!(
                 f,
-                "coding matrix is singular for erasure pattern {lost:?}; \
-                 use MatrixKind::Cauchy for a guaranteed-MDS matrix"
+                "erasure pattern {lost:?} is not decodable under this code's matrix"
             ),
             EcError::UnknownCodec(msg) => write!(f, "unknown codec: {msg}"),
             EcError::MissingSource { shard } => write!(

@@ -2,9 +2,10 @@
 //! shared [`XorCodec`] engine.
 
 use crate::config::RsConfig;
+use crate::coder::CodecSpec;
 use array_codes::{EcError, XorCodec};
 use bitmatrix::BitMatrix;
-use gf256::{encoding_matrix, GfMatrix};
+use gf256::{encoding_matrix, GfMatrix, MatrixKind};
 
 /// Packets per shard of the GF(2^8) codes: one per symbol bit.
 pub(crate) const PACKETS_PER_SHARD: usize = 8;
@@ -20,7 +21,6 @@ pub(crate) const PACKETS_PER_SHARD: usize = 8;
 /// table.
 pub struct RsCodec {
     engine: XorCodec,
-    cfg: RsConfig,
     /// The full `(n+p) × n` systematic coding matrix.
     matrix: GfMatrix,
 }
@@ -33,55 +33,34 @@ impl RsCodec {
 
     /// Create a codec from an explicit configuration.
     pub fn with_config(cfg: RsConfig) -> Result<RsCodec, EcError> {
-        RsCodec::check_params(&cfg)?;
-        let matrix = encoding_matrix(cfg.matrix, cfg.data_shards, cfg.parity_shards);
-        RsCodec::with_matrix(cfg, matrix, Vec::new())
-    }
-
-    /// Validate `(n, p)` before any matrix is built — matrix constructors
-    /// assert on degenerate geometry, so this must run first.
-    pub(crate) fn check_params(cfg: &RsConfig) -> Result<(), EcError> {
-        let (n, p) = (cfg.data_shards, cfg.parity_shards);
-        if n == 0 || p == 0 {
-            return Err(EcError::InvalidParams(
-                "need at least one data and one parity shard".into(),
-            ));
-        }
-        if n + p > 255 {
-            return Err(EcError::InvalidParams(format!(
-                "n + p = {} exceeds the GF(2^8) limit of 255",
-                n + p
-            )));
-        }
-        Ok(())
-    }
-
-    /// Build a codec over an explicit systematic `(n+p) × n` coding
-    /// matrix (the top `n` rows must be the identity). `groups` lists the
-    /// locality groups of the matrix, if any — the LRC construction's
-    /// entry point.
-    pub(crate) fn with_matrix(
-        cfg: RsConfig,
-        matrix: GfMatrix,
-        groups: Vec<Vec<usize>>,
-    ) -> Result<RsCodec, EcError> {
-        let (n, p) = (cfg.data_shards, cfg.parity_shards);
-        debug_assert!(matrix.top_is_identity(n), "coding matrix must be systematic");
-        let parity_rows: Vec<usize> = (n..n + p).collect();
-        let parity = BitMatrix::expand_gf_matrix(&matrix.select_rows(&parity_rows));
-        let engine = XorCodec::new(n, p, PACKETS_PER_SHARD, &parity, groups, cfg.engine())?;
-        Ok(RsCodec { engine, cfg, matrix })
-    }
-
-    /// The configuration this codec was built with.
-    pub fn config(&self) -> &RsConfig {
-        &self.cfg
+        // Matrix constructors assert on degenerate geometry, so the spec
+        // is validated first.
+        CodecSpec::rs(cfg.data_shards, cfg.parity_shards).validate()?;
+        let matrix = encoding_matrix(MatrixKind::IsalPower, cfg.data_shards, cfg.parity_shards);
+        let engine = engine_over(&cfg, &matrix, Vec::new())?;
+        Ok(RsCodec { engine, matrix })
     }
 
     /// The systematic coding matrix (`(n+p) × n`).
     pub fn encode_matrix(&self) -> &GfMatrix {
         &self.matrix
     }
+}
+
+/// The engine over an explicit systematic `(n+p) × n` GF(2^8) coding
+/// matrix (the top `n` rows must be the identity): its parity rows
+/// expanded to a bit-matrix with `w = 8`. `groups` lists the locality
+/// groups of the matrix, if any — the LRC construction's entry point.
+pub(crate) fn engine_over(
+    cfg: &RsConfig,
+    matrix: &GfMatrix,
+    groups: Vec<Vec<usize>>,
+) -> Result<XorCodec, EcError> {
+    let (n, p) = (cfg.data_shards, cfg.parity_shards);
+    debug_assert!(matrix.top_is_identity(n), "coding matrix must be systematic");
+    let parity_rows: Vec<usize> = (n..n + p).collect();
+    let parity = BitMatrix::expand_gf_matrix(&matrix.select_rows(&parity_rows));
+    XorCodec::new(n, p, PACKETS_PER_SHARD, &parity, groups, cfg.engine)
 }
 
 impl std::ops::Deref for RsCodec {
@@ -95,7 +74,7 @@ impl std::ops::Deref for RsCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Compression, MatrixKind, OptConfig, Scheduling};
+    use crate::{codec_for, codec_for_with, Compression, Kernel, OptConfig, Scheduling};
 
     fn sample_data(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 131 + i / 7) as u8).collect()
@@ -291,50 +270,61 @@ mod tests {
     #[test]
     fn every_config_roundtrips() {
         let data = sample_data(6 * 48);
-        for matrix in [
-            MatrixKind::IsalPower,
-            MatrixKind::ReducedVandermonde,
-            MatrixKind::Cauchy,
+        for opt in [
+            OptConfig::BASE,
+            OptConfig::COMPRESS,
+            OptConfig::FUSE,
+            OptConfig::FULL_DFS,
+            OptConfig {
+                compression: Compression::RePair,
+                fuse: true,
+                schedule: Scheduling::Greedy { cache_blocks: 32 },
+            },
         ] {
-            for opt in [
-                OptConfig::BASE,
-                OptConfig::COMPRESS,
-                OptConfig::FUSE,
-                OptConfig::FULL_DFS,
-                OptConfig {
-                    compression: Compression::RePair,
-                    fuse: true,
-                    schedule: Scheduling::Greedy { cache_blocks: 32 },
-                },
-            ] {
-                let codec = RsCodec::with_config(
-                    RsConfig::new(6, 2).matrix(matrix).opt(opt).blocksize(64),
-                )
-                .unwrap();
-                let shards = codec.encode(&data).unwrap();
-                let mut received: Vec<Option<Vec<u8>>> =
-                    shards.into_iter().map(Some).collect();
-                received[0] = None;
-                received[6] = None;
-                assert_eq!(
-                    codec.decode(&received, data.len()).unwrap(),
-                    data,
-                    "{matrix:?} {opt:?}"
-                );
-            }
+            let codec =
+                RsCodec::with_config(RsConfig::new(6, 2).opt(opt).blocksize(64)).unwrap();
+            let shards = codec.encode(&data).unwrap();
+            let mut received: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
+            received[0] = None;
+            received[6] = None;
+            assert_eq!(codec.decode(&received, data.len()).unwrap(), data, "{opt:?}");
         }
     }
 
     #[test]
     fn configs_agree_on_parity_bytes() {
-        // Optimization level must not change the produced parity.
-        let data = sample_data(10 * 160);
-        let mk = |opt| {
-            RsCodec::with_config(RsConfig::new(10, 4).opt(opt).blocksize(256)).unwrap()
-        };
-        let reference = mk(OptConfig::BASE).encode(&data).unwrap();
-        for opt in [OptConfig::COMPRESS, OptConfig::FUSE, OptConfig::FULL_DFS] {
-            assert_eq!(mk(opt).encode(&data).unwrap(), reference, "{opt:?}");
+        // Only the spec is recorded in an archive or manifest, so no
+        // engine knob may change the bytes: every configuration of every
+        // family must encode exactly as the codec resolved from the spec.
+        let data = sample_data(16 * 1024 + 13);
+        for spec in [
+            CodecSpec::rs(10, 4),
+            CodecSpec::lrc(8, 4, 4),
+            CodecSpec::parse("evenodd", 5, 2).unwrap(),
+            CodecSpec::parse("rdp", 4, 2).unwrap(),
+        ] {
+            let reference = codec_for(&spec).unwrap().encode(&data).unwrap();
+            for opt in [OptConfig::BASE, OptConfig::FULL_DFS] {
+                for blocksize in [16, 1024] {
+                    for kernel in [Kernel::Scalar, Kernel::Auto] {
+                        for parallelism in [1, 2] {
+                            let cfg = RsConfig::new(spec.data_shards, spec.parity_shards)
+                                .opt(opt)
+                                .blocksize(blocksize)
+                                .kernel(kernel)
+                                .parallelism(parallelism);
+                            let codec = codec_for_with(&spec, cfg).unwrap();
+                            assert_eq!(codec.spec(), spec);
+                            assert_eq!(
+                                codec.encode(&data).unwrap(),
+                                reference,
+                                "{} {opt:?} B={blocksize} {kernel:?} ×{parallelism}",
+                                spec.name()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -1,20 +1,21 @@
-//! The pluggable-codec boundary: an object-safe [`ErasureCoder`] trait
-//! over the full surface the upper layers (ec-stream, ec-store, CLIs)
-//! use, a self-describing [`CodecSpec`] that travels in archive headers
-//! and store manifests, and the [`codec_for`] registry that resolves a
-//! spec into a boxed codec.
+//! The pluggable-codec boundary: a self-describing [`CodecSpec`] that
+//! travels in archive headers and store manifests, the [`codec_for`]
+//! registry that resolves a spec into a boxed codec, and the
+//! [`ErasureCoder`] trait that boxed codec is — an identity over one
+//! engine.
 //!
 //! The paper's point — any XOR-able generator matrix rides the same
 //! SLP compile/optimize/execute pipeline — is what makes this boundary
 //! cheap: every implementation below ([`RsCodec`], [`LrcCodec`],
-//! [`ArrayCodec`]) is a matrix constructor around one [`XorCodec`]; an
-//! implementor names its family and hands out its engine, and every
-//! operation of the trait is provided over that.
+//! [`ArrayCodec`]) is a matrix constructor around one [`XorCodec`] that
+//! it derefs to. The trait adds only [`ErasureCoder::spec`]; every
+//! operation is the engine's own method, reached through `Deref`.
 
 use crate::codec::{RsCodec, PACKETS_PER_SHARD};
 use crate::config::RsConfig;
 use crate::lrc::LrcCodec;
 use array_codes::{ArrayCodec, EcError, XorCodec};
+use std::ops::Deref;
 
 /// Wire identity of a registered codec family.
 ///
@@ -242,168 +243,40 @@ pub fn codec_for_with(
     cfg: RsConfig,
 ) -> Result<Box<dyn ErasureCoder>, EcError> {
     spec.validate()?;
-    let mut cfg = cfg;
-    cfg.data_shards = spec.data_shards;
-    cfg.parity_shards = spec.parity_shards;
+    let (data_shards, parity_shards) = (spec.data_shards, spec.parity_shards);
+    let cfg = RsConfig { data_shards, parity_shards, ..cfg };
     Ok(match spec.id {
         CodecId::Rs => Box::new(RsCodec::with_config(cfg)?),
         CodecId::Lrc => Box::new(LrcCodec::with_config(cfg, spec.group_size)?),
-        CodecId::EvenOdd => Box::new(ArrayCodec::evenodd_with(spec.data_shards, cfg.engine())?),
-        CodecId::Rdp => Box::new(ArrayCodec::rdp_with(spec.data_shards, cfg.engine())?),
+        CodecId::EvenOdd => Box::new(ArrayCodec::evenodd_with(spec.data_shards, cfg.engine)?),
+        CodecId::Rdp => Box::new(ArrayCodec::rdp_with(spec.data_shards, cfg.engine)?),
     })
 }
 
-/// The full codec surface the upper layers use, object-safe so archives
-/// and clusters hold a `Box<dyn ErasureCoder>` resolved from the
-/// artifact's own [`CodecSpec`].
-///
-/// An implementor supplies its identity ([`ErasureCoder::spec`]) and
-/// its [`ErasureCoder::engine`]; everything else forwards to that
-/// [`XorCodec`], whose methods carry the full documentation.
+/// A codec the upper layers hold as a `Box<dyn ErasureCoder>` resolved
+/// from an artifact's own [`CodecSpec`]: its identity ([`spec`]) over
+/// the one [`XorCodec`] engine it derefs to, which carries every
+/// operation and its documentation.
 ///
 /// Geometry contract: `total_shards()` shard buffers, shard lengths equal
-/// and a multiple of [`ErasureCoder::shard_alignment`], data split
-/// row-major by [`ErasureCoder::split_data`].
-pub trait ErasureCoder: Send + Sync {
+/// and a multiple of [`XorCodec::packets_per_shard`], data split
+/// row-major by [`XorCodec::split_data`].
+///
+/// [`spec`]: ErasureCoder::spec
+pub trait ErasureCoder: Deref<Target = XorCodec> + Send + Sync {
     /// The self-describing identity of this codec.
     fn spec(&self) -> CodecSpec;
-
-    /// The engine that computes this code.
-    fn engine(&self) -> &XorCodec;
-
-    /// Number of data shards `n`.
-    fn data_shards(&self) -> usize {
-        self.engine().data_shards()
-    }
-
-    /// Number of parity shards `p`.
-    fn parity_shards(&self) -> usize {
-        self.engine().parity_shards()
-    }
-
-    /// Total shards `n + p`.
-    fn total_shards(&self) -> usize {
-        self.engine().total_shards()
-    }
-
-    /// Shard lengths must be multiples of this (the packet count `w`).
-    fn shard_alignment(&self) -> usize {
-        self.engine().packets_per_shard()
-    }
-
-    /// The shard length produced for `data_len` bytes of input.
-    fn shard_len(&self, data_len: usize) -> usize {
-        self.engine().shard_len(data_len)
-    }
-
-    /// Split `data` into the `n` padded data shards (no parity).
-    fn split_data(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        self.engine().split_data(data)
-    }
-
-    /// Encode into freshly allocated shards.
-    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
-        self.engine().encode(data)
-    }
-
-    /// Encode into caller-owned shard buffers (resized as needed).
-    fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
-        self.engine().encode_into(data, shards)
-    }
-
-    /// Recover the original `data_len` bytes from surviving shards.
-    fn decode(&self, shards: &[Option<Vec<u8>>], data_len: usize) -> Result<Vec<u8>, EcError> {
-        self.engine().decode(shards, data_len)
-    }
-
-    /// Rebuild every missing (`None`) shard in place.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        self.engine().reconstruct(shards)
-    }
-
-    /// Rebuild exactly `targets`, reading only the shards
-    /// [`ErasureCoder::repair_sources`] names; other `None` entries are
-    /// unavailable-not-wanted. Errors with [`EcError::MissingSource`]
-    /// when a required source is absent.
-    fn reconstruct_subset(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        targets: &[usize],
-    ) -> Result<(), EcError> {
-        self.engine().reconstruct_subset(shards, targets)
-    }
-
-    /// The surviving shard indices a repair of `lost` must read. For a
-    /// locality-aware codec this is where single-loss repairs shrink to
-    /// the local group.
-    fn repair_sources(&self, lost: &[usize]) -> Result<Vec<usize>, EcError> {
-        self.engine().repair_sources(lost)
-    }
-
-    /// Delta parity update after one data shard changes from `old` to
-    /// `new`; all `p` parity shards are updated in place.
-    fn update_parity(
-        &self,
-        shard_index: usize,
-        old: &[u8],
-        new: &[u8],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError> {
-        self.engine().update_parity(shard_index, old, new, parity)
-    }
-
-    /// Re-encode a subset of parity shards from complete data (`rows`
-    /// 0-based within the parity block, strictly increasing).
-    fn encode_parity_partial(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        rows: &[usize],
-    ) -> Result<(), EcError> {
-        self.engine().encode_parity_partial(data, parity, rows)
-    }
-
-    /// Check parity consistency against the data shards.
-    fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
-        self.engine().verify(shards)
-    }
-
-    /// XOR count of the full encode program (metrics).
-    fn encode_xor_count(&self) -> usize {
-        self.engine().encode_slp().xor_count()
-    }
-
-    /// XOR count of one data shard's delta-update program (metrics).
-    fn update_xor_count(&self, shard_index: usize) -> Result<usize, EcError> {
-        Ok(self.engine().update_slp(shard_index)?.xor_count())
-    }
-
-    /// Number of distinct compiled programs in the codec's program table
-    /// (metrics; a repair or update path that claims to run a cached
-    /// program can prove it here).
-    fn programs(&self) -> usize {
-        self.engine().programs()
-    }
 }
 
 impl ErasureCoder for RsCodec {
     fn spec(&self) -> CodecSpec {
-        CodecSpec::rs(self.engine().data_shards(), self.engine().parity_shards())
-    }
-
-    fn engine(&self) -> &XorCodec {
-        self
+        CodecSpec::rs(self.data_shards(), self.parity_shards())
     }
 }
 
 impl ErasureCoder for LrcCodec {
     fn spec(&self) -> CodecSpec {
-        let engine = self.engine();
-        CodecSpec::lrc(engine.data_shards(), engine.parity_shards(), self.group_size())
-    }
-
-    fn engine(&self) -> &XorCodec {
-        self
+        CodecSpec::lrc(self.data_shards(), self.parity_shards(), self.group_size())
     }
 }
 
@@ -411,14 +284,10 @@ impl ErasureCoder for ArrayCodec {
     fn spec(&self) -> CodecSpec {
         CodecSpec {
             id: if self.is_evenodd() { CodecId::EvenOdd } else { CodecId::Rdp },
-            data_shards: self.engine().data_shards(),
+            data_shards: self.data_shards(),
             parity_shards: 2,
             group_size: 0,
         }
-    }
-
-    fn engine(&self) -> &XorCodec {
-        self
     }
 }
 
@@ -492,7 +361,7 @@ mod tests {
             let data: Vec<u8> = (0..n * 64).map(|i| (i * 31 + 7) as u8).collect();
             let shards = codec.encode(&data).unwrap();
             assert_eq!(shards.len(), n + p);
-            assert!(shards[0].len().is_multiple_of(codec.shard_alignment()));
+            assert!(shards[0].len().is_multiple_of(codec.packets_per_shard()));
             assert!(codec.verify(&shards).unwrap());
             let mut rx: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
             rx[0] = None;
@@ -520,7 +389,7 @@ mod tests {
         let cfg = RsConfig::new(5, 2).kernel(crate::Kernel::Scalar).blocksize(64);
         let spec = CodecSpec::parse("evenodd", 5, 2).unwrap();
         let codec = codec_for_with(&spec, cfg).unwrap();
-        assert_eq!(*codec.engine().engine_config(), cfg.engine());
+        assert_eq!(*codec.engine_config(), cfg.engine);
         let data: Vec<u8> = (0..5 * 4 * 9 + 3).map(|i| (i * 151 + 17) as u8).collect();
         let shards = codec.encode(&data).unwrap();
         let mut patterns = 0;

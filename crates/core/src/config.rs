@@ -1,98 +1,62 @@
 //! Codec configuration.
 
 use array_codes::EngineConfig;
-use gf256::MatrixKind;
 use slp_optimizer::OptConfig;
 use xor_runtime::Kernel;
 
-/// Full configuration of an [`crate::RsCodec`]: the code (`n`, `p`,
-/// coding-matrix construction) plus the four engine knobs of
-/// [`EngineConfig`], flattened into one builder.
+/// Full configuration of an [`crate::RsCodec`]: the geometry (`n`, `p`)
+/// plus the [`EngineConfig`] every codec family is built with.
 ///
-/// The defaults are the paper's Intel testbed setting: ISA-L's power
-/// coding matrix, `Dfs(Fu(XorRePair(P)))` optimization, 1 KiB blocks
-/// (§7.4 picks `B = 1K` on Intel, `B = 2K` on AMD), the widest XOR
-/// kernel the CPU offers, and the machine-sized worker pool.
-///
-/// Precedence, lowest to highest — those constants, `XORSLP_KERNEL` /
-/// `XORSLP_PARALLELISM`, explicit builder calls — is documented and
-/// applied by [`EngineConfig::new`].
+/// The coding matrix is not a setting: RS is always ISA-L's power
+/// matrix, the one [`crate::CodecSpec::rs`] names in archive headers and
+/// store manifests, so an artifact reopens with the matrix it was
+/// written with. The engine knobs change speed, never bytes; their
+/// defaults and precedence are documented on [`EngineConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RsConfig {
     /// Number of data shards `n`.
     pub data_shards: usize,
     /// Number of parity shards `p`.
     pub parity_shards: usize,
-    /// Coding-matrix construction (§7.1).
-    pub matrix: MatrixKind,
-    /// SLP optimization pipeline (§4–§6).
-    pub opt: OptConfig,
-    /// Blocking parameter `B` in bytes (§6.1, §7.4).
-    pub blocksize: usize,
-    /// XOR kernel (§7.2's `xor1` vs `xor32`).
-    pub kernel: Kernel,
-    /// Worker threads for striped execution: `0` = auto (share the
-    /// machine-sized global [`xor_runtime::ExecPool`]), `1` = a single
-    /// dedicated worker (serial execution, still arena-reusing and
-    /// mutex-free), `k > 1` = a dedicated `k`-worker pool.
-    pub parallelism: usize,
+    /// Optimization, blocksize, kernel and parallelism.
+    pub engine: EngineConfig,
 }
 
 impl RsConfig {
-    /// The default configuration for an RS(n, p) codec: the paper's
-    /// constants, refined by env overrides (see the type docs for the
-    /// full precedence chain).
+    /// The default configuration for an RS(n, p) codec:
+    /// [`EngineConfig::new`].
     pub fn new(data_shards: usize, parity_shards: usize) -> RsConfig {
-        let engine = EngineConfig::new();
-        RsConfig {
-            data_shards,
-            parity_shards,
-            matrix: MatrixKind::IsalPower,
-            opt: engine.opt,
-            blocksize: engine.blocksize,
-            kernel: engine.kernel,
-            parallelism: engine.parallelism,
-        }
+        RsConfig { data_shards, parity_shards, engine: EngineConfig::new() }
     }
 
     /// The engine half of this configuration — what every codec family
-    /// is built with, whatever its matrix.
+    /// is built with.
     pub fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            opt: self.opt,
-            blocksize: self.blocksize,
-            kernel: self.kernel,
-            parallelism: self.parallelism,
-        }
-    }
-
-    /// Builder-style matrix override.
-    pub fn matrix(mut self, kind: MatrixKind) -> Self {
-        self.matrix = kind;
-        self
+        self.engine
     }
 
     /// Builder-style optimization override.
     pub fn opt(mut self, opt: OptConfig) -> Self {
-        self.opt = opt;
+        self.engine.opt = opt;
         self
     }
 
     /// Builder-style blocksize override.
     pub fn blocksize(mut self, blocksize: usize) -> Self {
-        self.blocksize = blocksize;
+        self.engine.blocksize = blocksize;
         self
     }
 
     /// Builder-style kernel override.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
+        self.engine.kernel = kernel;
         self
     }
 
-    /// Builder-style parallelism override (`0` = auto, see the field).
+    /// Builder-style parallelism override (see
+    /// [`EngineConfig::parallelism`]).
     pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
+        self.engine.parallelism = parallelism;
         self
     }
 }
@@ -104,14 +68,13 @@ mod tests {
     #[test]
     fn defaults_follow_the_precedence_chain() {
         let c = RsConfig::new(10, 4);
-        assert_eq!(c.matrix, MatrixKind::IsalPower);
-        assert_eq!(c.opt, OptConfig::FULL_DFS);
+        assert_eq!(c.engine.opt, OptConfig::FULL_DFS);
         // Kernel and parallelism are the paper's constants unless CI's
         // env vars force an engine configuration through the suite;
         // nothing else moves them.
-        assert_eq!(c.blocksize, 1024);
-        assert_eq!(c.kernel, Kernel::from_env().unwrap_or(Kernel::Auto));
-        assert_eq!(c.parallelism, xor_runtime::env_parallelism().unwrap_or(0));
+        assert_eq!(c.engine.blocksize, 1024);
+        assert_eq!(c.engine.kernel, Kernel::from_env().unwrap_or(Kernel::Auto));
+        assert_eq!(c.engine.parallelism, xor_runtime::env_parallelism().unwrap_or(0));
         assert_eq!(c.engine(), EngineConfig::new());
     }
 
@@ -129,15 +92,19 @@ mod tests {
     #[test]
     fn builder_chain() {
         let c = RsConfig::new(6, 3)
-            .matrix(MatrixKind::Cauchy)
             .blocksize(2048)
             .kernel(Kernel::Scalar)
             .opt(OptConfig::BASE)
             .parallelism(2);
-        assert_eq!(c.matrix, MatrixKind::Cauchy);
-        assert_eq!(c.blocksize, 2048);
-        assert_eq!(c.kernel, Kernel::Scalar);
-        assert_eq!(c.opt, OptConfig::BASE);
-        assert_eq!(c.parallelism, 2);
+        assert_eq!((c.data_shards, c.parity_shards), (6, 3));
+        assert_eq!(
+            c.engine(),
+            EngineConfig {
+                opt: OptConfig::BASE,
+                blocksize: 2048,
+                kernel: Kernel::Scalar,
+                parallelism: 2,
+            }
+        );
     }
 }

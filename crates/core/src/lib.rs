@@ -69,7 +69,6 @@ pub use codec::RsCodec;
 pub use coder::{codec_for, codec_for_with, codec_names, CodecId, CodecSpec, ErasureCoder};
 pub use config::RsConfig;
 pub use lrc::LrcCodec;
-pub use gf256::MatrixKind;
 pub use slp_optimizer::{Compression, OptConfig, Scheduling};
 pub use xor_runtime::Kernel;
 

@@ -19,27 +19,28 @@
 //! [`EcError::SingularPattern`] — a typed refusal, never a garbage
 //! decode.
 
-use crate::codec::RsCodec;
+use crate::codec::engine_over;
+use crate::coder::CodecSpec;
 use crate::config::RsConfig;
-use array_codes::EcError;
+use array_codes::{EcError, XorCodec};
 use gf256::{Gf, GfMatrix};
 
 /// A locally-repairable code LRC(n, r, g): `n` data shards in groups of
 /// `r`, one XOR local parity per group, `g` global parity shards.
 ///
-/// Derefs to [`RsCodec`] and through it to the engine, so the full codec
-/// surface (`encode`, `decode`, `reconstruct`, `update_parity`,
+/// Derefs to the [`XorCodec`] engine, so the full codec surface
+/// (`encode`, `decode`, `reconstruct`, `update_parity`,
 /// `repair_sources`, …) is available directly; the decode machinery is
 /// locality-aware through the matrix's group annotations.
 pub struct LrcCodec {
-    inner: RsCodec,
+    engine: XorCodec,
     group_size: usize,
 }
 
 impl std::fmt::Debug for LrcCodec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LrcCodec")
-            .field("data_shards", &self.inner.data_shards())
+            .field("data_shards", &self.engine.data_shards())
             .field("group_size", &self.group_size)
             .field("local_parity", &self.local_parity())
             .field("global_parity", &self.global_parity())
@@ -52,7 +53,7 @@ impl LrcCodec {
     /// global parity shards (total parity `p = n/r + g`), using the
     /// paper's default engine configuration.
     pub fn new(data_shards: usize, group_size: usize, global_parity: usize) -> Result<LrcCodec, EcError> {
-        let locals = if group_size > 0 { data_shards / group_size.max(1) } else { 0 };
+        let locals = data_shards.checked_div(group_size).unwrap_or(0);
         LrcCodec::with_config(
             RsConfig::new(data_shards, locals + global_parity),
             group_size,
@@ -63,26 +64,9 @@ impl LrcCodec {
     /// counts *all* parity — the `n / group_size` local rows plus the
     /// globals.
     pub fn with_config(cfg: RsConfig, group_size: usize) -> Result<LrcCodec, EcError> {
-        RsCodec::check_params(&cfg)?;
-        let (n, p) = (cfg.data_shards, cfg.parity_shards);
-        let r = group_size;
-        if r < 2 || r > n {
-            return Err(EcError::InvalidParams(format!(
-                "LRC group size must be in 2..=n, got r = {r} with n = {n}"
-            )));
-        }
-        if n % r != 0 {
-            return Err(EcError::InvalidParams(format!(
-                "LRC group size {r} must divide the data shard count {n}"
-            )));
-        }
+        let (n, p, r) = (cfg.data_shards, cfg.parity_shards, group_size);
+        CodecSpec::lrc(n, p, r).validate()?;
         let locals = n / r;
-        if p <= locals {
-            return Err(EcError::InvalidParams(format!(
-                "LRC(n = {n}, r = {r}) has {locals} local parity rows; total \
-                 parity {p} must exceed that to leave room for global rows"
-            )));
-        }
         let globals = p - locals;
 
         let mut m = GfMatrix::zero(n + p, n);
@@ -98,7 +82,7 @@ impl LrcCodec {
             }
         }
         // Global rows: Cauchy 1/(x_t + y_j) with x_t = n + t, y_j = j.
-        // All x and y values are distinct and below 255 (check_params
+        // All x and y values are distinct and below 255 (the spec
         // bounds n + p), so every entry is well-defined and non-zero.
         for t in 0..globals {
             for j in 0..n {
@@ -114,8 +98,8 @@ impl LrcCodec {
             })
             .collect();
 
-        let inner = RsCodec::with_matrix(cfg, m, groups)?;
-        Ok(LrcCodec { inner, group_size: r })
+        let engine = engine_over(&cfg, &m, groups)?;
+        Ok(LrcCodec { engine, group_size: r })
     }
 
     /// Size `r` of each locality group.
@@ -125,20 +109,20 @@ impl LrcCodec {
 
     /// Number of local parity shards (`n / r`).
     pub fn local_parity(&self) -> usize {
-        self.inner.data_shards() / self.group_size
+        self.engine.data_shards() / self.group_size
     }
 
     /// Number of global parity shards (`p - n/r`).
     pub fn global_parity(&self) -> usize {
-        self.inner.parity_shards() - self.local_parity()
+        self.engine.parity_shards() - self.local_parity()
     }
 }
 
 impl std::ops::Deref for LrcCodec {
-    type Target = RsCodec;
+    type Target = XorCodec;
 
-    fn deref(&self) -> &RsCodec {
-        &self.inner
+    fn deref(&self) -> &XorCodec {
+        &self.engine
     }
 }
 

@@ -32,7 +32,7 @@ fn registry_validation_is_uniform() {
     for codec in registry_codecs() {
         let name = codec.spec().name();
         let (n, p, t) = (codec.data_shards(), codec.parity_shards(), codec.total_shards());
-        let align = codec.shard_alignment();
+        let align = codec.packets_per_shard();
         let data: Vec<u8> = (0..n * align * 5).map(|i| (i * 29 + 3) as u8).collect();
         let shards = codec.encode(&data).unwrap();
         let len = shards[0].len();
@@ -60,7 +60,7 @@ fn registry_validation_is_uniform() {
             );
         }
         assert!(
-            matches!(codec.update_xor_count(n), Err(EcError::InvalidParams(_))),
+            matches!(codec.update_slp(n), Err(EcError::InvalidParams(_))),
             "{name}: update program of a parity index"
         );
         assert!(

@@ -165,7 +165,7 @@ impl Cluster {
                 }
             }
         };
-        self.codec.engine().reconstruct_from(&mut shards, &lost, fetch).map_err(|e| match e {
+        self.codec.reconstruct_from(&mut shards, &lost, fetch).map_err(|e| match e {
             EcError::TooManyErasures { missing, .. } => {
                 let object = object.to_string();
                 StoreError::Unavailable { object, needed: n, have: total - missing }

@@ -296,7 +296,7 @@ impl Cluster {
     ) -> Result<OverwriteReport, StoreError> {
         validate_object_name(object)?;
         let (n, p) = (self.codec.data_shards(), self.codec.parity_shards());
-        let full_xor = self.codec.encode_xor_count();
+        let full_xor = self.codec.encode_slp().xor_count();
         let full_report = |put: PutReport| OverwriteReport {
             mode: OverwriteMode::Full,
             changed: (0..n).collect(),
@@ -362,7 +362,7 @@ impl Cluster {
         }
         let delta_xor: usize = changed
             .iter()
-            .map(|&i| self.codec.update_xor_count(i))
+            .map(|&i| self.codec.update_slp(i).map(|slp| slp.xor_count()))
             .sum::<Result<usize, _>>()?;
 
         // The one read round: the changed old data shards and all p

@@ -461,7 +461,7 @@ impl<'c, R: Read + Seek> StreamDecoder<'c, R> {
             let data_len = meta.chunk_data_len(c);
             let lost: Vec<usize> = (0..n).filter(|&i| !scanner.chunk().good(i)).collect();
             if !lost.is_empty() {
-                match scanner.rebuild(codec.engine(), shards, &lost) {
+                match scanner.rebuild(codec, shards, &lost) {
                     Err(e @ (EcError::TooManyErasures { .. } | EcError::SingularPattern { .. })) => {
                         // Judge the chunk by all its frames, not only the
                         // ones the plan got to read.

@@ -4,7 +4,7 @@
 //! Memory is bounded by `O(chunk × (n + p))` — one staging buffer of
 //! `chunk_size` bytes plus `n + p` shard-slice buffers of
 //! `chunk_size / n` bytes each — never by the stream length. Chunk
-//! encodes go through [`ec_core::ErasureCoder::encode_into`], so the
+//! encodes go through [`ec_core::XorCodec::encode_into`], so the
 //! steady-state loop reuses every buffer and (with `parallelism = 1`)
 //! allocates nothing per chunk; pooled codecs pipeline each chunk's XOR
 //! program across the striped execution engine.

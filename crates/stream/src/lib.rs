@@ -9,7 +9,7 @@
 //!   through any registered [`ec_core::ErasureCoder`] in fixed-size
 //!   chunks — memory is `O(chunk × (n + p))`, never `O(file)`, and
 //!   steady-state chunk encodes are allocation-free (via
-//!   [`ec_core::ErasureCoder::encode_into`]);
+//!   [`ec_core::XorCodec::encode_into`]);
 //! * the self-describing shard-file format (`docs/FORMAT.md`): magic,
 //!   version, codec identity and parameters, chunk geometry, original
 //!   length, a CRC-32 per chunk payload and a CRC-32 over the header —

@@ -82,8 +82,9 @@
 //!
 //! ## Pluggable codecs
 //!
-//! Archives and clusters talk to the codec through the object-safe
-//! [`ErasureCoder`] trait. A [`CodecSpec`] names a family + geometry
+//! Archives and clusters hold a boxed [`ErasureCoder`]: a codec's
+//! identity over the one [`XorCodec`] engine it derefs to, which carries
+//! every operation. A [`CodecSpec`] names a family + geometry
 //! (`rs`, `evenodd`, `rdp`, `lrc:<r>`), [`codec_for`] resolves it into
 //! a boxed codec, and every self-describing artifact records the spec's
 //! wire id so `Archive::open` / the store manifest resolve the *right*
@@ -95,7 +96,7 @@
 pub use array_codes::{ArrayCodec, EngineConfig, XorCodec};
 pub use ec_core::{
     codec_for, codec_for_with, codec_names, CodecId, CodecSpec, Compression, EcError,
-    ErasureCoder, Kernel, LrcCodec, MatrixKind, OptConfig, RsCodec, RsConfig, Scheduling,
+    ErasureCoder, Kernel, LrcCodec, OptConfig, RsCodec, RsConfig, Scheduling,
 };
 pub use ec_store::{Cluster, NodeHandle, StoreError};
 pub use ec_stream::{

@@ -6,7 +6,7 @@ use xorslp_ec::gf::{encoding_matrix, Gf, MatrixKind};
 use xorslp_ec::opt::{self, OptConfig, StageMetrics};
 use xorslp_ec::runtime::{ExecProgram, Kernel};
 use xorslp_ec::slp::binary_slp_from_bitmatrix;
-use xorslp_ec::{RsCodec, RsConfig};
+use xorslp_ec::{EngineConfig, RsCodec, RsConfig, XorCodec};
 
 fn sample(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 2_654_435_761usize) >> 7) as u8).collect()
@@ -207,18 +207,22 @@ fn optimized_decode_of_every_rs_10_4_pattern_is_exact() {
 
 #[test]
 fn matrix_kinds_interoperate_with_all_opt_levels() {
+    // RsCodec always builds the power matrix (the one its spec names on
+    // disk); the engine under it takes any matrix construction.
     let data = sample(5 * 640);
     for kind in [MatrixKind::IsalPower, MatrixKind::ReducedVandermonde, MatrixKind::Cauchy] {
-        let codec = RsCodec::with_config(
-            RsConfig::new(5, 2).matrix(kind).blocksize(512),
-        )
-        .unwrap();
-        let shards = codec.encode(&data).unwrap();
-        assert!(codec.verify(&shards).unwrap());
-        let mut rx: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
-        rx[3] = None;
-        rx[5] = None;
-        assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "{kind:?}");
+        let matrix = encoding_matrix(kind, 5, 2);
+        let parity = BitMatrix::expand_gf_matrix(&matrix.select_rows(&[5, 6]));
+        for opt in [OptConfig::BASE, OptConfig::FULL_DFS] {
+            let cfg = EngineConfig { opt, blocksize: 512, ..EngineConfig::new() };
+            let codec = XorCodec::new(5, 2, 8, &parity, Vec::new(), cfg).unwrap();
+            let shards = codec.encode(&data).unwrap();
+            assert!(codec.verify(&shards).unwrap());
+            let mut rx: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
+            rx[3] = None;
+            rx[5] = None;
+            assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "{kind:?} {opt:?}");
+        }
     }
 }
 
