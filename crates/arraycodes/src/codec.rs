@@ -130,7 +130,13 @@ fn shards_of(packets: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
 /// Execution stripes across an [`ExecPool`](xor_runtime::ExecPool) (the
 /// [`EngineConfig::parallelism`] knob): every worker owns a persistent
 /// grow-on-demand arena, so concurrent callers never serialize on shared
-/// scratch buffers and steady-state encode/decode allocates nothing.
+/// scratch buffers. In the steady state at `parallelism = 1`,
+/// [`encode_into`](XorCodec::encode_into),
+/// [`update_parity`](XorCodec::update_parity) and
+/// [`verify`](XorCodec::verify) allocate nothing,
+/// [`decode`](XorCodec::decode) allocates only the buffer it returns, and
+/// [`reconstruct`](XorCodec::reconstruct) one `Vec` per rebuilt shard
+/// (ec-core's `alloc_steady` test pins all five).
 pub struct XorCodec {
     n: usize,
     p: usize,
@@ -353,17 +359,19 @@ impl XorCodec {
         )
     }
 
-    /// Run `prog` from whole data shards into whole output shards.
+    /// Run `prog` from whole data shards into whole output shards, with
+    /// the packet lists in thread-local scratch.
     fn run_shards(
         &self,
         prog: &ExecProgram,
         data: &[&[u8]],
         out: &mut [&mut [u8]],
     ) -> Result<(), EcError> {
-        let inputs: Vec<&[u8]> = data.iter().flat_map(|s| layout::packets(s, self.w)).collect();
-        let mut outputs: Vec<&mut [u8]> =
-            out.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
-        Ok(prog.run_striped(&inputs, &mut outputs, self.pool.pool(), self.pool.workers())?)
+        xor_runtime::with_ref_scratch(|inputs, outputs| {
+            inputs.extend(data.iter().flat_map(|s| layout::packets(s, self.w)));
+            outputs.extend(out.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)));
+            Ok(prog.run_striped(inputs, outputs, self.pool.pool(), self.pool.workers())?)
+        })
     }
 
     /// Compute all parity shards from data shards, zero-copy.
@@ -723,30 +731,24 @@ impl XorCodec {
         candidates
     }
 
-    /// Run a decode program: one rebuilt `len`-byte shard per lost data
-    /// shard, from the survivor packets its inputs name (the caller has
-    /// checked they are present).
-    fn rebuild_lost_data(
+    /// Run a decode program from the survivor packets its inputs name
+    /// (the caller has checked they are present) into `outputs`, one
+    /// `pl`-byte packet per `(shard, packet)` of its outputs, in order.
+    /// The packet lists live in thread-local scratch.
+    fn run_decode<'a>(
         &self,
         dec: &Program,
-        shards: &[Option<Vec<u8>>],
-        len: usize,
-    ) -> Result<Vec<Vec<u8>>, EcError> {
-        let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; dec.outputs.len() / self.w];
-        if len > 0 {
-            let pl = len / self.w;
-            let inputs: Vec<&[u8]> = dec
-                .inputs
-                .iter()
-                .map(|&(i, k)| {
-                    &shards[i].as_deref().expect("survivor present")[k * pl..(k + 1) * pl]
-                })
-                .collect();
-            let mut outputs: Vec<&mut [u8]> =
-                rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)).collect();
-            dec.prog.run_striped(&inputs, &mut outputs, self.pool.pool(), self.pool.workers())?;
-        }
-        Ok(rebuilt)
+        shards: &'a [Option<Vec<u8>>],
+        pl: usize,
+        outputs: impl Iterator<Item = &'a mut [u8]>,
+    ) -> Result<(), EcError> {
+        xor_runtime::with_ref_scratch(|ins, outs| {
+            ins.extend(dec.inputs.iter().map(|&(i, k)| {
+                &shards[i].as_deref().expect("survivor present")[k * pl..(k + 1) * pl]
+            }));
+            outs.extend(outputs);
+            Ok(dec.prog.run_striped(ins, outs, self.pool.pool(), self.pool.workers())?)
+        })
     }
 
     /// The exact shard set a [`XorCodec::reconstruct_subset`] of `lost`
@@ -767,7 +769,8 @@ impl XorCodec {
     }
 
     /// Rebuild every missing shard in place (data via the decode program,
-    /// parity by re-encoding).
+    /// parity by re-encoding). Each rebuilt shard is one `Vec`, allocated
+    /// once and written by its program.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         self.check_total(shards.len())?;
         let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
@@ -806,7 +809,12 @@ impl XorCodec {
         // Phase 1: reconstruct lost data shards from the program's
         // survivor inputs.
         if let Some(dec) = &dec {
-            let rebuilt = self.rebuild_lost_data(dec, shards, len)?;
+            let mut rebuilt: Vec<Vec<u8>> =
+                shards_of(&dec.outputs).map(|_| vec![0u8; len]).collect();
+            if len > 0 {
+                let packets = rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, self.w));
+                self.run_decode(dec, shards, len / self.w, packets)?;
+            }
             for (i, shard) in shards_of(&dec.outputs).zip(rebuilt) {
                 shards[i] = Some(shard);
             }
@@ -816,7 +824,8 @@ impl XorCodec {
         // inputs are complete now) — repair work is proportional to what
         // was lost, not to p. Data shards outside the plan may still be
         // `None`; they are substituted with zeros, legal only because the
-        // target rows' generator blocks there are zero (checked).
+        // target rows' generator blocks there are zero (checked). The
+        // zeros are allocated only when such a shard is absent.
         let mut target_rows: Vec<usize> =
             targets.iter().filter(|&&i| i >= n).map(|&i| i - n).collect();
         target_rows.sort_unstable();
@@ -827,10 +836,12 @@ impl XorCodec {
             }) {
                 return Err(EcError::MissingSource { shard: absent });
             }
-            let zeros = vec![0u8; len];
-            let data_refs: Vec<&[u8]> =
-                shards[..n].iter().map(|s| s.as_deref().unwrap_or(&zeros)).collect();
-            let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; target_rows.len()];
+            let zeros = shards[..n].iter().any(Option::is_none).then(|| vec![0u8; len]);
+            let data_refs: Vec<&[u8]> = shards[..n]
+                .iter()
+                .map(|s| s.as_deref().or(zeros.as_deref()).expect("zeros exist if one is absent"))
+                .collect();
+            let mut rebuilt: Vec<Vec<u8>> = target_rows.iter().map(|_| vec![0u8; len]).collect();
             {
                 let mut refs: Vec<&mut [u8]> =
                     rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
@@ -888,7 +899,8 @@ impl XorCodec {
     ///
     /// `data_len` is the length passed to [`XorCodec::encode`] (padding is
     /// stripped). Only lost *data* shards are reconstructed; missing
-    /// parity is ignored.
+    /// parity is ignored. The decode program writes each rebuilt packet
+    /// into the returned buffer, the one shard-sized allocation.
     pub fn decode(&self, shards: &[Option<Vec<u8>>], data_len: usize) -> Result<Vec<u8>, EcError> {
         let n = self.n;
         self.check_total(shards.len())?;
@@ -904,19 +916,25 @@ impl XorCodec {
             )));
         }
 
-        let rebuilt = match self.decode_program(&missing)? {
-            Some(dec) => self.rebuild_lost_data(&dec, shards, len)?,
-            None => Vec::new(),
-        };
-
-        // Stitch data shards back together and strip the padding.
+        // Survivors are copied in, each lost data shard gets a zero-filled
+        // slot, and the decode program writes its output packets straight
+        // into those slots.
+        let dec = self.decode_program(&missing)?;
         let mut out = Vec::with_capacity(n * len);
-        let mut rebuilt_iter = rebuilt.iter();
         for shard in &shards[..n] {
-            out.extend_from_slice(match shard {
-                Some(s) => s,
-                None => rebuilt_iter.next().expect("one rebuilt shard per lost data"),
-            });
+            match shard {
+                Some(s) => out.extend_from_slice(s),
+                None => out.resize(out.len() + len, 0),
+            }
+        }
+        if let Some(dec) = dec.filter(|_| len > 0) {
+            let (w, pl) = (self.w, len / self.w);
+            let slots = out
+                .chunks_exact_mut(pl)
+                .enumerate()
+                .filter(|(g, _)| dec.outputs.binary_search(&(g / w, g % w)).is_ok())
+                .map(|(_, packet)| packet);
+            self.run_decode(&dec, shards, pl, slots)?;
         }
         out.truncate(data_len);
         Ok(out)
@@ -1546,5 +1564,194 @@ mod tests {
             Err(EcError::SingularPattern { lost: lost.to_vec() })
         );
         assert!(asked.is_empty(), "{asked:?}");
+    }
+
+    // ------------------------------------------------------------------
+    // Decoding into the returned buffer, against rebuild-then-stitch
+    // ------------------------------------------------------------------
+
+    /// The oracle for [`XorCodec::decode`] and [`XorCodec::reconstruct`]:
+    /// the decode that rebuilt each lost data shard into a `Vec` of its
+    /// own and then copied every data shard into a fresh output. The
+    /// caller passes a tolerable pattern over equal-length shards.
+    fn stitched_decode(codec: &XorCodec, shards: &[Option<Vec<u8>>], data_len: usize) -> Vec<u8> {
+        let (n, w) = (codec.n, codec.w);
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+        let len = shards.iter().flatten().next().expect("a survivor").len();
+        let mut rebuilt: Vec<Vec<u8>> = Vec::new();
+        if let Some(dec) = codec.decode_program(&missing).unwrap() {
+            rebuilt = vec![vec![0u8; len]; dec.outputs.len() / w];
+            if len > 0 {
+                let pl = len / w;
+                let inputs: Vec<&[u8]> = dec
+                    .inputs
+                    .iter()
+                    .map(|&(i, k)| &shards[i].as_deref().unwrap()[k * pl..(k + 1) * pl])
+                    .collect();
+                let mut outputs: Vec<&mut [u8]> =
+                    rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, w)).collect();
+                dec.prog
+                    .run_striped(&inputs, &mut outputs, codec.pool.pool(), codec.pool.workers())
+                    .unwrap();
+            }
+        }
+        let mut out = Vec::with_capacity(n * len);
+        let mut rebuilt_iter = rebuilt.iter();
+        for shard in &shards[..n] {
+            out.extend_from_slice(match shard {
+                Some(s) => s,
+                None => rebuilt_iter.next().expect("one rebuilt shard per lost data"),
+            });
+        }
+        out.truncate(data_len);
+        out
+    }
+
+    /// Multiplication by the GF(2^8) element `a` (modulo `0x11D`, the
+    /// field of the shipped RS and LRC codes) as an 8 × 8 bit-matrix: a
+    /// sum of powers of the multiply-by-`x` matrix, whose last column is
+    /// `x^8 = x^4 + x^3 + x^2 + 1`.
+    fn times(a: u8) -> BitMatrix {
+        let x = BitMatrix::from_fn(8, 8, |i, j| match j {
+            7 => 0x1D >> i & 1 == 1,
+            _ => i == j + 1,
+        });
+        let mut power = BitMatrix::identity(8);
+        let mut m = BitMatrix::zero(8, 8);
+        for b in 0..8 {
+            if a >> b & 1 == 1 {
+                m = m.xor(&power);
+            }
+            power = x.mul(&power);
+        }
+        m
+    }
+
+    /// A `p × n` matrix of 8 × 8 blocks.
+    fn blocks(p: usize, n: usize, block: impl Fn(usize, usize) -> BitMatrix) -> BitMatrix {
+        let mut m = BitMatrix::zero(8 * p, 8 * n);
+        for r in 0..p {
+            for j in 0..n {
+                m.paste(8 * r, 8 * j, &block(r, j));
+            }
+        }
+        m
+    }
+
+    /// RS(n, p) with the ISA-L power matrix: parity block `(r, j)` is
+    /// `α^(r·j)`, `α = x`.
+    fn rs(n: usize, p: usize, cfg: EngineConfig) -> XorCodec {
+        let power = |e: usize| (0..e).fold(BitMatrix::identity(8), |m, _| times(2).mul(&m));
+        XorCodec::new(n, p, 8, &blocks(p, n, |r, j| power(r * j)), Vec::new(), cfg).unwrap()
+    }
+
+    /// LRC(n, p, r): `n / r` XOR local rows over groups of `r`, then
+    /// Cauchy globals `1 / ((n + t) + j)`.
+    fn lrc(n: usize, p: usize, r: usize, cfg: EngineConfig) -> XorCodec {
+        let locals = n / r;
+        let parity = blocks(p, n, |row, j| match row {
+            _ if row < locals && j / r == row => BitMatrix::identity(8),
+            _ if row < locals => BitMatrix::zero(8, 8),
+            _ => times((n + row - locals) as u8 ^ j as u8).invert().unwrap(),
+        });
+        let groups = (0..locals).map(|g| (g * r..(g + 1) * r).chain([n + g]).collect()).collect();
+        XorCodec::new(n, p, 8, &parity, groups, cfg).unwrap()
+    }
+
+    #[test]
+    fn rs_and_lrc_built_here_are_the_shipped_codes() {
+        // FNV-1a of the encode SLP's text: the digests
+        // tests/program_identity.rs pins for RsCodec and LrcCodec.
+        let digest = |codec: &XorCodec| {
+            let text = codec.encode_slp().to_string();
+            text.bytes().chain([0]).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let cfg = EngineConfig::new();
+        assert_eq!(digest(&rs(10, 4, cfg)), 0x211a_76a4_3a36_ffaf);
+        assert_eq!(digest(&lrc(12, 4, 6, cfg)), 0xb18c_bc70_7fba_cf97);
+    }
+
+    /// Decode at every `data_len` edge, and reconstruct, for each pattern
+    /// at parallelism 1 and 2, byte for byte against the oracle. Packets
+    /// of 136 bytes at `B = 64` run as two uneven stripes on two workers.
+    fn assert_written_in_place(
+        name: &str,
+        build: impl Fn(EngineConfig) -> XorCodec,
+        lost: &[Vec<usize>],
+    ) {
+        const PL: usize = 136;
+        for parallelism in [1, 2] {
+            let codec = build(EngineConfig { blocksize: 64, parallelism, ..EngineConfig::new() });
+            let (n, len) = (codec.n, codec.w * PL);
+            let data = random_bytes(n * len, (n * 100 + codec.p) as u64);
+            let shards = codec.encode(&data).unwrap();
+            for lost in lost {
+                let ctx = format!("{name}, parallelism {parallelism}, lost {lost:?}");
+                let mut rx = erase(&shards, lost);
+                for data_len in [0, 1, len - 1, (n - 1) * len + 1, n * len - 1, n * len] {
+                    let got = codec.decode(&rx, data_len).unwrap();
+                    let want = stitched_decode(&codec, &rx, data_len);
+                    assert_eq!(got, want, "{ctx}, {data_len} bytes");
+                    assert_eq!(got, data[..data_len], "{ctx}, {data_len} bytes");
+                }
+                let stitched = stitched_decode(&codec, &rx, n * len);
+                codec.reconstruct(&mut rx).unwrap();
+                let rebuilt: Vec<Vec<u8>> = rx.into_iter().map(Option::unwrap).collect();
+                assert_eq!(rebuilt[..n].concat(), stitched, "{ctx}");
+                assert_eq!(rebuilt, shards, "{ctx}");
+            }
+        }
+    }
+
+    /// Every pattern of at most `p` losses that loses a data shard and
+    /// that the code tolerates.
+    fn tolerable_data_losses(codec: &XorCodec) -> Vec<Vec<usize>> {
+        patterns(codec)
+            .into_iter()
+            .filter(|lost| lost.iter().any(|&i| i < codec.n) && solvable(codec, lost))
+            .collect()
+    }
+
+    #[test]
+    fn written_in_place_evenodd_and_rdp_every_tolerable_pattern() {
+        let codes = [("EVENODD(5)", ArrayCodec::evenodd(5)), ("RDP(4)", ArrayCodec::rdp(4))];
+        for (name, code) in codes {
+            let (n, p, w) = (code.n, code.p, code.w);
+            let parity = code.generator.row_range(n * w, p * w);
+            let build = |cfg| XorCodec::new(n, p, w, &parity, Vec::new(), cfg).unwrap();
+            assert_written_in_place(name, build, &tolerable_data_losses(&code));
+        }
+    }
+
+    #[test]
+    fn written_in_place_lrc_10_4_r5_every_tolerable_pattern() {
+        // Every pattern compiles two decode programs, about a minute for
+        // all of them unoptimized: `cargo test` runs every eighth and
+        // `cargo test --release` (a CI row) all of them.
+        let stride = if cfg!(debug_assertions) { 8 } else { 1 };
+        let all = tolerable_data_losses(&lrc(10, 4, 5, EngineConfig::new()));
+        let lost: Vec<Vec<usize>> = all.into_iter().step_by(stride).collect();
+        assert_written_in_place("LRC(10,4,r=5)", |cfg| lrc(10, 4, 5, cfg), &lost);
+    }
+
+    #[test]
+    fn written_in_place_rs_10_4() {
+        // Every 1- and 2-loss pattern that loses data, the paper's
+        // {2, 4, 5, 6}, and a seeded sample of 3- and 4-loss patterns.
+        let mut lost: Vec<Vec<usize>> = (0..10)
+            .flat_map(|a| (a..14).map(move |b| if a == b { vec![a] } else { vec![a, b] }))
+            .collect();
+        lost.push(vec![2, 4, 5, 6]);
+        for (k, pick) in random_bytes(32 * 4, 37).chunks_exact(4).enumerate() {
+            let mut l: Vec<usize> =
+                pick[..3 + k % 2].iter().map(|&b| usize::from(b) % 14).collect();
+            l[0] %= 10;
+            l.sort_unstable();
+            l.dedup();
+            lost.push(l);
+        }
+        assert_written_in_place("RS(10,4)", |cfg| rs(10, 4, cfg), &lost);
     }
 }

@@ -4,8 +4,8 @@
 //! byte range of a stripe can be executed independently (§6). The
 //! [`ExecPool`] makes that a first-class runtime facility: a persistent
 //! set of worker threads, each owning a reusable grow-on-demand
-//! [`VarArena`], so steady-state encode/decode does **zero hot-path
-//! allocation** and concurrent callers never contend on a shared arena.
+//! [`VarArena`], so a steady-state program run allocates no scratch and
+//! concurrent callers never contend on a shared arena.
 //!
 //! Use [`ExecPool::global`] for the lazily-created machine-sized pool, or
 //! [`ExecPool::new`] for an explicitly sized one. Work is submitted in
