@@ -4,11 +4,11 @@
 use super::{Cluster, ClusterHealth, RecordVote, ShardFault};
 use crate::client::{reply, Answer, BatchOp};
 use crate::error::{RemoteErrorCode, StoreError};
-use crate::fanout::{ParallelConnSet, Progress, Release};
+use crate::fanout::{release_all, FirstN, ParallelConnSet, Progress, Release};
 use crate::manifest::{self, manifest_key, validate_object_name, Manifest, ManifestRecord};
+use crate::tree::HashBlob;
 use ec_core::ErasureCoder;
 use ec_wire::crc32;
-use ec_wire::merkle::MerkleTree;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -39,7 +39,8 @@ pub enum ShardOutcome {
     NotRequested,
     /// The node was unreachable, or the blob absent (reason recorded).
     Dead(String),
-    /// Bytes arrived but failed the manifest checksum / length check.
+    /// Bytes arrived but failed the manifest length, checksum or Merkle
+    /// root check.
     Corrupt(String),
 }
 
@@ -98,8 +99,15 @@ impl GetReport {
     }
 }
 
+fn served_bytes(slot: &FetchSlot) -> Option<&[u8]> {
+    match slot {
+        Some(Ok(Ok(bytes))) => Some(bytes),
+        _ => None,
+    }
+}
+
 fn served(slot: &FetchSlot) -> bool {
-    matches!(slot, Some(Ok(Ok(_))))
+    served_bytes(slot).is_some()
 }
 
 /// Whether the shards a `get` has been served decode: all `n` data
@@ -160,6 +168,22 @@ fn wanted(
     Release { jobs, recheck }
 }
 
+/// The shards a `get` asks for once what it was served no longer
+/// decodes — a served shard failed its Merkle root, or a backup failed:
+/// the repair plan's sources for every shard that failed or was
+/// abandoned, among those it never asked for; or, where the plan needs
+/// none of those, every shard it has no answer from.
+fn backups(codec: &dyn ErasureCoder, outcomes: &[FetchSlot], held: &[bool]) -> Vec<usize> {
+    let lost: Vec<usize> = (0..outcomes.len())
+        .filter(|&i| if outcomes[i].is_some() { !served(&outcomes[i]) } else { !held[i] })
+        .collect();
+    let unanswered = |i: &usize| outcomes[*i].is_none();
+    match codec.repair_sources(&lost) {
+        Ok(plan) if plan.iter().any(unanswered) => plan.into_iter().filter(unanswered).collect(),
+        _ => (0..outcomes.len()).filter(unanswered).collect(),
+    }
+}
+
 /// The keys of shards `indices` of `object`, for
 /// [`shard_fetch_jobs`] to borrow.
 fn shard_keys(object: &str, manifest: &Manifest, indices: &[usize]) -> Vec<String> {
@@ -167,11 +191,13 @@ fn shard_keys(object: &str, manifest: &Manifest, indices: &[usize]) -> Vec<Strin
 }
 
 /// One fetch-and-validate job per shard in `indices` (`keys` from
-/// [`shard_keys`]), for barrier rounds and `get`'s held round alike. Each
-/// shard is checked as its answer arrives, on the thread running the
-/// round. The outer `Err` of a [`Fetched`] is a transport failure (the
-/// fan-out layer drops the connection); the inner result is the typed
-/// shard outcome.
+/// [`shard_keys`]), for barrier rounds and `get`'s held round alike.
+/// Each answer's length and manifest CRC-32 are checked as it arrives,
+/// on the thread running the round, so a round can send a backup for a
+/// bad shard at once; the Merkle roots of what it was served are checked
+/// after the round, all in one batch ([`check_roots`]). The outer `Err`
+/// of a [`Fetched`] is a transport failure (the fan-out layer drops the
+/// connection); the inner result is the typed shard outcome.
 fn shard_fetch_jobs<'a>(
     manifest: &'a Manifest,
     keys: &'a [String],
@@ -185,7 +211,9 @@ fn shard_fetch_jobs<'a>(
         .collect()
 }
 
-/// Judge what a node answered to the fetch of shard `i`.
+/// Judge what a node answered to the fetch of shard `i`: its length
+/// and CRC-32 against the manifest. Its Merkle root is
+/// [`check_roots`]' job.
 fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
     let addr = &manifest.placement[i];
     let want_len = manifest.shard_len;
@@ -202,19 +230,6 @@ fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
                     "shard bytes from {addr} fail the manifest checksum"
                 ))));
             }
-            // Every consumer of this job — get, overwrite's fetch of the
-            // changed shards and parity, repair's survivor fetch, the
-            // full-read scrub — gets end-to-end hash verification for
-            // free, so even a CRC-colliding flip cannot slip into a
-            // decode.
-            if MerkleTree::from_payload(&bytes, manifest.hash_leaf_size as usize).root()
-                != manifest.shard_root[i]
-            {
-                return Ok(Err(ShardFault::Corrupt(format!(
-                    "shard bytes from {addr} fail the manifest Merkle root \
-                     (CRC-32 passes — checksum-colliding damage)"
-                ))));
-            }
             Ok(Ok(bytes))
         }
         Err(StoreError::Remote { code: RemoteErrorCode::CorruptBlob, message }) => {
@@ -225,6 +240,46 @@ fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
         }
         Err(e) => Err(e),
     }
+}
+
+/// Check every shard a round was served (slot `k` holds shard
+/// `indices[k]`) against its manifest Merkle root; one that fails
+/// becomes `Corrupt`. Every consumer of a fetch — get, overwrite's fetch
+/// of the changed shards and parity, repair's survivor fetch, the
+/// full-read scrub — gets end-to-end hash verification this way, so
+/// even a CRC-colliding flip cannot slip into a decode. The shards are
+/// hashed together, leaf-major ([`HashBlob::from_shards`]): one shard of
+/// a 1 MiB RS(10, 4) object is two leaves, too few for the SHA-256
+/// lanes, while a round's ten or more fill them.
+fn check_roots(manifest: &Manifest, indices: &[usize], slots: &mut [FetchSlot]) {
+    let (at, shards): (Vec<usize>, Vec<&[u8]>) =
+        (slots.iter().enumerate()).filter_map(|(k, slot)| Some((k, served_bytes(slot)?))).unzip();
+    let blobs = HashBlob::from_shards(&shards, manifest.hash_leaf_size);
+    for (k, blob) in at.into_iter().zip(blobs) {
+        let i = indices[k];
+        if blob.root() != manifest.shard_root[i] {
+            slots[k] = Some(Ok(Err(ShardFault::Corrupt(format!(
+                "shard bytes from {} fail the manifest Merkle root \
+                 (CRC-32 passes — checksum-colliding damage)",
+                manifest.placement[i]
+            )))));
+        }
+    }
+}
+
+/// One barrier round fetching shards `indices` of `object`, every
+/// served shard root-checked.
+fn fetch_round(
+    conns: &mut ParallelConnSet,
+    object: &str,
+    manifest: &Manifest,
+    indices: &[usize],
+) -> FirstN<Result<Vec<u8>, ShardFault>> {
+    let keys = shard_keys(object, manifest, indices);
+    let jobs = shard_fetch_jobs(manifest, &keys, indices);
+    let mut round = conns.run_first_n(jobs, |_| false, release_all);
+    check_roots(manifest, indices, &mut round.outcomes);
+    round
 }
 
 impl Cluster {
@@ -365,16 +420,31 @@ impl Cluster {
         let keys = shard_keys(object, &manifest, &all);
         let jobs = shard_fetch_jobs(&manifest, &keys, &all);
         let codec = &*self.codec;
-        let first = conns.run_first_n(
+        let FirstN { mut outcomes, mut elapsed, held, mut timed_out } = conns.run_first_n(
             jobs,
             |outcomes| decodable(codec, outcomes),
             |round| wanted(codec, round),
         );
+        check_roots(&manifest, &all, &mut outcomes);
+        // A shard that failed its root is lost like a dead one: if the
+        // rest no longer decodes, fetch the backups in one more round
+        // (and again, should a backup fail), never a verified shard again.
+        while !timed_out && !decodable(codec, &outcomes) {
+            let more = backups(codec, &outcomes, &held);
+            if more.is_empty() {
+                break;
+            }
+            let round = fetch_round(&mut conns, object, &manifest, &more);
+            for ((&i, outcome), took) in more.iter().zip(round.outcomes).zip(round.elapsed) {
+                (outcomes[i], elapsed[i]) = (outcome, took);
+            }
+            timed_out = round.timed_out;
+        }
 
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; total];
         let mut fetches = Vec::with_capacity(total);
         let mut missing = Vec::new();
-        for (i, outcome) in first.outcomes.into_iter().enumerate() {
+        for (i, outcome) in outcomes.into_iter().enumerate() {
             let outcome = match outcome {
                 Some(Ok(Ok(bytes))) => {
                     shards[i] = Some(bytes);
@@ -392,19 +462,19 @@ impl Cluster {
                     missing.push(i);
                     ShardOutcome::Dead(format!("{}: {e}", manifest.placement[i]))
                 }
-                None if first.held[i] => ShardOutcome::NotRequested,
+                None if held[i] => ShardOutcome::NotRequested,
                 None => ShardOutcome::Abandoned,
             };
             fetches.push(ShardFetch {
                 index: i,
                 node: manifest.placement[i].clone(),
                 outcome,
-                elapsed: first.elapsed[i],
+                elapsed: elapsed[i],
             });
         }
         let have = shards.iter().flatten().count();
         if have < n {
-            return Err(if first.timed_out {
+            return Err(if timed_out {
                 StoreError::Timeout
             } else {
                 StoreError::Unavailable {
@@ -428,11 +498,10 @@ impl Cluster {
         manifest: &Manifest,
         indices: &[usize],
     ) -> Vec<Result<Vec<u8>, ShardFault>> {
-        let keys = shard_keys(object, manifest, indices);
-        indices
-            .iter()
-            .zip(conns.run_batch(shard_fetch_jobs(manifest, &keys, indices)))
-            .map(|(&i, r)| match r {
+        // Only the operation deadline ends a barrier with a job unsettled.
+        let round = fetch_round(conns, object, manifest, indices).outcomes;
+        (indices.iter().zip(round))
+            .map(|(&i, r)| match r.unwrap_or(Err(StoreError::Timeout)) {
                 Ok(inner) => inner,
                 Err(e) => {
                     Err(ShardFault::Missing(format!("{}: {e}", manifest.placement[i])))

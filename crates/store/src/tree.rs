@@ -70,10 +70,14 @@ impl HashBlob {
     }
 
     /// [`HashBlob::from_shard`] of every shard of one object, hashed
-    /// together: an object's shards are equally long, so leaf `k` of
-    /// each of them is one run of equal-length messages — what
-    /// [`leaf_hashes_into`] takes sixteen at a time, where one shard
-    /// alone (1.6 leaves of a 1 MiB object) gives it nothing to batch.
+    /// together in one [`leaf_hashes_into`] batch, which packs leaves of
+    /// any lengths into the SHA-256 lanes — where one shard alone (two
+    /// leaves of a 1 MiB object) gives it nothing to batch. The leaves go
+    /// leaf-major (leaf `k` of every shard adjacent), so the long leaves
+    /// start together and a lane whose short last leaf ends takes the
+    /// next one: ten 1 MiB-object shards hash in the time of their ten
+    /// 64 KiB leaves. Put, overwrite and repair hash what they write
+    /// with it, and every fetch round checks what it was served.
     ///
     /// # Panics
     ///

@@ -11,7 +11,7 @@
 use ec_core::RsConfig;
 use ec_store::{
     manifest_key, Cluster, Manifest, NodeClient, NodeHandle, OverwriteMode, ShardHealth,
-    StoreError, HASH_LEAF_SIZE, MANIFEST_MAGIC,
+    ShardOutcome, StoreError, HASH_LEAF_SIZE, MANIFEST_MAGIC,
 };
 use ec_wire::crc32;
 use std::path::{Path, PathBuf};
@@ -69,6 +69,16 @@ impl TestCluster {
         }
         found.sort();
         found
+    }
+
+    /// The blob file holding shard `index` of `object`, found through
+    /// the manifest's placement and shard key.
+    fn shard_file(&self, cluster: &Cluster, object: &str, index: usize) -> PathBuf {
+        let manifest = cluster.manifest(object).unwrap();
+        let node = self.addrs.iter().position(|a| *a == manifest.placement[index]).unwrap();
+        let hex: String =
+            manifest.shard_key(object, index).bytes().map(|b| format!("{b:02x}")).collect();
+        self.root.join(format!("node{node}")).join(format!("{hex}.blob"))
     }
 }
 
@@ -196,6 +206,57 @@ fn crc_colliding_tamper_is_caught_localized_and_repaired() {
     assert!(cluster.scrub().unwrap().clean());
     assert!(cluster.scrub_deep().unwrap().clean());
     assert_eq!(cluster.get("victim").unwrap(), data);
+}
+
+/// CRC-colliding damage on a shard a fetch round is served — found by
+/// the root check after the round, not as the shard arrives — costs the
+/// operation a round, never a byte: a data-first get fetches the repair
+/// plan's parity in one more round, repair rebuilds the survivor beside
+/// the shard it came for, and an overwrite that reads the damaged
+/// parity falls back to a full put, as it does when that parity is gone.
+#[test]
+fn a_crc_colliding_served_shard_costs_a_round_not_a_byte() {
+    let tc = TestCluster::spawn("served", 5);
+    let (n, p) = (3, 2);
+    let cluster = tc.cluster(n, p);
+    let data = sample_data(400_000, 13);
+    // The objects the deep scrub finds damaged: a read heals nothing.
+    let damaged = || -> Vec<String> {
+        let report = cluster.scrub_deep().unwrap();
+        report.damaged_objects().iter().map(|o| o.object.clone()).collect()
+    };
+
+    cluster.put("read", &data).unwrap();
+    crc_colliding_tamper(&tc.shard_file(&cluster, "read", 0), 10);
+    let (got, report) = cluster.get_with_report("read").unwrap();
+    assert_eq!(got, data, "tampered bytes must not reach a reader");
+    assert!(matches!(report.shards[0].outcome, ShardOutcome::Corrupt(_)), "{report:?}");
+    assert_eq!(report.missing, vec![0]);
+    let parity_served =
+        report.shards[n..].iter().filter(|s| matches!(s.outcome, ShardOutcome::Served)).count();
+    assert_eq!(parity_served, 1, "{report:?}");
+
+    cluster.put("repair", &data).unwrap();
+    let before = cluster.manifest("repair").unwrap();
+    std::fs::remove_file(tc.shard_file(&cluster, "repair", n + 1)).unwrap();
+    crc_colliding_tamper(&tc.shard_file(&cluster, "repair", 1), HASH_LEAF_SIZE as usize + 10);
+    let outcome = cluster.repair_object("repair").unwrap();
+    assert_eq!(outcome.repaired, vec![1, n + 1]);
+    // Both rebuilt shards were proven against the roots the put
+    // recorded, which the repair kept.
+    assert_eq!(cluster.manifest("repair").unwrap().shard_root, before.shard_root);
+    assert_eq!(damaged(), ["read"]);
+    assert_eq!(cluster.get("repair").unwrap(), data);
+
+    cluster.put("overwrite", &data).unwrap();
+    crc_colliding_tamper(&tc.shard_file(&cluster, "overwrite", n), 10);
+    let shard_len = cluster.manifest("overwrite").unwrap().shard_len as usize;
+    let mut edited = data.clone();
+    edited[shard_len + 5] ^= 0xFF; // inside data shard 1
+    let report = cluster.overwrite("overwrite", &edited).unwrap();
+    assert_eq!(report.mode, OverwriteMode::Full, "{report:?}");
+    assert_eq!(cluster.get("overwrite").unwrap(), edited);
+    assert_eq!(damaged(), ["read"]);
 }
 
 /// The same pattern as a *legitimate edit*: an overwrite whose only

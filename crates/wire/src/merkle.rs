@@ -21,12 +21,15 @@
 //! Leaves are the bulk of the hashing and are independent messages, so
 //! every caller with more than one — a chunk's `n + p` slices as they
 //! are written, the frames an archive walk reads (gathered across chunks
-//! until they fill the lanes), a shard's leaves, leaf *k* of every shard
-//! of an object — hands them to [`leaf_hashes_into`] together. Where the CPU has the 16-lane
-//! SHA-256 kernel (`sha256.rs`), runs of equal-length chunks go through
-//! it sixteen at a time; everything else — another CPU, a run too short
-//! to fill the lanes, an odd-length straggler — goes through
-//! [`leaf_hash`] one at a time. The hashes are the same either way:
+//! until they fill the lanes), a shard's leaves, the leaves of every
+//! shard a store round fetched or an object's put hashes — hands them to
+//! [`leaf_hashes_into`] together. Where the CPU has the 16-lane SHA-256
+//! kernel (`sha256.rs`), a batch of at least eight leaves (beside SHA-NI;
+//! two beside the portable kernel) of any lengths is packed into it:
+//! each lane hashes one leaf and takes the next as it ends, and once the
+//! lanes run out of leaves and fewer than eight are left busy, those
+//! finish on SHA-NI, as does a smaller batch. Without the lane kernel
+//! every leaf goes through [`leaf_hash`] one at a time. The hashes are the same either way:
 //! which kernel ran is never visible in a root, a trailer or a manifest.
 
 use crate::sha256::{self, sha256, CompressLanesFn, Sha256, LANES, SHA256_LEN};
@@ -72,7 +75,9 @@ const LEAF_PREFIX: u8 = 0x00;
 pub const LEAF_BATCH: usize = LANES;
 
 /// Fewest occupied lanes for which the lane kernel beats hashing the
-/// same chunks one by one with the process's single-message kernel. The
+/// same leaves one by one with the process's single-message kernel: a
+/// batch keeps its lanes while leaves are waiting or at least this many
+/// are busy, and drains the rest to the single-message kernel. The
 /// lane kernel's time does not depend on how many lanes are occupied,
 /// so this is its time per block step over the single-message kernel's
 /// time per block. Measured on the reference box (one vCPU of a Xeon
@@ -90,8 +95,9 @@ fn min_lanes(single_kernel: &str) -> usize {
     }
 }
 
-/// How a batch of leaves is hashed: the lane kernel and the run length
-/// from which it is used, or `None` to hash one by one.
+/// How a batch of leaves is hashed: the lane kernel and the occupancy
+/// below which its last lanes drain to the single-message kernel, or
+/// `None` to hash one by one.
 #[doc(hidden)]
 #[derive(Clone, Copy)]
 pub struct LeafBatch {
@@ -109,12 +115,14 @@ impl LeafBatch {
     }
 
     /// Every lane kernel the CPU offers (the serial spelling always
-    /// last), each used from a single occupied lane up so a test reaches
-    /// every occupancy — what `tests/kernel_equivalence.rs` sweeps.
+    /// last), each draining below two occupied lanes — the fewest any
+    /// process keeps — so a test reaches every occupancy a process runs
+    /// the lanes at, and the drain of a last lane — what
+    /// `tests/kernel_equivalence.rs` sweeps.
     pub(crate) fn implementations() -> Vec<(&'static str, LeafBatch)> {
         sha256::lane_kernels()
             .into_iter()
-            .map(|(name, compress)| (name, LeafBatch { lanes: Some((compress, 1)) }))
+            .map(|(name, compress)| (name, LeafBatch { lanes: Some((compress, 2)) }))
             .collect()
     }
 
@@ -127,37 +135,25 @@ impl LeafBatch {
             chunks.len(),
             out.len()
         );
-        let mut at = 0;
-        while at < chunks.len() {
-            // The next run of equally long chunks, at most one kernel
-            // call's worth.
-            let len = chunks[at].as_ref().len();
-            let run = chunks[at..]
-                .iter()
-                .take(LANES)
-                .take_while(|chunk| chunk.as_ref().len() == len)
-                .count();
-            let (run_chunks, run_out) = (&chunks[at..at + run], &mut out[at..at + run]);
-            match self.lanes {
-                Some((compress, min)) if run >= min => {
-                    sha256::sha256_lanes(compress, LEAF_PREFIX, run_chunks, run_out)
-                }
-                _ => {
-                    for (hash, chunk) in run_out.iter_mut().zip(run_chunks) {
-                        *hash = leaf_hash(chunk.as_ref());
-                    }
+        match self.lanes {
+            Some((compress, min)) => sha256::sha256_batch(compress, min, LEAF_PREFIX, chunks, out),
+            None => {
+                for (hash, chunk) in out.iter_mut().zip(chunks) {
+                    *hash = leaf_hash(chunk.as_ref());
                 }
             }
-            at += run;
         }
     }
 }
 
 /// [`leaf_hash`] of every chunk, `out[i]` for `chunks[i]`: the batch
 /// form every caller with more than one leaf in hand uses. Any count,
-/// any mix of lengths, no allocation; runs of equally long neighbours
-/// are what the lane kernel (module docs) can take together, so callers
-/// keep them adjacent.
+/// any mix of lengths, no allocation: the lane kernel (module docs)
+/// takes the chunks in the order given and keeps its lanes full whatever
+/// their lengths, so a batch of at least eight is packed and a smaller
+/// one, or the last few leaves of a batch, go to SHA-NI. Long leaves
+/// first packs best: the short ones then fill the lanes the long ones
+/// leave as they end, as leaf-major shards do.
 ///
 /// # Panics
 ///

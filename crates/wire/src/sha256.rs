@@ -21,11 +21,12 @@
 //! **sixteen** messages at once, one per 32-bit lane of a 512-bit
 //! register (x86-64 with `avx512f` + `avx512bw`, [`selected_lanes`]):
 //! `sha256rnds2` is a serial dependency chain that one message cannot
-//! fill, whereas sixteen equal-length messages share every instruction
-//! of the plain round function (the multi-buffer idea of Gopal et al.,
-//! Intel 2010). Only [`sha256_lanes`] drives it, and only
-//! `merkle::leaf_hashes_into` calls that — a Merkle tree's leaves are
-//! the independent, equal-length messages the lanes need.
+//! fill, whereas sixteen messages share every instruction of the plain
+//! round function (the multi-buffer idea of Gopal et al., Intel 2010).
+//! Only [`sha256_batch`] drives it — a job manager that keeps every lane
+//! busy whatever the messages' lengths — and only
+//! `merkle::leaf_hashes_into` calls that: a Merkle tree's leaves are the
+//! independent messages the lanes need.
 //!
 //! The digest cannot depend on the kernel: all three compute the FIPS
 //! 180-4 compression function over the same padded blocks, the lanes
@@ -219,7 +220,7 @@ pub(crate) type CompressLanesFn = unsafe fn(&mut LaneStates, &[*const u8; LANES]
 
 /// The lane kernel spelled with the single-message one: each lane in
 /// turn through [`selected`]. It defines what a [`CompressLanesFn`]
-/// computes and lets [`sha256_lanes`]' staging be tested on a CPU
+/// computes and lets [`sha256_batch`]'s scheduling be tested on a CPU
 /// without AVX-512; no production path picks it ([`selected_lanes`]).
 ///
 /// # Safety
@@ -468,13 +469,233 @@ pub(crate) fn selected_name() -> &'static str {
     })
 }
 
-/// SHA-256 of `prefix ‖ message` for 1 to [`LANES`] messages of one
-/// length, all advanced together by `compress`; `out[i]` is
-/// `messages[i]`'s digest. Allocation-free: what cannot be hashed in
-/// place — the first block, which `prefix` shifts off the message's
-/// 64-byte grid, and the padded tail — is staged per lane on the stack.
+/// The blocks `prefix ‖ message` is hashed in, for a `len`-byte message:
+/// a staged *head* (the first block, which the prefix shifts off the
+/// message's 64-byte grid), a *body* read in place from message byte 63
+/// on, and a staged *tail* (what is left, 0x80, zeros and the bit
+/// length). A message shorter than 63 bytes has only a tail.
+#[derive(Clone, Copy)]
+struct Shape {
+    head: usize,
+    body: usize,
+    /// Bytes of `prefix ‖ message` the tail carries, under 64.
+    fill: usize,
+    tail: usize,
+}
+
+impl Shape {
+    fn of(len: usize) -> Shape {
+        let head = usize::from(len >= 63);
+        let body = len.saturating_sub(63) / 64;
+        let fill = len + 1 - 64 * (head + body);
+        Shape { head, body, fill, tail: if fill < 56 { 1 } else { 2 } }
+    }
+
+    fn blocks(&self, part: Part) -> usize {
+        match part {
+            Part::Head => self.head,
+            Part::Body => self.body,
+            Part::Tail => self.tail,
+        }
+    }
+}
+
+/// The part of its [`Shape`] a lane is hashing.
+#[derive(Clone, Copy)]
+enum Part {
+    Head,
+    Body,
+    Tail,
+}
+
+/// A lane's message and how far into it the lane has hashed.
+#[derive(Clone, Copy)]
+struct Job {
+    message: usize,
+    part: Part,
+    /// Blocks of `part` already hashed.
+    done: usize,
+}
+
+/// The sixteen lanes of one [`sha256_batch`]: which message each holds,
+/// its running state, and its staged head or tail.
+struct Lanes<'m, T> {
+    prefix: u8,
+    messages: &'m [T],
+    jobs: [Option<Job>; LANES],
+    states: LaneStates,
+    staged: [[u8; 128]; LANES],
+}
+
+impl<T: AsRef<[u8]>> Lanes<'_, T> {
+    /// Put `message` into free lane `l`, from the initial hash value.
+    fn start(&mut self, l: usize, message: usize) {
+        for (row, h) in self.states.iter_mut().zip(H0) {
+            row[l] = h;
+        }
+        let bytes = self.messages[message].as_ref();
+        let part = if Shape::of(bytes.len()).head == 1 {
+            self.staged[l][0] = self.prefix;
+            self.staged[l][1..64].copy_from_slice(&bytes[..63]);
+            Part::Head
+        } else {
+            self.stage_tail(l, message);
+            Part::Tail
+        };
+        self.jobs[l] = Some(Job { message, part, done: 0 });
+    }
+
+    /// Stage the tail of `message` in lane `l` (its head, if any, is
+    /// hashed by now).
+    fn stage_tail(&mut self, l: usize, message: usize) {
+        let bytes = self.messages[message].as_ref();
+        let shape = Shape::of(bytes.len());
+        let prefix_left = 1 - shape.head;
+        let block = &mut self.staged[l];
+        *block = [0; 128];
+        block[..prefix_left].fill(self.prefix);
+        block[prefix_left..shape.fill]
+            .copy_from_slice(&bytes[bytes.len() + prefix_left - shape.fill..]);
+        block[shape.fill] = 0x80;
+        let bit_len = (bytes.len() as u64 + 1).wrapping_mul(8).to_be_bytes();
+        block[64 * shape.tail - 8..64 * shape.tail].copy_from_slice(&bit_len);
+    }
+
+    /// The blocks lane `l` has left in its current part: never empty
+    /// while the lane is occupied.
+    fn remaining(&self, l: usize) -> &[u8] {
+        let job = self.jobs[l].expect("an occupied lane");
+        let bytes = self.messages[job.message].as_ref();
+        let (from, shape) = (64 * job.done, Shape::of(bytes.len()));
+        match job.part {
+            Part::Head => &self.staged[l][from..64],
+            Part::Body => &bytes[63 + from..63 + 64 * shape.body],
+            Part::Tail => &self.staged[l][from..64 * shape.tail],
+        }
+    }
+
+    /// Count `blocks` more of lane `l`'s current part as hashed, moving
+    /// on to its next non-empty part. Returns the message once the lane
+    /// has hashed all of it, and frees the lane.
+    fn advance(&mut self, l: usize, blocks: usize) -> Option<usize> {
+        let mut job = self.jobs[l].expect("an occupied lane");
+        let shape = Shape::of(self.messages[job.message].as_ref().len());
+        job.done += blocks;
+        if job.done == shape.blocks(job.part) {
+            job.done = 0;
+            job.part = match job.part {
+                Part::Head if shape.body > 0 => Part::Body,
+                Part::Head | Part::Body => {
+                    self.stage_tail(l, job.message);
+                    Part::Tail
+                }
+                Part::Tail => {
+                    self.jobs[l] = None;
+                    return Some(job.message);
+                }
+            };
+        }
+        self.jobs[l] = Some(job);
+        None
+    }
+}
+
+/// The digest a final state spells.
+fn digest(state: [u32; 8]) -> [u8; SHA256_LEN] {
+    let mut out = [0u8; SHA256_LEN];
+    for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+        *bytes = word.to_be_bytes();
+    }
+    out
+}
+
+/// SHA-256 of `prefix ‖ message` for any number of messages of any
+/// lengths; `out[i]` is `messages[i]`'s digest. The job manager of the
+/// multi-buffer scheme: the messages go into the [`LANES`] lanes in the
+/// order given, each lane hashing one from its own state. Every
+/// `compress` call advances all occupied lanes by the fewest contiguous
+/// blocks any of them has left in its current part (the staged head, the
+/// in-place body or the staged tail), and a lane whose message ends
+/// files its digest and takes the next message. The kernel's time does
+/// not depend on how many lanes are occupied, so once no message is
+/// waiting and fewer than `min_lanes` lanes are occupied, those finish
+/// from their states on the single-message kernel ([`selected`]).
+///
+/// Allocation-free: heads and tails are staged per lane on the stack.
 /// `compress` must be an entry of [`lane_kernels`]: that is what makes
 /// it runnable on this CPU.
+pub(crate) fn sha256_batch<T: AsRef<[u8]>>(
+    compress: CompressLanesFn,
+    min_lanes: usize,
+    prefix: u8,
+    messages: &[T],
+    out: &mut [[u8; SHA256_LEN]],
+) {
+    assert_eq!(out.len(), messages.len(), "one digest slot per message");
+    let mut lanes = Lanes {
+        prefix,
+        messages,
+        jobs: [None; LANES],
+        states: [[0; LANES]; 8],
+        staged: [[0; 128]; LANES],
+    };
+    let state_of = |states: &LaneStates, l: usize| std::array::from_fn(|word| states[word][l]);
+    let mut next = 0; // the first message no lane has taken yet
+    loop {
+        for l in 0..LANES {
+            if lanes.jobs[l].is_none() && next < messages.len() {
+                lanes.start(l, next);
+                next += 1;
+            }
+        }
+        let occupied = lanes.jobs.iter().flatten().count();
+        if next == messages.len() && occupied < min_lanes {
+            let single = selected().1;
+            for l in 0..LANES {
+                if lanes.jobs[l].is_none() {
+                    continue;
+                }
+                let mut state = state_of(&lanes.states, l);
+                let message = loop {
+                    let part = lanes.remaining(l);
+                    let blocks = part.len() / 64;
+                    single(&mut state, part);
+                    if let Some(message) = lanes.advance(l, blocks) {
+                        break message;
+                    }
+                };
+                out[message] = digest(state);
+            }
+            return;
+        }
+        let occupied = || (0..LANES).filter(|&l| lanes.jobs[l].is_some());
+        let step = occupied().map(|l| lanes.remaining(l).len() / 64).min().expect("occupied");
+        // A free lane rereads an occupied one's blocks; its state is
+        // reset before it takes a message.
+        let filler = lanes.remaining(occupied().next().expect("occupied")).as_ptr();
+        let blocks = std::array::from_fn(|l| match lanes.jobs[l] {
+            Some(_) => lanes.remaining(l).as_ptr(),
+            None => filler,
+        });
+        // SAFETY: `compress` came from `lane_kernels()`. Every pointer is
+        // the start of an occupied lane's `remaining` blocks, a slice of
+        // its message or of its staging row with at least `64 * step`
+        // bytes, since `step` is the fewest blocks any of them has left.
+        unsafe { compress(&mut lanes.states, &blocks, step) };
+        for l in 0..LANES {
+            if lanes.jobs[l].is_some() {
+                if let Some(message) = lanes.advance(l, step) {
+                    out[message] = digest(state_of(&lanes.states, l));
+                }
+            }
+        }
+    }
+}
+
+/// SHA-256 of `prefix ‖ message` for 1 to [`LANES`] messages of one
+/// length, all advanced together by `compress`: the equal-length lane
+/// schedule [`sha256_batch`] generalises, kept as its oracle.
+#[cfg(test)]
 pub(crate) fn sha256_lanes<T: AsRef<[u8]>>(
     compress: CompressLanesFn,
     prefix: u8,
@@ -592,11 +813,7 @@ impl Sha256 {
         }
         self.block[56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
         (self.compress)(&mut self.state, &self.block);
-        let mut out = [0u8; SHA256_LEN];
-        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
-            *bytes = word.to_be_bytes();
-        }
-        out
+        digest(self.state)
     }
 }
 
@@ -680,6 +897,74 @@ mod tests {
                 }
                 assert_eq!(got, want, "{name}, {blocks} blocks");
             }
+        }
+    }
+
+    /// On equal-length batches the job manager is the lane schedule it
+    /// generalises, with every occupancy in the lanes and with every
+    /// lane drained.
+    #[test]
+    fn batch_matches_the_equal_length_schedule() {
+        let data: Vec<u8> = (0..LANES as u32 * 300)
+            .map(|i| (i * 97 + 11) as u8)
+            .collect();
+        for (name, compress) in lane_kernels() {
+            for len in [0, 1, 55, 62, 63, 64, 118, 119, 127, 128, 300] {
+                let messages: Vec<&[u8]> =
+                    (0..LANES).map(|l| &data[l * 300..l * 300 + len]).collect();
+                for count in 1..=LANES {
+                    let mut want = vec![[0u8; 32]; count];
+                    sha256_lanes(compress, 0x00, &messages[..count], &mut want);
+                    for min_lanes in [1, LANES + 1] {
+                        let mut got = vec![[0u8; 32]; count];
+                        sha256_batch(compress, min_lanes, 0x00, &messages[..count], &mut got);
+                        assert_eq!(got, want, "{name}, {count} × {len} B, min {min_lanes}");
+                    }
+                }
+            }
+        }
+    }
+
+    thread_local! {
+        static LANE_STEPS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    /// The serial lane kernel, counting its calls and block steps.
+    ///
+    /// # Safety
+    ///
+    /// As [`CompressLanesFn`].
+    unsafe fn counting_lanes(states: &mut LaneStates, blocks: &[*const u8; LANES], n: usize) {
+        LANE_STEPS.with(|c| c.set((c.get().0 + 1, c.get().1 + n)));
+        // SAFETY: the caller's guarantee, passed on unchanged.
+        unsafe { compress_lanes_serial(states, blocks, n) }
+    }
+
+    /// The leaves of an RS(10, 4) 1 MiB object's ten data shards of
+    /// 104,864 B, leaf-major at 64 KiB: ten of 65,536 B (1 head + 1,023
+    /// body + 1 tail block) then ten of 39,328 B (1 + 613 + 1). Packed,
+    /// the sixteen lanes take 1,025 block steps in six calls — the long
+    /// leaves' own length: the heads, 613 body blocks, six short tails,
+    /// four more heads, the long leaves' last 408 body blocks, their
+    /// tails — and the four lanes left drain to the single-message
+    /// kernel. Cut into runs of equal lengths, the same leaves took
+    /// 1,025 + 615 steps.
+    #[test]
+    fn ragged_leaves_share_the_lanes() {
+        let shards: Vec<Vec<u8>> = (0..10u32)
+            .map(|s| (0..104_864u32).map(|i| (i * 31 + s * 7) as u8).collect())
+            .collect();
+        let leaves: Vec<&[u8]> = shards
+            .iter()
+            .map(|s| &s[..65_536])
+            .chain(shards.iter().map(|s| &s[65_536..]))
+            .collect();
+        let mut got = vec![[0u8; 32]; leaves.len()];
+        LANE_STEPS.with(|c| c.set((0, 0)));
+        sha256_batch(counting_lanes, 8, 0x00, &leaves, &mut got);
+        assert_eq!(LANE_STEPS.with(|c| c.get()), (6, 1_025));
+        for (leaf, got) in leaves.iter().zip(got) {
+            assert_eq!(got, sha256(&[&[0x00], *leaf].concat()));
         }
     }
 

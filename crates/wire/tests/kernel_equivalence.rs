@@ -13,9 +13,10 @@
 //! 180-4 vectors and, for every other input, against a textbook
 //! transcription of the standard that derives its own constants. The
 //! batched Merkle-leaf hash — sixteen messages to a kernel call where
-//! the CPU has the lane kernel — adds two axes, how many lanes are
-//! occupied and which message sits in which, and is checked against
-//! the same textbook oracle.
+//! the CPU has the lane kernel — adds three axes, how many lanes are
+//! occupied, which message sits in which, and where each lane stands in
+//! its message when another's ends, and is checked against the same
+//! textbook oracle.
 
 use ec_wire::merkle::{leaf_hash, leaf_hashes_into, LEAF_BATCH};
 use ec_wire::{
@@ -218,10 +219,12 @@ fn sha256_matches_textbook_oracle_at_every_seam_and_offset() {
 }
 
 /// The batched leaf hash on every lane kernel: each seam length × base
-/// offsets 0/1/16/63 × 1..=16 occupied lanes, every lane's digest
-/// against the textbook `sha256(0x00 ‖ message)`. Each lane holds its
-/// own bytes (a distinct `fill` seed), so a kernel that swapped two
-/// lanes, or filed a digest under the wrong index, cannot pass.
+/// offsets 0/1/16/63 × 1..=16 occupied lanes (a lone message drains to
+/// the single-message kernel: no process runs the lanes below two),
+/// every lane's digest against the textbook `sha256(0x00 ‖ message)`.
+/// Each lane holds its own bytes (a distinct `fill` seed), so a kernel
+/// that swapped two lanes, or filed a digest under the wrong index,
+/// cannot pass.
 #[test]
 fn leaf_batch_matches_textbook_oracle_at_every_seam_offset_and_occupancy() {
     const LANES: usize = LEAF_BATCH;
@@ -257,6 +260,64 @@ fn leaf_batch_matches_textbook_oracle_at_every_seam_offset_and_occupancy() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Leaves of mixed lengths on every lane kernel, `serial` included, and
+/// through `leaf_hashes_into` (the process's own drain threshold): a
+/// lane whose leaf ends takes the next one while the others are
+/// partway through theirs, and the last lanes drain to the
+/// single-message kernel from wherever they stand — head, body or
+/// tail. Every digest against the textbook `sha256(0x00 ‖ leaf)`.
+#[test]
+fn ragged_leaf_batches_match_textbook_oracle_on_every_lane_kernel() {
+    let batches = implementations().leaf_batch;
+    let check = |what: &str, leaves: &[&[u8]], want: &[[u8; 32]]| {
+        for (name, batch) in &batches {
+            let mut got = vec![[0u8; 32]; leaves.len()];
+            batch.hash_into(leaves, &mut got);
+            assert_eq!(got, want, "leaf batch {name} diverges on {what}");
+        }
+        let mut got = vec![[0u8; 32]; leaves.len()];
+        leaf_hashes_into(leaves, &mut got);
+        assert_eq!(got, want, "leaf_hashes_into diverges on {what}");
+    };
+    let oracle = |leaves: &[Vec<u8>]| -> Vec<[u8; 32]> {
+        leaves.iter().map(|leaf| sha256_textbook(&[&[0x00], &leaf[..]].concat())).collect()
+    };
+
+    // An RS(10, 4) 1 MiB object's shards (104,864 B) at 64 KiB leaves,
+    // leaf-major: ten of 65,536 B, then ten of 39,328 B.
+    let seams = [0usize, 1, 54, 55, 62, 63, 64, 119, 120, 127, 128];
+    let shapes: [(&str, Vec<usize>); 3] = [
+        ("RS(10, 4) leaves", [65_536; 10].into_iter().chain([39_328; 10]).collect()),
+        // Every seam length, three times over in three orders: lanes
+        // end their heads, bodies and tails at different blocks.
+        ("interleaved seams", (0..33).map(|i| seams[(i * [1, 4, 7][i / 11]) % 11]).collect()),
+        // One long leaf among short ones: the short lanes finish and
+        // drain while it is in its body.
+        ("one long among seven short", vec![100, 1, 63, 70_000, 5, 128, 64, 200]),
+    ];
+    for (what, lengths) in shapes {
+        let leaves: Vec<Vec<u8>> =
+            lengths.iter().enumerate().map(|(i, &len)| fill(len, 300 + i)).collect();
+        let chunks: Vec<&[u8]> = leaves.iter().map(Vec::as_slice).collect();
+        check(what, &chunks, &oracle(&leaves));
+    }
+
+    // 17 to 40 mixed leaves, from empty to 74 blocks, at base offsets
+    // 0, 1 and 63: refills with every lane at a different block.
+    for count in [17usize, 23, 31, 40] {
+        let leaves: Vec<Vec<u8>> = (0..count)
+            .map(|i| fill((i * 7_919 + count * 131) % 4_800, 400 + i))
+            .collect();
+        let want = oracle(&leaves);
+        for offset in [0usize, 1, 63] {
+            let moved: Vec<Vec<u8>> =
+                leaves.iter().map(|m| [&vec![0u8; offset][..], &m[..]].concat()).collect();
+            let chunks: Vec<&[u8]> = moved.iter().map(|m| &m[offset..]).collect();
+            check(&format!("{count} mixed leaves at offset {offset}"), &chunks, &want);
         }
     }
 }
