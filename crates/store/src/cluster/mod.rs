@@ -20,10 +20,14 @@
 //!   which data shards changed, only those and the parity are read and
 //!   shipped, and parity is brought up to date with the cached
 //!   per-column programs (`old ⊕ new`, not the world);
-//! * `scrub` verifies end-to-end CRCs and Merkle roots with per-object
-//!   fan-out, attributing damage per shard; a node found dead is marked
-//!   once in the shared connection state and fast-fails every later
-//!   touch;
+//! * `scrub` sweeps the cluster in four rounds: one listing of every
+//!   node's manifest, shard and hash-blob keys (the sign of life, the
+//!   object universe and the GC's listing at once); one manifest
+//!   election per object, shared by its scrub and the GC; every live
+//!   object's shard roots, attributing damage per shard; and the GC's
+//!   deletes. Elections and root checks go [`OBJECTS_PER_ROUND`]
+//!   objects to a round. A node found dead is marked once in the shared
+//!   connection state and fast-fails every later touch;
 //! * one repair core serves both repairs — `repair_object` (scrub
 //!   damage) and `repair_nodes` (any number of simultaneously-dead
 //!   nodes, one survivor fetch + one reconstruct per object): the
@@ -64,9 +68,9 @@ pub use scrub::{ClusterScrubReport, ObjectScrub, ShardHealth};
 pub use write::{OverwriteMode, OverwriteReport, PutReport};
 
 use crate::client::NodeHealth;
-use crate::error::StoreError;
+use crate::error::{RemoteErrorCode, StoreError};
 use crate::fanout::{ParallelConnSet, Pool};
-use crate::manifest::Manifest;
+use crate::manifest::{self, Manifest, ManifestRecord};
 use crate::placement;
 use ec_core::{codec_for_with, CodecSpec, ErasureCoder, RsConfig};
 use std::collections::BTreeSet;
@@ -134,6 +138,12 @@ fn trip(fp: &Option<FailPoint>, point: &'static str, index: usize) -> Result<(),
     }
 }
 
+/// The most objects one round elects or root-checks: it bounds what a
+/// round pipelines to each node (an election is one `GET` per object,
+/// a root check two `HASH_SUBTREE`s per shard) and how many manifests
+/// a round's answers hold at once.
+const OBJECTS_PER_ROUND: usize = 64;
+
 /// Tally of one manifest-record election across the nodes.
 #[derive(Default)]
 struct RecordVote {
@@ -151,16 +161,55 @@ struct RecordVote {
 }
 
 impl RecordVote {
+    /// Count one node's answer to the `GET` of the object's record.
+    fn tally(&mut self, answer: Result<Vec<u8>, StoreError>) {
+        match answer {
+            Ok(bytes) => {
+                self.reachable += 1;
+                match manifest::parse_record(&bytes) {
+                    Ok(ManifestRecord::Live(m))
+                        if self.live.as_ref().is_none_or(|b| m.generation > b.generation) =>
+                    {
+                        self.live = Some(m)
+                    }
+                    Ok(ManifestRecord::Live(_)) => {}
+                    Ok(ManifestRecord::Tombstone { generation }) => {
+                        self.tombstone = Some(self.tombstone.unwrap_or(0).max(generation));
+                    }
+                    Err(e) => self.rot_err = Some(e),
+                }
+            }
+            Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => self.reachable += 1,
+            Err(e @ StoreError::Remote { .. }) => self.rot_err = Some(e),
+            Err(e) => self.conn_err = Some(e),
+        }
+    }
+
     /// The generation a fresh write must carry to win this election.
     fn next_generation(&self) -> u64 {
         let live = self.live.as_ref().map_or(0, |m| m.generation);
         live.max(self.tombstone.unwrap_or(0)) + 1
     }
 
-    /// The live manifest, unless a tombstone supersedes it.
-    fn current(self) -> Option<Manifest> {
-        let tomb = self.tombstone.unwrap_or(0);
-        self.live.filter(|m| m.generation > tomb)
+    /// The election's verdict on `object`: the freshest *live* manifest
+    /// — the highest-generation valid copy wins (a node that slept
+    /// through a write cannot serve a stale shard map), unless a
+    /// tombstone of equal or higher generation supersedes it, and then
+    /// the object is deleted (`NotFound`). Corrupt replicas are skipped,
+    /// not fatal, but are reported honestly when no usable replica
+    /// exists (rot must not masquerade as "not found"), and so is a
+    /// transport failure when no node answered at all.
+    fn manifest(self, object: &str) -> Result<Manifest, StoreError> {
+        let not_found = || StoreError::NotFound(object.to_string());
+        if self.live.is_some() || self.tombstone.is_some() {
+            let tomb = self.tombstone.unwrap_or(0);
+            return self.live.filter(|m| m.generation > tomb).ok_or_else(not_found);
+        }
+        match (self.rot_err, self.conn_err) {
+            (Some(e), _) => Err(e),
+            (None, Some(e)) if self.reachable == 0 => Err(e),
+            _ => Err(not_found()),
+        }
     }
 }
 

@@ -1,11 +1,11 @@
 //! The read path: the manifest election, the data-first `get`, shard
 //! fetches and the checks every fetched shard passes, and discovery.
 
-use super::{Cluster, ClusterHealth, RecordVote, ShardFault};
+use super::{Cluster, ClusterHealth, RecordVote, ShardFault, OBJECTS_PER_ROUND};
 use crate::client::{reply, Answer, BatchOp};
 use crate::error::{RemoteErrorCode, StoreError};
 use crate::fanout::{release_all, FirstN, ParallelConnSet, Progress, Release};
-use crate::manifest::{self, manifest_key, validate_object_name, Manifest, ManifestRecord};
+use crate::manifest::{manifest_key, validate_object_name, Manifest};
 use crate::tree::HashBlob;
 use ec_core::ErasureCoder;
 use ec_wire::crc32;
@@ -267,6 +267,19 @@ fn check_roots(manifest: &Manifest, indices: &[usize], slots: &mut [FetchSlot]) 
     }
 }
 
+/// Why a listing no node answered failed: the operation budget running
+/// out is a different story from every node being down, so a timeout
+/// stays typed.
+pub(super) fn no_node_answered(timed_out: bool) -> StoreError {
+    match timed_out {
+        true => StoreError::Timeout,
+        false => StoreError::Io(std::io::Error::new(
+            std::io::ErrorKind::ConnectionRefused,
+            "no cluster node is reachable",
+        )),
+    }
+}
+
 /// One barrier round fetching shards `indices` of `object`, every
 /// served shard root-checked.
 fn fetch_round(
@@ -283,82 +296,57 @@ fn fetch_round(
 }
 
 impl Cluster {
-    /// Poll every node (skipping `exclude`) for the object's manifest
-    /// record — one concurrent fan-out round — and tally the generation
-    /// election. The election deliberately waits for *every* reachable
-    /// node: returning on the first few answers could miss the freshest
-    /// generation or a tombstone and resurrect stale data.
+    /// Poll every node (skipping `exclude`) for the manifest record of
+    /// each of `objects` — one concurrent fan-out round, each node's
+    /// `GET`s pipelined on its connection — and tally one election per
+    /// object, in `objects` order. An election deliberately waits for
+    /// *every* reachable node: returning on the first few answers could
+    /// miss the freshest generation or a tombstone and resurrect stale
+    /// data. Callers that elect many objects pass at most
+    /// [`OBJECTS_PER_ROUND`] at a time.
+    pub(super) fn fetch_records<S: AsRef<str>>(
+        &self,
+        conns: &mut ParallelConnSet,
+        objects: &[S],
+        exclude: &[&str],
+    ) -> Vec<RecordVote> {
+        let keys: Vec<String> = objects.iter().map(|o| manifest_key(o.as_ref())).collect();
+        let targets: Vec<&str> = (self.nodes.iter().map(String::as_str))
+            .filter(|a| !exclude.contains(a))
+            .collect();
+        let jobs: Vec<_> = (keys.iter())
+            .flat_map(|key| targets.iter().map(move |&addr| (addr, BatchOp::Get { key })))
+            .map(|(addr, op)| (addr, op, std::convert::identity))
+            .collect();
+        let mut answers = conns.run_batch(jobs).into_iter();
+        (0..objects.len())
+            .map(|_| {
+                let mut vote = RecordVote::default();
+                answers.by_ref().take(targets.len()).for_each(|answer| vote.tally(answer));
+                vote
+            })
+            .collect()
+    }
+
+    /// The election of one object's record ([`Cluster::fetch_records`]).
     pub(super) fn fetch_record(
         &self,
         conns: &mut ParallelConnSet,
         object: &str,
         exclude: &[&str],
     ) -> RecordVote {
-        let key = manifest_key(object);
-        let targets: Vec<&String> = self
-            .nodes
-            .iter()
-            .filter(|a| !exclude.contains(&a.as_str()))
-            .collect();
-        let jobs: Vec<_> = targets
-            .iter()
-            .map(|addr| (addr.as_str(), BatchOp::Get { key: &key }, std::convert::identity))
-            .collect();
-        let mut vote = RecordVote::default();
-        for result in conns.run_batch(jobs) {
-            match result {
-                Ok(bytes) => {
-                    vote.reachable += 1;
-                    match manifest::parse_record(&bytes) {
-                        Ok(ManifestRecord::Live(m))
-                            if vote
-                                .live
-                                .as_ref()
-                                .is_none_or(|b| m.generation > b.generation) =>
-                        {
-                            vote.live = Some(m)
-                        }
-                        Ok(ManifestRecord::Live(_)) => {}
-                        Ok(ManifestRecord::Tombstone { generation }) => {
-                            vote.tombstone =
-                                Some(vote.tombstone.unwrap_or(0).max(generation));
-                        }
-                        Err(e) => vote.rot_err = Some(e),
-                    }
-                }
-                Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {
-                    vote.reachable += 1;
-                }
-                Err(e @ StoreError::Remote { .. }) => vote.rot_err = Some(e),
-                Err(e) => vote.conn_err = Some(e),
-            }
-        }
-        vote
+        self.fetch_records(conns, &[object], exclude).pop().expect("one vote per object")
     }
 
-    /// The freshest *live* manifest: the highest-generation valid copy
-    /// wins (a node that slept through a write cannot serve a stale
-    /// shard map), unless a tombstone of equal or higher generation
-    /// supersedes it — then the object is deleted. Corrupt replicas are
-    /// skipped, not fatal, but are reported honestly when no usable
-    /// replica exists (rot must not masquerade as "not found").
+    /// The freshest live manifest of `object`, by the rules of
+    /// [`RecordVote::manifest`].
     pub(super) fn fetch_manifest(
         &self,
         conns: &mut ParallelConnSet,
         object: &str,
         exclude: &[&str],
     ) -> Result<Manifest, StoreError> {
-        let vote = self.fetch_record(conns, object, exclude);
-        let not_found = || StoreError::NotFound(object.to_string());
-        if vote.live.is_some() || vote.tombstone.is_some() {
-            return vote.current().ok_or_else(not_found);
-        }
-        match (vote.rot_err, vote.conn_err) {
-            (Some(e), _) => Err(e),
-            // Every node unreachable: that's the story.
-            (None, Some(e)) if vote.reachable == 0 => Err(e),
-            _ => Err(not_found()),
-        }
+        self.fetch_record(conns, object, exclude).manifest(object)
     }
 
     /// Check that a fetched manifest matches this cluster's codec —
@@ -511,22 +499,27 @@ impl Cluster {
     }
 
     /// All object names known to any reachable node, via the replicated
-    /// manifests.
+    /// manifests: one listing round, then one election round per 64
+    /// names.
     pub fn objects(&self) -> Result<Vec<String>, StoreError> {
-        let mut conns = self.conns();
-        let names = self.objects_via(&mut conns, &[])?;
+        self.live_objects_via(&mut self.conns())
+    }
+
+    fn live_objects_via(&self, conns: &mut ParallelConnSet) -> Result<Vec<String>, StoreError> {
+        let names = self.objects_via(conns, &[])?;
         // Tombstoned (deleted) objects still hold an `m:` record on
         // every node; the listing is by key, so filter them through the
         // record election.
-        Ok(names
-            .into_iter()
-            .filter(|name| {
-                !matches!(
-                    self.fetch_manifest(&mut conns, name, &[]),
-                    Err(StoreError::NotFound(_))
-                )
-            })
-            .collect())
+        let mut live = Vec::with_capacity(names.len());
+        for window in names.chunks(OBJECTS_PER_ROUND) {
+            let votes = self.fetch_records(conns, window, &[]);
+            for (name, vote) in window.iter().zip(votes) {
+                if !matches!(vote.manifest(name), Err(StoreError::NotFound(_))) {
+                    live.push(name.clone());
+                }
+            }
+        }
+        Ok(live)
     }
 
     pub(super) fn objects_via(
@@ -559,16 +552,7 @@ impl Cluster {
             }
         }
         if reachable == 0 {
-            // The operation budget running out is a different story
-            // from every node being down — keep the timeout typed.
-            return Err(if timed_out {
-                StoreError::Timeout
-            } else {
-                StoreError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionRefused,
-                    "no cluster node is reachable",
-                ))
-            });
+            return Err(no_node_answered(timed_out));
         }
         Ok(names.into_iter().collect())
     }
@@ -630,6 +614,36 @@ mod tests {
         assert!(!report.degraded(), "{report:?}");
         let straggler = cluster.manifest("obj").unwrap().placement.iter().position(|a| *a == addrs[0]);
         assert_eq!(report.abandoned(), Vec::from_iter(straggler));
+        drop(nodes);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `objects()` is one listing round plus one election round per
+    /// [`OBJECTS_PER_ROUND`] names, and the election still filters out
+    /// a deleted object, whose tombstone the listing names.
+    #[test]
+    fn objects_elects_a_window_per_round() {
+        let root = std::env::temp_dir().join(format!("ec_store_objects_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let nodes: Vec<NodeHandle> = (0..4)
+            .map(|i| NodeHandle::spawn(&root.join(format!("n{i}")), "127.0.0.1:0", 2).unwrap())
+            .collect();
+        let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+        let cluster = Cluster::new(addrs.clone(), RsConfig::new(2, 1)).unwrap();
+        let names: Vec<String> =
+            (0..=OBJECTS_PER_ROUND + 1).map(|i| format!("obj-{i:03}")).collect();
+        for name in &names {
+            cluster.put(name, name.as_bytes()).unwrap();
+        }
+        cluster.delete(&names[7]).unwrap();
+        let mut conns = cluster.conns();
+        let live = cluster.live_objects_via(&mut conns).unwrap();
+        let mut want = names.clone();
+        want.remove(7);
+        assert_eq!(live, want);
+        assert_eq!(conns.rounds(), 1 + 2);
+        let nodes_asked = addrs.len() as u32;
+        assert_eq!(conns.requests(), nodes_asked * (1 + names.len() as u32));
         drop(nodes);
         let _ = std::fs::remove_dir_all(&root);
     }

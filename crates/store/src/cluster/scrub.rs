@@ -1,18 +1,15 @@
 //! Scrub: the incremental (Merkle) and full-read verification of every
 //! object, and the generation GC that ends each sweep.
 
-use super::{Cluster, ShardFault};
+use super::read::no_node_answered;
+use super::{Cluster, ShardFault, OBJECTS_PER_ROUND};
 use crate::client::{reply, BatchOp};
 use crate::error::{RemoteErrorCode, StoreError};
 use crate::fanout::ParallelConnSet;
 use crate::manifest::{parse_shard_key, Manifest};
 use crate::tree::tree_key;
-use ec_wire::merkle::{leaf_count, MerkleTree};
+use ec_wire::merkle::{leaf_count, Hash, MerkleTree};
 use std::collections::{BTreeSet, HashMap};
-
-/// The key scrub's liveness probe `STAT`s: outside the `m:` / `s:` /
-/// `t:` families, so no writer ever creates it.
-const LIVENESS_KEY: &str = "?alive";
 
 impl From<ShardFault> for ShardHealth {
     fn from(f: ShardFault) -> ShardHealth {
@@ -91,7 +88,7 @@ impl ObjectScrub {
 /// Result of a [`Cluster::scrub`].
 #[derive(Clone, Debug)]
 pub struct ClusterScrubReport {
-    /// Nodes that did not answer the sweep's opening liveness probe.
+    /// Nodes that answered none of the sweep's opening listing round.
     pub dead_nodes: Vec<String>,
     /// Per-object results.
     pub objects: Vec<ObjectScrub>,
@@ -133,6 +130,26 @@ fn parse_gc_key(key: &str) -> Option<(&str, usize, u64)> {
     parse_shard_key(key).or_else(|| crate::tree::parse_tree_key(key))
 }
 
+/// The key families the sweep's listing round asks every node for, in
+/// job order: manifests (the objects to scrub), then shard blobs and
+/// their hash-blob twins (what the GC judges). Each is its own
+/// `LIST_AGED`, so no one answer carries two families under the frame
+/// cap.
+const LISTED: [&str; 3] = ["m:", "s:", "t:"];
+
+/// One node's `(key, age_secs, len)` shard-key listing.
+type AgedListing = Vec<(String, u64, u64)>;
+
+/// One object's manifest election, shared by its scrub and the GC.
+struct Elected {
+    object: String,
+    /// The election's verdict ([`super::RecordVote::manifest`]).
+    manifest: Result<Manifest, StoreError>,
+    /// The election saw a transport failure: the GC leaves the object
+    /// alone this cycle.
+    gc_deferred: bool,
+}
+
 impl Cluster {
     /// Verify every object end to end: per-shard manifest checksums
     /// (bit-rot attribution) plus a chunk-wise data↔parity consistency
@@ -155,33 +172,74 @@ impl Cluster {
         self.scrub_via(&mut self.conns(), true)
     }
 
-    /// One connection set for the whole sweep: the opening liveness probe
-    /// fans out to every node at once, and a node it finds dead is
-    /// marked dead *once* in the shared state — every later touch this
-    /// cycle fast-fails instead of paying a fresh connect timeout per
-    /// damaged object. `deep` takes the full-read path for every object.
+    /// The sweep, on one connection set, in four rounds for a healthy
+    /// cluster of up to [`OBJECTS_PER_ROUND`] objects:
+    ///
+    /// 1. every node lists its `m:`, `s:` and `t:` keys, pipelined on
+    ///    its connection. A node that answers none of them is dead for
+    ///    the sweep — marked once in the shared state, so every later
+    ///    touch fast-fails instead of paying a connect timeout per
+    ///    object. The union of the names listed is the sweep's object
+    ///    universe, orphan-only objects included;
+    /// 2. one manifest election per object, whose verdict serves both
+    ///    the object's scrub and the GC;
+    /// 3. the computed and stored root of every shard of every object
+    ///    the election found live under this cluster's codec (`deep`
+    ///    instead reads each object in full, one round apiece);
+    /// 4. the GC's deletes ([`Cluster::collect_garbage`]).
+    ///
+    /// Rounds 2 and 3 run once per [`OBJECTS_PER_ROUND`] objects, and a
+    /// damaged shard adds a round per tree level it descends.
     pub(super) fn scrub_via(
         &self,
         conns: &mut ParallelConnSet,
         deep: bool,
     ) -> Result<ClusterScrubReport, StoreError> {
-        // The liveness probe asks for nothing the node has to look for:
-        // `HEALTH` walks the blob directory and stats every file, which
-        // at a few thousand blobs is milliseconds per node, while the
-        // typed `NotFound` of a `STAT` on a key no writer uses is one
-        // failed `open` — and just as much a sign of life.
-        let jobs: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|addr| (addr.as_str(), BatchOp::Stat { key: LIVENESS_KEY }, reply::stat))
+        let jobs: Vec<_> = (self.nodes.iter())
+            .flat_map(|addr| {
+                LISTED.map(|prefix| (addr.as_str(), BatchOp::ListAged { prefix }, reply::list_aged))
+            })
             .collect();
-        let dead_nodes: Vec<String> = self
-            .nodes
-            .iter()
-            .zip(conns.run_batch(jobs))
-            .filter(|(_, answer)| !matches!(answer, Ok(_) | Err(StoreError::Remote { .. })))
-            .map(|(addr, _)| addr.clone())
-            .collect();
+        let mut answers = conns.run_batch(jobs).into_iter();
+        let mut dead_nodes = Vec::new();
+        let mut universe = BTreeSet::new();
+        let (mut manifests_listed, mut timed_out) = (false, false);
+        let mut listings: Vec<(&str, AgedListing)> = Vec::new();
+        // A typed refusal is as much a sign of life as an answer.
+        let answered = |answer: &Result<AgedListing, StoreError>| {
+            matches!(answer, Ok(_) | Err(StoreError::Remote { .. }))
+        };
+        for addr in &self.nodes {
+            let [manifests, shards, trees] =
+                LISTED.map(|_| answers.next().expect("a listing per family"));
+            if ![&manifests, &shards, &trees].into_iter().any(answered) {
+                dead_nodes.push(addr.clone());
+            }
+            match manifests {
+                Ok(entries) => {
+                    manifests_listed = true;
+                    let names = entries.into_iter().filter_map(|(key, _, _)| {
+                        key.strip_prefix(LISTED[0]).map(str::to_string)
+                    });
+                    universe.extend(names);
+                }
+                Err(StoreError::Timeout) => timed_out = true,
+                Err(_) => {}
+            }
+            // A node whose shard listing failed is skipped by the GC:
+            // its keys are invisible this cycle, never presumed
+            // collectible. A `t:` listing that failed alone only keeps
+            // the hash blobs for a later cycle.
+            if let Ok(mut entries) = shards {
+                entries.extend(trees.unwrap_or_default());
+                let names = entries.iter().filter_map(|(key, _, _)| parse_gc_key(key));
+                universe.extend(names.map(|(object, _, _)| object.to_string()));
+                listings.push((addr, entries));
+            }
+        }
+        if !manifests_listed {
+            return Err(no_node_answered(timed_out));
+        }
         let mut report = ClusterScrubReport {
             dead_nodes,
             objects: Vec::new(),
@@ -191,34 +249,109 @@ impl Cluster {
             hash_bytes_read: 0,
             payload_bytes_read: 0,
         };
-        for object in self.objects_via(conns, &[])? {
-            let scrubbed = self.fetch_manifest(conns, &object, &[]).and_then(|manifest| {
-                self.check_geometry(&object, &manifest)?;
-                match deep {
-                    true => self.scrub_object_full(conns, &object, &manifest),
-                    // O(p · log leaves) hash bytes, zero payload bytes
-                    // for a healthy object.
-                    false => self.scrub_object_incremental(conns, &object, &manifest),
-                }
+        let universe: Vec<String> = universe.into_iter().collect();
+        let mut elections = Vec::with_capacity(universe.len());
+        for window in universe.chunks(OBJECTS_PER_ROUND) {
+            let votes = self.fetch_records(conns, window, &[]);
+            let elected = window.iter().zip(votes).map(|(object, vote)| Elected {
+                object: object.clone(),
+                gc_deferred: vote.conn_err.is_some(),
+                manifest: vote.manifest(object),
             });
+            let from = elections.len();
+            elections.extend(elected);
+            self.scrub_window(conns, &elections[from..], deep, &mut report);
+        }
+        self.collect_garbage(conns, &listings, &elections, &mut report);
+        Ok(report)
+    }
+
+    /// Scrub the objects of one election window into `report`: every
+    /// live one stored under this cluster's codec, its shard roots
+    /// fetched for all of them in one round (or, `deep`, each read in
+    /// full).
+    fn scrub_window(
+        &self,
+        conns: &mut ParallelConnSet,
+        elections: &[Elected],
+        deep: bool,
+        report: &mut ClusterScrubReport,
+    ) {
+        let mut targets: Vec<(&str, &Manifest)> = Vec::with_capacity(elections.len());
+        for Elected { object, manifest, .. } in elections {
+            let reason = match manifest {
+                // Tombstoned (deleted) or never published — the key
+                // listing can't filter these; they are not damage.
+                Err(StoreError::NotFound(_)) => continue,
+                Err(e) => e.to_string(),
+                Ok(m) => match self.check_geometry(object, m) {
+                    Ok(()) => {
+                        targets.push((object, m));
+                        continue;
+                    }
+                    Err(e) => e.to_string(),
+                },
+            };
+            report.failed_objects.push((object.clone(), reason));
+        }
+        let mut roots = (!deep).then(|| self.fetch_roots(conns, &targets));
+        for (object, manifest) in targets {
+            let scrubbed = match &mut roots {
+                None => self.scrub_object_full(conns, object, manifest),
+                // O(p · log leaves) hash bytes, zero payload bytes for a
+                // healthy object.
+                Some(roots) => Ok(self.scrub_object_incremental(conns, object, manifest, roots)),
+            };
             match scrubbed {
                 Ok(scrub) => {
                     report.hash_bytes_read += scrub.hash_bytes_read;
                     report.payload_bytes_read += scrub.payload_bytes_read;
                     report.objects.push(scrub);
                 }
-                // Tombstoned (deleted) — the key listing can't filter
-                // these; they are not damage.
-                Err(StoreError::NotFound(_)) => {}
-                Err(e) => report.failed_objects.push((object, e.to_string())),
+                Err(e) => report.failed_objects.push((object.to_string(), e.to_string())),
             }
         }
-        self.gc_via(conns, &mut report);
-        Ok(report)
+    }
+
+    /// One round, two `HASH_SUBTREE` jobs per shard of every target,
+    /// pipelined on the shard's node: the root of the tree the node
+    /// computes from the shard blob as it is now, then the root of the
+    /// tree stored in its `t:` hash blob. The answers, in that order,
+    /// for [`Cluster::scrub_object_incremental`] to judge.
+    fn fetch_roots(
+        &self,
+        conns: &mut ParallelConnSet,
+        targets: &[(&str, &Manifest)],
+    ) -> std::vec::IntoIter<Result<Hash, StoreError>> {
+        // Per shard: its node, its two keys, and its tree's geometry.
+        let shards: Vec<(&str, [String; 2], u32, u8)> = (targets.iter())
+            .flat_map(|&(object, m)| {
+                let leaves = leaf_count(m.shard_len, m.hash_leaf_size as u64);
+                let top = (MerkleTree::level_widths(leaves).len() - 1) as u8;
+                (0..m.total_shards()).map(move |i| {
+                    let keys = [m.shard_key(object, i), tree_key(object, i, m.shard_gen[i])];
+                    (m.placement[i].as_str(), keys, m.hash_leaf_size, top)
+                })
+            })
+            .collect();
+        let jobs: Vec<_> = (shards.iter())
+            .flat_map(|(addr, [skey, tkey], leaf_size, top)| {
+                [(skey, false), (tkey, true)].map(|(key, stored)| {
+                    let (leaf_size, level, start, count) = (*leaf_size, *top, 0, 1);
+                    let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
+                    (*addr, op, |answer| reply::hash_subtree(answer, 1).map(|v| v[0]))
+                })
+            })
+            .collect();
+        conns.run_batch(jobs).into_iter()
     }
 
     /// The scrub-time garbage collector: collect every shard key no
     /// live manifest references, once it has outlived the grace window.
+    /// It judges the sweep's own listing (`listings`, the nodes whose
+    /// shard listing answered) against the sweep's own elections, which
+    /// were taken after that listing — so every generation published
+    /// before a key was listed is seen — and deletes in one round.
     ///
     /// A shard key on node `A` is **live** iff the object's winning
     /// manifest `m` has `m.placement[idx] == A && m.shard_gen[idx] ==
@@ -236,61 +369,29 @@ impl Cluster {
     ///   manifest references it: it may belong to a put that has not
     ///   published *yet* (ages come from each node's own clock via
     ///   `LIST_AGED`, so no cross-node clock agreement is assumed);
-    /// * a node that does not answer `LIST_AGED` is skipped; its garbage
-    ///   waits for a later cycle.
+    /// * a node that did not answer its shard listing is skipped; its
+    ///   garbage waits for a later cycle.
     ///
     /// GC failures are deliberately non-fatal to the scrub: collection
     /// is bookkeeping, and the next cycle retries everything.
-    fn gc_via(&self, conns: &mut ParallelConnSet, report: &mut ClusterScrubReport) {
+    fn collect_garbage(
+        &self,
+        conns: &mut ParallelConnSet,
+        listings: &[(&str, AgedListing)],
+        elections: &[Elected],
+        report: &mut ClusterScrubReport,
+    ) {
         let grace_secs = self.gc_grace.as_secs();
-        // Every node's shard-key listing first: the election set must
-        // cover objects that *only* exist as orphaned shards (a first
-        // put that died before any manifest landed leaves keys no
-        // manifest listing will ever name).
-        type AgedListing = Vec<(String, u64, u64)>; // (key, age_secs, len)
-        // One round, two listings per node: shard keys and their `t:`
-        // hash-blob twins are collected by the same rule; a node that
-        // answers one listing answers the other (same opcode), so the
-        // extension cannot half-apply.
-        let jobs: Vec<_> = self
-            .nodes
-            .iter()
-            .flat_map(|addr| {
-                ["s:", "t:"].map(|prefix| (addr.as_str(), BatchOp::ListAged { prefix }, reply::list_aged))
-            })
+        // Per object: `Some(m)` = live manifest, `None` = provably
+        // deleted or never published; objects whose election was
+        // deferred stay out of the map and are skipped entirely.
+        let live: HashMap<&str, Option<&Manifest>> = (elections.iter())
+            .filter(|e| !e.gc_deferred)
+            .map(|e| (e.object.as_str(), e.manifest.as_ref().ok()))
             .collect();
-        let mut answers = conns.run_batch(jobs).into_iter();
-        let mut listings: Vec<(&str, AgedListing)> = Vec::new();
-        for addr in &self.nodes {
-            let (shards, trees) = (answers.next(), answers.next());
-            if let Some(Ok(mut entries)) = shards {
-                entries.extend(trees.and_then(Result::ok).unwrap_or_default());
-                listings.push((addr, entries));
-            }
-        }
-        let mut objects = BTreeSet::new();
-        for (_, entries) in &listings {
-            for (key, _, _) in entries {
-                if let Some((object, _, _)) = parse_gc_key(key) {
-                    objects.insert(object.to_string());
-                }
-            }
-        }
-        // One record election per object: `Some(m)` = live manifest,
-        // `None` = provably deleted or never published; objects whose
-        // election saw a transport failure stay out of the map and are
-        // skipped entirely.
-        let mut live: HashMap<String, Option<Manifest>> = HashMap::new();
-        for object in &objects {
-            let vote = self.fetch_record(conns, object, &[]);
-            if vote.conn_err.is_some() {
-                continue;
-            }
-            live.insert(object.clone(), vote.current());
-        }
         // Every node's doomed keys, then one delete round across nodes.
         let mut doomed: Vec<(&str, &(String, u64, u64))> = Vec::new();
-        for (addr, entries) in &listings {
+        for &(addr, ref entries) in listings {
             let is_doomed = |(key, age_secs, _): &&(String, u64, u64)| {
                 let Some((object, idx, gen)) = parse_gc_key(key) else {
                     return false; // not ours to judge
@@ -299,13 +400,13 @@ impl Cluster {
                     None => return false, // election deferred: keep
                     Some(None) => false,
                     Some(Some(m)) => {
-                        m.placement.get(idx).map(String::as_str) == Some(*addr)
+                        m.placement.get(idx).map(String::as_str) == Some(addr)
                             && m.shard_gen.get(idx) == Some(&gen)
                     }
                 };
                 !is_live && *age_secs >= grace_secs
             };
-            doomed.extend(entries.iter().filter(is_doomed).map(|entry| (*addr, entry)));
+            doomed.extend(entries.iter().filter(is_doomed).map(|entry| (addr, entry)));
         }
         let jobs: Vec<_> = doomed
             .iter()
@@ -362,43 +463,29 @@ impl Cluster {
         })
     }
 
-    /// The incremental (Merkle) scrub of one object.
-    ///
-    /// Round 1 fetches two 32-byte roots per shard over `HASH_SUBTREE`:
-    /// the node's *computed* root (re-hashed from the shard blob as it
-    /// is right now) and the *stored* root (from the `t:` hash blob).
-    /// A shard whose computed root equals the manifest root provably
-    /// holds the exact bytes recorded at write time — no payload read
-    /// needed, and since parity was consistent when those roots were
-    /// recorded, unchanged bytes mean parity still holds. A computed
-    /// mismatch descends the two trees level by level, fetching only
-    /// the children of mismatching nodes, to name the exact damaged
-    /// leaves in O(damaged · log leaves) hash transfers.
+    /// The incremental (Merkle) scrub of one object, judging the two
+    /// roots per shard [`Cluster::fetch_roots`] fetched (taken from
+    /// `roots` in shard order): the node's *computed* root (re-hashed
+    /// from the shard blob as it is right now) and the *stored* root
+    /// (from the `t:` hash blob). A shard whose computed root equals
+    /// the manifest root provably holds the exact bytes recorded at
+    /// write time — no payload read needed, and since parity was
+    /// consistent when those roots were recorded, unchanged bytes mean
+    /// parity still holds. A computed mismatch descends the two trees
+    /// level by level, fetching only the children of mismatching nodes,
+    /// to name the exact damaged leaves in O(damaged · log leaves) hash
+    /// transfers.
     fn scrub_object_incremental(
         &self,
         conns: &mut ParallelConnSet,
         object: &str,
         manifest: &Manifest,
-    ) -> Result<ObjectScrub, StoreError> {
+        roots: &mut impl Iterator<Item = Result<Hash, StoreError>>,
+    ) -> ObjectScrub {
         let total = manifest.total_shards();
         let leaf_size = manifest.hash_leaf_size;
         let widths =
             MerkleTree::level_widths(leaf_count(manifest.shard_len, leaf_size as u64));
-        let top = (widths.len() - 1) as u8;
-        // Two jobs per shard, pipelined on the shard's node: the root of
-        // the computed tree, then the root of the stored one.
-        let keys: Vec<[String; 2]> = (0..total)
-            .map(|i| [manifest.shard_key(object, i), tree_key(object, i, manifest.shard_gen[i])])
-            .collect();
-        let jobs: Vec<_> = (keys.iter().zip(&manifest.placement))
-            .flat_map(|(keys, addr)| [(addr, &keys[0], false), (addr, &keys[1], true)])
-            .map(|(addr, key, stored)| {
-                let (level, start, count) = (top, 0, 1);
-                let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
-                (addr.as_str(), op, |answer| reply::hash_subtree(answer, 1).map(|v| v[0]))
-            })
-            .collect();
-        let mut roots = conns.run_batch(jobs).into_iter();
         let mut health = Vec::with_capacity(total);
         let mut hash_bytes_read = 0u64;
         let mut damaged_leaves = Vec::new();
@@ -481,14 +568,14 @@ impl Cluster {
         let payload_healthy = health
             .iter()
             .all(|h| matches!(h, ShardHealth::Ok | ShardHealth::BadHashes(_)));
-        Ok(ObjectScrub {
+        ObjectScrub {
             object: object.to_string(),
             shards: health,
             parity_consistent: if payload_healthy { Some(true) } else { None },
             hash_bytes_read,
             payload_bytes_read: 0,
             damaged_leaves,
-        })
+        }
     }
 
     /// Walk shard `i`'s computed and stored trees from the root's
@@ -551,8 +638,10 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::NodeClient;
     use crate::node::NodeHandle;
     use ec_core::RsConfig;
+    use std::time::Duration;
 
     /// Regression for the shared-connection-state contract: a node
     /// found dead by the scrub health probe is marked dead exactly once
@@ -589,6 +678,88 @@ mod tests {
             1,
             "a dead node must be dialed once per sweep, not once per object"
         );
+        drop(nodes);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `count` nodes under a fresh directory named for `test`.
+    fn spawn_nodes(test: &str, count: usize) -> (std::path::PathBuf, Vec<NodeHandle>, Vec<String>) {
+        let root = std::env::temp_dir().join(format!("ec_store_{test}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let nodes: Vec<NodeHandle> = (0..count)
+            .map(|i| NodeHandle::spawn(&root.join(format!("n{i}")), "127.0.0.1:0", 2).unwrap())
+            .collect();
+        let addrs = nodes.iter().map(|n| n.addr().to_string()).collect();
+        (root, nodes, addrs)
+    }
+
+    /// The sweep's shape, counted on its connection set: one listing
+    /// round (three `LIST_AGED`s per node), one election round (a `GET`
+    /// per node per object, orphan-only objects included), one root
+    /// round (two `HASH_SUBTREE`s per shard of every live object) and
+    /// one delete round — and the orphan a crashed first put left,
+    /// with no manifest anywhere, is collected.
+    #[test]
+    fn a_sweep_is_four_rounds_and_collects_an_orphan() {
+        let (root, nodes, addrs) = spawn_nodes("sweep_shape", 5);
+        let (n, k) = (addrs.len() as u32, 3u32);
+        let cluster = Cluster::new(addrs.clone(), RsConfig::new(2, 1))
+            .unwrap()
+            .with_gc_grace(Duration::ZERO);
+        let shards = cluster.codec.total_shards() as u32;
+        for i in 0..k {
+            cluster.put(&format!("obj-{i}"), &vec![i as u8; 4096]).unwrap();
+        }
+        let crashing = Cluster::new(addrs.clone(), RsConfig::new(2, 1))
+            .unwrap()
+            .with_failpoint(std::sync::Arc::new(|point: &str, _| point == "put.publish"));
+        assert!(crashing.put("orphan", &[7u8; 4096]).is_err());
+
+        let mut conns = cluster.conns();
+        let report = cluster.scrub_via(&mut conns, false).unwrap();
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.objects.len(), k as usize);
+        assert_eq!(report.generations_collected, 1, "{report:?}");
+        let (listings, elections, roots) = (3 * n, (k + 1) * n, 2 * shards * k);
+        let deletes = 2 * shards; // the orphan's shard blobs and hash blobs
+        assert_eq!(conns.rounds(), 4);
+        assert_eq!(conns.requests(), listings + elections + roots + deletes);
+        for addr in &addrs {
+            let mut node = NodeClient::connect(addr, Duration::from_secs(5)).unwrap();
+            for prefix in ["s:", "t:"] {
+                let left = node.list(prefix).unwrap();
+                assert!(
+                    left.iter().all(|key| parse_gc_key(key).is_some_and(|(o, _, _)| o != "orphan")),
+                    "{addr}: {left:?}"
+                );
+            }
+        }
+        drop(nodes);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Past [`OBJECTS_PER_ROUND`] objects the election and the root
+    /// checks take a second round each; with nothing to collect there
+    /// is no delete round.
+    #[test]
+    fn a_sweep_elects_and_checks_roots_a_window_per_round() {
+        let (root, nodes, addrs) = spawn_nodes("sweep_window", 4);
+        let n = addrs.len() as u32;
+        let k = OBJECTS_PER_ROUND as u32 + 1;
+        let cluster = Cluster::new(addrs, RsConfig::new(2, 1))
+            .unwrap()
+            .with_gc_grace(Duration::ZERO);
+        let shards = cluster.codec.total_shards() as u32;
+        for i in 0..k {
+            cluster.put(&format!("obj-{i:03}"), &[i as u8; 512]).unwrap();
+        }
+        let mut conns = cluster.conns();
+        let report = cluster.scrub_via(&mut conns, false).unwrap();
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.objects.len(), k as usize);
+        assert_eq!(report.generations_collected, 0);
+        assert_eq!(conns.rounds(), 1 + 2 * 2);
+        assert_eq!(conns.requests(), 3 * n + k * n + 2 * shards * k);
         drop(nodes);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -223,6 +223,10 @@ pub(crate) struct ParallelConnSet {
     /// Connect attempts per address — observability, and the proof that
     /// a dead node is dialed once per operation, not once per object.
     connects: HashMap<String, u32>,
+    /// Rounds that released at least one job, and jobs put on the wire:
+    /// what an operation costs the nodes, counted.
+    rounds: u32,
+    requests: u32,
     /// Where connections come from before a dial and go back to (`None`
     /// = they close with the set).
     pool: Option<Arc<Pool>>,
@@ -240,6 +244,8 @@ struct Round<'a, T, F> {
     began: Instant,
     /// Released jobs without an outcome yet.
     open: usize,
+    /// Requests put on the wire.
+    sent: u32,
 }
 
 impl<T, F: Post<T>> Round<'_, T, F> {
@@ -345,7 +351,10 @@ impl<'a> Lane<'a> {
             }
             let (job, staged) = self.staged.as_mut().expect("staged above");
             match conn.push(staged) {
-                Ok(()) => self.inflight.push((staged.id, *job)),
+                Ok(()) => {
+                    self.inflight.push((staged.id, *job));
+                    round.sent += 1;
+                }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => return Err(StoreError::Io(e)),
             }
@@ -387,6 +396,8 @@ impl ParallelConnSet {
             deadline,
             slots: HashMap::new(),
             connects: HashMap::new(),
+            rounds: 0,
+            requests: 0,
             pool: None,
         }
     }
@@ -412,6 +423,18 @@ impl ParallelConnSet {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn connect_attempts(&self, addr: &str) -> u32 {
         self.connects.get(addr).copied().unwrap_or(0)
+    }
+
+    /// How many rounds of this operation released at least one job.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn rounds(&self) -> u32 {
+        self.rounds
+    }
+
+    /// How many requests this operation put on the wire.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn requests(&self) -> u32 {
+        self.requests
     }
 
     /// Run every job — all addresses at once, same-address jobs
@@ -454,6 +477,7 @@ impl ParallelConnSet {
             released: vec![None; count],
             began: Instant::now(),
             open: 0,
+            sent: 0,
         };
         for (addr, op, post) in jobs {
             round.addrs.push(addr);
@@ -530,6 +554,8 @@ impl ParallelConnSet {
                 }
             }
         }
+        self.rounds += round.released.iter().any(Option::is_some) as u32;
+        self.requests += round.sent;
         // Back to the set: connections with nothing outstanding, and the
         // verdict on addresses that refused. A lane abandoned
         // mid-request is dropped with its socket.
