@@ -70,8 +70,10 @@ impl ArrayCodec {
         Ok(ArrayCodec { engine, kind, prime })
     }
 
-    /// Builder-style parallelism override: `0` = auto (share the global
-    /// machine-sized pool), `k ≥ 1` = a dedicated `k`-worker pool.
+    /// Builder-style parallelism override (see
+    /// [`EngineConfig::parallelism`](crate::EngineConfig::parallelism)):
+    /// `0` = auto, `k ≥ 1` = at most `k` stripes per call on the shared
+    /// worker pool; `1` runs serially and starts no thread.
     pub fn with_parallelism(mut self, parallelism: usize) -> ArrayCodec {
         self.engine = self.engine.with_parallelism(parallelism);
         self

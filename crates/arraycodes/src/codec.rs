@@ -12,7 +12,7 @@ use slp::{binary_slp_from_bitmatrix, Slp};
 use slp_optimizer::{optimize, OptConfig};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
-use xor_runtime::{lock_unpoisoned as lock, ExecProgram, Kernel, PoolChoice};
+use xor_runtime::{lock_unpoisoned as lock, ExecProgram, Kernel};
 
 /// The engine knobs of an [`XorCodec`]: how programs are optimized,
 /// compiled and executed. Which *code* runs is not in here.
@@ -21,10 +21,10 @@ use xor_runtime::{lock_unpoisoned as lock, ExecProgram, Kernel, PoolChoice};
 ///
 /// 1. the paper's constants ([`EngineConfig::PAPER`]; §7.4:
 ///    `Dfs(Fu(XorRePair(P)))`, `B = 1024`, the widest XOR kernel the CPU
-///    offers, the machine-sized pool);
+///    offers, up to one stripe per CPU);
 /// 2. environment: `XORSLP_KERNEL` (`scalar` | `wide64` | `avx2` |
 ///    `avx512` | `neon` | `auto`) and `XORSLP_PARALLELISM` (`0` = auto or
-///    a worker count) — CI uses these to force the whole suite through
+///    a stripe cap) — CI uses these to force the whole suite through
 ///    each engine configuration;
 /// 3. explicit field writes on the value [`EngineConfig::new`] returns.
 ///
@@ -40,10 +40,12 @@ pub struct EngineConfig {
     pub blocksize: usize,
     /// XOR kernel (§7.2's `xor1` vs `xor32`).
     pub kernel: Kernel,
-    /// Worker threads for striped execution: `0` = auto (share the
-    /// machine-sized global [`ExecPool`](xor_runtime::ExecPool)), `1` =
-    /// a single dedicated worker (serial execution, still arena-reusing
-    /// and mutex-free), `k > 1` = a dedicated `k`-worker pool.
+    /// The most stripes one call hands the process's one worker pool:
+    /// `0` = auto ([`xor_runtime::default_parallelism`], the pool's
+    /// size), `1` = serial (every call runs inline on the calling thread,
+    /// arena-reusing and mutex-free, and no thread is started), `k > 1` =
+    /// at most `k` stripes per call; caps above the pool's size queue on
+    /// it.
     pub parallelism: usize,
 }
 
@@ -115,6 +117,14 @@ fn shards_of(packets: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
     packets.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0)
 }
 
+/// The stripe cap an [`EngineConfig::parallelism`] stands for.
+fn stripe_cap(parallelism: usize) -> usize {
+    match parallelism {
+        0 => xor_runtime::default_parallelism(),
+        k => k,
+    }
+}
+
 /// A systematic XOR-linear erasure codec over `n` data and `p` parity
 /// shards of `w` packets each, defined by its `p·w × n·w` parity
 /// bit-matrix and computed entirely by optimized XOR programs.
@@ -127,10 +137,12 @@ fn shards_of(packets: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
 /// same packets share one program ([`XorCodec::programs`] counts them).
 /// All methods take `&self` and the codec is `Send + Sync`.
 ///
-/// Execution stripes across an [`ExecPool`](xor_runtime::ExecPool) (the
-/// [`EngineConfig::parallelism`] knob): every worker owns a persistent
-/// grow-on-demand arena, so concurrent callers never serialize on shared
-/// scratch buffers. In the steady state at `parallelism = 1`,
+/// Execution stripes across the process's one worker pool, at most
+/// [`EngineConfig::parallelism`] stripes per call: every worker owns a
+/// persistent grow-on-demand arena, so concurrent callers never
+/// serialize on shared scratch buffers. The codec owns no thread; one at
+/// `parallelism = 1` never uses the pool. In the steady state at
+/// `parallelism = 1`,
 /// [`encode_into`](XorCodec::encode_into),
 /// [`update_parity`](XorCodec::update_parity) and
 /// [`verify`](XorCodec::verify) allocate nothing,
@@ -154,7 +166,8 @@ pub struct XorCodec {
     groups: Vec<Vec<usize>>,
     enc_slp: Slp,
     enc_prog: ExecProgram,
-    pool: PoolChoice,
+    /// The stripe cap of one call, resolved from `cfg.parallelism`.
+    stripes: usize,
     table: Mutex<LruCache<Key, Arc<Program>>>,
 }
 
@@ -236,16 +249,16 @@ impl XorCodec {
             groups,
             enc_slp,
             enc_prog,
-            pool: PoolChoice::from_parallelism(cfg.parallelism),
+            stripes: stripe_cap(cfg.parallelism),
             table: Mutex::new(LruCache::new(capacity)),
         })
     }
 
-    /// Rebuild the worker pool for a new [`EngineConfig::parallelism`];
-    /// compiled programs are kept.
+    /// Set a new [`EngineConfig::parallelism`]; compiled programs are
+    /// kept.
     pub(crate) fn with_parallelism(mut self, parallelism: usize) -> XorCodec {
         self.cfg.parallelism = parallelism;
-        self.pool = PoolChoice::from_parallelism(parallelism);
+        self.stripes = stripe_cap(parallelism);
         self
     }
 
@@ -370,7 +383,7 @@ impl XorCodec {
         xor_runtime::with_ref_scratch(|inputs, outputs| {
             inputs.extend(data.iter().flat_map(|s| layout::packets(s, self.w)));
             outputs.extend(out.iter_mut().flat_map(|s| layout::packets_mut(s, self.w)));
-            Ok(prog.run_striped(inputs, outputs, self.pool.pool(), self.pool.workers())?)
+            Ok(prog.run_striped(inputs, outputs, self.stripes)?)
         })
     }
 
@@ -427,8 +440,9 @@ impl XorCodec {
     /// single-stripe execution plan runs inline on the caller's
     /// persistent arena — so re-encoding same-sized chunks into the same
     /// buffers performs **zero allocations** after the first call (with
-    /// `parallelism = 1`; pooled execution hands stripes to workers,
-    /// whose arenas are persistent too, but task submission allocates).
+    /// `parallelism = 1`; a striped call hands its stripes to the pool's
+    /// workers, whose arenas are persistent too, but task submission
+    /// allocates).
     pub fn encode_into(&self, data: &[u8], shards: &mut [Vec<u8>]) -> Result<(), EcError> {
         self.check_total(shards.len())?;
         let len = self.shard_len(data.len());
@@ -449,7 +463,7 @@ impl XorCodec {
         xor_runtime::with_ref_scratch(|inputs, outputs| {
             inputs.extend(data_part.iter().flat_map(|s| s.chunks_exact(pl)));
             outputs.extend(parity_part.iter_mut().flat_map(|s| s.chunks_exact_mut(pl)));
-            self.enc_prog.run_striped(inputs, outputs, self.pool.pool(), self.pool.workers())
+            self.enc_prog.run_striped(inputs, outputs, self.stripes)
         })?;
         Ok(())
     }
@@ -625,8 +639,7 @@ impl XorCodec {
                 old,
                 new,
                 touched,
-                self.pool.pool(),
-                self.pool.workers(),
+                self.stripes,
             )?)
         })
     }
@@ -747,7 +760,7 @@ impl XorCodec {
                 &shards[i].as_deref().expect("survivor present")[k * pl..(k + 1) * pl]
             }));
             outs.extend(outputs);
-            Ok(dec.prog.run_striped(ins, outs, self.pool.pool(), self.pool.workers())?)
+            Ok(dec.prog.run_striped(ins, outs, self.stripes)?)
         })
     }
 
@@ -948,8 +961,8 @@ impl XorCodec {
     /// both are in L1, so no expected parity is written out. On one
     /// stripe the scan stops at the first mismatching block, so
     /// corruption near the front of a large stripe costs a few blocks of
-    /// work, not a full re-encode; a pooled codec stripes the scan like
-    /// encode.
+    /// work, not a full re-encode; a codec at `parallelism > 1` stripes
+    /// the scan like encode.
     pub fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, EcError> {
         self.check_total(shards.len())?;
         let len = layout::common_shard_len(shards.iter().map(Vec::as_slice), self.w)?;
@@ -959,7 +972,7 @@ impl XorCodec {
         xor_runtime::with_ref_scratch(|packets, _| {
             packets.extend(shards.iter().flat_map(|s| layout::packets(s, self.w)));
             let (data, parity) = packets.split_at(self.n * self.w);
-            Ok(self.enc_prog.verify_striped(data, parity, self.pool.pool(), self.pool.workers())?)
+            Ok(self.enc_prog.verify_striped(data, parity, self.stripes)?)
         })
     }
 }
@@ -1591,7 +1604,7 @@ mod tests {
                 let mut outputs: Vec<&mut [u8]> =
                     rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, w)).collect();
                 dec.prog
-                    .run_striped(&inputs, &mut outputs, codec.pool.pool(), codec.pool.workers())
+                    .run_striped(&inputs, &mut outputs, codec.stripes)
                     .unwrap();
             }
         }

@@ -1,19 +1,22 @@
 //! Thread-scaling table: encode/decode throughput of the fully optimized
-//! RS(10,4) codec on a 10 MB stripe, as the parallel execution engine's
-//! worker count grows.
+//! RS(10,4) codec on a 10 MB stripe, as the codec's stripe cap
+//! (`parallelism`) grows.
 //!
-//! The engine stripes the packet range into blocksize-aligned slices and
-//! runs them on a persistent `ExecPool` (one grow-on-demand arena per
-//! worker), so throughput should scale with cores until the memory bus
-//! saturates. On a single-core host every row collapses to the serial
-//! number — the table reports whatever the hardware allows.
+//! The engine stripes the packet range into at most `parallelism`
+//! blocksize-aligned slices and runs them on the process's one worker
+//! pool, sized to the machine (one grow-on-demand arena per worker), so
+//! throughput should scale with cores until the memory bus saturates.
+//! Caps above the pool's size queue on it rather than adding threads. On
+//! a single-core host every row collapses to the serial number — the
+//! table reports whatever the hardware allows.
 //!
 //! ```text
 //! cargo run --release -p xorslp-bench --bin thread_scaling
 //! ```
 //!
 //! Knobs: `BENCH_MB`, `BENCH_REPS` (see `ec_bench`), and
-//! `BENCH_MAX_THREADS` (default: 2× available parallelism).
+//! `BENCH_MAX_THREADS` (the largest stripe cap; default: 2× available
+//! parallelism).
 
 use ec_bench::{print_env_header, reps, rule, time_per_rep, workload_bytes};
 use ec_core::{RsCodec, RsConfig};
@@ -24,7 +27,7 @@ fn throughput_gbps(bytes: usize, reps: usize, f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    print_env_header("Thread scaling: RS(10,4) encode/decode across the ExecPool");
+    print_env_header("Thread scaling: RS(10,4) encode/decode by stripe cap on the shared pool");
 
     let (n, p) = (10usize, 4usize);
     let data_bytes = workload_bytes();
@@ -49,7 +52,7 @@ fn main() {
     println!();
     println!(
         "{:>8} | {:>12} | {:>12} | {:>9} | {:>9}",
-        "threads", "encode GB/s", "decode GB/s", "enc ×", "dec ×"
+        "stripes", "encode GB/s", "decode GB/s", "enc ×", "dec ×"
     );
     println!("{}", rule(64));
 
@@ -99,15 +102,15 @@ fn main() {
     println!();
     match best {
         Some((threads, enc)) if enc > enc_base => println!(
-            "multi-thread encode beats single-thread: {threads} threads at \
+            "striped encode beats serial: {threads} stripes at \
              {enc:.2} GB/s vs {enc_base:.2} GB/s ({:.2}x)",
             enc / enc_base
         ),
         Some((threads, enc)) => println!(
-            "no multi-thread win on this host (best: {threads} threads at \
+            "no striping win on this host (best: {threads} stripes at \
              {enc:.2} GB/s vs {enc_base:.2} GB/s serial) — expected on \
              single-core machines"
         ),
-        None => println!("only one thread count measured"),
+        None => println!("only one stripe cap measured"),
     }
 }

@@ -348,7 +348,7 @@ mod tests {
     fn short_shards_encode_mt_with_many_threads() {
         // Shards of one packet-byte each: the partitioner must fall back
         // to a single stripe (not zero work, not a per-byte split) and
-        // still produce exact parity whatever the worker count.
+        // still produce exact parity whatever the stripe cap.
         let data = sample_data(4 * 8); // 8-byte shards → 1-byte packets
         let single = RsCodec::new(4, 2).unwrap().encode(&data).unwrap();
         let data_refs: Vec<&[u8]> = single[..4].iter().map(Vec::as_slice).collect();
@@ -600,7 +600,7 @@ mod tests {
 
     #[test]
     fn encode_parity_zero_length_is_a_noop() {
-        // Zero-length shards succeed on the serial and the pooled engine.
+        // Zero-length shards succeed serial and striped.
         let data: Vec<Vec<u8>> = vec![Vec::new(); 4];
         let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         let mut parity: Vec<Vec<u8>> = vec![Vec::new(); 2];

@@ -21,12 +21,14 @@
 //!   each block in block-local strips, never writing an intermediate
 //!   array.
 //!
-//! Parallelism is a first-class subsystem: [`ExecPool`] keeps a
-//! persistent set of workers (one grow-on-demand [`VarArena`] each) and
-//! [`plan_stripes`] splits any byte range into blocksize-aligned stripes,
-//! so [`ExecProgram::run_striped`] executes one program across all cores
-//! with zero steady-state allocation. Codecs hold a [`PoolChoice`] and
-//! call the three striped entry points with its pool.
+//! Parallelism is one shared subsystem: the process has one persistent
+//! worker pool (one grow-on-demand [`VarArena`] per worker, sized by
+//! [`default_parallelism`]), and [`ExecProgram::run_striped`],
+//! [`ExecProgram::run_delta_striped`] and [`ExecProgram::verify_striped`]
+//! split a byte range into at most `max_stripes` blocksize-aligned
+//! stripes and run them on it with zero steady-state allocation. A call
+//! of one stripe runs inline on the caller's thread and never builds the
+//! pool; codecs pass their `parallelism` as the cap.
 
 mod arena;
 mod exec;
@@ -37,7 +39,4 @@ mod pool;
 pub use arena::{with_ref_scratch, AlignedBuf, StripedBuf, VarArena, CACHE_PAGE};
 pub use exec::{ExecError, ExecProgram};
 pub use kernels::{available_kernels, xor_accumulate, xor_into, xor_slices, Kernel};
-pub use partition::{plan_stripes, StripePlan};
-pub use pool::{
-    default_parallelism, env_parallelism, lock_unpoisoned, ExecPool, PoolChoice, ScopedTask,
-};
+pub use pool::{default_parallelism, env_parallelism, lock_unpoisoned};

@@ -1,6 +1,6 @@
 //! Striped partitioning: split a byte range into cache-friendly stripes
 //! aligned to a program's compiled blocksize and run the program across
-//! an [`ExecPool`].
+//! the one worker pool.
 //!
 //! Because every XOR instruction is element-wise, splitting all packets
 //! of a stripe at the *same* offsets and executing each slice
@@ -13,8 +13,10 @@
 //! Three entry points share one stripe driver: [`ExecProgram::run_striped`]
 //! (the plain blocked loop), and [`ExecProgram::run_delta_striped`] and
 //! [`ExecProgram::verify_striped`] (the fused loop with its accumulate
-//! and compare epilogues). A single-stripe plan runs inline on the
-//! caller's thread-local arena and allocates nothing.
+//! and compare epilogues). Each takes a `max_stripes` cap: a
+//! single-stripe plan runs inline on the caller's thread-local arena,
+//! allocates nothing and never builds the pool; two or more stripes go
+//! to the process's one pool, `ExecPool::global`.
 
 use crate::arena::VarArena;
 use crate::exec::{ExecError, ExecProgram, FusedInputs, FusedOutputs};
@@ -33,26 +35,27 @@ thread_local! {
 
 /// How a packet range is split into stripes.
 ///
-/// Built by [`plan_stripes`]; the ranges are contiguous, disjoint,
+/// Built by `plan_stripes`; the ranges are contiguous, disjoint,
 /// blocksize-aligned (except the final tail) and cover `0..packet_len`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StripePlan {
+pub(crate) struct StripePlan {
     ranges: Vec<Range<usize>>,
 }
 
 impl StripePlan {
     /// Number of stripes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ranges.len()
     }
 
     /// True iff the plan has no stripes (zero-length range).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
 
     /// The planned byte ranges.
-    pub fn ranges(&self) -> &[Range<usize>] {
+    pub(crate) fn ranges(&self) -> &[Range<usize>] {
         &self.ranges
     }
 }
@@ -64,7 +67,7 @@ impl StripePlan {
 /// `min(max_stripes, ceil(packet_len / blocksize))`, i.e. every stripe
 /// holds at least one block and block boundaries are respected, with the
 /// remainder blocks spread over the leading stripes.
-pub fn plan_stripes(packet_len: usize, blocksize: usize, max_stripes: usize) -> StripePlan {
+pub(crate) fn plan_stripes(packet_len: usize, blocksize: usize, max_stripes: usize) -> StripePlan {
     if packet_len == 0 {
         return StripePlan { ranges: Vec::new() };
     }
@@ -127,8 +130,9 @@ impl ExecProgram {
     /// an arena. One stripe runs inline on the caller's thread-local
     /// arena: no plan, no pool handoff (two context switches that
     /// multi-megabyte stripes amortize and short shards and
-    /// `parallelism = 1` codecs would not), no allocation. More stripes
-    /// run one pool task each on the workers' persistent arenas.
+    /// `parallelism = 1` codecs would not), no allocation, and the pool
+    /// is never built. More stripes run one task each on
+    /// [`ExecPool::global`], on the workers' persistent arenas.
     ///
     /// Returns `Ok(false)` iff some stripe's `f` did, and the first error
     /// any stripe reported.
@@ -136,7 +140,6 @@ impl ExecProgram {
         &self,
         len: usize,
         outputs: &mut [&mut [u8]],
-        pool: &ExecPool,
         max_stripes: usize,
         f: impl Fn(Range<usize>, &mut [&mut [u8]], &mut VarArena) -> Result<bool, ExecError> + Sync,
     ) -> Result<bool, ExecError> {
@@ -170,25 +173,47 @@ impl ExecProgram {
                 Err(e) => *lock_unpoisoned(failure) = Some(e),
             }));
         }
-        pool.run_scoped(tasks);
+        ExecPool::global().run_scoped(tasks);
         match failure.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
             Some(e) => Err(e),
             None => Ok(all_true.into_inner()),
         }
     }
 
-    /// Run the program striped across a worker pool: the packet range is
-    /// split by [`plan_stripes`] (with this program's blocksize) into at
-    /// most `max_stripes` blocksize-aligned stripes, each executed on a
-    /// pool worker with its persistent arena.
+    /// Run the program striped: the packet range is split (at this
+    /// program's blocksize) into at most `max_stripes` blocksize-aligned
+    /// stripes, each executed on a worker of the process's one pool with
+    /// its persistent arena. A range of one block, or `max_stripes ≤ 1`,
+    /// runs inline on the calling thread and starts no thread.
     ///
     /// Semantically identical to [`ExecProgram::run_with_arena`]; any
     /// split is exact because all instructions are element-wise.
+    ///
+    /// ```
+    /// use slp::{Instr, Slp, Term::{Const, Var}};
+    /// use xor_runtime::{ExecProgram, Kernel};
+    ///
+    /// // p0 = in0 ^ in1, returned — the smallest useful XOR program.
+    /// let slp = Slp::new(
+    ///     2,
+    ///     vec![Instr::new(0, vec![Const(0), Const(1)])],
+    ///     vec![Var(0)],
+    /// )
+    /// .unwrap();
+    /// let prog = ExecProgram::compile(&slp, 1024, Kernel::Auto);
+    ///
+    /// let a = vec![0xAAu8; 8192];
+    /// let b = vec![0x0Fu8; 8192];
+    /// let mut out = vec![0u8; 8192];
+    ///
+    /// // Eight blocks, at most two stripes on the shared pool.
+    /// prog.run_striped(&[&a, &b], &mut [&mut out], 2).unwrap();
+    /// assert!(out.iter().all(|&x| x == 0xAA ^ 0x0F));
+    /// ```
     pub fn run_striped(
         &self,
         inputs: &[&[u8]],
         outputs: &mut [&mut [u8]],
-        pool: &ExecPool,
         max_stripes: usize,
     ) -> Result<(), ExecError> {
         // Validate shapes up front so errors surface before any task is
@@ -197,7 +222,7 @@ impl ExecProgram {
         if len == 0 {
             return Ok(());
         }
-        self.for_each_stripe(len, outputs, pool, max_stripes, |r, part, arena| {
+        self.for_each_stripe(len, outputs, max_stripes, |r, part, arena| {
             self.run_with_arena(&windows(inputs, &r, len), part, arena)?;
             Ok(true)
         })?;
@@ -213,14 +238,13 @@ impl ExecProgram {
     /// and accumulated into the targets while it is in L1, so no delta
     /// or delta-parity array is ever written out and no scratch buffer
     /// exists. The same loop runs inline for one stripe and on the pool
-    /// workers' arenas for more.
+    /// workers' arenas for more, as in [`ExecProgram::run_striped`].
     pub fn run_delta_striped(
         &self,
         pps: usize,
         old: &[u8],
         new: &[u8],
         targets: &mut [&mut [u8]],
-        pool: &ExecPool,
         max_stripes: usize,
     ) -> Result<(), ExecError> {
         if pps != self.n_inputs() {
@@ -238,7 +262,7 @@ impl ExecProgram {
             return Ok(());
         }
         let inputs = FusedInputs::Delta { old, new };
-        self.for_each_stripe(pl, targets, pool, max_stripes, |r, part, arena| {
+        self.for_each_stripe(pl, targets, max_stripes, |r, part, arena| {
             Ok(self.run_fused(r, inputs, FusedOutputs::Accumulate(part), arena))
         })?;
         Ok(())
@@ -252,7 +276,6 @@ impl ExecProgram {
         &self,
         inputs: &[&[u8]],
         expected: &[&[u8]],
-        pool: &ExecPool,
         max_stripes: usize,
     ) -> Result<bool, ExecError> {
         let len = self.check_shapes(inputs, expected)?;
@@ -260,7 +283,7 @@ impl ExecProgram {
             return Ok(true);
         }
         let inputs = FusedInputs::Packets(inputs);
-        self.for_each_stripe(len, &mut [], pool, max_stripes, |r, _, arena| {
+        self.for_each_stripe(len, &mut [], max_stripes, |r, _, arena| {
             let want = windows(expected, &r, len);
             Ok(self.run_fused(r, inputs, FusedOutputs::Compare(&want), arena))
         })
@@ -345,7 +368,6 @@ mod tests {
     #[test]
     fn striped_run_matches_reference_across_shapes() {
         let p = section_4_1();
-        let pool = ExecPool::new(3);
         let prog = ExecProgram::compile(&p, 64, Kernel::Auto);
         // Lengths below, at, and far above one block; odd tails. One
         // stripe is the inline path a `parallelism = 1` codec takes.
@@ -355,12 +377,12 @@ mod tests {
                 .collect();
             let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
             let expect = p.run_reference(&refs);
-            for stripes in [1, pool.workers()] {
+            for stripes in [1, 3] {
                 let mut outs = vec![vec![0u8; len]; 3];
                 {
                     let mut orefs: Vec<&mut [u8]> =
                         outs.iter_mut().map(Vec::as_mut_slice).collect();
-                    prog.run_striped(&refs, &mut orefs, &pool, stripes).unwrap();
+                    prog.run_striped(&refs, &mut orefs, stripes).unwrap();
                 }
                 assert_eq!(outs, expect, "len {len}, {stripes} stripes");
             }
@@ -371,20 +393,19 @@ mod tests {
     fn striped_run_validates_shapes_before_spawning() {
         let p = section_4_1();
         let prog = ExecProgram::compile(&p, 64, Kernel::Scalar);
-        let pool = ExecPool::new(2);
         let a = vec![0u8; 8];
         let refs: Vec<&[u8]> = vec![&a; 3]; // one input short
         let mut outs = vec![vec![0u8; 8]; 3];
         let mut orefs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(
-            prog.run_striped(&refs, &mut orefs, &pool, 2),
+            prog.run_striped(&refs, &mut orefs, 2),
             Err(ExecError::InputCount { expected: 4, got: 3 })
         );
         let refs: Vec<&[u8]> = vec![&a; 4];
         let mut short = vec![vec![0u8; 4]; 3];
         let mut orefs: Vec<&mut [u8]> = short.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(
-            prog.run_striped(&refs, &mut orefs, &pool, 2),
+            prog.run_striped(&refs, &mut orefs, 2),
             Err(ExecError::LengthMismatch)
         );
     }
@@ -393,11 +414,10 @@ mod tests {
     fn striped_empty_arrays_are_a_noop() {
         let p = section_4_1();
         let prog = ExecProgram::compile(&p, 64, Kernel::Scalar);
-        let pool = ExecPool::new(2);
         let refs: Vec<&[u8]> = vec![&[]; 4];
         let mut outs: Vec<Vec<u8>> = vec![vec![]; 3];
         let mut orefs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-        assert_eq!(prog.run_striped(&refs, &mut orefs, &pool, 2), Ok(()));
+        assert_eq!(prog.run_striped(&refs, &mut orefs, 2), Ok(()));
     }
 
     /// The three-pass delta update the fused loop replaced, kept as its
@@ -408,7 +428,6 @@ mod tests {
         old: &[u8],
         new: &[u8],
         targets: &mut [Vec<u8>],
-        pool: &ExecPool,
         max_stripes: usize,
     ) {
         let pl = old.len() / prog.n_inputs();
@@ -417,7 +436,7 @@ mod tests {
         let inputs: Vec<&[u8]> = delta.chunks_exact(pl).collect();
         let mut dp = vec![vec![0u8; pl]; targets.len()];
         let mut outputs: Vec<&mut [u8]> = dp.iter_mut().map(Vec::as_mut_slice).collect();
-        prog.run_striped(&inputs, &mut outputs, pool, max_stripes).unwrap();
+        prog.run_striped(&inputs, &mut outputs, max_stripes).unwrap();
         for (target, d) in targets.iter_mut().zip(&dp) {
             xor_accumulate(prog.kernel(), target, d);
         }
@@ -490,7 +509,6 @@ mod tests {
 
     #[test]
     fn fused_delta_matches_three_pass_oracle() {
-        let pool = ExecPool::new(3);
         let programs = fused_loop_programs();
         for kernel in crate::kernels::available_kernels() {
             for blocksize in [1usize, 7, 64, 1024, 4096] {
@@ -504,11 +522,11 @@ mod tests {
                             (0..n_out).map(|j| random_bytes(pl, 100 + j as u64)).collect();
                         for stripes in 1..=3 {
                             let mut expect = base.clone();
-                            three_pass_delta(&prog, &old, &new, &mut expect, &pool, stripes);
+                            three_pass_delta(&prog, &old, &new, &mut expect, stripes);
                             let mut got = base.clone();
                             let mut targets: Vec<&mut [u8]> =
                                 got.iter_mut().map(Vec::as_mut_slice).collect();
-                            prog.run_delta_striped(n_in, &old, &new, &mut targets, &pool, stripes)
+                            prog.run_delta_striped(n_in, &old, &new, &mut targets, stripes)
                                 .unwrap();
                             assert!(
                                 got == expect,
@@ -523,7 +541,6 @@ mod tests {
 
     #[test]
     fn fused_verify_finds_every_single_byte_flip() {
-        let pool = ExecPool::new(3);
         for kernel in crate::kernels::available_kernels() {
             for blocksize in [1usize, 64, 1024] {
                 for (name, p) in fused_loop_programs() {
@@ -537,7 +554,7 @@ mod tests {
                         let ctx = format!("{name} {kernel:?} B={blocksize} stripes={stripes}");
                         let check = |parity: &[Vec<u8>]| {
                             let expected: Vec<&[u8]> = parity.iter().map(Vec::as_slice).collect();
-                            prog.verify_striped(&inputs, &expected, &pool, stripes).unwrap()
+                            prog.verify_striped(&inputs, &expected, stripes).unwrap()
                         };
                         assert!(check(&parity), "{ctx}: clean");
                         for j in 0..parity.len() {
@@ -556,37 +573,36 @@ mod tests {
     #[test]
     fn fused_entry_points_report_shape_errors() {
         let prog = ExecProgram::compile(&section_4_1(), 64, Kernel::Scalar);
-        let pool = ExecPool::new(2);
         let (old, new) = (vec![0u8; 4 * 8], vec![0u8; 4 * 8]);
         let mut bufs = vec![vec![0u8; 8]; 3];
         let mut targets: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(
-            prog.run_delta_striped(3, &old, &new, &mut targets, &pool, 2),
+            prog.run_delta_striped(3, &old, &new, &mut targets, 2),
             Err(ExecError::InputCount { expected: 4, got: 3 })
         );
         assert_eq!(
-            prog.run_delta_striped(4, &old, &new[..16], &mut targets, &pool, 2),
+            prog.run_delta_striped(4, &old, &new[..16], &mut targets, 2),
             Err(ExecError::LengthMismatch)
         );
         assert_eq!(
-            prog.run_delta_striped(4, &old, &new, &mut targets[..2], &pool, 2),
+            prog.run_delta_striped(4, &old, &new, &mut targets[..2], 2),
             Err(ExecError::OutputCount { expected: 3, got: 2 })
         );
         let mut empty: Vec<&mut [u8]> = vec![&mut [], &mut [], &mut []];
-        assert_eq!(prog.run_delta_striped(4, &[], &[], &mut empty, &pool, 2), Ok(()));
+        assert_eq!(prog.run_delta_striped(4, &[], &[], &mut empty, 2), Ok(()));
         let a = vec![0u8; 8];
         let short = vec![0u8; 4];
         let ins: Vec<&[u8]> = vec![&a; 4];
         assert_eq!(
-            prog.verify_striped(&ins, &[&a, &a, &short], &pool, 2),
+            prog.verify_striped(&ins, &[&a, &a, &short], 2),
             Err(ExecError::LengthMismatch)
         );
         assert_eq!(
-            prog.verify_striped(&ins[..3], &[&a, &a, &a], &pool, 2),
+            prog.verify_striped(&ins[..3], &[&a, &a, &a], 2),
             Err(ExecError::InputCount { expected: 4, got: 3 })
         );
         let none: &[u8] = &[];
-        assert_eq!(prog.verify_striped(&[none; 4], &[none; 3], &pool, 2), Ok(true));
+        assert_eq!(prog.verify_striped(&[none; 4], &[none; 3], 2), Ok(true));
     }
 
     #[test]
@@ -599,8 +615,7 @@ mod tests {
         let mut outs = vec![vec![0u8; 4096]; 3];
         {
             let mut orefs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-            let pool = ExecPool::global();
-            prog.run_striped(&refs, &mut orefs, pool, pool.workers()).unwrap();
+            prog.run_striped(&refs, &mut orefs, crate::default_parallelism().max(2)).unwrap();
         }
         assert_eq!(outs, expect);
     }

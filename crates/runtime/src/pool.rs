@@ -1,17 +1,22 @@
-//! The parallel execution engine's worker pool.
+//! The parallel execution engine's one worker pool.
 //!
 //! Every instruction of a compiled XOR program is element-wise, so any
 //! byte range of a stripe can be executed independently (§6). The
-//! [`ExecPool`] makes that a first-class runtime facility: a persistent
-//! set of worker threads, each owning a reusable grow-on-demand
-//! [`VarArena`], so a steady-state program run allocates no scratch and
-//! concurrent callers never contend on a shared arena.
+//! process has one [`ExecPool`], [`ExecPool::global`]: a persistent set
+//! of [`default_parallelism`] worker threads, built lazily by the first
+//! call that hands it two or more stripes, each owning a reusable
+//! grow-on-demand [`VarArena`], so a steady-state program run allocates
+//! no scratch and concurrent callers never contend on a shared arena. A
+//! codec's `parallelism` only caps how many stripes one call hands it; a
+//! one-stripe call runs inline and never touches it.
 //!
-//! Use [`ExecPool::global`] for the lazily-created machine-sized pool, or
-//! [`ExecPool::new`] for an explicitly sized one. Work is submitted in
-//! *scopes*: [`ExecPool::run_scoped`] blocks until every submitted task
-//! has finished, which is what lets tasks borrow the caller's stack
-//! (input/output shard slices) without `'static` bounds.
+//! Work is submitted in *scopes*: [`ExecPool::run_scoped`] blocks until
+//! every submitted task has finished, which is what lets tasks borrow
+//! the caller's stack (input/output shard slices) without `'static`
+//! bounds. Sharing one pool among every caller is safe because a pool
+//! task only runs program stripes and never submits to the pool itself:
+//! a worker never waits on a scope, so however many callers queue
+//! stripes, every queued task is eventually run by a free worker.
 
 use crate::arena::VarArena;
 use std::collections::VecDeque;
@@ -23,7 +28,7 @@ use std::thread;
 /// arena. The lifetime `'scope` is the borrow of the submitting call
 /// frame; [`ExecPool::run_scoped`] blocks until the task completes, so
 /// the borrow never escapes.
-pub type ScopedTask<'scope> = Box<dyn FnOnce(&mut VarArena) + Send + 'scope>;
+pub(crate) type ScopedTask<'scope> = Box<dyn FnOnce(&mut VarArena) + Send + 'scope>;
 
 type StaticTask = Box<dyn FnOnce(&mut VarArena) + Send + 'static>;
 
@@ -91,38 +96,14 @@ impl Latch {
 /// Each worker owns one grow-on-demand [`VarArena`] that is reused across
 /// every task it runs, so repeated encode/decode calls allocate nothing
 /// once the arena has grown to the working-set size.
-///
-/// ```
-/// use slp::{Instr, Slp, Term::{Const, Var}};
-/// use xor_runtime::{ExecPool, ExecProgram, Kernel};
-///
-/// // p0 = in0 ^ in1, returned — the smallest useful XOR program.
-/// let slp = Slp::new(
-///     2,
-///     vec![Instr::new(0, vec![Const(0), Const(1)])],
-///     vec![Var(0)],
-/// )
-/// .unwrap();
-/// let prog = ExecProgram::compile(&slp, 1024, Kernel::Auto);
-///
-/// let a = vec![0xAAu8; 8192];
-/// let b = vec![0x0Fu8; 8192];
-/// let mut out = vec![0u8; 8192];
-///
-/// // Run striped across an explicitly sized pool.
-/// let pool = ExecPool::new(2);
-/// prog.run_striped(&[&a, &b], &mut [&mut out], &pool, pool.workers())
-///     .unwrap();
-/// assert!(out.iter().all(|&x| x == 0xAA ^ 0x0F));
-/// ```
-pub struct ExecPool {
+pub(crate) struct ExecPool {
     shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl ExecPool {
     /// Spawn a pool with `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> ExecPool {
+    fn new(workers: usize) -> ExecPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
@@ -143,16 +124,11 @@ impl ExecPool {
         ExecPool { shared, handles }
     }
 
-    /// The shared machine-sized pool, created lazily on first use and
-    /// sized from [`std::thread::available_parallelism`].
-    pub fn global() -> &'static ExecPool {
+    /// The one pool, created lazily on first use and sized from
+    /// [`default_parallelism`].
+    pub(crate) fn global() -> &'static ExecPool {
         static GLOBAL: OnceLock<ExecPool> = OnceLock::new();
         GLOBAL.get_or_init(|| ExecPool::new(default_parallelism()))
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
     }
 
     /// Run a batch of borrowed tasks to completion.
@@ -162,7 +138,7 @@ impl ExecPool {
     ///
     /// # Panics
     /// Panics if any task panicked on a worker.
-    pub fn run_scoped<'scope>(&self, tasks: Vec<ScopedTask<'scope>>) {
+    pub(crate) fn run_scoped<'scope>(&self, tasks: Vec<ScopedTask<'scope>>) {
         if tasks.is_empty() {
             return;
         }
@@ -232,49 +208,19 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The machine's available parallelism (the global pool's size).
+/// The machine's available parallelism: the pool's size, and the stripe
+/// cap of a codec built with `parallelism = 0`. Reading it does not
+/// build the pool.
 pub fn default_parallelism() -> usize {
     thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// The `XORSLP_PARALLELISM` environment override, if set and parseable:
-/// `0` means "auto" (machine-sized global pool), `k ≥ 1` forces `k`
-/// workers. Codec constructors use this as their *default*; an explicit
-/// builder call still wins.
+/// `0` means "auto" (stripe up to [`default_parallelism`] ways), `k ≥ 1`
+/// caps a call at `k` stripes. Codec constructors use this as their
+/// *default*; an explicit builder call still wins.
 pub fn env_parallelism() -> Option<usize> {
     std::env::var("XORSLP_PARALLELISM").ok()?.trim().parse().ok()
-}
-
-/// A pool selected from a `parallelism` knob: `0` borrows the shared
-/// [`ExecPool::global`] pool, `k ≥ 1` owns a dedicated `k`-worker pool.
-pub enum PoolChoice {
-    /// The machine-sized shared pool.
-    Global,
-    /// A dedicated pool owned by one codec.
-    Owned(ExecPool),
-}
-
-impl PoolChoice {
-    /// Resolve a `parallelism` knob (`0` = auto).
-    pub fn from_parallelism(parallelism: usize) -> PoolChoice {
-        match parallelism {
-            0 => PoolChoice::Global,
-            k => PoolChoice::Owned(ExecPool::new(k)),
-        }
-    }
-
-    /// The pool to execute on.
-    pub fn pool(&self) -> &ExecPool {
-        match self {
-            PoolChoice::Global => ExecPool::global(),
-            PoolChoice::Owned(p) => p,
-        }
-    }
-
-    /// Effective parallelism (the stripe-count ceiling).
-    pub fn workers(&self) -> usize {
-        self.pool().workers()
-    }
 }
 
 #[cfg(test)]
@@ -352,19 +298,12 @@ mod tests {
         let a = ExecPool::global();
         let b = ExecPool::global();
         assert!(std::ptr::eq(a, b));
-        assert_eq!(a.workers(), default_parallelism());
-    }
-
-    #[test]
-    fn pool_choice_resolves() {
-        assert!(matches!(PoolChoice::from_parallelism(0), PoolChoice::Global));
-        let owned = PoolChoice::from_parallelism(3);
-        assert_eq!(owned.workers(), 3);
+        assert_eq!(a.handles.len(), default_parallelism());
     }
 
     #[test]
     fn zero_workers_clamps_to_one() {
         let pool = ExecPool::new(0);
-        assert_eq!(pool.workers(), 1);
+        assert_eq!(pool.handles.len(), 1);
     }
 }

@@ -4,7 +4,7 @@
 
 use super::scrub::ClusterScrubReport;
 use super::write::publish;
-use super::{trip, Cluster, Ship};
+use super::{trip, Cluster, Ship, OBJECTS_PER_ROUND};
 use crate::client::{reply, BatchOp};
 use crate::error::StoreError;
 use crate::fanout::ParallelConnSet;
@@ -313,9 +313,18 @@ impl Cluster {
     /// landed — a repairer that dies mid-object leaves the old manifest
     /// and its keys as they were, still repairable by the retry. An
     /// object with a shard that did not land is reported in `failed`.
-    /// Memberships are swapped after the sweep.
+    /// Memberships are swapped after the sweep. The objects are elected
+    /// 64 to a fan-out round.
     pub fn repair_nodes(
         &mut self,
+        pairs: &[(String, String)],
+    ) -> Result<NodeRepairReport, StoreError> {
+        self.repair_nodes_via(&mut self.conns(), pairs)
+    }
+
+    fn repair_nodes_via(
+        &mut self,
+        conns: &mut ParallelConnSet,
         pairs: &[(String, String)],
     ) -> Result<NodeRepairReport, StoreError> {
         if pairs.is_empty() {
@@ -368,35 +377,37 @@ impl Cluster {
         let dead: Vec<&str> = pairs.iter().map(|(d, _)| d.as_str()).collect();
         let moves: HashMap<&str, &str> =
             pairs.iter().map(|(d, r)| (d.as_str(), r.as_str())).collect();
-        let mut conns = self.conns();
-        let objects = self.objects_via(&mut conns, &dead)?;
+        let objects = self.objects_via(conns, &dead)?;
         let mut report = NodeRepairReport::default();
-        for object in &objects {
-            report.objects_scanned += 1;
-            // Lost: every shard on a dead node.
-            let repaired = self.fetch_manifest(&mut conns, object, &dead).and_then(|manifest| {
-                self.check_geometry(object, &manifest)?;
-                let (total, shard_len) = (manifest.total_shards(), manifest.shard_len);
-                let lost: Vec<usize> = (0..total)
-                    .filter(|&i| moves.contains_key(manifest.placement[i].as_str()))
-                    .collect();
-                let (fixed, read) =
-                    self.repair(&mut conns, object, manifest, &lost, vec![None; total], &moves)?;
-                Ok((fixed, read, shard_len))
-            });
-            match repaired {
-                Ok((fixed, read, shard_len)) => {
-                    report.bytes_read += read;
-                    report.shards_rebuilt += fixed.repaired.len();
-                    report.bytes_rebuilt += fixed.repaired.len() as u64 * shard_len;
-                    if !fixed.unplaced.is_empty() {
-                        let why = format!("rebuilt shards {:?} did not land", fixed.unplaced);
-                        report.failed.push((object.clone(), why));
+        for window in objects.chunks(OBJECTS_PER_ROUND) {
+            let votes = self.fetch_records(conns, window, &dead);
+            for (object, vote) in window.iter().zip(votes) {
+                report.objects_scanned += 1;
+                // Lost: every shard on a dead node.
+                let repaired = vote.manifest(object).and_then(|manifest| {
+                    self.check_geometry(object, &manifest)?;
+                    let (total, shard_len) = (manifest.total_shards(), manifest.shard_len);
+                    let lost: Vec<usize> = (0..total)
+                        .filter(|&i| moves.contains_key(manifest.placement[i].as_str()))
+                        .collect();
+                    let (fixed, read) =
+                        self.repair(conns, object, manifest, &lost, vec![None; total], &moves)?;
+                    Ok((fixed, read, shard_len))
+                });
+                match repaired {
+                    Ok((fixed, read, shard_len)) => {
+                        report.bytes_read += read;
+                        report.shards_rebuilt += fixed.repaired.len();
+                        report.bytes_rebuilt += fixed.repaired.len() as u64 * shard_len;
+                        if !fixed.unplaced.is_empty() {
+                            let why = format!("rebuilt shards {:?} did not land", fixed.unplaced);
+                            report.failed.push((object.clone(), why));
+                        }
                     }
+                    // Tombstoned (deleted) objects need no repair.
+                    Err(StoreError::NotFound(_)) => {}
+                    Err(e) => report.failed.push((object.clone(), e.to_string())),
                 }
-                // Tombstoned (deleted) objects need no repair.
-                Err(StoreError::NotFound(_)) => {}
-                Err(e) => report.failed.push((object.clone(), e.to_string())),
             }
         }
         for (dead, replacement) in pairs {
@@ -405,5 +416,46 @@ impl Cluster {
             }
         }
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::NodeHandle;
+    use ec_core::RsConfig;
+
+    /// `repair_nodes` elects its objects a window to a round: after the
+    /// listing round, one election round for 8 objects, where an
+    /// election per object took 8. Deleted objects keep their `m:`
+    /// tombstones, so the listing names them; the election finds them
+    /// `NotFound` and they are skipped, neither repaired nor failed.
+    #[test]
+    fn repair_nodes_elects_a_window_per_round() {
+        let root = std::env::temp_dir().join(format!("ec_store_repair_elect_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut nodes: Vec<NodeHandle> = (0..5)
+            .map(|i| NodeHandle::spawn(&root.join(format!("n{i}")), "127.0.0.1:0", 2).unwrap())
+            .collect();
+        let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+        let mut cluster = Cluster::new(addrs.clone(), RsConfig::new(2, 1)).unwrap();
+        for k in 0..8 {
+            let name = format!("obj-{k}");
+            cluster.put(&name, &vec![k as u8; 4096]).unwrap();
+            cluster.delete(&name).unwrap();
+        }
+        let dead = addrs[0].clone();
+        nodes.remove(0).shutdown();
+
+        let mut conns = cluster.conns();
+        let report = cluster.repair_nodes_via(&mut conns, &[(dead.clone(), dead)]).unwrap();
+        assert_eq!(report.objects_scanned, 8);
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        assert_eq!(report.shards_rebuilt, 0);
+        let live_nodes = addrs.len() as u32 - 1;
+        assert_eq!(conns.rounds(), 1 + 1);
+        assert_eq!(conns.requests(), live_nodes * (1 + 8));
+        drop(nodes);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

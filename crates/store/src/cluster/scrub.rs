@@ -644,7 +644,7 @@ mod tests {
     use std::time::Duration;
 
     /// Regression for the shared-connection-state contract: a node
-    /// found dead by the scrub health probe is marked dead exactly once
+    /// found dead by the sweep's listing round is marked dead exactly once
     /// in the operation's `ParallelConnSet` — every per-object touch
     /// afterwards fast-fails without a new dial, so a sweep over many
     /// objects pays one connect failure, not one per object.

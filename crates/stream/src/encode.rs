@@ -6,8 +6,8 @@
 //! `chunk_size / n` bytes each — never by the stream length. Chunk
 //! encodes go through [`ec_core::XorCodec::encode_into`], so the
 //! steady-state loop reuses every buffer and (with `parallelism = 1`)
-//! allocates nothing per chunk; pooled codecs pipeline each chunk's XOR
-//! program across the striped execution engine.
+//! allocates nothing per chunk; at `parallelism > 1` each chunk's XOR
+//! program is striped across the shared worker pool.
 
 use ec_wire::crc32;
 use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};

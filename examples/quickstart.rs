@@ -9,8 +9,9 @@ use xorslp_ec::{RsCodec, RsConfig};
 fn main() {
     // RS(10, 4): the HDFS codec — 10 data shards, 4 parity shards,
     // any 4 losses are survivable, 1.4× storage overhead. Execution is
-    // striped across the machine-sized worker pool by default
-    // (`parallelism(0)`); pass 1 for serial or k for a dedicated pool.
+    // striped across the process's one machine-sized worker pool, one
+    // stripe per CPU by default (`parallelism(0)`); pass 1 for serial
+    // (no thread) or k for at most k stripes per call.
     let codec =
         RsCodec::with_config(RsConfig::new(10, 4).parallelism(0)).expect("valid parameters");
 

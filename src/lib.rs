@@ -17,7 +17,7 @@
 //! | [`bits`] | `bitmatrix` | F2 matrices, companion expansion |
 //! | [`slp`] | `slp` | SLP IR, semantics, metrics, LRU cache model |
 //! | [`opt`] | `slp-optimizer` | RePair/XorRePair, fusion, schedulers |
-//! | [`runtime`] | `xor-runtime` | XOR kernels, arenas, blocked executor, [`ExecPool`] |
+//! | [`runtime`] | `xor-runtime` | XOR kernels, arenas, blocked executor, striped execution on one worker pool |
 //! | [`baseline`] | `gf-baseline` | ISA-L-style table-driven codec |
 //! | [`stream`] | `ec-stream` | streaming archives: shard format, scrub & repair |
 //! | [`store`] | `ec-store` | networked object store: shard nodes, placement, degraded reads, online repair |
@@ -103,7 +103,6 @@ pub use ec_stream::{
     Archive, ArchiveMeta, ShardState, StreamDecoder, StreamEncoder, StreamError,
 };
 pub use ec_wire::{crc32, Crc32};
-pub use xor_runtime::{plan_stripes, ExecPool, PoolChoice, StripePlan};
 
 /// The erasure codec (re-export of `ec-core`).
 pub mod codec {

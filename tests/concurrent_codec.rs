@@ -29,7 +29,8 @@ fn concurrent_mixed_traffic_roundtrips() {
         .map(|m| (0..n + p).filter(|i| m >> i & 1 == 1).collect())
         .collect();
     assert_eq!(erasure_menu.len(), 9 + 36 + 84);
-    // Dedicated pools of 1–4 workers, shared by the threads as well.
+    // Stripe caps of 1–4 on the one shared pool, shared by the threads
+    // as well.
     let pooled: Vec<RsCodec> = (1..=4)
         .map(|k| RsCodec::with_config(RsConfig::new(n, p).parallelism(k)).unwrap())
         .collect();
@@ -48,7 +49,7 @@ fn concurrent_mixed_traffic_roundtrips() {
                     let shards = codec.encode(&data).unwrap();
                     assert!(codec.verify(&shards).unwrap(), "t{t} i{i} verify");
 
-                    // a dedicated pool's encode agrees bit-for-bit
+                    // a capped codec's encode agrees bit-for-bit
                     let shard_len = shards[0].len();
                     let data_refs: Vec<&[u8]> =
                         shards[..n].iter().map(Vec::as_slice).collect();
