@@ -67,7 +67,11 @@ impl ArrayCodec {
             Kind::Rdp => rdp_parity_bitmatrix(k, prime),
         };
         let engine = XorCodec::new(k, 2, prime - 1, &parity, Vec::new(), engine)?;
-        Ok(ArrayCodec { engine, kind, prime })
+        Ok(ArrayCodec {
+            engine,
+            kind,
+            prime,
+        })
     }
 
     /// Builder-style parallelism override (see

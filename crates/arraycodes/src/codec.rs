@@ -302,7 +302,11 @@ impl XorCodec {
     /// (decode, column and row-subset; requests that share a program
     /// count once).
     pub fn programs(&self) -> usize {
-        lock(&self.table).values().map(Arc::as_ptr).collect::<HashSet<_>>().len()
+        lock(&self.table)
+            .values()
+            .map(Arc::as_ptr)
+            .collect::<HashSet<_>>()
+            .len()
     }
 
     /// The optimized decoding SLP for an erasure pattern (for metrics;
@@ -361,10 +365,16 @@ impl XorCodec {
         expected_parity: usize,
     ) -> Result<usize, EcError> {
         if data.len() != expected_data {
-            return Err(EcError::ShardCount { expected: expected_data, got: data.len() });
+            return Err(EcError::ShardCount {
+                expected: expected_data,
+                got: data.len(),
+            });
         }
         if parity.len() != expected_parity {
-            return Err(EcError::ShardCount { expected: expected_parity, got: parity.len() });
+            return Err(EcError::ShardCount {
+                expected: expected_parity,
+                got: parity.len(),
+            });
         }
         layout::common_shard_len(
             data.iter().copied().chain(parity.iter().map(|s| &**s)),
@@ -486,7 +496,10 @@ impl XorCodec {
         };
         let (inputs, outputs) = (packets(inputs), packets(outputs));
         let shared = |table: &LruCache<Key, Arc<Program>>| {
-            table.values().find(|p| p.inputs == inputs && p.outputs == outputs).cloned()
+            table
+                .values()
+                .find(|p| p.inputs == inputs && p.outputs == outputs)
+                .cloned()
         };
         let mut table = lock(&self.table);
         let program = match shared(&table) {
@@ -496,7 +509,14 @@ impl XorCodec {
                 let (slp, prog) = self.compile(&bits);
                 table = lock(&self.table);
                 // A concurrent miss may have compiled it meanwhile.
-                shared(&table).unwrap_or_else(|| Arc::new(Program { slp, prog, inputs, outputs }))
+                shared(&table).unwrap_or_else(|| {
+                    Arc::new(Program {
+                        slp,
+                        prog,
+                        inputs,
+                        outputs,
+                    })
+                })
             }
         };
         table.insert(key, program.clone());
@@ -523,8 +543,10 @@ impl XorCodec {
                 // locality-first for a grouped code, natural order (≡ the
                 // classic first-n choice for an MDS code) otherwise.
                 let candidates = self.survivor_order(lost);
-                let rows: Vec<usize> =
-                    candidates.iter().flat_map(|&i| i * w..(i + 1) * w).collect();
+                let rows: Vec<usize> = candidates
+                    .iter()
+                    .flat_map(|&i| i * w..(i + 1) * w)
+                    .collect();
                 let surviving = self.generator.select_rows(&rows);
                 let chosen = surviving.select_independent_rows();
                 if chosen.len() < n * w {
@@ -536,8 +558,11 @@ impl XorCodec {
                     .expect("independent rows form an invertible square");
                 // Rows of the inverse for the lost data packets express
                 // them as combinations of the chosen survivor packets.
-                let lost_rows: Vec<usize> =
-                    lost.iter().filter(|&&i| i < n).flat_map(|&i| i * w..(i + 1) * w).collect();
+                let lost_rows: Vec<usize> = lost
+                    .iter()
+                    .filter(|&&i| i < n)
+                    .flat_map(|&i| i * w..(i + 1) * w)
+                    .collect();
                 let rec = inv.select_rows(&lost_rows);
                 // Drop survivor packets no recovery row reads: the
                 // program's inputs then name exactly the shards a repair
@@ -554,14 +579,25 @@ impl XorCodec {
                 // Keep only the parity packets this column block feeds: a
                 // zero row contributes nothing and has no SLP form.
                 let block = self.generator.col_range(i * w, w);
-                let rows: Vec<usize> =
-                    (n * w..(n + p) * w).filter(|&g| block.row_popcount(g) > 0).collect();
-                Ok((block.select_rows(&rows), (i * w..(i + 1) * w).collect(), rows))
+                let rows: Vec<usize> = (n * w..(n + p) * w)
+                    .filter(|&g| block.row_popcount(g) > 0)
+                    .collect();
+                Ok((
+                    block.select_rows(&rows),
+                    (i * w..(i + 1) * w).collect(),
+                    rows,
+                ))
             }
             Key::Rows(shards) => {
-                let rows: Vec<usize> =
-                    shards.iter().flat_map(|&r| (n + r) * w..(n + r + 1) * w).collect();
-                Ok((self.generator.select_rows(&rows), (0..n * w).collect(), rows))
+                let rows: Vec<usize> = shards
+                    .iter()
+                    .flat_map(|&r| (n + r) * w..(n + r + 1) * w)
+                    .collect();
+                Ok((
+                    self.generator.select_rows(&rows),
+                    (0..n * w).collect(),
+                    rows,
+                ))
             }
         }
     }
@@ -576,10 +612,14 @@ impl XorCodec {
     fn normalize_rows(&self, rows: &[usize]) -> Result<Option<Vec<usize>>, EcError> {
         let p = self.p;
         if rows.is_empty() {
-            return Err(EcError::InvalidParams("parity row subset must not be empty".into()));
+            return Err(EcError::InvalidParams(
+                "parity row subset must not be empty".into(),
+            ));
         }
         if !rows.windows(2).all(|w| w[0] < w[1]) {
-            return Err(EcError::InvalidParams("parity rows must be strictly increasing".into()));
+            return Err(EcError::InvalidParams(
+                "parity rows must be strictly increasing".into(),
+            ));
         }
         if *rows.last().expect("non-empty") >= p {
             return Err(EcError::InvalidParams(format!(
@@ -634,13 +674,9 @@ impl XorCodec {
                     .filter(|(r, _)| entry.outputs.binary_search(&(n + r / w, r % w)).is_ok())
                     .map(|(_, packet)| packet),
             );
-            Ok(entry.prog.run_delta_striped(
-                self.w,
-                old,
-                new,
-                touched,
-                self.stripes,
-            )?)
+            Ok(entry
+                .prog
+                .run_delta_striped(self.w, old, new, touched, self.stripes)?)
         })
     }
 
@@ -703,7 +739,10 @@ impl XorCodec {
             )));
         }
         if lost.len() > p {
-            return Err(EcError::TooManyErasures { missing: lost.len(), parity: p });
+            return Err(EcError::TooManyErasures {
+                missing: lost.len(),
+                parity: p,
+            });
         }
         if lost.iter().all(|&i| i >= n) {
             return Ok(None);
@@ -816,8 +855,7 @@ impl XorCodec {
         if let Some(absent) = sources.find(|&s| shards[s].is_none()) {
             return Err(EcError::MissingSource { shard: absent });
         }
-        let len =
-            layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice), self.w)?;
+        let len = layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice), self.w)?;
 
         // Phase 1: reconstruct lost data shards from the program's
         // survivor inputs.
@@ -825,7 +863,9 @@ impl XorCodec {
             let mut rebuilt: Vec<Vec<u8>> =
                 shards_of(&dec.outputs).map(|_| vec![0u8; len]).collect();
             if len > 0 {
-                let packets = rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, self.w));
+                let packets = rebuilt
+                    .iter_mut()
+                    .flat_map(|s| layout::packets_mut(s, self.w));
                 self.run_decode(dec, shards, len / self.w, packets)?;
             }
             for (i, shard) in shards_of(&dec.outputs).zip(rebuilt) {
@@ -839,25 +879,34 @@ impl XorCodec {
         // `None`; they are substituted with zeros, legal only because the
         // target rows' generator blocks there are zero (checked). The
         // zeros are allocated only when such a shard is absent.
-        let mut target_rows: Vec<usize> =
-            targets.iter().filter(|&&i| i >= n).map(|&i| i - n).collect();
+        let mut target_rows: Vec<usize> = targets
+            .iter()
+            .filter(|&&i| i >= n)
+            .map(|&i| i - n)
+            .collect();
         target_rows.sort_unstable();
         target_rows.dedup();
         if !target_rows.is_empty() {
-            if let Some(absent) = (0..n).find(|&j| {
-                shards[j].is_none() && target_rows.iter().any(|&r| self.reads.get(r, j))
-            }) {
+            if let Some(absent) = (0..n)
+                .find(|&j| shards[j].is_none() && target_rows.iter().any(|&r| self.reads.get(r, j)))
+            {
                 return Err(EcError::MissingSource { shard: absent });
             }
-            let zeros = shards[..n].iter().any(Option::is_none).then(|| vec![0u8; len]);
+            let zeros = shards[..n]
+                .iter()
+                .any(Option::is_none)
+                .then(|| vec![0u8; len]);
             let data_refs: Vec<&[u8]> = shards[..n]
                 .iter()
-                .map(|s| s.as_deref().or(zeros.as_deref()).expect("zeros exist if one is absent"))
+                .map(|s| {
+                    s.as_deref()
+                        .or(zeros.as_deref())
+                        .expect("zeros exist if one is absent")
+                })
                 .collect();
             let mut rebuilt: Vec<Vec<u8>> = target_rows.iter().map(|_| vec![0u8; len]).collect();
             {
-                let mut refs: Vec<&mut [u8]> =
-                    rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut refs: Vec<&mut [u8]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
                 self.encode_parity_partial(&data_refs, &mut refs, &target_rows)?;
             }
             for (&r, shard) in target_rows.iter().zip(rebuilt) {
@@ -919,10 +968,12 @@ impl XorCodec {
         self.check_total(shards.len())?;
         let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
         if missing.len() > self.p {
-            return Err(EcError::TooManyErasures { missing: missing.len(), parity: self.p });
+            return Err(EcError::TooManyErasures {
+                missing: missing.len(),
+                parity: self.p,
+            });
         }
-        let len =
-            layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice), self.w)?;
+        let len = layout::common_shard_len(shards.iter().flatten().map(Vec::as_slice), self.w)?;
         if self.shard_len(data_len) > len {
             return Err(EcError::ShardLength(format!(
                 "shards of {len} bytes cannot hold {data_len} bytes of data"
@@ -1060,7 +1111,10 @@ mod tests {
         rx[2] = None;
         assert!(matches!(
             codec.decode(&rx, data.len()),
-            Err(EcError::TooManyErasures { missing: 3, parity: 2 })
+            Err(EcError::TooManyErasures {
+                missing: 3,
+                parity: 2
+            })
         ));
     }
 
@@ -1113,12 +1167,7 @@ mod tests {
                     let mut prefs: Vec<&mut [u8]> =
                         parity.iter_mut().map(Vec::as_mut_slice).collect();
                     codec
-                        .update_parity(
-                            disk,
-                            &shards[disk],
-                            &expected[disk],
-                            &mut prefs,
-                        )
+                        .update_parity(disk, &shards[disk], &expected[disk], &mut prefs)
                         .unwrap();
                 }
                 assert_eq!(
@@ -1148,21 +1197,18 @@ mod tests {
         let good = vec![0u8; 4 * w];
         let mut parity = vec![vec![0u8; 4 * w]; 2];
         {
-            let mut prefs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
             assert!(codec.update_parity(5, &good, &good, &mut prefs).is_err());
             let short = vec![0u8; 2 * w];
             assert!(codec.update_parity(0, &good, &short, &mut prefs).is_err());
             let odd = vec![0u8; 4 * w + 1];
             let mut odd_parity = vec![vec![0u8; 4 * w + 1]; 2];
-            let mut oprefs: Vec<&mut [u8]> =
-                odd_parity.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut oprefs: Vec<&mut [u8]> = odd_parity.iter_mut().map(Vec::as_mut_slice).collect();
             assert!(codec.update_parity(0, &odd, &odd, &mut oprefs).is_err());
             // zero length is a no-op
             let empty: Vec<u8> = Vec::new();
             let mut zero = [Vec::new(), Vec::new()];
-            let mut zrefs: Vec<&mut [u8]> =
-                zero.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut zrefs: Vec<&mut [u8]> = zero.iter_mut().map(Vec::as_mut_slice).collect();
             codec.update_parity(0, &empty, &empty, &mut zrefs).unwrap();
         }
         assert!(codec.update_slp(99).is_err());
@@ -1208,7 +1254,10 @@ mod tests {
     }
 
     fn toy() -> XorCodec {
-        toy_with(EngineConfig { blocksize: 64, ..EngineConfig::new() })
+        toy_with(EngineConfig {
+            blocksize: 64,
+            ..EngineConfig::new()
+        })
     }
 
     /// Deterministic pseudo-random bytes (xorshift64*).
@@ -1256,8 +1305,11 @@ mod tests {
         let evenodd = ArrayCodec::evenodd(4);
         let rdp = ArrayCodec::rdp(4);
         for (name, codec) in [("toy", &toy()), ("evenodd", &*evenodd), ("rdp", &*rdp)] {
-            let (n, p, w) =
-                (codec.data_shards(), codec.parity_shards(), codec.packets_per_shard());
+            let (n, p, w) = (
+                codec.data_shards(),
+                codec.parity_shards(),
+                codec.packets_per_shard(),
+            );
             let parity_bits = codec.generator.row_range(n * w, p * w);
             let reference = binary_slp_from_bitmatrix(&parity_bits);
             for (seed, pl) in [(1u64, 1usize), (2, 37), (3, 200)] {
@@ -1266,8 +1318,10 @@ mod tests {
                 assert_eq!(shards[0].len(), w * pl, "{name}");
                 let packets: Vec<&[u8]> = data.chunks_exact(pl).collect();
                 let expect = reference.run_reference(&packets);
-                let got: Vec<&[u8]> =
-                    shards[n..].iter().flat_map(|s| s.chunks_exact(pl)).collect();
+                let got: Vec<&[u8]> = shards[n..]
+                    .iter()
+                    .flat_map(|s| s.chunks_exact(pl))
+                    .collect();
                 assert_eq!(got, expect, "{name} packet length {pl}");
             }
         }
@@ -1283,15 +1337,27 @@ mod tests {
             let mut rx = erase(&shards, &lost);
             if solvable(&codec, &lost) {
                 good += 1;
-                assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {lost:?}");
+                assert_eq!(
+                    codec.decode(&rx, data.len()).unwrap(),
+                    data,
+                    "lost {lost:?}"
+                );
                 codec.reconstruct(&mut rx).unwrap();
                 let rebuilt: Vec<Vec<u8>> = rx.into_iter().map(Option::unwrap).collect();
                 assert_eq!(rebuilt, shards, "lost {lost:?}");
             } else {
                 bad += 1;
                 let typed = EcError::SingularPattern { lost: lost.clone() };
-                assert_eq!(codec.decode(&rx, data.len()), Err(typed.clone()), "lost {lost:?}");
-                assert_eq!(codec.reconstruct(&mut rx), Err(typed.clone()), "lost {lost:?}");
+                assert_eq!(
+                    codec.decode(&rx, data.len()),
+                    Err(typed.clone()),
+                    "lost {lost:?}"
+                );
+                assert_eq!(
+                    codec.reconstruct(&mut rx),
+                    Err(typed.clone()),
+                    "lost {lost:?}"
+                );
                 assert_eq!(codec.repair_sources(&lost), Err(typed), "lost {lost:?}");
             }
         }
@@ -1310,7 +1376,16 @@ mod tests {
         let dec = codec.decode_program(&[1]).unwrap().expect("data lost");
         assert_eq!(
             dec.inputs,
-            vec![(0, 0), (0, 2), (2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (4, 0)]
+            vec![
+                (0, 0),
+                (0, 2),
+                (2, 0),
+                (2, 1),
+                (2, 2),
+                (3, 0),
+                (3, 2),
+                (4, 0)
+            ]
         );
         assert_eq!(codec.decode_slp(&[1]).unwrap().n_consts, 8);
         // A lost parity reads exactly the data shards its rows touch.
@@ -1345,25 +1420,45 @@ mod tests {
         // Column programs produce only the parity packets they feed.
         let rows = |i| -> Vec<usize> {
             let column = codec.program(Key::Column(i)).unwrap();
-            column.outputs.iter().map(|&(shard, b)| (shard - n) * w + b).collect()
+            column
+                .outputs
+                .iter()
+                .map(|&(shard, b)| (shard - n) * w + b)
+                .collect()
         };
         assert_eq!(rows(0), (0..9).collect::<Vec<_>>());
-        assert_eq!(rows(1), vec![0, 2, 3, 4, 5, 6, 7, 8], "P0 packet 1 ignores d1");
+        assert_eq!(
+            rows(1),
+            vec![0, 2, 3, 4, 5, 6, 7, 8],
+            "P0 packet 1 ignores d1"
+        );
         assert_eq!(rows(2), (0..6).collect::<Vec<_>>(), "P2 ignores d2");
         for i in 0..n {
             let mut changed = data.clone();
             changed[i] = random_bytes(len, 20 + i as u64);
             let mut parity = base.clone();
             let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            codec.update_parity(i, &data[i], &changed[i], &mut prefs).unwrap();
+            codec
+                .update_parity(i, &data[i], &changed[i], &mut prefs)
+                .unwrap();
             assert_eq!(parity, full(&changed), "column {i}");
         }
 
         let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        for rows in [vec![0], vec![1], vec![2], vec![0, 1], vec![0, 2], vec![1, 2], vec![0, 1, 2]] {
+        for rows in [
+            vec![0],
+            vec![1],
+            vec![2],
+            vec![0, 1],
+            vec![0, 2],
+            vec![1, 2],
+            vec![0, 1, 2],
+        ] {
             let mut out = vec![vec![0u8; len]; rows.len()];
             let mut orefs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-            codec.encode_parity_partial(&refs, &mut orefs, &rows).unwrap();
+            codec
+                .encode_parity_partial(&refs, &mut orefs, &rows)
+                .unwrap();
             let expect: Vec<&Vec<u8>> = rows.iter().map(|&r| &base[r]).collect();
             assert_eq!(out.iter().collect::<Vec<_>>(), expect, "rows {rows:?}");
         }
@@ -1373,7 +1468,10 @@ mod tests {
         assert_eq!(shards[0].len(), 9);
         assert!(codec.verify(&shards).unwrap());
         shards.iter_mut().for_each(|s| s.truncate(8));
-        assert!(matches!(codec.verify(&shards), Err(EcError::ShardLength(_))));
+        assert!(matches!(
+            codec.verify(&shards),
+            Err(EcError::ShardLength(_))
+        ));
     }
 
     #[test]
@@ -1388,15 +1486,34 @@ mod tests {
         assert!(invalid(new(0, 3, 3, &m, vec![], cfg)));
         assert!(invalid(new(3, 3, 0, &m, vec![], cfg)));
         assert!(invalid(new(3, 3, 4, &m, vec![], cfg)), "shape mismatch");
-        assert!(invalid(new(3, 3, 3, &m, vec![vec![0, 6]], cfg)), "group out of range");
-        assert!(invalid(new(3, 3, 3, &m, vec![], EngineConfig { blocksize: 0, ..cfg })));
+        assert!(
+            invalid(new(3, 3, 3, &m, vec![vec![0, 6]], cfg)),
+            "group out of range"
+        );
+        assert!(invalid(new(
+            3,
+            3,
+            3,
+            &m,
+            vec![],
+            EngineConfig {
+                blocksize: 0,
+                ..cfg
+            }
+        )));
         let mut zero_row = m.clone();
         for c in 0..9 {
             zero_row.set(4, c, false);
         }
-        assert!(invalid(new(3, 3, 3, &zero_row, vec![], cfg)), "always-zero parity packet");
+        assert!(
+            invalid(new(3, 3, 3, &zero_row, vec![], cfg)),
+            "always-zero parity packet"
+        );
         let unprotected = BitMatrix::parse(&["110"]);
-        assert!(invalid(new(3, 1, 1, &unprotected, vec![], cfg)), "d2 feeds no parity");
+        assert!(
+            invalid(new(3, 1, 1, &unprotected, vec![], cfg)),
+            "d2 feeds no parity"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1466,9 +1583,16 @@ mod tests {
         let shards = codec.encode(&data).unwrap();
         for lost in [vec![0], vec![0, 5], vec![0, 3]] {
             let mut rx = erase(&shards, &lost);
-            assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "lost {lost:?}");
+            assert_eq!(
+                codec.decode(&rx, data.len()).unwrap(),
+                data,
+                "lost {lost:?}"
+            );
             codec.reconstruct(&mut rx).unwrap();
-            assert_eq!(rx.into_iter().map(Option::unwrap).collect::<Vec<_>>(), shards);
+            assert_eq!(
+                rx.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
+                shards
+            );
         }
     }
 
@@ -1486,7 +1610,10 @@ mod tests {
         assert_eq!(codec.programs(), 2);
         assert!(!lock(&codec.table).contains(&Key::Column(0)));
         let fresh = codec.program(Key::Column(0)).unwrap();
-        assert!(!Arc::ptr_eq(&a, &fresh), "an evicted program must recompile");
+        assert!(
+            !Arc::ptr_eq(&a, &fresh),
+            "an evicted program must recompile"
+        );
         // Row-subset and decode keys share the same table.
         let _ = codec.program(Key::Rows(vec![1])).unwrap();
         assert!(codec.programs() <= 2, "table exceeded its capacity");
@@ -1522,7 +1649,9 @@ mod tests {
         let shards = codec.encode(&random_bytes(5 * 4 * 16, 11)).unwrap();
         let mut asked = Vec::new();
         let mut rx = vec![None; shards.len()];
-        codec.reconstruct_from(&mut rx, &[0], recorder(&shards, &[], &mut asked)).unwrap();
+        codec
+            .reconstruct_from(&mut rx, &[0], recorder(&shards, &[], &mut asked))
+            .unwrap();
         assert_eq!(asked, vec![codec.repair_sources(&[0]).unwrap()]);
         assert_eq!(asked[0], vec![1, 2, 3, 4, 5]);
         assert_eq!(rx[0].as_ref(), Some(&shards[0]));
@@ -1538,7 +1667,9 @@ mod tests {
         let shards = codec.encode(&random_bytes(4 * 40, 12)).unwrap();
         let mut asked = Vec::new();
         let mut rx = vec![None; shards.len()];
-        codec.reconstruct_from(&mut rx, &[2], recorder(&shards, &[], &mut asked)).unwrap();
+        codec
+            .reconstruct_from(&mut rx, &[2], recorder(&shards, &[], &mut asked))
+            .unwrap();
         assert_eq!(asked, vec![vec![3, 5]]);
         assert_eq!(rx[2].as_ref(), Some(&shards[2]));
     }
@@ -1549,7 +1680,9 @@ mod tests {
         let shards = codec.encode(&random_bytes(5 * 4 * 16, 13)).unwrap();
         let mut asked = Vec::new();
         let mut rx = vec![None; shards.len()];
-        codec.reconstruct_from(&mut rx, &[0], recorder(&shards, &[3], &mut asked)).unwrap();
+        codec
+            .reconstruct_from(&mut rx, &[0], recorder(&shards, &[3], &mut asked))
+            .unwrap();
         // The plan, then every other shard outside `lost` — only Q here.
         assert_eq!(asked, vec![vec![1, 2, 3, 4, 5], vec![6]]);
         // The refused source is rebuilt too: every shard equals the encode.
@@ -1565,7 +1698,10 @@ mod tests {
         let mut rx = vec![None; shards.len()];
         assert_eq!(
             codec.reconstruct_from(&mut rx, &[0, 1, 2], recorder(&shards, &[], &mut asked)),
-            Err(EcError::TooManyErasures { missing: 3, parity: 2 })
+            Err(EcError::TooManyErasures {
+                missing: 3,
+                parity: 2
+            })
         );
         let toy = toy();
         let lost = [2, 3, 4];
@@ -1574,7 +1710,9 @@ mod tests {
         let mut rx = vec![None; shards.len()];
         assert_eq!(
             toy.reconstruct_from(&mut rx, &lost, recorder(&shards, &[], &mut asked)),
-            Err(EcError::SingularPattern { lost: lost.to_vec() })
+            Err(EcError::SingularPattern {
+                lost: lost.to_vec()
+            })
         );
         assert!(asked.is_empty(), "{asked:?}");
     }
@@ -1601,8 +1739,10 @@ mod tests {
                     .iter()
                     .map(|&(i, k)| &shards[i].as_deref().unwrap()[k * pl..(k + 1) * pl])
                     .collect();
-                let mut outputs: Vec<&mut [u8]> =
-                    rebuilt.iter_mut().flat_map(|s| layout::packets_mut(s, w)).collect();
+                let mut outputs: Vec<&mut [u8]> = rebuilt
+                    .iter_mut()
+                    .flat_map(|s| layout::packets_mut(s, w))
+                    .collect();
                 dec.prog
                     .run_striped(&inputs, &mut outputs, codec.stripes)
                     .unwrap();
@@ -1613,7 +1753,9 @@ mod tests {
         for shard in &shards[..n] {
             out.extend_from_slice(match shard {
                 Some(s) => s,
-                None => rebuilt_iter.next().expect("one rebuilt shard per lost data"),
+                None => rebuilt_iter
+                    .next()
+                    .expect("one rebuilt shard per lost data"),
             });
         }
         out.truncate(data_len);
@@ -1667,7 +1809,9 @@ mod tests {
             _ if row < locals => BitMatrix::zero(8, 8),
             _ => times((n + row - locals) as u8 ^ j as u8).invert().unwrap(),
         });
-        let groups = (0..locals).map(|g| (g * r..(g + 1) * r).chain([n + g]).collect()).collect();
+        let groups = (0..locals)
+            .map(|g| (g * r..(g + 1) * r).chain([n + g]).collect())
+            .collect();
         XorCodec::new(n, p, 8, &parity, groups, cfg).unwrap()
     }
 
@@ -1677,9 +1821,11 @@ mod tests {
         // tests/program_identity.rs pins for RsCodec and LrcCodec.
         let digest = |codec: &XorCodec| {
             let text = codec.encode_slp().to_string();
-            text.bytes().chain([0]).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+            text.bytes()
+                .chain([0])
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
         };
         let cfg = EngineConfig::new();
         assert_eq!(digest(&rs(10, 4, cfg)), 0x211a_76a4_3a36_ffaf);
@@ -1696,7 +1842,11 @@ mod tests {
     ) {
         const PL: usize = 136;
         for parallelism in [1, 2] {
-            let codec = build(EngineConfig { blocksize: 64, parallelism, ..EngineConfig::new() });
+            let codec = build(EngineConfig {
+                blocksize: 64,
+                parallelism,
+                ..EngineConfig::new()
+            });
             let (n, len) = (codec.n, codec.w * PL);
             let data = random_bytes(n * len, (n * 100 + codec.p) as u64);
             let shards = codec.encode(&data).unwrap();
@@ -1729,7 +1879,10 @@ mod tests {
 
     #[test]
     fn written_in_place_evenodd_and_rdp_every_tolerable_pattern() {
-        let codes = [("EVENODD(5)", ArrayCodec::evenodd(5)), ("RDP(4)", ArrayCodec::rdp(4))];
+        let codes = [
+            ("EVENODD(5)", ArrayCodec::evenodd(5)),
+            ("RDP(4)", ArrayCodec::rdp(4)),
+        ];
         for (name, code) in codes {
             let (n, p, w) = (code.n, code.p, code.w);
             let parity = code.generator.row_range(n * w, p * w);
@@ -1758,8 +1911,10 @@ mod tests {
             .collect();
         lost.push(vec![2, 4, 5, 6]);
         for (k, pick) in random_bytes(32 * 4, 37).chunks_exact(4).enumerate() {
-            let mut l: Vec<usize> =
-                pick[..3 + k % 2].iter().map(|&b| usize::from(b) % 14).collect();
+            let mut l: Vec<usize> = pick[..3 + k % 2]
+                .iter()
+                .map(|&b| usize::from(b) % 14)
+                .collect();
             l[0] %= 10;
             l.sort_unstable();
             l.dedup();

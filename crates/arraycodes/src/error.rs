@@ -56,10 +56,9 @@ impl fmt::Display for EcError {
                 "erasure pattern {lost:?} is not decodable under this code's matrix"
             ),
             EcError::UnknownCodec(msg) => write!(f, "unknown codec: {msg}"),
-            EcError::MissingSource { shard } => write!(
-                f,
-                "repair-plan source shard {shard} was not provided"
-            ),
+            EcError::MissingSource { shard } => {
+                write!(f, "repair-plan source shard {shard} was not provided")
+            }
             EcError::Exec(e) => write!(f, "execution error: {e}"),
         }
     }

@@ -28,7 +28,10 @@ fn toggle(set: &mut BTreeSet<usize>, col: usize) {
 /// # Panics
 /// Panics unless `p` is prime and `1 ≤ k ≤ p`.
 pub fn evenodd_parity_bitmatrix(k: usize, p: usize) -> BitMatrix {
-    assert!(p >= 2 && (2..p).all(|d| !p.is_multiple_of(d)), "p = {p} must be prime");
+    assert!(
+        p >= 2 && (2..p).all(|d| !p.is_multiple_of(d)),
+        "p = {p} must be prime"
+    );
     assert!(k >= 1 && k <= p, "EVENODD needs 1 ≤ k ≤ p (got k = {k})");
     let w = p - 1;
     let col = |i: usize, j: usize| {
@@ -96,10 +99,7 @@ mod tests {
 
     fn apply_bitmatrix(m: &BitMatrix, w: usize, a: &[Vec<u8>]) -> Vec<u8> {
         (0..m.rows())
-            .map(|r| {
-                m.ones_in_row(r)
-                    .fold(0u8, |acc, c| acc ^ a[c / w][c % w])
-            })
+            .map(|r| m.ones_in_row(r).fold(0u8, |acc, c| acc ^ a[c / w][c % w]))
             .collect::<Vec<u8>>()
     }
 
@@ -108,7 +108,11 @@ mod tests {
         for (k, p) in [(3usize, 3usize), (3, 5), (5, 5), (4, 7), (7, 7)] {
             let w = p - 1;
             let a: Vec<Vec<u8>> = (0..k)
-                .map(|j| (0..w).map(|i| ((i * 37 + j * 11 + 3) % 251) as u8).collect())
+                .map(|j| {
+                    (0..w)
+                        .map(|i| ((i * 37 + j * 11 + 3) % 251) as u8)
+                        .collect()
+                })
                 .collect();
             let (p_disk, q_disk) = naive_evenodd(k, p, &a);
             let m = evenodd_parity_bitmatrix(k, p);

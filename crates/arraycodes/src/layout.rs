@@ -100,7 +100,10 @@ mod tests {
     fn common_len_checks() {
         let a = vec![0u8; 16];
         let b = vec![0u8; 16];
-        assert_eq!(common_shard_len([a.as_slice(), b.as_slice()].into_iter(), 8), Ok(16));
+        assert_eq!(
+            common_shard_len([a.as_slice(), b.as_slice()].into_iter(), 8),
+            Ok(16)
+        );
         let c = vec![0u8; 24];
         assert!(common_shard_len([a.as_slice(), c.as_slice()].into_iter(), 8).is_err());
         let odd = vec![0u8; 10];

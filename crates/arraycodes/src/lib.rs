@@ -67,7 +67,9 @@ pub fn next_prime(n: usize) -> usize {
         }
         true
     }
-    (n.max(2)..).find(|&x| is_prime(x)).expect("primes are unbounded")
+    (n.max(2)..)
+        .find(|&x| is_prime(x))
+        .expect("primes are unbounded")
 }
 
 #[cfg(test)]

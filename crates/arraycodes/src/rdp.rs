@@ -30,7 +30,10 @@ fn toggle(set: &mut BTreeSet<usize>, col: usize) {
 /// # Panics
 /// Panics unless `p` is prime and `1 ≤ k ≤ p − 1`.
 pub fn rdp_parity_bitmatrix(k: usize, p: usize) -> BitMatrix {
-    assert!(p >= 2 && (2..p).all(|d| !p.is_multiple_of(d)), "p = {p} must be prime");
+    assert!(
+        p >= 2 && (2..p).all(|d| !p.is_multiple_of(d)),
+        "p = {p} must be prime"
+    );
     assert!(k >= 1 && k < p, "RDP needs 1 ≤ k ≤ p−1 (got k = {k})");
     let w = p - 1;
     let col = |i: usize, j: usize| {
@@ -116,7 +119,11 @@ mod tests {
         for (k, p) in [(2usize, 3usize), (4, 5), (3, 5), (6, 7), (4, 7)] {
             let w = p - 1;
             let a: Vec<Vec<u8>> = (0..k)
-                .map(|j| (0..w).map(|i| ((i * 29 + j * 17 + 5) % 249) as u8).collect())
+                .map(|j| {
+                    (0..w)
+                        .map(|i| ((i * 29 + j * 17 + 5) % 249) as u8)
+                        .collect()
+                })
                 .collect();
             let (r, d) = naive_rdp(k, p, &a);
             let m = rdp_parity_bitmatrix(k, p);

@@ -98,12 +98,7 @@ impl GfRsCodec {
     /// Dot-product `outputs[r] = Σ_i rows[r][i] · inputs[i]` over byte
     /// slices — the core of both encode and decode, using the fused
     /// source-major kernel (ISA-L's `gf_vect_dot_prod` shape).
-    fn dot_products(
-        &self,
-        rows: &[&[Gf]],
-        inputs: &[&[u8]],
-        outputs: &mut [&mut [u8]],
-    ) {
+    fn dot_products(&self, rows: &[&[Gf]], inputs: &[&[u8]], outputs: &mut [&mut [u8]]) {
         let coeffs = rows.iter().flat_map(|r| r.iter().copied());
         let tables = DotTables::new(rows.len(), inputs.len(), coeffs);
         dot_product(self.backend, &tables, inputs, outputs);
@@ -174,12 +169,14 @@ impl GfRsCodec {
         let lost_data: Vec<usize> = missing.iter().copied().filter(|&i| i < self.n).collect();
         let mut rebuilt: Vec<Vec<u8>> = Vec::new();
         if !lost_data.is_empty() && len > 0 {
-            let survivors: Vec<usize> =
-                (0..total).filter(|i| !missing.contains(i)).take(self.n).collect();
+            let survivors: Vec<usize> = (0..total)
+                .filter(|i| !missing.contains(i))
+                .take(self.n)
+                .collect();
             let sub = self.matrix.select_rows(&survivors);
-            let inv = sub
-                .invert()
-                .ok_or_else(|| BaselineError::SingularPattern { lost: missing.clone() })?;
+            let inv = sub.invert().ok_or_else(|| BaselineError::SingularPattern {
+                lost: missing.clone(),
+            })?;
             let rec = inv.select_rows(&lost_data);
             let inputs: Vec<&[u8]> = survivors
                 .iter()
@@ -218,7 +215,13 @@ mod tests {
     fn parity_matches_symbolwise_field_arithmetic() {
         // Oracle: parity byte t = Σ_i V[r][i] · data_i[t].
         let codec = GfRsCodec::new(4, 3).unwrap();
-        let data: Vec<Vec<u8>> = (0..4).map(|i| sample(50 + i)).map(|mut v| { v.truncate(50); v }).collect();
+        let data: Vec<Vec<u8>> = (0..4)
+            .map(|i| sample(50 + i))
+            .map(|mut v| {
+                v.truncate(50);
+                v
+            })
+            .collect();
         let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         let mut parity = vec![vec![0u8; 50]; 3];
         {
@@ -270,12 +273,15 @@ mod tests {
         let expect = t.encode(&data).unwrap();
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            let a =
-                GfRsCodec::with_options(8, 4, MatrixKind::IsalPower, GfBackend::Avx2).unwrap();
+            let a = GfRsCodec::with_options(8, 4, MatrixKind::IsalPower, GfBackend::Avx2).unwrap();
             assert_eq!(a.encode(&data).unwrap(), expect);
         }
         let c = GfRsCodec::with_options(8, 4, MatrixKind::Cauchy, GfBackend::Table).unwrap();
-        assert_ne!(c.encode(&data).unwrap(), expect, "different matrix, different code");
+        assert_ne!(
+            c.encode(&data).unwrap(),
+            expect,
+            "different matrix, different code"
+        );
     }
 
     #[test]

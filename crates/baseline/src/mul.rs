@@ -34,7 +34,10 @@ impl GfBackend {
             }
             #[cfg(target_arch = "x86_64")]
             GfBackend::Avx2 => {
-                assert!(std::arch::is_x86_feature_detected!("avx2"), "GfBackend::Avx2 needs AVX2");
+                assert!(
+                    std::arch::is_x86_feature_detected!("avx2"),
+                    "GfBackend::Avx2 needs AVX2"
+                );
                 GfBackend::Avx2
             }
             GfBackend::Table => GfBackend::Table,
@@ -136,10 +139,7 @@ unsafe fn mul_avx2(c: Gf, src: &[u8], dst: &mut [u8], accumulate: bool) {
         let v = _mm256_loadu_si256(src.as_ptr().add(off) as *const __m256i);
         let lo = _mm256_and_si256(v, mask);
         let hi = _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask);
-        let mut prod = _mm256_xor_si256(
-            _mm256_shuffle_epi8(tlo, lo),
-            _mm256_shuffle_epi8(thi, hi),
-        );
+        let mut prod = _mm256_xor_si256(_mm256_shuffle_epi8(tlo, lo), _mm256_shuffle_epi8(thi, hi));
         if accumulate {
             let old = _mm256_loadu_si256(dst.as_ptr().add(off) as *const __m256i);
             prod = _mm256_xor_si256(prod, old);

@@ -6,7 +6,9 @@
 //! binary quantifies that on the real RS(10,4) programs, plus measured
 //! throughput.
 
-use ec_bench::{dec_base_slp, enc_base_slp, print_env_header, reps, rule, workload_bytes, BenchRunner};
+use ec_bench::{
+    dec_base_slp, enc_base_slp, print_env_header, reps, rule, workload_bytes, BenchRunner,
+};
 use slp::{ccap, iocost, Slp};
 use slp_optimizer::{assign_registers, fuse, schedule_dfs, schedule_greedy, xor_repair};
 use xor_runtime::Kernel;

@@ -9,8 +9,8 @@
 //! 167/205; RS(8,2): 26/65, 180/286, 17/38, 80/102.
 
 use ec_bench::{dec_base_slp, enc_base_slp, paper_decode_pattern, rule};
-use slp_optimizer::{optimize, OptConfig};
 use slp::{ccap, Slp};
+use slp_optimizer::{optimize, OptConfig};
 
 fn measures(slp: &Slp) -> (usize, usize, usize, usize) {
     // The paper's Figure-1 "#⊕" is the instruction count of the fused
@@ -35,7 +35,14 @@ fn main() {
             println!(
                 "{:>9} | {:>5}/{:<5} | {:>5}/{:<5} | {:>5}/{:<5} | {:>5}/{:<5}",
                 format!("RS({n},{p})"),
-                ex, dx, em, dm, en, dn, ec, dc
+                ex,
+                dx,
+                em,
+                dm,
+                en,
+                dn,
+                ec,
+                dc
             );
         }
     }

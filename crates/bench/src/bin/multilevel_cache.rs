@@ -29,7 +29,12 @@ fn analyze(label: &str, base: &Slp) {
     let co = xor_repair(base).0;
     let fu = fuse(&co);
     let dfs = schedule_dfs(&fu);
-    for (name, slp) in [("Base", base), ("Co", &co), ("Fu(Co)", &fu), ("Dfs(Fu(Co))", &dfs)] {
+    for (name, slp) in [
+        ("Base", base),
+        ("Co", &co),
+        ("Fu(Co)", &fu),
+        ("Dfs(Fu(Co))", &dfs),
+    ] {
         let costs: Vec<usize> = [L1, L2]
             .iter()
             .flat_map(|&lvl| {

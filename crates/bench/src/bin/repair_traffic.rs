@@ -30,17 +30,23 @@ struct Sweep {
 
 fn sweep(spec: &CodecSpec, input: &Path, dir: &Path) -> Sweep {
     let chunk = 1 << 20;
-    let archive =
-        Archive::create_with_spec(input, dir, spec, chunk).expect("create archive");
+    let archive = Archive::create_with_spec(input, dir, spec, chunk).expect("create archive");
     let total = spec.data_shards + spec.parity_shards;
-    let mut out = Sweep { per_shard: Vec::new(), total_read: 0, total_secs: 0.0 };
+    let mut out = Sweep {
+        per_shard: Vec::new(),
+        total_read: 0,
+        total_secs: 0.0,
+    };
     for lost in 0..total {
         std::fs::remove_file(archive.shard_path(lost)).expect("remove shard");
         let t = Instant::now();
         let report = archive.repair().expect("repair");
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(report.repaired, vec![lost]);
-        assert!(archive.verify().expect("verify").all_ok(), "repair left damage");
+        assert!(
+            archive.verify().expect("verify").all_ok(),
+            "repair left damage"
+        );
         out.per_shard.push((lost, report.bytes_read, secs));
         out.total_read += report.bytes_read;
         out.total_secs += secs;
@@ -55,8 +61,7 @@ fn main() {
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(10);
     let len = mb * 1_000_000;
-    let root = std::env::temp_dir()
-        .join(format!("xorslp_repair_traffic_{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("xorslp_repair_traffic_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("mkdir");
     let input = root.join("input.bin");
@@ -104,9 +109,7 @@ fn main() {
     // every data-shard (and local-parity) loss, never more on any loss
     // (a global parity row legitimately re-encodes from all `n` data
     // shards — exactly RS's floor), and strictly fewer in aggregate.
-    for ((lost, rs_b, _), (_, lrc_b, _)) in
-        rs_sweep.per_shard.iter().zip(&lrc_sweep.per_shard)
-    {
+    for ((lost, rs_b, _), (_, lrc_b, _)) in rs_sweep.per_shard.iter().zip(&lrc_sweep.per_shard) {
         if *lost < lrc.data_shards + lrc.data_shards / lrc.group_size {
             assert!(
                 lrc_b < rs_b,

@@ -21,7 +21,14 @@ fn main() {
 
     print!("{:>10} |", "kernel");
     for b in blocksizes {
-        print!(" {:>7}", if b >= 1024 { format!("{}K", b / 1024) } else { b.to_string() });
+        print!(
+            " {:>7}",
+            if b >= 1024 {
+                format!("{}K", b / 1024)
+            } else {
+                b.to_string()
+            }
+        );
     }
     println!();
     println!("{}", rule(12 + 8 * blocksizes.len()));

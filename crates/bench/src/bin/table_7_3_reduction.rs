@@ -13,7 +13,7 @@
 //! `BENCH_SAMPLE=n` limits the sweep to the encoding SLP plus `n` evenly
 //! spaced decode patterns for a quick look.
 
-use ec_bench::{decode_patterns, dec_base_slp, enc_base_slp, rule, sample_size};
+use ec_bench::{dec_base_slp, decode_patterns, enc_base_slp, rule, sample_size};
 use slp::{ccap, Slp};
 use slp_optimizer::{fuse, repair, schedule_dfs, xor_repair};
 
@@ -24,7 +24,10 @@ struct Averager {
 
 impl Averager {
     fn new(k: usize) -> Averager {
-        Averager { sums: vec![0.0; k], count: 0 }
+        Averager {
+            sums: vec![0.0; k],
+            count: 0,
+        }
     }
     fn add(&mut self, vals: &[f64]) {
         for (s, v) in self.sums.iter_mut().zip(vals) {
@@ -52,7 +55,11 @@ fn main() {
     for lost in &selected {
         programs.push((format!("dec{lost:?}"), dec_base_slp(10, 4, lost)));
     }
-    println!("programs: {} (1 encoding + {} decoding)\n", programs.len(), selected.len());
+    println!(
+        "programs: {} (1 encoding + {} decoding)\n",
+        programs.len(),
+        selected.len()
+    );
 
     // indices: 0 repair_xor, 1 xorrepair_xor,
     //          2 co_mem, 3 fu_mem, 4 fuco_over_co_mem, 5 fuco_mem,
@@ -98,8 +105,14 @@ fn main() {
 
     println!("Reducing operators (#⊕):");
     println!("{}", rule(64));
-    println!("  Avg RePair(P)/P    = {:6.1} %   (paper: 42.1 %)", acc.avg(0));
-    println!("  Avg XorRePair(P)/P = {:6.1} %   (paper: 40.8 %)", acc.avg(1));
+    println!(
+        "  Avg RePair(P)/P    = {:6.1} %   (paper: 42.1 %)",
+        acc.avg(0)
+    );
+    println!(
+        "  Avg XorRePair(P)/P = {:6.1} %   (paper: 40.8 %)",
+        acc.avg(1)
+    );
     println!("  (best bit-matrix heuristic in [Zhou & Tian]: ~65 %)");
     println!();
     println!("Reducing memory access (#M):");
@@ -114,11 +127,17 @@ fn main() {
     println!("             Co(P)/P   Fu(P)/P   Fu(Co)/Co   Dfs(Fu(Co))/Co");
     println!(
         "  NVar     {:7.1} % {:8.1} % {:9.1} % {:12.1} %",
-        acc.avg(6), acc.avg(7), acc.avg(8), acc.avg(9)
+        acc.avg(6),
+        acc.avg(7),
+        acc.avg(8),
+        acc.avg(9)
     );
     println!(
         "  CCap     {:7.1} % {:8.1} % {:9.1} % {:12.1} %",
-        acc.avg(10), acc.avg(11), acc.avg(12), acc.avg(13)
+        acc.avg(10),
+        acc.avg(11),
+        acc.avg(12),
+        acc.avg(13)
     );
     println!();
     println!("paper:  NVar  1552 %    100 %      38.9 %        24.5 %");

@@ -23,7 +23,13 @@ fn main() {
     let dfs = schedule_dfs(&fuco);
 
     let blocksizes = [64usize, 128, 256, 512, 1024, 2048, 4096];
-    let fmt_b = |b: usize| if b >= 1024 { format!("{}K", b / 1024) } else { b.to_string() };
+    let fmt_b = |b: usize| {
+        if b >= 1024 {
+            format!("{}K", b / 1024)
+        } else {
+            b.to_string()
+        }
+    };
 
     print!("{:>22} |", "program");
     for b in blocksizes {

@@ -13,7 +13,9 @@
 //! `#⊕` row (scalar XOR operations are invariant under fusion); we print
 //! both.
 
-use ec_bench::{dec_base_slp, enc_base_slp, print_env_header, reps, rule, workload_bytes, BenchRunner};
+use ec_bench::{
+    dec_base_slp, enc_base_slp, print_env_header, reps, rule, workload_bytes, BenchRunner,
+};
 use slp::Slp;
 use slp_optimizer::{fuse, schedule_dfs, xor_repair, StageMetrics};
 use xor_runtime::Kernel;
@@ -55,7 +57,11 @@ fn main() {
     print_env_header("Table 7.5 / §2.1 summary: per-stage metrics and throughput, RS(10,4)");
     let blocksize = 1024; // the paper's intel pick
     run("P_enc", &enc_base_slp(10, 4), blocksize);
-    run("P_dec {2,4,5,6}", &dec_base_slp(10, 4, &[2, 4, 5, 6]), blocksize);
+    run(
+        "P_dec {2,4,5,6}",
+        &dec_base_slp(10, 4, &[2, 4, 5, 6]),
+        blocksize,
+    );
     println!("paper (intel 1K): enc 4.03 → 4.36 → 7.50 → 8.92 GB/s;");
     println!("                  dec 2.35 → 3.32 → 5.51 → 6.67 GB/s.");
     println!("expected shape: each stage increases throughput; Fuse is the biggest jump.");

@@ -14,8 +14,8 @@
 //! encode at every codec, and is at least on par on decode.*
 
 use ec_bench::{
-    dec_base_slp, enc_base_slp, paper_decode_pattern, print_env_header, reps, rule,
-    workload_bytes, BenchRunner,
+    dec_base_slp, enc_base_slp, paper_decode_pattern, print_env_header, reps, rule, workload_bytes,
+    BenchRunner,
 };
 use gf_baseline::{GfBackend, GfRsCodec};
 use slp_optimizer::{optimize, OptConfig};
@@ -29,7 +29,11 @@ fn baseline_encode_gbps(n: usize, p: usize) -> f64 {
         .expect("baseline codec");
     let shard_len = workload_bytes() / n;
     let data: Vec<Vec<u8>> = (0..n)
-        .map(|i| (0..shard_len).map(|t| ((t * 31 + i * 7) % 256) as u8).collect())
+        .map(|i| {
+            (0..shard_len)
+                .map(|t| ((t * 31 + i * 7) % 256) as u8)
+                .collect()
+        })
         .collect();
     let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
     let mut parity = vec![vec![0u8; shard_len]; p];
@@ -51,7 +55,9 @@ fn baseline_encode_gbps(n: usize, p: usize) -> f64 {
 fn baseline_decode_gbps(n: usize, p: usize) -> f64 {
     let codec = GfRsCodec::new(n, p).expect("baseline codec");
     let shard_len = workload_bytes() / n;
-    let data: Vec<u8> = (0..n * shard_len).map(|t| ((t * 131) % 256) as u8).collect();
+    let data: Vec<u8> = (0..n * shard_len)
+        .map(|t| ((t * 131) % 256) as u8)
+        .collect();
     let shards = codec.encode(&data).expect("encode");
     let mut rx: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
     for i in paper_decode_pattern(p) {
@@ -97,7 +103,10 @@ fn main() {
             println!(
                 "{:>9} | {:>9.2} {:>9.2} | {:>9.2} {:>9.2} | {:>10.2}x",
                 format!("RS({n},{p})"),
-                oe, od, be, bd,
+                oe,
+                od,
+                be,
+                bd,
                 oe / be
             );
         }

@@ -27,8 +27,7 @@ fn main() {
         {
             let base = enc_base_slp(k, 2);
             let opt = optimize(&base, OptConfig::FULL_DFS);
-            let mut runner =
-                ec_bench::BenchRunner::new(&opt, 1024, Kernel::Auto, workload_bytes());
+            let mut runner = ec_bench::BenchRunner::new(&opt, 1024, Kernel::Auto, workload_bytes());
             let gbps = runner.throughput(reps());
             println!(
                 "{:>5} | {:>22} | {:>8} | {:>7} | {:>7.2}",
@@ -51,7 +50,9 @@ fn main() {
                     true => array_codes::evenodd_parity_bitmatrix(k, codec.prime()),
                     false => array_codes::rdp_parity_bitmatrix(k, codec.prime()),
                 };
-                (0..m.rows()).map(|r| m.row_popcount(r).saturating_sub(1)).sum()
+                (0..m.rows())
+                    .map(|r| m.row_popcount(r).saturating_sub(1))
+                    .sum()
             };
             println!(
                 "{:>5} | {:>22} | {:>8} | {:>7} | {:>7.2}",

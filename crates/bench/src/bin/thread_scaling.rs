@@ -31,7 +31,9 @@ fn main() {
 
     let (n, p) = (10usize, 4usize);
     let data_bytes = workload_bytes();
-    let data: Vec<u8> = (0..data_bytes).map(|i| ((i * 193 + 7) % 256) as u8).collect();
+    let data: Vec<u8> = (0..data_bytes)
+        .map(|i| ((i * 193 + 7) % 256) as u8)
+        .collect();
 
     let max_threads: usize = std::env::var("BENCH_MAX_THREADS")
         .ok()
@@ -60,21 +62,21 @@ fn main() {
     let mut dec_base = 0.0f64;
     let mut best: Option<(usize, f64)> = None;
     for &threads in &thread_counts {
-        let codec = RsCodec::with_config(RsConfig::new(n, p).parallelism(threads))
-            .expect("valid params");
+        let codec =
+            RsCodec::with_config(RsConfig::new(n, p).parallelism(threads)).expect("valid params");
         let shards = codec.encode(&data).expect("encode");
         let shard_len = shards[0].len();
         let data_refs: Vec<&[u8]> = shards[..n].iter().map(Vec::as_slice).collect();
 
         let mut parity = vec![vec![0u8; shard_len]; p];
         let enc = throughput_gbps(data_bytes, reps(), || {
-            let mut refs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
-            codec.encode_parity(&data_refs, &mut refs).expect("encode_parity");
+            let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+            codec
+                .encode_parity(&data_refs, &mut refs)
+                .expect("encode_parity");
         });
 
-        let mut received: Vec<Option<Vec<u8>>> =
-            shards.iter().cloned().map(Some).collect();
+        let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
         for i in [2, 4, 5, 6] {
             received[i] = None;
         }

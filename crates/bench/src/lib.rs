@@ -38,7 +38,9 @@ pub fn reps() -> usize {
 
 /// Optional sampling for the 1002-SLP sweeps (`BENCH_SAMPLE`).
 pub fn sample_size() -> Option<usize> {
-    std::env::var("BENCH_SAMPLE").ok().and_then(|s| s.parse::<usize>().ok())
+    std::env::var("BENCH_SAMPLE")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
 }
 
 /// The paper's coding matrix for RS(n, p).
@@ -50,7 +52,9 @@ pub fn rs_matrix(n: usize, p: usize) -> GfMatrix {
 pub fn enc_base_slp(n: usize, p: usize) -> Slp {
     let m = rs_matrix(n, p);
     let rows: Vec<usize> = (n..n + p).collect();
-    binary_slp_from_bitmatrix(&bitmatrix::BitMatrix::expand_gf_matrix(&m.select_rows(&rows)))
+    binary_slp_from_bitmatrix(&bitmatrix::BitMatrix::expand_gf_matrix(
+        &m.select_rows(&rows),
+    ))
 }
 
 /// The unoptimized decoding SLP for an erasure pattern (data losses only).

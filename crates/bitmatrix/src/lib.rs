@@ -140,7 +140,10 @@ impl BitMatrix {
     /// Number of set bits in row `i`.
     #[inline]
     pub fn row_popcount(&self, i: usize) -> usize {
-        self.row_words(i).iter().map(|w| w.count_ones() as usize).sum()
+        self.row_words(i)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Total number of set bits.
@@ -573,7 +576,9 @@ mod f2_algebra_tests {
         // A random-ish invertible matrix: identity plus upper triangle.
         let n = 9;
         let m = BitMatrix::from_fn(n, n, |i, j| i == j || (j > i && (i * 5 + j * 3) % 4 == 0));
-        let inv = m.invert().expect("triangular-with-unit-diagonal is invertible");
+        let inv = m
+            .invert()
+            .expect("triangular-with-unit-diagonal is invertible");
         assert_eq!(m.mul(&inv), BitMatrix::identity(n));
         assert_eq!(inv.mul(&m), BitMatrix::identity(n));
     }

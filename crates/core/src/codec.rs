@@ -1,8 +1,8 @@
 //! The [`RsCodec`]: systematic RS(n, p) as a matrix constructor over the
 //! shared [`XorCodec`] engine.
 
-use crate::config::RsConfig;
 use crate::coder::CodecSpec;
+use crate::config::RsConfig;
 use array_codes::{EcError, XorCodec};
 use bitmatrix::BitMatrix;
 use gf256::{encoding_matrix, GfMatrix, MatrixKind};
@@ -57,7 +57,10 @@ pub(crate) fn engine_over(
     groups: Vec<Vec<usize>>,
 ) -> Result<XorCodec, EcError> {
     let (n, p) = (cfg.data_shards, cfg.parity_shards);
-    debug_assert!(matrix.top_is_identity(n), "coding matrix must be systematic");
+    debug_assert!(
+        matrix.top_is_identity(n),
+        "coding matrix must be systematic"
+    );
     let parity_rows: Vec<usize> = (n..n + p).collect();
     let parity = BitMatrix::expand_gf_matrix(&matrix.select_rows(&parity_rows));
     XorCodec::new(n, p, PACKETS_PER_SHARD, &parity, groups, cfg.engine)
@@ -97,10 +100,13 @@ mod tests {
         let data = sample_data(5 * 40);
         let shards = codec.encode(&data).unwrap();
         for lost in 0..8 {
-            let mut received: Vec<Option<Vec<u8>>> =
-                shards.iter().cloned().map(Some).collect();
+            let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
             received[lost] = None;
-            assert_eq!(codec.decode(&received, data.len()).unwrap(), data, "lost {lost}");
+            assert_eq!(
+                codec.decode(&received, data.len()).unwrap(),
+                data,
+                "lost {lost}"
+            );
         }
     }
 
@@ -112,8 +118,7 @@ mod tests {
         let shards = codec.encode(&data).unwrap();
         for a in 0..6 {
             for b in a + 1..6 {
-                let mut received: Vec<Option<Vec<u8>>> =
-                    shards.iter().cloned().map(Some).collect();
+                let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
                 received[a] = None;
                 received[b] = None;
                 assert_eq!(
@@ -147,8 +152,7 @@ mod tests {
         let codec = RsCodec::new(6, 3).unwrap();
         let data = sample_data(6 * 32);
         let shards = codec.encode(&data).unwrap();
-        let mut received: Vec<Option<Vec<u8>>> =
-            shards.iter().cloned().map(Some).collect();
+        let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
         received[1] = None; // data
         received[7] = None; // parity
         received[8] = None; // parity
@@ -163,8 +167,7 @@ mod tests {
         let codec = RsCodec::new(4, 2).unwrap();
         let data = sample_data(4 * 16);
         let shards = codec.encode(&data).unwrap();
-        let mut received: Vec<Option<Vec<u8>>> =
-            shards.iter().cloned().map(Some).collect();
+        let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
         received[4] = None;
         received[5] = None;
         // decode ignores parity loss entirely
@@ -189,7 +192,10 @@ mod tests {
         received[2] = None;
         assert!(matches!(
             codec.decode(&received, data.len()),
-            Err(EcError::TooManyErasures { missing: 3, parity: 2 })
+            Err(EcError::TooManyErasures {
+                missing: 3,
+                parity: 2
+            })
         ));
     }
 
@@ -198,7 +204,10 @@ mod tests {
         let codec = RsCodec::new(3, 2).unwrap();
         assert!(matches!(
             codec.decode(&[None, None], 0),
-            Err(EcError::ShardCount { expected: 5, got: 2 })
+            Err(EcError::ShardCount {
+                expected: 5,
+                got: 2
+            })
         ));
         let bad: Vec<Option<Vec<u8>>> = vec![
             Some(vec![0; 16]),
@@ -207,7 +216,10 @@ mod tests {
             Some(vec![0; 16]),
             Some(vec![0; 16]),
         ];
-        assert!(matches!(codec.decode(&bad, 0), Err(EcError::ShardLength(_))));
+        assert!(matches!(
+            codec.decode(&bad, 0),
+            Err(EcError::ShardLength(_))
+        ));
     }
 
     #[test]
@@ -243,7 +255,10 @@ mod tests {
         let mut six = vec![Vec::new(); 6];
         assert!(matches!(
             codec.encode_into(&[1, 2, 3], &mut six),
-            Err(EcError::ShardCount { expected: 7, got: 6 })
+            Err(EcError::ShardCount {
+                expected: 7,
+                got: 6
+            })
         ));
     }
 
@@ -281,13 +296,16 @@ mod tests {
                 schedule: Scheduling::Greedy { cache_blocks: 32 },
             },
         ] {
-            let codec =
-                RsCodec::with_config(RsConfig::new(6, 2).opt(opt).blocksize(64)).unwrap();
+            let codec = RsCodec::with_config(RsConfig::new(6, 2).opt(opt).blocksize(64)).unwrap();
             let shards = codec.encode(&data).unwrap();
             let mut received: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
             received[0] = None;
             received[6] = None;
-            assert_eq!(codec.decode(&received, data.len()).unwrap(), data, "{opt:?}");
+            assert_eq!(
+                codec.decode(&received, data.len()).unwrap(),
+                data,
+                "{opt:?}"
+            );
         }
     }
 
@@ -356,8 +374,7 @@ mod tests {
             let codec = RsCodec::with_config(RsConfig::new(4, 2).parallelism(threads)).unwrap();
             let mut parity = vec![vec![0u8; single[0].len()]; 2];
             {
-                let mut refs: Vec<&mut [u8]> =
-                    parity.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
                 codec.encode_parity(&data_refs, &mut refs).unwrap();
             }
             assert_eq!(&parity[..], &single[4..], "threads {threads}");
@@ -372,11 +389,9 @@ mod tests {
             .encode(&data)
             .unwrap();
         for par in [0usize, 2, 4] {
-            let codec =
-                RsCodec::with_config(RsConfig::new(6, 3).parallelism(par)).unwrap();
+            let codec = RsCodec::with_config(RsConfig::new(6, 3).parallelism(par)).unwrap();
             assert_eq!(codec.encode(&data).unwrap(), reference, "parallelism {par}");
-            let mut received: Vec<Option<Vec<u8>>> =
-                reference.iter().cloned().map(Some).collect();
+            let mut received: Vec<Option<Vec<u8>>> = reference.iter().cloned().map(Some).collect();
             for i in [1, 4, 7] {
                 received[i] = None;
             }
@@ -394,8 +409,7 @@ mod tests {
         let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         let mut parity = vec![vec![0u8; len]; codec.parity_shards()];
         {
-            let mut prefs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
             codec.encode_parity(&refs, &mut prefs).unwrap();
         }
         parity
@@ -405,15 +419,18 @@ mod tests {
     fn update_parity_matches_full_reencode_for_every_column() {
         let codec = RsCodec::new(5, 3).unwrap();
         let shard_len = 5 * 16;
-        let data: Vec<Vec<u8>> =
-            (0..5).map(|k| sample_data(shard_len + k).split_off(k)).collect();
+        let data: Vec<Vec<u8>> = (0..5)
+            .map(|k| sample_data(shard_len + k).split_off(k))
+            .collect();
         let mut parity = full_parity(&codec, &data);
         for i in 0..5 {
             let mut new_data = data.clone();
-            new_data[i] = data[i].iter().map(|b| b.wrapping_mul(31).wrapping_add(7)).collect();
+            new_data[i] = data[i]
+                .iter()
+                .map(|b| b.wrapping_mul(31).wrapping_add(7))
+                .collect();
             {
-                let mut prefs: Vec<&mut [u8]> =
-                    parity.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
                 codec
                     .update_parity(i, &data[i], &new_data[i], &mut prefs)
                     .unwrap();
@@ -421,8 +438,7 @@ mod tests {
             assert_eq!(parity, full_parity(&codec, &new_data), "column {i}");
             // Updating back restores the original parity (involution).
             {
-                let mut prefs: Vec<&mut [u8]> =
-                    parity.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
                 codec
                     .update_parity(i, &new_data[i], &data[i], &mut prefs)
                     .unwrap();
@@ -451,8 +467,7 @@ mod tests {
         // unaligned length
         let odd = vec![0u8; 10];
         let mut odd_parity = vec![vec![0u8; 10]; 2];
-        let mut oprefs: Vec<&mut [u8]> =
-            odd_parity.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut oprefs: Vec<&mut [u8]> = odd_parity.iter_mut().map(Vec::as_mut_slice).collect();
         assert!(matches!(
             codec.update_parity(0, &odd, &odd, &mut oprefs),
             Err(EcError::ShardLength(_))
@@ -462,7 +477,10 @@ mod tests {
         let mut onerefs: Vec<&mut [u8]> = one.iter_mut().map(Vec::as_mut_slice).collect();
         assert!(matches!(
             codec.update_parity(0, &shard, &shard, &mut onerefs),
-            Err(EcError::ShardCount { expected: 2, got: 1 })
+            Err(EcError::ShardCount {
+                expected: 2,
+                got: 1
+            })
         ));
         // zero-length shards are a no-op
         let empty: Vec<u8> = Vec::new();
@@ -474,15 +492,25 @@ mod tests {
     #[test]
     fn encode_parity_partial_matches_full_rows() {
         let codec = RsCodec::new(6, 3).unwrap();
-        let data: Vec<Vec<u8>> = (0..6).map(|k| sample_data(48 + 8 * k)[k..48 + k].to_vec()).collect();
+        let data: Vec<Vec<u8>> = (0..6)
+            .map(|k| sample_data(48 + 8 * k)[k..48 + k].to_vec())
+            .collect();
         let full = full_parity(&codec, &data);
         let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        for rows in [vec![0], vec![1], vec![2], vec![0, 2], vec![1, 2], vec![0, 1, 2]] {
+        for rows in [
+            vec![0],
+            vec![1],
+            vec![2],
+            vec![0, 2],
+            vec![1, 2],
+            vec![0, 1, 2],
+        ] {
             let mut out = vec![vec![0u8; 48]; rows.len()];
             {
-                let mut orefs: Vec<&mut [u8]> =
-                    out.iter_mut().map(Vec::as_mut_slice).collect();
-                codec.encode_parity_partial(&refs, &mut orefs, &rows).unwrap();
+                let mut orefs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+                codec
+                    .encode_parity_partial(&refs, &mut orefs, &rows)
+                    .unwrap();
             }
             for (k, &r) in rows.iter().enumerate() {
                 assert_eq!(out[k], full[r], "rows {rows:?} slot {k}");
@@ -509,7 +537,10 @@ mod tests {
         // parity slot count must match the row count
         assert!(matches!(
             codec.encode_parity_partial(&refs, &mut orefs, &[0, 1]),
-            Err(EcError::ShardCount { expected: 2, got: 1 })
+            Err(EcError::ShardCount {
+                expected: 2,
+                got: 1
+            })
         ));
     }
 
@@ -569,7 +600,10 @@ mod tests {
             .enumerate()
             .map(|(i, s)| (![0, 1, 12, 13].contains(&i)).then(|| s.clone()))
             .collect();
-        assert_eq!(codec.repair_sources(&[0, 1]).unwrap(), vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(
+            codec.repair_sources(&[0, 1]).unwrap(),
+            vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+        );
         let decoded = codec.decode(&received, data.len()).unwrap();
         assert_eq!(codec.programs(), 1);
         let fresh = RsCodec::new(10, 4).unwrap();
@@ -583,8 +617,7 @@ mod tests {
         let codec = RsCodec::new(6, 3).unwrap();
         let data = sample_data(6 * 32);
         let shards = codec.encode(&data).unwrap();
-        let mut received: Vec<Option<Vec<u8>>> =
-            shards.iter().cloned().map(Some).collect();
+        let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
         received[7] = None; // parity row 1 only
         codec.reconstruct(&mut received).unwrap();
         assert_eq!(received[7].as_ref().unwrap(), &shards[7]);
@@ -649,10 +682,7 @@ mod tests {
     fn paper_headline_slp_sizes() {
         // The deterministic anchor of the whole reproduction: the
         // unoptimized RS(10,4) programs have exactly the paper's sizes.
-        let codec = RsCodec::with_config(
-            RsConfig::new(10, 4).opt(OptConfig::BASE),
-        )
-        .unwrap();
+        let codec = RsCodec::with_config(RsConfig::new(10, 4).opt(OptConfig::BASE)).unwrap();
         let enc = codec.encode_slp();
         assert_eq!(enc.xor_count(), 755, "#⊕(P_enc) from §7.5");
         assert_eq!(enc.mem_accesses(), 2265, "#M(P_enc) = 3·755");

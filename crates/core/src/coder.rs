@@ -87,23 +87,47 @@ pub struct CodecSpec {
 impl CodecSpec {
     /// Spec of the default RS(n, p) codec.
     pub fn rs(data_shards: usize, parity_shards: usize) -> CodecSpec {
-        CodecSpec { id: CodecId::Rs, data_shards, parity_shards, group_size: 0 }
+        CodecSpec {
+            id: CodecId::Rs,
+            data_shards,
+            parity_shards,
+            group_size: 0,
+        }
     }
 
     /// Spec of an LRC(n, r) with `parity_shards` total parity rows
     /// (`n/r` locals + the rest global).
     pub fn lrc(data_shards: usize, parity_shards: usize, group_size: usize) -> CodecSpec {
-        CodecSpec { id: CodecId::Lrc, data_shards, parity_shards, group_size }
+        CodecSpec {
+            id: CodecId::Lrc,
+            data_shards,
+            parity_shards,
+            group_size,
+        }
     }
 
     /// Parse a `--codec` name against a target geometry. Accepted names:
     /// `rs`, `evenodd`, `rdp`, `lrc` (group size `n/2`), `lrc:<r>`.
-    pub fn parse(name: &str, data_shards: usize, parity_shards: usize) -> Result<CodecSpec, EcError> {
+    pub fn parse(
+        name: &str,
+        data_shards: usize,
+        parity_shards: usize,
+    ) -> Result<CodecSpec, EcError> {
         let (n, p) = (data_shards, parity_shards);
         let spec = match name {
             "rs" => CodecSpec::rs(n, p),
-            "evenodd" => CodecSpec { id: CodecId::EvenOdd, data_shards: n, parity_shards: p, group_size: 0 },
-            "rdp" => CodecSpec { id: CodecId::Rdp, data_shards: n, parity_shards: p, group_size: 0 },
+            "evenodd" => CodecSpec {
+                id: CodecId::EvenOdd,
+                data_shards: n,
+                parity_shards: p,
+                group_size: 0,
+            },
+            "rdp" => CodecSpec {
+                id: CodecId::Rdp,
+                data_shards: n,
+                parity_shards: p,
+                group_size: 0,
+            },
             "lrc" => {
                 if n == 0 || n % 2 != 0 {
                     return Err(EcError::InvalidParams(format!(
@@ -164,12 +188,8 @@ impl CodecSpec {
         self.validate()?;
         Ok(match self.id {
             CodecId::Rs | CodecId::Lrc => PACKETS_PER_SHARD,
-            CodecId::EvenOdd => {
-                array_codes::next_prime(self.data_shards.max(3)) - 1
-            }
-            CodecId::Rdp => {
-                array_codes::next_prime((self.data_shards + 1).max(3)) - 1
-            }
+            CodecId::EvenOdd => array_codes::next_prime(self.data_shards.max(3)) - 1,
+            CodecId::Rdp => array_codes::next_prime((self.data_shards + 1).max(3)) - 1,
         })
     }
 
@@ -238,13 +258,14 @@ pub fn codec_for(spec: &CodecSpec) -> Result<Box<dyn ErasureCoder>, EcError> {
 /// Resolve a spec into a boxed codec, carrying the engine knobs
 /// (optimization, blocksize, kernel, parallelism) from
 /// `cfg` into every family; the geometry always comes from the spec.
-pub fn codec_for_with(
-    spec: &CodecSpec,
-    cfg: RsConfig,
-) -> Result<Box<dyn ErasureCoder>, EcError> {
+pub fn codec_for_with(spec: &CodecSpec, cfg: RsConfig) -> Result<Box<dyn ErasureCoder>, EcError> {
     spec.validate()?;
     let (data_shards, parity_shards) = (spec.data_shards, spec.parity_shards);
-    let cfg = RsConfig { data_shards, parity_shards, ..cfg };
+    let cfg = RsConfig {
+        data_shards,
+        parity_shards,
+        ..cfg
+    };
     Ok(match spec.id {
         CodecId::Rs => Box::new(RsCodec::with_config(cfg)?),
         CodecId::Lrc => Box::new(LrcCodec::with_config(cfg, spec.group_size)?),
@@ -283,7 +304,11 @@ impl ErasureCoder for LrcCodec {
 impl ErasureCoder for ArrayCodec {
     fn spec(&self) -> CodecSpec {
         CodecSpec {
-            id: if self.is_evenodd() { CodecId::EvenOdd } else { CodecId::Rdp },
+            id: if self.is_evenodd() {
+                CodecId::EvenOdd
+            } else {
+                CodecId::Rdp
+            },
             data_shards: self.data_shards(),
             parity_shards: 2,
             group_size: 0,
@@ -297,7 +322,12 @@ mod tests {
 
     #[test]
     fn names_round_trip_through_parse() {
-        for (name, n, p) in [("rs", 10, 4), ("evenodd", 5, 2), ("rdp", 4, 2), ("lrc:5", 10, 4)] {
+        for (name, n, p) in [
+            ("rs", 10, 4),
+            ("evenodd", 5, 2),
+            ("rdp", 4, 2),
+            ("lrc:5", 10, 4),
+        ] {
             let spec = CodecSpec::parse(name, n, p).unwrap();
             assert_eq!(spec.name(), name, "name round-trip");
             assert_eq!(
@@ -351,7 +381,12 @@ mod tests {
 
     #[test]
     fn registry_resolves_every_family() {
-        for (name, n, p) in [("rs", 6, 3), ("evenodd", 5, 2), ("rdp", 4, 2), ("lrc:3", 6, 3)] {
+        for (name, n, p) in [
+            ("rs", 6, 3),
+            ("evenodd", 5, 2),
+            ("rdp", 4, 2),
+            ("lrc:3", 6, 3),
+        ] {
             let spec = CodecSpec::parse(name, n, p).unwrap();
             let codec = codec_for(&spec).unwrap();
             assert_eq!(codec.data_shards(), n, "{name}");
@@ -386,7 +421,9 @@ mod tests {
         // Every family gets the whole engine configuration, not just the
         // parallelism: an array code honours the kernel and blocksize it
         // was resolved with.
-        let cfg = RsConfig::new(5, 2).kernel(crate::Kernel::Scalar).blocksize(64);
+        let cfg = RsConfig::new(5, 2)
+            .kernel(crate::Kernel::Scalar)
+            .blocksize(64);
         let spec = CodecSpec::parse("evenodd", 5, 2).unwrap();
         let codec = codec_for_with(&spec, cfg).unwrap();
         assert_eq!(*codec.engine_config(), cfg.engine);

@@ -26,7 +26,11 @@ impl RsConfig {
     /// The default configuration for an RS(n, p) codec:
     /// [`EngineConfig::new`].
     pub fn new(data_shards: usize, parity_shards: usize) -> RsConfig {
-        RsConfig { data_shards, parity_shards, engine: EngineConfig::new() }
+        RsConfig {
+            data_shards,
+            parity_shards,
+            engine: EngineConfig::new(),
+        }
     }
 
     /// The engine half of this configuration — what every codec family
@@ -74,7 +78,10 @@ mod tests {
         // nothing else moves them.
         assert_eq!(c.engine.blocksize, 1024);
         assert_eq!(c.engine.kernel, Kernel::from_env().unwrap_or(Kernel::Auto));
-        assert_eq!(c.engine.parallelism, xor_runtime::env_parallelism().unwrap_or(0));
+        assert_eq!(
+            c.engine.parallelism,
+            xor_runtime::env_parallelism().unwrap_or(0)
+        );
         assert_eq!(c.engine(), EngineConfig::new());
     }
 

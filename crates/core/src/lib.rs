@@ -73,6 +73,6 @@ pub use slp_optimizer::{Compression, OptConfig, Scheduling};
 pub use xor_runtime::Kernel;
 
 #[cfg(test)]
-mod reference;
-#[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;

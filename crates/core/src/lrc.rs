@@ -52,7 +52,11 @@ impl LrcCodec {
     /// Create an LRC with `n` data shards in groups of `r` and `g`
     /// global parity shards (total parity `p = n/r + g`), using the
     /// paper's default engine configuration.
-    pub fn new(data_shards: usize, group_size: usize, global_parity: usize) -> Result<LrcCodec, EcError> {
+    pub fn new(
+        data_shards: usize,
+        group_size: usize,
+        global_parity: usize,
+    ) -> Result<LrcCodec, EcError> {
         let locals = data_shards.checked_div(group_size).unwrap_or(0);
         LrcCodec::with_config(
             RsConfig::new(data_shards, locals + global_parity),
@@ -99,7 +103,10 @@ impl LrcCodec {
             .collect();
 
         let engine = engine_over(&cfg, &m, groups)?;
-        Ok(LrcCodec { engine, group_size: r })
+        Ok(LrcCodec {
+            engine,
+            group_size: r,
+        })
     }
 
     /// Size `r` of each locality group.
@@ -131,7 +138,9 @@ mod tests {
     use super::*;
 
     fn sample(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i as u32).wrapping_mul(2654435761) as u8).collect()
+        (0..len)
+            .map(|i| (i as u32).wrapping_mul(2654435761) as u8)
+            .collect()
     }
 
     #[test]
@@ -166,7 +175,11 @@ mod tests {
                     *e ^= b;
                 }
             }
-            assert_eq!(shards[10 + gi], expect, "local parity {gi} must be the group XOR");
+            assert_eq!(
+                shards[10 + gi],
+                expect,
+                "local parity {gi} must be the group XOR"
+            );
         }
     }
 
@@ -228,17 +241,19 @@ mod tests {
             vec![1, 2, 11, 13], // two in one group -> the globals pitch in
             vec![0, 1, 2],      // three in one group, covered by local + globals
         ] {
-            let mut received: Vec<Option<Vec<u8>>> =
-                shards.iter().cloned().map(Some).collect();
+            let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
             for &i in &lost {
                 received[i] = None;
             }
             codec.reconstruct(&mut received).unwrap();
             for (i, s) in received.iter().enumerate() {
-                assert_eq!(s.as_deref(), Some(shards[i].as_slice()), "shard {i}, lost {lost:?}");
+                assert_eq!(
+                    s.as_deref(),
+                    Some(shards[i].as_slice()),
+                    "shard {i}, lost {lost:?}"
+                );
             }
-            let mut received: Vec<Option<Vec<u8>>> =
-                shards.iter().cloned().map(Some).collect();
+            let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
             for &i in &lost {
                 received[i] = None;
             }
@@ -277,7 +292,9 @@ mod tests {
             let (_, parity_part) = shards.split_at_mut(6);
             let mut parity_refs: Vec<&mut [u8]> =
                 parity_part.iter_mut().map(Vec::as_mut_slice).collect();
-            codec.update_parity(4, &old_shard, &new_shard, &mut parity_refs).unwrap();
+            codec
+                .update_parity(4, &old_shard, &new_shard, &mut parity_refs)
+                .unwrap();
         }
         shards[4] = new_shard;
 

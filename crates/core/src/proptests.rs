@@ -31,7 +31,11 @@ fn registry_codecs() -> &'static [Box<dyn ErasureCoder>] {
 fn registry_validation_is_uniform() {
     for codec in registry_codecs() {
         let name = codec.spec().name();
-        let (n, p, t) = (codec.data_shards(), codec.parity_shards(), codec.total_shards());
+        let (n, p, t) = (
+            codec.data_shards(),
+            codec.parity_shards(),
+            codec.total_shards(),
+        );
         let align = codec.packets_per_shard();
         let data: Vec<u8> = (0..n * align * 5).map(|i| (i * 29 + 3) as u8).collect();
         let shards = codec.encode(&data).unwrap();
@@ -39,9 +43,16 @@ fn registry_validation_is_uniform() {
         let all: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
 
         // More data than the shards can hold is refused, not truncated.
-        assert_eq!(codec.decode(&all, n * len).unwrap().len(), n * len, "{name}");
+        assert_eq!(
+            codec.decode(&all, n * len).unwrap().len(),
+            n * len,
+            "{name}"
+        );
         assert!(
-            matches!(codec.decode(&all, n * len + 1), Err(EcError::ShardLength(_))),
+            matches!(
+                codec.decode(&all, n * len + 1),
+                Err(EcError::ShardLength(_))
+            ),
             "{name}: decode past capacity"
         );
 
@@ -64,7 +75,10 @@ fn registry_validation_is_uniform() {
             "{name}: update program of a parity index"
         );
         assert!(
-            matches!(codec.decode(&all[..t - 1], 0), Err(EcError::ShardCount { .. })),
+            matches!(
+                codec.decode(&all[..t - 1], 0),
+                Err(EcError::ShardCount { .. })
+            ),
             "{name}: shard count"
         );
 

@@ -83,7 +83,9 @@ mod tests {
     use crate::{OptConfig, RsCodec, RsConfig};
 
     fn sample(len: usize, seed: u8) -> Vec<u8> {
-        (0..len).map(|i| (i as u8).wrapping_mul(37) ^ seed).collect()
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(37) ^ seed)
+            .collect()
     }
 
     #[test]
@@ -93,16 +95,14 @@ mod tests {
         for (n, p) in [(3usize, 2usize), (4, 2), (10, 4)] {
             let codec = RsCodec::new(n, p).unwrap();
             let shard_len = 48;
-            let data: Vec<Vec<u8>> =
-                (0..n).map(|i| sample(shard_len, i as u8)).collect();
+            let data: Vec<Vec<u8>> = (0..n).map(|i| sample(shard_len, i as u8)).collect();
             let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
 
             let expect = parity_bitsliced(codec.encode_matrix(), &data_refs);
 
             let mut parity = vec![vec![0u8; shard_len]; p];
             {
-                let mut refs: Vec<&mut [u8]> =
-                    parity.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
                 codec.encode_parity(&data_refs, &mut refs).unwrap();
             }
             assert_eq!(parity, expect, "RS({n},{p})");
@@ -116,13 +116,11 @@ mod tests {
         let data: Vec<Vec<u8>> = (0..n).map(|i| sample(shard_len, 100 + i as u8)).collect();
         let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         for opt in [OptConfig::BASE, OptConfig::FULL_DFS] {
-            let codec =
-                RsCodec::with_config(RsConfig::new(n, 3).opt(opt).blocksize(16)).unwrap();
+            let codec = RsCodec::with_config(RsConfig::new(n, 3).opt(opt).blocksize(16)).unwrap();
             let expect = parity_bitsliced(codec.encode_matrix(), &data_refs);
             let mut parity = vec![vec![0u8; shard_len]; 3];
             {
-                let mut refs: Vec<&mut [u8]> =
-                    parity.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
                 codec.encode_parity(&data_refs, &mut refs).unwrap();
             }
             assert_eq!(parity, expect, "{opt:?}");

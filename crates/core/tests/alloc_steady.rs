@@ -115,7 +115,10 @@ fn assert_steady_state_update_is_allocation_free(name: &str, codec: &XorCodec) {
         call += 1;
     }
     drop(parity);
-    assert!(codec.verify(&shards).unwrap(), "{name}: parity no longer matches the data");
+    assert!(
+        codec.verify(&shards).unwrap(),
+        "{name}: parity no longer matches the data"
+    );
 }
 
 fn rs_10_4() -> RsCodec {
@@ -141,7 +144,9 @@ fn steady_state_update_is_allocation_free_lrc_10_4_r5() {
 const SLACK: u64 = 4 * 1024;
 
 fn stripe(codec: &XorCodec) -> (Vec<u8>, Vec<Vec<u8>>) {
-    let data: Vec<u8> = (0..codec.data_shards() * SHARD).map(|i| (i * 31 + 7) as u8).collect();
+    let data: Vec<u8> = (0..codec.data_shards() * SHARD)
+        .map(|i| (i * 31 + 7) as u8)
+        .collect();
     let shards = codec.encode(&data).unwrap();
     (data, shards)
 }
@@ -162,10 +167,17 @@ fn assert_steady_state_encode_and_verify_are_allocation_free(name: &str, codec: 
     let encode = allocations_on_this_thread() - before;
     let before = allocations_on_this_thread();
     for _ in 0..4 {
-        assert!(codec.verify(&shards).unwrap(), "{name}: encode_into changed the stripe");
+        assert!(
+            codec.verify(&shards).unwrap(),
+            "{name}: encode_into changed the stripe"
+        );
     }
     let verify = allocations_on_this_thread() - before;
-    assert_eq!((encode, verify), (0, 0), "{name}: allocations of 4 encode_into, 4 verify");
+    assert_eq!(
+        (encode, verify),
+        (0, 0),
+        "{name}: allocations of 4 encode_into, 4 verify"
+    );
 }
 
 /// With two data shards lost, a steady-state decode allocates the `n·len`
@@ -184,7 +196,10 @@ fn assert_steady_state_decode_allocates_its_output(name: &str, codec: &XorCodec)
         assert!(out == data, "{name}: decode returned other bytes");
         let bound = (n * SHARD) as u64 + SLACK;
         // The first two calls compile the program and grow the scratch.
-        assert!(call < 2 || bytes <= bound, "{name}: decode allocated {bytes} > {bound} bytes");
+        assert!(
+            call < 2 || bytes <= bound,
+            "{name}: decode allocated {bytes} > {bound} bytes"
+        );
     }
 }
 
@@ -201,8 +216,14 @@ fn assert_steady_state_reconstruct_allocates_its_shards(name: &str, codec: &XorC
         let before = bytes_allocated_on_this_thread();
         codec.reconstruct(&mut held).unwrap();
         let bytes = bytes_allocated_on_this_thread() - before;
-        assert!(held[3].as_ref() == Some(&shards[3]), "{name}: data shard rebuilt wrong");
-        assert!(held[n + 1].as_ref() == Some(&shards[n + 1]), "{name}: parity rebuilt wrong");
+        assert!(
+            held[3].as_ref() == Some(&shards[3]),
+            "{name}: data shard rebuilt wrong"
+        );
+        assert!(
+            held[n + 1].as_ref() == Some(&shards[n + 1]),
+            "{name}: parity rebuilt wrong"
+        );
         let bound = 2 * SHARD as u64 + SLACK;
         let what = format!("{name}: reconstruct allocated {bytes} > {bound} bytes");
         assert!(call < 2 || bytes <= bound, "{what}");

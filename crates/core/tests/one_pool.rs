@@ -15,7 +15,10 @@ use ec_core::{LrcCodec, RsCodec, RsConfig, XorCodec};
 /// The process's thread count.
 fn threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).unwrap();
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .unwrap();
     line.trim().parse().unwrap()
 }
 
@@ -38,7 +41,9 @@ fn drive(codec: &XorCodec) {
     let new: Vec<u8> = shards[1].iter().map(|b| b ^ 0x5A).collect();
     let (data_shards, parity_shards) = shards.split_at_mut(n);
     let mut parity: Vec<&mut [u8]> = parity_shards.iter_mut().map(Vec::as_mut_slice).collect();
-    codec.update_parity(1, &data_shards[1], &new, &mut parity).unwrap();
+    codec
+        .update_parity(1, &data_shards[1], &new, &mut parity)
+        .unwrap();
     data_shards[1] = new;
     assert!(codec.verify(&shards).unwrap());
 }
@@ -47,13 +52,19 @@ fn drive(codec: &XorCodec) {
 fn serial_codecs_own_no_thread_and_striped_ones_share_one_pool() {
     let before = threads();
     let serial = RsConfig::new(10, 4).parallelism(1);
-    let rs: Vec<RsCodec> = (0..4).map(|_| RsCodec::with_config(serial).unwrap()).collect();
+    let rs: Vec<RsCodec> = (0..4)
+        .map(|_| RsCodec::with_config(serial).unwrap())
+        .collect();
     let lrc = LrcCodec::with_config(serial, 5).unwrap();
     let evenodd = ArrayCodec::evenodd(5).with_parallelism(1);
     for codec in rs.iter().map(|c| &**c).chain([&*lrc, &*evenodd]) {
         drive(codec);
     }
-    assert_eq!(threads(), before, "six serial codecs, each driven through every call");
+    assert_eq!(
+        threads(),
+        before,
+        "six serial codecs, each driven through every call"
+    );
 
     // Two striped codecs: the first striped call builds the one pool,
     // the second codec finds it built.
@@ -68,5 +79,9 @@ fn serial_codecs_own_no_thread_and_striped_ones_share_one_pool() {
     );
     let second = RsCodec::with_config(striped).unwrap();
     second.encode(&data).unwrap();
-    assert_eq!(threads(), with_pool, "a second striped codec started threads");
+    assert_eq!(
+        threads(),
+        with_pool,
+        "a second striped codec started threads"
+    );
 }

@@ -118,7 +118,12 @@ fn fuse_once(slp: &Slp) -> (Slp, bool) {
     };
     let instrs: Vec<Instr> = keep
         .iter()
-        .map(|(dst, args)| Instr::new(remap[*dst as usize], args.iter().map(|&t| map_term(t)).collect::<Vec<_>>()))
+        .map(|(dst, args)| {
+            Instr::new(
+                remap[*dst as usize],
+                args.iter().map(|&t| map_term(t)).collect::<Vec<_>>(),
+            )
+        })
         .collect();
     let outputs: Vec<Term> = slp.outputs.iter().map(|&t| map_term(t)).collect();
 

@@ -94,7 +94,11 @@ pub fn optimize(slp: &Slp, config: OptConfig) -> Slp {
         Compression::RePair => repair(slp).0,
         Compression::XorRePair => xor_repair(slp).0,
     };
-    let fused = if config.fuse { fuse(&compressed) } else { compressed };
+    let fused = if config.fuse {
+        fuse(&compressed)
+    } else {
+        compressed
+    };
     match config.schedule {
         Scheduling::None => fused,
         Scheduling::Dfs => schedule_dfs(&fused),

@@ -19,7 +19,10 @@ fn flat_slp(n_consts: usize, n_outputs: usize) -> impl Strategy<Value = Slp> {
         let mut outputs = Vec::new();
         for row in rows {
             let dst = instrs.len() as u32;
-            instrs.push(Instr::new(dst, row.into_iter().map(Term::Const).collect::<Vec<_>>()));
+            instrs.push(Instr::new(
+                dst,
+                row.into_iter().map(Term::Const).collect::<Vec<_>>(),
+            ));
             outputs.push(Term::Var(dst));
         }
         Slp::new(n_consts, instrs, outputs).unwrap()

@@ -195,7 +195,9 @@ impl Occurrences {
 
     /// In how many definitions `x` and `y` occur together.
     fn count(&self, x: Code, y: Code) -> u32 {
-        common(self.row(x), self.row(y)).map(|w| w.count_ones()).sum()
+        common(self.row(x), self.row(y))
+            .map(|w| w.count_ones())
+            .sum()
     }
 }
 
@@ -784,9 +786,7 @@ impl Compressor {
     /// snapshot of each (`offer_pairs`).
     fn def_insert(&mut self, oi: usize, x: Code) {
         let def = &mut self.originals[oi].def;
-        let at = def
-            .binary_search(&x)
-            .expect_err("inserting duplicate term");
+        let at = def.binary_search(&x).expect_err("inserting duplicate term");
         def.insert(at, x);
         self.occ.set(x, oi, true);
     }
@@ -969,8 +969,8 @@ impl Compressor {
             .iter()
             .map(|t| t.expect("all outputs resolved at termination"))
             .collect();
-        let slp = Slp::new(self.universe, instrs, outputs)
-            .expect("compressor emits well-formed SLPs");
+        let slp =
+            Slp::new(self.universe, instrs, outputs).expect("compressor emits well-formed SLPs");
         // Count temporals never read and never returned.
         let uses = slp.use_counts();
         let mut returned = vec![false; slp.n_vars()];
@@ -1119,10 +1119,7 @@ mod tests {
         // pairings (no sharing available).
         let p = Slp::new(
             6,
-            vec![Instr::new(
-                0,
-                (0..6).map(Const).collect::<Vec<_>>(),
-            )],
+            vec![Instr::new(0, (0..6).map(Const).collect::<Vec<_>>())],
             vec![Var(0)],
         )
         .unwrap();

@@ -63,8 +63,7 @@ impl Compressor {
             match out {
                 Term::Const(k) => c.out_map[slot] = Some(Term::Const(*k)),
                 Term::Var(_) => {
-                    let def: BTreeSet<Term> =
-                        values[slot].iter().map(Term::Const).collect();
+                    let def: BTreeSet<Term> = values[slot].iter().map(Term::Const).collect();
                     assert!(!def.is_empty(), "output {slot} has empty value");
                     c.originals.push(Original {
                         def,
@@ -275,8 +274,8 @@ impl Compressor {
             .iter()
             .map(|t| t.expect("all outputs resolved at termination"))
             .collect();
-        let slp = Slp::new(self.universe, instrs, outputs)
-            .expect("compressor emits well-formed SLPs");
+        let slp =
+            Slp::new(self.universe, instrs, outputs).expect("compressor emits well-formed SLPs");
         // Count temporals never read and never returned.
         let uses = slp.use_counts();
         let mut returned = vec![false; slp.n_vars()];

@@ -69,12 +69,7 @@ impl Scheduler {
     /// choosing the destination pebble with `pick`, which receives the
     /// movable candidates in ascending order and returns one or `None` for
     /// a fresh pebble.
-    fn emit(
-        &mut self,
-        node: usize,
-        args: Vec<Term>,
-        pick: impl FnOnce(&[u32]) -> Option<u32>,
-    ) {
+    fn emit(&mut self, node: usize, args: Vec<Term>, pick: impl FnOnce(&[u32]) -> Option<u32>) {
         debug_assert!(!self.computed[node], "node pebbled twice");
         // Consume the children: their remaining-parent counts drop, which
         // may free their pebbles for reuse *by this very instruction*.
@@ -109,9 +104,9 @@ impl Scheduler {
             .iter()
             .map(|&t| match t {
                 Term::Const(c) => Term::Const(c),
-                Term::Var(v) => Term::Var(
-                    self.pebble_of[v as usize].expect("goal computed with a live pebble"),
-                ),
+                Term::Var(v) => {
+                    Term::Var(self.pebble_of[v as usize].expect("goal computed with a live pebble"))
+                }
             })
             .collect();
         Slp::new(n_consts, self.instrs, outputs).expect("scheduler emits well-formed SLPs")
@@ -124,7 +119,11 @@ impl Scheduler {
 /// by [`crate::fusion::fuse`]); any other SLP is normalized via
 /// [`Slp::to_ssa`] first.
 pub fn schedule_dfs(slp: &Slp) -> Slp {
-    let slp = if slp.is_ssa() { slp.clone() } else { slp.to_ssa() };
+    let slp = if slp.is_ssa() {
+        slp.clone()
+    } else {
+        slp.to_ssa()
+    };
     let g = CompGraph::build(&slp);
     let mut s = Scheduler::new(g);
 
@@ -161,8 +160,7 @@ pub fn schedule_dfs(slp: &Slp) -> Slp {
                     }
                 }
                 Visit::Exit(n) => {
-                    let args: Vec<Term> =
-                        s.g.children[n].iter().map(|&t| s.block_of(t)).collect();
+                    let args: Vec<Term> = s.g.children[n].iter().map(|&t| s.block_of(t)).collect();
                     // Reuse the ≺-least movable pebble, else a fresh one.
                     s.emit(n, args, |movable| movable.first().copied());
                 }
@@ -175,7 +173,11 @@ pub fn schedule_dfs(slp: &Slp) -> Slp {
 /// Bottom-up greedy scheduling (§6.6, second heuristic), parameterized by
 /// the abstract cache capacity in blocks.
 pub fn schedule_greedy(slp: &Slp, cache_blocks: usize) -> Slp {
-    let slp = if slp.is_ssa() { slp.clone() } else { slp.to_ssa() };
+    let slp = if slp.is_ssa() {
+        slp.clone()
+    } else {
+        slp.to_ssa()
+    };
     let g = CompGraph::build(&slp);
     let mut s = Scheduler::new(g);
     let mut sim = CacheSim::new(cache_blocks);
@@ -300,11 +302,11 @@ mod tests {
         // v2, v1, v3, v4, v5 with the paper's argument orders.
         let q = schedule_dfs(&p_eg());
         let expect: Vec<Instr> = vec![
-            Instr::new(0, vec![Const(2), Const(3)]),           // v2: p1 ← C⊕D
-            Instr::new(1, vec![Const(0), Const(1)]),           // v1: p2 ← A⊕B
-            Instr::new(2, vec![Var(1), Const(4), Const(5)]),   // v3: p3 ← ⊕(p2,E,F)
-            Instr::new(3, vec![Var(2), Const(0), Const(6)]),   // v4: p4 ← ⊕(p3,A,G)
-            Instr::new(1, vec![Var(1), Var(2), Var(3)]),       // v5: p2 ← ⊕(p2,p3,p4)
+            Instr::new(0, vec![Const(2), Const(3)]), // v2: p1 ← C⊕D
+            Instr::new(1, vec![Const(0), Const(1)]), // v1: p2 ← A⊕B
+            Instr::new(2, vec![Var(1), Const(4), Const(5)]), // v3: p3 ← ⊕(p2,E,F)
+            Instr::new(3, vec![Var(2), Const(0), Const(6)]), // v4: p4 ← ⊕(p3,A,G)
+            Instr::new(1, vec![Var(1), Var(2), Var(3)]), // v5: p2 ← ⊕(p2,p3,p4)
         ];
         assert_eq!(q.instrs, expect);
         assert_eq!(q.outputs, vec![Var(0), Var(3), Var(1)]);
@@ -326,11 +328,11 @@ mod tests {
         // v1, v3, v4, v5, v2 with cached arguments first.
         let q = schedule_greedy(&p_eg(), 8);
         let expect: Vec<Instr> = vec![
-            Instr::new(0, vec![Const(0), Const(1)]),         // v1: p1 ← A⊕B
+            Instr::new(0, vec![Const(0), Const(1)]), // v1: p1 ← A⊕B
             Instr::new(1, vec![Var(0), Const(4), Const(5)]), // v3: p2 ← ⊕(p1,E,F)
             Instr::new(2, vec![Var(1), Const(0), Const(6)]), // v4: p3 ← ⊕(p2,A,G)
-            Instr::new(0, vec![Var(0), Var(1), Var(2)]),     // v5: p1 ← ⊕(p1,p2,p3)
-            Instr::new(1, vec![Const(2), Const(3)]),         // v2: p2 ← C⊕D (repaired)
+            Instr::new(0, vec![Var(0), Var(1), Var(2)]), // v5: p1 ← ⊕(p1,p2,p3)
+            Instr::new(1, vec![Const(2), Const(3)]), // v2: p2 ← C⊕D (repaired)
         ];
         assert_eq!(q.instrs, expect);
         assert_eq!(q.outputs, vec![Var(1), Var(2), Var(0)]);

@@ -73,8 +73,8 @@ impl AlignedBuf {
 
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
-        let layout = Layout::from_size_align(self.len, CACHE_PAGE)
-            .expect("layout was valid at allocation");
+        let layout =
+            Layout::from_size_align(self.len, CACHE_PAGE).expect("layout was valid at allocation");
         // SAFETY: allocated with the same layout in `new`.
         unsafe { dealloc(self.ptr, layout) };
     }
@@ -330,7 +330,10 @@ mod tests {
                 }
                 let a = arena.var_ptr(i) as usize;
                 let b = arena.var_ptr(j) as usize;
-                assert!(a + 1000 <= b || b + 1000 <= a, "buffers {i} and {j} overlap");
+                assert!(
+                    a + 1000 <= b || b + 1000 <= a,
+                    "buffers {i} and {j} overlap"
+                );
             }
         }
     }

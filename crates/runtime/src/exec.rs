@@ -118,7 +118,11 @@ impl ExecProgram {
     /// cannot run `kernel` (both loops call it unchecked).
     pub fn compile(slp: &Slp, blocksize: usize, kernel: Kernel) -> ExecProgram {
         assert!(blocksize > 0, "blocksize must be positive");
-        assert!(kernel.is_available(), "this CPU cannot run the {} kernel", kernel.name());
+        assert!(
+            kernel.is_available(),
+            "this CPU cannot run the {} kernel",
+            kernel.name()
+        );
         slp.validate().expect("cannot compile an ill-formed SLP");
         let n_vars = slp.n_vars();
 
@@ -218,9 +222,7 @@ impl ExecProgram {
             .map(|a| a.len())
             .or_else(|| outputs.first().map(|a| a.len()))
             .unwrap_or(0);
-        if inputs.iter().any(|a| a.len() != len)
-            || outputs.iter().any(|a| a.len() != len)
-        {
+        if inputs.iter().any(|a| a.len() != len) || outputs.iter().any(|a| a.len() != len) {
             return Err(ExecError::LengthMismatch);
         }
         if len == 0 {
@@ -646,7 +648,10 @@ mod tests {
         let mut orefs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(
             prog.run(&refs, &mut orefs),
-            Err(ExecError::InputCount { expected: 4, got: 3 })
+            Err(ExecError::InputCount {
+                expected: 4,
+                got: 3
+            })
         );
 
         let refs: Vec<&[u8]> = vec![&a; 4];
@@ -658,7 +663,10 @@ mod tests {
         let mut orefs: Vec<&mut [u8]> = two.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(
             prog.run(&refs, &mut orefs),
-            Err(ExecError::OutputCount { expected: 3, got: 2 })
+            Err(ExecError::OutputCount {
+                expected: 3,
+                got: 2
+            })
         );
     }
 
@@ -676,12 +684,7 @@ mod tests {
     fn optimized_pipeline_output_executes_identically() {
         // End-to-end within the runtime: a scheduled, fused, compressed
         // program from a bit-matrix runs identically to the base program.
-        let m = bitmatrix::BitMatrix::parse(&[
-            "11110000",
-            "00111100",
-            "00001111",
-            "11001100",
-        ]);
+        let m = bitmatrix::BitMatrix::parse(&["11110000", "00111100", "00001111", "11001100"]);
         let base = slp::binary_slp_from_bitmatrix(&m);
         let opt = slp_optimizer::optimize(&base, slp_optimizer::OptConfig::FULL_DFS);
         let data = inputs(8, 3 * 64 + 17);

@@ -379,7 +379,11 @@ unsafe fn xor_neon(dst: *mut u8, srcs: &[*const u8], len: usize) {
 /// `kernel`.
 pub fn xor_slices(kernel: Kernel, dst: &mut [u8], srcs: &[&[u8]]) {
     assert!(!srcs.is_empty(), "XOR of zero sources is undefined");
-    assert!(kernel.is_available(), "this CPU cannot run the {} kernel", kernel.name());
+    assert!(
+        kernel.is_available(),
+        "this CPU cannot run the {} kernel",
+        kernel.name()
+    );
     for s in srcs {
         assert_eq!(s.len(), dst.len(), "length mismatch");
     }
@@ -401,7 +405,11 @@ pub fn xor_slices(kernel: Kernel, dst: &mut [u8], srcs: &[&[u8]]) {
 /// Panics if the lengths differ or this CPU cannot run `kernel`.
 pub fn xor_accumulate(kernel: Kernel, dst: &mut [u8], src: &[u8]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
-    assert!(kernel.is_available(), "this CPU cannot run the {} kernel", kernel.name());
+    assert!(
+        kernel.is_available(),
+        "this CPU cannot run the {} kernel",
+        kernel.name()
+    );
     if dst.is_empty() {
         return;
     }
@@ -438,10 +446,16 @@ mod tests {
     #[test]
     fn kernels_agree_with_reference_across_lengths_and_arities() {
         // Odd lengths exercise every tail path (64/32/8/1 bytes).
-        for len in [0usize, 1, 7, 8, 31, 32, 33, 63, 64, 65, 127, 200, 1024, 4097] {
+        for len in [
+            0usize, 1, 7, 8, 31, 32, 33, 63, 64, 65, 127, 200, 1024, 4097,
+        ] {
             for arity in 1..=9usize {
                 let srcs: Vec<Vec<u8>> = (0..arity)
-                    .map(|a| (0..len).map(|i| (i as u8).wrapping_mul(a as u8 + 3) ^ 0x5A).collect())
+                    .map(|a| {
+                        (0..len)
+                            .map(|i| (i as u8).wrapping_mul(a as u8 + 3) ^ 0x5A)
+                            .collect()
+                    })
                     .collect();
                 let refs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
                 let expect = reference_xor(&refs);

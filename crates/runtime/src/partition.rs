@@ -108,10 +108,16 @@ impl ExecProgram {
         outputs: &[O],
     ) -> Result<usize, ExecError> {
         if inputs.len() != self.n_inputs() {
-            return Err(ExecError::InputCount { expected: self.n_inputs(), got: inputs.len() });
+            return Err(ExecError::InputCount {
+                expected: self.n_inputs(),
+                got: inputs.len(),
+            });
         }
         if outputs.len() != self.n_outputs() {
-            return Err(ExecError::OutputCount { expected: self.n_outputs(), got: outputs.len() });
+            return Err(ExecError::OutputCount {
+                expected: self.n_outputs(),
+                got: outputs.len(),
+            });
         }
         let len = inputs
             .first()
@@ -174,7 +180,10 @@ impl ExecProgram {
             }));
         }
         ExecPool::global().run_scoped(tasks);
-        match failure.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+        match failure
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
             Some(e) => Err(e),
             None => Ok(all_true.into_inner()),
         }
@@ -248,10 +257,16 @@ impl ExecProgram {
         max_stripes: usize,
     ) -> Result<(), ExecError> {
         if pps != self.n_inputs() {
-            return Err(ExecError::InputCount { expected: self.n_inputs(), got: pps });
+            return Err(ExecError::InputCount {
+                expected: self.n_inputs(),
+                got: pps,
+            });
         }
         if targets.len() != self.n_outputs() {
-            return Err(ExecError::OutputCount { expected: self.n_outputs(), got: targets.len() });
+            return Err(ExecError::OutputCount {
+                expected: self.n_outputs(),
+                got: targets.len(),
+            });
         }
         let pl = old.len() / pps.max(1);
         if new.len() != old.len() || old.len() != pl * pps || targets.iter().any(|t| t.len() != pl)
@@ -399,7 +414,10 @@ mod tests {
         let mut orefs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(
             prog.run_striped(&refs, &mut orefs, 2),
-            Err(ExecError::InputCount { expected: 4, got: 3 })
+            Err(ExecError::InputCount {
+                expected: 4,
+                got: 3
+            })
         );
         let refs: Vec<&[u8]> = vec![&a; 4];
         let mut short = vec![vec![0u8; 4]; 3];
@@ -436,7 +454,8 @@ mod tests {
         let inputs: Vec<&[u8]> = delta.chunks_exact(pl).collect();
         let mut dp = vec![vec![0u8; pl]; targets.len()];
         let mut outputs: Vec<&mut [u8]> = dp.iter_mut().map(Vec::as_mut_slice).collect();
-        prog.run_striped(&inputs, &mut outputs, max_stripes).unwrap();
+        prog.run_striped(&inputs, &mut outputs, max_stripes)
+            .unwrap();
         for (target, d) in targets.iter_mut().zip(&dp) {
             xor_accumulate(prog.kernel(), target, d);
         }
@@ -464,7 +483,13 @@ mod tests {
             .enumerate()
             .map(|(r, row)| {
                 (0..cols)
-                    .map(|c| if row[c] & 1 == 1 || c == r % cols { '1' } else { '0' })
+                    .map(|c| {
+                        if row[c] & 1 == 1 || c == r % cols {
+                            '1'
+                        } else {
+                            '0'
+                        }
+                    })
                     .collect()
             })
             .collect();
@@ -518,8 +543,9 @@ mod tests {
                     for pl in [1usize, 63, 64, 1000, 1024, 4097, 8205] {
                         let old = random_bytes(n_in * pl, pl as u64);
                         let new = random_bytes(n_in * pl, pl as u64 + 1);
-                        let base: Vec<Vec<u8>> =
-                            (0..n_out).map(|j| random_bytes(pl, 100 + j as u64)).collect();
+                        let base: Vec<Vec<u8>> = (0..n_out)
+                            .map(|j| random_bytes(pl, 100 + j as u64))
+                            .collect();
                         for stripes in 1..=3 {
                             let mut expect = base.clone();
                             three_pass_delta(&prog, &old, &new, &mut expect, stripes);
@@ -546,8 +572,9 @@ mod tests {
                 for (name, p) in fused_loop_programs() {
                     let prog = ExecProgram::compile(&p, blocksize, kernel);
                     let pl = 1000;
-                    let data: Vec<Vec<u8>> =
-                        (0..prog.n_inputs()).map(|k| random_bytes(pl, k as u64)).collect();
+                    let data: Vec<Vec<u8>> = (0..prog.n_inputs())
+                        .map(|k| random_bytes(pl, k as u64))
+                        .collect();
                     let inputs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
                     let mut parity = p.run_reference(&inputs);
                     for stripes in 1..=3 {
@@ -578,7 +605,10 @@ mod tests {
         let mut targets: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
         assert_eq!(
             prog.run_delta_striped(3, &old, &new, &mut targets, 2),
-            Err(ExecError::InputCount { expected: 4, got: 3 })
+            Err(ExecError::InputCount {
+                expected: 4,
+                got: 3
+            })
         );
         assert_eq!(
             prog.run_delta_striped(4, &old, &new[..16], &mut targets, 2),
@@ -586,7 +616,10 @@ mod tests {
         );
         assert_eq!(
             prog.run_delta_striped(4, &old, &new, &mut targets[..2], 2),
-            Err(ExecError::OutputCount { expected: 3, got: 2 })
+            Err(ExecError::OutputCount {
+                expected: 3,
+                got: 2
+            })
         );
         let mut empty: Vec<&mut [u8]> = vec![&mut [], &mut [], &mut []];
         assert_eq!(prog.run_delta_striped(4, &[], &[], &mut empty, 2), Ok(()));
@@ -599,7 +632,10 @@ mod tests {
         );
         assert_eq!(
             prog.verify_striped(&ins[..3], &[&a, &a, &a], 2),
-            Err(ExecError::InputCount { expected: 4, got: 3 })
+            Err(ExecError::InputCount {
+                expected: 4,
+                got: 3
+            })
         );
         let none: &[u8] = &[];
         assert_eq!(prog.verify_striped(&[none; 4], &[none; 3], 2), Ok(true));
@@ -615,7 +651,8 @@ mod tests {
         let mut outs = vec![vec![0u8; 4096]; 3];
         {
             let mut orefs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-            prog.run_striped(&refs, &mut orefs, crate::default_parallelism().max(2)).unwrap();
+            prog.run_striped(&refs, &mut orefs, crate::default_parallelism().max(2))
+                .unwrap();
         }
         assert_eq!(outs, expect);
     }

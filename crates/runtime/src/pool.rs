@@ -152,9 +152,8 @@ impl ExecPool {
                 // borrow with lifetime 'scope stays live for as long as
                 // the task exists. Erasing 'scope to 'static is therefore
                 // sound; the fat-pointer layout is identical.
-                let task: StaticTask = unsafe {
-                    std::mem::transmute::<ScopedTask<'scope>, StaticTask>(task)
-                };
+                let task: StaticTask =
+                    unsafe { std::mem::transmute::<ScopedTask<'scope>, StaticTask>(task) };
                 let latch = latch.clone();
                 q.tasks.push_back(Box::new(move |arena: &mut VarArena| {
                     let outcome = catch_unwind(AssertUnwindSafe(|| task(arena)));
@@ -220,7 +219,11 @@ pub fn default_parallelism() -> usize {
 /// caps a call at `k` stripes. Codec constructors use this as their
 /// *default*; an explicit builder call still wins.
 pub fn env_parallelism() -> Option<usize> {
-    std::env::var("XORSLP_PARALLELISM").ok()?.trim().parse().ok()
+    std::env::var("XORSLP_PARALLELISM")
+        .ok()?
+        .trim()
+        .parse()
+        .ok()
 }
 
 #[cfg(test)]

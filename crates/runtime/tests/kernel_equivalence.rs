@@ -63,8 +63,8 @@ fn check_cell(kernel: Kernel, len: usize, n_srcs: usize, misalign: usize) {
 #[test]
 fn seam_lengths_match_reference_for_every_kernel() {
     let lens = [
-        0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 191, 255, 256,
-        257, 511, 1023, 1024, 1025, 4095, 4096, 4097,
+        0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 191, 255, 256, 257,
+        511, 1023, 1024, 1025, 4095, 4096, 4097,
     ];
     for kernel in available_kernels() {
         for &len in &lens {

@@ -57,7 +57,10 @@ pub fn binary_slp_from_bitmatrix(m: &BitMatrix) -> Slp {
         match cols.as_slice() {
             [single] => instrs.push(Instr::new(dst, vec![Term::Const(*single)])),
             [first, second, rest @ ..] => {
-                instrs.push(Instr::new(dst, vec![Term::Const(*first), Term::Const(*second)]));
+                instrs.push(Instr::new(
+                    dst,
+                    vec![Term::Const(*first), Term::Const(*second)],
+                ));
                 for &c in rest {
                     instrs.push(Instr::new(dst, vec![Term::Var(dst), Term::Const(c)]));
                 }

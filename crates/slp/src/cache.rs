@@ -195,11 +195,11 @@ mod tests {
         Slp::new(
             7,
             vec![
-                Instr::new(0, vec![Const(0), Const(1)]),          // v1 ← A⊕B
-                Instr::new(1, vec![Const(2), Const(3)]),          // v2 ← C⊕D
-                Instr::new(2, vec![Var(0), Const(4), Const(5)]),  // v3 ← ⊕(v1,E,F)
-                Instr::new(3, vec![Var(2), Const(6), Const(0)]),  // v4 ← ⊕(v3,G,A)
-                Instr::new(4, vec![Var(0), Var(2), Var(3)]),      // v5 ← ⊕(v1,v3,v4)
+                Instr::new(0, vec![Const(0), Const(1)]),         // v1 ← A⊕B
+                Instr::new(1, vec![Const(2), Const(3)]),         // v2 ← C⊕D
+                Instr::new(2, vec![Var(0), Const(4), Const(5)]), // v3 ← ⊕(v1,E,F)
+                Instr::new(3, vec![Var(2), Const(6), Const(0)]), // v4 ← ⊕(v3,G,A)
+                Instr::new(4, vec![Var(0), Var(2), Var(3)]),     // v5 ← ⊕(v1,v3,v4)
             ],
             vec![Var(1), Var(3), Var(4)],
         )

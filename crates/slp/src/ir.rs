@@ -58,7 +58,10 @@ impl std::fmt::Display for SlpError {
         match self {
             SlpError::EmptyArgs { instr } => write!(f, "instruction {instr} has no arguments"),
             SlpError::ConstOutOfRange { instr, index } => match instr {
-                Some(i) => write!(f, "instruction {i} references constant {index} out of range"),
+                Some(i) => write!(
+                    f,
+                    "instruction {i} references constant {index} out of range"
+                ),
                 None => write!(f, "return list references constant {index} out of range"),
             },
             SlpError::UseBeforeDef { instr, var } => match instr {
@@ -138,7 +141,10 @@ impl Slp {
                     })
                 }
                 Term::Var(v) if !defined.get(v as usize).copied().unwrap_or(false) => {
-                    return Err(SlpError::UseBeforeDef { instr: None, var: v })
+                    return Err(SlpError::UseBeforeDef {
+                        instr: None,
+                        var: v,
+                    })
                 }
                 _ => {}
             }
@@ -201,7 +207,10 @@ impl Slp {
                 })
                 .collect();
             current.insert(instr.dst, fresh as u32);
-            instrs.push(Instr { dst: fresh as u32, args });
+            instrs.push(Instr {
+                dst: fresh as u32,
+                args,
+            });
         }
         let outputs = self
             .outputs
@@ -359,15 +368,25 @@ mod tests {
 
     #[test]
     fn validation_rejects_use_before_def() {
-        let err = Slp::new(2, vec![Instr::new(0, vec![Var(1), Const(0)])], vec![Var(0)])
-            .unwrap_err();
-        assert_eq!(err, SlpError::UseBeforeDef { instr: Some(0), var: 1 });
+        let err =
+            Slp::new(2, vec![Instr::new(0, vec![Var(1), Const(0)])], vec![Var(0)]).unwrap_err();
+        assert_eq!(
+            err,
+            SlpError::UseBeforeDef {
+                instr: Some(0),
+                var: 1
+            }
+        );
     }
 
     #[test]
     fn validation_rejects_const_out_of_range() {
-        let err = Slp::new(1, vec![Instr::new(0, vec![Const(0), Const(1)])], vec![Var(0)])
-            .unwrap_err();
+        let err = Slp::new(
+            1,
+            vec![Instr::new(0, vec![Const(0), Const(1)])],
+            vec![Var(0)],
+        )
+        .unwrap_err();
         assert!(matches!(err, SlpError::ConstOutOfRange { index: 1, .. }));
     }
 
@@ -406,10 +425,7 @@ mod tests {
         let f = p.flatten();
         assert_eq!(p.eval(), f.eval());
         // every instruction of the flat form reads constants only
-        assert!(f
-            .instrs
-            .iter()
-            .all(|i| i.args.iter().all(|t| t.is_const())));
+        assert!(f.instrs.iter().all(|i| i.args.iter().all(|t| t.is_const())));
     }
 
     #[test]

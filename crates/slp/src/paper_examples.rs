@@ -44,11 +44,11 @@ fn q_literal() -> Slp {
     Slp::new(
         7,
         vec![
-            Instr::new(0, vec![B, A]),               // v1: p1 ← B⊕A
-            Instr::new(1, vec![E, F, Var(0)]),       // v3: p2 ← ⊕(E,F,p1)
-            Instr::new(2, vec![A, G, Var(1)]),       // v4: p3 ← ⊕(A,G,p2)
+            Instr::new(0, vec![B, A]),                   // v1: p1 ← B⊕A
+            Instr::new(1, vec![E, F, Var(0)]),           // v3: p2 ← ⊕(E,F,p1)
+            Instr::new(2, vec![A, G, Var(1)]),           // v4: p3 ← ⊕(A,G,p2)
             Instr::new(0, vec![Var(0), Var(1), Var(2)]), // v5: p1 ← ⊕(p1,p2,p3)
-            Instr::new(2, vec![C, D]),               // v2: p3 ← C⊕D  (erratum: clobbers v4)
+            Instr::new(2, vec![C, D]),                   // v2: p3 ← C⊕D  (erratum: clobbers v4)
         ],
         vec![Var(2), Var(1), Var(0)],
     )
@@ -77,10 +77,10 @@ fn q_dfs_literal() -> Slp {
     Slp::new(
         7,
         vec![
-            Instr::new(0, vec![C, D]),               // v2: p1
-            Instr::new(1, vec![A, B]),               // v1: p2
-            Instr::new(2, vec![Var(1), E, F]),       // v3: p3
-            Instr::new(3, vec![Var(2), A, G]),       // v4: p4
+            Instr::new(0, vec![C, D]),                   // v2: p1
+            Instr::new(1, vec![A, B]),                   // v1: p2
+            Instr::new(2, vec![Var(1), E, F]),           // v3: p3
+            Instr::new(3, vec![Var(2), A, G]),           // v4: p4
             Instr::new(3, vec![Var(1), Var(2), Var(3)]), // v5: p4 (erratum)
         ],
         vec![Var(0), Var(2), Var(3)],
@@ -93,11 +93,11 @@ fn q_greedy_literal() -> Slp {
     Slp::new(
         7,
         vec![
-            Instr::new(0, vec![A, B]),               // v1: p1
-            Instr::new(1, vec![Var(0), E, F]),       // v3: p2
-            Instr::new(2, vec![Var(1), A, G]),       // v4: p3
+            Instr::new(0, vec![A, B]),                   // v1: p1
+            Instr::new(1, vec![Var(0), E, F]),           // v3: p2
+            Instr::new(2, vec![Var(1), A, G]),           // v4: p3
             Instr::new(0, vec![Var(0), Var(1), Var(2)]), // v5: p1
-            Instr::new(2, vec![C, D]),               // v2: p3 (erratum)
+            Instr::new(2, vec![C, D]),                   // v2: p3 (erratum)
         ],
         vec![Var(2), Var(1), Var(0)],
     )

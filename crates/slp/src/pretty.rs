@@ -57,9 +57,6 @@ mod tests {
         )
         .unwrap();
         let text = p.to_string();
-        assert_eq!(
-            text,
-            "v0 ← a ⊕ b;\nv1 ← ⊕(c, d, e);\nv2 ← v1;\nret(v0, v2)"
-        );
+        assert_eq!(text, "v0 ← a ⊕ b;\nv1 ← ⊕(c, d, e);\nv2 ← v1;\nret(v0, v2)");
     }
 }

@@ -60,7 +60,11 @@ impl ValueSet {
     #[inline]
     pub fn toggle(&mut self, c: u32) {
         let c = c as usize;
-        assert!(c < self.universe, "constant {c} outside universe {}", self.universe);
+        assert!(
+            c < self.universe,
+            "constant {c} outside universe {}",
+            self.universe
+        );
         self.words[c / 64] ^= 1 << (c % 64);
     }
 

@@ -161,19 +161,13 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             "--repair" => opts.repair = true,
             "--verbose" => opts.verbose = true,
             "--deep" => opts.deep = true,
-            "--gc-grace" => {
-                opts.gc_grace = Some(num(args, &mut i, "--gc-grace")? as u64)
-            }
-            "--delay-ms" => {
-                opts.delay_ms = Some(num(args, &mut i, "--delay-ms")? as u64)
-            }
+            "--gc-grace" => opts.gc_grace = Some(num(args, &mut i, "--gc-grace")? as u64),
+            "--delay-ms" => opts.delay_ms = Some(num(args, &mut i, "--delay-ms")? as u64),
             "--delay-prefix" => {
                 i += 1;
                 opts.delay_prefix = Some(
                     args.get(i)
-                        .ok_or_else(|| {
-                            CliError::Usage("--delay-prefix needs a key prefix".into())
-                        })?
+                        .ok_or_else(|| CliError::Usage("--delay-prefix needs a key prefix".into()))?
                         .clone(),
                 );
             }
@@ -202,11 +196,15 @@ fn cluster_from(opts: &Opts, which: usize) -> Result<Cluster, CliError> {
         .positional
         .get(which)
         .ok_or_else(|| CliError::Usage("missing <cluster> argument".into()))?;
-    let nodes: Vec<String> = spec.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
+    let nodes: Vec<String> = spec
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect();
     let codec = CodecSpec::parse(&opts.codec, opts.n, opts.p)
         .map_err(|e| CliError::Usage(format!("--codec: {e}")))?;
-    let mut cluster =
-        Cluster::with_spec(nodes, &codec)?.with_timeout(Duration::from_secs(10));
+    let mut cluster = Cluster::with_spec(nodes, &codec)?.with_timeout(Duration::from_secs(10));
     if let Some(secs) = opts.gc_grace {
         cluster = cluster.with_gc_grace(Duration::from_secs(secs));
     }
@@ -316,7 +314,10 @@ fn get(opts: &Opts) -> Result<ExitCode, CliError> {
             report.missing
         );
     } else {
-        println!("fetched `{object}` ({} bytes), all shards healthy", data.len());
+        println!(
+            "fetched `{object}` ({} bytes), all shards healthy",
+            data.len()
+        );
     }
     if opts.verbose {
         println!("  integrity: every served shard verified against its manifest Merkle root");
@@ -422,12 +423,22 @@ fn health(opts: &Opts) -> Result<ExitCode, CliError> {
             }
         }
     }
-    Ok(if dead == 0 { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    Ok(if dead == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    })
 }
 
 fn scrub(opts: &Opts) -> Result<ExitCode, CliError> {
     let cluster = cluster_from(opts, 0)?;
-    let run = |cluster: &Cluster| if opts.deep { cluster.scrub_deep() } else { cluster.scrub() };
+    let run = |cluster: &Cluster| {
+        if opts.deep {
+            cluster.scrub_deep()
+        } else {
+            cluster.scrub()
+        }
+    };
     let report = if opts.repair {
         let (first, repairs) = cluster.scrub_and_repair()?;
         for (object, outcome) in &repairs {
@@ -515,8 +526,7 @@ fn repair(opts: &Opts) -> Result<ExitCode, CliError> {
         .iter()
         .enumerate()
         .map(|(i, dead)| {
-            let replacement =
-                opts.replacement.get(i).unwrap_or(dead).clone();
+            let replacement = opts.replacement.get(i).unwrap_or(dead).clone();
             (dead.clone(), replacement)
         })
         .collect();
@@ -534,5 +544,9 @@ fn repair(opts: &Opts) -> Result<ExitCode, CliError> {
     for (object, err) in &report.failed {
         println!("object `{object}`: NOT repaired: {err}");
     }
-    Ok(if report.failed.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    Ok(if report.failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    })
 }

@@ -84,7 +84,9 @@ impl BlobStore {
                 let _ = fs::remove_file(&path);
             }
         }
-        Ok(BlobStore { root: root.to_path_buf() })
+        Ok(BlobStore {
+            root: root.to_path_buf(),
+        })
     }
 
     /// The directory backing this store.
@@ -93,7 +95,8 @@ impl BlobStore {
     }
 
     fn path_for(&self, key: &str) -> PathBuf {
-        self.root.join(format!("{}{BLOB_SUFFIX}", hex_encode(key.as_bytes())))
+        self.root
+            .join(format!("{}{BLOB_SUFFIX}", hex_encode(key.as_bytes())))
     }
 
     /// Store `data` under `key`, replacing any existing blob atomically.
@@ -113,10 +116,9 @@ impl BlobStore {
         static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let final_path = self.path_for(key);
-        let tmp_path = self.root.join(format!(
-            "{}.{seq}.tmp",
-            hex_encode(key.as_bytes())
-        ));
+        let tmp_path = self
+            .root
+            .join(format!("{}.{seq}.tmp", hex_encode(key.as_bytes())));
         {
             let mut f = fs::File::create(&tmp_path)?;
             let mut head = [0u8; BLOB_HEAD];
@@ -165,15 +167,16 @@ impl BlobStore {
         if head[..8] != BLOB_MAGIC {
             return Err(BlobError::Corrupt("bad blob magic".into()));
         }
-        let payload_len =
-            u32::from_le_bytes(head[8..].try_into().expect("fixed slice")) as u64;
+        let payload_len = u32::from_le_bytes(head[8..].try_into().expect("fixed slice")) as u64;
         if file_len != BLOB_OVERHEAD + payload_len {
             return Err(BlobError::Corrupt(format!(
                 "file is {file_len} bytes but the frame declares {} (truncated or grown)",
                 BLOB_OVERHEAD + payload_len
             )));
         }
-        let trailer = payload[payload_len as usize..].try_into().expect("file length checked");
+        let trailer = payload[payload_len as usize..]
+            .try_into()
+            .expect("file length checked");
         let stored = u32::from_le_bytes(trailer);
         payload.truncate(payload_len as usize);
         let actual = crc32(&payload);
@@ -189,7 +192,11 @@ impl BlobStore {
     /// re-hash it, but never ships it anywhere).
     pub fn stat(&self, key: &str) -> Result<BlobStat, BlobError> {
         match self.read_verified(key) {
-            Ok((payload, crc)) => Ok(BlobStat { len: payload.len() as u64, crc, ok: true }),
+            Ok((payload, crc)) => Ok(BlobStat {
+                len: payload.len() as u64,
+                crc,
+                ok: true,
+            }),
             Err(BlobError::Corrupt(_)) => {
                 // Report what the frame *claims* so the caller can still
                 // see the blob exists; `ok: false` marks it damaged.
@@ -221,9 +228,15 @@ impl BlobStore {
         for entry in fs::read_dir(&self.root)? {
             let name = entry?.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name.strip_suffix(BLOB_SUFFIX) else { continue };
-            let Some(bytes) = hex_decode(hex) else { continue };
-            let Ok(key) = String::from_utf8(bytes) else { continue };
+            let Some(hex) = name.strip_suffix(BLOB_SUFFIX) else {
+                continue;
+            };
+            let Some(bytes) = hex_decode(hex) else {
+                continue;
+            };
+            let Ok(key) = String::from_utf8(bytes) else {
+                continue;
+            };
             if key.starts_with(prefix) {
                 keys.push(key);
             }
@@ -248,9 +261,15 @@ impl BlobStore {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name.strip_suffix(BLOB_SUFFIX) else { continue };
-            let Some(bytes) = hex_decode(hex) else { continue };
-            let Ok(key) = String::from_utf8(bytes) else { continue };
+            let Some(hex) = name.strip_suffix(BLOB_SUFFIX) else {
+                continue;
+            };
+            let Some(bytes) = hex_decode(hex) else {
+                continue;
+            };
+            let Ok(key) = String::from_utf8(bytes) else {
+                continue;
+            };
             if !key.starts_with(prefix) {
                 continue;
             }
@@ -333,10 +352,7 @@ mod tests {
     use super::*;
 
     fn temp_store(tag: &str) -> BlobStore {
-        let dir = std::env::temp_dir().join(format!(
-            "ec_store_blob_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("ec_store_blob_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         BlobStore::open(&dir).unwrap()
     }
@@ -416,7 +432,14 @@ mod tests {
         let store = temp_store("stat");
         store.put("k", b"0123456789").unwrap();
         let stat = store.stat("k").unwrap();
-        assert_eq!(stat, BlobStat { len: 10, crc: crc32(b"0123456789"), ok: true });
+        assert_eq!(
+            stat,
+            BlobStat {
+                len: 10,
+                crc: crc32(b"0123456789"),
+                ok: true
+            }
+        );
         assert!(matches!(store.stat("missing"), Err(BlobError::NotFound)));
         let _ = fs::remove_dir_all(store.root());
     }

@@ -25,8 +25,8 @@ use crate::blob::BlobStat;
 use crate::error::StoreError;
 use crate::fanout::{ParallelConnSet, Pool, Post};
 use crate::proto::{
-    frame_crc, frame_head, op, parse_err, put_str, status, write_gathered, FrameError,
-    FrameReader, PayloadReader, MAX_BODY, MAX_KEY, NO_REQUEST_ID,
+    frame_crc, frame_head, op, parse_err, put_str, status, write_gathered, FrameError, FrameReader,
+    PayloadReader, MAX_BODY, MAX_KEY, NO_REQUEST_ID,
 };
 use crate::sys;
 use ec_wire::merkle::Hash;
@@ -63,7 +63,14 @@ pub(crate) enum BatchOp<'a> {
     Health,
     /// `count` hashes from `start` of one level of a Merkle tree — see
     /// [`NodeClient::hash_subtree`].
-    HashSubtree { key: &'a str, leaf_size: u32, stored: bool, level: u8, start: u32, count: u32 },
+    HashSubtree {
+        key: &'a str,
+        leaf_size: u32,
+        stored: bool,
+        level: u8,
+        start: u32,
+        count: u32,
+    },
 }
 
 impl<'a> BatchOp<'a> {
@@ -83,7 +90,14 @@ impl<'a> BatchOp<'a> {
             BatchOp::List { prefix } => (op::LIST, lead(prefix), &[]),
             BatchOp::ListAged { prefix } => (op::LIST_AGED, lead(prefix), &[]),
             BatchOp::Health => (op::HEALTH, Vec::new(), &[]),
-            BatchOp::HashSubtree { key, leaf_size, stored, level, start, count } => {
+            BatchOp::HashSubtree {
+                key,
+                leaf_size,
+                stored,
+                level,
+                start,
+                count,
+            } => {
                 let mut lead = lead(key);
                 lead.extend_from_slice(&leaf_size.to_le_bytes());
                 lead.push(stored as u8);
@@ -98,7 +112,10 @@ impl<'a> BatchOp<'a> {
 
 /// Whether an opcode's answer can be bulky (see the module docs).
 fn bulky_answer(tag: u8) -> bool {
-    matches!(tag, op::GET_SHARD | op::LIST | op::LIST_AGED | op::HASH_SUBTREE)
+    matches!(
+        tag,
+        op::GET_SHARD | op::LIST | op::LIST_AGED | op::HASH_SUBTREE
+    )
 }
 
 /// What a node said to one request: the `OK` payload, or its typed
@@ -137,7 +154,12 @@ fn resolve_addr(addr: &str) -> Result<SocketAddr, StoreError> {
 
 impl Conn {
     fn over(stream: TcpStream) -> Conn {
-        Conn { stream, next_id: 1, pending: HashMap::new(), reader: FrameReader::default() }
+        Conn {
+            stream,
+            next_id: 1,
+            pending: HashMap::new(),
+            reader: FrameReader::default(),
+        }
     }
 
     /// Start connecting to `addr` without waiting for the node. Poll the
@@ -192,7 +214,13 @@ impl Conn {
         lead.extend_from_slice(&head);
         lead.extend_from_slice(&payload_lead);
         self.pending.insert(id, tag);
-        Ok(Staged { id, lead, bulk, crc, written: 0 })
+        Ok(Staged {
+            id,
+            lead,
+            bulk,
+            crc,
+            written: 0,
+        })
     }
 
     /// Write what is left of `staged`, as one gathered write where the
@@ -214,7 +242,9 @@ impl Conn {
                 return Ok(None)
             }
             Err(FrameError::Eof) => {
-                return Err(StoreError::Protocol("node closed the connection mid-request".into()))
+                return Err(StoreError::Protocol(
+                    "node closed the connection mid-request".into(),
+                ))
             }
             Err(other) => return Err(other.into()),
         };
@@ -222,7 +252,9 @@ impl Conn {
             status::OK => Ok(frame.payload),
             status::ERR => Err(parse_err(&frame.payload)),
             other => {
-                return Err(StoreError::Protocol(format!("unexpected response tag {other:#04x}")))
+                return Err(StoreError::Protocol(format!(
+                    "unexpected response tag {other:#04x}"
+                )))
             }
         };
         match frame.request_id {
@@ -260,19 +292,26 @@ impl NodeClient {
     /// `timeout`: an unreachable node is an error here, not at the first
     /// request.
     pub fn connect(addr: &str, timeout: Duration) -> Result<NodeClient, StoreError> {
-        let stream = TcpStream::connect_timeout(&resolve_addr(addr)?, timeout)
-            .map_err(StoreError::Io)?;
+        let stream =
+            TcpStream::connect_timeout(&resolve_addr(addr)?, timeout).map_err(StoreError::Io)?;
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         let pool = Arc::new(Pool::default());
         pool.keep(addr, Conn::over(stream));
-        Ok(NodeClient { addr: addr.to_string(), timeout, pool })
+        Ok(NodeClient {
+            addr: addr.to_string(),
+            timeout,
+            pool,
+        })
     }
 
     /// Run `op` as a round of one job, and make its result with `post`.
     fn call<T>(&self, op: BatchOp<'_>, post: impl Post<T>) -> Result<T, StoreError> {
         let mut conns = ParallelConnSet::new(self.timeout, None).with_pool(&self.pool);
-        conns.run_batch(vec![(&*self.addr, op, post)]).pop().expect("one job, one result")
+        conns
+            .run_batch(vec![(&*self.addr, op, post)])
+            .pop()
+            .expect("one job, one result")
     }
 
     /// Store `data` under `key` on the node.
@@ -324,7 +363,14 @@ impl NodeClient {
         start: u32,
         count: u32,
     ) -> Result<Vec<Hash>, StoreError> {
-        let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
+        let op = BatchOp::HashSubtree {
+            key,
+            leaf_size,
+            stored,
+            level,
+            start,
+            count,
+        };
         self.call(op, |answer| reply::hash_subtree(answer, count))
     }
 
@@ -358,7 +404,9 @@ pub(crate) mod reply {
         if answer?.is_empty() {
             Ok(())
         } else {
-            Err(StoreError::Protocol("unexpected payload in empty response".into()))
+            Err(StoreError::Protocol(
+                "unexpected payload in empty response".into(),
+            ))
         }
     }
 
@@ -372,7 +420,11 @@ pub(crate) mod reply {
 
     pub(crate) fn stat(answer: Answer) -> Result<BlobStat, StoreError> {
         parsed(answer, "STAT", |r| {
-            Ok(BlobStat { len: r.u64()?, crc: r.u32()?, ok: r.u8()? != 0 })
+            Ok(BlobStat {
+                len: r.u64()?,
+                crc: r.u32()?,
+                ok: r.u8()? != 0,
+            })
         })
     }
 
@@ -403,7 +455,12 @@ pub(crate) mod reply {
     }
 
     pub(crate) fn health(answer: Answer) -> Result<NodeHealth, StoreError> {
-        parsed(answer, "HEALTH", |r| Ok(NodeHealth { blobs: r.u64()?, bytes: r.u64()? }))
+        parsed(answer, "HEALTH", |r| {
+            Ok(NodeHealth {
+                blobs: r.u64()?,
+                bytes: r.u64()?,
+            })
+        })
     }
 
     /// The `count` hashes a `HASH_SUBTREE` asked for.
@@ -425,7 +482,6 @@ pub(crate) mod reply {
         })
     }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -450,7 +506,9 @@ mod tests {
         let (_unserved, addr) = listener();
         let mut conn = Conn::dial(&addr).unwrap();
         conn.next_id = u32::MAX;
-        let ids: Vec<u32> = (0..2).map(|_| conn.stage(&BatchOp::Health).unwrap().id).collect();
+        let ids: Vec<u32> = (0..2)
+            .map(|_| conn.stage(&BatchOp::Health).unwrap().id)
+            .collect();
         assert_eq!(ids, [u32::MAX, 1]);
 
         // And an `ERR` carrying it is the node's verdict on the stream,
@@ -465,12 +523,19 @@ mod tests {
         });
         let mut client = NodeClient::connect(&addr, PATIENCE).unwrap();
         match client.health() {
-            Err(StoreError::Remote { code: RemoteErrorCode::BadFrame, message }) => {
+            Err(StoreError::Remote {
+                code: RemoteErrorCode::BadFrame,
+                message,
+            }) => {
                 assert_eq!(message, "frame checksum mismatch");
             }
             other => panic!("expected the node's BadFrame, got {other:?}"),
         }
-        assert_eq!(peer.join().unwrap(), 1, "the first request goes out under id 1");
+        assert_eq!(
+            peer.join().unwrap(),
+            1,
+            "the first request goes out under id 1"
+        );
     }
 
     #[test]
@@ -500,21 +565,35 @@ mod tests {
             BatchOp::Stat { key: "absent" },
         ];
         let mut conns = ParallelConnSet::new(PATIENCE, None);
-        let jobs = jobs.into_iter().map(|op| (&*addr, op, std::convert::identity)).collect();
+        let jobs = jobs
+            .into_iter()
+            .map(|op| (&*addr, op, std::convert::identity))
+            .collect();
         let mut answers = conns.run_batch(jobs).into_iter();
         assert_eq!(conns.connect_attempts(&addr), 1);
         let stat = reply::stat(answers.next().unwrap()).unwrap();
         assert!(stat.ok && stat.len == 100);
-        assert_eq!(reply::list(answers.next().unwrap()).unwrap(), ["s:one", "s:two"]);
+        assert_eq!(
+            reply::list(answers.next().unwrap()).unwrap(),
+            ["s:one", "s:two"]
+        );
         let aged = reply::list_aged(answers.next().unwrap()).unwrap();
         assert_eq!(aged.len(), 1);
         assert_eq!((aged[0].0.as_str(), aged[0].2), ("s:two", 50));
         assert_eq!(reply::health(answers.next().unwrap()).unwrap().blobs, 2);
-        assert_eq!(reply::hash_subtree(answers.next().unwrap(), 1).unwrap().len(), 1);
+        assert_eq!(
+            reply::hash_subtree(answers.next().unwrap(), 1)
+                .unwrap()
+                .len(),
+            1
+        );
         // A typed refusal resolves like any other answer and leaves the
         // connection serving.
         match reply::stat(answers.next().unwrap()) {
-            Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {}
+            Err(StoreError::Remote {
+                code: RemoteErrorCode::NotFound,
+                ..
+            }) => {}
             other => panic!("expected NotFound, got {other:?}"),
         }
         assert_eq!(c.get("s:two").unwrap(), [2u8; 50]);

@@ -122,7 +122,9 @@ fn failpoint_from_env() -> Option<FailPoint> {
         return None;
     };
     let point = point.trim().to_string();
-    Some(Arc::new(move |p: &str, index: usize| p == point && index >= k))
+    Some(Arc::new(move |p: &str, index: usize| {
+        p == point && index >= k
+    }))
 }
 
 /// Evaluate a failpoint inside a write step: `Err` = the injected
@@ -131,9 +133,9 @@ fn failpoint_from_env() -> Option<FailPoint> {
 /// already written stay on their nodes as an unpublished generation.
 fn trip(fp: &Option<FailPoint>, point: &'static str, index: usize) -> Result<(), StoreError> {
     match fp {
-        Some(f) if f(point, index) => Err(StoreError::Io(std::io::Error::other(
-            format!("failpoint {point} tripped at index {index}"),
-        ))),
+        Some(f) if f(point, index) => Err(StoreError::Io(std::io::Error::other(format!(
+            "failpoint {point} tripped at index {index}"
+        )))),
         _ => Ok(()),
     }
 }
@@ -168,7 +170,10 @@ impl RecordVote {
                 self.reachable += 1;
                 match manifest::parse_record(&bytes) {
                     Ok(ManifestRecord::Live(m))
-                        if self.live.as_ref().is_none_or(|b| m.generation > b.generation) =>
+                        if self
+                            .live
+                            .as_ref()
+                            .is_none_or(|b| m.generation > b.generation) =>
                     {
                         self.live = Some(m)
                     }
@@ -179,7 +184,10 @@ impl RecordVote {
                     Err(e) => self.rot_err = Some(e),
                 }
             }
-            Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => self.reachable += 1,
+            Err(StoreError::Remote {
+                code: RemoteErrorCode::NotFound,
+                ..
+            }) => self.reachable += 1,
             Err(e @ StoreError::Remote { .. }) => self.rot_err = Some(e),
             Err(e) => self.conn_err = Some(e),
         }
@@ -203,7 +211,10 @@ impl RecordVote {
         let not_found = || StoreError::NotFound(object.to_string());
         if self.live.is_some() || self.tombstone.is_some() {
             let tomb = self.tombstone.unwrap_or(0);
-            return self.live.filter(|m| m.generation > tomb).ok_or_else(not_found);
+            return self
+                .live
+                .filter(|m| m.generation > tomb)
+                .ok_or_else(not_found);
         }
         match (self.rot_err, self.conn_err) {
             (Some(e), _) => Err(e),
@@ -407,7 +418,10 @@ mod tests {
     /// Read one request off `stream`: its id and `(opcode, key)`.
     fn request(stream: &mut TcpStream) -> Result<(u32, (u8, String)), proto::FrameError> {
         let frame = proto::read_frame(stream)?;
-        let key = proto::PayloadReader::new(&frame.payload).key().unwrap().to_string();
+        let key = proto::PayloadReader::new(&frame.payload)
+            .key()
+            .unwrap()
+            .to_string();
         Ok((frame.request_id, (frame.tag, key)))
     }
 
@@ -426,9 +440,17 @@ mod tests {
         let start = Instant::now();
         let results = conns.run_batch(vec![(&*a, get("k"), identity), (&*b, get("k"), identity)]);
         let took = start.elapsed();
-        assert!(results.iter().all(|r| matches!(r, Err(StoreError::Timeout))), "{results:?}");
+        assert!(
+            results
+                .iter()
+                .all(|r| matches!(r, Err(StoreError::Timeout))),
+            "{results:?}"
+        );
         assert!(took >= timeout, "gave up early: {took:?}");
-        assert!(took < timeout * 2 - timeout / 4, "the nodes were waited for in turn: {took:?}");
+        assert!(
+            took < timeout * 2 - timeout / 4,
+            "the nodes were waited for in turn: {took:?}"
+        );
     }
 
     #[test]
@@ -437,7 +459,10 @@ mod tests {
         drop(gone);
         let mut conns = ParallelConnSet::new(PATIENCE, None);
         for round in 0..3 {
-            let results = conns.run_batch(vec![(&*addr, get("a"), identity), (&*addr, get("b"), identity)]);
+            let results = conns.run_batch(vec![
+                (&*addr, get("a"), identity),
+                (&*addr, get("b"), identity),
+            ]);
             for (job, result) in results.iter().enumerate() {
                 let Err(StoreError::Io(e)) = result else {
                     panic!("round {round}, job {job}: {result:?}");
@@ -445,7 +470,11 @@ mod tests {
                 assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused);
                 // Only the dial itself tells the kernel's story; the
                 // rest fail fast on the mark it left.
-                assert_eq!(e.to_string().contains("marked dead"), (round, job) != (0, 0), "{e}");
+                assert_eq!(
+                    e.to_string().contains("marked dead"),
+                    (round, job) != (0, 0),
+                    "{e}"
+                );
             }
         }
         assert_eq!(conns.connect_attempts(&addr), 1);
@@ -463,19 +492,38 @@ mod tests {
             for (id, _) in requests.iter().rev() {
                 proto::write_frame(&mut stream, status::OK, *id, &[]).unwrap();
             }
-            requests.into_iter().map(|(_, what)| what).collect::<Vec<_>>()
+            requests
+                .into_iter()
+                .map(|(_, what)| what)
+                .collect::<Vec<_>>()
         });
         let keys = ["s:0", "t:0", "s:1", "t:1", "s:2", "t:2"];
         let jobs: Vec<_> = keys
             .iter()
-            .map(|&key| (&*addr, BatchOp::Put { key, data: b"bytes" }, reply::put))
+            .map(|&key| {
+                (
+                    &*addr,
+                    BatchOp::Put {
+                        key,
+                        data: b"bytes",
+                    },
+                    reply::put,
+                )
+            })
             .collect();
         let mut conns = ParallelConnSet::new(PATIENCE, None);
         for result in conns.run_batch(jobs) {
             result.unwrap();
         }
-        let want: Vec<_> = keys.iter().map(|k| (op::PUT_SHARD, k.to_string())).collect();
-        assert_eq!(seen.join().unwrap(), want, "shard before its hash blob, in job order");
+        let want: Vec<_> = keys
+            .iter()
+            .map(|k| (op::PUT_SHARD, k.to_string()))
+            .collect();
+        assert_eq!(
+            seen.join().unwrap(),
+            want,
+            "shard before its hash blob, in job order"
+        );
         assert_eq!(conns.connect_attempts(&addr), 1);
     }
 
@@ -505,16 +553,25 @@ mod tests {
         });
 
         let mut conns = ParallelConnSet::new(PATIENCE, None);
-        let jobs = vec![(&*prompt_addr, get("one"), identity), (&*straggler_addr, get("one"), identity)];
+        let jobs = vec![
+            (&*prompt_addr, get("one"), identity),
+            (&*straggler_addr, get("one"), identity),
+        ];
         let enough = |outcomes: &[Option<Result<Vec<u8>, StoreError>>]| outcomes[0].is_some();
         let first = conns.run_first_n(jobs, enough, crate::fanout::release_all);
-        assert_eq!(first.outcomes[0].as_ref().unwrap().as_ref().unwrap(), b"prompt");
+        assert_eq!(
+            first.outcomes[0].as_ref().unwrap().as_ref().unwrap(),
+            b"prompt"
+        );
         assert!(first.outcomes[1].is_none() && first.elapsed[1].is_none() && !first.timed_out);
         assert_eq!(reported.recv_timeout(PATIENCE).unwrap(), "one");
 
         // The next round finds the prompt node's connection in the pool
         // and has to dial the straggler afresh.
-        let jobs = vec![(&*prompt_addr, get("two"), identity), (&*straggler_addr, get("two"), identity)];
+        let jobs = vec![
+            (&*prompt_addr, get("two"), identity),
+            (&*straggler_addr, get("two"), identity),
+        ];
         let second = conns.run_batch(jobs);
         assert_eq!(second[0].as_ref().unwrap(), b"prompt");
         assert_eq!(second[1].as_ref().unwrap(), b"late");
@@ -556,13 +613,23 @@ mod tests {
             (&*unasked_addr, get("k"), identity),
         ];
         let release = |round: &crate::fanout::Progress<'_, Vec<u8>>| crate::fanout::Release {
-            jobs: if round.outcomes[0].is_some() { vec![0, 1] } else { vec![0] },
+            jobs: if round.outcomes[0].is_some() {
+                vec![0, 1]
+            } else {
+                vec![0]
+            },
             recheck: None,
         };
         let round = conns.run_first_n(jobs, |outcomes| outcomes[1].is_some(), release);
-        assert_eq!(round.outcomes[1].as_ref().unwrap().as_ref().unwrap(), b"backup");
+        assert_eq!(
+            round.outcomes[1].as_ref().unwrap().as_ref().unwrap(),
+            b"backup"
+        );
         assert_eq!(round.held, [false, false, true]);
-        assert!(backing.join().unwrap(), "the backup went out before the first answer");
+        assert!(
+            backing.join().unwrap(),
+            "the backup went out before the first answer"
+        );
         prompting.join().unwrap();
         assert_eq!(conns.connect_attempts(&unasked_addr), 0);
     }
@@ -650,13 +717,20 @@ mod tests {
             proto::write_frame(stream, status::OK, 77, &[b"nobody asked"]).unwrap();
             until_hung_up(stream);
         };
-        for (what, between_ops) in [("closed by the peer", closed), ("unsolicited frame", unsolicited)] {
+        for (what, between_ops) in [
+            ("closed by the peer", closed),
+            ("unsolicited frame", unsolicited),
+        ] {
             let (addr, peer) = faulty_peer(between_ops);
             let pool = Arc::new(Pool::default());
             assert_eq!(op(&pool, &[&addr], "a").0[0].as_ref().unwrap(), b"first");
             until_readable(&pool, &addr);
             let (results, dialed) = op(&pool, &[&addr], "b");
-            assert_eq!(results[0].as_ref().unwrap(), b"second", "{what}: {results:?}");
+            assert_eq!(
+                results[0].as_ref().unwrap(),
+                b"second",
+                "{what}: {results:?}"
+            );
             assert_eq!((dialed, pool.dials(&addr)), (1, 2), "{what}");
             drop(pool);
             peer.join().unwrap();
@@ -682,13 +756,19 @@ mod tests {
 
         let pool = Arc::new(Pool::default());
         let mut conns = ParallelConnSet::new(PATIENCE, None).with_pool(&pool);
-        let jobs = vec![(&*prompt_addr, get("one"), identity), (&*straggler_addr, get("one"), identity)];
+        let jobs = vec![
+            (&*prompt_addr, get("one"), identity),
+            (&*straggler_addr, get("one"), identity),
+        ];
         let enough = |outcomes: &[Option<Result<Vec<u8>, StoreError>>]| outcomes[0].is_some();
         let first = conns.run_first_n(jobs, enough, crate::fanout::release_all);
         assert!(first.outcomes[1].is_none() && !first.timed_out);
         drop(conns);
         assert!(pool.with_kept(&prompt_addr, |_, _| ()).is_some());
-        assert!(pool.with_kept(&straggler_addr, |_, _| ()).is_none(), "the straggler was kept");
+        assert!(
+            pool.with_kept(&straggler_addr, |_, _| ()).is_none(),
+            "the straggler was kept"
+        );
 
         // The next operation reuses the prompt node's connection and
         // dials the straggler afresh.
@@ -696,9 +776,15 @@ mod tests {
         assert_eq!(second[0].as_ref().unwrap(), b"prompt");
         assert_eq!(second[1].as_ref().unwrap(), b"late");
         assert_eq!(dialed, 1);
-        assert_eq!((pool.dials(&prompt_addr), pool.dials(&straggler_addr)), (1, 2));
+        assert_eq!(
+            (pool.dials(&prompt_addr), pool.dials(&straggler_addr)),
+            (1, 2)
+        );
         drop(pool);
-        assert!(straggling.join().unwrap(), "the abandoned connection was talked to again");
+        assert!(
+            straggling.join().unwrap(),
+            "the abandoned connection was talked to again"
+        );
         answering.join().unwrap();
     }
 
@@ -710,7 +796,10 @@ mod tests {
         for round in 1..=2 {
             // Two jobs each: the second fails fast on the first's mark.
             let (results, dialed) = op(&pool, &[&addr, &addr], "k");
-            assert!(results.iter().all(|r| matches!(r, Err(StoreError::Io(_)))), "{results:?}");
+            assert!(
+                results.iter().all(|r| matches!(r, Err(StoreError::Io(_)))),
+                "{results:?}"
+            );
             assert_eq!((dialed, pool.dials(&addr)), (2, round), "round {round}");
         }
     }
@@ -757,16 +846,27 @@ mod tests {
         let run = |key: &str, count: usize| {
             let mut conns = ParallelConnSet::new(timeout, None).with_pool(&pool);
             let start = Instant::now();
-            let results = conns.run_batch((0..count).map(|_| (&*addr, get(key), identity)).collect());
+            let results =
+                conns.run_batch((0..count).map(|_| (&*addr, get(key), identity)).collect());
             (results, start.elapsed(), conns.connect_attempts(&addr))
         };
         let (first, _, dialed) = run("a", 1);
-        assert_eq!((first[0].as_ref().unwrap(), dialed), (&b"first".to_vec(), 1));
+        assert_eq!(
+            (first[0].as_ref().unwrap(), dialed),
+            (&b"first".to_vec(), 1)
+        );
         let (faulted, took, dialed) = run("b", jobs);
-        assert_eq!(dialed, 0, "the second operation did not reuse the kept connection");
+        assert_eq!(
+            dialed, 0,
+            "the second operation did not reuse the kept connection"
+        );
         let (third, _, dialed) = run("c", 1);
         assert_eq!(third[0].as_ref().unwrap(), b"second", "{third:?}");
-        assert_eq!((dialed, pool.dials(&addr)), (1, 2), "the faulted connection was kept");
+        assert_eq!(
+            (dialed, pool.dials(&addr)),
+            (1, 2),
+            "the faulted connection was kept"
+        );
         drop(pool);
         peer.join().unwrap();
         (faulted, took)
@@ -776,7 +876,10 @@ mod tests {
     /// least one is the error; the operation did not hang.
     fn typed_failure(what: &str, results: &[Result<Vec<u8>, StoreError>], took: Duration) {
         let typed = |r: &Result<_, _>| {
-            matches!(r, Ok(_) | Err(StoreError::Io(_) | StoreError::Protocol(_) | StoreError::Timeout))
+            matches!(
+                r,
+                Ok(_) | Err(StoreError::Io(_) | StoreError::Protocol(_) | StoreError::Timeout)
+            )
         };
         assert!(results.iter().all(typed), "{what}: {results:?}");
         assert!(results.iter().any(Result::is_err), "{what}: {results:?}");
@@ -817,7 +920,10 @@ mod tests {
         });
         typed_failure("duplicated id", &results, took);
         assert_eq!(results[0].as_ref().unwrap(), b"twice");
-        assert!(matches!(&results[1], Err(StoreError::Protocol(_))), "{results:?}");
+        assert!(
+            matches!(&results[1], Err(StoreError::Protocol(_))),
+            "{results:?}"
+        );
     }
 
     #[test]
@@ -827,8 +933,14 @@ mod tests {
             until_hung_up(stream);
         });
         typed_failure("stall", &results, took);
-        assert!(matches!(results[0], Err(StoreError::Timeout)), "{results:?}");
-        assert!(took >= Duration::from_millis(400), "gave up early: {took:?}");
+        assert!(
+            matches!(results[0], Err(StoreError::Timeout)),
+            "{results:?}"
+        );
+        assert!(
+            took >= Duration::from_millis(400),
+            "gave up early: {took:?}"
+        );
     }
 
     #[test]
@@ -861,7 +973,10 @@ mod tests {
         let got = start.elapsed();
         for (what, took) in [("put", put), ("get", got)] {
             assert!(took >= delay, "{what} dodged the injected delay: {took:?}");
-            assert!(took < delay * 5 / 2, "{what} paid the nodes in turn: {took:?}");
+            assert!(
+                took < delay * 5 / 2,
+                "{what} paid the nodes in turn: {took:?}"
+            );
         }
         drop(nodes);
         let _ = std::fs::remove_dir_all(&root);

@@ -93,7 +93,12 @@ impl GetReport {
     pub fn abandoned(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .filter(|s| matches!(s.outcome, ShardOutcome::Abandoned | ShardOutcome::NotRequested))
+            .filter(|s| {
+                matches!(
+                    s.outcome,
+                    ShardOutcome::Abandoned | ShardOutcome::NotRequested
+                )
+            })
             .map(|s| s.index)
             .collect()
     }
@@ -116,7 +121,9 @@ fn decodable(codec: &dyn ErasureCoder, outcomes: &[FetchSlot]) -> bool {
     if outcomes[..codec.data_shards()].iter().all(served) {
         return true;
     }
-    let unserved: Vec<usize> = (0..outcomes.len()).filter(|&i| !served(&outcomes[i])).collect();
+    let unserved: Vec<usize> = (0..outcomes.len())
+        .filter(|&i| !served(&outcomes[i]))
+        .collect();
     codec.repair_sources(&unserved).is_ok()
 }
 
@@ -135,16 +142,16 @@ fn decodable(codec: &dyn ErasureCoder, outcomes: &[FetchSlot]) -> bool {
 /// before its backup goes out. With half or fewer served there is
 /// nothing to compare against, so a read whose nodes are all slow just
 /// waits for them.
-fn wanted(
-    codec: &dyn ErasureCoder,
-    round: &Progress<'_, Result<Vec<u8>, ShardFault>>,
-) -> Release {
+fn wanted(codec: &dyn ErasureCoder, round: &Progress<'_, Result<Vec<u8>, ShardFault>>) -> Release {
     let n = codec.data_shards();
     let outcomes = round.outcomes;
-    let mut lost: Vec<usize> =
-        (0..outcomes.len()).filter(|&i| matches!(outcomes[i], Some(Ok(Err(_)) | Err(_)))).collect();
-    let arrivals: Vec<Duration> =
-        (0..n).filter(|&i| served(&outcomes[i])).filter_map(|i| round.elapsed[i]).collect();
+    let mut lost: Vec<usize> = (0..outcomes.len())
+        .filter(|&i| matches!(outcomes[i], Some(Ok(Err(_)) | Err(_))))
+        .collect();
+    let arrivals: Vec<Duration> = (0..n)
+        .filter(|&i| served(&outcomes[i]))
+        .filter_map(|i| round.elapsed[i])
+        .collect();
     let outstanding: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
     let mut recheck = None;
     if 2 * arrivals.len() > n && !outstanding.is_empty() {
@@ -175,7 +182,13 @@ fn wanted(
 /// none of those, every shard it has no answer from.
 fn backups(codec: &dyn ErasureCoder, outcomes: &[FetchSlot], held: &[bool]) -> Vec<usize> {
     let lost: Vec<usize> = (0..outcomes.len())
-        .filter(|&i| if outcomes[i].is_some() { !served(&outcomes[i]) } else { !held[i] })
+        .filter(|&i| {
+            if outcomes[i].is_some() {
+                !served(&outcomes[i])
+            } else {
+                !held[i]
+            }
+        })
         .collect();
     let unanswered = |i: &usize| outcomes[*i].is_none();
     match codec.repair_sources(&lost) {
@@ -187,7 +200,10 @@ fn backups(codec: &dyn ErasureCoder, outcomes: &[FetchSlot], held: &[bool]) -> V
 /// The keys of shards `indices` of `object`, for
 /// [`shard_fetch_jobs`] to borrow.
 fn shard_keys(object: &str, manifest: &Manifest, indices: &[usize]) -> Vec<String> {
-    indices.iter().map(|&i| manifest.shard_key(object, i)).collect()
+    indices
+        .iter()
+        .map(|&i| manifest.shard_key(object, i))
+        .collect()
 }
 
 /// One fetch-and-validate job per shard in `indices` (`keys` from
@@ -206,7 +222,9 @@ fn shard_fetch_jobs<'a>(
     (indices.iter().zip(keys))
         .map(|(&i, key)| {
             let addr = manifest.placement[i].as_str();
-            (addr, BatchOp::Get { key }, move |answer| check_shard(manifest, i, answer))
+            (addr, BatchOp::Get { key }, move |answer| {
+                check_shard(manifest, i, answer)
+            })
         })
         .collect()
 }
@@ -232,12 +250,13 @@ fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
             }
             Ok(Ok(bytes))
         }
-        Err(StoreError::Remote { code: RemoteErrorCode::CorruptBlob, message }) => {
-            Ok(Err(ShardFault::Corrupt(format!("{addr}: corrupt blob: {message}"))))
-        }
-        Err(e @ StoreError::Remote { .. }) => {
-            Ok(Err(ShardFault::Missing(format!("{addr}: {e}"))))
-        }
+        Err(StoreError::Remote {
+            code: RemoteErrorCode::CorruptBlob,
+            message,
+        }) => Ok(Err(ShardFault::Corrupt(format!(
+            "{addr}: corrupt blob: {message}"
+        )))),
+        Err(e @ StoreError::Remote { .. }) => Ok(Err(ShardFault::Missing(format!("{addr}: {e}")))),
         Err(e) => Err(e),
     }
 }
@@ -252,8 +271,9 @@ fn check_shard(manifest: &Manifest, i: usize, answer: Answer) -> Fetched {
 /// a 1 MiB RS(10, 4) object is two leaves, too few for the SHA-256
 /// lanes, while a round's ten or more fill them.
 fn check_roots(manifest: &Manifest, indices: &[usize], slots: &mut [FetchSlot]) {
-    let (at, shards): (Vec<usize>, Vec<&[u8]>) =
-        (slots.iter().enumerate()).filter_map(|(k, slot)| Some((k, served_bytes(slot)?))).unzip();
+    let (at, shards): (Vec<usize>, Vec<&[u8]>) = (slots.iter().enumerate())
+        .filter_map(|(k, slot)| Some((k, served_bytes(slot)?)))
+        .unzip();
     let blobs = HashBlob::from_shards(&shards, manifest.hash_leaf_size);
     for (k, blob) in at.into_iter().zip(blobs) {
         let i = indices[k];
@@ -315,14 +335,21 @@ impl Cluster {
             .filter(|a| !exclude.contains(a))
             .collect();
         let jobs: Vec<_> = (keys.iter())
-            .flat_map(|key| targets.iter().map(move |&addr| (addr, BatchOp::Get { key })))
+            .flat_map(|key| {
+                targets
+                    .iter()
+                    .map(move |&addr| (addr, BatchOp::Get { key }))
+            })
             .map(|(addr, op)| (addr, op, std::convert::identity))
             .collect();
         let mut answers = conns.run_batch(jobs).into_iter();
         (0..objects.len())
             .map(|_| {
                 let mut vote = RecordVote::default();
-                answers.by_ref().take(targets.len()).for_each(|answer| vote.tally(answer));
+                answers
+                    .by_ref()
+                    .take(targets.len())
+                    .for_each(|answer| vote.tally(answer));
                 vote
             })
             .collect()
@@ -335,7 +362,9 @@ impl Cluster {
         object: &str,
         exclude: &[&str],
     ) -> RecordVote {
-        self.fetch_records(conns, &[object], exclude).pop().expect("one vote per object")
+        self.fetch_records(conns, &[object], exclude)
+            .pop()
+            .expect("one vote per object")
     }
 
     /// The freshest live manifest of `object`, by the rules of
@@ -389,10 +418,7 @@ impl Cluster {
     /// were served, which failed and were reconstructed around, which
     /// stragglers the read did not wait for, which it never asked for,
     /// and how long each fetch took.
-    pub fn get_with_report(
-        &self,
-        object: &str,
-    ) -> Result<(Vec<u8>, GetReport), StoreError> {
+    pub fn get_with_report(&self, object: &str) -> Result<(Vec<u8>, GetReport), StoreError> {
         validate_object_name(object)?;
         let mut conns = self.conns();
         let manifest = self.fetch_manifest(&mut conns, object, &[])?;
@@ -408,7 +434,12 @@ impl Cluster {
         let keys = shard_keys(object, &manifest, &all);
         let jobs = shard_fetch_jobs(&manifest, &keys, &all);
         let codec = &*self.codec;
-        let FirstN { mut outcomes, mut elapsed, held, mut timed_out } = conns.run_first_n(
+        let FirstN {
+            mut outcomes,
+            mut elapsed,
+            held,
+            mut timed_out,
+        } = conns.run_first_n(
             jobs,
             |outcomes| decodable(codec, outcomes),
             |round| wanted(codec, round),
@@ -473,7 +504,13 @@ impl Cluster {
             });
         }
         let data = self.codec.decode(&shards, manifest.object_len as usize)?;
-        Ok((data, GetReport { missing, shards: fetches }))
+        Ok((
+            data,
+            GetReport {
+                missing,
+                shards: fetches,
+            },
+        ))
     }
 
     /// Fetch the given shard indices in one round: per index, the
@@ -491,9 +528,10 @@ impl Cluster {
         (indices.iter().zip(round))
             .map(|(&i, r)| match r.unwrap_or(Err(StoreError::Timeout)) {
                 Ok(inner) => inner,
-                Err(e) => {
-                    Err(ShardFault::Missing(format!("{}: {e}", manifest.placement[i])))
-                }
+                Err(e) => Err(ShardFault::Missing(format!(
+                    "{}: {e}",
+                    manifest.placement[i]
+                ))),
             })
             .collect()
     }
@@ -610,9 +648,17 @@ mod tests {
         let (got, report) = cluster.get_with_report("obj").unwrap();
         let took = start.elapsed();
         assert_eq!(got, data);
-        assert!(took < slow / 2, "the read waited for the straggler: {took:?}");
+        assert!(
+            took < slow / 2,
+            "the read waited for the straggler: {took:?}"
+        );
         assert!(!report.degraded(), "{report:?}");
-        let straggler = cluster.manifest("obj").unwrap().placement.iter().position(|a| *a == addrs[0]);
+        let straggler = cluster
+            .manifest("obj")
+            .unwrap()
+            .placement
+            .iter()
+            .position(|a| *a == addrs[0]);
         assert_eq!(report.abandoned(), Vec::from_iter(straggler));
         drop(nodes);
         let _ = std::fs::remove_dir_all(&root);
@@ -630,8 +676,9 @@ mod tests {
             .collect();
         let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
         let cluster = Cluster::new(addrs.clone(), RsConfig::new(2, 1)).unwrap();
-        let names: Vec<String> =
-            (0..=OBJECTS_PER_ROUND + 1).map(|i| format!("obj-{i:03}")).collect();
+        let names: Vec<String> = (0..=OBJECTS_PER_ROUND + 1)
+            .map(|i| format!("obj-{i:03}"))
+            .collect();
         for name in &names {
             cluster.put(name, name.as_bytes()).unwrap();
         }

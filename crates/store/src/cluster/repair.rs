@@ -81,9 +81,12 @@ impl Cluster {
         let fetched = self.fetch_shards(conns, object, &manifest, &all);
         let shards: Vec<Option<Vec<u8>>> = fetched.into_iter().map(Result::ok).collect();
         let stale = self.stale_hash_blobs(conns, object, &manifest, &shards);
-        let restore: Vec<usize> =
-            all.into_iter().filter(|i| shards[*i].is_none() || stale.contains(i)).collect();
-        self.repair(conns, object, manifest, &restore, shards, &HashMap::new()).map(|(r, _)| r)
+        let restore: Vec<usize> = all
+            .into_iter()
+            .filter(|i| shards[*i].is_none() || stale.contains(i))
+            .collect();
+        self.repair(conns, object, manifest, &restore, shards, &HashMap::new())
+            .map(|(r, _)| r)
     }
 
     /// The intact shards whose stored `t:` blob is absent, damaged, or
@@ -101,13 +104,24 @@ impl Cluster {
         let widths = MerkleTree::level_widths(leaf_count(manifest.shard_len, leaf_size as u64));
         let level = (widths.len() - 1) as u8;
         let intact: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
-        let keys: Vec<String> =
-            intact.iter().map(|&i| tree_key(object, i, manifest.shard_gen[i])).collect();
+        let keys: Vec<String> = intact
+            .iter()
+            .map(|&i| tree_key(object, i, manifest.shard_gen[i]))
+            .collect();
         let jobs: Vec<_> = (intact.iter().zip(&keys))
             .map(|(&i, key)| {
                 let (stored, start, count) = (true, 0, 1);
-                let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
-                (manifest.placement[i].as_str(), op, |answer| reply::hash_subtree(answer, 1))
+                let op = BatchOp::HashSubtree {
+                    key,
+                    leaf_size,
+                    stored,
+                    level,
+                    start,
+                    count,
+                };
+                (manifest.placement[i].as_str(), op, |answer| {
+                    reply::hash_subtree(answer, 1)
+                })
             })
             .collect();
         (intact.iter().zip(conns.run_batch(jobs)))
@@ -155,30 +169,47 @@ impl Cluster {
         moves: &HashMap<&str, &str>,
     ) -> Result<(ObjectRepairReport, u64), StoreError> {
         let (n, total) = (self.codec.data_shards(), manifest.total_shards());
-        let lost: Vec<usize> = restore.iter().copied().filter(|&i| shards[i].is_none()).collect();
+        let lost: Vec<usize> = restore
+            .iter()
+            .copied()
+            .filter(|&i| shards[i].is_none())
+            .collect();
         let mut bytes_read = 0;
         let fetch = |want: &[usize], shards: &mut [Option<Vec<u8>>]| {
-            for (&i, bytes) in want.iter().zip(self.fetch_shards(conns, object, &manifest, want)) {
+            for (&i, bytes) in want
+                .iter()
+                .zip(self.fetch_shards(conns, object, &manifest, want))
+            {
                 if let Ok(bytes) = bytes {
                     bytes_read += bytes.len() as u64;
                     shards[i] = Some(bytes);
                 }
             }
         };
-        self.codec.reconstruct_from(&mut shards, &lost, fetch).map_err(|e| match e {
-            EcError::TooManyErasures { missing, .. } => {
-                let object = object.to_string();
-                StoreError::Unavailable { object, needed: n, have: total - missing }
-            }
-            e => e.into(),
-        })?;
-        let restored: Vec<&[u8]> =
-            restore.iter().map(|&i| shards[i].as_deref().expect("held or rebuilt")).collect();
+        self.codec
+            .reconstruct_from(&mut shards, &lost, fetch)
+            .map_err(|e| match e {
+                EcError::TooManyErasures { missing, .. } => {
+                    let object = object.to_string();
+                    StoreError::Unavailable {
+                        object,
+                        needed: n,
+                        have: total - missing,
+                    }
+                }
+                e => e.into(),
+            })?;
+        let restored: Vec<&[u8]> = restore
+            .iter()
+            .map(|&i| shards[i].as_deref().expect("held or rebuilt"))
+            .collect();
         let blobs = HashBlob::from_shards(&restored, manifest.hash_leaf_size);
         // Survivors were root-checked on fetch, so a mismatch is a codec
         // fault or a lying manifest: such bytes must not become the truth.
-        if let Some((i, _)) =
-            restore.iter().zip(&blobs).find(|(i, blob)| blob.root() != manifest.shard_root[**i])
+        if let Some((i, _)) = restore
+            .iter()
+            .zip(&blobs)
+            .find(|(i, blob)| blob.root() != manifest.shard_root[**i])
         {
             return Err(StoreError::Manifest(format!(
                 "repair of `{object}` shard {i}: reconstructed bytes fail \
@@ -188,7 +219,11 @@ impl Cluster {
 
         let new_gen = manifest.generation + 1;
         let members: Vec<String> = (self.nodes.iter())
-            .map(|addr| moves.get(addr.as_str()).map_or_else(|| addr.clone(), |to| to.to_string()))
+            .map(|addr| {
+                moves
+                    .get(addr.as_str())
+                    .map_or_else(|| addr.clone(), |to| to.to_string())
+            })
             .collect();
         let dests: Vec<Option<String>> = {
             let mut spares = (placement::rank_nodes(object, &members).into_iter())
@@ -210,13 +245,20 @@ impl Cluster {
         let tree_bytes: Vec<Vec<u8>> = blobs.iter().map(HashBlob::to_bytes).collect();
         let mut ships: Vec<Ship> = Vec::new();
         for (at, (&i, dest)) in restore.iter().zip(&dests).enumerate() {
-            let Some(dest) = dest.as_deref() else { continue };
+            let Some(dest) = dest.as_deref() else {
+                continue;
+            };
             let generation = match dest == manifest.placement[i] {
                 true => manifest.shard_gen[i],
                 false => new_gen,
             };
             if lost.contains(&i) {
-                ships.push((dest, manifest::shard_key(object, i, generation), restored[at], at));
+                ships.push((
+                    dest,
+                    manifest::shard_key(object, i, generation),
+                    restored[at],
+                    at,
+                ));
             }
             ships.push((dest, tree_key(object, i, generation), &tree_bytes[at], at));
         }
@@ -260,7 +302,9 @@ impl Cluster {
         // Nodes outside `took` may be dead mid-multi-failure; their stale
         // replicas lose the generation vote until a repair reaches them.
         trip(&self.failpoint, "repair.publish", 0)?;
-        publish(conns, object, &manifest.to_bytes(), &members, |addr| took.contains(&addr))?;
+        publish(conns, object, &manifest.to_bytes(), &members, |addr| {
+            took.contains(&addr)
+        })?;
         Ok((report, bytes_read))
     }
 
@@ -268,9 +312,7 @@ impl Cluster {
     /// the scrub report and the per-object repair outcomes — including
     /// failed attempts, so an object that *stayed* broken is
     /// distinguishable from one never attempted.
-    pub fn scrub_and_repair(
-        &self,
-    ) -> Result<(ClusterScrubReport, Vec<RepairOutcome>), StoreError> {
+    pub fn scrub_and_repair(&self) -> Result<(ClusterScrubReport, Vec<RepairOutcome>), StoreError> {
         let mut conns = self.conns();
         let scrub = self.scrub_via(&mut conns, false)?;
         let mut repairs = Vec::new();
@@ -334,7 +376,9 @@ impl Cluster {
         }
         for (i, (dead, replacement)) in pairs.iter().enumerate() {
             if replacement.len() > crate::manifest::MAX_ADDR {
-                return Err(StoreError::InvalidArg("replacement address too long".into()));
+                return Err(StoreError::InvalidArg(
+                    "replacement address too long".into(),
+                ));
             }
             for (prior_dead, prior_repl) in &pairs[..i] {
                 if prior_dead == dead {
@@ -375,8 +419,10 @@ impl Cluster {
             }
         }
         let dead: Vec<&str> = pairs.iter().map(|(d, _)| d.as_str()).collect();
-        let moves: HashMap<&str, &str> =
-            pairs.iter().map(|(d, r)| (d.as_str(), r.as_str())).collect();
+        let moves: HashMap<&str, &str> = pairs
+            .iter()
+            .map(|(d, r)| (d.as_str(), r.as_str()))
+            .collect();
         let objects = self.objects_via(conns, &dead)?;
         let mut report = NodeRepairReport::default();
         for window in objects.chunks(OBJECTS_PER_ROUND) {
@@ -432,7 +478,8 @@ mod tests {
     /// `NotFound` and they are skipped, neither repaired nor failed.
     #[test]
     fn repair_nodes_elects_a_window_per_round() {
-        let root = std::env::temp_dir().join(format!("ec_store_repair_elect_{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("ec_store_repair_elect_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let mut nodes: Vec<NodeHandle> = (0..5)
             .map(|i| NodeHandle::spawn(&root.join(format!("n{i}")), "127.0.0.1:0", 2).unwrap())
@@ -448,7 +495,9 @@ mod tests {
         nodes.remove(0).shutdown();
 
         let mut conns = cluster.conns();
-        let report = cluster.repair_nodes_via(&mut conns, &[(dead.clone(), dead)]).unwrap();
+        let report = cluster
+            .repair_nodes_via(&mut conns, &[(dead.clone(), dead)])
+            .unwrap();
         assert_eq!(report.objects_scanned, 8);
         assert!(report.failed.is_empty(), "{:?}", report.failed);
         assert_eq!(report.shards_rebuilt, 0);

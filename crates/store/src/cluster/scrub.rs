@@ -76,7 +76,9 @@ pub struct ObjectScrub {
 impl ObjectScrub {
     /// Indices of damaged shards.
     pub fn damaged(&self) -> Vec<usize> {
-        (0..self.shards.len()).filter(|&i| !self.shards[i].is_ok()).collect()
+        (0..self.shards.len())
+            .filter(|&i| !self.shards[i].is_ok())
+            .collect()
     }
 
     /// Whether the object is fully healthy.
@@ -197,7 +199,13 @@ impl Cluster {
     ) -> Result<ClusterScrubReport, StoreError> {
         let jobs: Vec<_> = (self.nodes.iter())
             .flat_map(|addr| {
-                LISTED.map(|prefix| (addr.as_str(), BatchOp::ListAged { prefix }, reply::list_aged))
+                LISTED.map(|prefix| {
+                    (
+                        addr.as_str(),
+                        BatchOp::ListAged { prefix },
+                        reply::list_aged,
+                    )
+                })
             })
             .collect();
         let mut answers = conns.run_batch(jobs).into_iter();
@@ -218,9 +226,9 @@ impl Cluster {
             match manifests {
                 Ok(entries) => {
                     manifests_listed = true;
-                    let names = entries.into_iter().filter_map(|(key, _, _)| {
-                        key.strip_prefix(LISTED[0]).map(str::to_string)
-                    });
+                    let names = entries
+                        .into_iter()
+                        .filter_map(|(key, _, _)| key.strip_prefix(LISTED[0]).map(str::to_string));
                     universe.extend(names);
                 }
                 Err(StoreError::Timeout) => timed_out = true,
@@ -278,7 +286,10 @@ impl Cluster {
         report: &mut ClusterScrubReport,
     ) {
         let mut targets: Vec<(&str, &Manifest)> = Vec::with_capacity(elections.len());
-        for Elected { object, manifest, .. } in elections {
+        for Elected {
+            object, manifest, ..
+        } in elections
+        {
             let reason = match manifest {
                 // Tombstoned (deleted) or never published — the key
                 // listing can't filter these; they are not damage.
@@ -308,7 +319,9 @@ impl Cluster {
                     report.payload_bytes_read += scrub.payload_bytes_read;
                     report.objects.push(scrub);
                 }
-                Err(e) => report.failed_objects.push((object.to_string(), e.to_string())),
+                Err(e) => report
+                    .failed_objects
+                    .push((object.to_string(), e.to_string())),
             }
         }
     }
@@ -338,8 +351,17 @@ impl Cluster {
             .flat_map(|(addr, [skey, tkey], leaf_size, top)| {
                 [(skey, false), (tkey, true)].map(|(key, stored)| {
                     let (leaf_size, level, start, count) = (*leaf_size, *top, 0, 1);
-                    let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
-                    (*addr, op, |answer| reply::hash_subtree(answer, 1).map(|v| v[0]))
+                    let op = BatchOp::HashSubtree {
+                        key,
+                        leaf_size,
+                        stored,
+                        level,
+                        start,
+                        count,
+                    };
+                    (*addr, op, |answer| {
+                        reply::hash_subtree(answer, 1).map(|v| v[0])
+                    })
                 })
             })
             .collect();
@@ -436,7 +458,11 @@ impl Cluster {
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; total];
         let mut health = Vec::with_capacity(total);
         let mut payload_bytes_read = 0u64;
-        for (i, result) in self.fetch_shards(conns, object, manifest, &all).into_iter().enumerate() {
+        for (i, result) in self
+            .fetch_shards(conns, object, manifest, &all)
+            .into_iter()
+            .enumerate()
+        {
             match result {
                 Ok(bytes) => {
                     payload_bytes_read += bytes.len() as u64;
@@ -447,8 +473,10 @@ impl Cluster {
             }
         }
         let parity_consistent = if health.iter().all(ShardHealth::is_ok) {
-            let owned: Vec<Vec<u8>> =
-                shards.into_iter().map(|s| s.expect("all present")).collect();
+            let owned: Vec<Vec<u8>> = shards
+                .into_iter()
+                .map(|s| s.expect("all present"))
+                .collect();
             Some(self.codec.verify(&owned)?)
         } else {
             None
@@ -484,8 +512,7 @@ impl Cluster {
     ) -> ObjectScrub {
         let total = manifest.total_shards();
         let leaf_size = manifest.hash_leaf_size;
-        let widths =
-            MerkleTree::level_widths(leaf_count(manifest.shard_len, leaf_size as u64));
+        let widths = MerkleTree::level_widths(leaf_count(manifest.shard_len, leaf_size as u64));
         let mut health = Vec::with_capacity(total);
         let mut hash_bytes_read = 0u64;
         let mut damaged_leaves = Vec::new();
@@ -495,10 +522,11 @@ impl Cluster {
             hash_bytes_read += 32 * (computed.is_ok() as u64 + stored.is_ok() as u64);
             let computed = match computed {
                 Ok(root) => root,
-                Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {
-                    health.push(ShardHealth::Missing(format!(
-                        "{addr}: shard blob absent"
-                    )));
+                Err(StoreError::Remote {
+                    code: RemoteErrorCode::NotFound,
+                    ..
+                }) => {
+                    health.push(ShardHealth::Missing(format!("{addr}: shard blob absent")));
                     continue;
                 }
                 Err(e @ StoreError::Remote { .. }) => {
@@ -516,9 +544,7 @@ impl Cluster {
                 // Payload proven byte-exact. The stored hash blob is a
                 // cache — audit it so descent stays possible next time.
                 match stored {
-                    Ok(root) if root == manifest.shard_root[i] => {
-                        health.push(ShardHealth::Ok)
-                    }
+                    Ok(root) if root == manifest.shard_root[i] => health.push(ShardHealth::Ok),
                     Ok(_) => health.push(ShardHealth::BadHashes(format!(
                         "{addr}: stored hash blob disagrees with the manifest root"
                     ))),
@@ -540,14 +566,7 @@ impl Cluster {
                 )));
                 continue;
             }
-            match self.descend(
-                conns,
-                object,
-                manifest,
-                i,
-                &widths,
-                &mut hash_bytes_read,
-            ) {
+            match self.descend(conns, object, manifest, i, &widths, &mut hash_bytes_read) {
                 Ok(leaves) => {
                     health.push(ShardHealth::Corrupt(format!(
                         "{addr}: shard fails its manifest Merkle root; damaged \
@@ -607,8 +626,17 @@ impl Cluster {
                     let start = parent as u32 * 2;
                     let count = 2.min(width as u32 - start);
                     let level = level as u8;
-                    let op = BatchOp::HashSubtree { key, leaf_size, stored, level, start, count };
-                    (addr.as_str(), op, move |answer| reply::hash_subtree(answer, count))
+                    let op = BatchOp::HashSubtree {
+                        key,
+                        leaf_size,
+                        stored,
+                        level,
+                        start,
+                        count,
+                    };
+                    (addr.as_str(), op, move |answer| {
+                        reply::hash_subtree(answer, count)
+                    })
                 })
                 .collect();
             let mut children = conns.run_batch(jobs).into_iter();
@@ -650,8 +678,7 @@ mod tests {
     /// objects pays one connect failure, not one per object.
     #[test]
     fn scrub_marks_a_dead_node_exactly_once() {
-        let root = std::env::temp_dir()
-            .join(format!("ec_store_deadonce_{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("ec_store_deadonce_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let mut nodes: Vec<NodeHandle> = (0..4)
             .map(|i| {
@@ -708,7 +735,9 @@ mod tests {
             .with_gc_grace(Duration::ZERO);
         let shards = cluster.codec.total_shards() as u32;
         for i in 0..k {
-            cluster.put(&format!("obj-{i}"), &vec![i as u8; 4096]).unwrap();
+            cluster
+                .put(&format!("obj-{i}"), &vec![i as u8; 4096])
+                .unwrap();
         }
         let crashing = Cluster::new(addrs.clone(), RsConfig::new(2, 1))
             .unwrap()
@@ -729,7 +758,8 @@ mod tests {
             for prefix in ["s:", "t:"] {
                 let left = node.list(prefix).unwrap();
                 assert!(
-                    left.iter().all(|key| parse_gc_key(key).is_some_and(|(o, _, _)| o != "orphan")),
+                    left.iter()
+                        .all(|key| parse_gc_key(key).is_some_and(|(o, _, _)| o != "orphan")),
                     "{addr}: {left:?}"
                 );
             }
@@ -751,7 +781,9 @@ mod tests {
             .with_gc_grace(Duration::ZERO);
         let shards = cluster.codec.total_shards() as u32;
         for i in 0..k {
-            cluster.put(&format!("obj-{i:03}"), &[i as u8; 512]).unwrap();
+            cluster
+                .put(&format!("obj-{i:03}"), &[i as u8; 512])
+                .unwrap();
         }
         let mut conns = cluster.conns();
         let report = cluster.scrub_via(&mut conns, false).unwrap();

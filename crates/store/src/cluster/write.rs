@@ -69,10 +69,18 @@ pub(super) fn publish(
     required: impl Fn(&str) -> bool,
 ) -> Result<usize, StoreError> {
     let key = manifest_key(object);
-    let put = BatchOp::Put { key: &key, data: record };
+    let put = BatchOp::Put {
+        key: &key,
+        data: record,
+    };
     let targets: Vec<_> = targets.into_iter().collect();
     let mut accepted = 0;
-    let results = conns.run_batch(targets.iter().map(|a| (a.as_ref(), put, reply::put)).collect());
+    let results = conns.run_batch(
+        targets
+            .iter()
+            .map(|a| (a.as_ref(), put, reply::put))
+            .collect(),
+    );
     for (addr, result) in targets.iter().zip(results) {
         match result {
             Ok(()) => accepted += 1,
@@ -173,8 +181,7 @@ impl Cluster {
         // ~max(per-node RTT), not the sum. All must land before the
         // manifest publishes; any failure here aborts with the prior
         // generation untouched and the partial shards left for GC.
-        let tree_bytes: Vec<Vec<u8>> =
-            hash_blobs.iter().map(HashBlob::to_bytes).collect();
+        let tree_bytes: Vec<Vec<u8>> = hash_blobs.iter().map(HashBlob::to_bytes).collect();
         let ships: Vec<Ship> = (shards.iter().zip(&tree_bytes).enumerate())
             .flat_map(|(i, (shard, tree))| {
                 let addr = placement[i].as_str();
@@ -184,7 +191,9 @@ impl Cluster {
                 ]
             })
             .collect();
-        self.ship(conns, "put.shard", &ships)?.into_iter().collect::<Result<(), _>>()?;
+        self.ship(conns, "put.shard", &ships)?
+            .into_iter()
+            .collect::<Result<(), _>>()?;
         // Publish: the manifest replication is the commit point.
         // Required on the placement nodes: they are what repair trusts.
         trip(&self.failpoint, "put.publish", 0)?;
@@ -254,7 +263,11 @@ impl Cluster {
         let mut doomed: Vec<(String, String, bool)> = Vec::new();
         for (i, addr) in manifest.placement.iter().enumerate() {
             doomed.push((addr.clone(), manifest.shard_key(object, i), true));
-            doomed.push((addr.clone(), tree_key(object, i, manifest.shard_gen[i]), false));
+            doomed.push((
+                addr.clone(),
+                tree_key(object, i, manifest.shard_gen[i]),
+                false,
+            ));
         }
         let jobs: Vec<_> = doomed
             .iter()
@@ -289,11 +302,7 @@ impl Cluster {
     /// with no cross-client locking, so two concurrent overwrites of
     /// the same object can each apply only their own delta and leave
     /// parity matching neither.
-    pub fn overwrite(
-        &self,
-        object: &str,
-        data: &[u8],
-    ) -> Result<OverwriteReport, StoreError> {
+    pub fn overwrite(&self, object: &str, data: &[u8]) -> Result<OverwriteReport, StoreError> {
         validate_object_name(object)?;
         let (n, p) = (self.codec.data_shards(), self.codec.parity_shards());
         let full_xor = self.codec.encode_slp().xor_count();
@@ -321,7 +330,9 @@ impl Cluster {
         let new_gen = manifest.generation + 1;
         if self.codec.shard_len(data.len()) as u64 != manifest.shard_len {
             // Geometry changed: delta cannot apply.
-            return self.put_inner(&mut conns, object, data, new_gen, None).map(full_report);
+            return self
+                .put_inner(&mut conns, object, data, new_gen, None)
+                .map(full_report);
         }
 
         // Change detection, zero payload reads: hash the new data shards
@@ -343,7 +354,13 @@ impl Cluster {
                 manifest.object_len = data.len() as u64;
                 manifest.generation = new_gen;
                 let placed = |addr: &str| manifest.placement.iter().any(|a| a == addr);
-                publish(&mut conns, object, &manifest.to_bytes(), &self.nodes, placed)?;
+                publish(
+                    &mut conns,
+                    object,
+                    &manifest.to_bytes(),
+                    &self.nodes,
+                    placed,
+                )?;
             }
             return Ok(OverwriteReport {
                 mode: OverwriteMode::NoChange,
@@ -370,8 +387,10 @@ impl Cluster {
         // manifest). The parity RMW needs every one of them — fall back
         // without.
         let touched: Vec<usize> = changed.iter().copied().chain(n..n + p).collect();
-        let fetched: Result<Vec<Vec<u8>>, _> =
-            self.fetch_shards(&mut conns, object, &manifest, &touched).into_iter().collect();
+        let fetched: Result<Vec<Vec<u8>>, _> = self
+            .fetch_shards(&mut conns, object, &manifest, &touched)
+            .into_iter()
+            .collect();
         let Ok(mut old) = fetched else {
             return self
                 .put_inner(&mut conns, object, data, new_gen, Some(new_blobs))
@@ -379,8 +398,7 @@ impl Cluster {
         };
         let mut parity = old.split_off(changed.len());
         {
-            let mut prefs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
             for (&i, old) in changed.iter().zip(old) {
                 self.codec.update_parity(i, &old, &new[i], &mut prefs)?;
             }
@@ -402,8 +420,7 @@ impl Cluster {
                 Some(j) => (i, parity[j].as_slice(), &parity_blobs[j]),
             })
             .collect();
-        let tree_bytes: Vec<Vec<u8>> =
-            shipped.iter().map(|(_, _, blob)| blob.to_bytes()).collect();
+        let tree_bytes: Vec<Vec<u8>> = shipped.iter().map(|(_, _, blob)| blob.to_bytes()).collect();
         let ships: Vec<Ship> = (shipped.iter().zip(&tree_bytes).enumerate())
             .flat_map(|(at, (&(i, shard, _), tree))| {
                 let addr = manifest.placement[i].as_str();
@@ -413,7 +430,9 @@ impl Cluster {
                 ]
             })
             .collect();
-        self.ship(&mut conns, "overwrite.shard", &ships)?.into_iter().collect::<Result<(), _>>()?;
+        self.ship(&mut conns, "overwrite.shard", &ships)?
+            .into_iter()
+            .collect::<Result<(), _>>()?;
         for &(i, shard, blob) in &shipped {
             manifest.shard_crc[i] = crc32(shard);
             manifest.shard_gen[i] = new_gen;
@@ -425,7 +444,13 @@ impl Cluster {
         // Publish: the commit point of the delta.
         trip(&self.failpoint, "overwrite.publish", 0)?;
         let placed = |addr: &str| manifest.placement.iter().any(|a| a == addr);
-        publish(&mut conns, object, &manifest.to_bytes(), &self.nodes, placed)?;
+        publish(
+            &mut conns,
+            object,
+            &manifest.to_bytes(),
+            &self.nodes,
+            placed,
+        )?;
         Ok(OverwriteReport {
             mode: OverwriteMode::Delta,
             shards_written: touched.len(),

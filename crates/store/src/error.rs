@@ -66,11 +66,18 @@ pub enum StoreError {
     /// [`StoreError::Remote`]).
     Protocol(String),
     /// The remote node answered with a typed `ERR` frame.
-    Remote { code: RemoteErrorCode, message: String },
+    Remote {
+        code: RemoteErrorCode,
+        message: String,
+    },
     /// The object has no manifest on any reachable node.
     NotFound(String),
     /// Too few shards of the object are retrievable to reconstruct it.
-    Unavailable { object: String, needed: usize, have: usize },
+    Unavailable {
+        object: String,
+        needed: usize,
+        have: usize,
+    },
     /// A stored manifest is malformed or inconsistent.
     Manifest(String),
     /// Invalid caller-supplied arguments (object name, geometry, node
@@ -93,7 +100,11 @@ impl fmt::Display for StoreError {
             StoreError::NotFound(object) => {
                 write!(f, "object `{object}` not found on any reachable node")
             }
-            StoreError::Unavailable { object, needed, have } => write!(
+            StoreError::Unavailable {
+                object,
+                needed,
+                have,
+            } => write!(
                 f,
                 "object `{object}` unavailable: {have} of the {needed} shards \
                  needed for reconstruction are retrievable"

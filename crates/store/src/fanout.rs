@@ -128,7 +128,9 @@ impl Pool {
 
     /// Keep `conn`, connected by the caller, as `addr`'s idle connection.
     pub(crate) fn keep(&self, addr: &str, conn: Conn) {
-        self.lock().idle.insert(addr.to_string(), (conn, Instant::now()));
+        self.lock()
+            .idle
+            .insert(addr.to_string(), (conn, Instant::now()));
     }
 
     /// How many times the operations served from this pool dialed
@@ -193,7 +195,10 @@ pub(crate) struct Release {
 
 /// The release hook of a barrier: every job, at once.
 pub(crate) fn release_all<T>(round: &Progress<'_, T>) -> Release {
-    Release { jobs: (0..round.outcomes.len()).collect(), recheck: None }
+    Release {
+        jobs: (0..round.outcomes.len()).collect(),
+        recheck: None,
+    }
 }
 
 /// Result of a [`ParallelConnSet::run_first_n`].
@@ -263,12 +268,21 @@ impl<T, F: Post<T>> Round<'_, T, F> {
     }
 
     fn progress(&self) -> Progress<'_, T> {
-        Progress { outcomes: &self.outcomes, elapsed: &self.elapsed, now: self.began.elapsed() }
+        Progress {
+            outcomes: &self.outcomes,
+            elapsed: &self.elapsed,
+            now: self.began.elapsed(),
+        }
     }
 
     fn finish(self, timed_out: bool) -> FirstN<T> {
         let held = self.released.iter().map(Option::is_none).collect();
-        FirstN { outcomes: self.outcomes, elapsed: self.elapsed, held, timed_out }
+        FirstN {
+            outcomes: self.outcomes,
+            elapsed: self.elapsed,
+            held,
+            timed_out,
+        }
     }
 }
 
@@ -315,16 +329,27 @@ impl<'a> Lane<'a> {
         events: i16,
         round: &mut Round<'a, T, F>,
     ) -> Result<(), StoreError> {
-        let conn = self.conn.as_mut().expect("only lanes with a connection are advanced");
+        let conn = self
+            .conn
+            .as_mut()
+            .expect("only lanes with a connection are advanced");
         if self.connecting {
             conn.established()?;
             self.connecting = false;
         }
         while events & !POLLOUT != 0 && !self.inflight.is_empty() {
-            let Some((id, answer)) = conn.pull()? else { break };
-            let at = self.inflight.iter().position(|&(sent, _)| sent == id).ok_or_else(|| {
-                StoreError::Protocol(format!("response to request {id}, which is still being sent"))
-            })?;
+            let Some((id, answer)) = conn.pull()? else {
+                break;
+            };
+            let at = self
+                .inflight
+                .iter()
+                .position(|&(sent, _)| sent == id)
+                .ok_or_else(|| {
+                    StoreError::Protocol(format!(
+                        "response to request {id}, which is still being sent"
+                    ))
+                })?;
             let (_, job) = self.inflight.remove(at);
             if !round.settle(job, answer) {
                 return Err(StoreError::Protocol(format!(
@@ -338,7 +363,9 @@ impl<'a> Lane<'a> {
         }
         loop {
             if self.staged.is_none() {
-                let Some(job) = self.unsent.pop_front() else { break };
+                let Some(job) = self.unsent.pop_front() else {
+                    break;
+                };
                 match conn.stage(&round.ops[job]) {
                     Ok(staged) => self.staged = Some((job, staged)),
                     // Refused before it touched the wire (over the
@@ -412,7 +439,9 @@ impl ParallelConnSet {
     /// the operation deadline's remaining time. [`StoreError::Timeout`]
     /// once the deadline is spent.
     fn io_budget(&self) -> Result<Duration, StoreError> {
-        let Some(deadline) = self.deadline else { return Ok(self.timeout) };
+        let Some(deadline) = self.deadline else {
+            return Ok(self.timeout);
+        };
         match deadline.saturating_duration_since(Instant::now()) {
             Duration::ZERO => Err(StoreError::Timeout),
             remaining => Ok(self.timeout.min(remaining)),
@@ -448,7 +477,11 @@ impl ParallelConnSet {
         // Only the operation deadline ends a round with a job unsettled.
         let timed_out = || Err(StoreError::Timeout);
         let round = self.run_first_n(jobs, |_| false, release_all);
-        round.outcomes.into_iter().map(|o| o.unwrap_or_else(timed_out)).collect()
+        round
+            .outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(timed_out))
+            .collect()
     }
 
     /// Run a round whose jobs all start *held*. `release` names the jobs
@@ -523,7 +556,9 @@ impl ParallelConnSet {
             polled.clear();
             let mut wake = [recheck, self.deadline].into_iter().flatten().min();
             for (i, lane) in lanes.iter().enumerate() {
-                let (Some(conn), events @ 1..) = (&lane.conn, lane.wants()) else { continue };
+                let (Some(conn), events @ 1..) = (&lane.conn, lane.wants()) else {
+                    continue;
+                };
                 fds.push(PollFd::new(conn.socket(), events));
                 polled.push(i);
                 wake = Some(wake.map_or(lane.stall_at, |w| w.min(lane.stall_at)));
@@ -550,7 +585,10 @@ impl ParallelConnSet {
                         lane.fail(stalled, &mut round);
                     }
                     Ok(_) => {}
-                    Err(e) => lane.fail(StoreError::Io(Error::new(e.kind(), e.to_string())), &mut round),
+                    Err(e) => lane.fail(
+                        StoreError::Io(Error::new(e.kind(), e.to_string())),
+                        &mut round,
+                    ),
                 }
             }
         }
@@ -583,19 +621,22 @@ impl ParallelConnSet {
         let now = Instant::now();
         round.released[job] = Some(now);
         round.open += 1;
-        let at = lanes.iter().position(|l| l.addr == addr).unwrap_or_else(|| {
-            lanes.push(Lane {
-                addr,
-                conn: None,
-                connecting: false,
-                dead: false,
-                unsent: VecDeque::new(),
-                staged: None,
-                inflight: Vec::new(),
-                stall_at: now,
+        let at = lanes
+            .iter()
+            .position(|l| l.addr == addr)
+            .unwrap_or_else(|| {
+                lanes.push(Lane {
+                    addr,
+                    conn: None,
+                    connecting: false,
+                    dead: false,
+                    unsent: VecDeque::new(),
+                    staged: None,
+                    inflight: Vec::new(),
+                    stall_at: now,
+                });
+                lanes.len() - 1
             });
-            lanes.len() - 1
-        });
         let lane = &mut lanes[at];
         if lane.wants() == 0 {
             lane.stall_at = now + budget;

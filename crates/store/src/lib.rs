@@ -88,20 +88,15 @@ mod tree;
 pub use blob::{BlobError, BlobStat, BlobStore, BLOB_MAGIC, BLOB_OVERHEAD};
 pub use client::{NodeClient, NodeHealth};
 pub use cluster::{
-    Cluster, ClusterHealth, ClusterScrubReport, FailPoint, GetReport,
-    NodeRepairReport, ObjectRepairReport, ObjectScrub, OverwriteMode,
-    OverwriteReport, PutReport, RepairOutcome, ShardFetch, ShardHealth,
-    ShardOutcome, DEFAULT_GC_GRACE, DEFAULT_TIMEOUT,
+    Cluster, ClusterHealth, ClusterScrubReport, FailPoint, GetReport, NodeRepairReport,
+    ObjectRepairReport, ObjectScrub, OverwriteMode, OverwriteReport, PutReport, RepairOutcome,
+    ShardFetch, ShardHealth, ShardOutcome, DEFAULT_GC_GRACE, DEFAULT_TIMEOUT,
 };
 pub use error::{RemoteErrorCode, StoreError};
 pub use manifest::{
-    manifest_key, parse_record, parse_shard_key, shard_key, tombstone_bytes,
-    Manifest, ManifestRecord, MANIFEST_MAGIC, MANIFEST_VERSION, MAX_OBJECT_NAME,
-    TOMBSTONE_MAGIC,
+    manifest_key, parse_record, parse_shard_key, shard_key, tombstone_bytes, Manifest,
+    ManifestRecord, MANIFEST_MAGIC, MANIFEST_VERSION, MAX_OBJECT_NAME, TOMBSTONE_MAGIC,
 };
 pub use node::{NodeHandle, NodeOptions};
 pub use placement::{rank_nodes, score};
-pub use tree::{
-    parse_tree_key, tree_key, HashBlob, HASH_BLOB_VERSION, HASH_LEAF_SIZE,
-    HASH_MAGIC,
-};
+pub use tree::{parse_tree_key, tree_key, HashBlob, HASH_BLOB_VERSION, HASH_LEAF_SIZE, HASH_MAGIC};

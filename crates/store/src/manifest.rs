@@ -64,10 +64,7 @@ pub fn parse_shard_key(key: &str) -> Option<(&str, usize, u64)> {
 
 /// The shared grammar behind [`parse_shard_key`] and
 /// [`crate::tree::parse_tree_key`]: `<prefix><iii>g<16 hex>:<object>`.
-pub(crate) fn parse_prefixed_key<'a>(
-    key: &'a str,
-    prefix: &str,
-) -> Option<(&'a str, usize, u64)> {
+pub(crate) fn parse_prefixed_key<'a>(key: &'a str, prefix: &str) -> Option<(&'a str, usize, u64)> {
     let rest = key.strip_prefix(prefix)?;
     let (idx_digits, rest) = rest.split_at_checked(3)?;
     let index = idx_digits.parse::<usize>().ok()?;
@@ -81,7 +78,9 @@ pub(crate) fn parse_prefixed_key<'a>(
 /// Validate a caller-supplied object name against the key grammar.
 pub fn validate_object_name(object: &str) -> Result<(), StoreError> {
     if object.is_empty() {
-        return Err(StoreError::InvalidArg("object name must not be empty".into()));
+        return Err(StoreError::InvalidArg(
+            "object name must not be empty".into(),
+        ));
     }
     if object.len() > MAX_OBJECT_NAME {
         return Err(StoreError::InvalidArg(format!(
@@ -141,7 +140,9 @@ pub fn parse_record(bytes: &[u8]) -> Result<ManifestRecord, StoreError> {
         )));
     }
     let generation = u64::from_le_bytes(
-        body[TOMBSTONE_MAGIC.len() + 1..].try_into().expect("fixed slice"),
+        body[TOMBSTONE_MAGIC.len() + 1..]
+            .try_into()
+            .expect("fixed slice"),
     );
     Ok(ManifestRecord::Tombstone { generation })
 }
@@ -284,11 +285,12 @@ impl Manifest {
             }
             let total = data_shards as usize + parity_shards as usize;
             if data_shards == 0 || parity_shards == 0 || total > 255 {
-                return Err(format!(
-                    "invalid geometry ({data_shards}, {parity_shards})"
-                ));
+                return Err(format!("invalid geometry ({data_shards}, {parity_shards})"));
             }
-            if shard_len.checked_mul(data_shards as u64).is_none_or(|c| c < object_len) {
+            if shard_len
+                .checked_mul(data_shards as u64)
+                .is_none_or(|c| c < object_len)
+            {
                 return Err(format!(
                     "{data_shards} shards of {shard_len} bytes cannot hold a \
                      {object_len}-byte object"
@@ -398,7 +400,11 @@ mod tests {
 
     #[test]
     fn empty_object_roundtrips() {
-        let m = Manifest { object_len: 0, shard_len: 0, ..sample() };
+        let m = Manifest {
+            object_len: 0,
+            shard_len: 0,
+            ..sample()
+        };
         assert_eq!(Manifest::from_bytes(&m.to_bytes()).unwrap(), m);
     }
 
@@ -428,11 +434,24 @@ mod tests {
             Manifest::from_bytes(&absurd.to_bytes()),
             Err(StoreError::Manifest(_))
         ));
-        let cannot_hold = Manifest { object_len: u64::MAX, shard_len: 8, ..sample() };
+        let cannot_hold = Manifest {
+            object_len: u64::MAX,
+            shard_len: 8,
+            ..sample()
+        };
         assert!(Manifest::from_bytes(&cannot_hold.to_bytes()).is_err());
-        let unaligned = Manifest { shard_len: 12, ..sample() };
+        let unaligned = Manifest {
+            shard_len: 12,
+            ..sample()
+        };
         assert!(Manifest::from_bytes(&unaligned.to_bytes()).is_err());
-        let zero_parity = Manifest { parity_shards: 0, shard_crc: vec![0; 4], shard_gen: vec![1; 4], placement: sample().placement[..4].to_vec(), ..sample() };
+        let zero_parity = Manifest {
+            parity_shards: 0,
+            shard_crc: vec![0; 4],
+            shard_gen: vec![1; 4],
+            placement: sample().placement[..4].to_vec(),
+            ..sample()
+        };
         assert!(Manifest::from_bytes(&zero_parity.to_bytes()).is_err());
     }
 
@@ -501,8 +520,14 @@ mod tests {
         }
         // And the one way a version-4 record could still claim to be
         // rootless: a zero leaf size.
-        let rootless = Manifest { hash_leaf_size: 0, ..sample() };
-        assert_eq!(refusal(&rootless.to_bytes()), "manifest with zero hash leaf size");
+        let rootless = Manifest {
+            hash_leaf_size: 0,
+            ..sample()
+        };
+        assert_eq!(
+            refusal(&rootless.to_bytes()),
+            "manifest with zero hash leaf size"
+        );
     }
 
     #[test]
@@ -548,14 +573,21 @@ mod tests {
 
     #[test]
     fn unknown_codec_id_is_typed() {
-        let m = Manifest { codec_id: 999, ..sample() };
+        let m = Manifest {
+            codec_id: 999,
+            ..sample()
+        };
         assert!(matches!(
             Manifest::from_bytes(&m.to_bytes()),
             Err(StoreError::Codec(EcError::UnknownCodec(_)))
         ));
         // Known id, impossible family geometry (evenodd wants p = 2...
         // here it gets group_size it cannot take).
-        let m = Manifest { codec_id: CodecId::EvenOdd.wire(), group_size: 3, ..sample() };
+        let m = Manifest {
+            codec_id: CodecId::EvenOdd.wire(),
+            group_size: 3,
+            ..sample()
+        };
         assert!(matches!(
             Manifest::from_bytes(&m.to_bytes()),
             Err(StoreError::Codec(EcError::InvalidParams(_)))

@@ -104,7 +104,14 @@ impl NodeHandle {
     /// Serve `dir` on `bind` (e.g. `"127.0.0.1:0"` for an ephemeral
     /// port) with `workers` serving loops (`0` = default).
     pub fn spawn(dir: &Path, bind: &str, workers: usize) -> std::io::Result<NodeHandle> {
-        NodeHandle::spawn_with(dir, bind, NodeOptions { workers, ..NodeOptions::default() })
+        NodeHandle::spawn_with(
+            dir,
+            bind,
+            NodeOptions {
+                workers,
+                ..NodeOptions::default()
+            },
+        )
     }
 
     /// [`NodeHandle::spawn`] with the full option set.
@@ -121,7 +128,11 @@ impl NodeHandle {
             response_delay: opts.response_delay,
             delay_key_prefix: opts.delay_key_prefix,
         });
-        let workers = if opts.workers == 0 { DEFAULT_WORKERS } else { opts.workers };
+        let workers = if opts.workers == 0 {
+            DEFAULT_WORKERS
+        } else {
+            opts.workers
+        };
         let threads = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
@@ -130,7 +141,11 @@ impl NodeHandle {
                     .spawn(move || serve(&shared))
             })
             .collect::<std::io::Result<_>>()?;
-        Ok(NodeHandle { addr, shared, threads })
+        Ok(NodeHandle {
+            addr,
+            shared,
+            threads,
+        })
     }
 
     /// The address the node is actually listening on (resolves the
@@ -256,7 +271,13 @@ enum Phase {
     Delayed(Frame),
     /// An answer is going out, `written` bytes of it so far; `close`
     /// after a framing error.
-    Writing { head: [u8; HEAD_LEN], payload: Vec<u8>, crc: [u8; 4], written: usize, close: bool },
+    Writing {
+        head: [u8; HEAD_LEN],
+        payload: Vec<u8>,
+        crc: [u8; 4],
+        written: usize,
+        close: bool,
+    },
     /// Half-closed after a framing error: what the peer still sends is
     /// read and dropped, until it closes or the drain runs out.
     Draining,
@@ -292,8 +313,9 @@ impl Conn {
                     let in_frame = self.reader.in_frame();
                     match self.reader.read(&mut self.stream) {
                         Ok(frame) => {
-                            let delay =
-                                shared.response_delay.filter(|_| delay_applies(shared, &frame));
+                            let delay = shared
+                                .response_delay
+                                .filter(|_| delay_applies(shared, &frame));
                             self.deadline = Instant::now() + delay.unwrap_or_default();
                             self.phase = Phase::Delayed(frame);
                         }
@@ -324,13 +346,21 @@ impl Conn {
                     // the loop and every other connection on it.
                     let store = &shared.store;
                     let served = panic::catch_unwind(AssertUnwindSafe(|| dispatch(&frame, store)));
-                    let Ok((tag, payload)) = served else { return false };
+                    let Ok((tag, payload)) = served else {
+                        return false;
+                    };
                     // Payload-level errors are typed `ERR` answers on an
                     // intact stream. The answer echoes the request's id,
                     // so a pipelining peer can match it.
                     self.send(tag, frame.request_id, payload, false);
                 }
-                Phase::Writing { head, payload, crc, written, close } => {
+                Phase::Writing {
+                    head,
+                    payload,
+                    crc,
+                    written,
+                    close,
+                } => {
                     let (before, close) = (*written, *close);
                     let bufs = [&head[..], &payload[..], &crc[..]];
                     match write_gathered(&mut self.stream, &bufs, written) {
@@ -370,7 +400,13 @@ impl Conn {
     fn send(&mut self, tag: u8, request_id: u32, payload: Vec<u8>, close: bool) {
         let head = frame_head(tag, request_id, payload.len());
         let crc = frame_crc(&head[4..], &[&payload]);
-        self.phase = Phase::Writing { head, payload, crc, written: 0, close };
+        self.phase = Phase::Writing {
+            head,
+            payload,
+            crc,
+            written: 0,
+            close,
+        };
         self.deadline = Instant::now() + FRAME_DEADLINE;
     }
 }
@@ -382,11 +418,16 @@ fn delay_applies(shared: &Shared, frame: &Frame) -> bool {
     let Some(prefix) = &shared.delay_key_prefix else {
         return true;
     };
-    if !matches!(frame.tag, op::PUT_SHARD | op::GET_SHARD | op::DELETE | op::STAT) {
+    if !matches!(
+        frame.tag,
+        op::PUT_SHARD | op::GET_SHARD | op::DELETE | op::STAT
+    ) {
         return false;
     }
     let mut r = PayloadReader::new(&frame.payload);
-    r.key().map(|key| key.starts_with(prefix.as_str())).unwrap_or(false)
+    r.key()
+        .map(|key| key.starts_with(prefix.as_str()))
+        .unwrap_or(false)
 }
 
 /// Handle one parsed request frame; returns the response tag + payload.
@@ -521,9 +562,8 @@ fn handle(frame: &Frame, store: &BlobStore) -> Handled {
                 }
                 1 => {
                     let blob = store.get(key).map_err(blob_err)?;
-                    let hashes = HashBlob::from_bytes(&blob).map_err(|e| {
-                        (RemoteErrorCode::CorruptBlob, e.to_string())
-                    })?;
+                    let hashes = HashBlob::from_bytes(&blob)
+                        .map_err(|e| (RemoteErrorCode::CorruptBlob, e.to_string()))?;
                     if hashes.leaf_size != leaf_size {
                         return Err((
                             RemoteErrorCode::CorruptBlob,

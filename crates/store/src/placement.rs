@@ -67,8 +67,9 @@ mod tests {
         // The top-ranked node must not be constant across objects —
         // otherwise one node hosts every first shard.
         let ns = nodes(8);
-        let firsts: std::collections::HashSet<usize> =
-            (0..64).map(|k| rank_nodes(&format!("obj-{k}"), &ns)[0]).collect();
+        let firsts: std::collections::HashSet<usize> = (0..64)
+            .map(|k| rank_nodes(&format!("obj-{k}"), &ns)[0])
+            .collect();
         assert!(firsts.len() > 3, "placement is degenerate: {firsts:?}");
     }
 
@@ -78,16 +79,22 @@ mod tests {
         // change the relative order of the others.
         let ns = nodes(9);
         for d in 0..ns.len() {
-            let survivors: Vec<String> =
-                ns.iter().enumerate().filter(|&(i, _)| i != d).map(|(_, n)| n.clone()).collect();
+            let survivors: Vec<String> = ns
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != d)
+                .map(|(_, n)| n.clone())
+                .collect();
             for obj in ["a", "obj-42", "some/longer/object/name"] {
                 let full: Vec<&String> = rank_nodes(obj, &ns)
                     .into_iter()
                     .filter(|&i| i != d)
                     .map(|i| &ns[i])
                     .collect();
-                let reduced: Vec<&String> =
-                    rank_nodes(obj, &survivors).into_iter().map(|i| &survivors[i]).collect();
+                let reduced: Vec<&String> = rank_nodes(obj, &survivors)
+                    .into_iter()
+                    .map(|i| &survivors[i])
+                    .collect();
                 assert_eq!(full, reduced, "object {obj}, dropped node {d}");
             }
         }

@@ -277,7 +277,11 @@ impl FrameReader {
             return Err(FrameError::BadVersion(head[4]));
         }
         let request_id = u32::from_le_bytes(head[6..].try_into().expect("4 bytes"));
-        Ok(Frame { tag: head[5], request_id, payload })
+        Ok(Frame {
+            tag: head[5],
+            request_id,
+            payload,
+        })
     }
 
     /// Whether part of a frame is in and the rest is not.
@@ -428,9 +432,12 @@ pub fn parse_err(payload: &[u8]) -> StoreError {
     let parsed = (|| -> Result<StoreError, String> {
         let code = r.u8()?;
         let msg = r.str_bounded(u16::MAX as usize, "error message")?;
-        let code = RemoteErrorCode::from_wire(code)
-            .ok_or_else(|| format!("unknown error code {code}"))?;
-        Ok(StoreError::Remote { code, message: msg.to_string() })
+        let code =
+            RemoteErrorCode::from_wire(code).ok_or_else(|| format!("unknown error code {code}"))?;
+        Ok(StoreError::Remote {
+            code,
+            message: msg.to_string(),
+        })
     })();
     parsed.unwrap_or_else(|e| StoreError::Protocol(format!("malformed ERR frame: {e}")))
 }
@@ -453,8 +460,13 @@ mod tests {
     #[test]
     fn v2_frame_roundtrips_with_id() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, op::PUT_SHARD, 0xDEAD_BEEF, &[b"abc", b"", b"defg"])
-            .unwrap();
+        write_frame(
+            &mut buf,
+            op::PUT_SHARD,
+            0xDEAD_BEEF,
+            &[b"abc", b"", b"defg"],
+        )
+        .unwrap();
         let frame = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(frame.tag, op::PUT_SHARD);
         assert_eq!(frame.request_id, 0xDEAD_BEEF);
@@ -470,7 +482,10 @@ mod tests {
         let get = framed(&[&[1u8, op::GET_SHARD][..], b"\x03\x00key"].concat());
         let err = read_frame(&mut Cursor::new(get)).unwrap_err();
         assert!(matches!(err, FrameError::BadVersion(1)), "{err:?}");
-        assert_eq!(err.detail(), "unsupported protocol version 1 (this build speaks 2)");
+        assert_eq!(
+            err.detail(),
+            "unsupported protocol version 1 (this build speaks 2)"
+        );
         let err = read_frame(&mut Cursor::new(framed(&[1u8, op::HEALTH]))).unwrap_err();
         assert!(matches!(err, FrameError::BadLength(2)), "{err:?}");
     }
@@ -492,7 +507,10 @@ mod tests {
         // everything after is a truncated body/CRC.
         for cut in 1..buf.len() {
             let err = read_frame(&mut Cursor::new(&buf[..cut])).unwrap_err();
-            assert!(matches!(err, FrameError::Truncated), "cut at {cut}: {err:?}");
+            assert!(
+                matches!(err, FrameError::Truncated),
+                "cut at {cut}: {err:?}"
+            );
         }
     }
 
@@ -670,7 +688,11 @@ mod tests {
             if head[0] != PROTO_VERSION {
                 return Err(FrameError::BadVersion(head[0]));
             }
-            Ok(Frame { tag: head[1], request_id: u32::from_le_bytes(id), payload })
+            Ok(Frame {
+                tag: head[1],
+                request_id: u32::from_le_bytes(id),
+                payload,
+            })
         }
 
         fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
@@ -699,7 +721,12 @@ mod tests {
 
     impl Sink {
         fn taking(per_call: usize) -> Sink {
-            Sink { bytes: Vec::new(), per_call, vectored_calls: 0, plain_calls: 0 }
+            Sink {
+                bytes: Vec::new(),
+                per_call,
+                vectored_calls: 0,
+                plain_calls: 0,
+            }
         }
     }
 
@@ -740,7 +767,12 @@ mod tests {
 
     impl<'a> Pieces<'a> {
         fn of(bytes: &'a [u8], pieces: &[usize]) -> Pieces<'a> {
-            Pieces { bytes, pieces: pieces.to_vec(), calls: 0, stutter: false }
+            Pieces {
+                bytes,
+                pieces: pieces.to_vec(),
+                calls: 0,
+                stutter: false,
+            }
         }
     }
 
@@ -866,9 +898,16 @@ mod tests {
         // from it, no further byte is waited for. One past the cap and
         // the largest prefix there is; the cap itself is a legal length
         // and does wait.
-        for (len, refused) in [(MAX_BODY as u32 + 1, true), (u32::MAX, true), (MAX_BODY as u32, false)] {
+        for (len, refused) in [
+            (MAX_BODY as u32 + 1, true),
+            (u32::MAX, true),
+            (MAX_BODY as u32, false),
+        ] {
             let prefix = len.to_le_bytes();
-            let mut stream = Pieces { stutter: true, ..Pieces::of(&prefix, &[1]) };
+            let mut stream = Pieces {
+                stutter: true,
+                ..Pieces::of(&prefix, &[1])
+            };
             let mut reader = FrameReader::default();
             let mut blocked = 0;
             let verdict = loop {
@@ -905,10 +944,20 @@ mod tests {
                 let mut cursor = Cursor::new(&both);
                 let mut reader = FrameReader::default();
                 let one = reader.read(&mut cursor).unwrap();
-                assert_eq!(cursor.position() as usize, a.len(), "read into the next frame");
+                assert_eq!(
+                    cursor.position() as usize,
+                    a.len(),
+                    "read into the next frame"
+                );
                 let two = reader.read(&mut cursor).unwrap();
-                assert_eq!(verdict(Ok(one)), verdict(oracle::read_frame(&mut Cursor::new(a))));
-                assert_eq!(verdict(Ok(two)), verdict(oracle::read_frame(&mut Cursor::new(b))));
+                assert_eq!(
+                    verdict(Ok(one)),
+                    verdict(oracle::read_frame(&mut Cursor::new(a)))
+                );
+                assert_eq!(
+                    verdict(Ok(two)),
+                    verdict(oracle::read_frame(&mut Cursor::new(b)))
+                );
                 assert!(matches!(reader.read(&mut cursor), Err(FrameError::Eof)));
             }
         }

@@ -46,7 +46,11 @@ pub(crate) struct PollFd {
 impl PollFd {
     /// Watch `socket` (a stream or a listener) for `events`.
     pub(crate) fn new(socket: &impl AsRawFd, events: i16) -> PollFd {
-        PollFd { fd: socket.as_raw_fd(), events, revents: 0 }
+        PollFd {
+            fd: socket.as_raw_fd(),
+            events,
+            revents: 0,
+        }
     }
 }
 
@@ -157,7 +161,14 @@ pub(crate) fn poll_ready(fds: &mut [PollFd], timeout: Duration) -> io::Result<us
         // kernel writes only the `revents` fields inside it; `timeout`
         // is a live `timespec` that is only read; a null signal mask
         // is allowed and means "leave the mask alone".
-        let rc = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as u64, &timeout, std::ptr::null()) };
+        let rc = unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as u64,
+                &timeout,
+                std::ptr::null(),
+            )
+        };
         if rc >= 0 {
             return Ok(rc as usize);
         }
@@ -217,7 +228,10 @@ mod tests {
         outcome(&stream).unwrap();
         let (mut peer, _) = listener.accept().unwrap();
         let mut fds = [PollFd::new(&stream, POLLIN)];
-        assert_eq!(poll_ready(&mut fds, Duration::from_micros(1500)).unwrap(), 0);
+        assert_eq!(
+            poll_ready(&mut fds, Duration::from_micros(1500)).unwrap(),
+            0
+        );
         peer.write_all(b"x").unwrap();
         assert_eq!(poll_ready(&mut fds, Duration::from_secs(5)).unwrap(), 1);
         assert_ne!(fds[0].revents & POLLIN, 0);

@@ -66,7 +66,10 @@ pub struct HashBlob {
 impl HashBlob {
     /// Hash `shard` at `leaf_size` granularity.
     pub fn from_shard(shard: &[u8], leaf_size: u32) -> HashBlob {
-        HashBlob { leaf_size, leaves: payload_leaves(shard, leaf_size as usize) }
+        HashBlob {
+            leaf_size,
+            leaves: payload_leaves(shard, leaf_size as usize),
+        }
     }
 
     /// [`HashBlob::from_shard`] of every shard of one object, hashed
@@ -93,7 +96,9 @@ impl HashBlob {
         // Leaf-major: `chunks[k * shards.len() + i]` is leaf `k` of shard `i`.
         let chunks: Vec<&[u8]> = (0..shard_len.div_ceil(leaf))
             .flat_map(|k| {
-                shards.iter().map(move |s| &s.as_ref()[k * leaf..shard_len.min((k + 1) * leaf)])
+                shards
+                    .iter()
+                    .map(move |s| &s.as_ref()[k * leaf..shard_len.min((k + 1) * leaf)])
             })
             .collect();
         let mut hashes = vec![Hash::default(); chunks.len()];
@@ -101,7 +106,12 @@ impl HashBlob {
         (0..shards.len())
             .map(|i| HashBlob {
                 leaf_size,
-                leaves: hashes.iter().skip(i).step_by(shards.len()).copied().collect(),
+                leaves: hashes
+                    .iter()
+                    .skip(i)
+                    .step_by(shards.len())
+                    .copied()
+                    .collect(),
             })
             .collect()
     }
@@ -148,14 +158,15 @@ impl HashBlob {
             )));
         }
         let leaf_size = u32::from_le_bytes(
-            body[HASH_MAGIC.len() + 1..HASH_MAGIC.len() + 5].try_into().expect("fixed"),
+            body[HASH_MAGIC.len() + 1..HASH_MAGIC.len() + 5]
+                .try_into()
+                .expect("fixed"),
         );
         if leaf_size == 0 {
             return Err(bad("zero leaf size"));
         }
-        let count = u32::from_le_bytes(
-            body[HASH_MAGIC.len() + 5..head].try_into().expect("fixed"),
-        ) as usize;
+        let count = u32::from_le_bytes(body[HASH_MAGIC.len() + 5..head].try_into().expect("fixed"))
+            as usize;
         let hashes = &body[head..];
         if hashes.len() != count * SHA256_LEN {
             return Err(bad("leaf count does not match the payload length"));
@@ -182,7 +193,10 @@ mod tests {
         let shard: Vec<u8> = (0..200_000u32).map(|i| (i * 13) as u8).collect();
         let blob = HashBlob::from_shard(&shard, HASH_LEAF_SIZE);
         assert_eq!(blob.leaves.len(), 4); // 200 000 / 65 536 rounds up to 4
-        assert_eq!(blob.root(), MerkleTree::from_payload(&shard, HASH_LEAF_SIZE as usize).root());
+        assert_eq!(
+            blob.root(),
+            MerkleTree::from_payload(&shard, HASH_LEAF_SIZE as usize).root()
+        );
         let parsed = HashBlob::from_bytes(&blob.to_bytes()).unwrap();
         assert_eq!(parsed, blob);
         // Empty shard: no leaves, the canonical empty root.
@@ -199,9 +213,15 @@ mod tests {
             let shards: Vec<Vec<u8>> = (0..count)
                 .map(|i| (0..len).map(|j| (i * 29 + j * 13) as u8).collect())
                 .collect();
-            let apart: Vec<HashBlob> =
-                shards.iter().map(|s| HashBlob::from_shard(s, 256)).collect();
-            assert_eq!(HashBlob::from_shards(&shards, 256), apart, "{count} shards of {len}");
+            let apart: Vec<HashBlob> = shards
+                .iter()
+                .map(|s| HashBlob::from_shard(s, 256))
+                .collect();
+            assert_eq!(
+                HashBlob::from_shards(&shards, 256),
+                apart,
+                "{count} shards of {len}"
+            );
         }
     }
 
@@ -232,7 +252,14 @@ mod tests {
             let key = tree_key("a:b/c", 17, gen);
             assert_eq!(parse_tree_key(&key), Some(("a:b/c", 17, gen)));
         }
-        for bad in ["s:007g0000000000000001:obj", "t:007:obj", "t:", "t:01", "t:007obj", "t:007g123:obj"] {
+        for bad in [
+            "s:007g0000000000000001:obj",
+            "t:007:obj",
+            "t:",
+            "t:01",
+            "t:007obj",
+            "t:007g123:obj",
+        ] {
             assert_eq!(parse_tree_key(bad), None, "{bad}");
         }
     }

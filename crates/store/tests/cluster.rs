@@ -24,10 +24,8 @@ struct TestCluster {
 
 impl TestCluster {
     fn spawn(tag: &str, count: usize) -> TestCluster {
-        let root = std::env::temp_dir().join(format!(
-            "ec_store_cluster_{tag}_{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("ec_store_cluster_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let nodes: Vec<Option<NodeHandle>> = (0..count)
             .map(|i| {
@@ -60,7 +58,9 @@ impl TestCluster {
     /// Spawn a brand-new empty node (a replacement), returning its
     /// address. Its handle joins the managed set.
     fn spawn_replacement(&mut self, tag: &str) -> String {
-        let dir = self.root.join(format!("replacement-{tag}-{}", self.nodes.len()));
+        let dir = self
+            .root
+            .join(format!("replacement-{tag}-{}", self.nodes.len()));
         let node = NodeHandle::spawn(&dir, "127.0.0.1:0", 2).expect("spawn replacement");
         let addr = node.addr().to_string();
         self.nodes.push(Some(node));
@@ -70,7 +70,10 @@ impl TestCluster {
 
     /// Index of the node serving `addr`.
     fn index_of(&self, addr: &str) -> usize {
-        self.addrs.iter().position(|a| a == addr).expect("known addr")
+        self.addrs
+            .iter()
+            .position(|a| a == addr)
+            .expect("known addr")
     }
 
     /// Delete the blob under `key` on the node at `addr`: the node
@@ -97,9 +100,19 @@ impl TestCluster {
     /// Every `s:` key on every live node, as sorted `(addr, key)` pairs.
     fn shard_keys(&self) -> Vec<(String, String)> {
         let mut keys = Vec::new();
-        for (addr, _) in self.addrs.iter().zip(&self.nodes).filter(|(_, n)| n.is_some()) {
+        for (addr, _) in self
+            .addrs
+            .iter()
+            .zip(&self.nodes)
+            .filter(|(_, n)| n.is_some())
+        {
             let mut node = NodeClient::connect(addr, TIMEOUT).unwrap();
-            keys.extend(node.list("s:").unwrap().into_iter().map(|key| (addr.clone(), key)));
+            keys.extend(
+                node.list("s:")
+                    .unwrap()
+                    .into_iter()
+                    .map(|key| (addr.clone(), key)),
+            );
         }
         keys.sort();
         keys
@@ -116,7 +129,9 @@ impl Drop for TestCluster {
 }
 
 fn sample_data(len: usize, seed: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 131 + seed * 7 + i / 9) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 131 + seed * 7 + i / 9) % 251) as u8)
+        .collect()
 }
 
 #[test]
@@ -196,7 +211,10 @@ fn a_lost_data_shard_releases_the_parity_its_repair_plan_names() {
         assert_eq!(backups.len(), 1, "{backups:?}");
         let parity: Vec<usize> = requested(&report).into_iter().filter(|&s| s >= n).collect();
         assert_eq!(parity, backups, "{report:?}");
-        assert!(matches!(report.shards[backups[0]].outcome, ShardOutcome::Served));
+        assert!(matches!(
+            report.shards[backups[0]].outcome,
+            ShardOutcome::Served
+        ));
     }
 }
 
@@ -207,7 +225,9 @@ fn a_lost_data_shard_releases_the_parity_its_repair_plan_names() {
 fn an_lrc_read_backs_a_lost_shard_with_its_local_parity() {
     let spec = CodecSpec::lrc(4, 3, 2);
     let tc = TestCluster::spawn("lrcread", 7);
-    let cluster = Cluster::with_spec(tc.addrs.clone(), &spec).unwrap().with_timeout(TIMEOUT);
+    let cluster = Cluster::with_spec(tc.addrs.clone(), &spec)
+        .unwrap()
+        .with_timeout(TIMEOUT);
     for i in 0..4 {
         let name = format!("obj-{i}");
         let data = sample_data(30_000, i);
@@ -286,12 +306,18 @@ fn invalid_arguments_are_typed() {
         Err(StoreError::InvalidArg(_))
     ));
     let cluster = tc.cluster(2, 1);
-    assert!(matches!(cluster.put("", b"x"), Err(StoreError::InvalidArg(_))));
+    assert!(matches!(
+        cluster.put("", b"x"),
+        Err(StoreError::InvalidArg(_))
+    ));
     assert!(matches!(
         cluster.put(&"x".repeat(200), b"x"),
         Err(StoreError::InvalidArg(_))
     ));
-    assert!(matches!(cluster.get("absent"), Err(StoreError::NotFound(_))));
+    assert!(matches!(
+        cluster.get("absent"),
+        Err(StoreError::NotFound(_))
+    ));
 }
 
 /// The full failure matrix on RS(3, 2) over 5 nodes: for **every** pair
@@ -322,7 +348,11 @@ fn every_double_failure_reads_and_repairs() {
                 let dead_addr = tc.addrs[dead_idx].clone();
                 let replacement = tc.spawn_replacement(&format!("{dead_idx}"));
                 let report = cluster.repair_node(&dead_addr, &replacement).unwrap();
-                assert!(report.failed.is_empty(), "dead {a},{b}: {:?}", report.failed);
+                assert!(
+                    report.failed.is_empty(),
+                    "dead {a},{b}: {:?}",
+                    report.failed
+                );
             }
             // Fully healthy again: clean scrub and healthy reads.
             let scrub = cluster.scrub().unwrap();
@@ -360,9 +390,9 @@ fn node_death_mid_read_falls_back_to_degraded() {
                 let mut reads = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let (name, data) = &objects[(reads + t) % objects.len()];
-                    let got = cluster.get(name).unwrap_or_else(|e| {
-                        panic!("reader {t}: get({name}) failed: {e}")
-                    });
+                    let got = cluster
+                        .get(name)
+                        .unwrap_or_else(|e| panic!("reader {t}: get({name}) failed: {e}"));
                     assert_eq!(&got, data, "reader {t}: {name}");
                     reads += 1;
                 }
@@ -398,8 +428,8 @@ fn delta_overwrite_ships_less_and_proves_it() {
     assert_eq!(report.mode, OverwriteMode::Delta);
     assert_eq!(report.changed, vec![0]);
     assert_eq!(report.shards_written, 1 + 2); // one data shard + p parity
-    // ... and read no more than it shipped: the old bytes of the one
-    // changed shard and the parity it updates, not the object.
+                                              // ... and read no more than it shipped: the old bytes of the one
+                                              // changed shard and the parity it updates, not the object.
     assert_eq!(report.shards_read, 1 + 2);
     // The SLP metrics prove the delta is strictly cheaper than a full
     // re-encode, and the program table proves the column program path
@@ -449,7 +479,9 @@ fn delta_overwrite_matches_a_fresh_put() {
             TestCluster::spawn(&format!("deltaeq_b_{tag}"), nodes),
         );
         let open = |tc: &TestCluster| {
-            Cluster::with_spec(tc.addrs.clone(), &spec).unwrap().with_timeout(TIMEOUT)
+            Cluster::with_spec(tc.addrs.clone(), &spec)
+                .unwrap()
+                .with_timeout(TIMEOUT)
         };
         let (a, b) = (open(&a_nodes), open(&b_nodes));
         let mut model = sample_data(len, 5);
@@ -462,7 +494,9 @@ fn delta_overwrite_matches_a_fresh_put() {
         // so the changed shards are exactly the ones it overlaps.
         let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ len as u64;
         let mut next = |below: usize| {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (seed >> 33) as usize % below
         };
         for round in 0..8 {
@@ -484,7 +518,11 @@ fn delta_overwrite_matches_a_fresh_put() {
             let report = a.overwrite("obj", &model).unwrap();
             assert_eq!(report.mode, OverwriteMode::Delta, "{what}");
             assert_eq!(report.changed, touched, "{what}");
-            assert_eq!(report.shards_read, touched.len() + spec.parity_shards, "{what}");
+            assert_eq!(
+                report.shards_read,
+                touched.len() + spec.parity_shards,
+                "{what}"
+            );
             b.put("obj", &model).unwrap();
 
             let (delta, fresh) = (a.manifest("obj").unwrap(), b.manifest("obj").unwrap());
@@ -541,9 +579,15 @@ fn delta_overwrite_reads_only_what_it_changes() {
         assert_eq!(scrub.objects[0].damaged(), vec![2], "{case}: {scrub:?}");
         let health = &scrub.objects[0].shards[2];
         if rotten {
-            assert!(matches!(health, ShardHealth::Corrupt(_)), "{case}: {health:?}");
+            assert!(
+                matches!(health, ShardHealth::Corrupt(_)),
+                "{case}: {health:?}"
+            );
         } else {
-            assert!(matches!(health, ShardHealth::Missing(_)), "{case}: {health:?}");
+            assert!(
+                matches!(health, ShardHealth::Missing(_)),
+                "{case}: {health:?}"
+            );
         }
     }
 
@@ -563,7 +607,11 @@ fn delta_overwrite_reads_only_what_it_changes() {
 
         let report = cluster.overwrite("doc", &v2).unwrap();
         assert_eq!(report.mode, OverwriteMode::Full, "{case}");
-        assert_eq!((report.shards_written, report.shards_read), (n + p, 0), "{case}");
+        assert_eq!(
+            (report.shards_written, report.shards_read),
+            (n + p, 0),
+            "{case}"
+        );
         let (got, read) = cluster.get_with_report("doc").unwrap();
         assert_eq!(got, v2, "{case}");
         assert!(!read.degraded(), "{case}");
@@ -581,7 +629,10 @@ fn padding_collision_overwrite_republishes_only_the_manifest() {
     let short = sample_data(1000, 6);
     let mut long = short.clone();
     long.push(0);
-    assert_eq!(cluster.codec().split_data(&short), cluster.codec().split_data(&long));
+    assert_eq!(
+        cluster.codec().split_data(&short),
+        cluster.codec().split_data(&long)
+    );
     cluster.put("doc", &short).unwrap();
     let before = cluster.manifest("doc").unwrap();
 
@@ -602,7 +653,10 @@ fn padding_collision_overwrite_republishes_only_the_manifest() {
     // The same bytes again: not even the manifest moves.
     let report = cluster.overwrite("doc", &long).unwrap();
     assert_eq!(report.mode, OverwriteMode::NoChange);
-    assert_eq!(cluster.manifest("doc").unwrap().generation, after.generation);
+    assert_eq!(
+        cluster.manifest("doc").unwrap().generation,
+        after.generation
+    );
 }
 
 #[test]
@@ -660,7 +714,10 @@ fn scrub_attributes_and_repairs_bit_rot() {
     assert!(cluster.scrub().unwrap().clean());
     // In place: the same generation, the same shard keys, no new one.
     let after = cluster.manifest("victim").unwrap();
-    assert_eq!((after.generation, &after.shard_gen), (before.generation, &before.shard_gen));
+    assert_eq!(
+        (after.generation, &after.shard_gen),
+        (before.generation, &before.shard_gen)
+    );
     assert_eq!(tc.shard_keys(), keys);
 }
 
@@ -689,7 +746,10 @@ fn restarted_empty_node_repairs_in_place() {
     assert_eq!(report.shards_rebuilt, 1);
     // The shard went back under its live keys: no shard moved, so the
     // generation stands and the restarted node holds the manifest again.
-    assert_eq!(cluster.manifest("obj").unwrap().generation, before.generation);
+    assert_eq!(
+        cluster.manifest("obj").unwrap().generation,
+        before.generation
+    );
     let mut node = NodeClient::connect(&addr, TIMEOUT).unwrap();
     let copy = parse_record(&node.get(&manifest_key("obj")).unwrap()).unwrap();
     assert_eq!(copy, ManifestRecord::Live(before));
@@ -799,11 +859,20 @@ fn threads_sharing_a_cluster_leave_one_kept_connection_per_node() {
         worker.join().expect("worker");
     }
     for addr in &tc.addrs {
-        assert_eq!(held_open(port(addr)).len(), 1, "{addr}: {:?}", sockets_to(port(addr)));
+        assert_eq!(
+            held_open(port(addr)).len(),
+            1,
+            "{addr}: {:?}",
+            sockets_to(port(addr))
+        );
     }
     drop(cluster);
     for addr in &tc.addrs {
-        assert_eq!(held_open(port(addr)), Vec::<u16>::new(), "{addr}: closed with the cluster");
+        assert_eq!(
+            held_open(port(addr)),
+            Vec::<u16>::new(),
+            "{addr}: closed with the cluster"
+        );
     }
 }
 
@@ -815,12 +884,18 @@ fn threads_sharing_a_cluster_leave_one_kept_connection_per_node() {
 fn an_unplaced_shard_is_never_published() {
     let mut tc = TestCluster::spawn("unplaced", 4);
     let open = |members: &[String]| {
-        Cluster::new(members.to_vec(), RsConfig::new(2, 1)).unwrap().with_timeout(TIMEOUT)
+        Cluster::new(members.to_vec(), RsConfig::new(2, 1))
+            .unwrap()
+            .with_timeout(TIMEOUT)
     };
     let old = open(&tc.addrs[..3]);
     old.put("obj", &sample_data(20_000, 8)).unwrap();
     let before = old.manifest("obj").unwrap();
-    let i = before.placement.iter().position(|a| *a == tc.addrs[0]).expect("A holds a shard");
+    let i = before
+        .placement
+        .iter()
+        .position(|a| *a == tc.addrs[0])
+        .expect("A holds a shard");
     tc.lose(&tc.addrs[0], &before.shard_key("obj", i));
     tc.kill(3);
 
@@ -829,7 +904,10 @@ fn an_unplaced_shard_is_never_published() {
     assert_eq!(report.unplaced, vec![i], "{report:?}");
     assert!(report.repaired.is_empty(), "{report:?}");
     let after = cluster.manifest("obj").unwrap();
-    assert_eq!((after.placement, after.generation), (before.placement, before.generation));
+    assert_eq!(
+        (after.placement, after.generation),
+        (before.placement, before.generation)
+    );
 }
 
 #[test]
@@ -848,12 +926,8 @@ fn delete_survives_a_partitioned_node_rejoining() {
     // stale shard). The tombstone outvotes it: the object stays
     // deleted, the listing stays empty, and scrub stays clean instead
     // of wedging on an unreconstructable ghost.
-    let node = NodeHandle::spawn(
-        &tc.root.join(format!("node{slept}")),
-        &slept_addr,
-        2,
-    )
-    .expect("rejoin");
+    let node =
+        NodeHandle::spawn(&tc.root.join(format!("node{slept}")), &slept_addr, 2).expect("rejoin");
     tc.nodes[slept] = Some(node);
     assert!(
         matches!(cluster.get("ghost"), Err(StoreError::NotFound(_))),

@@ -8,9 +8,7 @@
 //! scrub damage — is retryable.
 
 use ec_core::RsConfig;
-use ec_store::{
-    parse_shard_key, Cluster, FailPoint, NodeClient, NodeHandle, NodeOptions,
-};
+use ec_store::{parse_shard_key, Cluster, FailPoint, NodeClient, NodeHandle, NodeOptions};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,12 +27,19 @@ struct Rig {
 
 impl Rig {
     fn spawn(tag: &str, count: usize) -> Rig {
-        Rig::spawn_with(tag, count, NodeOptions { workers: 2, ..NodeOptions::default() })
+        Rig::spawn_with(
+            tag,
+            count,
+            NodeOptions {
+                workers: 2,
+                ..NodeOptions::default()
+            },
+        )
     }
 
     fn spawn_with(tag: &str, count: usize, opts: NodeOptions) -> Rig {
-        let root = std::env::temp_dir()
-            .join(format!("ec_store_generation_{tag}_{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("ec_store_generation_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let nodes: Vec<Option<NodeHandle>> = (0..count)
             .map(|i| {
@@ -109,7 +114,9 @@ impl Drop for Rig {
 }
 
 fn sample(len: usize, seed: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + seed * 97 + i / 7) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + seed * 97 + i / 7) % 251) as u8)
+        .collect()
 }
 
 fn failpoint(point: &'static str, k: usize) -> FailPoint {
@@ -150,7 +157,10 @@ fn aborted_reput_at_every_step_preserves_prior_generation() {
         // The prior generation is untouched: byte-exact, degraded-free.
         let (got, report) = clean.get_with_report("obj").unwrap();
         assert_eq!(got, v1, "{point}={k} corrupted the live generation");
-        assert!(!report.degraded(), "{point}={k} left the live generation short");
+        assert!(
+            !report.degraded(),
+            "{point}={k} left the live generation short"
+        );
 
         // Scrub GC sweeps the unpublished generation (zero grace) and
         // reports it — except at k = 0, where nothing ever landed.
@@ -214,7 +224,10 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
             ("hash blob", rig.keys("t:"), &live_tree_keys),
         ] {
             let stranded = now.iter().filter(|key| !live.contains(key)).count();
-            assert_eq!(stranded, landed, "{point}={k} stranded {what} keys: {now:?}");
+            assert_eq!(
+                stranded, landed,
+                "{point}={k} stranded {what} keys: {now:?}"
+            );
         }
 
         let (got, report) = clean.get_with_report("obj").unwrap();
@@ -224,7 +237,11 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
         let scrub = clean.scrub().unwrap();
         assert!(scrub.clean(), "{point}={k}: {scrub:?}");
         assert_eq!(rig.shard_keys(), live_keys, "{point}={k} left orphans");
-        assert_eq!(rig.keys("t:"), live_tree_keys, "{point}={k} left orphan hash blobs");
+        assert_eq!(
+            rig.keys("t:"),
+            live_tree_keys,
+            "{point}={k} left orphan hash blobs"
+        );
     }
 
     // The real overwrite lands; the keys it superseded (changed data +
@@ -242,7 +259,10 @@ fn aborted_delta_overwrite_preserves_prior_generation() {
     // are the very keys the put wrote, the other three are new.
     let tree_keys = rig.keys("t:");
     assert_eq!(tree_keys.len(), n + p);
-    let kept = tree_keys.iter().filter(|key| live_tree_keys.contains(key)).count();
+    let kept = tree_keys
+        .iter()
+        .filter(|key| live_tree_keys.contains(key))
+        .count();
     assert_eq!(kept, n - 1, "{tree_keys:?}");
 }
 
@@ -292,7 +312,11 @@ fn aborted_repair_is_retryable_and_leaves_no_orphans() {
     // g + 1 and that manifest was published.
     let after = cluster.manifest("obj").unwrap();
     assert_eq!(after.generation, before.generation + 1);
-    let moved = after.placement.iter().position(|a| *a == replacement).expect("a moved shard");
+    let moved = after
+        .placement
+        .iter()
+        .position(|a| *a == replacement)
+        .expect("a moved shard");
     assert_eq!(after.shard_gen[moved], after.generation);
     let (got, read) = cluster.get_with_report("obj").unwrap();
     assert_eq!(got, data);
@@ -319,7 +343,9 @@ fn aborted_object_repair_changes_nothing() {
     let mut node = NodeClient::connect(&before.placement[0], TIMEOUT).unwrap();
     assert!(node.delete(&before.shard_key("obj", 0)).unwrap());
 
-    let crashing = rig.cluster(2, 1).with_failpoint(failpoint("repair.shard", 0));
+    let crashing = rig
+        .cluster(2, 1)
+        .with_failpoint(failpoint("repair.shard", 0));
     let err = crashing.repair_object("obj").unwrap_err();
     assert!(err.to_string().contains("failpoint"), "{err}");
     assert_eq!(cluster.manifest("obj").unwrap(), before);

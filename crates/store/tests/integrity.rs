@@ -32,8 +32,8 @@ struct TestCluster {
 
 impl TestCluster {
     fn spawn(tag: &str, count: usize) -> TestCluster {
-        let root = std::env::temp_dir()
-            .join(format!("ec_store_integrity_{tag}_{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("ec_store_integrity_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let nodes: Vec<NodeHandle> = (0..count)
             .map(|i| {
@@ -54,8 +54,7 @@ impl TestCluster {
     /// Every blob file across all node dirs whose hex-encoded key starts
     /// with `key_prefix` ("s:" shard payloads, "t:" hash blobs).
     fn blob_files(&self, key_prefix: &str) -> Vec<PathBuf> {
-        let hex: String =
-            key_prefix.bytes().map(|b| format!("{b:02x}")).collect();
+        let hex: String = key_prefix.bytes().map(|b| format!("{b:02x}")).collect();
         let mut found = Vec::new();
         for i in 0..self.nodes.len() {
             let dir = self.root.join(format!("node{i}"));
@@ -75,10 +74,19 @@ impl TestCluster {
     /// the manifest's placement and shard key.
     fn shard_file(&self, cluster: &Cluster, object: &str, index: usize) -> PathBuf {
         let manifest = cluster.manifest(object).unwrap();
-        let node = self.addrs.iter().position(|a| *a == manifest.placement[index]).unwrap();
-        let hex: String =
-            manifest.shard_key(object, index).bytes().map(|b| format!("{b:02x}")).collect();
-        self.root.join(format!("node{node}")).join(format!("{hex}.blob"))
+        let node = self
+            .addrs
+            .iter()
+            .position(|a| *a == manifest.placement[index])
+            .unwrap();
+        let hex: String = manifest
+            .shard_key(object, index)
+            .bytes()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        self.root
+            .join(format!("node{node}"))
+            .join(format!("{hex}.blob"))
     }
 }
 
@@ -92,7 +100,9 @@ impl Drop for TestCluster {
 }
 
 fn sample_data(len: usize, seed: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 131 + seed * 7 + i / 9) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 131 + seed * 7 + i / 9) % 251) as u8)
+        .collect()
 }
 
 /// XOR the CRC-neutral pattern into one blob file at `payload_offset`,
@@ -223,28 +233,43 @@ fn a_crc_colliding_served_shard_costs_a_round_not_a_byte() {
     // The objects the deep scrub finds damaged: a read heals nothing.
     let damaged = || -> Vec<String> {
         let report = cluster.scrub_deep().unwrap();
-        report.damaged_objects().iter().map(|o| o.object.clone()).collect()
+        report
+            .damaged_objects()
+            .iter()
+            .map(|o| o.object.clone())
+            .collect()
     };
 
     cluster.put("read", &data).unwrap();
     crc_colliding_tamper(&tc.shard_file(&cluster, "read", 0), 10);
     let (got, report) = cluster.get_with_report("read").unwrap();
     assert_eq!(got, data, "tampered bytes must not reach a reader");
-    assert!(matches!(report.shards[0].outcome, ShardOutcome::Corrupt(_)), "{report:?}");
+    assert!(
+        matches!(report.shards[0].outcome, ShardOutcome::Corrupt(_)),
+        "{report:?}"
+    );
     assert_eq!(report.missing, vec![0]);
-    let parity_served =
-        report.shards[n..].iter().filter(|s| matches!(s.outcome, ShardOutcome::Served)).count();
+    let parity_served = report.shards[n..]
+        .iter()
+        .filter(|s| matches!(s.outcome, ShardOutcome::Served))
+        .count();
     assert_eq!(parity_served, 1, "{report:?}");
 
     cluster.put("repair", &data).unwrap();
     let before = cluster.manifest("repair").unwrap();
     std::fs::remove_file(tc.shard_file(&cluster, "repair", n + 1)).unwrap();
-    crc_colliding_tamper(&tc.shard_file(&cluster, "repair", 1), HASH_LEAF_SIZE as usize + 10);
+    crc_colliding_tamper(
+        &tc.shard_file(&cluster, "repair", 1),
+        HASH_LEAF_SIZE as usize + 10,
+    );
     let outcome = cluster.repair_object("repair").unwrap();
     assert_eq!(outcome.repaired, vec![1, n + 1]);
     // Both rebuilt shards were proven against the roots the put
     // recorded, which the repair kept.
-    assert_eq!(cluster.manifest("repair").unwrap().shard_root, before.shard_root);
+    assert_eq!(
+        cluster.manifest("repair").unwrap().shard_root,
+        before.shard_root
+    );
     assert_eq!(damaged(), ["read"]);
     assert_eq!(cluster.get("repair").unwrap(), data);
 
@@ -278,7 +303,11 @@ fn crc_preserving_edit_is_still_a_changed_shard() {
         edited[at + k] ^= b;
     }
     let new_shards = cluster.codec().split_data(&edited);
-    assert_eq!(crc32(&new_shards[1]), before.shard_crc[1], "the edit must be CRC-32 neutral");
+    assert_eq!(
+        crc32(&new_shards[1]),
+        before.shard_crc[1],
+        "the edit must be CRC-32 neutral"
+    );
 
     let report = cluster.overwrite("doc", &edited).unwrap();
     assert_eq!(report.mode, OverwriteMode::Delta);
@@ -288,7 +317,10 @@ fn crc_preserving_edit_is_still_a_changed_shard() {
     let after = cluster.manifest("doc").unwrap();
     assert_eq!(after.shard_crc[1], before.shard_crc[1]);
     assert_ne!(after.shard_root[1], before.shard_root[1]);
-    assert_eq!(after.shard_gen[1], after.generation, "the shard was rewritten");
+    assert_eq!(
+        after.shard_gen[1], after.generation,
+        "the shard was rewritten"
+    );
     assert!(cluster.scrub_deep().unwrap().clean());
 }
 
@@ -380,8 +412,13 @@ fn a_rootless_replica_cannot_downgrade_an_object() {
     // above the real one, and the un-suffixed shard key it names.
     let holder = &real.placement[0];
     let mut node = NodeClient::connect(holder, TIMEOUT).unwrap();
-    node.put(&manifest_key("obj"), &retired_manifest(&real, real.generation + 7)).unwrap();
-    node.put("s:000:obj", &vec![0xEE; real.shard_len as usize]).unwrap();
+    node.put(
+        &manifest_key("obj"),
+        &retired_manifest(&real, real.generation + 7),
+    )
+    .unwrap();
+    node.put("s:000:obj", &vec![0xEE; real.shard_len as usize])
+        .unwrap();
 
     // The election skips it: the real manifest still wins, and the read
     // is served — whole, undegraded — from root-checked shards.
@@ -396,13 +433,20 @@ fn a_rootless_replica_cannot_downgrade_an_object() {
     assert!(scrub.clean(), "{scrub:?}");
     assert_eq!(scrub.objects.len(), 1);
     assert_eq!(scrub.generations_collected, 0);
-    assert_eq!(node.get("s:000:obj").unwrap(), vec![0xEE; real.shard_len as usize]);
+    assert_eq!(
+        node.get("s:000:obj").unwrap(),
+        vec![0xEE; real.shard_len as usize]
+    );
 
     // With every replica rootless the object is unreadable, typed — not
     // readable CRC-only.
     for addr in &tc.addrs {
         let mut node = NodeClient::connect(addr, TIMEOUT).unwrap();
-        node.put(&manifest_key("obj"), &retired_manifest(&real, real.generation)).unwrap();
+        node.put(
+            &manifest_key("obj"),
+            &retired_manifest(&real, real.generation),
+        )
+        .unwrap();
     }
     match cluster.get("obj") {
         Err(StoreError::Manifest(msg)) => {

@@ -13,10 +13,7 @@ use std::time::{Duration, Instant};
 const TIMEOUT: Duration = Duration::from_secs(5);
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ec_store_proto_{tag}_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("ec_store_proto_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -43,7 +40,8 @@ fn raw(addr: &str) -> TcpStream {
 /// After any abuse, the node must still serve honest clients.
 fn assert_still_serving(addr: &str) {
     let mut c = client(addr);
-    c.put("liveness-probe", b"ok").expect("node must still serve");
+    c.put("liveness-probe", b"ok")
+        .expect("node must still serve");
     assert_eq!(c.get("liveness-probe").unwrap(), b"ok");
     c.delete("liveness-probe").unwrap();
 }
@@ -67,7 +65,11 @@ fn read_raw_frame(s: &mut TcpStream) -> (u8, u32, Vec<u8>) {
     s.read_exact(&mut body).expect("frame body");
     let mut crc = [0u8; 4];
     s.read_exact(&mut crc).expect("frame crc");
-    assert_eq!(u32::from_le_bytes(crc), ec_wire::crc32(&body), "response CRC");
+    assert_eq!(
+        u32::from_le_bytes(crc),
+        ec_wire::crc32(&body),
+        "response CRC"
+    );
     assert_eq!(body[0], proto::PROTO_VERSION, "unknown response version");
     let id = u32::from_le_bytes(body[2..6].try_into().unwrap());
     (body[1], id, body[6..].to_vec())
@@ -134,7 +136,8 @@ fn bad_crc_and_bad_version_are_rejected() {
     // Correct CRC, unsupported version byte.
     {
         let mut s = raw(&addr);
-        s.write_all(&raw_frame(&[99u8, op::HEALTH, 1, 0, 0, 0])).unwrap();
+        s.write_all(&raw_frame(&[99u8, op::HEALTH, 1, 0, 0, 0]))
+            .unwrap();
         let (tag, _, payload) = read_raw_frame(&mut s);
         assert_eq!(tag, status::ERR);
         assert_eq!(payload[0], RemoteErrorCode::BadFrame as u8);
@@ -193,7 +196,10 @@ fn typed_errors_for_missing_and_corrupt_blobs() {
     let (_node, addr, dir) = spawn_node("typed");
     let mut c = client(&addr);
     match c.get("absent") {
-        Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. }) => {}
+        Err(StoreError::Remote {
+            code: RemoteErrorCode::NotFound,
+            ..
+        }) => {}
         other => panic!("expected NotFound, got {other:?}"),
     }
     // Corrupt a stored blob on disk, behind the node's back.
@@ -208,7 +214,10 @@ fn typed_errors_for_missing_and_corrupt_blobs() {
     bytes[mid] ^= 0x80;
     std::fs::write(&blob_file, &bytes).unwrap();
     match c.get("victim") {
-        Err(StoreError::Remote { code: RemoteErrorCode::CorruptBlob, .. }) => {}
+        Err(StoreError::Remote {
+            code: RemoteErrorCode::CorruptBlob,
+            ..
+        }) => {}
         other => panic!("expected CorruptBlob, got {other:?}"),
     }
     // STAT attributes it without shipping the payload.
@@ -320,17 +329,30 @@ fn a_version_1_request_gets_one_bad_frame_answer_and_a_close() {
     let (tag, id, payload) = read_raw_frame(&mut s);
     assert_eq!((tag, id), (status::ERR, proto::NO_REQUEST_ID));
     match proto::parse_err(&payload) {
-        StoreError::Remote { code: RemoteErrorCode::BadFrame, message } => {
-            assert_eq!(message, "unsupported protocol version 1 (this build speaks 2)");
+        StoreError::Remote {
+            code: RemoteErrorCode::BadFrame,
+            message,
+        } => {
+            assert_eq!(
+                message,
+                "unsupported protocol version 1 (this build speaks 2)"
+            );
         }
         other => panic!("expected a typed BadFrame, got {other:?}"),
     }
     let mut rest = Vec::new();
-    assert_eq!(s.read_to_end(&mut rest).unwrap(), 0, "one answer, then a close");
+    assert_eq!(
+        s.read_to_end(&mut rest).unwrap(),
+        0,
+        "one answer, then a close"
+    );
     // Nothing was stored on the strength of that frame.
     assert!(matches!(
         client(&addr).get("k"),
-        Err(StoreError::Remote { code: RemoteErrorCode::NotFound, .. })
+        Err(StoreError::Remote {
+            code: RemoteErrorCode::NotFound,
+            ..
+        })
     ));
     assert_still_serving(&addr);
     let _ = std::fs::remove_dir_all(dir);
@@ -385,9 +407,7 @@ fn hostile_response_id_is_a_typed_error_and_poisons_the_connection() {
             if s.read_exact(&mut body).is_err() {
                 return; // body + trailing crc
             }
-            if proto::write_frame(&mut s, status::OK, 0x4141_4141, &[b"x"])
-                .is_err()
-            {
+            if proto::write_frame(&mut s, status::OK, 0x4141_4141, &[b"x"]).is_err() {
                 return;
             }
         }
@@ -490,7 +510,10 @@ fn injected_delays_on_two_connections_overlap() {
         s.spawn(|| b.health().unwrap());
     });
     let took = start.elapsed();
-    assert!(took < Duration::from_millis(300), "two 200 ms delays took {took:?}");
+    assert!(
+        took < Duration::from_millis(300),
+        "two 200 ms delays took {took:?}"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -12,9 +12,9 @@ use crate::decode::{ChunkScanner, ExtractReport, StreamDecoder};
 use crate::encode::StreamEncoder;
 use crate::error::StreamError;
 use crate::format::{ArchiveMeta, HashTrailer, ShardHeader};
+use ec_core::{codec_for, codec_for_with, CodecSpec, EcError, ErasureCoder, RsConfig};
 use ec_wire::crc32;
 use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};
-use ec_core::{codec_for, codec_for_with, CodecSpec, EcError, ErasureCoder, RsConfig};
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -39,14 +39,20 @@ fn parse_shard_file_name(name: &str) -> Option<usize> {
 /// most ballots wins. `Ok(None)` when nobody voted; `Err(count)` when
 /// two values tie at the top with `count` ballots each — two equally
 /// supported truths cannot be told apart, so a tie elects nothing.
-fn elect<T: Eq + std::hash::Hash>(ballots: impl IntoIterator<Item = T>) -> Result<Option<T>, usize>
-{
+fn elect<T: Eq + std::hash::Hash>(
+    ballots: impl IntoIterator<Item = T>,
+) -> Result<Option<T>, usize> {
     let mut votes: HashMap<T, usize> = HashMap::new();
     for ballot in ballots {
         *votes.entry(ballot).or_insert(0) += 1;
     }
-    let Some(best) = votes.values().copied().max() else { return Ok(None) };
-    let mut leaders = votes.into_iter().filter(|&(_, c)| c == best).map(|(v, _)| v);
+    let Some(best) = votes.values().copied().max() else {
+        return Ok(None);
+    };
+    let mut leaders = votes
+        .into_iter()
+        .filter(|&(_, c)| c == best)
+        .map(|(v, _)| v);
     match (leaders.next(), leaders.next()) {
         (winner, None) => Ok(winner),
         (_, Some(_)) => Err(best),
@@ -121,7 +127,9 @@ impl VerifyReport {
 
     /// Indices of the shard files needing repair.
     pub fn damaged(&self) -> Vec<usize> {
-        (0..self.shards.len()).filter(|&i| !self.shards[i].is_ok()).collect()
+        (0..self.shards.len())
+            .filter(|&i| !self.shards[i].is_ok())
+            .collect()
     }
 }
 
@@ -182,7 +190,12 @@ impl Archive {
         parity_shards: usize,
         chunk_size: usize,
     ) -> Result<Archive, StreamError> {
-        Archive::create_with_config(input, dir, RsConfig::new(data_shards, parity_shards), chunk_size)
+        Archive::create_with_config(
+            input,
+            dir,
+            RsConfig::new(data_shards, parity_shards),
+            chunk_size,
+        )
     }
 
     /// [`Archive::create`] under an arbitrary registered codec (the
@@ -237,7 +250,11 @@ impl Archive {
         let mut enc = StreamEncoder::new(&*codec, chunk_size, sinks)?;
         enc.pump(&mut reader)?;
         let (meta, _sinks) = enc.finalize()?;
-        Ok(Archive { dir: dir.to_path_buf(), meta, codec })
+        Ok(Archive {
+            dir: dir.to_path_buf(),
+            meta,
+            codec,
+        })
     }
 
     /// Open an existing archive from its shard files alone: headers are
@@ -257,7 +274,9 @@ impl Archive {
             if parse_shard_file_name(name).is_none() {
                 continue;
             }
-            let Ok(file) = File::open(entry.path()) else { continue };
+            let Ok(file) = File::open(entry.path()) else {
+                continue;
+            };
             if let Ok(h) = ShardHeader::read_from(&mut BufReader::new(file)) {
                 headers.push(h.meta);
             }
@@ -274,7 +293,11 @@ impl Archive {
                 StreamError::Format(format!("no readable shard headers in {}", dir.display()))
             })?;
         let codec = codec_for(&meta.codec_spec()?)?;
-        Ok(Archive { dir: dir.to_path_buf(), meta, codec })
+        Ok(Archive {
+            dir: dir.to_path_buf(),
+            meta,
+            codec,
+        })
     }
 
     /// The archive-wide metadata (codec params, chunk geometry, length).
@@ -331,9 +354,16 @@ impl Archive {
         let object_root = HashTrailer::object_root_of(&shard_roots);
         let trusted = trailers
             .into_iter()
-            .map(|tr| tr.filter(|tr| tr.shard_roots == shard_roots).map(|tr| tr.leaves))
+            .map(|tr| {
+                tr.filter(|tr| tr.shard_roots == shard_roots)
+                    .map(|tr| tr.leaves)
+            })
             .collect();
-        Some(HashContext { trusted, shard_roots, object_root })
+        Some(HashContext {
+            trusted,
+            shard_roots,
+            object_root,
+        })
     }
 
     /// The elected per-shard Merkle roots and object root (`None` when
@@ -351,7 +381,9 @@ impl Archive {
     /// clobbers a pre-existing file at `output` nor leaves a silent
     /// partial one.
     pub fn extract(&self, output: &Path) -> Result<ExtractReport, StreamError> {
-        let sources = (0..self.meta.total_shards()).map(|i| self.open_source(i)).collect();
+        let sources = (0..self.meta.total_shards())
+            .map(|i| self.open_source(i))
+            .collect();
         let mut dec = StreamDecoder::new(&*self.codec, self.meta, sources)?;
         // Arm Merkle verification where the election vouches for a
         // shard's leaves: frames that pass CRC but fail their leaf hash
@@ -371,7 +403,8 @@ impl Archive {
         let result = (|| {
             let mut out = BufWriter::new(File::create(&tmp)?);
             let report = dec.pump(&mut out)?;
-            out.into_inner().map_err(std::io::IntoInnerError::into_error)?;
+            out.into_inner()
+                .map_err(std::io::IntoInnerError::into_error)?;
             fs::rename(&tmp, output)?;
             Ok(report)
         })();
@@ -395,7 +428,10 @@ impl Archive {
     /// consistency re-encode share the same pass.
     pub fn scrub(&self) -> Result<ScrubReport, StreamError> {
         let (verify, inconsistent_chunks) = self.scan(true)?;
-        Ok(ScrubReport { verify, inconsistent_chunks })
+        Ok(ScrubReport {
+            verify,
+            inconsistent_chunks,
+        })
     }
 
     /// The single-pass diagnosis behind `verify` and `scrub`: header and
@@ -452,8 +488,17 @@ impl Archive {
             // Nothing to walk (every file already diagnosed) — and a
             // hostile header claiming astronomical chunk counts must not
             // spin the empty loop.
-            let shards = states.into_iter().map(|s| s.expect("all diagnosed")).collect();
-            return Ok((VerifyReport { shards, hash_checked }, inconsistent));
+            let shards = states
+                .into_iter()
+                .map(|s| s.expect("all diagnosed"))
+                .collect();
+            return Ok((
+                VerifyReport {
+                    shards,
+                    hash_checked,
+                },
+                inconsistent,
+            ));
         }
         let mut scanner = ChunkScanner::new(self.meta, readers);
         if let Some(ctx) = ctx {
@@ -486,7 +531,13 @@ impl Archive {
                 None => ShardState::Corrupt { chunks: bad },
             })
             .collect();
-        Ok((VerifyReport { shards, hash_checked }, inconsistent))
+        Ok((
+            VerifyReport {
+                shards,
+                hash_checked,
+            },
+            inconsistent,
+        ))
     }
 
     /// Rewrite every damaged shard file from the survivors.
@@ -544,16 +595,27 @@ impl Archive {
         // The shards whose frames every chunk reads and whose leaves the
         // new trailers take: the damaged ones under an election, else
         // all, because the trailers are rebuilt from every shard's bytes.
-        let tracked: Vec<usize> = if ctx.is_some() { damaged.clone() } else { (0..t).collect() };
+        let tracked: Vec<usize> = if ctx.is_some() {
+            damaged.clone()
+        } else {
+            (0..t).collect()
+        };
 
         let tmp_path = |i: usize| self.dir.join(format!("{}.tmp", shard_file_name(i)));
-        let mut report = RepairReport { repaired: damaged.clone(), ..RepairReport::default() };
+        let mut report = RepairReport {
+            repaired: damaged.clone(),
+            ..RepairReport::default()
+        };
         let result = (|| -> Result<(), StreamError> {
             let mut writers = damaged
                 .iter()
                 .map(|&i| {
                     let mut w = BufWriter::new(File::create(tmp_path(i))?);
-                    ShardHeader { meta: self.meta, shard_index: i as u16 }.write_to(&mut w)?;
+                    ShardHeader {
+                        meta: self.meta,
+                        shard_index: i as u16,
+                    }
+                    .write_to(&mut w)?;
                     Ok((i, w))
                 })
                 .collect::<Result<Vec<_>, std::io::Error>>()?;
@@ -561,12 +623,19 @@ impl Archive {
             let mut new_leaves: Vec<Vec<Hash>> = vec![Vec::new(); t];
             let mut chunk_leaves = vec![Hash::default(); tracked.len()];
             while let Some(c) = scanner.next_chunk(&mut |_| tracked.clone()) {
-                let targets: Vec<usize> =
-                    damaged.iter().copied().filter(|&i| !scanner.chunk().good(i)).collect();
+                let targets: Vec<usize> = damaged
+                    .iter()
+                    .copied()
+                    .filter(|&i| !scanner.chunk().good(i))
+                    .collect();
                 if !targets.is_empty() {
                     match scanner.rebuild(&self.codec, &mut shards, &targets) {
                         Err(EcError::TooManyErasures { missing, .. }) => {
-                            return Err(StreamError::TooDamaged { chunk: c, missing, parity: p });
+                            return Err(StreamError::TooDamaged {
+                                chunk: c,
+                                missing,
+                                parity: p,
+                            });
                         }
                         rebuilt => rebuilt?,
                     }
@@ -617,7 +686,8 @@ impl Archive {
                 w.write_all(&trailer.to_bytes())?;
             }
             for (i, w) in writers {
-                w.into_inner().map_err(std::io::IntoInnerError::into_error)?;
+                w.into_inner()
+                    .map_err(std::io::IntoInnerError::into_error)?;
                 fs::rename(tmp_path(i), self.shard_path(i))?;
             }
             Ok(())
@@ -637,10 +707,8 @@ mod tests {
     use crate::format::FRAME_TRAILER_LEN;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ec_stream_archive_{tag}_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ec_stream_archive_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
@@ -759,7 +827,10 @@ mod tests {
         let a = Archive::create_with_spec(&input, &shards, &spec, 8192).unwrap();
         let frame = |c: u64| (a.meta().slice_len(c) + FRAME_TRAILER_LEN) as u64;
         let frames: u64 = (0..a.meta().chunk_count).map(frame).sum();
-        assert_eq!((a.meta().chunk_count, frames, frame(1)), (15, 15_060, 1_028));
+        assert_eq!(
+            (a.meta().chunk_count, frames, frame(1)),
+            (15, 15_060, 1_028)
+        );
 
         // Lose shard 2 (group 0) and one byte of shard 5's chunk-1 frame
         // (group 1).
@@ -905,7 +976,9 @@ mod tests {
         };
         let frames = |a: &Archive| -> u64 {
             let meta = a.meta();
-            (0..meta.chunk_count).map(|c| (meta.slice_len(c) + FRAME_TRAILER_LEN) as u64).sum()
+            (0..meta.chunk_count)
+                .map(|c| (meta.slice_len(c) + FRAME_TRAILER_LEN) as u64)
+                .sum()
         };
 
         // Healthy RS(10, 4): the ten data frames of every chunk.
@@ -921,7 +994,10 @@ mod tests {
         let mut bytes = clean.clone();
         bytes[crate::format::HEADER_LEN + 2 * frame(0) as usize + 11] ^= 0x20;
         fs::write(&path, bytes).unwrap();
-        assert_eq!(a.codec().repair_sources(&[3]).unwrap(), [0, 1, 2, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(
+            a.codec().repair_sources(&[3]).unwrap(),
+            [0, 1, 2, 4, 5, 6, 7, 8, 9, 10]
+        );
         let report = extract(&a);
         assert_eq!(report.chunks_repaired, 1);
         assert_eq!(report.bytes_read, 10 * all + frame(2));

@@ -166,7 +166,10 @@ fn info(args: &[String]) -> Result<ExitCode, CliError> {
         .map(|s| s.name())
         .unwrap_or_else(|e| format!("<invalid: {e}>"));
     println!("archive:       {}", dir.display());
-    println!("code:          {codec}({}, {})", m.data_shards, m.parity_shards);
+    println!(
+        "code:          {codec}({}, {})",
+        m.data_shards, m.parity_shards
+    );
     println!("original size: {} bytes", m.original_len);
     println!("chunk size:    {} bytes", m.chunk_size);
     println!("chunks:        {}", m.chunk_count);

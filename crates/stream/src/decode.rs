@@ -12,11 +12,11 @@
 //! checks [`LEAF_BATCH`] frames to a call. Its unsettled frames never
 //! exceed one lane batch plus one chunk.
 
-use ec_wire::{crc32, write_gathered};
-use ec_wire::merkle::{leaf_hashes_into, Hash, LEAF_BATCH};
 use crate::error::StreamError;
 use crate::format::{ArchiveMeta, FRAME_TRAILER_LEN};
 use ec_core::{EcError, ErasureCoder, XorCodec};
+use ec_wire::merkle::{leaf_hashes_into, Hash, LEAF_BATCH};
+use ec_wire::{crc32, write_gathered};
 use std::collections::VecDeque;
 use std::io::{Read, Seek, Write};
 
@@ -53,7 +53,10 @@ impl ChunkFrames {
     }
 
     fn unsettled(&self) -> usize {
-        self.verdict.iter().filter(|&&v| v == Verdict::Unsettled).count()
+        self.verdict
+            .iter()
+            .filter(|&&v| v == Verdict::Unsettled)
+            .count()
     }
 
     /// Refill the `which` slots of a reusable `Option<Vec<u8>>` shard
@@ -235,7 +238,8 @@ impl<R: Read + Seek> ChunkScanner<R> {
         self.chunk().refill(shards, &mut spare, 0..shards.len());
         let rebuilt = codec.reconstruct_from(shards, lost, |want, shards| {
             self.fetch(want);
-            self.chunk().refill(shards, &mut spare, want.iter().copied());
+            self.chunk()
+                .refill(shards, &mut spare, want.iter().copied());
         });
         self.spare = spare;
         rebuilt
@@ -278,7 +282,9 @@ impl<R: Read + Seek> ChunkScanner<R> {
             if entry.verdict[i] != Verdict::Unread {
                 continue;
             }
-            let Some(src) = &mut self.sources[i] else { continue };
+            let Some(src) = &mut self.sources[i] else {
+                continue;
+            };
             self.bytes_read += frame as u64;
             // Payload and CRC trailer in one read call, then the trailer
             // is cut off.
@@ -334,7 +340,9 @@ impl<R: Read + Seek> ChunkScanner<R> {
         }
         for (&(w, i), hash) in picked[..count].iter().zip(&hashes) {
             let entry = &mut self.window[w];
-            let leaves = self.trusted[i].as_ref().expect("unsettled only with trusted leaves");
+            let leaves = self.trusted[i]
+                .as_ref()
+                .expect("unsettled only with trusted leaves");
             entry.verdict[i] = if leaves.get(entry.chunk as usize) == Some(hash) {
                 Verdict::Good
             } else {
@@ -434,7 +442,11 @@ impl<'c, R: Read + Seek> StreamDecoder<'c, R> {
     /// be rebuilt from its surviving frames: more than `p` of its `n + p`
     /// frames missing or corrupt.
     pub fn pump(&mut self, out: &mut impl Write) -> Result<ExtractReport, StreamError> {
-        let StreamDecoder { codec, scanner, shards } = self;
+        let StreamDecoder {
+            codec,
+            scanner,
+            shards,
+        } = self;
         let meta = scanner.meta;
         let n = meta.data_shards as usize;
         let t = meta.total_shards();
@@ -452,7 +464,9 @@ impl<'c, R: Read + Seek> StreamDecoder<'c, R> {
             let (mut wanted, dead): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| live[i]);
             if !dead.is_empty() {
                 // No plan: every surviving frame decides what to report.
-                let plan = codec.repair_sources(&dead).unwrap_or_else(|_| (n..t).collect());
+                let plan = codec
+                    .repair_sources(&dead)
+                    .unwrap_or_else(|_| (n..t).collect());
                 wanted.extend(plan.into_iter().filter(|&i| i >= n));
             }
             wanted
@@ -462,7 +476,9 @@ impl<'c, R: Read + Seek> StreamDecoder<'c, R> {
             let lost: Vec<usize> = (0..n).filter(|&i| !scanner.chunk().good(i)).collect();
             if !lost.is_empty() {
                 match scanner.rebuild(codec, shards, &lost) {
-                    Err(e @ (EcError::TooManyErasures { .. } | EcError::SingularPattern { .. })) => {
+                    Err(
+                        e @ (EcError::TooManyErasures { .. } | EcError::SingularPattern { .. }),
+                    ) => {
                         // Judge the chunk by all its frames, not only the
                         // ones the plan got to read.
                         let all: Vec<usize> = (0..t).collect();
@@ -470,7 +486,11 @@ impl<'c, R: Read + Seek> StreamDecoder<'c, R> {
                         let missing = t - scanner.chunk().good_count();
                         let parity = meta.parity_shards as usize;
                         return Err(if missing > parity {
-                            StreamError::TooDamaged { chunk: c, missing, parity }
+                            StreamError::TooDamaged {
+                                chunk: c,
+                                missing,
+                                parity,
+                            }
                         } else {
                             e.into()
                         });
@@ -520,8 +540,9 @@ mod tests {
     }
 
     fn encode(codec: &dyn ErasureCoder, chunk: usize, data: &[u8]) -> (ArchiveMeta, Vec<Vec<u8>>) {
-        let sinks: Vec<Cursor<Vec<u8>>> =
-            (0..codec.total_shards()).map(|_| Cursor::new(Vec::new())).collect();
+        let sinks: Vec<Cursor<Vec<u8>>> = (0..codec.total_shards())
+            .map(|_| Cursor::new(Vec::new()))
+            .collect();
         let mut enc = StreamEncoder::new(codec, chunk, sinks).unwrap();
         enc.write_all(data).unwrap();
         let (meta, sinks) = enc.finalize().unwrap();
@@ -578,10 +599,13 @@ mod tests {
         let codec = rs(4, 2);
         let data = sample(4096);
         let (meta, files) = encode(&*codec, 1024, &data);
-        let mut dec =
-            StreamDecoder::new(&*codec, meta, sources(&files, &[0, 1, 2])).unwrap();
+        let mut dec = StreamDecoder::new(&*codec, meta, sources(&files, &[0, 1, 2])).unwrap();
         match dec.pump(&mut Vec::new()) {
-            Err(StreamError::TooDamaged { chunk: 0, missing: 3, parity: 2 }) => {}
+            Err(StreamError::TooDamaged {
+                chunk: 0,
+                missing: 3,
+                parity: 2,
+            }) => {}
             other => panic!("expected TooDamaged, got {other:?}"),
         }
     }

@@ -9,11 +9,11 @@
 //! allocates nothing per chunk; at `parallelism > 1` each chunk's XOR
 //! program is striped across the shared worker pool.
 
-use ec_wire::crc32;
-use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};
 use crate::error::StreamError;
 use crate::format::{ArchiveMeta, HashTrailer, ShardHeader, HEADER_LEN};
 use ec_core::ErasureCoder;
+use ec_wire::crc32;
+use ec_wire::merkle::{leaf_hashes_into, Hash, MerkleTree};
 use std::io::{Read, Seek, SeekFrom, Write};
 
 /// A chunked streaming encoder over `n + p` seekable sinks.
@@ -140,10 +140,15 @@ impl<'c, W: Write + Seek> StreamEncoder<'c, W> {
         if self.fill == 0 {
             return Ok(());
         }
-        self.codec.encode_into(&self.buf[..self.fill], &mut self.shard_bufs)?;
+        self.codec
+            .encode_into(&self.buf[..self.fill], &mut self.shard_bufs)?;
         // A chunk's slices are equally long: one batch, all lanes.
         leaf_hashes_into(&self.shard_bufs, &mut self.chunk_leaves);
-        let per_shard = self.shard_bufs.iter().zip(&mut self.sinks).zip(&mut self.leaves);
+        let per_shard = self
+            .shard_bufs
+            .iter()
+            .zip(&mut self.sinks)
+            .zip(&mut self.leaves);
         for (((shard, sink), leaves), leaf) in per_shard.zip(&self.chunk_leaves) {
             sink.write_all(shard)?;
             sink.write_all(&crc32(shard).to_le_bytes())?;
@@ -160,11 +165,8 @@ impl<'c, W: Write + Seek> StreamEncoder<'c, W> {
     /// archive metadata and the sinks.
     pub fn finalize(mut self) -> Result<(ArchiveMeta, Vec<W>), StreamError> {
         self.flush_chunk()?;
-        let meta = ArchiveMeta::with_spec(
-            &self.codec.spec(),
-            self.chunk_size as u32,
-            self.total_in,
-        );
+        let meta =
+            ArchiveMeta::with_spec(&self.codec.spec(), self.chunk_size as u32, self.total_in);
         debug_assert_eq!(meta.chunk_count, self.chunks_written);
         // Every trailer carries the full root vector; only the leaf
         // section differs per shard.
@@ -176,7 +178,11 @@ impl<'c, W: Write + Seek> StreamEncoder<'c, W> {
         for ((i, sink), leaves) in self.sinks.iter_mut().enumerate().zip(all_leaves) {
             sink.write_all(&HashTrailer::new(leaves, shard_roots.clone()).to_bytes())?;
             sink.seek(SeekFrom::Start(0))?;
-            ShardHeader { meta, shard_index: i as u16 }.write_to(sink)?;
+            ShardHeader {
+                meta,
+                shard_index: i as u16,
+            }
+            .write_to(sink)?;
             sink.flush()?;
         }
         Ok((meta, self.sinks))
@@ -203,8 +209,9 @@ mod tests {
         chunk: usize,
         data: &[u8],
     ) -> (ArchiveMeta, Vec<Vec<u8>>) {
-        let sinks: Vec<Cursor<Vec<u8>>> =
-            (0..codec.total_shards()).map(|_| Cursor::new(Vec::new())).collect();
+        let sinks: Vec<Cursor<Vec<u8>>> = (0..codec.total_shards())
+            .map(|_| Cursor::new(Vec::new()))
+            .collect();
         let mut enc = StreamEncoder::new(codec, chunk, sinks).unwrap();
         enc.write_all(data).unwrap();
         let (meta, sinks) = enc.finalize().unwrap();
@@ -266,8 +273,7 @@ mod tests {
         let codec = rs(4, 2);
         let data = sample(10_000);
         let (m1, f1) = encode_all(&*codec, 777, &data);
-        let sinks: Vec<Cursor<Vec<u8>>> =
-            (0..6).map(|_| Cursor::new(Vec::new())).collect();
+        let sinks: Vec<Cursor<Vec<u8>>> = (0..6).map(|_| Cursor::new(Vec::new())).collect();
         let mut enc = StreamEncoder::new(&*codec, 777, sinks).unwrap();
         // Pump through a reader that returns ragged short reads.
         struct Ragged<'a>(&'a [u8], usize);
@@ -301,7 +307,10 @@ mod tests {
             // Zero-leaf trees: every shard root is the empty-tree root.
             let t = HashTrailer::from_bytes(&f[HEADER_LEN..], &meta).unwrap();
             assert!(t.leaves.is_empty());
-            assert!(t.shard_roots.iter().all(|r| *r == ec_wire::merkle::empty_root()));
+            assert!(t
+                .shard_roots
+                .iter()
+                .all(|r| *r == ec_wire::merkle::empty_root()));
             assert!(t.self_consistent(i));
         }
     }

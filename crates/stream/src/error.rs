@@ -30,7 +30,11 @@ impl fmt::Display for StreamError {
             StreamError::Io(e) => write!(f, "i/o error: {e}"),
             StreamError::Codec(e) => write!(f, "codec error: {e}"),
             StreamError::Format(msg) => write!(f, "invalid archive format: {msg}"),
-            StreamError::TooDamaged { chunk, missing, parity } => write!(
+            StreamError::TooDamaged {
+                chunk,
+                missing,
+                parity,
+            } => write!(
                 f,
                 "chunk {chunk}: {missing} shards damaged but only {parity} parity shards available"
             ),

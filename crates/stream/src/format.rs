@@ -16,11 +16,11 @@
 //! root, a majority of surviving trailers can prove which shard was
 //! tampered with and what a repaired shard's bytes must hash to.
 
+use crate::error::StreamError;
+use ec_core::{CodecSpec, EcError};
 use ec_wire::crc32;
 use ec_wire::merkle::{Hash, MerkleTree};
 use ec_wire::SHA256_LEN;
-use crate::error::StreamError;
-use ec_core::{CodecSpec, EcError};
 use std::io::{Read, Write};
 
 /// The 8-byte magic at offset 0: `xorslp_ec` shard, format generation 1.
@@ -164,7 +164,8 @@ impl ArchiveMeta {
     /// Panics on arithmetic overflow — unreachable for any metadata that
     /// passed validation (`validate` computes this with checked math).
     pub fn shard_file_len(&self) -> u64 {
-        self.checked_shard_file_len().expect("validated metadata cannot overflow")
+        self.checked_shard_file_len()
+            .expect("validated metadata cannot overflow")
     }
 
     fn checked_shard_file_len(&self) -> Option<u64> {
@@ -281,7 +282,11 @@ impl HashTrailer {
     /// archive-wide root vector.
     pub fn new(leaves: Vec<Hash>, shard_roots: Vec<Hash>) -> HashTrailer {
         let object_root = HashTrailer::object_root_of(&shard_roots);
-        HashTrailer { leaves, shard_roots, object_root }
+        HashTrailer {
+            leaves,
+            shard_roots,
+            object_root,
+        }
     }
 
     /// This shard's Merkle root, recomputed from its stored leaves.
@@ -301,9 +306,8 @@ impl HashTrailer {
 
     /// Serialize to the wire form described in the type docs.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(
-            (self.leaves.len() + self.shard_roots.len() + 1) * SHA256_LEN + 4,
-        );
+        let mut b =
+            Vec::with_capacity((self.leaves.len() + self.shard_roots.len() + 1) * SHA256_LEN + 4);
         for h in self.leaves.iter().chain(&self.shard_roots) {
             b.extend_from_slice(h);
         }
@@ -329,12 +333,20 @@ impl HashTrailer {
         }
         let mut hashes = body.chunks_exact(SHA256_LEN);
         let mut take = |n: usize| -> Vec<Hash> {
-            hashes.by_ref().take(n).map(|h| h.try_into().expect("32 bytes")).collect()
+            hashes
+                .by_ref()
+                .take(n)
+                .map(|h| h.try_into().expect("32 bytes"))
+                .collect()
         };
         let leaves = take(meta.chunk_count as usize);
         let shard_roots = take(meta.total_shards());
         let object_root = take(1)[0];
-        Ok(HashTrailer { leaves, shard_roots, object_root })
+        Ok(HashTrailer {
+            leaves,
+            shard_roots,
+            object_root,
+        })
     }
 }
 
@@ -445,14 +457,20 @@ mod tests {
 
     #[test]
     fn header_roundtrips() {
-        let h = ShardHeader { meta: meta(), shard_index: 13 };
+        let h = ShardHeader {
+            meta: meta(),
+            shard_index: 13,
+        };
         let b = h.to_bytes();
         assert_eq!(ShardHeader::from_bytes(&b).unwrap(), h);
     }
 
     #[test]
     fn any_header_bit_flip_is_detected() {
-        let h = ShardHeader { meta: meta(), shard_index: 2 };
+        let h = ShardHeader {
+            meta: meta(),
+            shard_index: 2,
+        };
         let clean = h.to_bytes();
         for byte in 0..HEADER_LEN {
             let mut b = clean;
@@ -468,7 +486,11 @@ mod tests {
     fn inconsistent_chunk_count_rejected() {
         let mut m = meta();
         m.chunk_count += 1;
-        let b = ShardHeader { meta: m, shard_index: 0 }.to_bytes();
+        let b = ShardHeader {
+            meta: m,
+            shard_index: 0,
+        }
+        .to_bytes();
         assert!(matches!(
             ShardHeader::from_bytes(&b),
             Err(StreamError::Format(_))
@@ -486,13 +508,11 @@ mod tests {
         assert_eq!(m.slice_len(0), slice_len_for(1 << 20, 10, 8) as usize);
         assert_eq!(m.slice_len(3), slice_len_for(12345, 10, 8) as usize);
         assert_eq!(slice_len_for(12345, 10, 8), 1240); // ceil(1234.5)→1235, →8-align 1240
-        // Frames plus the hash trailer (4 leaves + 14 roots + object
-        // root, CRC'd).
+                                                       // Frames plus the hash trailer (4 leaves + 14 roots + object
+                                                       // root, CRC'd).
         let trailer = 32 * (4 + 14 + 1) + 4;
         assert_eq!(HashTrailer::wire_len(&m), Some(trailer));
-        let frames_end = HEADER_LEN as u64
-            + 3 * (slice_len_for(1 << 20, 10, 8) + 4)
-            + (1240 + 4);
+        let frames_end = HEADER_LEN as u64 + 3 * (slice_len_for(1 << 20, 10, 8) + 4) + (1240 + 4);
         assert_eq!(m.shard_file_len(), frames_end + trailer);
         assert_eq!(m.hash_trailer_offset(), frames_end);
     }
@@ -525,7 +545,10 @@ mod tests {
     fn codec_spec_travels_in_the_header() {
         let spec = CodecSpec::lrc(10, 4, 5);
         let m = ArchiveMeta::with_spec(&spec, 1 << 16, 123_456);
-        let h = ShardHeader { meta: m, shard_index: 11 };
+        let h = ShardHeader {
+            meta: m,
+            shard_index: 11,
+        };
         let parsed = ShardHeader::from_bytes(&h.to_bytes()).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(parsed.meta.codec_spec().unwrap(), spec);
@@ -540,7 +563,10 @@ mod tests {
         assert_eq!(spec.shard_alignment().unwrap(), 4);
         assert_eq!(m.slice_len(0), 28); // ceil(100/4) = 25 → 4-align 28
         assert_eq!(m.slice_len(2), 16); // tail 50 → ceil(50/4)=13 → 16
-        let h = ShardHeader { meta: m, shard_index: 0 };
+        let h = ShardHeader {
+            meta: m,
+            shard_index: 0,
+        };
         assert_eq!(ShardHeader::from_bytes(&h.to_bytes()).unwrap(), h);
     }
 
@@ -549,7 +575,10 @@ mod tests {
         // What an older writer's header looked like, CRC and all: the
         // only thing wrong with it is the version, and the refusal says
         // which one was found and which one is read.
-        let h = ShardHeader { meta: meta(), shard_index: 3 };
+        let h = ShardHeader {
+            meta: meta(),
+            shard_index: 3,
+        };
         for retired in [1u32, 2] {
             let mut b = h.to_bytes();
             b[8..12].copy_from_slice(&retired.to_le_bytes());
@@ -571,7 +600,10 @@ mod tests {
 
     #[test]
     fn unknown_codec_id_is_a_typed_error() {
-        let h = ShardHeader { meta: meta(), shard_index: 0 };
+        let h = ShardHeader {
+            meta: meta(),
+            shard_index: 0,
+        };
         let mut b = h.to_bytes();
         b[18..20].copy_from_slice(&999u16.to_le_bytes());
         let crc = crc32(&b[..HEADER_LEN - 4]);
@@ -602,7 +634,10 @@ mod tests {
             HEADER_LEN as u64 + HashTrailer::wire_len(&m).unwrap()
         );
         assert_eq!(HashTrailer::wire_len(&m), Some(32 * 7 + 4));
-        let h = ShardHeader { meta: m, shard_index: 5 };
+        let h = ShardHeader {
+            meta: m,
+            shard_index: 5,
+        };
         assert_eq!(ShardHeader::from_bytes(&h.to_bytes()).unwrap(), h);
     }
 
@@ -629,13 +664,23 @@ mod tests {
         assert!(at_cap.validate().is_ok());
         // And the wire path rejects them too: the serialized header has
         // a *valid* CRC, so only the magnitude check can stop it.
-        let b = ShardHeader { meta: hostile, shard_index: 0 }.to_bytes();
-        assert!(matches!(ShardHeader::from_bytes(&b), Err(StreamError::Format(_))));
+        let b = ShardHeader {
+            meta: hostile,
+            shard_index: 0,
+        }
+        .to_bytes();
+        assert!(matches!(
+            ShardHeader::from_bytes(&b),
+            Err(StreamError::Format(_))
+        ));
     }
 
     #[test]
     fn bad_magic_and_version() {
-        let h = ShardHeader { meta: meta(), shard_index: 0 };
+        let h = ShardHeader {
+            meta: meta(),
+            shard_index: 0,
+        };
         let mut b = h.to_bytes();
         b[0] = b'Y';
         assert!(ShardHeader::from_bytes(&b).is_err());

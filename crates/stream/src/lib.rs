@@ -65,18 +65,14 @@ mod encode;
 mod error;
 mod format;
 
-pub use archive::{
-    shard_file_name, Archive, RepairReport, ScrubReport, ShardState, VerifyReport,
-};
+pub use archive::{shard_file_name, Archive, RepairReport, ScrubReport, ShardState, VerifyReport};
 // CRC-32 now lives in `ec-wire` (shared with the `ec-store` protocol);
 // re-exported here so existing `ec_stream::crc32` callers keep working.
-pub use ec_wire::{crc32, Crc32};
 pub use decode::{ExtractReport, StreamDecoder};
+pub use ec_wire::{crc32, Crc32};
 pub use encode::StreamEncoder;
 pub use error::StreamError;
-pub use format::{
-    ArchiveMeta, HashTrailer, ShardHeader, FORMAT_VERSION, HEADER_LEN, MAGIC,
-};
+pub use format::{ArchiveMeta, HashTrailer, ShardHeader, FORMAT_VERSION, HEADER_LEN, MAGIC};
 
 #[cfg(test)]
 mod proptests;

@@ -191,7 +191,11 @@ fn an_exhausted_plan_reports_the_whole_chunk() {
         .collect();
     let mut dec = StreamDecoder::new(&*codec, meta, sources).unwrap();
     match dec.pump(&mut Vec::new()) {
-        Err(StreamError::TooDamaged { chunk: 0, missing: 3, parity: 2 }) => {}
+        Err(StreamError::TooDamaged {
+            chunk: 0,
+            missing: 3,
+            parity: 2,
+        }) => {}
         other => panic!("expected TooDamaged over three frames, got {other:?}"),
     }
 }

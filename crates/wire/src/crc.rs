@@ -27,7 +27,11 @@ const fn build_tables() -> [[u32; 256]; 16] {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
             bit += 1;
         }
         tables[0][i] = crc;
@@ -64,7 +68,9 @@ fn update_slice16(mut crc: u32, data: &[u8]) -> u32 {
     }
     let (steps, tail) = data.as_chunks::<16>();
     for step in steps {
-        let [a, b, c, d] = *step.as_chunks::<4>().0 else { unreachable!("16 = 4 × 4") };
+        let [a, b, c, d] = *step.as_chunks::<4>().0 else {
+            unreachable!("16 = 4 × 4")
+        };
         crc = word(15, u32::from_le_bytes(a) ^ crc)
             ^ word(11, u32::from_le_bytes(b))
             ^ word(7, u32::from_le_bytes(c))
@@ -141,7 +147,12 @@ mod pclmul {
         // SAFETY: each `lane` is a `&[u8; 16]`, 16 readable bytes, and
         // `_mm_loadu_si128` has no alignment requirement.
         let load = |lane: &[u8; 16]| unsafe { _mm_loadu_si128(lane.as_ptr().cast()) };
-        [load(&lanes[0]), load(&lanes[1]), load(&lanes[2]), load(&lanes[3])]
+        [
+            load(&lanes[0]),
+            load(&lanes[1]),
+            load(&lanes[2]),
+            load(&lanes[3]),
+        ]
     }
 
     /// `acc` moved along the message by the distance `k` encodes (low
@@ -210,7 +221,10 @@ pub(crate) fn selected() -> (&'static str, UpdateFn) {
 
 /// One fresh digest per available kernel, for the equivalence tests.
 pub(crate) fn implementations() -> Vec<(&'static str, Crc32)> {
-    kernels().into_iter().map(|(name, update)| (name, Crc32::with_kernel(update))).collect()
+    kernels()
+        .into_iter()
+        .map(|(name, update)| (name, Crc32::with_kernel(update)))
+        .collect()
 }
 
 /// A running CRC-32 digest for incremental (streaming) updates.
@@ -322,7 +336,10 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

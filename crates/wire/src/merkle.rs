@@ -122,7 +122,14 @@ impl LeafBatch {
     pub(crate) fn implementations() -> Vec<(&'static str, LeafBatch)> {
         sha256::lane_kernels()
             .into_iter()
-            .map(|(name, compress)| (name, LeafBatch { lanes: Some((compress, 2)) }))
+            .map(|(name, compress)| {
+                (
+                    name,
+                    LeafBatch {
+                        lanes: Some((compress, 2)),
+                    },
+                )
+            })
             .collect()
     }
 
@@ -200,7 +207,10 @@ impl MerkleTree {
     pub fn from_leaves(leaves: Vec<Hash>) -> MerkleTree {
         let leaf_count = leaves.len();
         if leaves.is_empty() {
-            return MerkleTree { levels: vec![vec![empty_root()]], leaf_count };
+            return MerkleTree {
+                levels: vec![vec![empty_root()]],
+                leaf_count,
+            };
         }
         let mut levels = vec![leaves];
         while levels.last().expect("non-empty").len() > 1 {
@@ -337,7 +347,9 @@ mod tests {
     use super::*;
 
     fn leaves(n: usize) -> Vec<Hash> {
-        (0..n).map(|i| leaf_hash(&[i as u8, (i >> 8) as u8])).collect()
+        (0..n)
+            .map(|i| leaf_hash(&[i as u8, (i >> 8) as u8]))
+            .collect()
     }
 
     #[test]

@@ -42,24 +42,20 @@ pub const SHA256_LEN: usize = 32;
 /// The first 32 bits of the fractional parts of the cube roots of the
 /// first 64 primes (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
 /// Initial hash value: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes (FIPS 180-4 §5.3.3).
 const H0: [u32; 8] = [
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c,
-    0x1f83d9ab, 0x5be0cd19,
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
 /// A SHA-256 kernel: run the compression function (FIPS 180-4 §6.2.2)
@@ -236,7 +232,9 @@ unsafe fn compress_lanes_serial(
         let mut state: [u32; 8] = std::array::from_fn(|word| states[word][l]);
         // SAFETY: the caller guarantees `64 * nblocks` readable bytes
         // behind every lane pointer.
-        compress(&mut state, unsafe { std::slice::from_raw_parts(lane_blocks, 64 * nblocks) });
+        compress(&mut state, unsafe {
+            std::slice::from_raw_parts(lane_blocks, 64 * nblocks)
+        });
         for (word, value) in state.into_iter().enumerate() {
             states[word][l] = value;
         }
@@ -310,10 +308,7 @@ mod avx512 {
                     XOR3,
                 );
                 let ch = _mm512_ternarylogic_epi32($e, $f, $g, CH);
-                let t1 = _mm512_add_epi32(
-                    _mm512_add_epi32($h, big_s1),
-                    _mm512_add_epi32(ch, $kw),
-                );
+                let t1 = _mm512_add_epi32(_mm512_add_epi32($h, big_s1), _mm512_add_epi32(ch, $kw));
                 let big_s0 = _mm512_ternarylogic_epi32(
                     _mm512_ror_epi32($a, 2),
                     _mm512_ror_epi32($a, 13),
@@ -339,8 +334,7 @@ mod avx512 {
             // requirement.
             |row: &mut [u32; LANES], v| unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
 
-        let big_endian =
-            _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
+        let big_endian = _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
         let mut state: [__m512i; 8] = std::array::from_fn(|word| load_state(&states[word]));
         for block in 0..nblocks {
             let mut w = [_mm512_setzero_si512(); 16];
@@ -433,7 +427,10 @@ pub(crate) fn selected() -> (&'static str, CompressFn) {
 
 /// One fresh digest per available kernel, for the equivalence tests.
 pub(crate) fn implementations() -> Vec<(&'static str, Sha256)> {
-    kernels().into_iter().map(|(name, compress)| (name, Sha256::with_kernel(compress))).collect()
+    kernels()
+        .into_iter()
+        .map(|(name, compress)| (name, Sha256::with_kernel(compress)))
+        .collect()
 }
 
 /// Every lane kernel this CPU can run as `(name, kernel)`, fastest
@@ -488,7 +485,12 @@ impl Shape {
         let head = usize::from(len >= 63);
         let body = len.saturating_sub(63) / 64;
         let fill = len + 1 - 64 * (head + body);
-        Shape { head, body, fill, tail: if fill < 56 { 1 } else { 2 } }
+        Shape {
+            head,
+            body,
+            fill,
+            tail: if fill < 56 { 1 } else { 2 },
+        }
     }
 
     fn blocks(&self, part: Part) -> usize {
@@ -542,7 +544,11 @@ impl<T: AsRef<[u8]>> Lanes<'_, T> {
             self.stage_tail(l, message);
             Part::Tail
         };
-        self.jobs[l] = Some(Job { message, part, done: 0 });
+        self.jobs[l] = Some(Job {
+            message,
+            part,
+            done: 0,
+        });
     }
 
     /// Stage the tail of `message` in lane `l` (its head, if any, is
@@ -669,10 +675,15 @@ pub(crate) fn sha256_batch<T: AsRef<[u8]>>(
             return;
         }
         let occupied = || (0..LANES).filter(|&l| lanes.jobs[l].is_some());
-        let step = occupied().map(|l| lanes.remaining(l).len() / 64).min().expect("occupied");
+        let step = occupied()
+            .map(|l| lanes.remaining(l).len() / 64)
+            .min()
+            .expect("occupied");
         // A free lane rereads an occupied one's blocks; its state is
         // reset before it takes a message.
-        let filler = lanes.remaining(occupied().next().expect("occupied")).as_ptr();
+        let filler = lanes
+            .remaining(occupied().next().expect("occupied"))
+            .as_ptr();
         let blocks = std::array::from_fn(|l| match lanes.jobs[l] {
             Some(_) => lanes.remaining(l).as_ptr(),
             None => filler,
@@ -702,11 +713,17 @@ pub(crate) fn sha256_lanes<T: AsRef<[u8]>>(
     messages: &[T],
     out: &mut [[u8; SHA256_LEN]],
 ) {
-    assert!((1..=LANES).contains(&messages.len()), "1 to {LANES} messages per call");
+    assert!(
+        (1..=LANES).contains(&messages.len()),
+        "1 to {LANES} messages per call"
+    );
     assert_eq!(out.len(), messages.len(), "one digest slot per message");
     let len = messages[0].as_ref().len();
     // Memory safety below rests on this: every lane is read to `len`.
-    assert!(messages.iter().all(|m| m.as_ref().len() == len), "messages must be equally long");
+    assert!(
+        messages.iter().all(|m| m.as_ref().len() == len),
+        "messages must be equally long"
+    );
     // An unoccupied lane redoes the last message; its digest is dropped.
     let lane = |l: usize| messages[l.min(messages.len() - 1)].as_ref();
 
@@ -725,7 +742,11 @@ pub(crate) fn sha256_lanes<T: AsRef<[u8]>>(
         // `64 * whole ≤ len - 63` bytes.
         unsafe {
             compress(&mut states, &std::array::from_fn(|l| staged[l].as_ptr()), 1);
-            compress(&mut states, &std::array::from_fn(|l| lane(l)[63..].as_ptr()), whole);
+            compress(
+                &mut states,
+                &std::array::from_fn(|l| lane(l)[63..].as_ptr()),
+                whole,
+            );
         }
         hashed = 63 + 64 * whole;
     }
@@ -745,7 +766,13 @@ pub(crate) fn sha256_lanes<T: AsRef<[u8]>>(
     }
     // SAFETY: `compress` came from `lane_kernels()`, and each staged
     // pointer has 128 ≥ `64 * tail_blocks` bytes behind it.
-    unsafe { compress(&mut states, &std::array::from_fn(|l| staged[l].as_ptr()), tail_blocks) };
+    unsafe {
+        compress(
+            &mut states,
+            &std::array::from_fn(|l| staged[l].as_ptr()),
+            tail_blocks,
+        )
+    };
     for (l, digest) in out.iter_mut().enumerate() {
         for (word, bytes) in digest.as_chunks_mut::<4>().0.iter_mut().enumerate() {
             *bytes = states[word][l].to_be_bytes();
@@ -773,7 +800,13 @@ impl Sha256 {
     }
 
     fn with_kernel(compress: CompressFn) -> Sha256 {
-        Sha256 { state: H0, len: 0, block: [0; 64], fill: 0, compress }
+        Sha256 {
+            state: H0,
+            len: 0,
+            block: [0; 64],
+            fill: 0,
+            compress,
+        }
     }
 
     /// Feed bytes into the digest.
@@ -861,7 +894,10 @@ mod tests {
             for t in 16..64 {
                 let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
                 let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-                w[t] = w[t - 16].wrapping_add(s0).wrapping_add(w[t - 7]).wrapping_add(s1);
+                w[t] = w[t - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[t - 7])
+                    .wrapping_add(s1);
             }
             let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
             for t in 0..64 {
@@ -990,7 +1026,9 @@ mod tests {
     fn nist_448_bit_message() {
         // Two-block example: 56 bytes of input.
         assert_eq!(
-            hex(sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            hex(sha256(
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+            )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }

@@ -60,7 +60,10 @@ fn assert_allocation_free(what: &str, leaves: &[&[u8]]) {
     let before = bytes_allocated_on_this_thread();
     leaf_hashes_into(leaves, &mut hashes);
     let allocated = bytes_allocated_on_this_thread() - before;
-    assert_eq!(allocated, 0, "{what}: leaf_hashes_into allocated {allocated} bytes");
+    assert_eq!(
+        allocated, 0,
+        "{what}: leaf_hashes_into allocated {allocated} bytes"
+    );
     for (leaf, hash) in leaves.iter().zip(&hashes) {
         assert_eq!(*hash, leaf_hash(leaf), "{what}");
     }
@@ -71,7 +74,11 @@ fn assert_allocation_free(what: &str, leaves: &[&[u8]]) {
 #[test]
 fn the_rs_10_4_round_batch_allocates_nothing() {
     let shards: Vec<Vec<u8>> = (0..10usize)
-        .map(|s| (0..104_864).map(|i| ((i * 131 + s * 29) % 251) as u8).collect())
+        .map(|s| {
+            (0..104_864)
+                .map(|i| ((i * 131 + s * 29) % 251) as u8)
+                .collect()
+        })
         .collect();
     let leaves: Vec<&[u8]> = (shards.iter().map(|s| &s[..65_536]))
         .chain(shards.iter().map(|s| &s[65_536..]))
@@ -84,6 +91,8 @@ fn the_rs_10_4_round_batch_allocates_nothing() {
 #[test]
 fn a_mixed_batch_allocates_nothing() {
     let backing: Vec<u8> = (0..4_800).map(|i| (i * 7 + 3) as u8).collect();
-    let leaves: Vec<&[u8]> = (0..40).map(|i| &backing[..(i * 7_919 + 11) % 4_800]).collect();
+    let leaves: Vec<&[u8]> = (0..40)
+        .map(|i| &backing[..(i * 7_919 + 11) % 4_800])
+        .collect();
     assert_allocation_free("40 mixed leaves", &leaves);
 }

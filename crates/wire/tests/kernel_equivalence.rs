@@ -30,7 +30,11 @@ fn crc32_bitwise(data: &[u8]) -> u32 {
     for &byte in data {
         crc ^= byte as u32;
         for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
         }
     }
     !crc
@@ -39,7 +43,9 @@ fn crc32_bitwise(data: &[u8]) -> u32 {
 /// Deterministic but non-uniform fill so lane swaps and off-by-ones
 /// cannot produce the right answer by accident.
 fn fill(len: usize, seed: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 131 + seed * 239 + 17) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 131 + seed * 239 + 17) % 251) as u8)
+        .collect()
 }
 
 /// Every seam length: 0..=300 covers both step sizes several times
@@ -75,14 +81,20 @@ fn hex(digest: [u8; 32]) -> String {
 fn sha256_textbook(data: &[u8]) -> [u8; 32] {
     // First 32 fractional bits of the square (h) and cube (k) roots of
     // the first primes, by integer root extraction.
-    let primes: Vec<u128> = (2u128..312).filter(|n| (2..*n).all(|d| n % d != 0)).collect();
+    let primes: Vec<u128> = (2u128..312)
+        .filter(|n| (2..*n).all(|d| n % d != 0))
+        .collect();
     let root_frac = |p: u128, degree: u32| {
         // floor(p^(1/degree) · 2^32) by bisection, low 32 bits.
         let target = p << (32 * degree);
         let (mut lo, mut hi) = (0u128, 1u128 << 36);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            if mid.pow(degree) <= target { lo = mid } else { hi = mid }
+            if mid.pow(degree) <= target {
+                lo = mid
+            } else {
+                hi = mid
+            }
         }
         lo as u32
     };
@@ -96,18 +108,29 @@ fn sha256_textbook(data: &[u8]) -> [u8; 32] {
     }
     message.extend(((data.len() as u64) * 8).to_be_bytes());
     for block in message.chunks(64) {
-        let mut w: Vec<u32> =
-            block.chunks(4).map(|b| u32::from_be_bytes(b.try_into().unwrap())).collect();
+        let mut w: Vec<u32> = block
+            .chunks(4)
+            .map(|b| u32::from_be_bytes(b.try_into().unwrap()))
+            .collect();
         for t in 16..64 {
             let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
             let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w.push(w[t - 16].wrapping_add(s0).wrapping_add(w[t - 7]).wrapping_add(s1));
+            w.push(
+                w[t - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[t - 7])
+                    .wrapping_add(s1),
+            );
         }
         let mut v = h.clone(); // a..h = v[0]..v[7]
         for t in 0..64 {
             let s1 = v[4].rotate_right(6) ^ v[4].rotate_right(11) ^ v[4].rotate_right(25);
             let ch = (v[4] & v[5]) ^ (!v[4] & v[6]);
-            let t1 = v[7].wrapping_add(s1).wrapping_add(ch).wrapping_add(k[t]).wrapping_add(w[t]);
+            let t1 = v[7]
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(k[t])
+                .wrapping_add(w[t]);
             let s0 = v[0].rotate_right(2) ^ v[0].rotate_right(13) ^ v[0].rotate_right(22);
             let maj = (v[0] & v[1]) ^ (v[0] & v[2]) ^ (v[1] & v[2]);
             v.rotate_right(1);
@@ -127,19 +150,29 @@ fn sha256_textbook(data: &[u8]) -> [u8; 32] {
 
 #[test]
 fn portable_kernels_are_always_listed_and_the_selection_is_one_of_the_list() {
-    let Implementations { crc32: crcs, sha256: shas, leaf_batch: batches } = implementations();
+    let Implementations {
+        crc32: crcs,
+        sha256: shas,
+        leaf_batch: batches,
+    } = implementations();
     assert_eq!(crcs.last().map(|(n, _)| *n), Some("slice16"));
     assert_eq!(shas.last().map(|(n, _)| *n), Some("portable"));
     assert_eq!(batches.last().map(|(n, _)| *n), Some("serial"));
     let (crc, sha) = ec_wire::integrity_kernels();
-    assert_eq!(crc, crcs[0].0, "the process runs the fastest listed CRC kernel");
+    assert_eq!(
+        crc, crcs[0].0,
+        "the process runs the fastest listed CRC kernel"
+    );
     // `single` or `single+lanes`: the fastest listed SHA kernel, and the
     // hardware lane kernel when one is listed before the serial spelling.
     let want_sha = match batches.as_slice() {
         [(lanes, _), _, ..] => format!("{}+{lanes}", shas[0].0),
         _ => shas[0].0.to_string(),
     };
-    assert_eq!(sha, want_sha, "the process runs the fastest listed SHA kernels");
+    assert_eq!(
+        sha, want_sha,
+        "the process runs the fastest listed SHA kernels"
+    );
 }
 
 #[test]
@@ -166,8 +199,14 @@ fn crc_matches_bitwise_oracle_at_every_seam_and_offset() {
 fn sha256_matches_fips_vectors_on_every_kernel() {
     let shas = implementations().sha256;
     let vectors: [(&[u8], &str); 4] = [
-        (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
         (
             b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
@@ -181,7 +220,11 @@ fn sha256_matches_fips_vectors_on_every_kernel() {
     let million_a = vec![b'a'; 1_000_000];
     for (name, kernel) in &shas {
         for (message, digest) in vectors {
-            assert_eq!(hex(sha_with(kernel, &[message])), digest, "sha kernel {name}");
+            assert_eq!(
+                hex(sha_with(kernel, &[message])),
+                digest,
+                "sha kernel {name}"
+            );
         }
         // One call (a 15,625-block run) and 1000-byte pieces (every
         // block boundary lands inside an `update`).
@@ -237,8 +280,10 @@ fn leaf_batch_matches_textbook_oracle_at_every_seam_offset_and_occupancy() {
             .collect();
         for offset in [0usize, 1, 16, 63] {
             // Same bytes at a different address: copy them there.
-            let moved: Vec<Vec<u8>> =
-                messages.iter().map(|m| [&vec![0u8; offset][..], &m[..]].concat()).collect();
+            let moved: Vec<Vec<u8>> = messages
+                .iter()
+                .map(|m| [&vec![0u8; offset][..], &m[..]].concat())
+                .collect();
             let chunks: Vec<&[u8]> = moved.iter().map(|m| &m[offset..]).collect();
             for occupied in 1..=LANES {
                 // The shard-sized seam adds only in-place middle blocks
@@ -284,24 +329,41 @@ fn ragged_leaf_batches_match_textbook_oracle_on_every_lane_kernel() {
         assert_eq!(got, want, "leaf_hashes_into diverges on {what}");
     };
     let oracle = |leaves: &[Vec<u8>]| -> Vec<[u8; 32]> {
-        leaves.iter().map(|leaf| sha256_textbook(&[&[0x00], &leaf[..]].concat())).collect()
+        leaves
+            .iter()
+            .map(|leaf| sha256_textbook(&[&[0x00], &leaf[..]].concat()))
+            .collect()
     };
 
     // An RS(10, 4) 1 MiB object's shards (104,864 B) at 64 KiB leaves,
     // leaf-major: ten of 65,536 B, then ten of 39,328 B.
     let seams = [0usize, 1, 54, 55, 62, 63, 64, 119, 120, 127, 128];
     let shapes: [(&str, Vec<usize>); 3] = [
-        ("RS(10, 4) leaves", [65_536; 10].into_iter().chain([39_328; 10]).collect()),
+        (
+            "RS(10, 4) leaves",
+            [65_536; 10].into_iter().chain([39_328; 10]).collect(),
+        ),
         // Every seam length, three times over in three orders: lanes
         // end their heads, bodies and tails at different blocks.
-        ("interleaved seams", (0..33).map(|i| seams[(i * [1, 4, 7][i / 11]) % 11]).collect()),
+        (
+            "interleaved seams",
+            (0..33)
+                .map(|i| seams[(i * [1, 4, 7][i / 11]) % 11])
+                .collect(),
+        ),
         // One long leaf among short ones: the short lanes finish and
         // drain while it is in its body.
-        ("one long among seven short", vec![100, 1, 63, 70_000, 5, 128, 64, 200]),
+        (
+            "one long among seven short",
+            vec![100, 1, 63, 70_000, 5, 128, 64, 200],
+        ),
     ];
     for (what, lengths) in shapes {
-        let leaves: Vec<Vec<u8>> =
-            lengths.iter().enumerate().map(|(i, &len)| fill(len, 300 + i)).collect();
+        let leaves: Vec<Vec<u8>> = lengths
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| fill(len, 300 + i))
+            .collect();
         let chunks: Vec<&[u8]> = leaves.iter().map(Vec::as_slice).collect();
         check(what, &chunks, &oracle(&leaves));
     }
@@ -314,17 +376,27 @@ fn ragged_leaf_batches_match_textbook_oracle_on_every_lane_kernel() {
             .collect();
         let want = oracle(&leaves);
         for offset in [0usize, 1, 63] {
-            let moved: Vec<Vec<u8>> =
-                leaves.iter().map(|m| [&vec![0u8; offset][..], &m[..]].concat()).collect();
+            let moved: Vec<Vec<u8>> = leaves
+                .iter()
+                .map(|m| [&vec![0u8; offset][..], &m[..]].concat())
+                .collect();
             let chunks: Vec<&[u8]> = moved.iter().map(|m| &m[offset..]).collect();
-            check(&format!("{count} mixed leaves at offset {offset}"), &chunks, &want);
+            check(
+                &format!("{count} mixed leaves at offset {offset}"),
+                &chunks,
+                &want,
+            );
         }
     }
 }
 
 #[test]
 fn crc_preserving_flip_evades_crc_and_not_sha256_on_every_kernel() {
-    let Implementations { crc32: crcs, sha256: shas, .. } = implementations();
+    let Implementations {
+        crc32: crcs,
+        sha256: shas,
+        ..
+    } = implementations();
     // Long enough that the flip lands inside the folded region of the
     // carry-less-multiply kernel as well as in its table-driven tail.
     let base = fill(1000, 3);
@@ -353,7 +425,11 @@ fn crc_preserving_flip_evades_crc_and_not_sha256_on_every_kernel() {
 /// kernel; they must agree with the list too.
 #[test]
 fn public_one_shots_agree_with_the_listed_kernels() {
-    let Implementations { crc32: crcs, sha256: shas, leaf_batch: batches } = implementations();
+    let Implementations {
+        crc32: crcs,
+        sha256: shas,
+        leaf_batch: batches,
+    } = implementations();
     let data = fill(10_000, 4);
     for (name, kernel) in &crcs {
         assert_eq!(crc32(&data), crc_with(kernel, &[&data]), "{name}");
@@ -365,7 +441,10 @@ fn public_one_shots_agree_with_the_listed_kernels() {
     let chunks: Vec<&[u8]> = data.chunks(250).collect();
     let mut want = vec![[0u8; 32]; chunks.len()];
     leaf_hashes_into(&chunks, &mut want);
-    assert_eq!(want, chunks.iter().map(|c| leaf_hash(c)).collect::<Vec<_>>());
+    assert_eq!(
+        want,
+        chunks.iter().map(|c| leaf_hash(c)).collect::<Vec<_>>()
+    );
     for (name, batch) in &batches {
         let mut got = vec![[0u8; 32]; chunks.len()];
         batch.hash_into(&chunks, &mut got);

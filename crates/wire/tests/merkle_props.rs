@@ -20,7 +20,9 @@ fn leaves(count: usize, seed: u64) -> Vec<[u8; 32]> {
 
 /// `len` bytes that differ from chunk to chunk.
 fn chunk(len: usize, seed: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + seed * 97 + 5) % 253) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + seed * 97 + 5) % 253) as u8)
+        .collect()
 }
 
 fn assert_batch_equals_loop(chunks: &[Vec<u8>]) {
@@ -37,7 +39,10 @@ fn assert_batch_equals_loop(chunks: &[Vec<u8>]) {
 #[test]
 fn batch_equals_loop_on_the_awkward_shapes() {
     let of = |lens: &[usize]| -> Vec<Vec<u8>> {
-        lens.iter().enumerate().map(|(i, &len)| chunk(len, i)).collect()
+        lens.iter()
+            .enumerate()
+            .map(|(i, &len)| chunk(len, i))
+            .collect()
     };
     assert_batch_equals_loop(&[]);
     for len in [0usize, 1, 54, 55, 62, 63, 64, 119, 120, 127, 128, 1000] {
@@ -52,7 +57,9 @@ fn batch_equals_loop_on_the_awkward_shapes() {
     assert_batch_equals_loop(&of(&lens));
     assert_batch_equals_loop(&of(&[vec![4096; 17], vec![1, 63, 4095]].concat()));
     assert_batch_equals_loop(&of(&[vec![1, 63, 4095], vec![4096; 17]].concat()));
-    assert_batch_equals_loop(&of(&[vec![4096; 9], vec![0, 64, 120], vec![4096; 8]].concat()));
+    assert_batch_equals_loop(&of(
+        &[vec![4096; 9], vec![0, 64, 120], vec![4096; 8]].concat()
+    ));
     // Every length different: no two neighbours share a kernel call.
     assert_batch_equals_loop(&of(&(0..40).collect::<Vec<_>>()));
 }
@@ -62,7 +69,11 @@ fn payload_leaves_hash_each_cut_including_a_short_last_leaf() {
     let data = chunk(20 * 1000 + 37, 9);
     for leaf_size in [1000usize, 1024, 20_037, 30_000] {
         let want: Vec<Hash> = data.chunks(leaf_size).map(leaf_hash).collect();
-        assert_eq!(payload_leaves(&data, leaf_size), want, "leaf size {leaf_size}");
+        assert_eq!(
+            payload_leaves(&data, leaf_size),
+            want,
+            "leaf size {leaf_size}"
+        );
     }
     assert!(payload_leaves(&[], 1000).is_empty());
 }

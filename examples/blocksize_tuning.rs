@@ -28,16 +28,22 @@ fn main() {
     let data: Vec<u8> = (0..10_000_000u32).map(|i| (i * 193) as u8).collect();
     let reps = 20;
 
-    println!("RS(10,4) encode, {} MB data, {} repetitions each\n", data.len() / 1_000_000, reps);
-    println!("{:>9} | {:>10} | {:>10}", "B (bytes)", "xor1 GB/s", "xor32 GB/s");
+    println!(
+        "RS(10,4) encode, {} MB data, {} repetitions each\n",
+        data.len() / 1_000_000,
+        reps
+    );
+    println!(
+        "{:>9} | {:>10} | {:>10}",
+        "B (bytes)", "xor1 GB/s", "xor32 GB/s"
+    );
     println!("{}", "-".repeat(37));
     for blocksize in [64usize, 128, 256, 512, 1024, 2048, 4096] {
         let mut row = format!("{blocksize:>9}");
         for kernel in [Kernel::Scalar, Kernel::Auto] {
-            let codec = RsCodec::with_config(
-                RsConfig::new(10, 4).blocksize(blocksize).kernel(kernel),
-            )
-            .expect("codec");
+            let codec =
+                RsCodec::with_config(RsConfig::new(10, 4).blocksize(blocksize).kernel(kernel))
+                    .expect("codec");
             row.push_str(&format!(" | {:>10.2}", throughput(&codec, &data, reps)));
         }
         println!("{row}");

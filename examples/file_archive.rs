@@ -62,7 +62,11 @@ fn main() -> std::io::Result<()> {
     let mut bytes = fs::read(&victim)?;
     let len = bytes.len();
     let mut flipped = 0;
-    for off in [xorslp_ec::stream::HEADER_LEN, len / 2, len.saturating_sub(9)] {
+    for off in [
+        xorslp_ec::stream::HEADER_LEN,
+        len / 2,
+        len.saturating_sub(9),
+    ] {
         if off < len {
             bytes[off] ^= 0x11;
             flipped += 1;
@@ -92,7 +96,10 @@ fn main() -> std::io::Result<()> {
     // ---- extract ---------------------------------------------------------
     let restored = work.join("restored.bin");
     archive.extract(&restored).expect("extract");
-    assert!(files_identical(&input, &restored)?, "restored file differs!");
+    assert!(
+        files_identical(&input, &restored)?,
+        "restored file differs!"
+    );
     println!("restored file is bit-identical ✓ ({})", restored.display());
     Ok(())
 }

@@ -15,7 +15,9 @@ fn main() {
     let codec =
         RsCodec::with_config(RsConfig::new(10, 4).parallelism(0)).expect("valid parameters");
 
-    let data: Vec<u8> = (0..1_000_000u32).map(|i| (i * 2_654_435_761) as u8).collect();
+    let data: Vec<u8> = (0..1_000_000u32)
+        .map(|i| (i * 2_654_435_761) as u8)
+        .collect();
     println!("original data: {} bytes", data.len());
 
     let shards = codec.encode(&data).expect("encode");

@@ -14,8 +14,10 @@ use xorslp_ec::opt::{fuse, schedule_dfs, xor_repair, StageMetrics};
 use xorslp_ec::slp::binary_slp_from_bitmatrix;
 
 fn show(stage: &str, m: &StageMetrics) {
-    println!("{stage:<22} #⊕ = {:>5}   #M = {:>5}   NVar = {:>4}   CCap = {:>4}",
-        m.xors, m.mem, m.nvar, m.ccap);
+    println!(
+        "{stage:<22} #⊕ = {:>5}   #M = {:>5}   NVar = {:>4}   CCap = {:>4}",
+        m.xors, m.mem, m.nvar, m.ccap
+    );
 }
 
 /// How often each stage runs: a single cold run times page faults and

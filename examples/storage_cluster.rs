@@ -44,8 +44,9 @@ fn main() {
     let objects: Vec<(String, Vec<u8>)> = (0..50)
         .map(|k| {
             let name = format!("obj-{k:03}");
-            let data: Vec<u8> =
-                (0..256 * 1024u32).map(|i| ((i * 31 + k * 7) % 251) as u8).collect();
+            let data: Vec<u8> = (0..256 * 1024u32)
+                .map(|i| ((i * 31 + k * 7) % 251) as u8)
+                .collect();
             (name, data)
         })
         .collect();
@@ -97,9 +98,7 @@ fn main() {
         let replacement_dir = root.join(format!("replacement{i}"));
         let node = NodeHandle::spawn(&replacement_dir, "127.0.0.1:0", 2).expect("spawn");
         let new_addr = node.addr().to_string();
-        let report = cluster
-            .repair_node(&addrs[i], &new_addr)
-            .expect("repair");
+        let report = cluster.repair_node(&addrs[i], &new_addr).expect("repair");
         assert!(report.failed.is_empty());
         rebuilt_bytes += report.bytes_rebuilt;
         addrs.push(new_addr);

@@ -258,14 +258,20 @@ pub mod collection {
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
             assert!(r.start() <= r.end(), "empty size range");
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -284,7 +290,10 @@ pub mod collection {
 
     /// `Vec` of `size` elements drawn from `element`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     pub struct HashSetStrategy<S> {
@@ -318,7 +327,10 @@ pub mod collection {
     where
         S::Value: Eq + Hash,
     {
-        HashSetStrategy { element, size: size.into() }
+        HashSetStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     pub struct BTreeSetStrategy<S> {
@@ -348,7 +360,10 @@ pub mod collection {
     where
         S::Value: Ord,
     {
-        BTreeSetStrategy { element, size: size.into() }
+        BTreeSetStrategy {
+            element,
+            size: size.into(),
+        }
     }
 }
 

@@ -95,13 +95,11 @@
 
 pub use array_codes::{ArrayCodec, EngineConfig, XorCodec};
 pub use ec_core::{
-    codec_for, codec_for_with, codec_names, CodecId, CodecSpec, Compression, EcError,
-    ErasureCoder, Kernel, LrcCodec, OptConfig, RsCodec, RsConfig, Scheduling,
+    codec_for, codec_for_with, codec_names, CodecId, CodecSpec, Compression, EcError, ErasureCoder,
+    Kernel, LrcCodec, OptConfig, RsCodec, RsConfig, Scheduling,
 };
 pub use ec_store::{Cluster, NodeHandle, StoreError};
-pub use ec_stream::{
-    Archive, ArchiveMeta, ShardState, StreamDecoder, StreamEncoder, StreamError,
-};
+pub use ec_stream::{Archive, ArchiveMeta, ShardState, StreamDecoder, StreamEncoder, StreamError};
 pub use ec_wire::{crc32, Crc32};
 
 /// The erasure codec (re-export of `ec-core`).

@@ -72,8 +72,9 @@ fn roundtrip_and_self_description() {
 #[test]
 fn survives_loss_of_any_p_shard_files() {
     let (_s, input, dir) = setup("losses", 4 * 4096 * 2 + 99, 4, 2, 4 * 4096);
-    let pristine: Vec<Vec<u8>> =
-        (0..6).map(|i| fs::read(dir.join(shard_file_name(i))).unwrap()).collect();
+    let pristine: Vec<Vec<u8>> = (0..6)
+        .map(|i| fs::read(dir.join(shard_file_name(i))).unwrap())
+        .collect();
     for a in 0..6 {
         for b in a + 1..6 {
             fs::remove_file(dir.join(shard_file_name(a))).unwrap();
@@ -89,7 +90,10 @@ fn survives_loss_of_any_p_shard_files() {
             assert_eq!(report.shards[a], ShardState::Missing);
             let rep = archive.repair().unwrap();
             assert_eq!(rep.repaired, vec![a, b]);
-            assert!(archive.verify().unwrap().all_ok(), "after repair of {a},{b}");
+            assert!(
+                archive.verify().unwrap().all_ok(),
+                "after repair of {a},{b}"
+            );
             for (i, want) in pristine.iter().enumerate() {
                 assert_eq!(
                     &fs::read(dir.join(shard_file_name(i))).unwrap(),
@@ -138,8 +142,7 @@ fn payload_bit_flip_is_flagged_per_chunk_and_repaired() {
     let pristine = fs::read(&victim).unwrap();
 
     // Flip one byte in chunk 2's payload of parity shard 5.
-    let offset: usize =
-        HEADER_LEN + 2 * (m.slice_len(0) + 4) + m.slice_len(2) / 2;
+    let offset: usize = HEADER_LEN + 2 * (m.slice_len(0) + 4) + m.slice_len(2) / 2;
     let mut bytes = pristine.clone();
     bytes[offset] ^= 0x01;
     fs::write(&victim, &bytes).unwrap();
@@ -170,7 +173,11 @@ fn header_corruption_is_flagged_and_repaired() {
 
     let archive = Archive::open(&dir).unwrap();
     let m = archive.meta();
-    assert_eq!((m.data_shards, m.parity_shards), (4, 2), "majority vote wins");
+    assert_eq!(
+        (m.data_shards, m.parity_shards),
+        (4, 2),
+        "majority vote wins"
+    );
     let report = archive.verify().unwrap();
     assert_eq!(report.shards[0], ShardState::BadHeader);
     archive.repair().unwrap();
@@ -202,16 +209,22 @@ fn more_than_p_losses_is_a_typed_error() {
     let archive = Archive::open(&dir).unwrap();
     assert!(matches!(
         archive.repair(),
-        Err(StreamError::TooDamaged { missing: 3, parity: 2, .. })
+        Err(StreamError::TooDamaged {
+            missing: 3,
+            parity: 2,
+            ..
+        })
     ));
     assert!(matches!(
         archive.extract(&dir.join("out.bin")),
         Err(StreamError::TooDamaged { .. })
     ));
     // No half-written repair artifacts left behind.
-    assert!(fs::read_dir(&dir)
+    assert!(fs::read_dir(&dir).unwrap().all(|e| !e
         .unwrap()
-        .all(|e| !e.unwrap().file_name().to_string_lossy().ends_with(".tmp")));
+        .file_name()
+        .to_string_lossy()
+        .ends_with(".tmp")));
 }
 
 #[test]
@@ -219,8 +232,9 @@ fn create_is_safe_against_typos_and_stale_shards() {
     // A failed create (mistyped input path) must not touch an existing
     // archive in the target directory.
     let (_s, input, dir) = setup("createsafe", 4096, 2, 2, 1024);
-    let pristine: Vec<Vec<u8>> =
-        (0..4).map(|i| fs::read(dir.join(shard_file_name(i))).unwrap()).collect();
+    let pristine: Vec<Vec<u8>> = (0..4)
+        .map(|i| fs::read(dir.join(shard_file_name(i))).unwrap())
+        .collect();
     assert!(Archive::create(&dir.join("no-such-input.bin"), &dir, 2, 2, 1024).is_err());
     for (i, want) in pristine.iter().enumerate() {
         assert_eq!(
@@ -232,7 +246,10 @@ fn create_is_safe_against_typos_and_stale_shards() {
     // Re-creating with a smaller shard count removes the stale tail
     // files, so the directory holds exactly one archive afterwards.
     Archive::create(&input, &dir, 2, 1, 2048).unwrap();
-    assert!(!dir.join(shard_file_name(3)).exists(), "stale shard left behind");
+    assert!(
+        !dir.join(shard_file_name(3)).exists(),
+        "stale shard left behind"
+    );
     let archive = Archive::open(&dir).unwrap();
     assert_eq!(archive.meta().total_shards(), 3);
     assert!(archive.verify().unwrap().all_ok());
@@ -254,7 +271,10 @@ fn mixed_generation_tie_is_refused_not_guessed() {
     }
     match Archive::open(&dir) {
         Err(StreamError::Format(msg)) => assert!(msg.contains("ambiguous"), "{msg}"),
-        other => panic!("expected ambiguity error, got {:?}", other.map(|a| *a.meta())),
+        other => panic!(
+            "expected ambiguity error, got {:?}",
+            other.map(|a| *a.meta())
+        ),
     }
     // A 3-vs-1 split is damage, not ambiguity: majority wins.
     fs::copy(dir2.join(shard_file_name(2)), dir.join(shard_file_name(2))).unwrap();

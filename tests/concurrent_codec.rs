@@ -51,13 +51,14 @@ fn concurrent_mixed_traffic_roundtrips() {
 
                     // a capped codec's encode agrees bit-for-bit
                     let shard_len = shards[0].len();
-                    let data_refs: Vec<&[u8]> =
-                        shards[..n].iter().map(Vec::as_slice).collect();
+                    let data_refs: Vec<&[u8]> = shards[..n].iter().map(Vec::as_slice).collect();
                     let mut parity = vec![vec![0u8; shard_len]; p];
                     {
                         let mut refs: Vec<&mut [u8]> =
                             parity.iter_mut().map(Vec::as_mut_slice).collect();
-                        pooled[(t + i) % 4].encode_parity(&data_refs, &mut refs).unwrap();
+                        pooled[(t + i) % 4]
+                            .encode_parity(&data_refs, &mut refs)
+                            .unwrap();
                     }
                     assert_eq!(&parity[..], &shards[n..], "t{t} i{i} mt encode");
 

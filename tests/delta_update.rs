@@ -34,15 +34,18 @@ fn rmw_workload_stays_consistent_over_many_updates() {
         let i = (round * 5 + 3) % 8;
         let new_shard = sample(shard_len, 1000 + round);
         {
-            let mut prefs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
             codec
                 .update_parity(i, &data[i], &new_shard, &mut prefs)
                 .unwrap();
         }
         data[i] = new_shard;
     }
-    assert_eq!(parity, encode_parity(&codec, &data), "delta drift after 40 writes");
+    assert_eq!(
+        parity,
+        encode_parity(&codec, &data),
+        "delta drift after 40 writes"
+    );
 
     // The delta-maintained stripe decodes like a freshly encoded one.
     let mut received: Vec<Option<Vec<u8>>> = data
@@ -66,7 +69,10 @@ fn update_is_strictly_cheaper_and_bench_invariant_holds() {
     let codec = RsCodec::new(10, 4).unwrap();
     let full = codec.encode_slp().xor_count();
     for i in 0..10 {
-        assert!(codec.update_slp(i).unwrap().xor_count() < full, "column {i}");
+        assert!(
+            codec.update_slp(i).unwrap().xor_count() < full,
+            "column {i}"
+        );
     }
     for r in 0..4 {
         assert!(
@@ -101,13 +107,20 @@ fn partial_cache_evicts_lru_and_stays_bounded() {
         for (i, shard) in data.iter().enumerate() {
             let new_shard = sample(shard_len, 50 + i);
             let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            codec.update_parity(i, shard, &new_shard, &mut prefs).unwrap();
+            codec
+                .update_parity(i, shard, &new_shard, &mut prefs)
+                .unwrap();
             for lost in churn.next().into_iter().flatten() {
                 codec.decode_slp(lost).unwrap();
             }
             // undo, so the stripe stays consistent while we churn
-            codec.update_parity(i, &new_shard, shard, &mut prefs).unwrap();
-            assert!(codec.programs() <= 55, "round {round}: table exceeded its capacity");
+            codec
+                .update_parity(i, &new_shard, shard, &mut prefs)
+                .unwrap();
+            assert!(
+                codec.programs() <= 55,
+                "round {round}: table exceeded its capacity"
+            );
         }
     }
     assert_eq!(parity, encode_parity(&codec, &data));
@@ -144,7 +157,9 @@ fn zero_length_and_unaligned_shards() {
     let mut one = [Vec::new()];
     {
         let mut orefs: Vec<&mut [u8]> = one.iter_mut().map(Vec::as_mut_slice).collect();
-        codec.encode_parity_partial(&refs, &mut orefs, &[1]).unwrap();
+        codec
+            .encode_parity_partial(&refs, &mut orefs, &[1])
+            .unwrap();
     }
     // Unaligned lengths error, as on the full-encode path.
     let odd = vec![0u8; 9];
@@ -160,11 +175,17 @@ fn zero_length_and_unaligned_shards() {
 fn parity_only_decode_slp_is_typed() {
     let codec = RsCodec::new(4, 2).unwrap();
     assert!(matches!(codec.decode_slp(&[4]), Err(EcError::NoDataLost)));
-    assert!(matches!(codec.decode_slp(&[5, 4]), Err(EcError::NoDataLost)));
+    assert!(matches!(
+        codec.decode_slp(&[5, 4]),
+        Err(EcError::NoDataLost)
+    ));
     // A data loss still returns a program; an out-of-range index is
     // still a caller error.
     assert!(codec.decode_slp(&[0]).is_ok());
-    assert!(matches!(codec.decode_slp(&[6]), Err(EcError::InvalidParams(_))));
+    assert!(matches!(
+        codec.decode_slp(&[6]),
+        Err(EcError::InvalidParams(_))
+    ));
 }
 
 #[test]
@@ -184,8 +205,7 @@ fn array_codec_delta_updates_mirror_rs() {
 
         let mut parity: Vec<Vec<u8>> = shards[k..].to_vec();
         {
-            let mut prefs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
             codec
                 .update_parity(disk, &shards[disk], &expected[disk], &mut prefs)
                 .unwrap();

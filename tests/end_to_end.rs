@@ -9,7 +9,9 @@ use xorslp_ec::slp::binary_slp_from_bitmatrix;
 use xorslp_ec::{EngineConfig, RsCodec, RsConfig, XorCodec};
 
 fn sample(len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 2_654_435_761usize) >> 7) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 2_654_435_761usize) >> 7) as u8)
+        .collect()
 }
 
 #[test]
@@ -24,7 +26,11 @@ fn paper_metrics_table_7_5_encode() {
     let base = binary_slp_from_bitmatrix(&bits);
 
     let m = StageMetrics::of(&base);
-    assert_eq!((m.xors, m.mem, m.nvar), (755, 2265, 32), "paper: 755/2265/32");
+    assert_eq!(
+        (m.xors, m.mem, m.nvar),
+        (755, 2265, 32),
+        "paper: 755/2265/32"
+    );
 
     let (co, stats) = opt::xor_repair(&base);
     let fu = opt::fuse(&co);
@@ -32,7 +38,11 @@ fn paper_metrics_table_7_5_encode() {
 
     // The work of the cancellation step, as a count: restarting every
     // `Rebuild` walk after every pairing step took 7,111,720 probes.
-    assert!(stats.rebuild_probes <= 400_000, "{} probes", stats.rebuild_probes);
+    assert!(
+        stats.rebuild_probes <= 400_000,
+        "{} probes",
+        stats.rebuild_probes
+    );
 
     // Invariants the paper states for the pipeline:
     assert_eq!(fu.xor_count(), co.xor_count());
@@ -100,7 +110,12 @@ fn executed_bytes_equal_reference_for_all_stages() {
     let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     let expect = base.run_reference(&refs);
 
-    for config in [OptConfig::BASE, OptConfig::COMPRESS, OptConfig::FUSE, OptConfig::FULL_DFS] {
+    for config in [
+        OptConfig::BASE,
+        OptConfig::COMPRESS,
+        OptConfig::FUSE,
+        OptConfig::FULL_DFS,
+    ] {
         let optimized = opt::optimize(&base, config);
         let prog = ExecProgram::compile(&optimized, 256, Kernel::Auto);
         assert_eq!(prog.run_to_vecs(&refs).unwrap(), expect, "{config:?}");
@@ -141,7 +156,11 @@ fn data_losing_patterns() -> Vec<[usize; 4]> {
             }
         }
     }
-    assert_eq!(patterns.len(), 1000, "1001 patterns minus the parity-only one");
+    assert_eq!(
+        patterns.len(),
+        1000,
+        "1001 patterns minus the parity-only one"
+    );
     patterns
 }
 
@@ -198,7 +217,11 @@ fn optimized_decode_of_every_rs_10_4_pattern_is_exact() {
 
     for lost in data_losing_patterns() {
         let optimized = xor.decode_slp(&lost).unwrap();
-        assert_eq!(optimized.eval(), base.decode_slp(&lost).unwrap().eval(), "{lost:?}");
+        assert_eq!(
+            optimized.eval(),
+            base.decode_slp(&lost).unwrap().eval(),
+            "{lost:?}"
+        );
         let by_xor = xor.decode(&erase(&xor_shards, &lost), data.len()).unwrap();
         let by_gf = gf.decode(&erase(&gf_shards, &lost), data.len()).unwrap();
         assert!(by_xor == by_gf && by_gf == data, "{lost:?}");
@@ -210,18 +233,30 @@ fn matrix_kinds_interoperate_with_all_opt_levels() {
     // RsCodec always builds the power matrix (the one its spec names on
     // disk); the engine under it takes any matrix construction.
     let data = sample(5 * 640);
-    for kind in [MatrixKind::IsalPower, MatrixKind::ReducedVandermonde, MatrixKind::Cauchy] {
+    for kind in [
+        MatrixKind::IsalPower,
+        MatrixKind::ReducedVandermonde,
+        MatrixKind::Cauchy,
+    ] {
         let matrix = encoding_matrix(kind, 5, 2);
         let parity = BitMatrix::expand_gf_matrix(&matrix.select_rows(&[5, 6]));
         for opt in [OptConfig::BASE, OptConfig::FULL_DFS] {
-            let cfg = EngineConfig { opt, blocksize: 512, ..EngineConfig::new() };
+            let cfg = EngineConfig {
+                opt,
+                blocksize: 512,
+                ..EngineConfig::new()
+            };
             let codec = XorCodec::new(5, 2, 8, &parity, Vec::new(), cfg).unwrap();
             let shards = codec.encode(&data).unwrap();
             assert!(codec.verify(&shards).unwrap());
             let mut rx: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
             rx[3] = None;
             rx[5] = None;
-            assert_eq!(codec.decode(&rx, data.len()).unwrap(), data, "{kind:?} {opt:?}");
+            assert_eq!(
+                codec.decode(&rx, data.len()).unwrap(),
+                data,
+                "{kind:?} {opt:?}"
+            );
         }
     }
 }

@@ -11,7 +11,10 @@ fn sample(len: usize) -> Vec<u8> {
 fn rejects_all_invalid_parameter_combinations() {
     assert!(matches!(RsCodec::new(0, 4), Err(EcError::InvalidParams(_))));
     assert!(matches!(RsCodec::new(4, 0), Err(EcError::InvalidParams(_))));
-    assert!(matches!(RsCodec::new(128, 128), Err(EcError::InvalidParams(_))));
+    assert!(matches!(
+        RsCodec::new(128, 128),
+        Err(EcError::InvalidParams(_))
+    ));
     assert!(matches!(
         RsCodec::with_config(RsConfig::new(4, 2).blocksize(0)),
         Err(EcError::InvalidParams(_))
@@ -27,7 +30,10 @@ fn detects_too_many_erasures_before_touching_data() {
     rx[2] = None;
     rx[4] = None;
     match codec.decode(&rx, 1024) {
-        Err(EcError::TooManyErasures { missing: 3, parity: 2 }) => {}
+        Err(EcError::TooManyErasures {
+            missing: 3,
+            parity: 2,
+        }) => {}
         other => panic!("expected TooManyErasures, got {other:?}"),
     }
 }
@@ -36,7 +42,13 @@ fn detects_too_many_erasures_before_touching_data() {
 fn detects_wrong_shard_count() {
     let codec = RsCodec::new(4, 2).unwrap();
     let err = codec.decode(&[None, None, None], 0).unwrap_err();
-    assert!(matches!(err, EcError::ShardCount { expected: 6, got: 3 }));
+    assert!(matches!(
+        err,
+        EcError::ShardCount {
+            expected: 6,
+            got: 3
+        }
+    ));
 }
 
 #[test]
@@ -45,7 +57,10 @@ fn detects_inconsistent_shard_lengths() {
     let shards = codec.encode(&sample(999)).unwrap();
     let mut rx: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
     rx[1].as_mut().unwrap().pop(); // truncate one shard
-    assert!(matches!(codec.decode(&rx, 999), Err(EcError::ShardLength(_))));
+    assert!(matches!(
+        codec.decode(&rx, 999),
+        Err(EcError::ShardLength(_))
+    ));
 }
 
 #[test]
@@ -68,7 +83,10 @@ fn verify_catches_corruption() {
     let mut shards = codec.encode(&data).unwrap();
     assert!(codec.verify(&shards).unwrap());
     shards[1][17] ^= 0x40; // flip one bit in a data shard
-    assert!(!codec.verify(&shards).unwrap(), "corruption must be detected");
+    assert!(
+        !codec.verify(&shards).unwrap(),
+        "corruption must be detected"
+    );
 }
 
 #[test]

@@ -32,7 +32,10 @@ const HEADER: &str = concat!(
 #[test]
 fn archive_header() {
     let meta = ArchiveMeta::with_spec(&CodecSpec::lrc(10, 4, 5), 1 << 16, 123_456);
-    let header = ShardHeader { meta, shard_index: 11 };
+    let header = ShardHeader {
+        meta,
+        shard_index: 11,
+    };
     let bytes = header.to_bytes();
     assert_eq!(hex(&bytes), HEADER);
     assert_eq!(ShardHeader::from_bytes(&bytes).unwrap(), header);
@@ -111,7 +114,10 @@ fn manifest_record() {
     let m = manifest();
     let bytes = m.to_bytes();
     assert_eq!(hex(&bytes), MANIFEST);
-    assert_eq!(parse_record(&bytes).unwrap(), ManifestRecord::Live(m.clone()));
+    assert_eq!(
+        parse_record(&bytes).unwrap(),
+        ManifestRecord::Live(m.clone())
+    );
     assert_eq!(m.shard_key("obj", 2), "s:002g0000000000000001:obj");
 }
 
@@ -121,7 +127,10 @@ const TOMBSTONE: &str = "58534c5045435431040700000000000000357f5cd3";
 fn tombstone_record() {
     let bytes = tombstone_bytes(7);
     assert_eq!(hex(&bytes), TOMBSTONE);
-    assert_eq!(parse_record(&bytes).unwrap(), ManifestRecord::Tombstone { generation: 7 });
+    assert_eq!(
+        parse_record(&bytes).unwrap(),
+        ManifestRecord::Tombstone { generation: 7 }
+    );
 }
 
 const HASH_BLOB: &str = concat!(
@@ -159,7 +168,9 @@ fn put_shard_request_frame() {
         bytes
     });
     let mut client = NodeClient::connect(&addr, Duration::from_secs(10)).unwrap();
-    client.put("s:000g0000000000000001:obj", b"shard bytes").unwrap();
+    client
+        .put("s:000g0000000000000001:obj", b"shard bytes")
+        .unwrap();
     let bytes = peer.join().unwrap();
     assert_eq!(hex(&bytes), PUT_SHARD_FRAME);
     let frame = proto::read_frame(&mut Cursor::new(&bytes)).unwrap();

@@ -17,9 +17,7 @@ fn codec_for(n: usize, p: usize) -> std::sync::Arc<RsCodec> {
     guard
         .entry((n, p))
         .or_insert_with(|| {
-            std::sync::Arc::new(
-                RsCodec::with_config(RsConfig::new(n, p).blocksize(256)).unwrap(),
-            )
+            std::sync::Arc::new(RsCodec::with_config(RsConfig::new(n, p).blocksize(256)).unwrap())
         })
         .clone()
 }

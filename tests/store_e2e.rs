@@ -5,10 +5,10 @@
 //! provably cheaper than a full re-put (SLP metrics + program-table
 //! introspection).
 
-use xorslp_ec::store::{Cluster, NodeHandle, OverwriteMode};
-use xorslp_ec::RsConfig;
 use std::path::PathBuf;
 use std::time::Duration;
+use xorslp_ec::store::{Cluster, NodeHandle, OverwriteMode};
+use xorslp_ec::RsConfig;
 
 const N: usize = 10;
 const P: usize = 4;
@@ -21,10 +21,7 @@ struct Fixture {
 
 impl Fixture {
     fn spawn(tag: &str) -> Fixture {
-        let root = std::env::temp_dir().join(format!(
-            "ec_store_e2e_{tag}_{}",
-            std::process::id()
-        ));
+        let root = std::env::temp_dir().join(format!("ec_store_e2e_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let nodes: Vec<Option<NodeHandle>> = (0..N + P)
             .map(|i| {
@@ -58,7 +55,9 @@ impl Drop for Fixture {
 }
 
 fn payload(len: usize, seed: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + seed * 131 + i / 11) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + seed * 131 + i / 11) % 251) as u8)
+        .collect()
 }
 
 /// Kill-4 patterns spanning the interesting shapes: all-parity,
@@ -93,9 +92,9 @@ fn rs_10_4_survives_any_four_dead_nodes_and_repairs() {
 
         // Degraded reads: any 10 of 14 live nodes reconstruct exactly.
         for (name, data) in &objects {
-            let got = cluster.get(name).unwrap_or_else(|e| {
-                panic!("case {case}: degraded get({name}) failed: {e}")
-            });
+            let got = cluster
+                .get(name)
+                .unwrap_or_else(|e| panic!("case {case}: degraded get({name}) failed: {e}"));
             assert_eq!(&got, data, "case {case}: degraded get({name})");
         }
 
@@ -145,7 +144,11 @@ fn delta_overwrite_is_cheaper_than_full_reput() {
 
     assert_eq!(report.mode, OverwriteMode::Delta);
     assert_eq!(report.changed, vec![0, 3]);
-    assert_eq!(report.shards_written, 2 + P, "changed shards + parity, not n + p");
+    assert_eq!(
+        report.shards_written,
+        2 + P,
+        "changed shards + parity, not n + p"
+    );
     // SLP metrics: the executed column programs cost strictly fewer
     // XORs than the full encode program a re-put would run.
     assert!(
