@@ -17,18 +17,11 @@ use xor_runtime::{lock_unpoisoned as lock, ExecProgram, Kernel};
 /// The engine knobs of an [`XorCodec`]: how programs are optimized,
 /// compiled and executed. Which *code* runs is not in here.
 ///
-/// Precedence, lowest to highest:
-///
-/// 1. the paper's constants ([`EngineConfig::PAPER`]; §7.4:
-///    `Dfs(Fu(XorRePair(P)))`, `B = 1024`, the widest XOR kernel the CPU
-///    offers, up to one stripe per CPU);
-/// 2. environment: `XORSLP_KERNEL` (`scalar` | `wide64` | `avx2` |
-///    `avx512` | `neon` | `auto`) and `XORSLP_PARALLELISM` (`0` = auto or
-///    a stripe cap) — CI uses these to force the whole suite through
-///    each engine configuration;
-/// 3. explicit field writes on the value [`EngineConfig::new`] returns.
-///
-/// Steps 1–2 are applied in [`EngineConfig::new`] and nowhere else. The
+/// A codec starts from the paper's constants ([`EngineConfig::PAPER`];
+/// §7.4: `Dfs(Fu(XorRePair(P)))`, `B = 1024`, the widest XOR kernel the
+/// CPU offers, up to one stripe per CPU), and a caller changes a knob
+/// by writing its field, as each of the paper's experiments passes its
+/// kernel and blocksize. Nothing is read from the environment. The
 /// best `B` is a property of the machine (§7.4 picks 1K on Intel, 2K on
 /// AMD); the `table_7_2_blocksize` / `table_7_4_blocksize` binaries
 /// re-measure it.
@@ -58,16 +51,9 @@ impl EngineConfig {
         parallelism: 0,
     };
 
-    /// The default engine: [`EngineConfig::PAPER`] with the
-    /// `XORSLP_KERNEL` / `XORSLP_PARALLELISM` overrides applied (see the
-    /// type docs).
+    /// The default engine: [`EngineConfig::PAPER`].
     pub fn new() -> EngineConfig {
-        let paper = EngineConfig::PAPER;
-        EngineConfig {
-            kernel: Kernel::from_env().unwrap_or(paper.kernel),
-            parallelism: xor_runtime::env_parallelism().unwrap_or(paper.parallelism),
-            ..paper
-        }
+        EngineConfig::PAPER
     }
 }
 
@@ -1835,6 +1821,9 @@ mod tests {
     /// Decode at every `data_len` edge, and reconstruct, for each pattern
     /// at parallelism 1 and 2, byte for byte against the oracle. Packets
     /// of 136 bytes at `B = 64` run as two uneven stripes on two workers.
+    /// Pattern `k` runs on kernel `k mod K` of the CPU's `K` kernels, so
+    /// every kernel decodes and reconstructs, and each pattern's programs
+    /// are compiled once per parallelism as with a single codec.
     fn assert_written_in_place(
         name: &str,
         build: impl Fn(EngineConfig) -> XorCodec,
@@ -1842,24 +1831,32 @@ mod tests {
     ) {
         const PL: usize = 136;
         for parallelism in [1, 2] {
-            let codec = build(EngineConfig {
-                blocksize: 64,
-                parallelism,
-                ..EngineConfig::new()
-            });
-            let (n, len) = (codec.n, codec.w * PL);
-            let data = random_bytes(n * len, (n * 100 + codec.p) as u64);
-            let shards = codec.encode(&data).unwrap();
-            for lost in lost {
-                let ctx = format!("{name}, parallelism {parallelism}, lost {lost:?}");
+            let codecs: Vec<XorCodec> = xor_runtime::available_kernels()
+                .into_iter()
+                .map(|kernel| {
+                    build(EngineConfig {
+                        blocksize: 64,
+                        kernel,
+                        parallelism,
+                        ..EngineConfig::new()
+                    })
+                })
+                .collect();
+            let (n, len) = (codecs[0].n, codecs[0].w * PL);
+            let data = random_bytes(n * len, (n * 100 + codecs[0].p) as u64);
+            let shards = codecs[0].encode(&data).unwrap();
+            for (k, lost) in lost.iter().enumerate() {
+                let codec = &codecs[k % codecs.len()];
+                let kernel = codec.engine_config().kernel;
+                let ctx = format!("{name}, {kernel:?}, parallelism {parallelism}, lost {lost:?}");
                 let mut rx = erase(&shards, lost);
                 for data_len in [0, 1, len - 1, (n - 1) * len + 1, n * len - 1, n * len] {
                     let got = codec.decode(&rx, data_len).unwrap();
-                    let want = stitched_decode(&codec, &rx, data_len);
+                    let want = stitched_decode(codec, &rx, data_len);
                     assert_eq!(got, want, "{ctx}, {data_len} bytes");
                     assert_eq!(got, data[..data_len], "{ctx}, {data_len} bytes");
                 }
-                let stitched = stitched_decode(&codec, &rx, n * len);
+                let stitched = stitched_decode(codec, &rx, n * len);
                 codec.reconstruct(&mut rx).unwrap();
                 let rebuilt: Vec<Vec<u8>> = rx.into_iter().map(Option::unwrap).collect();
                 assert_eq!(rebuilt[..n].concat(), stitched, "{ctx}");

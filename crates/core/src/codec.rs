@@ -77,7 +77,7 @@ impl std::ops::Deref for RsCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{codec_for, codec_for_with, Compression, Kernel, OptConfig, Scheduling};
+    use crate::{codec_for, codec_for_with, Compression, OptConfig, Scheduling};
 
     fn sample_data(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 131 + i / 7) as u8).collect()
@@ -324,7 +324,7 @@ mod tests {
             let reference = codec_for(&spec).unwrap().encode(&data).unwrap();
             for opt in [OptConfig::BASE, OptConfig::FULL_DFS] {
                 for blocksize in [16, 1024] {
-                    for kernel in [Kernel::Scalar, Kernel::Auto] {
+                    for kernel in xor_runtime::available_kernels() {
                         for parallelism in [1, 2] {
                             let cfg = RsConfig::new(spec.data_shards, spec.parity_shards)
                                 .opt(opt)

@@ -11,7 +11,7 @@ use xor_runtime::Kernel;
 /// matrix, the one [`crate::CodecSpec::rs`] names in archive headers and
 /// store manifests, so an artifact reopens with the matrix it was
 /// written with. The engine knobs change speed, never bytes; their
-/// defaults and precedence are documented on [`EngineConfig`].
+/// defaults are documented on [`EngineConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RsConfig {
     /// Number of data shards `n`.
@@ -71,24 +71,15 @@ mod tests {
 
     #[test]
     fn defaults_follow_the_precedence_chain() {
-        let c = RsConfig::new(10, 4);
-        assert_eq!(c.engine.opt, OptConfig::FULL_DFS);
-        // Kernel and parallelism are the paper's constants unless CI's
-        // env vars force an engine configuration through the suite;
-        // nothing else moves them.
-        assert_eq!(c.engine.blocksize, 1024);
-        assert_eq!(c.engine.kernel, Kernel::from_env().unwrap_or(Kernel::Auto));
-        assert_eq!(
-            c.engine.parallelism,
-            xor_runtime::env_parallelism().unwrap_or(0)
-        );
-        assert_eq!(c.engine(), EngineConfig::new());
+        // The default engine is the paper's constant: nothing but a
+        // field write moves it.
+        assert_eq!(RsConfig::new(10, 4).engine(), EngineConfig::PAPER);
     }
 
     #[test]
     fn paper_defaults_hold_when_tuning_is_off() {
-        // The bottom of the precedence chain is the paper's configuration,
-        // a constant: no measurement or file can move it.
+        // The paper's configuration is a constant: no measurement, file
+        // or environment variable can move it.
         let paper = EngineConfig::PAPER;
         assert_eq!(paper.opt, OptConfig::FULL_DFS);
         assert_eq!(paper.blocksize, 1024);

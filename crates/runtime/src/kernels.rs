@@ -88,54 +88,6 @@ impl Kernel {
         }
     }
 
-    /// Parse a kernel name (`scalar`, `wide64`, `avx2`, `avx512`, `neon`,
-    /// `auto`, or the paper-style aliases `xor1`/`xor8`/`xor32`/`xor64`/
-    /// `xor16`). Names of kernels this *build* does not include (wrong
-    /// architecture) are unknown; availability on the running CPU is not
-    /// checked here — see [`Kernel::from_env`].
-    pub fn parse(name: &str) -> Option<Kernel> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "scalar" | "xor1" => Some(Kernel::Scalar),
-            "wide64" | "xor8" => Some(Kernel::Wide64),
-            #[cfg(target_arch = "x86_64")]
-            "avx2" | "xor32" => Some(Kernel::Avx2),
-            #[cfg(target_arch = "x86_64")]
-            "avx512" | "xor64" => Some(Kernel::Avx512),
-            #[cfg(target_arch = "aarch64")]
-            "neon" | "xor16" => Some(Kernel::Neon),
-            "auto" => Some(Kernel::Auto),
-            _ => None,
-        }
-    }
-
-    /// The `XORSLP_KERNEL` environment override, if set and recognised
-    /// (`scalar`, `wide64`, `avx2`, `avx512`, `neon`, `auto`). Codec
-    /// constructors use this as their *default* kernel; an explicit
-    /// builder call still wins. CI uses it to force the whole suite
-    /// through each implementation.
-    ///
-    /// An env var can never force a SIMD kernel onto a CPU without the
-    /// feature (calling the `target_feature` function would be UB): the
-    /// request falls back to `Auto` — which picks the best *available*
-    /// kernel — with a one-line warning on stderr so a misconfigured
-    /// deployment is visible instead of silently slower.
-    pub fn from_env() -> Option<Kernel> {
-        let raw = std::env::var("XORSLP_KERNEL").ok()?;
-        let k = Kernel::parse(&raw)?;
-        if k.is_available() {
-            Some(k)
-        } else {
-            eprintln!(
-                "xorslp: warning: XORSLP_KERNEL={} requests the {} kernel, \
-                 which this CPU does not support; falling back to auto ({})",
-                raw.trim(),
-                k.name(),
-                Kernel::Auto.resolve().name()
-            );
-            Some(Kernel::Auto)
-        }
-    }
-
     /// Human-readable name used by the benchmark tables.
     pub fn name(self) -> &'static str {
         match self {

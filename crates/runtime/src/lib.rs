@@ -39,4 +39,4 @@ mod pool;
 pub use arena::{with_ref_scratch, AlignedBuf, StripedBuf, VarArena, CACHE_PAGE};
 pub use exec::{ExecError, ExecProgram};
 pub use kernels::{available_kernels, xor_accumulate, xor_into, xor_slices, Kernel};
-pub use pool::{default_parallelism, env_parallelism, lock_unpoisoned};
+pub use pool::{default_parallelism, lock_unpoisoned};

@@ -152,8 +152,7 @@ impl ExecPool {
                 // borrow with lifetime 'scope stays live for as long as
                 // the task exists. Erasing 'scope to 'static is therefore
                 // sound; the fat-pointer layout is identical.
-                let task: StaticTask =
-                    unsafe { std::mem::transmute::<ScopedTask<'scope>, StaticTask>(task) };
+                let task = unsafe { std::mem::transmute::<ScopedTask<'scope>, StaticTask>(task) };
                 let latch = latch.clone();
                 q.tasks.push_back(Box::new(move |arena: &mut VarArena| {
                     let outcome = catch_unwind(AssertUnwindSafe(|| task(arena)));
@@ -212,18 +211,6 @@ fn worker_loop(shared: &Shared) {
 /// build the pool.
 pub fn default_parallelism() -> usize {
     thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// The `XORSLP_PARALLELISM` environment override, if set and parseable:
-/// `0` means "auto" (stripe up to [`default_parallelism`] ways), `k ≥ 1`
-/// caps a call at `k` stripes. Codec constructors use this as their
-/// *default*; an explicit builder call still wins.
-pub fn env_parallelism() -> Option<usize> {
-    std::env::var("XORSLP_PARALLELISM")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
 }
 
 #[cfg(test)]

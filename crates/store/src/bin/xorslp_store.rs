@@ -11,11 +11,19 @@
 //! `<cluster>` is a comma-separated list of node addresses; the same
 //! list (same order) must be given to every client so rendezvous
 //! placement agrees.
+//!
+//! Fault tests crash a client mid-write through the environment:
+//! `XORSLP_FAILPOINT="<point>=<k>"` installs a [`FailPoint`] that fails
+//! `point` at every index `>= k` (e.g. `put.shard=2` dies after two
+//! shard writes, before the manifest publishes).
 
 use ec_core::CodecSpec;
-use ec_store::{Cluster, NodeHandle, NodeOptions, OverwriteMode, ShardOutcome, StoreError};
+use ec_store::{
+    Cluster, FailPoint, NodeHandle, NodeOptions, OverwriteMode, ShardOutcome, StoreError,
+};
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -208,7 +216,27 @@ fn cluster_from(opts: &Opts, which: usize) -> Result<Cluster, CliError> {
     if let Some(secs) = opts.gc_grace {
         cluster = cluster.with_gc_grace(Duration::from_secs(secs));
     }
+    if let Ok(spec) = std::env::var("XORSLP_FAILPOINT") {
+        cluster = cluster.with_failpoint(failpoint(&spec)?);
+    }
     Ok(cluster)
+}
+
+/// The hook `XORSLP_FAILPOINT="<point>=<k>"` asks for. A malformed spec
+/// is a usage error: it must not silently disable the crash a test
+/// asked for.
+fn failpoint(spec: &str) -> Result<FailPoint, CliError> {
+    let parsed = spec
+        .split_once('=')
+        .and_then(|(point, k)| Some((point.trim().to_string(), k.trim().parse::<usize>().ok()?)));
+    let Some((point, k)) = parsed else {
+        return Err(CliError::Usage(format!(
+            "XORSLP_FAILPOINT `{spec}`: want <point>=<k>"
+        )));
+    };
+    Ok(Arc::new(move |p: &str, index: usize| {
+        p == point && index >= k
+    }))
 }
 
 fn run(args: &[String]) -> Result<ExitCode, CliError> {

@@ -103,29 +103,11 @@ pub const DEFAULT_GC_GRACE: Duration = Duration::from_secs(300);
 /// `repair_nodes` alike; a repair that moves no shard publishes
 /// nothing, so `repair.publish` cannot fire in it.
 ///
-/// Install with [`Cluster::with_failpoint`], or via the environment for
-/// CLI-driven tests: `XORSLP_FAILPOINT="<point>=<k>"` makes `point`
-/// fail at every `index >= k`.
+/// Install with [`Cluster::with_failpoint`]; a cluster has no hook
+/// otherwise. (The `xorslp-store` CLI installs one from its own
+/// `XORSLP_FAILPOINT="<point>=<k>"`, which makes `point` fail at every
+/// `index >= k`.)
 pub type FailPoint = Arc<dyn Fn(&str, usize) -> bool + Send + Sync>;
-
-/// Parse `XORSLP_FAILPOINT="<point>=<k>"` into a hook (`None` when the
-/// variable is unset or malformed — a malformed spec must not silently
-/// disable the injection a test asked for, so it is at least loud).
-fn failpoint_from_env() -> Option<FailPoint> {
-    let spec = std::env::var("XORSLP_FAILPOINT").ok()?;
-    let Some((point, k)) = spec.split_once('=') else {
-        eprintln!("ignoring malformed XORSLP_FAILPOINT `{spec}` (want <point>=<k>)");
-        return None;
-    };
-    let Ok(k) = k.trim().parse::<usize>() else {
-        eprintln!("ignoring malformed XORSLP_FAILPOINT `{spec}` (want <point>=<k>)");
-        return None;
-    };
-    let point = point.trim().to_string();
-    Some(Arc::new(move |p: &str, index: usize| {
-        p == point && index >= k
-    }))
-}
 
 /// Evaluate a failpoint inside a write step: `Err` = the injected
 /// crash. A tripped step errors before touching the network, so the
@@ -273,8 +255,8 @@ pub struct Cluster {
     /// Minimum age (node-clock) a shard blob must reach before the
     /// scrub-time GC may collect it.
     gc_grace: Duration,
-    /// Crash injection for the fault tests ([`FailPoint`]); `None` in
-    /// production unless `XORSLP_FAILPOINT` is set.
+    /// Crash injection for the fault tests ([`FailPoint`]); `None`
+    /// unless [`Cluster::with_failpoint`] installed one.
     failpoint: Option<FailPoint>,
 }
 
@@ -330,7 +312,7 @@ impl Cluster {
             timeout: DEFAULT_TIMEOUT,
             op_deadline: None,
             gc_grace: DEFAULT_GC_GRACE,
-            failpoint: failpoint_from_env(),
+            failpoint: None,
         })
     }
 
@@ -361,7 +343,7 @@ impl Cluster {
     }
 
     /// Install a crash-injection hook (see [`FailPoint`]). Test-only by
-    /// intent; overrides any `XORSLP_FAILPOINT` environment hook.
+    /// intent.
     pub fn with_failpoint(mut self, failpoint: FailPoint) -> Cluster {
         self.failpoint = Some(failpoint);
         self

@@ -26,18 +26,17 @@
 //!   straggler is abandoned by dropping its socket.
 //!
 //! **The trade-off.** `post` runs on the calling thread, between
-//! `poll`s: the CRC-32 + Merkle check of each fetched shard happens as
-//! that shard arrives, overlapped with the wait for the others but no
-//! longer with *each other* (the design this replaces ran 14 of them on
-//! 14 threads). On one CPU the sum is the same and the spawns and joins
-//! are gone; on a many-core client reading large objects over a fast
-//! network, a healthy read's `n` shard checks now queue on one core:
-//! ~0.7 ms per MiB of shard with SHA-NI one leaf at a time, ~0.35 ms
-//! once a shard has the eight 64 KiB leaves (512 KiB) that take its
-//! Merkle check through the 16-lane kernel. Each check still covers one
-//! shard: batching leaves *across* arriving shards would mean holding
-//! verdicts back past the completion predicate. No workload measures
-//! either yet.
+//! `poll`s. A fetched shard's length and CRC-32 are checked there as it
+//! arrives (`check_shard` in `cluster/read.rs`); the Merkle roots of
+//! every shard a round was served are checked after the round, in one
+//! lane batch (`check_roots`), because one shard of a 1 MiB RS(10, 4)
+//! object is two 64 KiB leaves, too few for the 16 SHA-256 lanes, and a
+//! round's ten or more fill them. The price is latency on damage: a
+//! root failure is seen only once the round's completion predicate
+//! holds, so a CRC-colliding data shard costs a get one more round, for
+//! parity. On one CPU the checks cost what a thread per shard would,
+//! without the spawns and joins; on a many-core client the batch runs
+//! on one core. No workload measures that yet.
 //!
 //! Connection lifecycle: at most one connection per node address in an
 //! operation, and at most one *idle* connection per address across

@@ -267,45 +267,6 @@ impl MerkleTree {
         widths
     }
 
-    /// Inclusion proof for `leaf`: the sibling hashes from the leaf
-    /// level up, `None` where an odd promotion had no sibling. `None`
-    /// if the index is out of range.
-    pub fn proof(&self, leaf: usize) -> Option<Vec<Option<Hash>>> {
-        if leaf >= self.leaf_count {
-            return None;
-        }
-        let mut proof = Vec::with_capacity(self.height());
-        let mut index = leaf;
-        for level in &self.levels[..self.height()] {
-            let sibling = index ^ 1;
-            proof.push(level.get(sibling).copied());
-            index /= 2;
-        }
-        Some(proof)
-    }
-
-    /// Verify an inclusion proof produced by [`MerkleTree::proof`]
-    /// against a trusted `root`.
-    pub fn verify_proof(
-        root: &Hash,
-        leaf_index: usize,
-        leaf: &Hash,
-        proof: &[Option<Hash>],
-    ) -> bool {
-        let mut acc = *leaf;
-        let mut index = leaf_index;
-        for sibling in proof {
-            acc = match sibling {
-                Some(s) if index.is_multiple_of(2) => node_hash(&acc, s),
-                Some(s) => node_hash(s, &acc),
-                // Odd promotion: the node rises unchanged.
-                None => acc,
-            };
-            index /= 2;
-        }
-        acc == *root
-    }
-
     /// Leaf indices where `self` and `other` differ, found by descending
     /// only into mismatching subtrees. Both trees must have the same
     /// leaf count (the comparison is meaningless otherwise).
@@ -419,28 +380,5 @@ mod tests {
         let b = MerkleTree::from_leaves(other);
         assert_eq!(a.diff(&b), vec![0, 128, 200, 256]);
         assert_eq!(a.diff(&a), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn proofs_verify_and_bind_position() {
-        let ls = leaves(11);
-        let tree = MerkleTree::from_leaves(ls.clone());
-        let root = tree.root();
-        for (i, leaf) in ls.iter().enumerate() {
-            let proof = tree.proof(i).unwrap();
-            assert!(MerkleTree::verify_proof(&root, i, leaf, &proof), "leaf {i}");
-            // A wrong in-range position must fail. (An out-of-range claim
-            // like `10 ^ 1 == 11` is indistinguishable for the promoted
-            // tail — its proof step is `None` — which is why callers
-            // always bounds-check the index against the known leaf count
-            // before verifying.)
-            if i ^ 1 < ls.len() {
-                assert!(!MerkleTree::verify_proof(&root, i ^ 1, leaf, &proof));
-            }
-            let mut wrong = *leaf;
-            wrong[5] ^= 1;
-            assert!(!MerkleTree::verify_proof(&root, i, &wrong, &proof));
-        }
-        assert!(tree.proof(11).is_none());
     }
 }

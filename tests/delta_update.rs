@@ -1,7 +1,8 @@
 //! Delta parity updates and partial repair, end to end through the
 //! façade: the update identity, the partial-program cache, and the
-//! proportional-repair guarantees — under every engine configuration the
-//! CI matrix forces via `XORSLP_KERNEL` / `XORSLP_PARALLELISM`.
+//! proportional-repair guarantees, on the default engine. Every kernel
+//! computes the same bytes (`crates/runtime/tests/kernel_equivalence.rs`),
+//! and ec-core's proptests run `update_parity` on each one.
 
 use xorslp_ec::{ArrayCodec, EcError, RsCodec};
 
